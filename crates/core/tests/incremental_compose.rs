@@ -4,6 +4,10 @@
 //! designs, random countermeasure sequences, worker counts, and chaos
 //! injection. This is the contract that makes the evaluation cache
 //! admissible at all.
+//!
+//! The chaos tests here arm chaos process-wide while they run, so every
+//! test that expects a clean run holds a `without_chaos` scope (scopes
+//! serialize on one lock and must not nest).
 
 use seceda_core::{
     run_closure, run_closure_full, ClosureConfig, ClosureSession, CompositionEngine,
@@ -71,38 +75,46 @@ fn differential(design: Netlist, seed: u64, steps: usize) {
 
 #[test]
 fn cached_matches_full_on_bench_designs() {
-    differential(c17(), 0xC17, 5);
-    differential(ripple_adder(8), 0xADD, 5);
+    chaos::without_chaos(|| {
+        differential(c17(), 0xC17, 5);
+        differential(ripple_adder(8), 0xADD, 5);
+    });
 }
 
 #[test]
 fn cached_matches_full_on_random_designs() {
-    for seed in [7u64, 8] {
-        let nl = random_circuit(&RandomCircuitConfig {
-            num_inputs: 10,
-            num_gates: 150,
-            num_outputs: 4,
-            with_xor: true,
-            seed,
-        });
-        differential(nl, seed, 6);
-    }
+    chaos::without_chaos(|| {
+        for seed in [7u64, 8] {
+            let nl = random_circuit(&RandomCircuitConfig {
+                num_inputs: 10,
+                num_gates: 150,
+                num_outputs: 4,
+                with_xor: true,
+                seed,
+            });
+            differential(nl, seed, 6);
+        }
+    });
 }
 
 #[test]
 fn cached_matches_full_on_parsed_designs() {
     // a design that went through the .bench round-trip (internal nets
     // renamed) must cache exactly like the built original
-    let nl = ripple_adder(8);
-    let reparsed = parse_design(&write_bench(&nl), DesignFormat::Bench).expect("parse");
-    differential(reparsed, 0xBE9C, 5);
+    chaos::without_chaos(|| {
+        let nl = ripple_adder(8);
+        let reparsed = parse_design(&write_bench(&nl), DesignFormat::Bench).expect("parse");
+        differential(reparsed, 0xBE9C, 5);
+    });
 }
 
 #[test]
 fn cached_matches_full_across_worker_counts() {
-    for workers in [1usize, 4] {
-        with_workers(workers, || differential(c17(), 0x440 + workers as u64, 4));
-    }
+    chaos::without_chaos(|| {
+        for workers in [1usize, 4] {
+            with_workers(workers, || differential(c17(), 0x440 + workers as u64, 4));
+        }
+    });
 }
 
 #[test]
@@ -151,116 +163,122 @@ fn degraded_metrics_are_recomputed_not_served() {
 
 #[test]
 fn second_identical_session_is_all_hits() {
-    let cache = Arc::new(EvalCache::new());
-    let eval = SecurityEvaluation::default();
-    let schedule = [Countermeasure::XorLock(8), Countermeasure::TrojanMonitor];
-    let run = || {
-        let mut engine =
-            CompositionEngine::with_cache(DesignUnderTest::new(c17()), eval, cache.clone());
-        engine.evaluate("baseline").expect("eval");
-        for cm in schedule {
-            engine.apply(cm).expect("apply");
-        }
-        engine.history().last().expect("report").clone()
-    };
-    let first = run();
-    let before = cache.stats();
-    let second = run();
-    let after = cache.stats();
-    assert_eq!(first, second);
-    assert_eq!(
-        after.misses, before.misses,
-        "a replayed session must not compute anything"
-    );
-    assert_eq!(second.cached_count(), 4, "{:?}", second.provenance);
+    chaos::without_chaos(|| {
+        let cache = Arc::new(EvalCache::new());
+        let eval = SecurityEvaluation::default();
+        let schedule = [Countermeasure::XorLock(8), Countermeasure::TrojanMonitor];
+        let run = || {
+            let mut engine =
+                CompositionEngine::with_cache(DesignUnderTest::new(c17()), eval, cache.clone());
+            engine.evaluate("baseline").expect("eval");
+            for cm in schedule {
+                engine.apply(cm).expect("apply");
+            }
+            engine.history().last().expect("report").clone()
+        };
+        let first = run();
+        let before = cache.stats();
+        let second = run();
+        let after = cache.stats();
+        assert_eq!(first, second);
+        assert_eq!(
+            after.misses, before.misses,
+            "a replayed session must not compute anything"
+        );
+        assert_eq!(second.cached_count(), 4, "{:?}", second.provenance);
+    });
 }
 
 #[test]
 fn closure_driver_matches_full_recompute_on_a_portfolio() {
     // the end-to-end shape the bench measures, shrunk: several sessions
     // with shared prefixes over one design family
-    let designs = [c17(), ripple_adder(4)];
-    let schedules: [&[Countermeasure]; 3] = [
-        &[Countermeasure::XorLock(8), Countermeasure::TrojanMonitor],
-        &[
-            Countermeasure::XorLock(8),
-            Countermeasure::ParityCheck,
-            Countermeasure::TrojanMonitor,
-        ],
-        &[
-            Countermeasure::DuplicationCompare,
-            Countermeasure::XorLock(4),
-        ],
-    ];
-    let mk = || {
-        let mut sessions = Vec::new();
-        for (i, d) in designs.iter().enumerate() {
-            for (j, s) in schedules.iter().enumerate() {
-                sessions.push(ClosureSession::new(
-                    format!("d{i}s{j}"),
-                    DesignUnderTest::new(d.clone()),
-                    s.to_vec(),
-                ));
+    chaos::without_chaos(|| {
+        let designs = [c17(), ripple_adder(4)];
+        let schedules: [&[Countermeasure]; 3] = [
+            &[Countermeasure::XorLock(8), Countermeasure::TrojanMonitor],
+            &[
+                Countermeasure::XorLock(8),
+                Countermeasure::ParityCheck,
+                Countermeasure::TrojanMonitor,
+            ],
+            &[
+                Countermeasure::DuplicationCompare,
+                Countermeasure::XorLock(4),
+            ],
+        ];
+        let mk = || {
+            let mut sessions = Vec::new();
+            for (i, d) in designs.iter().enumerate() {
+                for (j, s) in schedules.iter().enumerate() {
+                    sessions.push(ClosureSession::new(
+                        format!("d{i}s{j}"),
+                        DesignUnderTest::new(d.clone()),
+                        s.to_vec(),
+                    ));
+                }
             }
+            sessions
+        };
+        let config = ClosureConfig {
+            eval: SecurityEvaluation {
+                fia_shots: 20,
+                ..SecurityEvaluation::default()
+            },
+            ..ClosureConfig::default()
+        };
+        for workers in [1usize, 4] {
+            with_workers(workers, || {
+                let cached = run_closure(mk(), &config).expect("cached closure");
+                let full = run_closure_full(mk(), &config).expect("full closure");
+                for (c, f) in cached.sessions.iter().zip(&full.sessions) {
+                    assert_eq!(c.label, f.label);
+                    assert_eq!(c.final_report.metrics, f.final_report.metrics);
+                    assert_eq!(c.applied, f.applied);
+                    assert_eq!(c.rolled_back, f.rolled_back);
+                }
+                assert!(
+                    cached.cache.hits > 0,
+                    "shared prefixes must hit: {:?}",
+                    cached.cache
+                );
+                assert_eq!(full.cache.hits, 0);
+            });
         }
-        sessions
-    };
-    let config = ClosureConfig {
-        eval: SecurityEvaluation {
-            fia_shots: 20,
-            ..SecurityEvaluation::default()
-        },
-        ..ClosureConfig::default()
-    };
-    for workers in [1usize, 4] {
-        with_workers(workers, || {
-            let cached = run_closure(mk(), &config).expect("cached closure");
-            let full = run_closure_full(mk(), &config).expect("full closure");
-            for (c, f) in cached.sessions.iter().zip(&full.sessions) {
-                assert_eq!(c.label, f.label);
-                assert_eq!(c.final_report.metrics, f.final_report.metrics);
-                assert_eq!(c.applied, f.applied);
-                assert_eq!(c.rolled_back, f.rolled_back);
-            }
-            assert!(
-                cached.cache.hits > 0,
-                "shared prefixes must hit: {:?}",
-                cached.cache
-            );
-            assert_eq!(full.cache.hits, 0);
-        });
-    }
+    });
 }
 
 #[test]
 fn masked_gadget_caches_without_losing_the_cross_effect() {
     // the paper's masking/parity conflict must survive caching: the
     // regression is re-detected from cached metrics bit-identically
-    let mut nl = Netlist::new("and");
-    let a = nl.add_input("a");
-    let b = nl.add_input("b");
-    let y = nl.add_gate(seceda_netlist::CellKind::And, &[a, b]);
-    nl.mark_output(y, "y");
-    let eval = SecurityEvaluation::default();
-    let cache = Arc::new(EvalCache::new());
-    let mut cached =
-        CompositionEngine::with_cache(DesignUnderTest::new(nl.clone()), eval, cache.clone());
-    let mut full = CompositionEngine::new(DesignUnderTest::new(nl), eval);
-    for engine in [&mut cached, &mut full] {
-        engine.evaluate("baseline").expect("eval");
-        engine.apply(Countermeasure::Masking).expect("mask");
-    }
-    let oc = cached.apply(Countermeasure::ParityCheck).expect("parity");
-    let of = full.apply(Countermeasure::ParityCheck).expect("parity");
-    assert_eq!(oc.report, of.report);
-    assert!(oc
-        .regressions
-        .contains(&"first-order probing leaks".to_string()));
-    let sca = oc
-        .report
-        .metrics
-        .iter()
-        .find(|m| m.name == "first-order probing leaks")
-        .expect("metric");
-    assert_eq!(sca.verdict, Verdict::Fail);
+    chaos::without_chaos(|| {
+        let mut nl = Netlist::new("and");
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let y = nl.add_gate(seceda_netlist::CellKind::And, &[a, b]);
+        nl.mark_output(y, "y");
+        let eval = SecurityEvaluation::default();
+        let cache = Arc::new(EvalCache::new());
+        let mut cached =
+            CompositionEngine::with_cache(DesignUnderTest::new(nl.clone()), eval, cache.clone());
+        let mut full = CompositionEngine::new(DesignUnderTest::new(nl), eval);
+        for engine in [&mut cached, &mut full] {
+            engine.evaluate("baseline").expect("eval");
+            engine.apply(Countermeasure::Masking).expect("mask");
+        }
+        let oc = cached.apply(Countermeasure::ParityCheck).expect("parity");
+        let of = full.apply(Countermeasure::ParityCheck).expect("parity");
+        assert_eq!(oc.report, of.report);
+        assert!(oc
+            .regressions
+            .contains(&"first-order probing leaks".to_string()));
+        let sca = oc
+            .report
+            .metrics
+            .iter()
+            .find(|m| m.name == "first-order probing leaks")
+            .expect("metric");
+        assert_eq!(sca.verdict, Verdict::Fail);
+    });
 }

@@ -146,7 +146,7 @@ impl<'a> AtpgSolver<'a> {
             diffs.push(d);
         }
         gated.add_clause(diffs);
-        let result = self.solver.solve_budgeted(&[sel.pos()], budget);
+        let result = self.solver.solve(&[sel.pos()], budget);
         // retire this fault's clause group for good
         self.solver.add_clause([guard]);
         Ok(match result {

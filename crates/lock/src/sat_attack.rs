@@ -17,12 +17,10 @@
 //! the persistent [`seceda_sat::AigCnf`] map emits clauses only for
 //! genuinely new nodes. Learned clauses survive across iterations, so
 //! later (harder) DIP queries start from everything the solver already
-//! derived. Solving goes through a [`Portfolio`] of heuristic-diversified
-//! solvers racing each query (sized from `SECEDA_PORTFOLIO` or the
-//! machine's parallelism); every observable output — each DIP and the
-//! final key — is canonicalized to the lexicographically smallest
-//! satisfying assignment, so the attack's result is a property of the
-//! formula regardless of encoding, portfolio size, or worker count. The
+//! derived. Every observable output — each DIP and the final key — is
+//! canonicalized to the lexicographically smallest satisfying
+//! assignment, so the attack's result is a property of the formula
+//! regardless of encoding, solver history, or worker count. The
 //! rebuild-from-scratch baseline is kept as [`sat_attack_rebuild`]
 //! (direct Tseitin encoding, fresh solver per iteration) for
 //! differential testing and benchmarking.
@@ -31,7 +29,7 @@ use crate::locking::LockedNetlist;
 use seceda_netlist::NetlistError;
 use seceda_sat::{
     encode_netlist, lower_netlist_bound, Aig, AigCnf, AigLit, Budget, Cnf, CnfBuilder, Lit,
-    Portfolio, SatResult, SolveOutcome, Solver, StopReason, Var,
+    SolveOutcome, Solver, StopReason, Var,
 };
 
 /// Outcome of a SAT attack.
@@ -52,7 +50,7 @@ pub struct SatAttackResult {
     /// AIG-encoded scaffold plus every observation copy; for
     /// [`sat_attack_rebuild`] the last direct re-encoding.
     pub clauses: usize,
-    /// Number of racing portfolio members (1 for the rebuild baseline).
+    /// Always 1; kept for report consumers.
     pub portfolio_k: usize,
 }
 
@@ -293,29 +291,19 @@ fn build_attack_cnf(
 /// `false`), using incremental assumption-only queries.
 ///
 /// The result is a property of the formula alone — independent of the
-/// starting model, the solver's heuristic state, and (for a portfolio)
-/// which member answered. Canonicalizing both the DIPs and the final key
-/// pins the attack's whole observable output to the formula, so the
-/// incremental and the rebuild-per-iteration attacks walk identical DIP
-/// sequences, agree on iteration counts exactly, and recover the same
-/// key bit-for-bit — the invariants the differential suite and the
-/// benchmark check, for any worker count and portfolio size.
+/// starting model and the solver's heuristic state. Canonicalizing both
+/// the DIPs and the final key pins the attack's whole observable output
+/// to the formula, so the incremental and the rebuild-per-iteration
+/// attacks walk identical DIP sequences, agree on iteration counts
+/// exactly, and recover the same key bit-for-bit — the invariants the
+/// differential suite and the benchmark check, for any worker count.
+///
+/// A query that comes back [`SolveOutcome::Indeterminate`] (a limited
+/// budget ran out) aborts the whole refinement with the stop reason: a
+/// partially minimized assignment is NOT canonical and must not leak
+/// into the DIP transcript. Queries under an unlimited budget never stop
+/// early, so then the result is always `Ok`.
 fn lex_min_model(
-    solve: &mut impl FnMut(&[Lit]) -> SatResult,
-    vars: &[Var],
-    base: &[Lit],
-    model: &[bool],
-) -> Vec<bool> {
-    lex_min_model_budgeted(&mut |a| solve(a).into(), vars, base, model)
-        .unwrap_or_else(|reason| unreachable!("unbudgeted lex-min suspended: {reason}"))
-}
-
-/// Budget-aware [`lex_min_model`]: identical bit-by-bit refinement, but
-/// each query may come back [`SolveOutcome::Indeterminate`], in which
-/// case the whole refinement aborts with the stop reason (a partially
-/// minimized assignment is NOT canonical and must not leak into the DIP
-/// transcript).
-fn lex_min_model_budgeted(
     solve: &mut impl FnMut(&[Lit]) -> SolveOutcome,
     vars: &[Var],
     base: &[Lit],
@@ -351,8 +339,8 @@ fn lex_min_model_budgeted(
 /// chip (a function from functional inputs to outputs).
 ///
 /// The attack is fully incremental: one structurally-hashed AIG and one
-/// persistent solver portfolio carry the scaffold, every observation
-/// copy, every DIP query, and the final key extraction.
+/// persistent solver carry the scaffold, every observation copy, every
+/// DIP query, and the final key extraction.
 ///
 /// Returns a functionally correct key, or `None` if even the final
 /// key-extraction step is unsatisfiable (cannot happen for consistently
@@ -382,7 +370,7 @@ pub fn sat_attack(
 /// Runs the same incremental lex-min-canonicalized attack as
 /// [`sat_attack`], but threads `budget` through every constituent solve:
 /// the **conflict cap meters the whole attack** (each solve gets what the
-/// previous ones left over, by accumulated winning-member conflicts), the
+/// previous ones left over, by the solver's accumulated conflicts), the
 /// **propagation cap applies per constituent solve**, and the deadline /
 /// cancel flag bound the entire computation. When the budget runs out the
 /// attack returns [`SatAttackOutcome::Suspended`] with a
@@ -412,8 +400,7 @@ pub fn sat_attack_budgeted(
     sp.attr("key_width", locked.key_width());
     sp.attr("budgeted", budget.is_limited());
     sp.attr("resumed", resume.is_some());
-    let mut solver = Portfolio::from_env(0);
-    sp.attr("portfolio_k", solver.k());
+    let mut solver = Solver::new(0);
     // a literal that is false in every model, for lowering AIG constants
     let const_false = solver.new_var().pos();
     solver.add_clause([!const_false]);
@@ -429,15 +416,20 @@ pub fn sat_attack_budgeted(
     for (x_hat, y_hat) in &observations {
         encode_observation_aig(locked, &mut sc, &mut solver, x_hat, y_hat)?;
     }
-    // the fresh portfolio starts at zero conflicts, so its aggregate
-    // counter IS this run's spent-conflict meter
-    let suspend = |solver: &Portfolio,
+    // the fresh solver starts at zero conflicts, so its counter IS this
+    // run's spent-conflict meter
+    let suspend = |sp: &mut seceda_trace::Span,
+                   solver: &Solver,
                    observations: Vec<(Vec<bool>, Vec<bool>)>,
                    iterations: usize,
                    conflict_deltas: Vec<u64>,
                    reason: StopReason| {
+        sp.attr("result", "suspended");
+        if seceda_trace::enabled() {
+            sp.attr("stop_reason", format!("{reason}"));
+        }
         seceda_trace::counter("lock.attack_suspended", 1);
-        SatAttackOutcome::Suspended {
+        Ok(SatAttackOutcome::Suspended {
             checkpoint: SatAttackCheckpoint {
                 observations,
                 iterations,
@@ -445,7 +437,7 @@ pub fn sat_attack_budgeted(
                 conflict_deltas,
             },
             reason,
-        }
+        })
     };
     loop {
         // one histogram sample per DIP iteration (the final UNSAT
@@ -453,12 +445,12 @@ pub fn sat_attack_budgeted(
         let _iter_t = seceda_trace::hist_timer("sat.dip_iter_ns");
         let before = solver.num_conflicts;
         let sub = budget.minus(solver.num_conflicts, 0);
-        match solver.solve_budgeted(&[diff], &sub) {
+        match solver.solve(&[diff], &sub) {
             SolveOutcome::Sat(model) => {
-                let x_hat = match lex_min_model_budgeted(
+                let x_hat = match lex_min_model(
                     &mut |a| {
                         let sub = budget.minus(solver.num_conflicts, 0);
-                        solver.solve_budgeted(a, &sub)
+                        solver.solve(a, &sub)
                     },
                     &sc.x_vars,
                     &[diff],
@@ -468,17 +460,14 @@ pub fn sat_attack_budgeted(
                     Err(reason) => {
                         // the iteration did not complete: no delta, no
                         // observation, no iteration count
-                        sp.attr("result", "suspended");
-                        if seceda_trace::enabled() {
-                            sp.attr("stop_reason", format!("{reason}"));
-                        }
-                        return Ok(suspend(
+                        return suspend(
+                            &mut sp,
                             &solver,
                             observations,
                             iterations,
                             conflict_deltas,
                             reason,
-                        ));
+                        );
                     }
                 };
                 iterations += 1;
@@ -495,15 +484,15 @@ pub fn sat_attack_budgeted(
                 // diff assumption
                 let before = solver.num_conflicts;
                 let sub = budget.minus(solver.num_conflicts, 0);
-                let result = match solver.solve_budgeted(&[], &sub) {
+                let result = match solver.solve(&[], &sub) {
                     SolveOutcome::Sat(model) => {
                         // canonicalize to the lex-min key so the result
-                        // is a property of the formula, not of which
-                        // portfolio member answered first
-                        let key = match lex_min_model_budgeted(
+                        // is a property of the formula, not of the
+                        // solver's search history
+                        let key = match lex_min_model(
                             &mut |a| {
                                 let sub = budget.minus(solver.num_conflicts, 0);
-                                solver.solve_budgeted(a, &sub)
+                                solver.solve(a, &sub)
                             },
                             &sc.k1,
                             &[],
@@ -515,17 +504,14 @@ pub fn sat_attack_budgeted(
                                 // resume redoes that proof and the
                                 // extraction together
                                 conflict_deltas.pop();
-                                sp.attr("result", "suspended");
-                                if seceda_trace::enabled() {
-                                    sp.attr("stop_reason", format!("{reason}"));
-                                }
-                                return Ok(suspend(
+                                return suspend(
+                                    &mut sp,
                                     &solver,
                                     observations,
                                     iterations,
                                     conflict_deltas,
                                     reason,
-                                ));
+                                );
                             }
                         };
                         conflict_deltas.push(solver.num_conflicts - before);
@@ -534,24 +520,21 @@ pub fn sat_attack_budgeted(
                             iterations,
                             conflicts: prior_conflicts + solver.num_conflicts,
                             conflict_deltas,
-                            clauses: solver.primary().num_problem_clauses(),
-                            portfolio_k: solver.k(),
+                            clauses: solver.num_problem_clauses(),
+                            portfolio_k: 1,
                         })
                     }
                     SolveOutcome::Unsat => SatAttackOutcome::NoKey,
                     SolveOutcome::Indeterminate(reason) => {
                         conflict_deltas.pop();
-                        sp.attr("result", "suspended");
-                        if seceda_trace::enabled() {
-                            sp.attr("stop_reason", format!("{reason}"));
-                        }
-                        return Ok(suspend(
+                        return suspend(
+                            &mut sp,
                             &solver,
                             observations,
                             iterations,
                             conflict_deltas,
                             reason,
-                        ));
+                        );
                     }
                 };
                 seceda_trace::counter("lock.dip_iterations", iterations as u64);
@@ -562,17 +545,14 @@ pub fn sat_attack_budgeted(
                 return Ok(result);
             }
             SolveOutcome::Indeterminate(reason) => {
-                sp.attr("result", "suspended");
-                if seceda_trace::enabled() {
-                    sp.attr("stop_reason", format!("{reason}"));
-                }
-                return Ok(suspend(
+                return suspend(
+                    &mut sp,
                     &solver,
                     observations,
                     iterations,
                     conflict_deltas,
                     reason,
-                ));
+                );
             }
         }
         assert!(
@@ -599,41 +579,42 @@ pub fn sat_attack_rebuild(
     let mut iterations = 0usize;
     let mut conflicts = 0u64;
     let mut conflict_deltas: Vec<u64> = Vec::new();
+    let unlimited = Budget::unlimited();
     loop {
         let (cnf, x_vars, _, _, diff) = build_attack_cnf(locked, &observations)?;
         let mut solver = Solver::from_cnf(&cnf);
-        match solver.solve_with_assumptions(&[diff]) {
-            SatResult::Sat(model) => {
+        match solver.solve(&[diff], &unlimited) {
+            SolveOutcome::Sat(model) => {
                 iterations += 1;
                 let x_hat = lex_min_model(
-                    &mut |a| solver.solve_with_assumptions(a),
+                    &mut |a| solver.solve(a, &unlimited),
                     &x_vars,
                     &[diff],
                     &model,
-                );
+                )
+                .unwrap_or_else(|reason| unreachable!("unlimited lex-min stopped: {reason}"));
                 conflicts += solver.num_conflicts;
                 conflict_deltas.push(solver.num_conflicts);
                 let y_hat = oracle(&x_hat);
                 observations.push((x_hat, y_hat));
             }
-            SatResult::Unsat => {
+            SolveOutcome::Unsat => {
                 conflicts += solver.num_conflicts;
                 conflict_deltas.push(solver.num_conflicts);
                 // no DIP left: extract any key satisfying all observations
                 let (cnf, _, k1, _, _) = build_attack_cnf(locked, &observations)?;
                 let mut solver = Solver::from_cnf(&cnf);
-                return Ok(match solver.solve() {
-                    SatResult::Sat(model) => {
+                return Ok(match solver.solve(&[], &unlimited) {
+                    SolveOutcome::Sat(model) => {
                         // same lex-min canonicalization as the
                         // incremental attack: both walk identical DIP
                         // transcripts over identical observation sets,
                         // so the canonical keys agree bit-for-bit
-                        let key = lex_min_model(
-                            &mut |a| solver.solve_with_assumptions(a),
-                            &k1,
-                            &[],
-                            &model,
-                        );
+                        let key =
+                            lex_min_model(&mut |a| solver.solve(a, &unlimited), &k1, &[], &model)
+                                .unwrap_or_else(|reason| {
+                                    unreachable!("unlimited lex-min stopped: {reason}")
+                                });
                         conflicts += solver.num_conflicts;
                         conflict_deltas.push(solver.num_conflicts);
                         Some(SatAttackResult {
@@ -645,8 +626,14 @@ pub fn sat_attack_rebuild(
                             portfolio_k: 1,
                         })
                     }
-                    SatResult::Unsat => None,
+                    SolveOutcome::Unsat => None,
+                    SolveOutcome::Indeterminate(reason) => {
+                        unreachable!("unlimited solve stopped: {reason}")
+                    }
                 });
+            }
+            SolveOutcome::Indeterminate(reason) => {
+                unreachable!("unlimited solve stopped: {reason}")
             }
         }
         assert!(

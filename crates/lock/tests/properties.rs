@@ -5,7 +5,7 @@ use seceda_netlist::{parse_bench, random_circuit, RandomCircuitConfig};
 use seceda_testkit::par;
 use seceda_testkit::prelude::*;
 
-/// Differential check: the incremental AIG-encoded portfolio attack must
+/// Differential check: the incremental AIG-encoded attack must
 /// take exactly as many DIP iterations as the direct-encoded
 /// rebuild-per-iteration baseline, recover the *bit-identical* key (both
 /// canonicalize to the lex-min key of the final observation set), and
@@ -75,33 +75,32 @@ fn incremental_attack_matches_rebuild_on_random_hosts() {
 }
 
 #[test]
-fn attack_result_is_identical_for_every_portfolio_size_and_worker_count() {
-    // the portfolio races nondeterministically, but lex-min DIP and key
+fn attack_result_is_identical_for_every_worker_count() {
+    // one solver answers every query, and lex-min DIP and key
     // canonicalization make the attack's observable result a property of
-    // the formula: any worker count (which also sets the portfolio size
-    // via max_workers) must produce the same key and iteration count
+    // the formula: every run at every worker count must reproduce the
+    // 1-worker baseline's key, iteration count, conflict transcript and
+    // encoding size exactly
     let nl = seceda_netlist::c17();
     let locked = xor_lock(&nl, 10, 5);
     let oracle = |x: &[bool]| nl.evaluate(x);
     let baseline = par::with_workers(1, || sat_attack(&locked, oracle))
         .expect("attack runs")
         .expect("key found");
-    for workers in [2usize, 3, 8] {
-        let r = par::with_workers(workers, || sat_attack(&locked, oracle))
-            .expect("attack runs")
-            .expect("key found");
-        assert_eq!(r.iterations, baseline.iterations, "workers = {workers}");
-        assert_eq!(r.key, baseline.key, "workers = {workers}");
-        assert_eq!(
-            r.conflict_deltas.len(),
-            r.iterations + 2,
-            "workers = {workers}"
-        );
-        assert_eq!(
-            r.conflicts,
-            r.conflict_deltas.iter().sum::<u64>(),
-            "workers = {workers}"
-        );
+    for workers in [1usize, 2, 8] {
+        for run in 0..3 {
+            let r = par::with_workers(workers, || sat_attack(&locked, oracle))
+                .expect("attack runs")
+                .expect("key found");
+            let at = format!("workers = {workers}, run = {run}");
+            assert_eq!(r.key, baseline.key, "{at}");
+            assert_eq!(r.iterations, baseline.iterations, "{at}");
+            assert_eq!(r.conflicts, baseline.conflicts, "{at}");
+            assert_eq!(r.conflict_deltas, baseline.conflict_deltas, "{at}");
+            assert_eq!(r.clauses, baseline.clauses, "{at}");
+            assert_eq!(r.conflict_deltas.len(), r.iterations + 2, "{at}");
+            assert_eq!(r.conflicts, r.conflict_deltas.iter().sum::<u64>(), "{at}");
+        }
     }
 }
 

@@ -405,8 +405,9 @@ pub fn encode_netlist_aig<B: CnfBuilder>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::{Budget, SolveOutcome};
     use crate::cnf::Cnf;
-    use crate::solver::{SatResult, Solver};
+    use crate::solver::Solver;
     use seceda_netlist::{c17, majority, random_circuit, RandomCircuitConfig};
 
     fn fresh(cnf: &mut Cnf) -> (Lit, AigCnf) {
@@ -485,8 +486,8 @@ mod tests {
                 .map(|(&v, &b)| v.lit(b))
                 .collect();
             let mut solver = Solver::from_cnf(&cnf);
-            match solver.solve_with_assumptions(&assumptions) {
-                SatResult::Sat(model) => {
+            match solver.solve(&assumptions, &Budget::unlimited()) {
+                SolveOutcome::Sat(model) => {
                     let expected = nl.evaluate(&inputs);
                     for (k, &ol) in out_lits.iter().enumerate() {
                         assert_eq!(
@@ -496,7 +497,7 @@ mod tests {
                         );
                     }
                 }
-                SatResult::Unsat => panic!("AIG encoding unsat under concrete inputs"),
+                other => panic!("AIG encoding unsat under concrete inputs: {other:?}"),
             }
         }
     }

@@ -10,11 +10,9 @@
 //!
 //! Budget semantics:
 //!
-//! * **Conflict and propagation limits are per solver, per call** —
-//!   they cap the *delta* each solve may spend on top of whatever the
-//!   solver already consumed. In a K-member portfolio every member gets
-//!   the full limit for its own search (the portfolio races lanes, it
-//!   does not meter a shared pool).
+//! * **Conflict and propagation limits are per call** — they cap the
+//!   *delta* each solve may spend on top of whatever the solver already
+//!   consumed.
 //! * **The deadline is absolute** ([`std::time::Instant`]), so one
 //!   budget threaded through a multi-solve computation (the DIP loop)
 //!   bounds the whole computation's wall clock, not each solve.
@@ -24,11 +22,10 @@
 //! Determinism: conflict- and propagation-limited outcomes are pure
 //! functions of the formula (budget checks happen at deterministic
 //! points of a deterministic search), so they are reproducible across
-//! machines, worker counts, and portfolio sizes. Deadline and cancel
+//! machines and worker counts. Deadline and cancel
 //! outcomes are inherently wall-clock-dependent; property tests pin the
 //! former, not the latter.
 
-use crate::solver::SatResult;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -94,8 +91,8 @@ impl Budget {
     }
 
     /// Whether any limit is set. Unlimited budgets skip budget checks
-    /// entirely (and are immune to chaos-injected exhaustion, so
-    /// `solve_with_assumptions` keeps its total contract).
+    /// entirely (and are immune to chaos-injected exhaustion, so an
+    /// unlimited solve always returns a determined answer).
     pub fn is_limited(&self) -> bool {
         self.max_conflicts.is_some()
             || self.max_propagations.is_some()
@@ -150,7 +147,7 @@ pub enum StopReason {
     Propagations,
     /// The wall-clock deadline passed.
     Deadline,
-    /// The budget's cancel flag (or a portfolio race) was raised.
+    /// The budget's cancel flag was raised.
     Cancelled,
     /// The `testkit::chaos` harness injected budget exhaustion.
     ChaosInjected,
@@ -168,7 +165,7 @@ impl std::fmt::Display for StopReason {
     }
 }
 
-/// The ternary result of a budgeted solve: a determined answer, or a
+/// The ternary result of every solve: a determined answer, or a
 /// principled refusal with the reason.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SolveOutcome {
@@ -197,25 +194,6 @@ impl SolveOutcome {
         match self {
             SolveOutcome::Sat(m) => Some(m),
             _ => None,
-        }
-    }
-
-    /// Converts a determined outcome into a [`SatResult`]; `None` for
-    /// [`SolveOutcome::Indeterminate`].
-    pub fn into_sat_result(self) -> Option<SatResult> {
-        match self {
-            SolveOutcome::Sat(m) => Some(SatResult::Sat(m)),
-            SolveOutcome::Unsat => Some(SatResult::Unsat),
-            SolveOutcome::Indeterminate(_) => None,
-        }
-    }
-}
-
-impl From<SatResult> for SolveOutcome {
-    fn from(r: SatResult) -> SolveOutcome {
-        match r {
-            SatResult::Sat(m) => SolveOutcome::Sat(m),
-            SatResult::Unsat => SolveOutcome::Unsat,
         }
     }
 }
@@ -254,13 +232,8 @@ mod tests {
         let sat = SolveOutcome::Sat(vec![true, false]);
         assert!(sat.is_sat() && sat.is_determined());
         assert_eq!(sat.model(), Some(&[true, false][..]));
-        assert_eq!(
-            sat.into_sat_result(),
-            Some(SatResult::Sat(vec![true, false]))
-        );
         let ind = SolveOutcome::Indeterminate(StopReason::Conflicts);
         assert!(!ind.is_determined());
-        assert_eq!(ind.into_sat_result(), None);
-        assert_eq!(SolveOutcome::from(SatResult::Unsat), SolveOutcome::Unsat);
+        assert_eq!(ind.model(), None);
     }
 }

@@ -447,8 +447,9 @@ pub fn miter<B: CnfBuilder>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::{Budget, SolveOutcome};
     use crate::cnf::Cnf;
-    use crate::solver::{SatResult, Solver};
+    use crate::solver::Solver;
     use seceda_netlist::{c17, majority, CellKind};
 
     /// Checks every CNF model of an encoded netlist against simulation.
@@ -466,8 +467,8 @@ mod tests {
                 .map(|(&v, &b)| v.lit(b))
                 .collect();
             let mut solver = Solver::from_cnf(&cnf);
-            match solver.solve_with_assumptions(&assumptions) {
-                SatResult::Sat(model) => {
+            match solver.solve(&assumptions, &Budget::unlimited()) {
+                SolveOutcome::Sat(model) => {
                     for (k, &ov) in enc.output_vars.iter().enumerate() {
                         assert_eq!(
                             model[ov.index()],
@@ -476,7 +477,7 @@ mod tests {
                         );
                     }
                 }
-                SatResult::Unsat => panic!("encoding unsat under concrete inputs"),
+                other => panic!("encoding unsat under concrete inputs: {other:?}"),
             }
         }
     }
@@ -537,8 +538,8 @@ mod tests {
         let (_, _, diff) = miter(&a, &b, &mut cnf).expect("miter");
         let mut solver = Solver::from_cnf(&cnf);
         assert_eq!(
-            solver.solve_with_assumptions(&[diff]),
-            SatResult::Unsat,
+            solver.solve(&[diff], &Budget::unlimited()),
+            SolveOutcome::Unsat,
             "equivalent circuits must have an unsat miter"
         );
     }
@@ -560,14 +561,14 @@ mod tests {
         let mut cnf = Cnf::new();
         let (enc_a, _, diff) = miter(&a, &b, &mut cnf).expect("miter");
         let mut solver = Solver::from_cnf(&cnf);
-        match solver.solve_with_assumptions(&[diff]) {
-            SatResult::Sat(model) => {
+        match solver.solve(&[diff], &Budget::unlimited()) {
+            SolveOutcome::Sat(model) => {
                 let xi = model[enc_a.input_vars[0].index()];
                 let yi = model[enc_a.input_vars[1].index()];
                 // AND and OR differ exactly when inputs differ
                 assert_ne!(xi & yi, xi | yi);
             }
-            SatResult::Unsat => panic!("AND vs OR must differ"),
+            other => panic!("AND vs OR must differ: {other:?}"),
         }
     }
 
@@ -630,8 +631,8 @@ mod tests {
                     .map(|(&l, &b)| if b { l } else { !l })
                     .collect();
                 let mut solver = Solver::from_cnf(&cnf);
-                match solver.solve_with_assumptions(&assumptions) {
-                    SatResult::Sat(model) => {
+                match solver.solve(&assumptions, &Budget::unlimited()) {
+                    SolveOutcome::Sat(model) => {
                         let expected = nl.evaluate(&inputs);
                         for (k, out) in outs.iter().enumerate() {
                             let got = match out {
@@ -641,7 +642,7 @@ mod tests {
                             assert_eq!(got, expected[k], "seed {seed} pattern {pattern} out {k}");
                         }
                     }
-                    SatResult::Unsat => panic!("bound encoding unsat under concrete inputs"),
+                    other => panic!("bound encoding unsat under concrete inputs: {other:?}"),
                 }
             }
         }
@@ -673,8 +674,8 @@ mod tests {
                 .map(|(&l, &b)| if b { l } else { !l })
                 .collect();
             let mut solver = Solver::from_cnf(&cnf);
-            match solver.solve_with_assumptions(&assumptions) {
-                SatResult::Sat(model) => {
+            match solver.solve(&assumptions, &Budget::unlimited()) {
+                SolveOutcome::Sat(model) => {
                     let expected = nl.evaluate(&inputs);
                     for (k, out) in outs.iter().enumerate() {
                         let got = match out {
@@ -684,7 +685,7 @@ mod tests {
                         assert_eq!(got, expected[k], "pattern {pattern} out {k}");
                     }
                 }
-                SatResult::Unsat => panic!("cofactor encoding unsat under concrete inputs"),
+                other => panic!("cofactor encoding unsat under concrete inputs: {other:?}"),
             }
         }
     }

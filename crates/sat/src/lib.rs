@@ -13,10 +13,11 @@
 //!   literals, heap-ordered VSIDS activities, learned-clause database
 //!   reduction, conflict-clause minimization, phase saving, Luby
 //!   restarts, and incremental solving under assumptions with on-the-fly
-//!   variable/clause addition;
-//! * [`Portfolio`] — K heuristic-diversified solvers ([`SolverConfig`])
-//!   racing each query with first-answer-wins cooperative cancellation
-//!   and winner-to-siblings glue-clause sharing;
+//!   variable/clause addition. Its one entry point,
+//!   [`Solver::solve`], takes the assumptions and a [`Budget`];
+//! * [`Budget`] / [`SolveOutcome`] — conflict, propagation, wall-clock
+//!   and cancel limits, and the ternary Sat / Unsat / Indeterminate
+//!   result every solve returns;
 //! * [`Cnf`] / [`Lit`] / [`Var`] — formula representation;
 //! * [`CnfBuilder`] — the clause-sink trait shared by [`Cnf`] and
 //!   [`Solver`], so encodings can target a live solver incrementally;
@@ -33,7 +34,7 @@
 //! # Example
 //!
 //! ```
-//! use seceda_sat::{Cnf, Solver, SatResult};
+//! use seceda_sat::{Budget, Cnf, SolveOutcome, Solver};
 //!
 //! let mut cnf = Cnf::new();
 //! let a = cnf.new_var();
@@ -41,9 +42,9 @@
 //! cnf.add_clause([a.pos(), b.pos()]);
 //! cnf.add_clause([a.neg()]);
 //! let mut solver = Solver::from_cnf(&cnf);
-//! match solver.solve() {
-//!     SatResult::Sat(model) => assert!(model[b.index()]),
-//!     SatResult::Unsat => unreachable!(),
+//! match solver.solve(&[], &Budget::unlimited()) {
+//!     SolveOutcome::Sat(model) => assert!(model[b.index()]),
+//!     other => unreachable!("an unlimited solve is determined: {other:?}"),
 //! }
 //! ```
 
@@ -52,7 +53,6 @@ pub mod encode;
 
 mod budget;
 mod cnf;
-mod portfolio;
 mod solver;
 
 pub use aig::{encode_netlist_aig, lower_netlist_bound, Aig, AigCnf, AigLit};
@@ -61,5 +61,4 @@ pub use cnf::{Cnf, CnfBuilder, GatedCnf, Lit, Var};
 pub use encode::{
     encode_faulty_cone, encode_netlist, encode_netlist_bound, miter, NetlistEncoding, Signal,
 };
-pub use portfolio::Portfolio;
-pub use solver::{SatResult, Solver, SolverConfig};
+pub use solver::Solver;

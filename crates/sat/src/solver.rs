@@ -4,10 +4,10 @@
 //! first-UIP conflict analysis with self-subsumption clause minimization
 //! and non-chronological backtracking, heap-ordered VSIDS decisions,
 //! phase saving, Luby restarts, learned-clause database reduction (LBD +
-//! clause activities, glue clauses kept), incremental solving under
-//! assumptions with on-the-fly variable/clause addition, cooperative
-//! cancellation (for portfolio racing), and tunable search heuristics
-//! via [`SolverConfig`].
+//! clause activities, glue clauses kept), and incremental solving under
+//! assumptions with on-the-fly variable/clause addition. Every query
+//! goes through [`Solver::solve`], which takes the assumptions and a
+//! [`Budget`]; an unlimited budget skips every budget check.
 
 use crate::budget::{Budget, SolveOutcome, StopReason};
 use crate::cnf::{Cnf, CnfBuilder, Lit, Var};
@@ -16,8 +16,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Fully resolved per-call limits: absolute targets computed from a
-/// [`Budget`]'s relative caps at solve entry, plus up to two cancel
-/// flags (the budget's own and the portfolio race flag).
+/// [`Budget`]'s relative caps at solve entry, plus the budget's cancel
+/// flag.
 struct Limits<'a> {
     /// Stop once `num_conflicts` reaches this (absolute, not a delta).
     conflict_target: u64,
@@ -25,18 +25,12 @@ struct Limits<'a> {
     prop_target: u64,
     deadline: Option<Instant>,
     cancel: Option<&'a AtomicBool>,
-    race: Option<&'a AtomicBool>,
 }
 
 impl Limits<'_> {
     /// The cheap poll run every [`CANCEL_POLL_MASK`]` + 1` propagations.
     fn check_poll(&self, propagations: u64) -> Option<StopReason> {
         if let Some(flag) = self.cancel {
-            if flag.load(Ordering::Relaxed) {
-                return Some(StopReason::Cancelled);
-            }
-        }
-        if let Some(flag) = self.race {
             if flag.load(Ordering::Relaxed) {
                 return Some(StopReason::Cancelled);
             }
@@ -64,107 +58,18 @@ impl Limits<'_> {
     }
 }
 
-/// Result of a satisfiability query.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SatResult {
-    /// A satisfying assignment, indexed by [`Var::index`].
-    Sat(Vec<bool>),
-    /// The formula (under the given assumptions) is unsatisfiable.
-    Unsat,
-}
-
-impl SatResult {
-    /// Returns the model if satisfiable.
-    pub fn model(&self) -> Option<&[bool]> {
-        match self {
-            SatResult::Sat(m) => Some(m),
-            SatResult::Unsat => None,
-        }
-    }
-
-    /// `true` if satisfiable.
-    pub fn is_sat(&self) -> bool {
-        matches!(self, SatResult::Sat(_))
-    }
-}
-
 const UNASSIGNED: i8 = -1;
 const NO_REASON: u32 = u32::MAX;
 /// Learned clauses with LBD at or below this are "glue" and never deleted.
 const GLUE_LBD: u32 = 2;
-/// Cancellation flag poll cadence in propagated literals (power of two).
+/// Budget poll cadence in propagated literals (power of two).
 const CANCEL_POLL_MASK: u64 = 0x3FF;
-
-/// Tunable search heuristics, the axis a portfolio diversifies over.
-///
-/// [`SolverConfig::default`] reproduces the solver's historical
-/// behaviour bit-for-bit (all-false initial phases, Luby base 64, VSIDS
-/// decay 0.95, 1.2× reduction growth), so a default-configured solver is
-/// a drop-in for every pinned differential test.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SolverConfig {
-    /// Seed for initial saved phases: `0` means all-false (the
-    /// historical default); any other value assigns each variable a
-    /// pseudorandom initial phase.
-    pub phase_seed: u64,
-    /// Conflicts-per-restart multiplier on the Luby sequence.
-    pub restart_base: u64,
-    /// VSIDS activity decay (`var_inc /= var_decay` per conflict).
-    pub var_decay: f64,
-    /// Growth factor of the learned-clause budget after each reduction.
-    pub reduce_growth: f64,
-}
-
-impl Default for SolverConfig {
-    fn default() -> Self {
-        SolverConfig {
-            phase_seed: 0,
-            restart_base: 64,
-            var_decay: 0.95,
-            reduce_growth: 1.2,
-        }
-    }
-}
-
-impl SolverConfig {
-    /// The portfolio preset for member `i`: member 0 is always the
-    /// default configuration (so a 1-member portfolio degenerates to the
-    /// plain solver), later members diversify phases, restart cadence,
-    /// activity decay, and clause-diet aggressiveness.
-    pub fn portfolio_member(i: usize) -> Self {
-        let d = SolverConfig::default();
-        match i % 4 {
-            0 => d,
-            1 => SolverConfig {
-                // random phases + rapid restarts: a scout for easy models
-                phase_seed: 0x9E37_79B9_7F4A_7C15 ^ (i as u64),
-                restart_base: 16,
-                ..d
-            },
-            2 => SolverConfig {
-                // slow restarts + slow decay: deep-dive for hard proofs
-                restart_base: 256,
-                var_decay: 0.99,
-                ..d
-            },
-            _ => SolverConfig {
-                // random phases + aggressive clause diet
-                phase_seed: 0xD134_2543_DE82_EF95 ^ (i as u64),
-                var_decay: 0.90,
-                reduce_growth: 1.1,
-                ..d
-            },
-        }
-    }
-}
-
-/// splitmix64, for seeding per-variable initial phases.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+/// Conflicts-per-restart multiplier on the Luby sequence.
+const RESTART_BASE: u64 = 64;
+/// VSIDS activity decay (`var_inc /= VAR_DECAY` per conflict).
+const VAR_DECAY: f64 = 0.95;
+/// Growth factor of the learned-clause budget after each reduction.
+const REDUCE_GROWTH: f64 = 1.2;
 
 #[derive(Debug, Clone)]
 struct Clause {
@@ -312,13 +217,13 @@ impl VarOrder {
 /// # Example
 ///
 /// ```
-/// use seceda_sat::{Cnf, Solver};
+/// use seceda_sat::{Budget, Cnf, Solver};
 ///
 /// let mut cnf = Cnf::new();
 /// let a = cnf.new_var();
 /// cnf.add_clause([a.pos()]);
 /// cnf.add_clause([a.neg()]);
-/// assert!(!Solver::from_cnf(&cnf).solve().is_sat());
+/// assert!(!Solver::from_cnf(&cnf).solve(&[], &Budget::unlimited()).is_sat());
 /// ```
 #[derive(Debug, Clone)]
 pub struct Solver {
@@ -350,7 +255,6 @@ pub struct Solver {
     saved_phase: Vec<bool>,
     seen: Vec<bool>,
     unsat: bool,
-    config: SolverConfig,
     /// Statistics: total conflicts encountered.
     pub num_conflicts: u64,
     /// Statistics: total decisions taken.
@@ -374,16 +278,7 @@ pub struct Solver {
 impl Solver {
     /// Creates a solver over `num_vars` variables and no clauses.
     pub fn new(num_vars: usize) -> Self {
-        Solver::with_config(num_vars, SolverConfig::default())
-    }
-
-    /// Creates a solver with explicit search heuristics (see
-    /// [`SolverConfig`]); the default config reproduces [`Solver::new`].
-    pub fn with_config(num_vars: usize, config: SolverConfig) -> Self {
         let activity = vec![0.0; num_vars];
-        let saved_phase: Vec<bool> = (0..num_vars)
-            .map(|v| config.phase_seed != 0 && splitmix64(config.phase_seed ^ v as u64) & 1 == 1)
-            .collect();
         Solver {
             clauses: Vec::new(),
             watches: vec![Vec::new(); num_vars * 2],
@@ -400,10 +295,9 @@ impl Solver {
             num_deletable_live: 0,
             max_learnts: 0.0,
             reduce_pinned: false,
-            saved_phase,
+            saved_phase: vec![false; num_vars],
             seen: vec![false; num_vars],
             unsat: false,
-            config,
             num_conflicts: 0,
             num_decisions: 0,
             num_propagations: 0,
@@ -431,10 +325,7 @@ impl Solver {
         self.level.push(0);
         self.reason.push(NO_REASON);
         self.activity.push(0.0);
-        self.saved_phase.push(
-            self.config.phase_seed != 0
-                && splitmix64(self.config.phase_seed ^ v.index() as u64) & 1 == 1,
-        );
+        self.saved_phase.push(false);
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
@@ -882,108 +773,52 @@ impl Solver {
         None
     }
 
-    /// Solves the formula.
-    pub fn solve(&mut self) -> SatResult {
-        self.solve_with_assumptions(&[])
-    }
-
-    /// Solves under the given assumptions (literals forced true for this
-    /// call only). The solver can be reused afterwards with different
-    /// assumptions or additional clauses.
+    /// Solves under `assumptions` (literals forced true for this call
+    /// only) within `budget`: a determined [`SolveOutcome::Sat`] /
+    /// [`SolveOutcome::Unsat`], or [`SolveOutcome::Indeterminate`] once
+    /// any limit trips. The solver stays fully usable afterwards, with
+    /// different assumptions or additional clauses, and keeps everything
+    /// it learned — re-solving with a larger budget resumes from
+    /// accumulated knowledge.
+    ///
+    /// Conflict/propagation limits cap this call's *delta*; the deadline
+    /// is absolute (see [`Budget`]). Budget checks ride an
+    /// every-1024-propagations poll (plus one comparison per conflict),
+    /// and [`Budget::unlimited`] skips them entirely, so an unlimited
+    /// solve always returns a determined answer. An exhausted wall-clock
+    /// deadline additionally emits a watchdog stall report naming the
+    /// live span stack (see `seceda_trace::report_budget_stall`).
     ///
     /// Each call emits one `sat.solve` trace span plus per-call deltas of
     /// the decision/propagation/conflict/restart/learning statistics.
-    pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SatResult {
-        match self.solve_traced(assumptions, None) {
-            SolveOutcome::Sat(m) => SatResult::Sat(m),
-            SolveOutcome::Unsat => SatResult::Unsat,
-            SolveOutcome::Indeterminate(r) => {
-                unreachable!("unlimited solve stopped early: {r}")
-            }
-        }
-    }
-
-    /// Like [`Solver::solve_with_assumptions`] but cooperatively
-    /// cancellable: the flag is polled inside propagation, and a raised
-    /// flag makes the call return `None` (promptly, not instantly). The
-    /// solver stays fully usable afterwards — everything learned before
-    /// the cancellation is kept. This is the portfolio-racing primitive:
-    /// the first member to answer raises the flag and the rest stand
-    /// down.
-    pub fn solve_with_assumptions_cancellable(
-        &mut self,
-        assumptions: &[Lit],
-        cancel: &AtomicBool,
-    ) -> Option<SatResult> {
-        let limits = Limits {
-            conflict_target: u64::MAX,
-            prop_target: u64::MAX,
-            deadline: None,
-            cancel: Some(cancel),
-            race: None,
-        };
-        self.solve_traced(assumptions, Some(&limits))
-            .into_sat_result()
-    }
-
-    /// Solves under `budget`: a determined [`SolveOutcome::Sat`] /
-    /// [`SolveOutcome::Unsat`], or [`SolveOutcome::Indeterminate`] once
-    /// any limit trips. The solver stays fully usable afterwards and
-    /// keeps everything it learned — re-solving with a larger budget
-    /// resumes from accumulated knowledge.
-    ///
-    /// Conflict/propagation limits cap this call's *delta*; the deadline
-    /// is absolute (see [`Budget`]). Budget checks ride the existing
-    /// every-1024-propagations cancellation poll (plus one comparison
-    /// per conflict), so an unlimited budget costs nothing on the hot
-    /// path. An exhausted wall-clock deadline additionally emits a
-    /// watchdog stall report naming the live span stack (see
-    /// `seceda_trace::report_budget_stall`).
-    pub fn solve_budgeted(&mut self, assumptions: &[Lit], budget: &Budget) -> SolveOutcome {
-        self.solve_budgeted_raced(assumptions, budget, None)
-    }
-
-    /// [`Solver::solve_budgeted`] with an extra portfolio race flag,
-    /// polled alongside the budget's own cancel flag.
-    pub(crate) fn solve_budgeted_raced(
-        &mut self,
-        assumptions: &[Lit],
-        budget: &Budget,
-        race: Option<&AtomicBool>,
-    ) -> SolveOutcome {
-        if !budget.is_limited() && race.is_none() {
-            return self.solve_traced(assumptions, None);
-        }
-        // Chaos-injected exhaustion: only limited budgets are eligible,
-        // so the unlimited wrappers (solve / solve_with_assumptions)
-        // keep their total contract even under chaos. Salted by the
-        // budgeted-call ordinal, which is deterministic per solver.
-        if budget.is_limited() && seceda_testkit::chaos::active() {
+    pub fn solve(&mut self, assumptions: &[Lit], budget: &Budget) -> SolveOutcome {
+        let limits = if budget.is_limited() {
+            // Chaos-injected exhaustion: only limited budgets are
+            // eligible, so unlimited solves keep their total contract
+            // even under chaos. Salted by the budgeted-call ordinal,
+            // which is deterministic per solver.
             let salt = self.num_budgeted_solves;
             self.num_budgeted_solves += 1;
-            if seceda_testkit::chaos::maybe_exhaust("sat.budget", salt) {
+            if seceda_testkit::chaos::active()
+                && seceda_testkit::chaos::maybe_exhaust("sat.budget", salt)
+            {
                 seceda_trace::counter("chaos.injections", 1);
                 seceda_trace::counter("sat.indeterminate", 1);
                 return SolveOutcome::Indeterminate(StopReason::ChaosInjected);
             }
+            Some(Limits {
+                conflict_target: budget
+                    .max_conflicts()
+                    .map_or(u64::MAX, |n| self.num_conflicts.saturating_add(n)),
+                prop_target: budget
+                    .max_propagations()
+                    .map_or(u64::MAX, |n| self.num_propagations.saturating_add(n)),
+                deadline: budget.deadline(),
+                cancel: budget.cancel_flag().map(Arc::as_ref),
+            })
         } else {
-            self.num_budgeted_solves += 1;
-        }
-        let limits = Limits {
-            conflict_target: budget
-                .max_conflicts()
-                .map_or(u64::MAX, |n| self.num_conflicts.saturating_add(n)),
-            prop_target: budget
-                .max_propagations()
-                .map_or(u64::MAX, |n| self.num_propagations.saturating_add(n)),
-            deadline: budget.deadline(),
-            cancel: budget.cancel_flag().map(Arc::as_ref),
-            race,
+            None
         };
-        self.solve_traced(assumptions, Some(&limits))
-    }
-
-    fn solve_traced(&mut self, assumptions: &[Lit], limits: Option<&Limits<'_>>) -> SolveOutcome {
         let mut sp = seceda_trace::span("sat.solve");
         sp.attr("vars", self.num_vars());
         sp.attr("clauses", self.clauses.len());
@@ -999,7 +834,7 @@ impl Solver {
             self.num_db_reductions,
             self.num_minimized_lits,
         );
-        let result = self.solve_inner(assumptions, limits);
+        let result = self.search(assumptions, limits.as_ref());
         seceda_trace::counter("sat.decisions", self.num_decisions - d0);
         seceda_trace::counter("sat.propagations", self.num_propagations - p0);
         seceda_trace::counter("sat.conflicts", self.num_conflicts - c0);
@@ -1026,7 +861,7 @@ impl Solver {
         result
     }
 
-    fn solve_inner(&mut self, assumptions: &[Lit], limits: Option<&Limits<'_>>) -> SolveOutcome {
+    fn search(&mut self, assumptions: &[Lit], limits: Option<&Limits<'_>>) -> SolveOutcome {
         if self.unsat {
             return SolveOutcome::Unsat;
         }
@@ -1050,7 +885,7 @@ impl Solver {
             Propagation::Quiescent | Propagation::Stopped(_) => {}
         }
         let mut restart_count = 0u32;
-        let mut conflicts_until_restart = self.config.restart_base * luby(restart_count);
+        let mut conflicts_until_restart = RESTART_BASE * luby(restart_count);
         loop {
             match self.propagate(limits) {
                 Propagation::Stopped(reason) => {
@@ -1078,13 +913,13 @@ impl Solver {
                     let reason = self.learn(&clause, lbd);
                     debug_assert_eq!(self.value_lit(asserting), UNASSIGNED);
                     self.enqueue(asserting, reason);
-                    self.var_inc /= self.config.var_decay;
+                    self.var_inc /= VAR_DECAY;
                     self.cla_inc /= 0.999;
                     conflicts_until_restart = conflicts_until_restart.saturating_sub(1);
                     if conflicts_until_restart == 0 {
                         restart_count += 1;
                         self.num_restarts += 1;
-                        conflicts_until_restart = self.config.restart_base * luby(restart_count);
+                        conflicts_until_restart = RESTART_BASE * luby(restart_count);
                         self.backtrack(0);
                     }
                     // an oversized learned DB forces a restart so the
@@ -1099,7 +934,7 @@ impl Solver {
                     {
                         self.reduce_db();
                         if !self.reduce_pinned {
-                            self.max_learnts *= self.config.reduce_growth;
+                            self.max_learnts *= REDUCE_GROWTH;
                         }
                     }
                     // place assumptions as pseudo-decisions first
@@ -1133,28 +968,6 @@ impl Solver {
                 }
             }
         }
-    }
-
-    /// Exports glue learned clauses (LBD at or below the keep-forever
-    /// threshold) past the first `skip`, for portfolio clause sharing.
-    /// Glue clauses are never deleted and database reduction preserves
-    /// their relative order, so `skip` is a stable cursor.
-    pub fn export_glue(&self, skip: usize) -> Vec<Vec<Lit>> {
-        self.clauses
-            .iter()
-            .filter(|c| c.learned && c.lbd <= GLUE_LBD)
-            .skip(skip)
-            .map(|c| c.lits.clone())
-            .collect()
-    }
-
-    /// Number of live glue learned clauses (the [`Solver::export_glue`]
-    /// cursor space).
-    pub fn num_glue(&self) -> usize {
-        self.clauses
-            .iter()
-            .filter(|c| c.learned && c.lbd <= GLUE_LBD)
-            .count()
     }
 }
 
@@ -1218,7 +1031,7 @@ mod tests {
         let b = cnf.new_var();
         cnf.add_clause([a.pos(), b.pos()]);
         cnf.add_clause([a.neg(), b.pos()]);
-        let result = Solver::from_cnf(&cnf).solve();
+        let result = Solver::from_cnf(&cnf).solve(&[], &Budget::unlimited());
         let model = result.model().expect("sat");
         assert!(model[b.index()]);
     }
@@ -1229,13 +1042,18 @@ mod tests {
         let a = cnf.new_var();
         cnf.add_clause([a.pos()]);
         cnf.add_clause([a.neg()]);
-        assert_eq!(Solver::from_cnf(&cnf).solve(), SatResult::Unsat);
+        assert_eq!(
+            Solver::from_cnf(&cnf).solve(&[], &Budget::unlimited()),
+            SolveOutcome::Unsat
+        );
     }
 
     #[test]
     fn empty_formula_is_sat() {
         let cnf = Cnf::new();
-        assert!(Solver::from_cnf(&cnf).solve().is_sat());
+        assert!(Solver::from_cnf(&cnf)
+            .solve(&[], &Budget::unlimited())
+            .is_sat());
     }
 
     #[test]
@@ -1243,7 +1061,10 @@ mod tests {
         let mut cnf = Cnf::new();
         let _ = cnf.new_var();
         cnf.add_clause([]);
-        assert_eq!(Solver::from_cnf(&cnf).solve(), SatResult::Unsat);
+        assert_eq!(
+            Solver::from_cnf(&cnf).solve(&[], &Budget::unlimited()),
+            SolveOutcome::Unsat
+        );
     }
 
     /// Pigeonhole PHP(n+1, n): n+1 pigeons in n holes — UNSAT and forces
@@ -1273,8 +1094,8 @@ mod tests {
         for n in 2..=5 {
             let cnf = pigeonhole(n + 1, n);
             assert_eq!(
-                Solver::from_cnf(&cnf).solve(),
-                SatResult::Unsat,
+                Solver::from_cnf(&cnf).solve(&[], &Budget::unlimited()),
+                SolveOutcome::Unsat,
                 "PHP({}, {n})",
                 n + 1
             );
@@ -1284,7 +1105,7 @@ mod tests {
     #[test]
     fn pigeonhole_sat_when_enough_holes() {
         let cnf = pigeonhole(4, 4);
-        let result = Solver::from_cnf(&cnf).solve();
+        let result = Solver::from_cnf(&cnf).solve(&[], &Budget::unlimited());
         let model = result.model().expect("sat");
         assert!(cnf.is_satisfied_by(model));
     }
@@ -1300,7 +1121,12 @@ mod tests {
             let cnf = pigeonhole(n + 1, n);
             let mut solver = Solver::from_cnf(&cnf);
             solver.set_reduce_db_limit(16);
-            assert_eq!(solver.solve(), SatResult::Unsat, "PHP({}, {n})", n + 1);
+            assert_eq!(
+                solver.solve(&[], &Budget::unlimited()),
+                SolveOutcome::Unsat,
+                "PHP({}, {n})",
+                n + 1
+            );
             if n == 5 {
                 assert!(
                     solver.num_db_reductions > 0,
@@ -1318,13 +1144,15 @@ mod tests {
         let b = cnf.new_var();
         cnf.add_clause([a.pos(), b.pos()]);
         let mut solver = Solver::from_cnf(&cnf);
-        assert!(solver.solve_with_assumptions(&[a.neg(), b.pos()]).is_sat());
+        assert!(solver
+            .solve(&[a.neg(), b.pos()], &Budget::unlimited())
+            .is_sat());
         assert_eq!(
-            solver.solve_with_assumptions(&[a.neg(), b.neg()]),
-            SatResult::Unsat
+            solver.solve(&[a.neg(), b.neg()], &Budget::unlimited()),
+            SolveOutcome::Unsat
         );
         // solver remains usable
-        assert!(solver.solve().is_sat());
+        assert!(solver.solve(&[], &Budget::unlimited()).is_sat());
     }
 
     #[test]
@@ -1334,11 +1162,11 @@ mod tests {
         let b = cnf.new_var();
         cnf.add_clause([a.pos(), b.pos()]);
         let mut solver = Solver::from_cnf(&cnf);
-        assert!(solver.solve().is_sat());
+        assert!(solver.solve(&[], &Budget::unlimited()).is_sat());
         solver.add_clause([a.neg()]);
-        assert!(solver.solve().is_sat());
+        assert!(solver.solve(&[], &Budget::unlimited()).is_sat());
         solver.add_clause([b.neg()]);
-        assert_eq!(solver.solve(), SatResult::Unsat);
+        assert_eq!(solver.solve(&[], &Budget::unlimited()), SolveOutcome::Unsat);
     }
 
     #[test]
@@ -1346,18 +1174,18 @@ mod tests {
         let mut solver = Solver::new(0);
         let a = CnfBuilder::new_var(&mut solver);
         solver.add_clause([a.pos()]);
-        assert!(solver.solve().is_sat());
+        assert!(solver.solve(&[], &Budget::unlimited()).is_sat());
         let b = CnfBuilder::new_var(&mut solver);
         solver.gate_buf(b.pos(), a.neg());
-        match solver.solve() {
-            SatResult::Sat(model) => {
+        match solver.solve(&[], &Budget::unlimited()) {
+            SolveOutcome::Sat(model) => {
                 assert!(model[a.index()]);
                 assert!(!model[b.index()]);
             }
-            SatResult::Unsat => panic!("satisfiable"),
+            other => panic!("satisfiable: {other:?}"),
         }
         solver.add_clause([b.pos()]);
-        assert_eq!(solver.solve(), SatResult::Unsat);
+        assert_eq!(solver.solve(&[], &Budget::unlimited()), SolveOutcome::Unsat);
     }
 
     #[test]
@@ -1379,9 +1207,9 @@ mod tests {
                 let model: Vec<bool> = (0..nv).map(|i| (m >> i) & 1 == 1).collect();
                 cnf.is_satisfied_by(&model)
             });
-            let result = Solver::from_cnf(&cnf).solve();
+            let result = Solver::from_cnf(&cnf).solve(&[], &Budget::unlimited());
             assert_eq!(result.is_sat(), brute_sat, "iteration {iter}");
-            if let SatResult::Sat(model) = result {
+            if let SolveOutcome::Sat(model) = result {
                 assert!(cnf.is_satisfied_by(&model), "iteration {iter} bad model");
             }
         }
@@ -1406,13 +1234,15 @@ mod tests {
                 .map(|_| vars[rng.gen_range(0..nv)].lit(rng.gen_bool(0.5)))
                 .collect();
             let via_assumptions = Solver::from_cnf(&cnf)
-                .solve_with_assumptions(&assumps)
+                .solve(&assumps, &Budget::unlimited())
                 .is_sat();
             let mut cnf2 = cnf.clone();
             for &a in &assumps {
                 cnf2.add_clause([a]);
             }
-            let via_units = Solver::from_cnf(&cnf2).solve().is_sat();
+            let via_units = Solver::from_cnf(&cnf2)
+                .solve(&[], &Budget::unlimited())
+                .is_sat();
             assert_eq!(via_assumptions, via_units, "iteration {iter}");
         }
     }
@@ -1429,7 +1259,7 @@ mod tests {
     fn statistics_accumulate() {
         let cnf = pigeonhole(5, 4);
         let mut solver = Solver::from_cnf(&cnf);
-        let _ = solver.solve();
+        let _ = solver.solve(&[], &Budget::unlimited());
         assert!(solver.num_conflicts > 0);
         assert!(solver.num_propagations > 0);
         assert!(solver.num_learned > 0);
@@ -1454,7 +1284,7 @@ mod tests {
         // must stay UNSAT and literals must actually be removed
         let cnf = pigeonhole(6, 5);
         let mut solver = Solver::from_cnf(&cnf);
-        assert_eq!(solver.solve(), SatResult::Unsat);
+        assert_eq!(solver.solve(&[], &Budget::unlimited()), SolveOutcome::Unsat);
         assert!(
             solver.num_minimized_lits > 0,
             "PHP(6,5) must trigger self-subsumption"

@@ -1,13 +1,11 @@
 //! Budget property suite: budgeted solving must be *monotone* (a larger
 //! budget never flips a determined answer, and never un-determines a
 //! query a smaller budget could finish), *deterministic* (conflict- and
-//! propagation-limited outcomes are pure functions of the formula,
-//! independent of worker counts and portfolio size), and *prompt* (an
-//! already-spent budget stops before any search; a passed deadline
-//! reports to armed watchdogs).
+//! propagation-limited outcomes are pure functions of the formula), and
+//! *prompt* (an already-spent budget stops before any search; a passed
+//! deadline reports to armed watchdogs).
 
-use seceda_sat::{Budget, Cnf, CnfBuilder, Lit, Portfolio, SolveOutcome, Solver, StopReason};
-use seceda_testkit::par::with_workers;
+use seceda_sat::{Budget, Cnf, Lit, SolveOutcome, Solver, StopReason};
 use seceda_testkit::prelude::*;
 use seceda_trace::{StallSink, Watchdog, WatchdogConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -35,14 +33,6 @@ fn pigeonhole(pigeons: usize, holes: usize) -> Cnf {
     cnf
 }
 
-fn portfolio_from_cnf(cnf: &Cnf, k: usize) -> Portfolio {
-    let mut portfolio = Portfolio::new(cnf.num_vars(), k);
-    for clause in cnf.clauses() {
-        portfolio.add_clause(clause.iter().copied());
-    }
-    portfolio
-}
-
 fn random_cnf(num_vars: usize, clause_spec: &[Vec<(usize, bool)>]) -> Cnf {
     let mut cnf = Cnf::new();
     let vars = cnf.new_vars(num_vars);
@@ -61,10 +51,12 @@ fn random_cnf(num_vars: usize, clause_spec: &[Vec<(usize, bool)>]) -> Cnf {
 /// determines it with the same answer (each solve on a fresh solver, so
 /// the trajectories are directly comparable).
 fn assert_budget_monotone(cnf: &Cnf, budgets: &[u64], make: impl Fn(u64) -> Budget) {
-    let reference = Solver::from_cnf(cnf).solve().is_sat();
+    let reference = Solver::from_cnf(cnf)
+        .solve(&[], &Budget::unlimited())
+        .is_sat();
     let mut first_determined: Option<(u64, bool)> = None;
     for &b in budgets {
-        let outcome = Solver::from_cnf(cnf).solve_budgeted(&[], &make(b));
+        let outcome = Solver::from_cnf(cnf).solve(&[], &make(b));
         match outcome {
             SolveOutcome::Sat(_) | SolveOutcome::Unsat => {
                 assert_eq!(
@@ -120,11 +112,11 @@ fn propagation_budget_is_monotone_on_hard_formulas() {
 fn small_conflict_budget_truncates_the_pigeonhole_proof() {
     // sanity that the ladder above actually exercises both regimes:
     // 50 conflicts cannot refute PHP(6,5), a million can
-    let starved = Solver::from_cnf(&pigeonhole(6, 5))
-        .solve_budgeted(&[], &Budget::unlimited().with_max_conflicts(50));
+    let starved =
+        Solver::from_cnf(&pigeonhole(6, 5)).solve(&[], &Budget::unlimited().with_max_conflicts(50));
     assert_eq!(starved, SolveOutcome::Indeterminate(StopReason::Conflicts));
     let ample = Solver::from_cnf(&pigeonhole(6, 5))
-        .solve_budgeted(&[], &Budget::unlimited().with_max_conflicts(1 << 20));
+        .solve(&[], &Budget::unlimited().with_max_conflicts(1 << 20));
     assert_eq!(ample, SolveOutcome::Unsat);
 }
 
@@ -135,37 +127,15 @@ fn zero_budgets_stop_before_any_search() {
     let cnf = pigeonhole(3, 3);
     let mut solver = Solver::from_cnf(&cnf);
     assert_eq!(
-        solver.solve_budgeted(&[], &Budget::unlimited().with_max_conflicts(0)),
+        solver.solve(&[], &Budget::unlimited().with_max_conflicts(0)),
         SolveOutcome::Indeterminate(StopReason::Conflicts)
     );
     assert_eq!(
-        solver.solve_budgeted(&[], &Budget::unlimited().with_max_propagations(0)),
+        solver.solve(&[], &Budget::unlimited().with_max_propagations(0)),
         SolveOutcome::Indeterminate(StopReason::Propagations)
     );
     // the refusals spent nothing and the solver answers normally after
-    assert!(solver.solve_budgeted(&[], &Budget::unlimited()).is_sat());
-}
-
-#[test]
-fn outcome_is_deterministic_across_workers_and_portfolio_sizes() {
-    let cnf = pigeonhole(6, 5);
-    let starved = Budget::unlimited().with_max_conflicts(50);
-    let ample = Budget::unlimited().with_max_conflicts(1 << 20);
-    for workers in [1usize, 2, 8] {
-        for k in [1usize, 2, 4] {
-            let (under, over) = with_workers(workers, || {
-                let under = portfolio_from_cnf(&cnf, k).solve_budgeted(&[], &starved);
-                let over = portfolio_from_cnf(&cnf, k).solve_budgeted(&[], &ample);
-                (under, over)
-            });
-            assert_eq!(
-                under,
-                SolveOutcome::Indeterminate(StopReason::Conflicts),
-                "workers={workers} k={k}"
-            );
-            assert_eq!(over, SolveOutcome::Unsat, "workers={workers} k={k}");
-        }
-    }
+    assert!(solver.solve(&[], &Budget::unlimited()).is_sat());
 }
 
 #[test]
@@ -177,7 +147,7 @@ fn passed_deadline_is_indeterminate_and_reports_to_armed_watchdog() {
     config.sink = StallSink::Buffer(Arc::clone(&buffer));
     let wd = Watchdog::start_with(config);
     let outcome = Solver::from_cnf(&pigeonhole(6, 5))
-        .solve_budgeted(&[], &Budget::unlimited().with_deadline(Instant::now()));
+        .solve(&[], &Budget::unlimited().with_deadline(Instant::now()));
     assert_eq!(outcome, SolveOutcome::Indeterminate(StopReason::Deadline));
     assert!(wd.stall_reports() >= 1, "deadline must reach the watchdog");
     let report = buffer.lock().expect("buffer").clone();
@@ -193,11 +163,11 @@ fn pre_raised_cancel_flag_stops_before_search() {
     let flag = Arc::new(AtomicBool::new(true));
     let cnf = pigeonhole(4, 4);
     let mut solver = Solver::from_cnf(&cnf);
-    let outcome = solver.solve_budgeted(&[], &Budget::unlimited().with_cancel(Arc::clone(&flag)));
+    let outcome = solver.solve(&[], &Budget::unlimited().with_cancel(Arc::clone(&flag)));
     assert_eq!(outcome, SolveOutcome::Indeterminate(StopReason::Cancelled));
     // lowering the flag lets the same budget through
     flag.store(false, Ordering::Relaxed);
-    let outcome = solver.solve_budgeted(&[], &Budget::unlimited().with_cancel(flag));
+    let outcome = solver.solve(&[], &Budget::unlimited().with_cancel(flag));
     assert!(outcome.is_sat());
 }
 
@@ -212,7 +182,7 @@ fn suspended_solver_keeps_learning_and_finishes_under_slices() {
     let mut solver = Solver::from_cnf(&cnf);
     let mut suspensions = 0usize;
     let final_outcome = loop {
-        match solver.solve_budgeted(&[], &slice) {
+        match solver.solve(&[], &slice) {
             SolveOutcome::Indeterminate(StopReason::Conflicts) => {
                 suspensions += 1;
                 assert!(suspensions < 10_000, "slices must converge");
@@ -240,11 +210,11 @@ proptest! {
         ),
     ) {
         let cnf = random_cnf(num_vars, &clauses);
-        let reference = Solver::from_cnf(&cnf).solve().is_sat();
+        let reference = Solver::from_cnf(&cnf).solve(&[], &Budget::unlimited()).is_sat();
         let mut determined_at: Option<u64> = None;
         for b in [1u64, 2, 4, 16, 256, 1 << 16] {
             let outcome = Solver::from_cnf(&cnf)
-                .solve_budgeted(&[], &Budget::unlimited().with_max_conflicts(b));
+                .solve(&[], &Budget::unlimited().with_max_conflicts(b));
             if outcome.is_determined() {
                 prop_assert_eq!(outcome.is_sat(), reference, "budget {}", b);
                 determined_at.get_or_insert(b);
@@ -264,11 +234,11 @@ proptest! {
         ),
     ) {
         let cnf = random_cnf(num_vars, &clauses);
-        let reference = Solver::from_cnf(&cnf).solve().is_sat();
+        let reference = Solver::from_cnf(&cnf).solve(&[], &Budget::unlimited()).is_sat();
         let mut determined_at: Option<u64> = None;
         for b in [1u64, 64, 1024, 1 << 14, 1 << 22] {
             let outcome = Solver::from_cnf(&cnf)
-                .solve_budgeted(&[], &Budget::unlimited().with_max_propagations(b));
+                .solve(&[], &Budget::unlimited().with_max_propagations(b));
             if outcome.is_determined() {
                 prop_assert_eq!(outcome.is_sat(), reference, "budget {}", b);
                 determined_at.get_or_insert(b);

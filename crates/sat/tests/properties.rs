@@ -1,6 +1,6 @@
 //! Property-based tests for the SAT solver and the netlist encoder.
 
-use seceda_sat::{encode_netlist, Cnf, Lit, SatResult, Solver};
+use seceda_sat::{encode_netlist, Budget, Cnf, Lit, SolveOutcome, Solver};
 use seceda_testkit::prelude::*;
 
 fn random_cnf(num_vars: usize, clause_spec: &[Vec<(usize, bool)>]) -> Cnf {
@@ -37,9 +37,9 @@ proptest! {
     ) {
         let cnf = random_cnf(num_vars, &clauses);
         let brute = brute_force_sat(&cnf);
-        let result = Solver::from_cnf(&cnf).solve();
+        let result = Solver::from_cnf(&cnf).solve(&[], &Budget::unlimited());
         prop_assert_eq!(result.is_sat(), brute);
-        if let SatResult::Sat(model) = result {
+        if let SolveOutcome::Sat(model) = result {
             prop_assert!(cnf.is_satisfied_by(&model));
         }
     }
@@ -65,9 +65,9 @@ proptest! {
             }
         }
         let via_assumptions = Solver::from_cnf(&cnf)
-            .solve_with_assumptions(&assumptions)
+            .solve(&assumptions, &Budget::unlimited())
             .is_sat();
-        let via_units = Solver::from_cnf(&with_units).solve().is_sat();
+        let via_units = Solver::from_cnf(&with_units).solve(&[], &Budget::unlimited()).is_sat();
         prop_assert_eq!(via_assumptions, via_units);
     }
 
@@ -80,10 +80,10 @@ proptest! {
         ),
     ) {
         let cnf = random_cnf(num_vars, &clauses);
-        let expect = Solver::from_cnf(&cnf).solve().is_sat();
+        let expect = Solver::from_cnf(&cnf).solve(&[], &Budget::unlimited()).is_sat();
         let mut solver = Solver::from_cnf(&cnf);
         for _ in 0..3 {
-            prop_assert_eq!(solver.solve().is_sat(), expect);
+            prop_assert_eq!(solver.solve(&[], &Budget::unlimited()).is_sat(), expect);
         }
     }
 
@@ -101,13 +101,13 @@ proptest! {
         let brute = brute_force_sat(&cnf);
         let mut solver = Solver::from_cnf(&cnf);
         solver.set_reduce_db_limit(16);
-        let result = solver.solve();
+        let result = solver.solve(&[], &Budget::unlimited());
         prop_assert_eq!(result.is_sat(), brute);
-        if let SatResult::Sat(model) = result {
+        if let SolveOutcome::Sat(model) = result {
             prop_assert!(cnf.is_satisfied_by(&model));
         }
         // the solver stays sound for reuse after reductions
-        prop_assert_eq!(solver.solve().is_sat(), brute);
+        prop_assert_eq!(solver.solve(&[], &Budget::unlimited()).is_sat(), brute);
     }
 
     #[test]
@@ -144,7 +144,7 @@ proptest! {
         };
         let (h0, l0) = check(&mut solver);
         prop_assert_eq!(h0, l0, "fresh solver");
-        solver.solve();
+        solver.solve(&[], &Budget::unlimited());
         let (h1, l1) = check(&mut solver);
         prop_assert_eq!(h1, l1, "after solve");
     }
@@ -162,7 +162,7 @@ proptest! {
         let enc = encode_netlist(&nl, &mut cnf).expect("encode");
         // any unconstrained model of the encoding must be consistent with
         // simulating the circuit on the model's own inputs
-        if let SatResult::Sat(model) = Solver::from_cnf(&cnf).solve() {
+        if let SolveOutcome::Sat(model) = Solver::from_cnf(&cnf).solve(&[], &Budget::unlimited()) {
             let inputs: Vec<bool> = enc.input_vars.iter().map(|v| model[v.index()]).collect();
             let expected = nl.evaluate(&inputs);
             let got: Vec<bool> = enc.output_vars.iter().map(|v| model[v.index()]).collect();

@@ -9,6 +9,11 @@ use seceda_netlist::{Netlist, NetlistError};
 use seceda_testkit::par;
 use seceda_testkit::rng::{Rng, SeedableRng, StdRng};
 
+/// Rounds split into at most this many chunks whatever the worker count,
+/// so the chunk list — and with it every `par.worker` chaos decision,
+/// salted by chunk index — is the same on every host.
+const MAX_CHUNKS: usize = 8;
+
 /// Estimates, for every net, `P[net = 1]` under uniform random primary
 /// inputs, using `num_rounds` packed simulations (64 patterns each).
 ///
@@ -40,9 +45,8 @@ pub fn signal_probabilities(
     let rounds: Vec<Vec<u64>> = (0..num_rounds)
         .map(|_| (0..nl.inputs().len()).map(|_| rng.gen()).collect())
         .collect();
-    let workers = par::workers_for(num_rounds);
-    seceda_trace::gauge("sim.par_workers", workers as f64);
-    let chunks: Vec<&[Vec<u64>]> = rounds.chunks(num_rounds.div_ceil(workers)).collect();
+    let chunks: Vec<&[Vec<u64>]> = rounds.chunks(num_rounds.div_ceil(MAX_CHUNKS)).collect();
+    seceda_trace::gauge("sim.par_workers", par::workers_for(chunks.len()) as f64);
     let partials = par::par_map(&chunks, |_, chunk| {
         let mut ones = vec![0u64; nl.num_nets()];
         for inputs in *chunk {

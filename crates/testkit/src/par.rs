@@ -249,115 +249,70 @@ where
     )
 }
 
-/// Parallel map with exclusive mutable access to each item:
-/// `out[i] = f(i, &mut items[i])`.
-///
-/// One thread per item (capped only by the item count, not the worker
-/// budget), so this is for SMALL item lists that must all make progress
-/// concurrently — racing portfolio solvers, long-lived per-shard state —
-/// rather than for data-parallel throughput (use [`par_map_init`] for
-/// that). When the effective worker count is 1 the items run serially in
-/// index order, which gives racing callers a deterministic serial
-/// schedule: item 0 completes first.
-pub fn par_map_mut<T, R>(items: &mut [T], f: impl Fn(usize, &mut T) -> R + Sync) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-{
-    if max_workers() <= 1 || items.len() <= 1 {
-        return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let mut out: Vec<Option<R>> = Vec::new();
-    let f = &f; // share the closure by reference (&F: Send when F: Sync)
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .iter_mut()
-            .enumerate()
-            .map(|(i, item)| scope.spawn(move || f(i, item)))
-            .collect();
-        for handle in handles {
-            match handle.join() {
-                Ok(r) => out.push(Some(r)),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    out.into_iter()
-        .map(|r| r.expect("par worker skipped an item"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    // `chaos_par_worker_panics_contained_and_deterministic` arms chaos
+    // process-wide while it runs, so every test that expects a clean
+    // run holds a chaos-free scope (scopes serialize on one lock).
+
     #[test]
     fn preserves_order() {
-        let items: Vec<u64> = (0..1000).collect();
-        let out = par_map(&items, |i, &x| x * 2 + i as u64);
-        for (i, &v) in out.iter().enumerate() {
-            assert_eq!(v, items[i] * 2 + i as u64);
-        }
+        chaos::without_chaos(|| {
+            let items: Vec<u64> = (0..1000).collect();
+            let out = par_map(&items, |i, &x| x * 2 + i as u64);
+            for (i, &v) in out.iter().enumerate() {
+                assert_eq!(v, items[i] * 2 + i as u64);
+            }
+        });
     }
 
     #[test]
     fn identical_across_worker_counts() {
-        let items: Vec<u64> = (0..337).collect();
-        let serial = with_workers(1, || par_map(&items, |_, &x| x.wrapping_mul(0x9E37)));
-        for workers in [2, 3, 8] {
-            let parallel =
-                with_workers(workers, || par_map(&items, |_, &x| x.wrapping_mul(0x9E37)));
-            assert_eq!(serial, parallel, "workers = {workers}");
-        }
+        chaos::without_chaos(|| {
+            let items: Vec<u64> = (0..337).collect();
+            let serial = with_workers(1, || par_map(&items, |_, &x| x.wrapping_mul(0x9E37)));
+            for workers in [2, 3, 8] {
+                let parallel =
+                    with_workers(workers, || par_map(&items, |_, &x| x.wrapping_mul(0x9E37)));
+                assert_eq!(serial, parallel, "workers = {workers}");
+            }
+        });
     }
 
     #[test]
     fn per_worker_state_is_reused() {
         // each worker counts its own calls; the total must equal the item
         // count even though per-worker shares differ
-        use std::sync::atomic::AtomicUsize;
-        let calls = AtomicUsize::new(0);
-        let inits = AtomicUsize::new(0);
-        let items = vec![(); 200];
-        with_workers(4, || {
-            par_map_init(
-                &items,
-                || {
-                    inits.fetch_add(1, Ordering::Relaxed);
-                },
-                |(), _, ()| {
-                    calls.fetch_add(1, Ordering::Relaxed);
-                },
-            )
-        });
-        assert_eq!(calls.load(Ordering::Relaxed), 200);
-        assert!(inits.load(Ordering::Relaxed) <= 4);
-    }
-
-    #[test]
-    fn par_map_mut_mutates_in_place() {
-        let mut items: Vec<u64> = (0..6).collect();
-        for workers in [1, 3] {
-            let out = with_workers(workers, || {
-                par_map_mut(&mut items, |i, x| {
-                    *x += 10;
-                    *x + i as u64
-                })
+        chaos::without_chaos(|| {
+            use std::sync::atomic::AtomicUsize;
+            let calls = AtomicUsize::new(0);
+            let inits = AtomicUsize::new(0);
+            let items = vec![(); 200];
+            with_workers(4, || {
+                par_map_init(
+                    &items,
+                    || {
+                        inits.fetch_add(1, Ordering::Relaxed);
+                    },
+                    |(), _, ()| {
+                        calls.fetch_add(1, Ordering::Relaxed);
+                    },
+                )
             });
-            assert_eq!(out.len(), 6, "workers = {workers}");
-            for (i, &r) in out.iter().enumerate() {
-                assert_eq!(r, items[i] + i as u64, "workers = {workers}");
-            }
-        }
-        // both passes mutated: 0..6 then +10 twice
-        assert_eq!(items, vec![20, 21, 22, 23, 24, 25]);
+            assert_eq!(calls.load(Ordering::Relaxed), 200);
+            assert!(inits.load(Ordering::Relaxed) <= 4);
+        });
     }
 
     #[test]
     fn empty_and_single_inputs() {
-        let empty: Vec<u8> = Vec::new();
-        assert!(par_map(&empty, |_, &x| x).is_empty());
-        assert_eq!(par_map(&[7u8], |_, &x| x + 1), vec![8]);
+        chaos::without_chaos(|| {
+            let empty: Vec<u8> = Vec::new();
+            assert!(par_map(&empty, |_, &x| x).is_empty());
+            assert_eq!(par_map(&[7u8], |_, &x| x + 1), vec![8]);
+        });
     }
 
     #[test]
@@ -371,41 +326,45 @@ mod tests {
     fn par_map_still_propagates_panics() {
         // pins the pre-existing contract: the non-catching variants kill
         // the whole computation on the first worker panic
-        for workers in [1, 4] {
-            let items: Vec<u32> = (0..64).collect();
-            let result = std::panic::catch_unwind(|| {
-                with_workers(workers, || {
-                    par_map(&items, |_, &x| {
-                        assert!(x != 13, "poisoned item");
-                        x
+        chaos::without_chaos(|| {
+            for workers in [1, 4] {
+                let items: Vec<u32> = (0..64).collect();
+                let result = std::panic::catch_unwind(|| {
+                    with_workers(workers, || {
+                        par_map(&items, |_, &x| {
+                            assert!(x != 13, "poisoned item");
+                            x
+                        })
                     })
-                })
-            });
-            assert!(result.is_err(), "workers = {workers}");
-        }
+                });
+                assert!(result.is_err(), "workers = {workers}");
+            }
+        });
     }
 
     #[test]
     fn par_map_catch_contains_panics_per_item() {
-        let items: Vec<u32> = (0..64).collect();
-        for workers in [1, 2, 8] {
-            let out = with_workers(workers, || {
-                par_map_catch(&items, |_, &x| {
-                    assert!(x % 10 != 3, "poisoned item {x}");
-                    x * 2
-                })
-            });
-            assert_eq!(out.len(), 64, "workers = {workers}");
-            for (i, r) in out.iter().enumerate() {
-                if i % 10 == 3 {
-                    let p = r.as_ref().expect_err("poisoned item must fail");
-                    assert_eq!(p.index, i);
-                    assert!(p.message.contains("poisoned item"), "{}", p.message);
-                } else {
-                    assert_eq!(*r.as_ref().expect("healthy item"), (i as u32) * 2);
+        chaos::without_chaos(|| {
+            let items: Vec<u32> = (0..64).collect();
+            for workers in [1, 2, 8] {
+                let out = with_workers(workers, || {
+                    par_map_catch(&items, |_, &x| {
+                        assert!(x % 10 != 3, "poisoned item {x}");
+                        x * 2
+                    })
+                });
+                assert_eq!(out.len(), 64, "workers = {workers}");
+                for (i, r) in out.iter().enumerate() {
+                    if i % 10 == 3 {
+                        let p = r.as_ref().expect_err("poisoned item must fail");
+                        assert_eq!(p.index, i);
+                        assert!(p.message.contains("poisoned item"), "{}", p.message);
+                    } else {
+                        assert_eq!(*r.as_ref().expect("healthy item"), (i as u32) * 2);
+                    }
                 }
             }
-        }
+        });
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Bounded model checking by time-frame unrolling.
 
 use seceda_netlist::{Netlist, NetlistError};
-use seceda_sat::{encode_netlist, Cnf, CnfBuilder, SatResult, Solver};
+use seceda_sat::{encode_netlist, Budget, Cnf, CnfBuilder, SolveOutcome, Solver};
 
 /// Result of a reachability query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,7 +64,9 @@ pub fn bmc_reach(
         let (net, _) = nl.outputs()[output_index].clone();
         let out_var = frames[depth - 1].vars[net.index()];
         let mut solver = Solver::from_cnf(&cnf);
-        if let SatResult::Sat(model) = solver.solve_with_assumptions(&[out_var.lit(target_value)]) {
+        if let SolveOutcome::Sat(model) =
+            solver.solve(&[out_var.lit(target_value)], &Budget::unlimited())
+        {
             let witness = frames
                 .iter()
                 .map(|fr| {

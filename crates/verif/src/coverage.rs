@@ -137,7 +137,7 @@ pub fn prove_detection_budgeted(
         // ... while the alarm stays low; the remaining budget is
         // whatever earlier queries did not spend
         let sub = budget.minus(solver.num_conflicts, solver.num_propagations);
-        match solver.solve_budgeted(&[sel.pos(), !alarm_lit], &sub) {
+        match solver.solve(&[sel.pos(), !alarm_lit], &sub) {
             SolveOutcome::Unsat => proven += 1,
             SolveOutcome::Sat(model) => {
                 let witness = good.input_vars.iter().map(|v| model[v.index()]).collect();

@@ -1,7 +1,7 @@
 //! SAT-based combinational equivalence checking.
 
 use seceda_netlist::{Netlist, NetlistError};
-use seceda_sat::{miter, Cnf, SatResult, Solver};
+use seceda_sat::{miter, Budget, Cnf, SolveOutcome, Solver};
 
 /// Outcome of an equivalence check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,11 +33,12 @@ pub fn check_equivalence(a: &Netlist, b: &Netlist) -> Result<EquivResult, Netlis
     let mut cnf = Cnf::new();
     let (enc_a, _, diff) = miter(a, b, &mut cnf)?;
     let mut solver = Solver::from_cnf(&cnf);
-    Ok(match solver.solve_with_assumptions(&[diff]) {
-        SatResult::Unsat => EquivResult::Equivalent,
-        SatResult::Sat(model) => {
+    Ok(match solver.solve(&[diff], &Budget::unlimited()) {
+        SolveOutcome::Unsat => EquivResult::Equivalent,
+        SolveOutcome::Sat(model) => {
             EquivResult::Counterexample(enc_a.input_vars.iter().map(|v| model[v.index()]).collect())
         }
+        SolveOutcome::Indeterminate(reason) => unreachable!("unlimited solve stopped: {reason}"),
     })
 }
 

@@ -22,6 +22,13 @@ cargo build --benches --offline
 echo "==> cargo test -q --offline"
 cargo test -q --offline
 
+# Every reported number must be independent of the worker count: the
+# attack, composition and parallel-map suites run again with one worker
+# and with eight, whatever this host's core count.
+echo "==> worker-count independence: lock/core/testkit at 1 and 8 threads"
+SECEDA_THREADS=1 cargo test -q --offline -p seceda-lock -p seceda-core -p seceda-testkit
+SECEDA_THREADS=8 cargo test -q --offline -p seceda-lock -p seceda-core -p seceda-testkit
+
 # The chaos suite runs once per pinned seed with the harness
 # ambient-armed: every injection decision is a pure function of
 # (seed, point, salt), so both runs are reproducible bit for bit.

@@ -3,7 +3,7 @@
 //! function preservation as the invariant.
 
 use seceda_netlist::{format_netlist, parse_netlist, random_circuit, RandomCircuitConfig};
-use seceda_sat::{encode_netlist, Cnf, SatResult, Solver};
+use seceda_sat::{encode_netlist, Budget, Cnf, SolveOutcome, Solver};
 use seceda_sca::mask_netlist;
 use seceda_sim::{pack_patterns, PackedSim};
 use seceda_synth::{
@@ -77,13 +77,13 @@ proptest! {
             .map(|(v, &b)| v.lit(b))
             .collect();
         let mut solver = Solver::from_cnf(&cnf);
-        match solver.solve_with_assumptions(&assumptions) {
-            SatResult::Sat(model) => {
+        match solver.solve(&assumptions, &Budget::unlimited()) {
+            SolveOutcome::Sat(model) => {
                 let sat_outs: Vec<bool> =
                     enc.output_vars.iter().map(|v| model[v.index()]).collect();
                 prop_assert_eq!(&sat_outs, &expected);
             }
-            SatResult::Unsat => prop_assert!(false, "concrete inputs cannot be unsat"),
+            other => prop_assert!(false, "concrete inputs must be sat: {:?}", other),
         }
     }
 }
