@@ -7,15 +7,16 @@
 //!
 //! The miter is built *incrementally*: [`AtpgSolver`] encodes the good
 //! circuit exactly once and keeps one persistent solver across every
-//! fault. Each query appends only the fault's fan-out cone, gated on a
-//! fresh selector literal passed as an assumption, then retires the cone
-//! with a root-level unit — so learned clauses about the good circuit
-//! accumulate across the whole run instead of being rebuilt per fault.
+//! fault. Each query appends only the fault's fan-out cone as a
+//! [`seceda_sat::FaultCone`] — gated on a fresh selector passed as an
+//! assumption, retired with a root-level unit after the solve — so
+//! learned clauses about the good circuit accumulate across the whole
+//! run instead of being rebuilt per fault.
 
-use seceda_netlist::{NetId, Netlist, NetlistError};
+use seceda_netlist::{Netlist, NetlistError};
 use seceda_sat::{
-    encode_faulty_cone, encode_netlist, Budget, CnfBuilder, GatedCnf, Lit, NetlistEncoding,
-    SolveOutcome, Solver, StopReason,
+    encode_faulty_cone, encode_netlist, Budget, Lit, NetlistEncoding, SolveOutcome, Solver,
+    StopReason,
 };
 use seceda_sim::{fault::stuck_at_universe, Fault, FaultKind, PackedFaultSim};
 use seceda_testkit::rng::{Rng, SeedableRng, StdRng};
@@ -120,36 +121,21 @@ impl<'a> AtpgSolver<'a> {
         budget: &Budget,
     ) -> Result<FaultTestOutcome, NetlistError> {
         let faulty_source = self.faulty_source(fault);
-        let sel = self.solver.new_var();
-        let guard = sel.neg();
         let cone = encode_faulty_cone(
             self.nl,
             &self.good,
             fault.net,
             faulty_source,
-            guard,
             &mut self.solver,
         )?;
-        if cone.is_empty() {
+        // sensitization requirement: some primary output differs
+        if !cone.require_difference(&self.good, |_| true, &mut self.solver) {
             // the fault reaches no primary output: untestable without a
             // single solver call
-            self.solver.add_clause([guard]);
+            cone.retire(&mut self.solver);
             return Ok(FaultTestOutcome::Untestable);
         }
-        // gated sensitization requirement: some cone output must differ
-        let mut gated = GatedCnf::new(&mut self.solver, guard);
-        let mut diffs = Vec::new();
-        for &(k, flit) in &cone {
-            let d = gated.new_var().pos();
-            let good_out = self.good.output_vars[k].pos();
-            gated.gate_xor(d, good_out, flit);
-            diffs.push(d);
-        }
-        gated.add_clause(diffs);
-        let result = self.solver.solve(&[sel.pos()], budget);
-        // retire this fault's clause group for good
-        self.solver.add_clause([guard]);
-        Ok(match result {
+        Ok(match cone.solve(&mut self.solver, &[], budget) {
             SolveOutcome::Sat(model) => FaultTestOutcome::Test(
                 self.good
                     .input_vars
@@ -160,12 +146,6 @@ impl<'a> AtpgSolver<'a> {
             SolveOutcome::Unsat => FaultTestOutcome::Untestable,
             SolveOutcome::Indeterminate(reason) => FaultTestOutcome::Aborted(reason),
         })
-    }
-
-    /// The net a fault on `net` feeds, resolved through the good
-    /// encoding (introspection hook for coverage-style callers).
-    pub fn good_var_of(&self, net: NetId) -> seceda_sat::Var {
-        self.good.vars[net.index()]
     }
 }
 

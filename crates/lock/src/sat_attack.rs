@@ -22,13 +22,14 @@
 //! assignment, so the attack's result is a property of the formula
 //! regardless of encoding, solver history, or worker count. The
 //! rebuild-from-scratch baseline is kept as [`sat_attack_rebuild`]
-//! (direct Tseitin encoding, fresh solver per iteration) for
-//! differential testing and benchmarking.
+//! (a per-net Tseitin [`seceda_sat::miter`] sharing only the functional
+//! inputs, fresh solver per iteration) for differential testing and
+//! benchmarking.
 
 use crate::locking::LockedNetlist;
 use seceda_netlist::NetlistError;
 use seceda_sat::{
-    encode_netlist, lower_netlist_bound, Aig, AigCnf, AigLit, Budget, Cnf, CnfBuilder, Lit,
+    encode_netlist, lower_netlist_bound, miter, Aig, AigCnf, AigLit, Budget, Cnf, CnfBuilder, Lit,
     SolveOutcome, Solver, StopReason, Var,
 };
 
@@ -95,44 +96,6 @@ pub enum SatAttackOutcome {
     },
 }
 
-/// Encodes the attack scaffolding — two copies of the locked circuit
-/// sharing X but with independent keys, plus the difference miter — into
-/// any clause sink. Returns `(x_vars, k1_vars, k2_vars, diff_lit)`.
-#[allow(clippy::type_complexity)]
-fn encode_attack_scaffold<B: CnfBuilder>(
-    locked: &LockedNetlist,
-    sink: &mut B,
-) -> Result<(Vec<Var>, Vec<Var>, Vec<Var>, Lit), NetlistError> {
-    let nl = &locked.netlist;
-    let nx = locked.num_original_inputs;
-    let nk = locked.key_width();
-    let enc1 = encode_netlist(nl, sink)?;
-    let enc2 = encode_netlist(nl, sink)?;
-    // share functional inputs
-    for i in 0..nx {
-        sink.gate_buf(enc1.input_vars[i].pos(), enc2.input_vars[i].pos());
-    }
-    // diff literal over outputs
-    let mut diffs = Vec::new();
-    for (o1, o2) in enc1.output_vars.iter().zip(&enc2.output_vars) {
-        let d = sink.new_var().pos();
-        sink.gate_xor(d, o1.pos(), o2.pos());
-        diffs.push(d);
-    }
-    let diff = sink.new_var().pos();
-    for &d in &diffs {
-        sink.add_clause([diff, !d]);
-    }
-    let mut big = diffs;
-    big.push(!diff);
-    sink.add_clause(big);
-
-    let k1: Vec<_> = enc1.input_vars[nx..nx + nk].to_vec();
-    let k2: Vec<_> = enc2.input_vars[nx..nx + nk].to_vec();
-    let x_vars = enc1.input_vars[..nx].to_vec();
-    Ok((x_vars, k1, k2, diff))
-}
-
 /// Appends one observation `(x_hat, y_hat)` to the attack encoding: a
 /// fresh constrained circuit copy per key, with inputs pinned to `x_hat`,
 /// outputs pinned to `y_hat`, and key inputs tied to the key variables.
@@ -181,7 +144,7 @@ struct AigScaffold {
 /// the difference miter folds to constant-false for outputs the key
 /// cannot influence. `const_false` must already be pinned false in
 /// `sink`.
-fn encode_attack_scaffold_aig<B: CnfBuilder>(
+fn encode_aig_scaffold<B: CnfBuilder>(
     locked: &LockedNetlist,
     const_false: Lit,
     sink: &mut B,
@@ -271,19 +234,23 @@ fn encode_observation_aig<B: CnfBuilder>(
 }
 
 /// Builds the full attack CNF for a given observation set (the
-/// rebuild-per-iteration formulation). Returns
-/// `(cnf, x_vars, k1_vars, k2_vars, diff_lit)`.
-#[allow(clippy::type_complexity)]
+/// rebuild-per-iteration formulation): a [`miter`] of two copies of the
+/// locked circuit sharing X but with independent keys, plus every
+/// observation. Returns `(cnf, inputs, diff_lit)`, where `inputs` are
+/// the first copy's input variables: X, then its key.
 fn build_attack_cnf(
     locked: &LockedNetlist,
     observations: &[(Vec<bool>, Vec<bool>)],
-) -> Result<(Cnf, Vec<Var>, Vec<Var>, Vec<Var>, Lit), NetlistError> {
+) -> Result<(Cnf, Vec<Var>, Lit), NetlistError> {
+    let nl = &locked.netlist;
+    let nx = locked.num_original_inputs;
     let mut cnf = Cnf::new();
-    let (x_vars, k1, k2, diff) = encode_attack_scaffold(locked, &mut cnf)?;
+    let (enc1, enc2, diff) = miter(nl, nl, nx, &mut cnf)?;
+    let (k1, k2) = (&enc1.input_vars[nx..], &enc2.input_vars[nx..]);
     for (x_hat, y_hat) in observations {
-        encode_observation(locked, &mut cnf, &k1, &k2, x_hat, y_hat)?;
+        encode_observation(locked, &mut cnf, k1, k2, x_hat, y_hat)?;
     }
-    Ok((cnf, x_vars, k1, k2, diff))
+    Ok((cnf, enc1.input_vars, diff))
 }
 
 /// Refines a satisfying model into the *lexicographically smallest*
@@ -404,7 +371,7 @@ pub fn sat_attack_budgeted(
     // a literal that is false in every model, for lowering AIG constants
     let const_false = solver.new_var().pos();
     solver.add_clause([!const_false]);
-    let mut sc = encode_attack_scaffold_aig(locked, const_false, &mut solver)?;
+    let mut sc = encode_aig_scaffold(locked, const_false, &mut solver)?;
     let diff = sc.diff;
     let mut observations: Vec<(Vec<bool>, Vec<bool>)> =
         resume.map(|c| c.observations.clone()).unwrap_or_default();
@@ -563,8 +530,10 @@ pub fn sat_attack_budgeted(
 }
 
 /// The original rebuild-per-iteration SAT attack: re-encodes the full
-/// attack CNF and builds a fresh solver on every DIP iteration. Kept as
-/// the differential-testing and benchmarking baseline for [`sat_attack`];
+/// attack CNF — a [`miter`] of two keyed copies tied on the functional
+/// inputs only, plus one per-net Tseitin copy per key and observation —
+/// and builds a fresh solver on every DIP iteration. Kept as the
+/// differential-testing and benchmarking baseline for [`sat_attack`];
 /// both must agree on iteration counts and recover functionally
 /// equivalent keys.
 ///
@@ -581,14 +550,14 @@ pub fn sat_attack_rebuild(
     let mut conflict_deltas: Vec<u64> = Vec::new();
     let unlimited = Budget::unlimited();
     loop {
-        let (cnf, x_vars, _, _, diff) = build_attack_cnf(locked, &observations)?;
+        let (cnf, inputs, diff) = build_attack_cnf(locked, &observations)?;
         let mut solver = Solver::from_cnf(&cnf);
         match solver.solve(&[diff], &unlimited) {
             SolveOutcome::Sat(model) => {
                 iterations += 1;
                 let x_hat = lex_min_model(
                     &mut |a| solver.solve(a, &unlimited),
-                    &x_vars,
+                    &inputs[..locked.num_original_inputs],
                     &[diff],
                     &model,
                 )
@@ -602,7 +571,8 @@ pub fn sat_attack_rebuild(
                 conflicts += solver.num_conflicts;
                 conflict_deltas.push(solver.num_conflicts);
                 // no DIP left: extract any key satisfying all observations
-                let (cnf, _, k1, _, _) = build_attack_cnf(locked, &observations)?;
+                let (cnf, inputs, _) = build_attack_cnf(locked, &observations)?;
+                let k1 = &inputs[locked.num_original_inputs..];
                 let mut solver = Solver::from_cnf(&cnf);
                 return Ok(match solver.solve(&[], &unlimited) {
                     SolveOutcome::Sat(model) => {
@@ -611,7 +581,7 @@ pub fn sat_attack_rebuild(
                         // transcripts over identical observation sets,
                         // so the canonical keys agree bit-for-bit
                         let key =
-                            lex_min_model(&mut |a| solver.solve(a, &unlimited), &k1, &[], &model)
+                            lex_min_model(&mut |a| solver.solve(a, &unlimited), k1, &[], &model)
                                 .unwrap_or_else(|reason| {
                                     unreachable!("unlimited lex-min stopped: {reason}")
                                 });

@@ -10,7 +10,7 @@
 //! - **Structural Verilog** ([`parse_verilog`]) — a gate-level subset:
 //!   one `module`, scalar `input`/`output`/`wire` declarations,
 //!   primitive gate instantiations (`nand g1 (y, a, b);`), and simple
-//!   `assign` aliases. See the [`verilog`] module docs for the exact
+//!   `assign` aliases. See the `verilog` module docs for the exact
 //!   subset.
 //!
 //! Both parsers are single-pass, name-resolving (forward references

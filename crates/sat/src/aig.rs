@@ -314,18 +314,13 @@ impl AigCnf {
             lit
         }
     }
-
-    /// How many nodes have been lowered to CNF so far.
-    pub fn num_lowered(&self) -> usize {
-        self.lits.iter().filter(|l| l.is_some()).count()
-    }
 }
 
 /// Lowers the combinational logic of `nl` into `aig` under *bound
 /// inputs*: `bindings[k]` is the AIG edge driving primary input *k*
 /// (a constant, an [`Aig::input`] node, or any internal edge). DFF
-/// outputs become fresh free variables allocated from `sink`, exactly
-/// as in [`crate::encode_netlist_bound`].
+/// outputs become fresh free variables allocated from `sink`, as in
+/// [`crate::encode_netlist`].
 ///
 /// Returns one edge per primary output, in port order; lower them with
 /// [`AigCnf::lit_of`] when (and only when) they are needed as literals.
@@ -376,37 +371,11 @@ pub fn lower_netlist_bound<B: CnfBuilder>(
         .collect())
 }
 
-/// AIG-backed variant of [`crate::encode_netlist`]: allocates one fresh
-/// variable per primary input, lowers the netlist through `aig`, and
-/// emits CNF for every output cone. Returns the input variables (in
-/// port order) and one output literal per primary output.
-///
-/// Unlike the direct encoder, internal nets shared between calls (the
-/// same subcircuit lowered twice, even from different netlists) cost
-/// clauses once.
-///
-/// # Errors
-///
-/// Returns [`NetlistError::CombinationalCycle`] on cyclic logic.
-#[allow(clippy::type_complexity)]
-pub fn encode_netlist_aig<B: CnfBuilder>(
-    nl: &Netlist,
-    aig: &mut Aig,
-    map: &mut AigCnf,
-    sink: &mut B,
-) -> Result<(Vec<crate::cnf::Var>, Vec<Lit>), NetlistError> {
-    let input_vars: Vec<crate::cnf::Var> = (0..nl.inputs().len()).map(|_| sink.new_var()).collect();
-    let bindings: Vec<AigLit> = input_vars.iter().map(|v| aig.input(v.pos())).collect();
-    let outs = lower_netlist_bound(nl, aig, &bindings, sink)?;
-    let out_lits = outs.iter().map(|&o| map.lit_of(aig, o, sink)).collect();
-    Ok((input_vars, out_lits))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::budget::{Budget, SolveOutcome};
-    use crate::cnf::Cnf;
+    use crate::cnf::{Cnf, Var};
     use crate::solver::Solver;
     use seceda_netlist::{c17, majority, random_circuit, RandomCircuitConfig};
 
@@ -475,8 +444,13 @@ mod tests {
         let mut cnf = Cnf::new();
         let (_cf, mut map) = fresh(&mut cnf);
         let mut aig = Aig::new();
-        let (in_vars, out_lits) =
-            encode_netlist_aig(nl, &mut aig, &mut map, &mut cnf).expect("encode");
+        let in_vars: Vec<Var> = (0..nl.inputs().len()).map(|_| cnf.new_var()).collect();
+        let bindings: Vec<AigLit> = in_vars.iter().map(|v| aig.input(v.pos())).collect();
+        let outs = lower_netlist_bound(nl, &mut aig, &bindings, &mut cnf).expect("lower");
+        let out_lits: Vec<Lit> = outs
+            .iter()
+            .map(|&o| map.lit_of(&aig, o, &mut cnf))
+            .collect();
         let n = nl.inputs().len();
         for pattern in 0..(1u32 << n) {
             let inputs: Vec<bool> = (0..n).map(|b| (pattern >> b) & 1 == 1).collect();
@@ -581,15 +555,65 @@ mod tests {
             let inputs: Vec<bool> = (0..n).map(|b| (pattern >> b) & 1 == 1).collect();
             let bindings: Vec<AigLit> = inputs.iter().map(|&b| AigLit::constant(b)).collect();
             let before = aig.num_nodes();
+            let (vars_before, clauses_before) = (cnf.num_vars(), cnf.clauses().len());
             let outs = lower_netlist_bound(&nl, &mut aig, &bindings, &mut cnf).expect("lower");
             assert_eq!(
                 aig.num_nodes(),
                 before,
                 "constant lowering allocates nothing"
             );
+            assert_eq!(cnf.num_vars(), vars_before, "no variables either");
+            assert_eq!(cnf.clauses().len(), clauses_before, "nor clauses");
             let expected = nl.evaluate(&inputs);
             for (k, o) in outs.iter().enumerate() {
                 assert_eq!(o.as_const(), Some(expected[k]), "pattern {pattern} out {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn partially_bound_encoding_matches_cofactor() {
+        // three inputs constant, two symbolic — the mixed binding of every
+        // DIP observation copy: the lowered cone must equal the cofactor
+        // of the circuit under the fixed bits
+        let nl = c17();
+        let fixed = [true, false, true];
+        let mut cnf = Cnf::new();
+        let (_cf, mut map) = fresh(&mut cnf);
+        let mut aig = Aig::new();
+        let free: Vec<Lit> = (0..2).map(|_| cnf.new_var().pos()).collect();
+        let bindings: Vec<AigLit> = fixed
+            .iter()
+            .map(|&b| AigLit::constant(b))
+            .chain(free.iter().map(|&l| aig.input(l)))
+            .collect();
+        let outs = lower_netlist_bound(&nl, &mut aig, &bindings, &mut cnf).expect("lower");
+        let out_lits: Vec<Lit> = outs
+            .iter()
+            .map(|&o| map.lit_of(&aig, o, &mut cnf))
+            .collect();
+        for pattern in 0..4u32 {
+            let tail: Vec<bool> = (0..2).map(|b| (pattern >> b) & 1 == 1).collect();
+            let mut inputs = fixed.to_vec();
+            inputs.extend(&tail);
+            let assumptions: Vec<Lit> = free
+                .iter()
+                .zip(&tail)
+                .map(|(&l, &b)| if b { l } else { !l })
+                .collect();
+            let mut solver = Solver::from_cnf(&cnf);
+            match solver.solve(&assumptions, &Budget::unlimited()) {
+                SolveOutcome::Sat(model) => {
+                    let expected = nl.evaluate(&inputs);
+                    for (k, &ol) in out_lits.iter().enumerate() {
+                        assert_eq!(
+                            ol.eval(model[ol.var().index()]),
+                            expected[k],
+                            "pattern {pattern} out {k}"
+                        );
+                    }
+                }
+                other => panic!("cofactor lowering unsat under concrete inputs: {other:?}"),
             }
         }
     }

@@ -160,11 +160,11 @@ pub trait CnfBuilder {
 /// only under the assumption `!guard`, and a root-level unit `guard`
 /// retires the group forever.
 ///
-/// This is the selector mechanism behind incremental ATPG and the
-/// fault-coverage proofs: each fault's faulty cone is encoded gated on a
-/// fresh selector, activated via assumptions, and retired after its
-/// query instead of rebuilding the solver.
-pub struct GatedCnf<'a, B: CnfBuilder> {
+/// This is the selector mechanism behind
+/// [`FaultCone`](crate::FaultCone): each fault's faulty cone is encoded
+/// gated on a fresh selector, activated via assumptions, and retired
+/// after its query instead of rebuilding the solver.
+pub(crate) struct GatedCnf<'a, B: CnfBuilder> {
     inner: &'a mut B,
     guard: Lit,
 }
@@ -172,7 +172,7 @@ pub struct GatedCnf<'a, B: CnfBuilder> {
 impl<'a, B: CnfBuilder> GatedCnf<'a, B> {
     /// Wraps `inner`, adding `guard` to every clause added through the
     /// wrapper. Variables are allocated ungated.
-    pub fn new(inner: &'a mut B, guard: Lit) -> Self {
+    pub(crate) fn new(inner: &'a mut B, guard: Lit) -> Self {
         GatedCnf { inner, guard }
     }
 }

@@ -4,8 +4,13 @@
 //! a variable, every gate a handful of clauses. [`miter`] builds the
 //! classical equivalence-checking construction — two circuits sharing
 //! inputs, with an output asserting that *some* primary output differs.
+//! [`encode_faulty_cone`] appends one fault's selector-gated fan-out
+//! cone to a good-circuit encoding; the returned [`FaultCone`] carries
+//! the whole query protocol of incremental ATPG and coverage proofs.
 
+use crate::budget::{Budget, SolveOutcome};
 use crate::cnf::{CnfBuilder, GatedCnf, Lit, Var};
+use crate::solver::Solver;
 use seceda_netlist::{CellKind, NetId, Netlist, NetlistError};
 
 /// The variable mapping produced by encoding a netlist.
@@ -17,13 +22,6 @@ pub struct NetlistEncoding {
     pub input_vars: Vec<Var>,
     /// Variables of the primary outputs, in port order.
     pub output_vars: Vec<Var>,
-}
-
-impl NetlistEncoding {
-    /// The variable of a specific net.
-    pub fn var_of(&self, net: seceda_netlist::NetId) -> Var {
-        self.vars[net.index()]
-    }
 }
 
 fn encode_nary<B: CnfBuilder>(cnf: &mut B, kind: CellKind, y: Lit, ins: &[Lit]) {
@@ -103,7 +101,7 @@ fn encode_gate<B: CnfBuilder>(cnf: &mut B, kind: CellKind, y: Lit, ins: &[Lit]) 
 /// callers doing bounded model checking unroll explicitly.
 ///
 /// The sink is any [`CnfBuilder`]: a [`Cnf`](crate::Cnf) under
-/// construction, or a live [`Solver`](crate::Solver) for incremental
+/// construction, or a live [`Solver`] for incremental
 /// encodings.
 ///
 /// # Errors
@@ -129,9 +127,10 @@ pub fn encode_netlist<B: CnfBuilder>(
 }
 
 /// Incrementally encodes the *fan-out cone* of a fault on `net` against
-/// an existing good-circuit encoding, gating every added clause on
-/// `guard` (add `guard.var()` as a selector: assume `!guard` to activate
-/// the cone, add a root-level unit `guard` to retire it).
+/// an existing good-circuit encoding, under a fresh selector: every
+/// added clause binds only while [`FaultCone::solve`] assumes the
+/// selector, and [`FaultCone::retire`] switches the cone off for good,
+/// so one persistent solver serves a whole fault list.
 ///
 /// `faulty_source` is the literal carrying the faulty value of `net`
 /// (a forced-constant variable for stuck-at faults, the inverted good
@@ -141,10 +140,6 @@ pub fn encode_netlist<B: CnfBuilder>(
 /// cone, not the circuit. Cones stop at DFFs: both copies share the same
 /// free state variables, so a fault cannot fake a difference through an
 /// unconstrained next-state value.
-///
-/// Returns `(output port index, faulty output literal)` for each primary
-/// output whose value can differ — an empty result proves the fault
-/// cannot reach any output (untestable by structure alone).
 ///
 /// # Errors
 ///
@@ -158,18 +153,18 @@ pub fn encode_faulty_cone<B: CnfBuilder>(
     good: &NetlistEncoding,
     net: NetId,
     faulty_source: Lit,
-    guard: Lit,
     sink: &mut B,
-) -> Result<Vec<(usize, Lit)>, NetlistError> {
+) -> Result<FaultCone, NetlistError> {
     assert_eq!(
         good.vars.len(),
         nl.num_nets(),
         "good encoding does not match the netlist"
     );
     let order = nl.topo_order()?;
+    let selector = sink.new_var();
     let mut faulty: Vec<Option<Lit>> = vec![None; nl.num_nets()];
     faulty[net.index()] = Some(faulty_source);
-    let mut gated = GatedCnf::new(sink, guard);
+    let mut gated = GatedCnf::new(sink, selector.neg());
     for gid in order {
         let g = nl.gate(gid);
         if faulty[g.output.index()].is_some() {
@@ -187,216 +182,95 @@ pub fn encode_faulty_cone<B: CnfBuilder>(
         faulty[g.output.index()] = Some(y);
         encode_gate(&mut gated, g.kind, y, &ins);
     }
-    Ok(nl
-        .outputs()
-        .iter()
-        .enumerate()
-        .filter_map(|(k, &(onet, _))| faulty[onet.index()].map(|l| (k, l)))
-        .collect())
-}
-
-/// A value in a partially evaluated encoding: a known constant, or a
-/// solver literal carrying the value symbolically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Signal {
-    /// The net is a known constant under the given input bindings.
-    Const(bool),
-    /// The net's value is carried by this literal.
-    Lit(Lit),
-}
-
-impl Signal {
-    /// Lowers the signal to a literal, mapping constants onto a literal
-    /// that is false in every model (`const_false`).
-    fn as_lit(self, const_false: Lit) -> Lit {
-        match self {
-            Signal::Const(false) => const_false,
-            Signal::Const(true) => !const_false,
-            Signal::Lit(l) => l,
-        }
-    }
-}
-
-/// Encodes one gate under partially constant inputs, folding away
-/// whatever the constants decide: fully constant gates evaluate on the
-/// spot, absorbing inputs (a 0 into an AND, a 1 into an OR) kill the
-/// gate, neutral inputs are dropped, and single-survivor gates collapse
-/// to a (possibly negated) wire.
-fn fold_gate<B: CnfBuilder>(
-    cnf: &mut B,
-    const_false: Lit,
-    kind: CellKind,
-    ins: &[Signal],
-) -> Signal {
-    if kind != CellKind::Dff && ins.iter().all(|v| matches!(v, Signal::Const(_))) {
-        let bools: Vec<bool> = ins
+    Ok(FaultCone {
+        selector,
+        outputs: nl
+            .outputs()
             .iter()
-            .map(|v| match v {
-                Signal::Const(b) => *b,
-                Signal::Lit(_) => unreachable!(),
-            })
-            .collect();
-        return Signal::Const(kind.eval(&bools));
-    }
-    match kind {
-        CellKind::Const0 => Signal::Const(false),
-        CellKind::Const1 => Signal::Const(true),
-        CellKind::Buf => ins[0],
-        CellKind::Not => match ins[0] {
-            Signal::Const(b) => Signal::Const(!b),
-            Signal::Lit(l) => Signal::Lit(!l),
-        },
-        CellKind::Dff => unreachable!("DFF outputs are pre-bound as free variables"),
-        CellKind::And | CellKind::Nand => {
-            let inv = kind == CellKind::Nand;
-            if ins.contains(&Signal::Const(false)) {
-                return Signal::Const(inv);
-            }
-            // remaining constants are all true, hence neutral
-            let syms: Vec<Lit> = ins
-                .iter()
-                .filter_map(|v| match v {
-                    Signal::Lit(l) => Some(*l),
-                    Signal::Const(_) => None,
-                })
-                .collect();
-            match syms[..] {
-                [l] => Signal::Lit(if inv { !l } else { l }),
-                _ => {
-                    let y = cnf.new_var().pos();
-                    for &l in &syms {
-                        cnf.add_clause([!y, l]);
-                    }
-                    let mut big: Vec<Lit> = syms.iter().map(|&l| !l).collect();
-                    big.push(y);
-                    cnf.add_clause(big);
-                    Signal::Lit(if inv { !y } else { y })
-                }
-            }
-        }
-        CellKind::Or | CellKind::Nor => {
-            let inv = kind == CellKind::Nor;
-            if ins.contains(&Signal::Const(true)) {
-                return Signal::Const(!inv);
-            }
-            let syms: Vec<Lit> = ins
-                .iter()
-                .filter_map(|v| match v {
-                    Signal::Lit(l) => Some(*l),
-                    Signal::Const(_) => None,
-                })
-                .collect();
-            match syms[..] {
-                [l] => Signal::Lit(if inv { !l } else { l }),
-                _ => {
-                    let y = cnf.new_var().pos();
-                    for &l in &syms {
-                        cnf.add_clause([y, !l]);
-                    }
-                    let mut big = syms.clone();
-                    big.push(!y);
-                    cnf.add_clause(big);
-                    Signal::Lit(if inv { !y } else { y })
-                }
-            }
-        }
-        CellKind::Xor | CellKind::Xnor => {
-            let mut parity = kind == CellKind::Xnor;
-            let mut syms: Vec<Lit> = Vec::new();
-            for v in ins {
-                match v {
-                    Signal::Const(b) => parity ^= b,
-                    Signal::Lit(l) => syms.push(*l),
-                }
-            }
-            let mut acc = syms[0];
-            for &l in &syms[1..] {
-                let t = cnf.new_var().pos();
-                cnf.gate_xor(t, acc, l);
-                acc = t;
-            }
-            Signal::Lit(if parity { !acc } else { acc })
-        }
-        CellKind::Mux => match ins[0] {
-            Signal::Const(s) => ins[if s { 2 } else { 1 }],
-            Signal::Lit(sel) => match (ins[1], ins[2]) {
-                (Signal::Const(a), Signal::Const(b)) if a == b => Signal::Const(a),
-                (Signal::Const(false), Signal::Const(true)) => Signal::Lit(sel),
-                (Signal::Const(true), Signal::Const(false)) => Signal::Lit(!sel),
-                (a, b) => {
-                    let y = cnf.new_var().pos();
-                    cnf.gate_mux(y, sel, a.as_lit(const_false), b.as_lit(const_false));
-                    Signal::Lit(y)
-                }
-            },
-        },
-    }
+            .enumerate()
+            .filter_map(|(k, &(onet, _))| faulty[onet.index()].map(|l| (k, l)))
+            .collect(),
+    })
 }
 
-/// Encodes `nl` under *bound inputs* — each primary input is either a
-/// known constant or an externally supplied literal — folding constants
-/// through the circuit so only the logic that actually depends on
-/// symbolic inputs costs variables and clauses.
+/// One fault's selector-gated fan-out cone, as built by
+/// [`encode_faulty_cone`]. A fault query is: [`require_difference`]
+/// on the ports it watches, [`solve`], done — `solve` retires the cone.
+/// A fault whose cone reaches no watched port is decided without a
+/// solver call; [`retire`] it directly.
 ///
-/// This is the workhorse of the persistent-solver SAT attack: an
-/// observation copy has all functional inputs constant and only the key
-/// inputs symbolic, so the folded copy shrinks to the key-dependent
-/// cone. `const_false` must be a literal that is false in every model
-/// (callers allocate one variable and add a unit clause once); it is
-/// only used to lower residual constants inside mixed MUXes. DFF outputs
-/// are fresh free variables, exactly as in [`encode_netlist`].
-///
-/// Returns one [`Signal`] per primary output, in port order.
-///
-/// # Errors
-///
-/// Returns [`NetlistError::CombinationalCycle`] on cyclic logic.
-///
-/// # Panics
-///
-/// Panics unless exactly one binding per primary input is given.
-pub fn encode_netlist_bound<B: CnfBuilder>(
-    nl: &Netlist,
-    bindings: &[Signal],
-    const_false: Lit,
-    sink: &mut B,
-) -> Result<Vec<Signal>, NetlistError> {
-    assert_eq!(
-        bindings.len(),
-        nl.inputs().len(),
-        "one binding per primary input"
-    );
-    let order = nl.topo_order()?;
-    let mut vals: Vec<Option<Signal>> = vec![None; nl.num_nets()];
-    for (k, &pi) in nl.inputs().iter().enumerate() {
-        vals[pi.index()] = Some(bindings[k]);
-    }
-    for d in nl.dffs() {
-        let out = nl.gate(d).output;
-        vals[out.index()] = Some(Signal::Lit(sink.new_var().pos()));
-    }
-    for gid in order {
-        let g = nl.gate(gid);
-        let ins: Vec<Signal> = g
-            .inputs
+/// [`require_difference`]: FaultCone::require_difference
+/// [`solve`]: FaultCone::solve
+/// [`retire`]: FaultCone::retire
+#[must_use = "a fault cone stays in the solver until it is retired"]
+#[derive(Debug)]
+pub struct FaultCone {
+    selector: Var,
+    /// `(output port index, faulty output literal)` for each primary
+    /// output the fault can reach.
+    outputs: Vec<(usize, Lit)>,
+}
+
+impl FaultCone {
+    /// The faulty circuit's literal for output `port`: the cone's own
+    /// literal if the fault reaches it, the shared good one otherwise.
+    pub fn output(&self, good: &NetlistEncoding, port: usize) -> Lit {
+        self.outputs
             .iter()
-            .map(|&i| vals[i.index()].expect("topological order"))
-            .collect();
-        vals[g.output.index()] = Some(fold_gate(sink, const_false, g.kind, &ins));
+            .find(|&&(k, _)| k == port)
+            .map_or_else(|| good.output_vars[port].pos(), |&(_, l)| l)
     }
-    Ok(nl
-        .outputs()
-        .iter()
-        .map(|&(n, _)| vals[n.index()].expect("outputs are driven"))
-        .collect())
+
+    /// Adds the gated requirement that some watched output differs
+    /// between the good and the faulty circuit. Returns `false`, adding
+    /// nothing, when the fault reaches no watched output: no input can
+    /// expose it there, which proves the query without solving.
+    pub fn require_difference<B: CnfBuilder>(
+        &self,
+        good: &NetlistEncoding,
+        watched: impl Fn(usize) -> bool,
+        sink: &mut B,
+    ) -> bool {
+        let mut gated = GatedCnf::new(sink, self.selector.neg());
+        let mut diffs = Vec::new();
+        for &(k, flit) in self.outputs.iter().filter(|&&(k, _)| watched(k)) {
+            let d = gated.new_var().pos();
+            gated.gate_xor(d, good.output_vars[k].pos(), flit);
+            diffs.push(d);
+        }
+        if diffs.is_empty() {
+            return false;
+        }
+        gated.add_clause(diffs);
+        true
+    }
+
+    /// Solves with the cone active (the selector first, then
+    /// `assumptions`) under `budget`, then retires the cone.
+    pub fn solve(self, solver: &mut Solver, assumptions: &[Lit], budget: &Budget) -> SolveOutcome {
+        let mut active = Vec::with_capacity(1 + assumptions.len());
+        active.push(self.selector.pos());
+        active.extend_from_slice(assumptions);
+        let outcome = solver.solve(&active, budget);
+        self.retire(solver);
+        outcome
+    }
+
+    /// Switches the cone's clauses off for good with a root-level unit.
+    pub fn retire<B: CnfBuilder>(self, sink: &mut B) {
+        sink.add_clause([self.selector.neg()]);
+    }
 }
 
 /// Builds a miter of two combinational netlists with identical interfaces:
-/// shared primary inputs, and a single literal (returned) that is true iff
-/// at least one primary output differs.
+/// the first `shared_inputs` primary inputs tied together, and a single
+/// literal (returned) that is true iff at least one primary output
+/// differs.
 ///
-/// Asking the solver for that literal answers equivalence: UNSAT under
-/// `[diff]` means the circuits agree on every input.
+/// With every input shared, asking the solver for that literal answers
+/// equivalence: UNSAT under `[diff]` means the circuits agree on every
+/// input. Sharing only a prefix leaves the remaining inputs free in each
+/// copy — the SAT attack's two keyed copies over one functional input.
 ///
 /// # Errors
 ///
@@ -404,10 +278,12 @@ pub fn encode_netlist_bound<B: CnfBuilder>(
 ///
 /// # Panics
 ///
-/// Panics if the interfaces (input/output counts) do not match.
+/// Panics if the interfaces (input/output counts) do not match, or if
+/// `shared_inputs` exceeds the input count.
 pub fn miter<B: CnfBuilder>(
     a: &Netlist,
     b: &Netlist,
+    shared_inputs: usize,
     cnf: &mut B,
 ) -> Result<(NetlistEncoding, NetlistEncoding, Lit), NetlistError> {
     assert_eq!(
@@ -420,10 +296,14 @@ pub fn miter<B: CnfBuilder>(
         b.outputs().len(),
         "miter needs matching output counts"
     );
+    assert!(
+        shared_inputs <= a.inputs().len(),
+        "miter cannot share more inputs than it has"
+    );
     let enc_a = encode_netlist(a, cnf)?;
     let enc_b = encode_netlist(b, cnf)?;
-    // tie the inputs together
-    for (&va, &vb) in enc_a.input_vars.iter().zip(&enc_b.input_vars) {
+    let shared = enc_a.input_vars.iter().zip(&enc_b.input_vars);
+    for (&va, &vb) in shared.take(shared_inputs) {
         cnf.gate_buf(va.pos(), vb.pos());
     }
     // per-output difference bits
@@ -535,7 +415,7 @@ mod tests {
         b.mark_output(out2, "o");
 
         let mut cnf = Cnf::new();
-        let (_, _, diff) = miter(&a, &b, &mut cnf).expect("miter");
+        let (_, _, diff) = miter(&a, &b, 2, &mut cnf).expect("miter");
         let mut solver = Solver::from_cnf(&cnf);
         assert_eq!(
             solver.solve(&[diff], &Budget::unlimited()),
@@ -559,7 +439,7 @@ mod tests {
         b.mark_output(out2, "o");
 
         let mut cnf = Cnf::new();
-        let (enc_a, _, diff) = miter(&a, &b, &mut cnf).expect("miter");
+        let (enc_a, _, diff) = miter(&a, &b, 2, &mut cnf).expect("miter");
         let mut solver = Solver::from_cnf(&cnf);
         match solver.solve(&[diff], &Budget::unlimited()) {
             SolveOutcome::Sat(model) => {
@@ -569,124 +449,6 @@ mod tests {
                 assert_ne!(xi & yi, xi | yi);
             }
             other => panic!("AND vs OR must differ: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn fully_bound_encoding_folds_to_evaluation() {
-        // with every input constant, the folded encoding must collapse to
-        // plain evaluation without emitting a single clause or variable
-        for nl in [c17(), majority()] {
-            let n = nl.inputs().len();
-            for pattern in 0..(1u32 << n) {
-                let inputs: Vec<bool> = (0..n).map(|b| (pattern >> b) & 1 == 1).collect();
-                let mut cnf = Cnf::new();
-                let cf = cnf.new_var().pos();
-                let vars_before = cnf.num_vars();
-                let clauses_before = cnf.clauses().len();
-                let bindings: Vec<Signal> = inputs.iter().map(|&b| Signal::Const(b)).collect();
-                let outs = encode_netlist_bound(&nl, &bindings, cf, &mut cnf).expect("encode");
-                assert_eq!(
-                    cnf.num_vars(),
-                    vars_before,
-                    "no variables for constant logic"
-                );
-                assert_eq!(cnf.clauses().len(), clauses_before, "no clauses either");
-                let expected = nl.evaluate(&inputs);
-                for (k, out) in outs.iter().enumerate() {
-                    assert_eq!(
-                        *out,
-                        Signal::Const(expected[k]),
-                        "pattern {pattern} output {k}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn bound_encoding_matches_full_encoding_on_symbolic_inputs() {
-        // all-symbolic bindings: the folded encoding must define the same
-        // function as encode_netlist — check every model on every input
-        use seceda_netlist::{random_circuit, RandomCircuitConfig};
-        for seed in [3u64, 8, 19] {
-            let nl = random_circuit(&RandomCircuitConfig {
-                num_inputs: 5,
-                num_gates: 40,
-                num_outputs: 3,
-                with_xor: true,
-                seed,
-            });
-            let mut cnf = Cnf::new();
-            let cf = cnf.new_var().pos();
-            cnf.add_clause([!cf]);
-            let in_lits: Vec<Lit> = (0..5).map(|_| cnf.new_var().pos()).collect();
-            let bindings: Vec<Signal> = in_lits.iter().map(|&l| Signal::Lit(l)).collect();
-            let outs = encode_netlist_bound(&nl, &bindings, cf, &mut cnf).expect("encode");
-            for pattern in 0..(1u32 << 5) {
-                let inputs: Vec<bool> = (0..5).map(|b| (pattern >> b) & 1 == 1).collect();
-                let assumptions: Vec<Lit> = in_lits
-                    .iter()
-                    .zip(&inputs)
-                    .map(|(&l, &b)| if b { l } else { !l })
-                    .collect();
-                let mut solver = Solver::from_cnf(&cnf);
-                match solver.solve(&assumptions, &Budget::unlimited()) {
-                    SolveOutcome::Sat(model) => {
-                        let expected = nl.evaluate(&inputs);
-                        for (k, out) in outs.iter().enumerate() {
-                            let got = match out {
-                                Signal::Const(b) => *b,
-                                Signal::Lit(l) => l.eval(model[l.var().index()]),
-                            };
-                            assert_eq!(got, expected[k], "seed {seed} pattern {pattern} out {k}");
-                        }
-                    }
-                    other => panic!("bound encoding unsat under concrete inputs: {other:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn partially_bound_encoding_matches_cofactor() {
-        // half constants, half symbolic — the folded cone must equal the
-        // cofactor of the circuit under the fixed bits
-        let nl = c17();
-        let fixed = [true, false, true];
-        let mut cnf = Cnf::new();
-        let cf = cnf.new_var().pos();
-        cnf.add_clause([!cf]);
-        let free: Vec<Lit> = (0..2).map(|_| cnf.new_var().pos()).collect();
-        let bindings: Vec<Signal> = fixed
-            .iter()
-            .map(|&b| Signal::Const(b))
-            .chain(free.iter().map(|&l| Signal::Lit(l)))
-            .collect();
-        let outs = encode_netlist_bound(&nl, &bindings, cf, &mut cnf).expect("encode");
-        for pattern in 0..4u32 {
-            let tail: Vec<bool> = (0..2).map(|b| (pattern >> b) & 1 == 1).collect();
-            let mut inputs = fixed.to_vec();
-            inputs.extend(&tail);
-            let assumptions: Vec<Lit> = free
-                .iter()
-                .zip(&tail)
-                .map(|(&l, &b)| if b { l } else { !l })
-                .collect();
-            let mut solver = Solver::from_cnf(&cnf);
-            match solver.solve(&assumptions, &Budget::unlimited()) {
-                SolveOutcome::Sat(model) => {
-                    let expected = nl.evaluate(&inputs);
-                    for (k, out) in outs.iter().enumerate() {
-                        let got = match out {
-                            Signal::Const(b) => *b,
-                            Signal::Lit(l) => l.eval(model[l.var().index()]),
-                        };
-                        assert_eq!(got, expected[k], "pattern {pattern} out {k}");
-                    }
-                }
-                other => panic!("cofactor encoding unsat under concrete inputs: {other:?}"),
-            }
         }
     }
 }

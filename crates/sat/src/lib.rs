@@ -21,9 +21,11 @@
 //! * [`Cnf`] / [`Lit`] / [`Var`] — formula representation;
 //! * [`CnfBuilder`] — the clause-sink trait shared by [`Cnf`] and
 //!   [`Solver`], so encodings can target a live solver incrementally;
-//!   [`GatedCnf`] gates a clause group on a selector literal;
-//! * [`encode`] — Tseitin encoding of netlists, miter construction, and
-//!   selector-gated faulty-cone encoding for incremental ATPG;
+//! * [`encode`] — per-net Tseitin encoding of netlists, the [`miter`]
+//!   behind equivalence checking and the rebuild attack oracle, and
+//!   [`encode_faulty_cone`], whose [`FaultCone`] is the one fault-query
+//!   protocol of incremental ATPG and coverage proofs: the cone is
+//!   gated on a fresh selector, solved under it, then retired;
 //! * [`aig`] — structurally-hashed and-inverter graphs: netlists lower
 //!   into a hash-consed AND/XOR node table (constant propagation,
 //!   two-level XOR re-discovery), then to CNF through a persistent
@@ -55,10 +57,8 @@ mod budget;
 mod cnf;
 mod solver;
 
-pub use aig::{encode_netlist_aig, lower_netlist_bound, Aig, AigCnf, AigLit};
+pub use aig::{lower_netlist_bound, Aig, AigCnf, AigLit};
 pub use budget::{Budget, SolveOutcome, StopReason};
-pub use cnf::{Cnf, CnfBuilder, GatedCnf, Lit, Var};
-pub use encode::{
-    encode_faulty_cone, encode_netlist, encode_netlist_bound, miter, NetlistEncoding, Signal,
-};
+pub use cnf::{Cnf, CnfBuilder, Lit, Var};
+pub use encode::{encode_faulty_cone, encode_netlist, miter, FaultCone, NetlistEncoding};
 pub use solver::Solver;

@@ -759,7 +759,7 @@ impl Solver {
         None
     }
 
-    /// The variable [`decide`](Self::decide) would branch on next: highest
+    /// The variable `decide` would branch on next: highest
     /// activity, lowest index on ties. Introspection hook pinned by the
     /// differential suite against a linear argmax scan. Lazily drops
     /// assigned entries from the heap top; otherwise read-only.

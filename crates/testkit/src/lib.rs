@@ -22,7 +22,7 @@
 //!   report pinpoints the exact inputs.
 //! * [`json`] — a tiny JSON value/serializer/parser for stable,
 //!   diffable reports (replaces `serde`).
-//! * [`bench`] — a wall-clock micro-bench harness with
+//! * [`bench`](mod@bench) — a wall-clock micro-bench harness with
 //!   `criterion_group!`-compatible macros, emitting JSON lines to
 //!   `target/seceda-bench.json` (replaces `criterion`).
 //! * [`par`] — a scoped-thread, work-stealing parallel map (replaces
@@ -62,7 +62,7 @@ pub mod rng;
 /// One-stop import for property tests, mirroring `proptest::prelude`.
 ///
 /// Besides the strategy surface and macros this also re-exports
-/// [`prop`](crate::prop) under the names `prop` and `proptest`, so
+/// [`crate::prop`] under the names `prop` and `proptest`, so
 /// pre-migration paths like `proptest::collection::vec(..)` keep
 /// resolving unchanged.
 pub mod prelude {

@@ -4,7 +4,7 @@
 //! against `proptest`'s macro surface; this module re-creates exactly
 //! that surface — [`crate::proptest!`], [`any`], range strategies,
 //! `collection::vec`, tuples, and the `prop_assert*` macros — on top of
-//! the deterministic [`StdRng`](crate::rng::StdRng). There is no
+//! the deterministic [`crate::rng::StdRng`]. There is no
 //! shrinking: cases are generated from seeds derived from the test's
 //! module path and case index, so a failure report names the exact
 //! inputs and the exact case, and re-running reproduces it bit-for-bit.
@@ -165,7 +165,7 @@ pub mod collection {
     use super::Strategy;
     use crate::rng::{Rng, StdRng};
 
-    /// Acceptable size arguments for [`vec`]: an exact `usize`, a
+    /// Acceptable size arguments for [`vec()`]: an exact `usize`, a
     /// half-open range, or an inclusive range.
     pub trait IntoSizeRange {
         /// Lower and inclusive upper length bounds.

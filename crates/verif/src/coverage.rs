@@ -8,16 +8,14 @@
 //!
 //! The proof loop shares ONE good-circuit encoding and one persistent
 //! solver across the whole fault universe: each fault contributes only
-//! its selector-gated fan-out cone (see
+//! its selector-gated fan-out cone (a [`seceda_sat::FaultCone`] from
 //! [`encode_faulty_cone`]), activated by assumption and retired after
 //! its query. Faults whose cone reaches no functional output are proven
 //! detected-or-masked without any solver call at all.
 
 use seceda_fia::codes::ProtectedNetlist;
 use seceda_netlist::NetlistError;
-use seceda_sat::{
-    encode_faulty_cone, encode_netlist, Budget, CnfBuilder, GatedCnf, SolveOutcome, Solver,
-};
+use seceda_sat::{encode_faulty_cone, encode_netlist, Budget, SolveOutcome, Solver};
 use seceda_sim::{fault::stuck_at_universe, Fault, FaultKind};
 
 /// Result of the formal detection proof.
@@ -102,42 +100,20 @@ pub fn prove_detection_budgeted(
             FaultKind::StuckAt1 => f0.neg(),
             FaultKind::BitFlip => good.vars[fault.net.index()].neg(),
         };
-        let sel = solver.new_var();
-        let guard = sel.neg();
-        let cone = encode_faulty_cone(nl, &good, fault.net, faulty_source, guard, &mut solver)?;
-        let func: Vec<_> = cone
-            .iter()
-            .copied()
-            .filter(|&(k, _)| k != alarm_index)
-            .collect();
-        if func.is_empty() {
+        let cone = encode_faulty_cone(nl, &good, fault.net, faulty_source, &mut solver)?;
+        // some functional output differs ...
+        if !cone.require_difference(&good, |k| k != alarm_index, &mut solver) {
             // the fault cannot reach any functional output, so silent
             // corruption is structurally impossible
-            solver.add_clause([guard]);
+            cone.retire(&mut solver);
             proven += 1;
             continue;
         }
-        // the faulty design's alarm: its cone literal if the fault can
-        // reach the alarm, the shared good literal otherwise
-        let alarm_lit = cone
-            .iter()
-            .find(|&&(k, _)| k == alarm_index)
-            .map(|&(_, l)| l)
-            .unwrap_or_else(|| good.output_vars[alarm_index].pos());
-        // some functional output differs
-        let mut gated = GatedCnf::new(&mut solver, guard);
-        let mut diffs = Vec::new();
-        for &(k, flit) in &func {
-            let d = gated.new_var().pos();
-            let good_out = good.output_vars[k].pos();
-            gated.gate_xor(d, good_out, flit);
-            diffs.push(d);
-        }
-        gated.add_clause(diffs);
-        // ... while the alarm stays low; the remaining budget is
-        // whatever earlier queries did not spend
+        // ... while the faulty design's alarm stays low; the remaining
+        // budget is whatever earlier queries did not spend
+        let alarm_lit = cone.output(&good, alarm_index);
         let sub = budget.minus(solver.num_conflicts, solver.num_propagations);
-        match solver.solve(&[sel.pos(), !alarm_lit], &sub) {
+        match cone.solve(&mut solver, &[!alarm_lit], &sub) {
             SolveOutcome::Unsat => proven += 1,
             SolveOutcome::Sat(model) => {
                 let witness = good.input_vars.iter().map(|v| model[v.index()]).collect();
@@ -145,7 +121,6 @@ pub fn prove_detection_budgeted(
             }
             SolveOutcome::Indeterminate(_) => undecided.push(fault),
         }
-        solver.add_clause([guard]);
     }
     if !undecided.is_empty() {
         seceda_trace::counter("verif.undecided_faults", undecided.len() as u64);
@@ -219,6 +194,57 @@ mod tests {
             let bad = sim.outputs(&sim.eval_with_faults(inputs, &[*fault]));
             assert_ne!(good[0], bad[0], "functional output must differ");
             assert!(!bad[1], "alarm must stay low");
+        }
+    }
+
+    #[test]
+    fn alarm_comparing_one_output_misses_faults_on_the_other() {
+        // out0 = (a & b) | c is duplicated and compared; out1 = (a & b) ^ c
+        // shares the AND but is not. A fault on the shared AND reaches
+        // the alarm (its faulty literal comes from the cone) and still
+        // escapes it whenever c = 1 masks the change at out0.
+        use seceda_netlist::{CellKind, Netlist};
+        let mut nl = Netlist::new("half_dwc");
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let c = nl.add_input("c");
+        let t = nl.add_gate(CellKind::And, &[a, b]);
+        let out0 = nl.add_gate(CellKind::Or, &[t, c]);
+        let out1 = nl.add_gate(CellKind::Xor, &[t, c]);
+        let t_dup = nl.add_gate(CellKind::And, &[a, b]);
+        let out0_dup = nl.add_gate(CellKind::Or, &[t_dup, c]);
+        let alarm = nl.add_gate(CellKind::Xor, &[out0, out0_dup]);
+        nl.mark_output(out0, "out0");
+        nl.mark_output(out1, "out1");
+        nl.mark_output(alarm, "alarm");
+        let p = ProtectedNetlist {
+            netlist: nl.clone(),
+            alarm_index: Some(2),
+        };
+        let proof = prove_detection(&p).expect("prove");
+        let mut violating: Vec<Fault> = proof.violations.iter().map(|&(f, _)| f).collect();
+        violating.sort_by_key(|f| (f.net.index(), f.kind == FaultKind::StuckAt1));
+        let expected: Vec<Fault> = [t, out1]
+            .iter()
+            .flat_map(|&n| [Fault::stuck_at(n, false), Fault::stuck_at(n, true)])
+            .collect();
+        assert_eq!(
+            violating, expected,
+            "exactly the faults on out1's cone escape the alarm"
+        );
+        // every fault on the compared cone (out0, its duplicate, the
+        // alarm itself) is proven
+        assert_eq!(proof.proven, proof.total - expected.len());
+        assert!(proof.undecided.is_empty());
+        let sim = FaultSim::new(&nl).expect("sim");
+        for (fault, inputs) in &proof.violations {
+            let good = sim.outputs(&sim.eval_with_faults(inputs, &[]));
+            let bad = sim.outputs(&sim.eval_with_faults(inputs, &[*fault]));
+            assert!(
+                good[..2] != bad[..2],
+                "{fault:?}: a functional output must differ"
+            );
+            assert!(!bad[2], "{fault:?}: alarm must stay low");
         }
     }
 }

@@ -31,7 +31,7 @@ impl EquivResult {
 /// Panics if the interfaces do not match (see [`miter`]).
 pub fn check_equivalence(a: &Netlist, b: &Netlist) -> Result<EquivResult, NetlistError> {
     let mut cnf = Cnf::new();
-    let (enc_a, _, diff) = miter(a, b, &mut cnf)?;
+    let (enc_a, _, diff) = miter(a, b, a.inputs().len(), &mut cnf)?;
     let mut solver = Solver::from_cnf(&cnf);
     Ok(match solver.solve(&[diff], &Budget::unlimited()) {
         SolveOutcome::Unsat => EquivResult::Equivalent,

@@ -13,6 +13,11 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --offline -- -D warnings"
 cargo clippy --workspace --offline -- -D warnings
 
+# Rustdoc warnings fail the gate, so a deleted or private item cannot
+# leave a dangling intra-doc link behind.
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps --offline"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
