@@ -343,7 +343,7 @@ pub fn run_secure_flow(nl: &Netlist) -> Result<FlowReport, NetlistError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seceda_netlist::{c17, CellKind, GateTags};
+    use seceda_netlist::{c17, random_circuit, CellKind, GateTags, RandomCircuitConfig};
     use seceda_sca::mask_netlist;
 
     #[test]
@@ -396,6 +396,52 @@ mod tests {
         assert_eq!(red(&secure.result), red(&p.netlist));
         let classical = run_classical_flow(&p.netlist).expect("flow");
         assert!(red(&classical.result) < red(&p.netlist));
+    }
+
+    #[test]
+    fn flows_survive_synthesis_removing_every_gate() {
+        let mut nl = Netlist::new("buffer");
+        let a = nl.add_input("a");
+        let y = nl.add_gate(CellKind::Buf, &[a]);
+        nl.mark_output(y, "y");
+        let secure = run_secure_flow(&nl).expect("secure flow");
+        let classical = run_classical_flow(&nl).expect("classical flow");
+        assert_eq!(secure.result.num_gates(), 0, "synthesis drops the buffer");
+        assert!(secure.equivalence_checked, "equivalence must be proven");
+        for report in [&secure, &classical] {
+            assert_eq!(report.result.truth_table(), nl.truth_table());
+        }
+    }
+
+    /// Every stage delay and the physical stage's wirelength, as the
+    /// full-recompute annealer produced them: a placement speed-up must
+    /// leave the Fig. 1 report unchanged.
+    #[test]
+    fn flow_reports_keep_their_golden_numbers() {
+        let rand100 = random_circuit(&RandomCircuitConfig {
+            num_gates: 100,
+            ..RandomCircuitConfig::default()
+        });
+        for (nl, synth_delay, physical_delay, wirelength) in [
+            (c17(), 3.0, 3.8, 13),
+            (rand100, 23.5, 28.900000000000002, 233),
+        ] {
+            let delays = [synth_delay, physical_delay, physical_delay, physical_delay];
+            let secure = run_secure_flow(&nl).expect("secure flow");
+            let stage_delays: Vec<f64> = secure.stages.iter().map(|s| s.delay).collect();
+            assert_eq!(stage_delays, delays, "{} secure", nl.name());
+            assert_eq!(
+                secure.stages[1].security_notes,
+                [format!(
+                    "wirelength {wirelength} (sensors/shields placeable via seceda-layout)"
+                )],
+                "{}",
+                nl.name()
+            );
+            let classical = run_classical_flow(&nl).expect("classical flow");
+            let stage_delays: Vec<f64> = classical.stages.iter().map(|s| s.delay).collect();
+            assert_eq!(stage_delays, delays, "{} classical", nl.name());
+        }
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //!
 //! * [`place`](mod@place) — grid placement by simulated annealing over
 //!   half-perimeter wirelength, with an optional *perturbation* defense
-//!   that trades wirelength for split-manufacturing security \[54\];
+//!   that trades wirelength for split-manufacturing security \[54\].
+//!   A net→pin table built once per call lets each swap re-cost only the
+//!   nets of the two swapped gates; the result is bit-identical to
+//!   re-costing the whole design after every swap;
 //! * [`route`](mod@route) — layer-assigned global routing: short connections on low
 //!   metal, long ones higher — the structural fact split manufacturing
 //!   relies on;
@@ -18,6 +21,8 @@
 //!   \[9\], \[26\], \[28\] with spatial coverage metrics, plus a top-metal
 //!   shield model \[29\].
 
+#[cfg(test)]
+mod oracle;
 pub mod place;
 pub mod route;
 pub mod sensors;

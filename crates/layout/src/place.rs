@@ -48,21 +48,149 @@ impl Default for PlacementConfig {
     }
 }
 
-/// Pin location of a net endpoint: the driving gate, a PI pad, or
-/// unplaced (constant drivers sit at the origin).
-fn net_source_pos(
-    nl: &Netlist,
-    placement_gate_pos: &[(u32, u32)],
-    input_pos: &[(u32, u32)],
-    net: seceda_netlist::NetId,
-) -> (u32, u32) {
-    if let Some(drv) = nl.net(net).driver {
-        return placement_gate_pos[drv.index()];
+/// Where a net's signal enters the layout: its driver gate, a PI pad,
+/// or the origin (undriven nets).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Source {
+    Gate(usize),
+    Input(usize),
+    Origin,
+}
+
+impl Source {
+    pub(crate) fn pos(self, gate_pos: &[(u32, u32)], input_pos: &[(u32, u32)]) -> (u32, u32) {
+        match self {
+            Source::Gate(g) => gate_pos[g],
+            Source::Input(k) => input_pos[k],
+            Source::Origin => (0, 0),
+        }
     }
-    if let Some(k) = nl.inputs().iter().position(|&p| p == net) {
-        return input_pos[k];
+}
+
+/// Every net's [`Source`], from one pass over the PIs and the nets (a
+/// netlist's PIs are distinct and never gate-driven).
+pub(crate) fn net_sources(nl: &Netlist) -> Vec<Source> {
+    let mut sources = vec![Source::Origin; nl.num_nets()];
+    for (k, &net) in nl.inputs().iter().enumerate() {
+        sources[net.index()] = Source::Input(k);
     }
-    (0, 0)
+    for (i, net) in nl.nets().iter().enumerate() {
+        if let Some(drv) = net.driver {
+            sources[i] = Source::Gate(drv.index());
+        }
+    }
+    sources
+}
+
+/// A bounding box; [`BBox::EMPTY`] until a point extends it.
+#[derive(Debug, Clone, Copy)]
+struct BBox {
+    lx: u32,
+    hx: u32,
+    ly: u32,
+    hy: u32,
+}
+
+impl BBox {
+    const EMPTY: BBox = BBox {
+        lx: u32::MAX,
+        hx: 0,
+        ly: u32::MAX,
+        hy: 0,
+    };
+
+    fn extend(self, (x, y): (u32, u32)) -> BBox {
+        BBox {
+            lx: self.lx.min(x),
+            hx: self.hx.max(x),
+            ly: self.ly.min(y),
+            hy: self.hy.max(y),
+        }
+    }
+
+    fn half_perimeter(self) -> u64 {
+        if self.lx > self.hx {
+            return 0;
+        }
+        u64::from(self.hx - self.lx) + u64::from(self.hy - self.ly)
+    }
+}
+
+/// The pins of every net, built once per placement. A net with at least
+/// one sink (a gate input or a PO pad) costs the half-perimeter of the
+/// box around its source, its sink gates and its PO pads; a sinkless net
+/// costs nothing and has no pins. Pads and the origin never move, so
+/// each net's fixed pins are folded into one box up front.
+struct PinTable {
+    /// Per net: the box around its PO pads and its PI-pad or origin
+    /// source.
+    fixed: Vec<BBox>,
+    /// Per net: its sink gates and its driver gate (a repeat does not
+    /// change a box).
+    gates: Vec<Vec<u32>>,
+    /// Per gate: the nets it reads or drives that have a sink, each once.
+    touches: Vec<Vec<u32>>,
+}
+
+impl PinTable {
+    fn new(nl: &Netlist, input_pos: &[(u32, u32)], output_pos: &[(u32, u32)]) -> Self {
+        let mut fixed = vec![BBox::EMPTY; nl.num_nets()];
+        let mut gates: Vec<Vec<u32>> = vec![Vec::new(); nl.num_nets()];
+        let mut has_sink = vec![false; nl.num_nets()];
+        for (gi, g) in nl.gates().iter().enumerate() {
+            for &inp in &g.inputs {
+                gates[inp.index()].push(gi as u32);
+                has_sink[inp.index()] = true;
+            }
+        }
+        for (k, &(n, _)) in nl.outputs().iter().enumerate() {
+            fixed[n.index()] = fixed[n.index()].extend(output_pos[k]);
+            has_sink[n.index()] = true;
+        }
+        for (net, source) in net_sources(nl).into_iter().enumerate() {
+            if !has_sink[net] {
+                continue;
+            }
+            match source {
+                Source::Gate(g) => gates[net].push(g as u32),
+                Source::Input(k) => fixed[net] = fixed[net].extend(input_pos[k]),
+                Source::Origin => fixed[net] = fixed[net].extend((0, 0)),
+            }
+        }
+        let touches = nl
+            .gates()
+            .iter()
+            .map(|g| {
+                let mut nets: Vec<u32> = g
+                    .inputs
+                    .iter()
+                    .chain([&g.output])
+                    .filter(|n| has_sink[n.index()])
+                    .map(|n| n.index() as u32)
+                    .collect();
+                nets.sort_unstable();
+                nets.dedup();
+                nets
+            })
+            .collect();
+        PinTable {
+            fixed,
+            gates,
+            touches,
+        }
+    }
+
+    fn num_nets(&self) -> usize {
+        self.fixed.len()
+    }
+
+    /// HPWL of `net` under `gate_pos`: O(pins of the net).
+    fn net_hpwl(&self, net: usize, gate_pos: &[(u32, u32)]) -> u64 {
+        self.gates[net]
+            .iter()
+            .fold(self.fixed[net], |b, &g| b.extend(gate_pos[g as usize]))
+            .half_perimeter()
+    }
 }
 
 /// Computes total HPWL of all nets under the given gate positions.
@@ -72,50 +200,24 @@ pub(crate) fn total_hpwl(
     input_pos: &[(u32, u32)],
     output_pos: &[(u32, u32)],
 ) -> f64 {
-    let mut total = 0.0;
-    // bounding box per net, extended by source, gate sinks, and PO pads
-    let mut bbox: Vec<Option<(u32, u32, u32, u32)>> = vec![None; nl.num_nets()];
-    let extend = |bbox: &mut Vec<Option<(u32, u32, u32, u32)>>, net: usize, p: (u32, u32)| {
-        let entry = &mut bbox[net];
-        *entry = Some(match *entry {
-            None => (p.0, p.0, p.1, p.1),
-            Some((lx, hx, ly, hy)) => (lx.min(p.0), hx.max(p.0), ly.min(p.1), hy.max(p.1)),
-        });
-    };
-    let mut has_sink = vec![false; nl.num_nets()];
-    for (gi, g) in nl.gates().iter().enumerate() {
-        for &inp in &g.inputs {
-            extend(&mut bbox, inp.index(), gate_pos[gi]);
-            has_sink[inp.index()] = true;
-        }
-    }
-    for (k, &(n, _)) in nl.outputs().iter().enumerate() {
-        extend(&mut bbox, n.index(), output_pos[k]);
-        has_sink[n.index()] = true;
-    }
-    for net_idx in 0..nl.num_nets() {
-        if !has_sink[net_idx] {
-            continue;
-        }
-        let net = seceda_netlist::NetId::from_index(net_idx);
-        let src = net_source_pos(nl, gate_pos, input_pos, net);
-        extend(&mut bbox, net_idx, src);
-        if let Some((lx, hx, ly, hy)) = bbox[net_idx] {
-            total += (hx - lx) as f64 + (hy - ly) as f64;
-        }
-    }
-    total
+    let pins = PinTable::new(nl, input_pos, output_pos);
+    (0..pins.num_nets())
+        .map(|net| pins.net_hpwl(net, gate_pos))
+        .sum::<u64>() as f64
 }
 
 /// Places `nl` on a square grid, minimizing HPWL with simulated
 /// annealing.
 ///
-/// # Panics
-///
-/// Panics if the netlist has no gates.
+/// Each move swaps two gates and re-costs only the nets those two gates
+/// touch, so a move costs O(pins of the touched nets), not O(design).
+/// Net costs are integers, so the move's wirelength delta is exactly the
+/// one a full recompute yields: the accept decisions, and the returned
+/// placement with its `hpwl`, are bit-identical to re-costing the whole
+/// design after every swap. A netlist without gates gets its pads
+/// placed and is not annealed.
 pub fn place(nl: &Netlist, config: &PlacementConfig) -> Placement {
     let n = nl.num_gates();
-    assert!(n > 0, "cannot place an empty netlist");
     let side = (n as f64).sqrt().ceil() as u32;
     let width = side.max(2);
     let height = side.max(2);
@@ -140,9 +242,16 @@ pub fn place(nl: &Netlist, config: &PlacementConfig) -> Placement {
         })
         .collect();
 
-    let mut cost = total_hpwl(nl, &gate_pos, &input_pos, &output_pos);
+    let pins = PinTable::new(nl, &input_pos, &output_pos);
+    let mut net_cost: Vec<u64> = (0..pins.num_nets())
+        .map(|net| pins.net_hpwl(net, &gate_pos))
+        .collect();
+    let mut cost: u64 = net_cost.iter().sum();
+    let mut recosted: Vec<(usize, u64)> = Vec::new();
+    // an empty design has nothing to swap
+    let steps = if n == 0 { 0 } else { config.steps };
     let mut temperature = config.initial_temperature;
-    for _ in 0..config.steps {
+    for _ in 0..steps {
         for _ in 0..config.moves_per_step {
             let a = rng.gen_range(0..n);
             let b = rng.gen_range(0..n);
@@ -150,10 +259,21 @@ pub fn place(nl: &Netlist, config: &PlacementConfig) -> Placement {
                 continue;
             }
             gate_pos.swap(a, b);
-            let new_cost = total_hpwl(nl, &gate_pos, &input_pos, &output_pos);
-            let delta = new_cost - cost;
-            if delta <= 0.0 || rng.gen_bool((-delta / temperature).exp().clamp(0.0, 1.0)) {
-                cost = new_cost;
+            recosted.clear();
+            let mut delta = 0i64;
+            // a net both gates touch has both as pins: the swap exchanges
+            // two of its points, so it re-costs to its old cost, twice
+            for &net in pins.touches[a].iter().chain(&pins.touches[b]) {
+                let net = net as usize;
+                let c = pins.net_hpwl(net, &gate_pos);
+                delta += c as i64 - net_cost[net] as i64;
+                recosted.push((net, c));
+            }
+            if delta <= 0 || rng.gen_bool((-(delta as f64) / temperature).exp().clamp(0.0, 1.0)) {
+                cost = cost.wrapping_add_signed(delta);
+                for &(net, c) in &recosted {
+                    net_cost[net] = c;
+                }
             } else {
                 gate_pos.swap(a, b); // revert
             }
@@ -166,7 +286,7 @@ pub fn place(nl: &Netlist, config: &PlacementConfig) -> Placement {
         gate_pos,
         input_pos,
         output_pos,
-        hpwl: cost,
+        hpwl: cost as f64,
     }
 }
 

@@ -5,7 +5,7 @@
 //! wires promoted upward — the standard layer-by-length discipline that
 //! split manufacturing (see [`crate::split`]) cuts through.
 
-use crate::place::Placement;
+use crate::place::{net_sources, Placement};
 use seceda_netlist::{NetId, Netlist};
 
 /// One point-to-point connection of the routed design.
@@ -73,15 +73,9 @@ impl RoutedDesign {
 pub fn route(nl: &Netlist, placement: &Placement, config: &RouteConfig) -> RoutedDesign {
     let mut wires = Vec::new();
     let mut total = 0u64;
-    let source_pos = |net: NetId| -> (u32, u32) {
-        if let Some(drv) = nl.net(net).driver {
-            placement.gate_pos[drv.index()]
-        } else if let Some(k) = nl.inputs().iter().position(|&p| p == net) {
-            placement.input_pos[k]
-        } else {
-            (0, 0)
-        }
-    };
+    let sources = net_sources(nl);
+    let source_pos =
+        |net: NetId| sources[net.index()].pos(&placement.gate_pos, &placement.input_pos);
     let mut push = |net: NetId, to: (u32, u32), sink_gate: Option<usize>, wires: &mut Vec<Wire>| {
         let from = source_pos(net);
         let length = from.0.abs_diff(to.0) + from.1.abs_diff(to.1);

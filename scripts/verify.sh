@@ -27,6 +27,12 @@ cargo build --benches --offline
 echo "==> cargo test -q --offline"
 cargo test -q --offline
 
+# The placement oracle re-costs the whole design after every swap, too
+# slow for 1,000-2,000-gate designs in a debug build: its large-design
+# differential sweep is #[ignore]d and runs here in release.
+echo "==> placement vs. full-recompute oracle on large designs (release)"
+cargo test -q --release --offline -p seceda-layout -- --ignored
+
 # Every reported number must be independent of the worker count: the
 # attack, composition and parallel-map suites run again with one worker
 # and with eight, whatever this host's core count.
