@@ -1,6 +1,7 @@
 //! Zero-delay cycle-accurate simulation with full per-net visibility.
 
-use seceda_netlist::{GateId, Netlist, NetlistError};
+use crate::tape::Tape;
+use seceda_netlist::{Netlist, NetlistError};
 
 /// The recorded per-net values of a multi-cycle simulation.
 ///
@@ -23,9 +24,9 @@ impl SimTrace {
 
 /// A reusable cycle simulator.
 ///
-/// Precomputes the topological order once, then evaluates cycles without
-/// re-deriving it — the hot path for trace acquisition in side-channel
-/// experiments.
+/// Compiles the netlist's evaluation tape once, then evaluates cycles
+/// without re-deriving it — the hot path for trace acquisition in
+/// side-channel experiments.
 ///
 /// # Example
 ///
@@ -46,8 +47,7 @@ impl SimTrace {
 #[derive(Debug, Clone)]
 pub struct CycleSim<'a> {
     nl: &'a Netlist,
-    order: Vec<GateId>,
-    dffs: Vec<GateId>,
+    tape: Tape,
     state: Vec<bool>,
 }
 
@@ -58,15 +58,9 @@ impl<'a> CycleSim<'a> {
     ///
     /// Returns [`NetlistError::CombinationalCycle`] for cyclic logic.
     pub fn new(nl: &'a Netlist) -> Result<Self, NetlistError> {
-        let order = nl.topo_order()?;
-        let dffs = nl.dffs();
-        let state = vec![false; dffs.len()];
-        Ok(CycleSim {
-            nl,
-            order,
-            dffs,
-            state,
-        })
+        let tape = Tape::new(nl)?;
+        let state = vec![false; tape.num_dffs()];
+        Ok(CycleSim { nl, tape, state })
     }
 
     /// Replaces the current DFF state.
@@ -97,23 +91,8 @@ impl<'a> CycleSim<'a> {
                 got: inputs.len(),
             });
         }
-        let mut values = vec![false; self.nl.num_nets()];
-        for (k, &pi) in self.nl.inputs().iter().enumerate() {
-            values[pi.index()] = inputs[k];
-        }
-        for (k, &d) in self.dffs.iter().enumerate() {
-            values[self.nl.gate(d).output.index()] = self.state[k];
-        }
-        let mut scratch: Vec<bool> = Vec::new();
-        for &gid in &self.order {
-            let g = self.nl.gate(gid);
-            scratch.clear();
-            scratch.extend(g.inputs.iter().map(|&i| values[i.index()]));
-            values[g.output.index()] = g.kind.eval(&scratch);
-        }
-        for (k, &d) in self.dffs.iter().enumerate() {
-            self.state[k] = values[self.nl.gate(d).inputs[0].index()];
-        }
+        let values = self.tape.eval(inputs, Some(&self.state), &[]);
+        self.tape.next_state(&values, &mut self.state);
         Ok(values)
     }
 

@@ -6,7 +6,8 @@
 //! verification. This module simulates a single input transition with
 //! per-gate nominal delays and records every toggle event.
 
-use seceda_netlist::{CellKind, Netlist, NetlistError};
+use crate::tape::Tape;
+use seceda_netlist::{Netlist, NetlistError};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -40,16 +41,14 @@ impl GlitchReport {
     /// Integrates toggle activity into a sampled power waveform with
     /// `num_samples` buckets covering `[0, settle_time]`. Each toggle adds
     /// one unit of power to its time bucket — the glitch-aware trace used
-    /// by leakage analysis.
+    /// by leakage analysis. `num_samples` of 0 is treated as 1.
     pub fn power_waveform(&self, num_samples: usize) -> Vec<f64> {
         let mut wave = vec![0.0; num_samples.max(1)];
-        if self.events.is_empty() {
-            return wave;
-        }
+        let last = wave.len() - 1;
         let span = self.settle_time.max(1e-9);
         for ev in &self.events {
-            let idx = ((ev.time / span) * (num_samples as f64 - 1.0)).round() as usize;
-            wave[idx.min(num_samples - 1)] += 1.0;
+            let idx = ((ev.time / span) * last as f64).round() as usize;
+            wave[idx.min(last)] += 1.0;
         }
         wave
     }
@@ -84,9 +83,11 @@ impl Ord for Event {
 #[derive(Debug, Clone)]
 pub struct EventSim<'a> {
     nl: &'a Netlist,
-    fanout: Vec<Vec<usize>>,
-    /// Per-gate delay override; `None` uses [`CellKind::delay`].
-    delay_override: Vec<Option<f64>>,
+    tape: Tape,
+    /// Per topo position: the gate's delay, by default its
+    /// [`CellKind::delay`](seceda_netlist::CellKind::delay) scaled by
+    /// the depth of a 2-input tree of its fan-in.
+    delay: Vec<f64>,
 }
 
 impl<'a> EventSim<'a> {
@@ -96,43 +97,28 @@ impl<'a> EventSim<'a> {
     ///
     /// Returns [`NetlistError::CombinationalCycle`] on cyclic logic.
     pub fn new(nl: &'a Netlist) -> Result<Self, NetlistError> {
-        nl.topo_order()?;
-        let fanout = nl
-            .fanout_map()
-            .into_iter()
-            .map(|v| v.into_iter().map(|g| g.index()).collect())
+        let tape = Tape::new(nl)?;
+        let delay = (0..tape.len())
+            .map(|p| {
+                let fan = tape.fan_in(p).max(2);
+                let tree_levels = (usize::BITS - (fan - 1).leading_zeros()) as f64;
+                tape.op(p).delay() * tree_levels.max(1.0)
+            })
             .collect();
-        Ok(EventSim {
-            nl,
-            fanout,
-            delay_override: vec![None; nl.num_gates()],
-        })
+        Ok(EventSim { nl, tape, delay })
     }
 
     /// Overrides the delay of one gate (used by path-delay fingerprinting
-    /// to model Trojan-induced slowdowns and process variation).
+    /// to model Trojan-induced slowdowns and process variation). A DFF
+    /// never schedules an event, so its delay is ignored.
     ///
     /// # Panics
     ///
     /// Panics if `gate` is out of range.
     pub fn set_gate_delay(&mut self, gate: usize, delay: f64) {
-        self.delay_override[gate] = Some(delay);
-    }
-
-    fn gate_delay(&self, gate: usize) -> f64 {
-        let g = &self.nl.gates()[gate];
-        self.delay_override[gate].unwrap_or_else(|| {
-            let fan = g.inputs.len().max(2);
-            let tree_levels = (usize::BITS - (fan - 1).leading_zeros()) as f64;
-            g.kind.delay() * tree_levels.max(1.0)
-        })
-    }
-
-    /// Computes the settled net values for `inputs` (zero-delay).
-    fn settle(&self, inputs: &[bool]) -> Vec<bool> {
-        self.nl
-            .eval_nets(inputs, &[])
-            .expect("combinational evaluation")
+        if let Some(p) = self.tape.pos_of(gate) {
+            self.delay[p] = delay;
+        }
     }
 
     /// Simulates the transition `from -> to` on the primary inputs and
@@ -146,13 +132,13 @@ impl<'a> EventSim<'a> {
     /// Panics if the netlist is sequential or input widths mismatch.
     pub fn transition(&self, from: &[bool], to: &[bool]) -> GlitchReport {
         assert!(
-            self.nl.is_combinational(),
+            self.tape.num_dffs() == 0,
             "EventSim::transition requires combinational logic"
         );
         let mut sp = seceda_trace::span("sim.transition");
         sp.attr("gates", self.nl.num_gates());
-        let mut values = self.settle(from);
-        let final_values = self.settle(to);
+        assert_eq!(to.len(), from.len(), "input width mismatch");
+        let mut values = self.tape.eval(from, None, &[]);
 
         let mut heap: BinaryHeap<Event> = BinaryHeap::new();
         let mut seq = 0u64;
@@ -192,21 +178,17 @@ impl<'a> EventSim<'a> {
             });
             toggles[ev.net] += 1;
             settle_time = settle_time.max(ev.time);
-            for &gi in &self.fanout[ev.net] {
-                let g = &self.nl.gates()[gi];
-                if g.kind == CellKind::Dff {
-                    continue;
-                }
-                let ins: Vec<bool> = g.inputs.iter().map(|&i| values[i.index()]).collect();
-                let new_out = g.kind.eval(&ins);
-                let out = g.output.index();
+            for &p in self.tape.fanout(ev.net) {
+                let p = p as usize;
+                let new_out = self.tape.gate(p, &values);
+                let out = self.tape.out(p);
                 // schedule if this differs from the value the net is
                 // already projected to settle at — this is what lets a
                 // short pulse (glitch) schedule both its edges
                 if new_out != projected[out] {
                     projected[out] = new_out;
                     heap.push(Event {
-                        time: ev.time + self.gate_delay(gi),
+                        time: ev.time + self.delay[p],
                         net: out,
                         value: new_out,
                         seq,
@@ -216,7 +198,11 @@ impl<'a> EventSim<'a> {
             }
         }
 
-        debug_assert_eq!(values, final_values, "event sim must settle to DC value");
+        debug_assert_eq!(
+            values,
+            self.tape.eval(to, None, &[]),
+            "event sim must settle to DC value"
+        );
         seceda_trace::counter("sim.events_processed", events.len() as u64);
         sp.attr("events", events.len());
         sp.attr("settle_time", settle_time);
@@ -304,5 +290,20 @@ mod tests {
         let wave = report.power_waveform(8);
         let total: f64 = wave.iter().sum();
         assert_eq!(total as usize, report.events.len());
+    }
+
+    #[test]
+    fn power_waveform_with_at_most_one_sample_is_one_bucket() {
+        let nl = glitcher();
+        let sim = EventSim::new(&nl).expect("sim");
+        let report = sim.transition(&[false], &[true]);
+        assert!(!report.events.is_empty());
+        for n in [0, 1] {
+            assert_eq!(
+                report.power_waveform(n),
+                vec![report.events.len() as f64],
+                "{n} samples"
+            );
+        }
     }
 }

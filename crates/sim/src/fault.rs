@@ -53,14 +53,6 @@ impl Fault {
             kind: FaultKind::BitFlip,
         }
     }
-
-    fn apply(&self, good: bool) -> bool {
-        match self.kind {
-            FaultKind::StuckAt0 => false,
-            FaultKind::StuckAt1 => true,
-            FaultKind::BitFlip => !good,
-        }
-    }
 }
 
 /// Enumerates the collapsed single-stuck-at fault universe of a netlist:
@@ -95,7 +87,6 @@ pub fn stuck_at_universe(nl: &Netlist) -> Vec<Fault> {
 #[derive(Debug)]
 pub struct FaultSim<'a> {
     nl: &'a Netlist,
-    order: Vec<seceda_netlist::GateId>,
     engine: PackedFaultSim<'a>,
     /// Packed good values of the most recent [`FaultSim::detects`]
     /// pattern: a detect-loop over a fault list simulates the good
@@ -107,7 +98,6 @@ impl Clone for FaultSim<'_> {
     fn clone(&self) -> Self {
         FaultSim {
             nl: self.nl,
-            order: self.order.clone(),
             engine: self.engine.clone(),
             good_cache: Mutex::new(None),
         }
@@ -122,7 +112,6 @@ impl<'a> FaultSim<'a> {
     /// Returns [`NetlistError::CombinationalCycle`] on cyclic logic.
     pub fn new(nl: &'a Netlist) -> Result<Self, NetlistError> {
         Ok(FaultSim {
-            order: nl.topo_order()?,
             engine: PackedFaultSim::new(nl)?,
             good_cache: Mutex::new(None),
             nl,
@@ -138,37 +127,15 @@ impl<'a> FaultSim<'a> {
     ///
     /// Faults take effect at the moment the net is assigned: input faults
     /// corrupt the applied stimulus, gate-output faults corrupt the
-    /// computed value.
+    /// computed value, and the last fault listed for a net wins. DFF
+    /// outputs are zero pseudo-inputs that are never assigned, so a fault
+    /// there has no effect.
     ///
     /// # Panics
     ///
     /// Panics on input width mismatch.
     pub fn eval_with_faults(&self, inputs: &[bool], faults: &[Fault]) -> Vec<bool> {
-        assert_eq!(inputs.len(), self.nl.inputs().len(), "input width mismatch");
-        let mut forced: Vec<Option<&Fault>> = vec![None; self.nl.num_nets()];
-        for f in faults {
-            forced[f.net.index()] = Some(f);
-        }
-        let mut values = vec![false; self.nl.num_nets()];
-        for (k, &pi) in self.nl.inputs().iter().enumerate() {
-            let good = inputs[k];
-            values[pi.index()] = match forced[pi.index()] {
-                Some(f) => f.apply(good),
-                None => good,
-            };
-        }
-        let mut scratch: Vec<bool> = Vec::new();
-        for &gid in &self.order {
-            let g = self.nl.gate(gid);
-            scratch.clear();
-            scratch.extend(g.inputs.iter().map(|&i| values[i.index()]));
-            let good = g.kind.eval(&scratch);
-            values[g.output.index()] = match forced[g.output.index()] {
-                Some(f) => f.apply(good),
-                None => good,
-            };
-        }
-        values
+        self.engine.tape().eval(inputs, None, faults)
     }
 
     /// Extracts primary outputs from a per-net value vector.

@@ -19,10 +19,14 @@
 //!   grading for ATPG and FIA campaigns;
 //! * [`PackedFaultSim`] — the bit-parallel fault-grading engine behind
 //!   [`FaultSim::coverage`](fault::FaultSim::coverage): 256 patterns
-//!   per pass over [`Lane256`] words (generic in [`SimWord`], `u64`
-//!   kept as the differential baseline), fault dropping,
+//!   per pass over [`Lane256`] words, fault dropping,
 //!   fan-out-cone-restricted faulty re-evaluation, and multi-threaded
 //!   fault-list fan-out.
+//!
+//! All of them compile the netlist once into one flat evaluation tape
+//! and evaluate gates through its single kernel, at `bool`, `u64` or
+//! [`Lane256`] width, faults included; `Netlist::eval_nets` in
+//! `seceda-netlist` is the independent oracle they are tested against.
 //!
 //! See [`CycleSim`] for a runnable end-to-end example.
 
@@ -35,6 +39,7 @@ mod packed;
 mod packed_fault;
 mod prob;
 mod simword;
+mod tape;
 
 pub use cycle::{CycleSim, SimTrace};
 pub use event::{EventSim, GlitchReport, ToggleEvent};

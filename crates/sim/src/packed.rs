@@ -5,105 +5,8 @@
 //! probabilities, MERO N-detect test generation, fault grading) tractable.
 
 use crate::simword::SimWord;
-use seceda_netlist::{CellKind, Gate, GateId, Netlist, NetlistError};
-
-/// Evaluates one combinational gate on packed words of any lane width:
-/// bit *k* of the result is the gate's output under lane *k*.
-///
-/// # Panics
-///
-/// Debug-panics on sequential gates; callers iterate combinational
-/// topological orders only.
-pub(crate) fn eval_gate_w<W: SimWord>(g: &Gate, values: &[W]) -> W {
-    match g.kind {
-        CellKind::Const0 => W::ZERO,
-        CellKind::Const1 => W::ONES,
-        CellKind::Buf => values[g.inputs[0].index()],
-        CellKind::Not => !values[g.inputs[0].index()],
-        CellKind::And => g
-            .inputs
-            .iter()
-            .fold(W::ONES, |acc, &i| acc & values[i.index()]),
-        CellKind::Nand => !g
-            .inputs
-            .iter()
-            .fold(W::ONES, |acc, &i| acc & values[i.index()]),
-        CellKind::Or => g
-            .inputs
-            .iter()
-            .fold(W::ZERO, |acc, &i| acc | values[i.index()]),
-        CellKind::Nor => !g
-            .inputs
-            .iter()
-            .fold(W::ZERO, |acc, &i| acc | values[i.index()]),
-        CellKind::Xor => g
-            .inputs
-            .iter()
-            .fold(W::ZERO, |acc, &i| acc ^ values[i.index()]),
-        CellKind::Xnor => !g
-            .inputs
-            .iter()
-            .fold(W::ZERO, |acc, &i| acc ^ values[i.index()]),
-        CellKind::Mux => {
-            let s = values[g.inputs[0].index()];
-            let a = values[g.inputs[1].index()];
-            let b = values[g.inputs[2].index()];
-            W::mux(s, a, b)
-        }
-        CellKind::Dff => {
-            debug_assert!(false, "eval_gate called on a sequential gate");
-            W::ZERO
-        }
-    }
-}
-
-/// Evaluates one combinational gate on 64-lane packed words.
-pub(crate) fn eval_gate(g: &Gate, values: &[u64]) -> u64 {
-    eval_gate_w::<u64>(g, values)
-}
-
-/// Evaluates every net of `nl` at any lane width: one pass over a
-/// precomputed combinational topological `order`, DFF outputs held at
-/// all-zero (the pseudo-input convention used everywhere else).
-pub(crate) fn eval_nets_w<W: SimWord>(nl: &Netlist, order: &[GateId], inputs: &[W]) -> Vec<W> {
-    assert_eq!(inputs.len(), nl.inputs().len(), "input width mismatch");
-    let mut values = vec![W::ZERO; nl.num_nets()];
-    for (k, &pi) in nl.inputs().iter().enumerate() {
-        values[pi.index()] = inputs[k];
-    }
-    for &gid in order {
-        let g = nl.gate(gid);
-        values[g.output.index()] = eval_gate_w(g, &values);
-    }
-    values
-}
-
-/// Packs scalar pattern bits into input words of any lane width:
-/// `patterns[p][k]` is the value of input *k* under pattern *p* (at most
-/// `W::BITS` patterns).
-///
-/// # Panics
-///
-/// Panics if more than `W::BITS` patterns are supplied.
-pub(crate) fn pack_patterns_w<W: SimWord>(patterns: &[Vec<bool>], num_inputs: usize) -> Vec<W> {
-    assert!(
-        patterns.len() <= W::BITS,
-        "at most {} patterns per packed word",
-        W::BITS
-    );
-    let mut words = vec![W::ZERO; num_inputs];
-    for (p, pat) in patterns.iter().enumerate() {
-        assert_eq!(pat.len(), num_inputs, "pattern width mismatch");
-        let (lane, bit) = (p / 64, p % 64);
-        for (k, &b) in pat.iter().enumerate() {
-            if b {
-                let w = words[k];
-                words[k] = w.with_lane(lane, w.lane(lane) | (1u64 << bit));
-            }
-        }
-    }
-    words
-}
+use crate::tape::Tape;
+use seceda_netlist::{Netlist, NetlistError};
 
 /// Bit-parallel combinational simulator.
 ///
@@ -127,7 +30,7 @@ pub(crate) fn pack_patterns_w<W: SimWord>(patterns: &[Vec<bool>], num_inputs: us
 #[derive(Debug, Clone)]
 pub struct PackedSim<'a> {
     nl: &'a Netlist,
-    order: Vec<GateId>,
+    tape: Tape,
 }
 
 impl<'a> PackedSim<'a> {
@@ -137,18 +40,15 @@ impl<'a> PackedSim<'a> {
     ///
     /// Returns [`NetlistError::CombinationalCycle`] on cyclic logic.
     pub fn new(nl: &'a Netlist) -> Result<Self, NetlistError> {
-        let order = nl.topo_order()?;
-        Ok(PackedSim { nl, order })
+        Ok(PackedSim {
+            nl,
+            tape: Tape::new(nl)?,
+        })
     }
 
     /// The underlying netlist.
     pub fn netlist(&self) -> &Netlist {
         self.nl
-    }
-
-    /// The combinational topological order this simulator evaluates in.
-    pub(crate) fn order(&self) -> &[GateId] {
-        &self.order
     }
 
     /// Evaluates 64 patterns at once.
@@ -164,7 +64,7 @@ impl<'a> PackedSim<'a> {
     ///
     /// Panics if `inputs` does not match the number of primary inputs.
     pub fn eval(&self, inputs: &[u64]) -> Vec<u64> {
-        self.eval_with_state(inputs, &vec![0u64; self.nl.dffs().len()])
+        self.tape.eval(inputs, None, &[])
     }
 
     /// Evaluates 64 patterns with explicit packed DFF state.
@@ -173,23 +73,7 @@ impl<'a> PackedSim<'a> {
     ///
     /// Panics on input/state width mismatch.
     pub fn eval_with_state(&self, inputs: &[u64], state: &[u64]) -> Vec<u64> {
-        assert_eq!(inputs.len(), self.nl.inputs().len(), "input width mismatch");
-        let dffs = self.nl.dffs();
-        assert_eq!(state.len(), dffs.len(), "state width mismatch");
-        let mut values = vec![0u64; self.nl.num_nets()];
-        for (k, &pi) in self.nl.inputs().iter().enumerate() {
-            values[pi.index()] = inputs[k];
-        }
-        for (k, &d) in dffs.iter().enumerate() {
-            values[self.nl.gate(d).output.index()] = state[k];
-        }
-        // the topological order holds combinational gates only, so every
-        // gate evaluates exactly once
-        for &gid in &self.order {
-            let g = self.nl.gate(gid);
-            values[g.output.index()] = eval_gate(g, &values);
-        }
-        values
+        self.tape.eval(inputs, Some(state), &[])
     }
 
     /// Extracts the packed primary-output words from a per-net vector
@@ -203,21 +87,26 @@ impl<'a> PackedSim<'a> {
     }
 }
 
-/// Packs scalar pattern bits into input words: `patterns[p][k]` is the
-/// value of input *k* under pattern *p* (at most 64 patterns).
+/// Packs scalar pattern bits into input words of any lane width:
+/// `patterns[p][k]` is the value of input *k* under pattern *p*, stored
+/// in bit *p* of word *k* (at most `W::BITS` patterns).
 ///
 /// # Panics
 ///
-/// Panics if more than 64 patterns are supplied.
-pub fn pack_patterns(patterns: &[Vec<bool>], num_inputs: usize) -> Vec<u64> {
-    assert!(patterns.len() <= 64, "at most 64 patterns per packed word");
-    let mut words = vec![0u64; num_inputs];
+/// Panics if more than `W::BITS` patterns are supplied, or on pattern
+/// width mismatch.
+pub fn pack_patterns<W: SimWord>(patterns: &[Vec<bool>], num_inputs: usize) -> Vec<W> {
+    assert!(
+        patterns.len() <= W::BITS,
+        "at most {} patterns per packed word",
+        W::BITS
+    );
+    let mut words = vec![W::ZERO; num_inputs];
     for (p, pat) in patterns.iter().enumerate() {
         assert_eq!(pat.len(), num_inputs, "pattern width mismatch");
-        for (k, &bit) in pat.iter().enumerate() {
-            if bit {
-                words[k] |= 1 << p;
-            }
+        let (lane, bit) = (p / 64, p % 64);
+        for (w, _) in words.iter_mut().zip(pat).filter(|(_, &b)| b) {
+            *w = w.with_lane(lane, w.lane(lane) | (1u64 << bit));
         }
     }
     words
@@ -266,6 +155,6 @@ mod tests {
     #[should_panic(expected = "at most 64")]
     fn too_many_patterns_rejected() {
         let patterns = vec![vec![false]; 65];
-        pack_patterns(&patterns, 1);
+        pack_patterns::<u64>(&patterns, 1);
     }
 }

@@ -2,15 +2,14 @@
 //! restriction — the industrial recipe that makes stuck-at grading,
 //! ATPG bootstrap, and MERO-style N-detect tractable on real circuits.
 //!
-//! Four compounding optimizations over the scalar reference
-//! ([`crate::FaultSim::coverage_scalar`]):
+//! The good circuit and every faulty cone run on the crate's compiled
+//! evaluation tape and its one gate kernel; this module adds four
+//! compounding optimizations on top:
 //!
-//! * **256 patterns per pass** — gates evaluate over [`Lane256`] words
+//! * **256 patterns per pass** — the kernel runs over [`Lane256`] words
 //!   (four `u64` lanes, autovectorized), so the good circuit and each
 //!   faulty cone are walked once per 256-pattern chunk; detection of
-//!   all 256 patterns is a single masked XOR of output words. The
-//!   64-lane `u64` path remains as the differential-testing reference
-//!   ([`PackedFaultSim::coverage_u64`]).
+//!   all 256 patterns is a single masked XOR of output words.
 //! * **Fault batching** — when a chunk holds 64 or fewer patterns
 //!   (ATPG's one-pattern incremental grading, tails of a pattern set),
 //!   each 64-bit sub-lane of a wide word carries a *different fault*
@@ -18,51 +17,40 @@
 //! * **Fault dropping** — a fault leaves the active list the moment any
 //!   pattern detects it; later patterns never touch it again.
 //! * **Cone restriction** — the faulty circuit re-evaluates only the
-//!   fan-out cone of the faulted net, event-driven in topological
-//!   order, and stops early when the fault effect converges with the
-//!   good value or every fault in the pass has reached a primary
-//!   output.
+//!   fan-out cone of the faulted net, walking the tape's fan-out index
+//!   in topological order, and stops early when the fault effect
+//!   converges with the good value or every fault in the pass has
+//!   reached a primary output.
 //!
 //! The active fault list fans out across cores with
 //! [`seceda_testkit::par`]; every fault is graded independently (fault
 //! groups are formed deterministically from the active list), so the
 //! result is bit-identical for any worker count.
 //!
-//! Detection results are **exactly** those of the scalar reference:
-//! per fault, *detected iff some pattern makes a primary output
-//! differ* — including the scalar path's quirk that a fault on a net
-//! no assignment ever touches (a DFF output pseudo-input) has no
-//! effect.
+//! Detection results are **exactly** those of the scalar grader
+//! ([`crate::FaultSim::coverage_scalar`]): per fault, *detected iff
+//! some pattern makes a primary output differ* — including the rule
+//! that a fault on a net no pass assigns (a DFF output pseudo-input)
+//! has no effect.
 
 use crate::fault::{Fault, FaultKind};
-use crate::packed::{
-    eval_gate, eval_gate_w, eval_nets_w, pack_patterns, pack_patterns_w, PackedSim,
-};
+use crate::packed::pack_patterns;
 use crate::simword::{Lane256, SimWord};
+use crate::tape::{apply_fault, Tape};
 use seceda_netlist::{Netlist, NetlistError};
 use seceda_testkit::par;
 
 /// The packed, dropping, cone-restricted fault-grading engine.
 #[derive(Debug, Clone)]
 pub struct PackedFaultSim<'a> {
-    sim: PackedSim<'a>,
     nl: &'a Netlist,
-    /// Combinational gates cloned into topological order, so a cone
-    /// walk streams through memory in evaluation order.
-    comb: Vec<seceda_netlist::Gate>,
-    /// CSR fan-out: `fanout_pos[fanout_start[n]..fanout_start[n+1]]`
-    /// are the *topo positions* of the combinational gates reading net
-    /// *n* (deduplicated per gate), so a cone push is a single
-    /// branch-free bitset write.
-    fanout_start: Vec<u32>,
-    fanout_pos: Vec<u32>,
+    tape: Tape,
     /// Per net: is it marked as a primary output?
     is_output: Vec<bool>,
     /// Per net: does a fault injected here take effect? True for primary
-    /// inputs and combinational gate outputs — exactly the nets the
-    /// scalar simulator assigns (and therefore faults) during a pass.
+    /// inputs and combinational gate outputs — exactly the nets a tape
+    /// pass assigns (and therefore faults).
     fault_applies: Vec<bool>,
-    num_comb_gates: u64,
 }
 
 /// Per-worker scratch: reused across every fault a worker grades, so
@@ -96,25 +84,6 @@ impl<W: SimWord> Scratch<W> {
     }
 }
 
-/// The word a fault forces onto its net, given the good word.
-fn apply_fault<W: SimWord>(kind: FaultKind, good: W) -> W {
-    match kind {
-        FaultKind::StuckAt0 => W::ZERO,
-        FaultKind::StuckAt1 => W::ONES,
-        FaultKind::BitFlip => !good,
-    }
-}
-
-/// Detection mask for a batch of `n` patterns packed into one `u64`.
-fn batch_mask(n: usize) -> u64 {
-    debug_assert!((1..=64).contains(&n));
-    if n == 64 {
-        u64::MAX
-    } else {
-        (1u64 << n) - 1
-    }
-}
-
 impl<'a> PackedFaultSim<'a> {
     /// Builds the engine for a netlist (combinational logic graded;
     /// DFF outputs are constant-zero pseudo-inputs, as everywhere else).
@@ -123,72 +92,23 @@ impl<'a> PackedFaultSim<'a> {
     ///
     /// Returns [`NetlistError::CombinationalCycle`] on cyclic logic.
     pub fn new(nl: &'a Netlist) -> Result<Self, NetlistError> {
-        let sim = PackedSim::new(nl)?;
-        let mut level = vec![u32::MAX; nl.num_gates()];
-        for (pos, &gid) in sim.order().iter().enumerate() {
-            level[gid.index()] = pos as u32;
-        }
-        // CSR fan-out in two passes (count, fill); a gate reading the
-        // same net twice is one cone entry
-        let mut last_gate = vec![u32::MAX; nl.num_nets()];
-        let mut fanout_start = vec![0u32; nl.num_nets() + 1];
-        for (gi, g) in nl.gates().iter().enumerate() {
-            if g.kind.is_sequential() {
-                continue;
-            }
-            for &inp in &g.inputs {
-                if last_gate[inp.index()] != gi as u32 {
-                    last_gate[inp.index()] = gi as u32;
-                    fanout_start[inp.index() + 1] += 1;
-                }
-            }
-        }
-        for n in 0..nl.num_nets() {
-            fanout_start[n + 1] += fanout_start[n];
-        }
-        let mut cursor = fanout_start.clone();
-        let mut fanout_pos = vec![0u32; *fanout_start.last().expect("non-empty starts") as usize];
-        last_gate.fill(u32::MAX);
-        for (gi, g) in nl.gates().iter().enumerate() {
-            if g.kind.is_sequential() {
-                continue;
-            }
-            for &inp in &g.inputs {
-                if last_gate[inp.index()] != gi as u32 {
-                    last_gate[inp.index()] = gi as u32;
-                    fanout_pos[cursor[inp.index()] as usize] = level[gi];
-                    cursor[inp.index()] += 1;
-                }
-            }
-        }
-        let comb: Vec<seceda_netlist::Gate> = sim
-            .order()
-            .iter()
-            .map(|&gid| nl.gate(gid).clone())
-            .collect();
+        let tape = Tape::new(nl)?;
         let mut is_output = vec![false; nl.num_nets()];
         for &(net, _) in nl.outputs() {
             is_output[net.index()] = true;
         }
         let mut fault_applies = vec![false; nl.num_nets()];
-        for &pi in nl.inputs() {
-            fault_applies[pi.index()] = true;
+        for &pi in tape.pis() {
+            fault_applies[pi as usize] = true;
         }
-        for g in nl.gates() {
-            if !g.kind.is_sequential() {
-                fault_applies[g.output.index()] = true;
-            }
+        for p in 0..tape.len() {
+            fault_applies[tape.out(p)] = true;
         }
-        let num_comb_gates = sim.order().len() as u64;
         Ok(PackedFaultSim {
-            sim,
             nl,
-            comb,
-            fanout_start,
-            fanout_pos,
+            tape,
             is_output,
             fault_applies,
-            num_comb_gates,
         })
     }
 
@@ -197,15 +117,18 @@ impl<'a> PackedFaultSim<'a> {
         self.nl
     }
 
+    /// The compiled tape every grading pass evaluates.
+    pub(crate) fn tape(&self) -> &Tape {
+        &self.tape
+    }
+
     /// Marks every combinational reader of net `ni` pending, returning
     /// the lowest pending-bitset word index it touched (or `usize::MAX`
     /// for no readers).
     #[inline]
     fn push_fanout<W: SimWord>(&self, sc: &mut Scratch<W>, ni: usize) -> usize {
-        let lo = self.fanout_start[ni] as usize;
-        let hi = self.fanout_start[ni + 1] as usize;
         let mut min_word = usize::MAX;
-        for &lvl in &self.fanout_pos[lo..hi] {
+        for &lvl in self.tape.fanout(ni) {
             let lvl = lvl as usize;
             sc.pending[lvl >> 6] |= 1u64 << (lvl & 63);
             min_word = min_word.min(lvl >> 6);
@@ -234,7 +157,7 @@ impl<'a> PackedFaultSim<'a> {
     ) -> u64 {
         debug_assert_eq!(sites.len(), detected.len());
         debug_assert!(sites.len() <= 32, "excitation bitmask is a u32");
-        let budget = sites.len() as u64 * self.num_comb_gates;
+        let budget = (sites.len() * self.tape.len()) as u64;
         sc.sites.clear();
         let mut excited = 0u32;
         let mut remaining = 0usize;
@@ -285,9 +208,8 @@ impl<'a> PackedFaultSim<'a> {
                 sc.pending[w] = bits & (bits - 1);
                 let pos = (w << 6) | bits.trailing_zeros() as usize;
                 evaluated += 1;
-                let g = &self.comb[pos];
-                let oi = g.output.index();
-                let mut new = eval_gate_w(g, &sc.vals);
+                let oi = self.tape.out(pos);
+                let mut new = self.tape.gate(pos, &sc.vals);
                 // a site sitting inside another fault's cone must stay
                 // forced in its own lanes; sound because there the
                 // recomputed lane value is exactly the good value
@@ -359,13 +281,13 @@ impl<'a> PackedFaultSim<'a> {
             }
             if batch.len() > 64 {
                 // wide mode: patterns fill every lane, one fault per pass
-                let words = pack_patterns_w::<W>(batch, num_inputs);
-                let good = eval_nets_w(self.nl, self.sim.order(), &words);
+                let words = pack_patterns::<W>(batch, num_inputs);
+                let good = self.tape.eval(&words, None, &[]);
                 let mask = W::low_mask(batch.len());
                 seceda_trace::gauge("sim.par_workers", par::workers_for(active.len()) as f64);
                 let results = par::par_map_init(
                     &active,
-                    || Scratch::new(&good, self.num_comb_gates as usize),
+                    || Scratch::new(&good, self.tape.len()),
                     |sc, _, &k| {
                         let mut det = [false];
                         let skipped =
@@ -383,15 +305,17 @@ impl<'a> PackedFaultSim<'a> {
             } else {
                 // fault-group mode: each 64-bit sub-lane carries a
                 // different active fault over the same patterns
-                let words = pack_patterns(batch, num_inputs);
-                let good64 = self.sim.eval(&words);
-                let good: Vec<W> = good64.iter().map(|&g| W::broadcast(g)).collect();
-                let m64 = batch_mask(batch.len());
+                let words: Vec<W> = pack_patterns::<u64>(batch, num_inputs)
+                    .into_iter()
+                    .map(W::broadcast)
+                    .collect();
+                let good = self.tape.eval(&words, None, &[]);
+                let m64 = u64::low_mask(batch.len());
                 let groups: Vec<&[u32]> = active.chunks(W::LANES).collect();
                 seceda_trace::gauge("sim.par_workers", par::workers_for(groups.len()) as f64);
                 let results = par::par_map_init(
                     &groups,
-                    || Scratch::new(&good, self.num_comb_gates as usize),
+                    || Scratch::new(&good, self.tape.len()),
                     |sc, _, grp| {
                         let sites: Vec<(Fault, W)> = grp
                             .iter()
@@ -488,9 +412,9 @@ impl<'a> PackedFaultSim<'a> {
     /// already-computed good packed values for that pattern (see
     /// [`PackedFaultSim::good_values`]).
     pub fn detects_given_good(&self, good: &[u64], fault: Fault) -> bool {
-        let mut sc = Scratch::new(good, self.num_comb_gates as usize);
+        let mut sc = Scratch::new(good, self.tape.len());
         let mut det = [false];
-        self.grade_group(&mut sc, good, &[(fault, batch_mask(1))], &mut det);
+        self.grade_group(&mut sc, good, &[(fault, u64::low_mask(1))], &mut det);
         det[0]
     }
 
@@ -502,11 +426,11 @@ impl<'a> PackedFaultSim<'a> {
     ///
     /// Panics on input width mismatch.
     pub fn good_values(&self, pattern: &[bool]) -> Vec<u64> {
-        let words = pack_patterns(
+        let words = pack_patterns::<u64>(
             std::slice::from_ref(&pattern.to_vec()),
-            self.nl.inputs().len(),
+            self.tape.pis().len(),
         );
-        self.sim.eval(&words)
+        self.tape.eval(&words, None, &[])
     }
 
     /// Evaluates 64 patterns of the *faulty* circuit and returns the
@@ -521,26 +445,7 @@ impl<'a> PackedFaultSim<'a> {
     ///
     /// Panics on input width mismatch.
     pub fn eval_outputs_with_faults(&self, inputs: &[u64], faults: &[Fault]) -> Vec<u64> {
-        assert_eq!(inputs.len(), self.nl.inputs().len(), "input width mismatch");
-        let mut forced: Vec<Option<FaultKind>> = vec![None; self.nl.num_nets()];
-        for f in faults {
-            forced[f.net.index()] = Some(f.kind);
-        }
-        let mut values = vec![0u64; self.nl.num_nets()];
-        for (k, &pi) in self.nl.inputs().iter().enumerate() {
-            values[pi.index()] = match forced[pi.index()] {
-                Some(kind) => apply_fault(kind, inputs[k]),
-                None => inputs[k],
-            };
-        }
-        for &gid in self.sim.order() {
-            let g = self.nl.gate(gid);
-            let good = eval_gate(g, &values);
-            values[g.output.index()] = match forced[g.output.index()] {
-                Some(kind) => apply_fault(kind, good),
-                None => good,
-            };
-        }
+        let values = self.tape.eval(inputs, None, faults);
         self.nl
             .outputs()
             .iter()

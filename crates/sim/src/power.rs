@@ -138,7 +138,12 @@ impl TraceRecorder {
 
     /// Converts one cycle's net values into a noisy power sample and
     /// updates the toggle reference.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `net_values` does not hold one value per net.
     pub fn sample(&mut self, net_values: &[bool]) -> f64 {
+        assert_eq!(net_values.len(), self.weights.len(), "net count mismatch");
         let raw = match self.model {
             PowerModel::HammingWeight => net_values
                 .iter()
@@ -225,6 +230,14 @@ mod tests {
         );
         rec.set_weights(vec![2.0, 3.0, 5.0]);
         assert_eq!(rec.sample(&[true, false, true]), 7.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "net count mismatch")]
+    fn sample_rejects_wrong_width() {
+        let nl = tiny();
+        let mut rec = TraceRecorder::new(&nl, PowerModel::HammingWeight, NoiseModel::default());
+        rec.sample(&[true, true, false, true]);
     }
 
     #[test]

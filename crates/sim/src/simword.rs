@@ -2,11 +2,10 @@
 //!
 //! Every packed simulator in this crate evaluates gates over *words*
 //! whose bit *k* carries an independent simulation lane. [`SimWord`]
-//! abstracts the word type so the same evaluation code runs 64 lanes
-//! per pass (`u64`, the differential-testing reference) or 256 lanes
-//! per pass ([`Lane256`], four `u64`s evaluated together — the
-//! element-wise loops autovectorize to SIMD on any target with 128-bit
-//! or wider vector units).
+//! abstracts the word type so the one gate kernel runs 64 lanes per
+//! pass (`u64`) or 256 lanes per pass ([`Lane256`], four `u64`s
+//! evaluated together — the element-wise loops autovectorize to SIMD on
+//! any target with 128-bit or wider vector units).
 //!
 //! The trait is deliberately tiny: the bitwise ops a gate evaluator
 //! needs, plus lane plumbing (`broadcast`/`lane`/`with_lane`) used by
@@ -51,12 +50,6 @@ pub trait SimWord:
 
     /// `true` if any bit is set.
     fn any(self) -> bool;
-
-    /// Per-bit multiplexer: bit *k* of the result is `b` where `s` is
-    /// set, `a` where it is clear.
-    fn mux(s: Self, a: Self, b: Self) -> Self {
-        (!s & a) | (s & b)
-    }
 }
 
 /// The mask with the lowest `n` of 64 bits set.
@@ -211,10 +204,6 @@ mod tests {
             assert_eq!((a | b).lane(i), a.lane(i) | b.lane(i));
             assert_eq!((a ^ b).lane(i), a.lane(i) ^ b.lane(i));
             assert_eq!((!a).lane(i), !a.lane(i));
-            assert_eq!(
-                Lane256::mux(a, b, Lane256::ONES).lane(i),
-                u64::mux(a.lane(i), b.lane(i), u64::MAX)
-            );
         }
     }
 }

@@ -1,0 +1,458 @@
+//! Differential suite: every simulator in `seceda-sim` evaluates gates
+//! through one compiled tape and one kernel, so each public entry point
+//! is held here to an oracle that shares none of that code —
+//! [`Netlist::eval_nets`] / [`Netlist::step`] and, for faulty
+//! circuits, [`reference`], a walk of the netlist arena over
+//! [`CellKind::eval`].
+//!
+//! Word types: `bool` ([`FaultSim::eval_with_faults`], [`CycleSim`],
+//! [`EventSim`]), `u64` ([`PackedSim`],
+//! [`PackedFaultSim::eval_outputs_with_faults`]) and `Lane256`
+//! ([`PackedFaultSim::coverage`], whose good pass and cone walk run on
+//! 256-bit words, compared against oracle detection on every pattern).
+//!
+//! The `#[ignore]`d sweeps repeat the comparison on 10k-20k-gate
+//! designs in release: `cargo test --release -p seceda-sim --test
+//! tape_differential -- --ignored`.
+
+use seceda_netlist::{c17, random_circuit, CellKind, NetId, Netlist, RandomCircuitConfig};
+use seceda_sim::fault::stuck_at_universe;
+use seceda_sim::{
+    pack_patterns, CycleSim, EventSim, Fault, FaultKind, FaultSim, GlitchReport, PackedFaultSim,
+    PackedSim,
+};
+use seceda_testkit::rng::{Rng, SeedableRng, StdRng};
+
+/// A random sequential design over every cell kind: wide n-ary gates,
+/// muxes, constants, gates that read one net twice, one undriven net,
+/// and `num_dffs` flip-flops whose outputs feed the logic and whose
+/// data inputs are rewired to random gate outputs once the logic exists.
+fn seq_circuit(seed: u64, num_inputs: usize, num_gates: usize, num_dffs: usize) -> Netlist {
+    use CellKind::*;
+    const KINDS: [CellKind; 11] = [Const0, Const1, Buf, Not, And, Nand, Or, Nor, Xor, Xnor, Mux];
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut nl = Netlist::new("seq");
+    let mut pool: Vec<NetId> = (0..num_inputs)
+        .map(|i| nl.add_input(format!("i{i}")))
+        .collect();
+    pool.push(nl.add_net());
+    let qs: Vec<NetId> = (0..num_dffs)
+        .map(|_| {
+            let d = nl.add_net();
+            nl.add_gate(Dff, &[d])
+        })
+        .collect();
+    pool.extend(&qs);
+    let first_gate_net = pool.len();
+    for _ in 0..num_gates {
+        let kind = KINDS[rng.gen_range(0..KINDS.len())];
+        let n = match kind.arity() {
+            (lo, usize::MAX) => rng.gen_range(lo..=5),
+            (lo, _) => lo,
+        };
+        let mut ins: Vec<NetId> = (0..n).map(|_| pool[rng.gen_range(0..pool.len())]).collect();
+        if n >= 2 && rng.gen_bool(0.25) {
+            ins[n - 1] = ins[0];
+        }
+        pool.push(nl.add_gate(kind, &ins));
+    }
+    for &q in &qs {
+        let dff = nl.net(q).driver.expect("a DFF drives its output");
+        nl.gate_mut(dff).inputs[0] = pool[rng.gen_range(first_gate_net..pool.len())];
+    }
+    for (k, &net) in pool.iter().rev().take(3).chain(qs.first()).enumerate() {
+        nl.mark_output(net, format!("o{k}"));
+    }
+    nl
+}
+
+fn comb_circuit(seed: u64, num_gates: usize) -> Netlist {
+    seq_circuit(seed, 6, num_gates, 0)
+}
+
+fn random_bits(rng: &mut StdRng, n: usize) -> Vec<bool> {
+    (0..n).map(|_| rng.gen()).collect()
+}
+
+/// Faults on random nets — primary inputs, gate outputs, DFF outputs
+/// and the undriven net alike — with a duplicate on one net half the
+/// time, so last-fault-wins is exercised.
+fn random_faults(rng: &mut StdRng, nl: &Netlist, max: usize) -> Vec<Fault> {
+    let kinds = [FaultKind::StuckAt0, FaultKind::StuckAt1, FaultKind::BitFlip];
+    let mut faults: Vec<Fault> = (0..rng.gen_range(0..=max))
+        .map(|_| Fault {
+            net: NetId::from_index(rng.gen_range(0..nl.num_nets())),
+            kind: kinds[rng.gen_range(0..3usize)],
+        })
+        .collect();
+    if !faults.is_empty() && rng.gen_bool(0.5) {
+        faults.push(Fault {
+            net: faults[0].net,
+            kind: kinds[rng.gen_range(0..3usize)],
+        });
+    }
+    faults
+}
+
+/// The oracle for faulty circuits: walks the netlist arena in
+/// topological order over [`CellKind::eval`]. A fault takes effect
+/// when its net is assigned (a primary input as it is applied, a gate
+/// output as it is computed), the last fault listed for a net wins, and
+/// DFF outputs are loaded from `state`, never assigned.
+fn reference(nl: &Netlist, inputs: &[bool], state: &[bool], faults: &[Fault]) -> Vec<bool> {
+    let force = |net: NetId, good: bool| {
+        faults
+            .iter()
+            .rev()
+            .find(|f| f.net == net)
+            .map_or(good, |f| match f.kind {
+                FaultKind::StuckAt0 => false,
+                FaultKind::StuckAt1 => true,
+                FaultKind::BitFlip => !good,
+            })
+    };
+    let mut values = vec![false; nl.num_nets()];
+    for (&pi, &v) in nl.inputs().iter().zip(inputs) {
+        values[pi.index()] = force(pi, v);
+    }
+    for (&d, &v) in nl.dffs().iter().zip(state) {
+        values[nl.gate(d).output.index()] = v;
+    }
+    for gid in nl.topo_order().expect("acyclic") {
+        let g = nl.gate(gid);
+        let ins: Vec<bool> = g.inputs.iter().map(|&i| values[i.index()]).collect();
+        values[g.output.index()] = force(g.output, g.kind.eval(&ins));
+    }
+    values
+}
+
+fn outputs(nl: &Netlist, values: &[bool]) -> Vec<bool> {
+    nl.outputs()
+        .iter()
+        .map(|&(n, _)| values[n.index()])
+        .collect()
+}
+
+#[test]
+fn reference_agrees_with_eval_nets() {
+    let mut rng = StdRng::seed_from_u64(1);
+    for seed in 0..40 {
+        let nl = seq_circuit(seed, 5, 40, 3);
+        let inputs = random_bits(&mut rng, 5);
+        let state = random_bits(&mut rng, 3);
+        assert_eq!(
+            reference(&nl, &inputs, &state, &[]),
+            nl.eval_nets(&inputs, &state).expect("eval"),
+            "seed {seed}"
+        );
+    }
+}
+
+#[test]
+fn scalar_tape_matches_oracle_under_faults() {
+    let mut rng = StdRng::seed_from_u64(2);
+    for seed in 0..200 {
+        let nl = comb_circuit(seed, 2 + (seed as usize % 60));
+        let sim = FaultSim::new(&nl).expect("sim");
+        let inputs = random_bits(&mut rng, 6);
+        assert_eq!(
+            sim.eval_with_faults(&inputs, &[]),
+            nl.eval_nets(&inputs, &[]).expect("eval"),
+            "seed {seed}"
+        );
+        let faults = random_faults(&mut rng, &nl, 3);
+        assert_eq!(
+            sim.eval_with_faults(&inputs, &faults),
+            reference(&nl, &inputs, &[], &faults),
+            "seed {seed} faults {faults:?}"
+        );
+    }
+}
+
+#[test]
+fn dff_output_faults_have_no_effect() {
+    let nl = seq_circuit(7, 4, 30, 2);
+    let sim = FaultSim::new(&nl).expect("sim");
+    let packed = PackedFaultSim::new(&nl).expect("sim");
+    let q = nl.gate(nl.dffs()[0]).output;
+    for x in 0..16u32 {
+        let inputs: Vec<bool> = (0..4).map(|b| (x >> b) & 1 == 1).collect();
+        let good = sim.eval_with_faults(&inputs, &[]);
+        for kind in [FaultKind::StuckAt1, FaultKind::BitFlip] {
+            let f = Fault { net: q, kind };
+            assert_eq!(sim.eval_with_faults(&inputs, &[f]), good);
+            let words = pack_patterns(std::slice::from_ref(&inputs), 4);
+            let outs = packed.eval_outputs_with_faults(&words, &[f]);
+            let packed_outs: Vec<bool> = outs.iter().map(|w| w & 1 == 1).collect();
+            assert_eq!(packed_outs, outputs(&nl, &good));
+        }
+    }
+}
+
+#[test]
+fn packed_u64_matches_oracle_in_every_bit() {
+    let mut rng = StdRng::seed_from_u64(3);
+    for seed in 0..60 {
+        let nl = seq_circuit(seed, 5, 2 + (seed as usize % 50), 3);
+        let sim = PackedSim::new(&nl).expect("sim");
+        let n = 1 + seed as usize % 64;
+        let patterns: Vec<Vec<bool>> = (0..n).map(|_| random_bits(&mut rng, 5)).collect();
+        let states: Vec<Vec<bool>> = (0..n).map(|_| random_bits(&mut rng, 3)).collect();
+        let words = pack_patterns(&patterns, 5);
+        let state_words = pack_patterns(&states, 3);
+        let zero_state = sim.eval(&words);
+        let with_state = sim.eval_with_state(&words, &state_words);
+        for p in 0..n {
+            let bit = |w: &u64| (w >> p) & 1 == 1;
+            let zero: Vec<bool> = zero_state.iter().map(bit).collect();
+            let held: Vec<bool> = with_state.iter().map(bit).collect();
+            assert_eq!(zero, nl.eval_nets(&patterns[p], &[false; 3]).expect("eval"));
+            assert_eq!(held, nl.eval_nets(&patterns[p], &states[p]).expect("eval"));
+        }
+    }
+}
+
+#[test]
+fn packed_faulty_outputs_match_oracle_in_every_bit() {
+    let mut rng = StdRng::seed_from_u64(4);
+    for seed in 0..60 {
+        let nl = comb_circuit(seed, 2 + (seed as usize % 50));
+        let sim = PackedFaultSim::new(&nl).expect("sim");
+        let patterns: Vec<Vec<bool>> = (0..64).map(|_| random_bits(&mut rng, 6)).collect();
+        let faults = random_faults(&mut rng, &nl, 3);
+        let outs = sim.eval_outputs_with_faults(&pack_patterns(&patterns, 6), &faults);
+        for (p, pattern) in patterns.iter().enumerate() {
+            let want = outputs(&nl, &reference(&nl, pattern, &[], &faults));
+            let got: Vec<bool> = outs.iter().map(|w| (w >> p) & 1 == 1).collect();
+            assert_eq!(got, want, "seed {seed} pattern {p}");
+        }
+    }
+}
+
+/// Per fault, detected iff the oracle's outputs differ under some
+/// pattern (DFF outputs held at zero).
+fn reference_coverage(nl: &Netlist, patterns: &[Vec<bool>], faults: &[Fault]) -> Vec<bool> {
+    let state = vec![false; nl.dffs().len()];
+    let good: Vec<Vec<bool>> = patterns
+        .iter()
+        .map(|p| outputs(nl, &reference(nl, p, &state, &[])))
+        .collect();
+    faults
+        .iter()
+        .map(|&f| {
+            patterns
+                .iter()
+                .zip(&good)
+                .any(|(p, g)| &outputs(nl, &reference(nl, p, &state, &[f])) != g)
+        })
+        .collect()
+}
+
+#[test]
+fn lane256_grading_matches_oracle_across_partial_words() {
+    let mut rng = StdRng::seed_from_u64(5);
+    for seed in 0..12 {
+        let nl = seq_circuit(seed, 5, 10 + 3 * seed as usize, 2);
+        let engine = PackedFaultSim::new(&nl).expect("sim");
+        let mut faults = stuck_at_universe(&nl);
+        faults.extend(nl.dffs().iter().map(|&d| Fault::flip(nl.gate(d).output)));
+        // fault-group mode (<= 64), partial and full 256-bit words, and
+        // a partial second word
+        for n in [1usize, 63, 64, 65, 200, 256, 300] {
+            let patterns: Vec<Vec<bool>> = (0..n).map(|_| random_bits(&mut rng, 5)).collect();
+            let (detected, _) = engine.coverage(&patterns, &faults);
+            assert_eq!(
+                detected,
+                reference_coverage(&nl, &patterns, &faults),
+                "seed {seed} patterns {n}"
+            );
+        }
+    }
+}
+
+#[test]
+fn cycle_sim_matches_netlist_step_over_cycles() {
+    let mut rng = StdRng::seed_from_u64(6);
+    for seed in 0..40 {
+        let nl = seq_circuit(seed, 4, 5 + seed as usize, 4);
+        let mut sim = CycleSim::new(&nl).expect("sim");
+        let mut state = random_bits(&mut rng, 4);
+        sim.set_state(&state);
+        for cycle in 0..6 {
+            let inputs = random_bits(&mut rng, 4);
+            let nets = sim.step_nets(&inputs).expect("step");
+            assert_eq!(
+                nets,
+                nl.eval_nets(&inputs, &state).expect("eval"),
+                "seed {seed} cycle {cycle}"
+            );
+            let (outs, next) = nl.step(&inputs, &state).expect("step");
+            assert_eq!(outputs(&nl, &nets), outs);
+            assert_eq!(sim.state(), &next[..], "seed {seed} cycle {cycle}");
+            state = next;
+        }
+    }
+}
+
+#[test]
+fn event_sim_settles_to_eval_nets() {
+    let mut rng = StdRng::seed_from_u64(7);
+    for seed in 0..60 {
+        let nl = comb_circuit(seed, 2 + seed as usize % 40);
+        let sim = EventSim::new(&nl).expect("sim");
+        let from = random_bits(&mut rng, 6);
+        let to = random_bits(&mut rng, 6);
+        let mut values = nl.eval_nets(&from, &[]).expect("eval");
+        for ev in &sim.transition(&from, &to).events {
+            values[ev.net] = ev.value;
+        }
+        assert_eq!(values, nl.eval_nets(&to, &[]).expect("eval"), "seed {seed}");
+    }
+}
+
+/// FNV-1a over every event, every toggle count and the settling time.
+fn digest(r: &GlitchReport) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |x: u64| {
+        h ^= x;
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    };
+    for ev in &r.events {
+        eat(ev.time.to_bits());
+        eat(ev.net as u64);
+        eat(ev.value as u64);
+    }
+    for &t in &r.toggles {
+        eat(t as u64);
+    }
+    eat(r.settle_time.to_bits());
+    h
+}
+
+fn bits(x: u32, n: usize) -> Vec<bool> {
+    (0..n).map(|b| (x >> b) & 1 == 1).collect()
+}
+
+#[test]
+fn glitch_report_golden_c17() {
+    let nl = c17();
+    let sim = EventSim::new(&nl).expect("sim");
+    let r = sim.transition(&bits(0b00000, 5), &bits(0b11111, 5));
+    let events: Vec<(f64, usize, bool)> =
+        r.events.iter().map(|e| (e.time, e.net, e.value)).collect();
+    #[rustfmt::skip]
+    let want = [
+        (0.0, 0, true), (0.0, 1, true), (0.0, 2, true), (0.0, 3, true), (0.0, 4, true),
+        (1.0, 7, false), (1.0, 5, false), (1.0, 6, false), (1.0, 8, false),
+        (2.0, 9, true), (2.0, 10, true), (2.0, 7, true), (2.0, 8, true),
+        (3.0, 10, false),
+    ];
+    assert_eq!(events, want);
+    assert_eq!(r.toggles, [1, 1, 1, 1, 1, 1, 1, 2, 2, 1, 2]);
+    assert_eq!(
+        (r.glitching_nets, r.glitch_toggles, r.settle_time),
+        (3, 3, 3.0)
+    );
+    // two same-time toggles of net 5: the schedule order decides them
+    let r = sim.transition(&bits(0b10110, 5), &bits(0b01011, 5));
+    let events: Vec<(f64, usize, bool)> =
+        r.events.iter().map(|e| (e.time, e.net, e.value)).collect();
+    #[rustfmt::skip]
+    let want = [
+        (0.0, 0, true), (0.0, 2, false), (0.0, 3, true), (0.0, 4, false),
+        (1.0, 5, false), (1.0, 5, true), (1.0, 8, true),
+    ];
+    assert_eq!(events, want);
+    assert_eq!(r.toggles, [1, 0, 1, 1, 1, 2, 0, 0, 1, 0, 0]);
+    assert_eq!(
+        (r.glitching_nets, r.glitch_toggles, r.settle_time),
+        (1, 1, 1.0)
+    );
+}
+
+#[test]
+fn glitch_report_golden_random_100() {
+    let nl = random_circuit(&RandomCircuitConfig {
+        num_inputs: 8,
+        num_gates: 100,
+        num_outputs: 4,
+        with_xor: true,
+        seed: 0x91,
+    });
+    let mut sim = EventSim::new(&nl).expect("sim");
+    let summary = |r: &GlitchReport| {
+        (
+            r.events.len(),
+            r.glitching_nets,
+            r.glitch_toggles,
+            r.settle_time,
+            digest(r),
+        )
+    };
+    let cases = [
+        (0x00, 0xFF, (222, 48, 140, 19.5, 0xb0cf_fe4c_0f17_0b4f)),
+        (0xB6, 0x49, (256, 59, 171, 19.0, 0x5217_8735_87ff_1f6d)),
+        (0x13, 0x37, (44, 6, 8, 19.0, 0xec78_3450_1ed2_a0ae)),
+    ];
+    for (from, to, want) in cases {
+        let r = sim.transition(&bits(from, 8), &bits(to, 8));
+        assert_eq!(summary(&r), want, "{from:#x} -> {to:#x}");
+    }
+    for g in 0..nl.num_gates() {
+        sim.set_gate_delay(g, 0.5 + (g % 7) as f64 * 0.25);
+    }
+    let r = sim.transition(&bits(0xB6, 8), &bits(0x49, 8));
+    assert_eq!(summary(&r), (268, 54, 186, 15.0, 0xb731_2e34_4b10_1c7b));
+}
+
+#[test]
+#[ignore = "10k-20k-gate designs; run in release with --ignored"]
+fn large_designs_match_oracle() {
+    let mut rng = StdRng::seed_from_u64(8);
+    for (k, gates) in [10_000usize, 15_000, 20_000].into_iter().enumerate() {
+        let nl = random_circuit(&RandomCircuitConfig {
+            num_inputs: 32,
+            num_gates: gates,
+            num_outputs: 16,
+            with_xor: true,
+            seed: 0x5EED + k as u64,
+        });
+        let packed = PackedSim::new(&nl).expect("sim");
+        let scalar = FaultSim::new(&nl).expect("sim");
+        let patterns: Vec<Vec<bool>> = (0..64).map(|_| random_bits(&mut rng, 32)).collect();
+        let words = packed.eval(&pack_patterns(&patterns, 32));
+        for (p, pattern) in patterns.iter().enumerate() {
+            let want = nl.eval_nets(pattern, &[]).expect("eval");
+            let got: Vec<bool> = words.iter().map(|w| (w >> p) & 1 == 1).collect();
+            assert_eq!(got, want, "{gates} gates, pattern {p}");
+            assert_eq!(scalar.eval_with_faults(pattern, &[]), want);
+            let faults = random_faults(&mut rng, &nl, 3);
+            assert_eq!(
+                scalar.eval_with_faults(pattern, &faults),
+                reference(&nl, pattern, &[], &faults),
+                "{gates} gates, faults {faults:?}"
+            );
+        }
+    }
+}
+
+#[test]
+#[ignore = "2k-gate scalar grading; run in release with --ignored"]
+fn coverage_matches_scalar_at_2k_gates() {
+    let nl = random_circuit(&RandomCircuitConfig {
+        num_inputs: 24,
+        num_gates: 2_000,
+        num_outputs: 12,
+        with_xor: true,
+        seed: 0xC0DE,
+    });
+    let sim = FaultSim::new(&nl).expect("sim");
+    let faults = stuck_at_universe(&nl);
+    let mut rng = StdRng::seed_from_u64(9);
+    // 120 patterns: one partial 256-bit word in wide mode
+    let patterns: Vec<Vec<bool>> = (0..120).map(|_| random_bits(&mut rng, 24)).collect();
+    assert_eq!(
+        sim.coverage(&patterns, &faults),
+        sim.coverage_scalar(&patterns, &faults)
+    );
+}

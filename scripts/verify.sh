@@ -33,12 +33,21 @@ cargo test -q --offline
 echo "==> placement vs. full-recompute oracle on large designs (release)"
 cargo test -q --release --offline -p seceda-layout -- --ignored
 
+# Every simulator runs on one compiled evaluation tape; its sweep
+# against Netlist::eval_nets on 10k-20k-gate designs, and packed vs.
+# scalar fault grading at 2k gates, is #[ignore]d for the debug suite
+# and runs here in release. Only this test target is named, so the
+# 10^6-gate parse smoke stays behind SECEDA_VERIFY_SCALE below.
+echo "==> simulation tape vs. Netlist::eval_nets on large designs (release)"
+cargo test -q --release --offline -p seceda-sim --test tape_differential -- --ignored
+
 # Every reported number must be independent of the worker count: the
-# attack, composition and parallel-map suites run again with one worker
-# and with eight, whatever this host's core count.
-echo "==> worker-count independence: lock/core/testkit at 1 and 8 threads"
-SECEDA_THREADS=1 cargo test -q --offline -p seceda-lock -p seceda-core -p seceda-testkit
-SECEDA_THREADS=8 cargo test -q --offline -p seceda-lock -p seceda-core -p seceda-testkit
+# attack, composition, simulation (packed fault grading and signal
+# probabilities fan out with par) and parallel-map suites run again
+# with one worker and with eight, whatever this host's core count.
+echo "==> worker-count independence: lock/core/sim/testkit at 1 and 8 threads"
+SECEDA_THREADS=1 cargo test -q --offline -p seceda-lock -p seceda-core -p seceda-sim -p seceda-testkit
+SECEDA_THREADS=8 cargo test -q --offline -p seceda-lock -p seceda-core -p seceda-sim -p seceda-testkit
 
 # The chaos suite runs once per pinned seed with the harness
 # ambient-armed: every injection decision is a pure function of
