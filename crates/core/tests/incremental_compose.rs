@@ -189,11 +189,38 @@ fn second_identical_session_is_all_hits() {
     });
 }
 
+/// Runs the same portfolio through the cached closure driver and the
+/// full-recompute one, at one and at four workers, and requires
+/// identical final reports, applied steps and rollbacks per session.
+fn assert_closure_matches_full_recompute(
+    mk: impl Fn() -> Vec<ClosureSession>,
+    config: &ClosureConfig,
+) {
+    for workers in [1usize, 4] {
+        with_workers(workers, || {
+            let cached = run_closure(mk(), config).expect("cached closure");
+            let full = run_closure_full(mk(), config).expect("full closure");
+            assert_eq!(cached.sessions.len(), full.sessions.len());
+            for (c, f) in cached.sessions.iter().zip(&full.sessions) {
+                assert_eq!(c.label, f.label);
+                assert_eq!(c.final_report.metrics, f.final_report.metrics);
+                assert_eq!(c.applied, f.applied);
+                assert_eq!(c.rolled_back, f.rolled_back);
+            }
+            assert!(
+                cached.cache.hits > 0,
+                "shared prefixes must hit: {:?}",
+                cached.cache
+            );
+            assert_eq!(full.cache.hits, 0);
+        });
+    }
+}
+
 #[test]
 fn closure_driver_matches_full_recompute_on_a_portfolio() {
-    // the end-to-end shape the bench measures, shrunk: several sessions
-    // with shared prefixes over one design family
     chaos::without_chaos(|| {
+        // several sessions with shared prefixes over one design family
         let designs = [c17(), ripple_adder(4)];
         let schedules: [&[Countermeasure]; 3] = [
             &[Countermeasure::XorLock(8), Countermeasure::TrojanMonitor],
@@ -227,24 +254,41 @@ fn closure_driver_matches_full_recompute_on_a_portfolio() {
             },
             ..ClosureConfig::default()
         };
-        for workers in [1usize, 4] {
-            with_workers(workers, || {
-                let cached = run_closure(mk(), &config).expect("cached closure");
-                let full = run_closure_full(mk(), &config).expect("full closure");
-                for (c, f) in cached.sessions.iter().zip(&full.sessions) {
-                    assert_eq!(c.label, f.label);
-                    assert_eq!(c.final_report.metrics, f.final_report.metrics);
-                    assert_eq!(c.applied, f.applied);
-                    assert_eq!(c.rolled_back, f.rolled_back);
-                }
-                assert!(
-                    cached.cache.hits > 0,
-                    "shared prefixes must hit: {:?}",
-                    cached.cache
-                );
-                assert_eq!(full.cache.hits, 0);
-            });
-        }
+        assert_closure_matches_full_recompute(mk, &config);
+
+        // the shape real sign-off campaigns take, at full evaluation
+        // effort: one 300-gate design, four sessions of six
+        // countermeasures that share a four-step hardening prefix and
+        // vary a two-step suffix
+        use Countermeasure::{ParityCheck, TrojanMonitor, XorLock};
+        let design = random_circuit(&RandomCircuitConfig {
+            num_inputs: 24,
+            num_gates: 300,
+            num_outputs: 12,
+            with_xor: true,
+            seed: 5,
+        });
+        let prefix = [XorLock(4), TrojanMonitor, XorLock(2), ParityCheck];
+        let suffixes = [
+            [XorLock(2), TrojanMonitor],
+            [TrojanMonitor, XorLock(2)],
+            [XorLock(4), TrojanMonitor],
+            [TrojanMonitor, XorLock(4)],
+        ];
+        let mk = || {
+            suffixes
+                .iter()
+                .enumerate()
+                .map(|(i, suffix)| {
+                    ClosureSession::new(
+                        format!("s{i}"),
+                        DesignUnderTest::new(design.clone()),
+                        prefix.iter().chain(suffix).copied().collect(),
+                    )
+                })
+                .collect()
+        };
+        assert_closure_matches_full_recompute(mk, &ClosureConfig::default());
     });
 }
 

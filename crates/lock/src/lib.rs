@@ -26,12 +26,13 @@ pub mod sat_attack;
 pub mod watermark;
 
 mod locking;
+#[cfg(test)]
+mod rebuild;
 
 pub use camouflage::{camouflage, decamouflage, CamouflagedNetlist};
 pub use locking::{mux_lock, sfll_hd0, xor_lock, LockedNetlist};
 pub use metrics::{output_corruption, CorruptionReport};
 pub use sat_attack::{
-    sat_attack, sat_attack_budgeted, sat_attack_rebuild, SatAttackCheckpoint, SatAttackOutcome,
-    SatAttackResult,
+    sat_attack, sat_attack_budgeted, SatAttackCheckpoint, SatAttackOutcome, SatAttackResult,
 };
 pub use watermark::{embed_watermark, verify_watermark, Watermark};

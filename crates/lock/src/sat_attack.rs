@@ -21,16 +21,15 @@
 //! canonicalized to the lexicographically smallest satisfying
 //! assignment, so the attack's result is a property of the formula
 //! regardless of encoding, solver history, or worker count. The
-//! rebuild-from-scratch baseline is kept as [`sat_attack_rebuild`]
-//! (a per-net Tseitin [`seceda_sat::miter`] sharing only the functional
-//! inputs, fresh solver per iteration) for differential testing and
-//! benchmarking.
+//! rebuild-from-scratch baseline (a per-net Tseitin [`seceda_sat::miter`]
+//! sharing only the functional inputs, fresh solver per iteration) is
+//! kept in test-only code as the differential oracle of this attack.
 
 use crate::locking::LockedNetlist;
 use seceda_netlist::NetlistError;
 use seceda_sat::{
-    encode_netlist, lower_netlist_bound, miter, Aig, AigCnf, AigLit, Budget, Cnf, CnfBuilder, Lit,
-    SolveOutcome, Solver, StopReason, Var,
+    lower_netlist_bound, Aig, AigCnf, AigLit, Budget, CnfBuilder, Lit, SolveOutcome, Solver,
+    StopReason, Var,
 };
 
 /// Outcome of a SAT attack.
@@ -47,9 +46,8 @@ pub struct SatAttackResult {
     /// Solver conflicts spent in each DIP iteration (the final entry is
     /// the key-extraction solve).
     pub conflict_deltas: Vec<u64>,
-    /// Problem clauses in the final solver state: for [`sat_attack`] the
-    /// AIG-encoded scaffold plus every observation copy; for
-    /// [`sat_attack_rebuild`] the last direct re-encoding.
+    /// Problem clauses in the final solver state: the AIG-encoded
+    /// scaffold plus every observation copy.
     pub clauses: usize,
     /// Always 1; kept for report consumers.
     pub portfolio_k: usize,
@@ -94,34 +92,6 @@ pub enum SatAttackOutcome {
         /// Which limit stopped the run.
         reason: StopReason,
     },
-}
-
-/// Appends one observation `(x_hat, y_hat)` to the attack encoding: a
-/// fresh constrained circuit copy per key, with inputs pinned to `x_hat`,
-/// outputs pinned to `y_hat`, and key inputs tied to the key variables.
-fn encode_observation<B: CnfBuilder>(
-    locked: &LockedNetlist,
-    sink: &mut B,
-    k1: &[Var],
-    k2: &[Var],
-    x_hat: &[bool],
-    y_hat: &[bool],
-) -> Result<(), NetlistError> {
-    let nl = &locked.netlist;
-    let nx = locked.num_original_inputs;
-    for key_vars in [k1, k2] {
-        let enc = encode_netlist(nl, sink)?;
-        for (i, &xv) in x_hat.iter().enumerate() {
-            sink.add_clause([enc.input_vars[i].lit(xv)]);
-        }
-        for (j, kv) in key_vars.iter().enumerate() {
-            sink.gate_buf(enc.input_vars[nx + j].pos(), kv.pos());
-        }
-        for (o, &yv) in enc.output_vars.iter().zip(y_hat) {
-            sink.add_clause([o.lit(yv)]);
-        }
-    }
-    Ok(())
 }
 
 /// The persistent AIG-backed attack encoding state: one node table, one
@@ -190,10 +160,10 @@ fn encode_aig_scaffold<B: CnfBuilder>(
 /// bound to constants and folded through the AIG: only the key-dependent
 /// cone survives as nodes, and of those only the nodes not already
 /// hash-consed by earlier iterations cost clauses. Semantically
-/// identical to [`encode_observation`] — both pin the same function of
-/// the key variables — which is what keeps the lex-min DIP transcript
-/// (and hence the iteration count) in exact agreement with the rebuild
-/// baseline.
+/// identical to the rebuild baseline's per-net Tseitin observation copy
+/// — both pin the same function of the key variables — which is what
+/// keeps the lex-min DIP transcript (and hence the iteration count) in
+/// exact agreement with it.
 fn encode_observation_aig<B: CnfBuilder>(
     locked: &LockedNetlist,
     sc: &mut AigScaffold,
@@ -233,26 +203,6 @@ fn encode_observation_aig<B: CnfBuilder>(
     Ok(())
 }
 
-/// Builds the full attack CNF for a given observation set (the
-/// rebuild-per-iteration formulation): a [`miter`] of two copies of the
-/// locked circuit sharing X but with independent keys, plus every
-/// observation. Returns `(cnf, inputs, diff_lit)`, where `inputs` are
-/// the first copy's input variables: X, then its key.
-fn build_attack_cnf(
-    locked: &LockedNetlist,
-    observations: &[(Vec<bool>, Vec<bool>)],
-) -> Result<(Cnf, Vec<Var>, Lit), NetlistError> {
-    let nl = &locked.netlist;
-    let nx = locked.num_original_inputs;
-    let mut cnf = Cnf::new();
-    let (enc1, enc2, diff) = miter(nl, nl, nx, &mut cnf)?;
-    let (k1, k2) = (&enc1.input_vars[nx..], &enc2.input_vars[nx..]);
-    for (x_hat, y_hat) in observations {
-        encode_observation(locked, &mut cnf, k1, k2, x_hat, y_hat)?;
-    }
-    Ok((cnf, enc1.input_vars, diff))
-}
-
 /// Refines a satisfying model into the *lexicographically smallest*
 /// assignment of `vars` consistent with `base` (bit-by-bit, preferring
 /// `false`), using incremental assumption-only queries.
@@ -263,14 +213,14 @@ fn build_attack_cnf(
 /// to the formula, so the incremental and the rebuild-per-iteration
 /// attacks walk identical DIP sequences, agree on iteration counts
 /// exactly, and recover the same key bit-for-bit — the invariants the
-/// differential suite and the benchmark check, for any worker count.
+/// differential suite checks, for any worker count.
 ///
 /// A query that comes back [`SolveOutcome::Indeterminate`] (a limited
 /// budget ran out) aborts the whole refinement with the stop reason: a
 /// partially minimized assignment is NOT canonical and must not leak
 /// into the DIP transcript. Queries under an unlimited budget never stop
 /// early, so then the result is always `Ok`.
-fn lex_min_model(
+pub(crate) fn lex_min_model(
     solve: &mut impl FnMut(&[Lit]) -> SolveOutcome,
     vars: &[Var],
     base: &[Lit],
@@ -529,90 +479,6 @@ pub fn sat_attack_budgeted(
     }
 }
 
-/// The original rebuild-per-iteration SAT attack: re-encodes the full
-/// attack CNF — a [`miter`] of two keyed copies tied on the functional
-/// inputs only, plus one per-net Tseitin copy per key and observation —
-/// and builds a fresh solver on every DIP iteration. Kept as the
-/// differential-testing and benchmarking baseline for [`sat_attack`];
-/// both must agree on iteration counts and recover functionally
-/// equivalent keys.
-///
-/// # Errors
-///
-/// Propagates encoding errors (cyclic netlists).
-pub fn sat_attack_rebuild(
-    locked: &LockedNetlist,
-    oracle: impl Fn(&[bool]) -> Vec<bool>,
-) -> Result<Option<SatAttackResult>, NetlistError> {
-    let mut observations: Vec<(Vec<bool>, Vec<bool>)> = Vec::new();
-    let mut iterations = 0usize;
-    let mut conflicts = 0u64;
-    let mut conflict_deltas: Vec<u64> = Vec::new();
-    let unlimited = Budget::unlimited();
-    loop {
-        let (cnf, inputs, diff) = build_attack_cnf(locked, &observations)?;
-        let mut solver = Solver::from_cnf(&cnf);
-        match solver.solve(&[diff], &unlimited) {
-            SolveOutcome::Sat(model) => {
-                iterations += 1;
-                let x_hat = lex_min_model(
-                    &mut |a| solver.solve(a, &unlimited),
-                    &inputs[..locked.num_original_inputs],
-                    &[diff],
-                    &model,
-                )
-                .unwrap_or_else(|reason| unreachable!("unlimited lex-min stopped: {reason}"));
-                conflicts += solver.num_conflicts;
-                conflict_deltas.push(solver.num_conflicts);
-                let y_hat = oracle(&x_hat);
-                observations.push((x_hat, y_hat));
-            }
-            SolveOutcome::Unsat => {
-                conflicts += solver.num_conflicts;
-                conflict_deltas.push(solver.num_conflicts);
-                // no DIP left: extract any key satisfying all observations
-                let (cnf, inputs, _) = build_attack_cnf(locked, &observations)?;
-                let k1 = &inputs[locked.num_original_inputs..];
-                let mut solver = Solver::from_cnf(&cnf);
-                return Ok(match solver.solve(&[], &unlimited) {
-                    SolveOutcome::Sat(model) => {
-                        // same lex-min canonicalization as the
-                        // incremental attack: both walk identical DIP
-                        // transcripts over identical observation sets,
-                        // so the canonical keys agree bit-for-bit
-                        let key =
-                            lex_min_model(&mut |a| solver.solve(a, &unlimited), k1, &[], &model)
-                                .unwrap_or_else(|reason| {
-                                    unreachable!("unlimited lex-min stopped: {reason}")
-                                });
-                        conflicts += solver.num_conflicts;
-                        conflict_deltas.push(solver.num_conflicts);
-                        Some(SatAttackResult {
-                            key,
-                            iterations,
-                            conflicts,
-                            conflict_deltas,
-                            clauses: cnf.clauses().len(),
-                            portfolio_k: 1,
-                        })
-                    }
-                    SolveOutcome::Unsat => None,
-                    SolveOutcome::Indeterminate(reason) => {
-                        unreachable!("unlimited solve stopped: {reason}")
-                    }
-                });
-            }
-            SolveOutcome::Indeterminate(reason) => {
-                unreachable!("unlimited solve stopped: {reason}")
-            }
-        }
-        assert!(
-            iterations <= 1 << 16,
-            "SAT attack runaway: too many iterations"
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -742,13 +608,33 @@ mod tests {
         // suspended partial solves are counted as effort but re-done, so
         // total conflicts can only be >= the per-iteration deltas
         assert!(resumed.conflicts >= resumed.conflict_deltas.iter().sum::<u64>());
+
+        // the one-conflict probe: its checkpoint, resumed unbudgeted,
+        // lands on the straight-through key and DIP count in one step
+        let starved = Budget::unlimited().with_max_conflicts(1);
+        let checkpoint =
+            match sat_attack_budgeted(locked, oracle, &starved, None).expect("attack runs") {
+                SatAttackOutcome::Suspended { checkpoint, .. } => checkpoint,
+                other => panic!("a 1-conflict budget must suspend, got {other:?}"),
+            };
+        match sat_attack_budgeted(locked, oracle, &Budget::unlimited(), Some(&checkpoint))
+            .expect("resume runs")
+        {
+            SatAttackOutcome::Complete(r) => {
+                assert_eq!(r.key, straight.key);
+                assert_eq!(r.iterations, straight.iterations);
+            }
+            other => panic!("an unbudgeted resume must complete, got {other:?}"),
+        }
     }
 
     #[test]
     fn budgeted_attack_suspends_and_resumes_bit_identically() {
         let nl = c17();
-        let locked = xor_lock(&nl, 8, 7);
-        check_resume_matches_straight_through(&locked, &nl);
+        for key_width in [8, 12] {
+            let locked = xor_lock(&nl, key_width, 7);
+            check_resume_matches_straight_through(&locked, &nl);
+        }
     }
 
     #[test]

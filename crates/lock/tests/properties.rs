@@ -1,78 +1,9 @@
 //! Property-based tests for logic locking.
 
-use seceda_lock::{mux_lock, sat_attack, sat_attack_rebuild, sfll_hd0, xor_lock, LockedNetlist};
-use seceda_netlist::{parse_bench, random_circuit, RandomCircuitConfig};
+use seceda_lock::{mux_lock, sat_attack, sfll_hd0, xor_lock};
+use seceda_netlist::{random_circuit, RandomCircuitConfig};
 use seceda_testkit::par;
 use seceda_testkit::prelude::*;
-
-/// Differential check: the incremental AIG-encoded attack must
-/// take exactly as many DIP iterations as the direct-encoded
-/// rebuild-per-iteration baseline, recover the *bit-identical* key (both
-/// canonicalize to the lex-min key of the final observation set), and
-/// that key must be functionally correct.
-fn assert_incremental_matches_rebuild(locked: &LockedNetlist, original: &seceda_netlist::Netlist) {
-    let oracle = |x: &[bool]| original.evaluate(x);
-    let inc = sat_attack(locked, oracle)
-        .expect("incremental attack runs")
-        .expect("incremental attack finds a key");
-    let reb = sat_attack_rebuild(locked, oracle)
-        .expect("rebuild attack runs")
-        .expect("rebuild attack finds a key");
-    assert_eq!(
-        inc.iterations, reb.iterations,
-        "incremental and rebuild attacks must agree on DIP count"
-    );
-    assert_eq!(
-        inc.key, reb.key,
-        "both attacks canonicalize to the lex-min key and must agree bit-for-bit"
-    );
-    let n = locked.num_original_inputs;
-    for pattern in 0..(1u32 << n) {
-        let inputs: Vec<bool> = (0..n).map(|b| (pattern >> b) & 1 == 1).collect();
-        let expect = original.evaluate(&inputs);
-        assert_eq!(
-            locked.evaluate_with_key(&inputs, &inc.key),
-            expect,
-            "incremental key wrong on {inputs:?}"
-        );
-        assert_eq!(
-            locked.evaluate_with_key(&inputs, &reb.key),
-            expect,
-            "rebuild key wrong on {inputs:?}"
-        );
-    }
-}
-
-#[test]
-fn incremental_attack_matches_rebuild_on_all_schemes() {
-    let nl = seceda_netlist::c17();
-    assert_incremental_matches_rebuild(&xor_lock(&nl, 8, 7), &nl);
-    assert_incremental_matches_rebuild(&mux_lock(&nl, 4, 9), &nl);
-    assert_incremental_matches_rebuild(&sfll_hd0(&nl, &[true, false, true, false, true]), &nl);
-}
-
-#[test]
-fn incremental_attack_matches_rebuild_on_parsed_c17() {
-    // same differential property, but on a netlist that went through the
-    // .bench frontend instead of the builtin constructor — pins the AIG
-    // lowering against parser-produced gate structures (n-ary fanins,
-    // explicit buffers)
-    let text = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../netlist/tests/data/c17.bench"
-    ))
-    .expect("c17.bench fixture");
-    let nl = parse_bench(&text).expect("c17.bench parses");
-    assert_incremental_matches_rebuild(&xor_lock(&nl, 8, 13), &nl);
-}
-
-#[test]
-fn incremental_attack_matches_rebuild_on_random_hosts() {
-    for seed in [1u64, 17, 91] {
-        let nl = host(seed, 18);
-        assert_incremental_matches_rebuild(&xor_lock(&nl, 6, seed ^ 0xC), &nl);
-    }
-}
 
 #[test]
 fn attack_result_is_identical_for_every_worker_count() {

@@ -359,13 +359,6 @@ impl<'a> PackedFaultSim<'a> {
         self.grade_chunks::<Lane256>(patterns, faults, detected);
     }
 
-    /// 64-lane reference grading path: identical semantics to
-    /// [`PackedFaultSim::grade`] over plain `u64` words, kept for
-    /// differential testing of the 256-bit engine.
-    pub fn grade_u64(&self, patterns: &[Vec<bool>], faults: &[Fault], detected: &mut [bool]) {
-        self.grade_chunks::<u64>(patterns, faults, detected);
-    }
-
     /// Grades a pattern set against a fault list; returns, per fault,
     /// whether any pattern detects it, plus the overall coverage
     /// fraction. Drop-in packed replacement for the scalar
@@ -378,9 +371,10 @@ impl<'a> PackedFaultSim<'a> {
         self.coverage_with::<Lane256>(patterns, faults)
     }
 
-    /// 64-lane reference of [`PackedFaultSim::coverage`], kept for
-    /// differential testing of the 256-bit engine.
-    pub fn coverage_u64(&self, patterns: &[Vec<bool>], faults: &[Fault]) -> (Vec<bool>, f64) {
+    /// 64-lane reference of [`PackedFaultSim::coverage`], the
+    /// differential oracle of the 256-bit engine.
+    #[cfg(test)]
+    fn coverage_u64(&self, patterns: &[Vec<bool>], faults: &[Fault]) -> (Vec<bool>, f64) {
         self.coverage_with::<u64>(patterns, faults)
     }
 
@@ -458,7 +452,73 @@ impl<'a> PackedFaultSim<'a> {
 mod tests {
     use super::*;
     use crate::fault::{stuck_at_universe, FaultSim};
-    use seceda_netlist::{c17, CellKind, Netlist};
+    use seceda_netlist::{
+        alu_slice, c17, comparator, majority, parity_tree, random_circuit, ripple_adder, CellKind,
+        Netlist, RandomCircuitConfig,
+    };
+    use seceda_testkit::prelude::*;
+
+    fn circuit(seed: u64, gates: usize) -> Netlist {
+        random_circuit(&RandomCircuitConfig {
+            num_inputs: 5,
+            num_gates: gates,
+            num_outputs: 3,
+            with_xor: true,
+            seed,
+        })
+    }
+
+    fn random_patterns(nl: &Netlist, n: usize, seed: u64) -> Vec<Vec<bool>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| (0..nl.inputs().len()).map(|_| rng.gen()).collect())
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(30))]
+
+        #[test]
+        fn lane256_matches_u64_reference(seed in 0u64..5000, gates in 2usize..50) {
+            let nl = circuit(seed, gates);
+            let engine = PackedFaultSim::new(&nl).expect("sim");
+            let faults = stuck_at_universe(&nl);
+            // pattern counts straddling every chunking mode: fault-group
+            // (<=64), partial wide (65..=255), and full wide (256+)
+            for n in [1usize, 63, 64, 65, 200, 256, 300] {
+                let patterns = random_patterns(&nl, n, seed ^ (n as u64) << 8);
+                prop_assert_eq!(
+                    engine.coverage(&patterns, &faults),
+                    engine.coverage_u64(&patterns, &faults),
+                    "pattern count {}", n
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lane256_matches_u64_on_every_bench_circuit() {
+        let circuits: Vec<(&str, Netlist)> = vec![
+            ("c17", c17()),
+            ("ripple_adder", ripple_adder(8)),
+            ("ripple_adder_32", ripple_adder(32)),
+            ("comparator", comparator(6)),
+            ("parity_tree", parity_tree(8)),
+            ("majority", majority()),
+            ("alu_slice", alu_slice(4)),
+            ("alu_slice_16", alu_slice(16)),
+        ];
+        for (name, nl) in circuits {
+            let engine = PackedFaultSim::new(&nl).expect("sim");
+            let faults = stuck_at_universe(&nl);
+            let patterns = random_patterns(&nl, 80, 7);
+            assert_eq!(
+                engine.coverage(&patterns, &faults),
+                engine.coverage_u64(&patterns, &faults),
+                "lane256 != u64 reference on {name}"
+            );
+        }
+    }
 
     #[test]
     fn packed_coverage_matches_scalar_on_c17() {

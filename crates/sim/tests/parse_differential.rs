@@ -32,6 +32,8 @@ fn parsed_100k_design_is_bit_identical() {
     let parsed = parse_bench(&text).expect("reparse 100k design");
     // the writer's canonical line order makes the reparse id-identical
     assert_eq!(parsed, original);
+    let order = parsed.topo_order().expect("acyclic");
+    assert_eq!(order.len(), config.num_gates, "topo covers all gates");
 
     // packed fault simulation: sampled fault universe, identical
     // detection vectors and coverage

@@ -1,10 +1,10 @@
 //! # seceda-testkit
 //!
 //! The hermetic test substrate for the `seceda` workspace: deterministic
-//! randomness, property testing, JSON reporting, and micro-benchmarks —
-//! with **zero external dependencies**, so `cargo build --offline &&
-//! cargo test --offline` works from a clean checkout with no network and
-//! no registry cache.
+//! randomness, property testing, JSON reporting, parallel maps, and
+//! chaos injection — with **zero external dependencies**, so
+//! `cargo build --offline && cargo test --offline` works from a clean
+//! checkout with no network and no registry cache.
 //!
 //! The paper this workspace reproduces (Knechtel et al., DATE 2020)
 //! argues that security must be *evaluated after every flow step*. That
@@ -22,9 +22,6 @@
 //!   report pinpoints the exact inputs.
 //! * [`json`] — a tiny JSON value/serializer/parser for stable,
 //!   diffable reports (replaces `serde`).
-//! * [`bench`](mod@bench) — a wall-clock micro-bench harness with
-//!   `criterion_group!`-compatible macros, emitting JSON lines to
-//!   `target/seceda-bench.json` (replaces `criterion`).
 //! * [`par`] — a scoped-thread, work-stealing parallel map (replaces
 //!   `rayon` for the embarrassingly parallel hot loops: fault lists,
 //!   CPA key guesses, packed simulation rounds) with order-preserving,
@@ -52,7 +49,6 @@
 // surface includes `#[test]` inside the macro invocation
 #![allow(clippy::test_attr_in_doctest)]
 
-pub mod bench;
 pub mod chaos;
 pub mod json;
 pub mod par;

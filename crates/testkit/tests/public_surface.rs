@@ -227,30 +227,3 @@ fn to_json_trait_is_usable_downstream() {
         "[{\"name\":\"synthesis\",\"gates\":77}]"
     );
 }
-
-// -------------------------------------------------------------- bench
-
-#[test]
-fn bench_harness_runs_and_chains() {
-    use seceda_testkit::bench::Criterion;
-    let mut c = Criterion::default().sample_size(5);
-    // criterion-style chaining must work; each call times and reports
-    c.bench_function("smoke/xor_fold", |b| {
-        b.iter(|| (0u64..100).fold(0, |acc, x| acc ^ x))
-    })
-    .bench_function("smoke/sum", |b| b.iter(|| (0u64..100).sum::<u64>()));
-}
-
-#[test]
-fn bench_result_json_line_matches_expected_shape() {
-    use seceda_testkit::bench::BenchResult;
-    let r = BenchResult {
-        name: "fig2/classical".into(),
-        median_ns: 1234,
-        samples: 20,
-    };
-    assert_eq!(
-        r.json_line(),
-        "{\"name\":\"fig2/classical\",\"median_ns\":1234,\"samples\":20,\"iters_per_sample\":1}"
-    );
-}

@@ -26,9 +26,27 @@ use seceda_lock::{sat_attack, sat_attack_budgeted, xor_lock, SatAttackOutcome};
 use seceda_netlist::{c17, parse_design, write_bench, DesignFormat, Netlist, Word};
 use seceda_sat::Budget;
 use seceda_sim::{fault::stuck_at_universe, FaultSim};
-use seceda_testkit::bench::target_dir;
 use seceda_testkit::rng::{Rng, SeedableRng, StdRng};
 use seceda_trace::{drain, set_enabled, to_json_lines, Event, Summary};
+
+/// Resolves the build's `target` directory (`CARGO_TARGET_DIR` if set).
+/// Cargo may run the example with a crate directory as cwd, so a
+/// relative `target/` would land in the wrong place; instead walk up
+/// from the running executable (`target/<profile>/examples/...`).
+fn target_dir() -> std::path::PathBuf {
+    if let Ok(dir) = std::env::var("CARGO_TARGET_DIR") {
+        return std::path::PathBuf::from(dir);
+    }
+    if let Ok(exe) = std::env::current_exe() {
+        if let Some(target) = exe
+            .ancestors()
+            .find(|p| p.file_name().is_some_and(|n| n == "target"))
+        {
+            return target.to_path_buf();
+        }
+    }
+    std::path::PathBuf::from("target")
+}
 
 /// A masked slice of the AES S-box: the first 8 table entries (3 address
 /// bits, all 8 output bits), protected with 3-share ISW masking. The full

@@ -1,11 +1,13 @@
 //! Quickstart: build a design, run the classical and the security-centric
-//! EDA flow over it, and see what each one reports.
+//! EDA flow over it, and see what each one reports; then run the
+//! classical flow of Fig. 1 over the toy-cipher datapath.
 //!
 //! ```sh
 //! cargo run --example quickstart
 //! ```
 
-use seceda_core::{run_classical_flow, run_secure_flow};
+use seceda_cipher::ToyCipher;
+use seceda_core::{run_classical_flow, run_secure_flow, FlowReport};
 use seceda_netlist::{CellKind, Netlist};
 use seceda_sca::mask_netlist;
 
@@ -39,29 +41,13 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     //    netlist: it optimizes through the masking barriers.
     let classical = run_classical_flow(&masked.netlist)?;
     println!("\n=== classical flow (Fig. 1) ===");
-    for stage in &classical.stages {
-        println!(
-            "  {:<38} {:>4} gates, area {:>6.1} GE, delay {:>5.1}",
-            stage.stage, stage.gates, stage.area_ge, stage.delay
-        );
-        for note in &stage.security_notes {
-            println!("      - {note}");
-        }
-    }
+    print_stages(&classical);
 
     // 4. Run the SECURITY-CENTRIC flow: same stages, but synthesis honors
     //    the barriers and every stage contributes a security check.
     let secure = run_secure_flow(&masked.netlist)?;
     println!("\n=== security-centric flow ===");
-    for stage in &secure.stages {
-        println!(
-            "  {:<38} {:>4} gates, area {:>6.1} GE, delay {:>5.1}",
-            stage.stage, stage.gates, stage.area_ge, stage.delay
-        );
-        for note in &stage.security_notes {
-            println!("      - {note}");
-        }
-    }
+    print_stages(&secure);
     println!("\nsecurity metrics after the secure flow:");
     for metric in &secure.security.metrics {
         println!("  {metric}");
@@ -80,5 +66,24 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         barriers(&secure.result),
     );
     println!("(the classical flow silently optimized the countermeasure away — Fig. 2)");
+
+    // 6. Fig. 1 on a full datapath: the classical flow over the toy
+    //    cipher, with the security work each stage omits.
+    let cipher = run_classical_flow(&ToyCipher::netlist())?;
+    println!("\n=== classical flow (Fig. 1) on the toy-cipher datapath ===");
+    print_stages(&cipher);
     Ok(())
+}
+
+/// One line of PPA per flow stage, then the stage's security notes.
+fn print_stages(flow: &FlowReport) {
+    for stage in &flow.stages {
+        println!(
+            "  {:<38} {:>4} gates, area {:>6.1} GE, delay {:>5.1}",
+            stage.stage, stage.gates, stage.area_ge, stage.delay
+        );
+        for note in &stage.security_notes {
+            println!("      - {note}");
+        }
+    }
 }

@@ -2,21 +2,30 @@
 //! experiment and the Sec. IV step-metric sweeps.
 //!
 //! ```sh
-//! cargo run -p seceda-bench --release --bin sweeps
+//! cargo run --release --example sweeps
 //! ```
 
-use seceda_bench::masked_and_gadget;
 use seceda_core::explore;
 use seceda_layout::{place, proximity_attack, route, split_at, PlacementConfig, RouteConfig};
 use seceda_lock::{sat_attack, xor_lock};
-use seceda_netlist::{c17, random_circuit, NetlistStats, RandomCircuitConfig};
+use seceda_netlist::{c17, random_circuit, CellKind, Netlist, NetlistStats, RandomCircuitConfig};
 use seceda_puf::{collect_crps, model_arbiter_puf, ArbiterPuf, ArbiterPufConfig};
-use seceda_sca::{acquire_fixed_vs_random, first_order_leaks, tvla, MaskedNetlist, TraceCampaign};
+use seceda_sca::{
+    acquire_fixed_vs_random, first_order_leaks, mask_netlist, tvla, MaskedNetlist, ProbingModel,
+    TraceCampaign,
+};
 use seceda_synth::{reassociate, SynthesisMode};
 
 fn main() {
     // --- Fig. 2 ---
-    let (masked, model) = masked_and_gadget();
+    // the target: c = a AND b on secret a, b, under 3-share ISW masking
+    let mut nl = Netlist::new("and");
+    let a = nl.add_input("a");
+    let b = nl.add_input("b");
+    let y = nl.add_gate(CellKind::And, &[a, b]);
+    nl.mark_output(y, "y");
+    let masked = mask_netlist(&nl);
+    let model = ProbingModel::of(&masked);
     let (classical, report) = reassociate(&masked.netlist, SynthesisMode::Classical);
     println!("=== Fig. 2: ISW AND gadget vs security-unaware synthesis ===");
     println!(

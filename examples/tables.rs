@@ -1,7 +1,7 @@
 //! Regenerates the paper's Table I and Table II with measured evidence.
 //!
 //! ```sh
-//! cargo run -p seceda-bench --release --bin tables
+//! cargo run --release --example tables
 //! ```
 
 fn main() {

@@ -21,9 +21,6 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
-echo "==> cargo build --benches --offline"
-cargo build --benches --offline
-
 echo "==> cargo test -q --offline"
 cargo test -q --offline
 
@@ -42,9 +39,10 @@ echo "==> simulation tape vs. Netlist::eval_nets on large designs (release)"
 cargo test -q --release --offline -p seceda-sim --test tape_differential -- --ignored
 
 # Every reported number must be independent of the worker count: the
-# attack, composition, simulation (packed fault grading and signal
-# probabilities fan out with par) and parallel-map suites run again
-# with one worker and with eight, whatever this host's core count.
+# attack (with its rebuild-per-iteration differential), composition,
+# simulation (packed fault grading and signal probabilities fan out
+# with par) and parallel-map suites run again with one worker and with
+# eight, whatever this host's core count.
 echo "==> worker-count independence: lock/core/sim/testkit at 1 and 8 threads"
 SECEDA_THREADS=1 cargo test -q --offline -p seceda-lock -p seceda-core -p seceda-sim -p seceda-testkit
 SECEDA_THREADS=8 cargo test -q --offline -p seceda-lock -p seceda-core -p seceda-sim -p seceda-testkit
@@ -66,39 +64,11 @@ cargo run --release --offline -p seceda-trace --bin seceda_obs -- \
 cargo run --release --offline -p seceda-trace --bin seceda_obs -- \
     top -n 5 "${CARGO_TARGET_DIR:-target}/flow_trace.jsonl" > /dev/null
 
-echo "==> fault-sim bench smoke run (quick mode)"
-SECEDA_BENCH_QUICK=1 cargo bench --offline --bench fault_sim > /dev/null
-
-echo "==> BENCH_fault_sim.json passes schema validation"
-cargo run --release --offline -p seceda-bench --bin check_json -- \
-    "${CARGO_TARGET_DIR:-target}/BENCH_fault_sim.json"
-
-echo "==> sat-attack bench smoke run (quick mode)"
-SECEDA_BENCH_QUICK=1 cargo bench --offline --bench sat_attack > /dev/null
-
-echo "==> BENCH_sat_attack.json passes schema validation"
-cargo run --release --offline -p seceda-bench --bin check_json -- \
-    "${CARGO_TARGET_DIR:-target}/BENCH_sat_attack.json"
-
-echo "==> parse bench smoke run (quick mode)"
-SECEDA_BENCH_QUICK=1 cargo bench --offline --bench parse > /dev/null
-
-echo "==> BENCH_parse.json passes schema validation"
-cargo run --release --offline -p seceda-bench --bin check_json -- \
-    "${CARGO_TARGET_DIR:-target}/BENCH_parse.json"
-
-echo "==> compose bench smoke run (quick mode)"
-SECEDA_BENCH_QUICK=1 cargo bench --offline --bench compose > /dev/null
-
-echo "==> BENCH_compose.json passes schema validation"
-cargo run --release --offline -p seceda-bench --bin check_json -- \
-    "${CARGO_TARGET_DIR:-target}/BENCH_compose.json"
-
-# Perf-regression delta table vs the committed BENCH_baseline.json.
-# Advisory by default (timings are machine-dependent); set
-# SECEDA_BENCH_STRICT=1 on a dedicated perf runner to make it gate.
-echo "==> bench_report vs BENCH_baseline.json (warn-only unless SECEDA_BENCH_STRICT=1)"
-cargo run --release --offline -p seceda-bench --bin bench_report
+# The paper's artifacts: Tables I and II, the Fig. 2 series and the
+# Sec. IV step-metric sweeps, regenerated end to end.
+echo "==> paper-artifact examples smoke run (release)"
+cargo run -q --release --offline --example tables > /dev/null
+cargo run -q --release --offline --example sweeps > /dev/null
 
 # Opt-in scale test: parse + analyze a 10^6-gate design end to end.
 if [ "${SECEDA_VERIFY_SCALE:-0}" != "0" ]; then
