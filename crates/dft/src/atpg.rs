@@ -18,7 +18,7 @@ use seceda_sat::{
     encode_faulty_cone, encode_netlist, Budget, Lit, NetlistEncoding, SolveOutcome, Solver,
     StopReason,
 };
-use seceda_sim::{fault::stuck_at_universe, Fault, FaultKind, PackedFaultSim};
+use seceda_sim::{fault::stuck_at_universe, Fault, FaultKind, FaultSim};
 use seceda_testkit::rng::{Rng, SeedableRng, StdRng};
 
 /// Result of a test-generation run.
@@ -175,7 +175,7 @@ pub fn generate_tests(
     sp.attr("gates", nl.num_gates());
     sp.attr("random_patterns", random_patterns);
     let faults = stuck_at_universe(nl);
-    let sim = PackedFaultSim::new(nl)?;
+    let sim = FaultSim::new(nl)?;
     let mut rng = StdRng::seed_from_u64(seed);
     let num_inputs = nl.inputs().len();
     let mut patterns: Vec<Vec<bool>> = (0..random_patterns)
@@ -271,11 +271,12 @@ mod tests {
     fn sat_patterns_actually_detect_their_faults() {
         let nl = c17();
         let faults = stuck_at_universe(&nl);
-        let sim = seceda_sim::FaultSim::new(&nl).expect("sim");
+        let sim = FaultSim::new(&nl).expect("sim");
         let mut atpg = AtpgSolver::new(&nl).expect("encode");
         for &f in &faults {
             if let Some(pattern) = atpg.generate_test(f).expect("query") {
-                assert!(sim.detects(&pattern, f), "SAT pattern must detect {f:?}");
+                let (detected, _) = sim.coverage(&[pattern], &[f]);
+                assert_eq!(detected, [true], "SAT pattern must detect {f:?}");
             }
         }
     }

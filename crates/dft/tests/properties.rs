@@ -27,11 +27,12 @@ proptest! {
         // untestable faults really are untestable: no exhaustive pattern
         // detects them
         let sim = FaultSim::new(&nl).expect("sim");
-        for &f in &result.untestable {
-            for p in 0..32u32 {
-                let inputs: Vec<bool> = (0..5).map(|b| (p >> b) & 1 == 1).collect();
-                prop_assert!(!sim.detects(&inputs, f), "{f:?} detected by {inputs:?}");
-            }
+        let exhaustive: Vec<Vec<bool>> = (0..32u32)
+            .map(|p| (0..5).map(|b| (p >> b) & 1 == 1).collect())
+            .collect();
+        let (detected, _) = sim.coverage(&exhaustive, &result.untestable);
+        for (f, d) in result.untestable.iter().zip(detected) {
+            prop_assert!(!d, "{:?} detected by an exhaustive pattern", f);
         }
     }
 
@@ -52,7 +53,7 @@ proptest! {
         for &f in faults.iter().take(20) {
             let bist_detects =
                 run_bist(&nl, &config, &[f]).expect("bist").signature != golden.signature;
-            let sim_detects = patterns.iter().any(|p| sim.detects(p, f));
+            let sim_detects = sim.coverage(&patterns, &[f]).0[0];
             if sim_detects {
                 // MISR aliasing could theoretically mask it, but with a
                 // 32-bit signature this is ~2^-32; treat as must-detect

@@ -4,35 +4,24 @@
 use crate::campaign::FaultCampaign;
 use crate::codes::ProtectedNetlist;
 use seceda_netlist::NetlistError;
-use seceda_sim::FaultSim;
+use seceda_sim::{pack_patterns, FaultSim, SimWord};
 use seceda_testkit::rng::{Rng, SeedableRng, StdRng};
 
-/// Classification of one fault shot under one stimulus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FaultOutcome {
-    /// The fault did not change any functional output.
-    Masked,
-    /// The functional outputs changed and the alarm raised.
-    Detected,
-    /// The functional outputs changed and no alarm raised — the outcome
-    /// an adversary exploits.
-    SilentCorruption,
-    /// The alarm raised although outputs were unchanged (overly eager
-    /// detector; costs availability, not confidentiality).
-    FalseAlarm,
-}
-
-/// Aggregated campaign results.
+/// Aggregated campaign results: every graded (shot, stimulus) event
+/// lands in exactly one of the four counts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultAnalysis {
-    /// Outcome counts in the order masked / detected / silent / false
-    /// alarm.
+    /// The fault did not change any functional output, and the alarm
+    /// stayed low.
     pub masked: usize,
-    /// Detected events.
+    /// The functional outputs changed and the alarm raised.
     pub detected: usize,
-    /// Silent corruptions.
+    /// The functional outputs changed and no alarm raised — the outcome
+    /// an adversary exploits.
     pub silent: usize,
-    /// False alarms.
+    /// The alarm raised although the functional outputs were unchanged
+    /// (overly eager detector; costs availability, not
+    /// confidentiality).
     pub false_alarms: usize,
     /// `detected / (detected + silent)`, or 1.0 if no corrupting fault
     /// occurred.
@@ -49,8 +38,12 @@ impl FaultAnalysis {
 /// Runs `campaign` against a protected netlist: every shot is simulated
 /// under `stimuli_per_shot` random input vectors and classified.
 ///
+/// The stimuli are drawn shot by shot from `seed`, and each shot's
+/// stimuli are simulated 64 at a time: one fault-free and one faulty
+/// packed pass per word, every lane classified at once.
+///
 /// For netlists without an alarm (`alarm_index == None`, e.g. TMR), a
-/// changed output counts as [`FaultOutcome::SilentCorruption`] — use the
+/// changed output counts as [`FaultAnalysis::silent`] — use the
 /// coverage to measure *correction* instead.
 ///
 /// # Errors
@@ -74,39 +67,33 @@ pub fn analyze_faults(
         false_alarms: 0,
         detection_coverage: 1.0,
     };
+    let count = |w: u64| w.count_ones() as usize;
     for shot in &shots {
-        for _ in 0..stimuli_per_shot {
-            let inputs: Vec<bool> = (0..num_inputs).map(|_| rng.gen()).collect();
-            let good = sim.outputs(&sim.eval_with_faults(&inputs, &[]));
-            let bad = sim.outputs(&sim.eval_with_faults(&inputs, shot));
-            let (good_f, good_alarm, bad_f, bad_alarm) = match protected.alarm_index {
-                Some(ai) => {
-                    let split = |v: &[bool]| {
-                        let alarm = v[ai];
-                        let mut f = v.to_vec();
-                        f.remove(ai);
-                        (f, alarm)
-                    };
-                    let (gf, ga) = split(&good);
-                    let (bf, ba) = split(&bad);
-                    (gf, ga, bf, ba)
+        let mut left = stimuli_per_shot;
+        while left > 0 {
+            let lanes = left.min(64);
+            left -= lanes;
+            let stimuli: Vec<Vec<bool>> = (0..lanes)
+                .map(|_| (0..num_inputs).map(|_| rng.gen()).collect())
+                .collect();
+            let words = pack_patterns::<u64>(&stimuli, num_inputs);
+            let good = sim.eval_outputs_with_faults(&words, &[]);
+            let bad = sim.eval_outputs_with_faults(&words, shot);
+            let mask = u64::low_mask(lanes);
+            let mut corrupted = 0u64;
+            let mut alarm = 0u64;
+            for (o, (&g, &b)) in good.iter().zip(&bad).enumerate() {
+                if Some(o) == protected.alarm_index {
+                    debug_assert_eq!(g & mask, 0, "golden run must not alarm");
+                    alarm = b & mask;
+                } else {
+                    corrupted |= (g ^ b) & mask;
                 }
-                None => (good.clone(), false, bad.clone(), false),
-            };
-            debug_assert!(!good_alarm, "golden run must not alarm");
-            let corrupted = good_f != bad_f;
-            let outcome = match (corrupted, bad_alarm) {
-                (false, false) => FaultOutcome::Masked,
-                (false, true) => FaultOutcome::FalseAlarm,
-                (true, true) => FaultOutcome::Detected,
-                (true, false) => FaultOutcome::SilentCorruption,
-            };
-            match outcome {
-                FaultOutcome::Masked => analysis.masked += 1,
-                FaultOutcome::Detected => analysis.detected += 1,
-                FaultOutcome::SilentCorruption => analysis.silent += 1,
-                FaultOutcome::FalseAlarm => analysis.false_alarms += 1,
             }
+            analysis.masked += count(!corrupted & !alarm & mask);
+            analysis.false_alarms += count(!corrupted & alarm);
+            analysis.detected += count(corrupted & alarm);
+            analysis.silent += count(corrupted & !alarm);
         }
     }
     let corrupting = analysis.detected + analysis.silent;
@@ -122,8 +109,150 @@ pub fn analyze_faults(
 mod tests {
     use super::*;
     use crate::campaign::InjectionModel;
-    use crate::codes::{duplicate_with_compare, triplicate_with_vote, ProtectedNetlist};
-    use seceda_netlist::{c17, majority};
+    use crate::codes::{
+        duplicate_with_compare, parity_protect, triplicate_with_vote, ProtectedNetlist,
+    };
+    use seceda_netlist::{c17, majority, random_circuit, NetId, Netlist, RandomCircuitConfig};
+    use seceda_sim::{Fault, FaultKind};
+
+    /// Test-local oracle for faulty circuits: walks the netlist arena in
+    /// topological order over `CellKind::eval`. A fault takes effect
+    /// when its net is assigned (a primary input as it is applied, a
+    /// gate output as it is computed), the last fault listed for a net
+    /// wins, and DFF outputs read zero, never assigned.
+    fn reference_outputs(nl: &Netlist, inputs: &[bool], faults: &[Fault]) -> Vec<bool> {
+        let force = |net: NetId, good: bool| {
+            faults
+                .iter()
+                .rev()
+                .find(|f| f.net == net)
+                .map_or(good, |f| match f.kind {
+                    FaultKind::StuckAt0 => false,
+                    FaultKind::StuckAt1 => true,
+                    FaultKind::BitFlip => !good,
+                })
+        };
+        let mut values = vec![false; nl.num_nets()];
+        for (&pi, &v) in nl.inputs().iter().zip(inputs) {
+            values[pi.index()] = force(pi, v);
+        }
+        for gid in nl.topo_order().expect("acyclic") {
+            let g = nl.gate(gid);
+            let ins: Vec<bool> = g.inputs.iter().map(|&i| values[i.index()]).collect();
+            values[g.output.index()] = force(g.output, g.kind.eval(&ins));
+        }
+        nl.outputs()
+            .iter()
+            .map(|&(n, _)| values[n.index()])
+            .collect()
+    }
+
+    /// The scalar classification loop `analyze_faults` replaced: two
+    /// oracle evaluations and one classification per (shot, stimulus),
+    /// drawing stimuli in the same RNG order.
+    fn reference_analysis(
+        protected: &ProtectedNetlist,
+        campaign: &FaultCampaign,
+        stimuli_per_shot: usize,
+        seed: u64,
+    ) -> FaultAnalysis {
+        let nl = &protected.netlist;
+        let shots = campaign.generate(nl);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let num_inputs = nl.inputs().len();
+        let mut analysis = FaultAnalysis {
+            masked: 0,
+            detected: 0,
+            silent: 0,
+            false_alarms: 0,
+            detection_coverage: 1.0,
+        };
+        for shot in &shots {
+            for _ in 0..stimuli_per_shot {
+                let inputs: Vec<bool> = (0..num_inputs).map(|_| rng.gen()).collect();
+                let good = reference_outputs(nl, &inputs, &[]);
+                let bad = reference_outputs(nl, &inputs, shot);
+                let (good_f, good_alarm, bad_f, bad_alarm) = match protected.alarm_index {
+                    Some(ai) => {
+                        let split = |v: &[bool]| {
+                            let alarm = v[ai];
+                            let mut f = v.to_vec();
+                            f.remove(ai);
+                            (f, alarm)
+                        };
+                        let (gf, ga) = split(&good);
+                        let (bf, ba) = split(&bad);
+                        (gf, ga, bf, ba)
+                    }
+                    None => (good.clone(), false, bad.clone(), false),
+                };
+                assert!(!good_alarm, "golden run must not alarm");
+                let corrupted = good_f != bad_f;
+                match (corrupted, bad_alarm) {
+                    (false, false) => analysis.masked += 1,
+                    (false, true) => analysis.false_alarms += 1,
+                    (true, true) => analysis.detected += 1,
+                    (true, false) => analysis.silent += 1,
+                }
+            }
+        }
+        let corrupting = analysis.detected + analysis.silent;
+        analysis.detection_coverage = if corrupting == 0 {
+            1.0
+        } else {
+            analysis.detected as f64 / corrupting as f64
+        };
+        analysis
+    }
+
+    #[test]
+    fn packed_analysis_equals_scalar_oracle() {
+        for seed in 0..2u64 {
+            let host = random_circuit(&RandomCircuitConfig {
+                num_inputs: 6,
+                num_gates: 40,
+                num_outputs: 3,
+                with_xor: seed == 0,
+                seed: 0xF1A + seed,
+            });
+            let hosts = [
+                (
+                    "bare",
+                    ProtectedNetlist {
+                        netlist: host.clone(),
+                        alarm_index: None,
+                    },
+                ),
+                ("dwc", duplicate_with_compare(&host)),
+                ("parity", parity_protect(&host)),
+                ("tmr", triplicate_with_vote(&host)),
+            ];
+            for (name, p) in &hosts {
+                let gate_net = p.netlist.gates()[seed as usize + 3].output;
+                let models = [
+                    InjectionModel::RandomGate,
+                    InjectionModel::Laser { width: 5 },
+                    InjectionModel::Random,
+                    InjectionModel::ClockGlitch { count: 3 },
+                    InjectionModel::Targeted(vec![gate_net, gate_net]),
+                ];
+                for model in models {
+                    let campaign = FaultCampaign {
+                        model: model.clone(),
+                        shots: 6,
+                        seed: seed ^ 0x51,
+                    };
+                    for n in [0usize, 1, 4, 64, 65, 130] {
+                        assert_eq!(
+                            analyze_faults(p, &campaign, n, seed + 7).expect("analysis"),
+                            reference_analysis(p, &campaign, n, seed + 7),
+                            "seed {seed}, {name}, {model:?}, {n} stimuli per shot"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn unprotected_circuit_suffers_silent_corruption() {

@@ -5,7 +5,7 @@
 //! copies and silently void the protection (Sec. IV's composition
 //! cross-effect).
 
-use seceda_netlist::{CellKind, GateId, GateTags, NetId, Netlist};
+use seceda_netlist::{CellKind, GateTags, NetId, Netlist};
 
 /// A netlist protected by a detection/correction transform.
 #[derive(Debug, Clone, PartialEq)]
@@ -231,19 +231,19 @@ pub fn eval_protected(p: &ProtectedNetlist, inputs: &[bool]) -> (Vec<bool>, Opti
     }
 }
 
-/// Returns the gate ids of one redundant copy (the second), useful for
-/// targeting faults at the redundancy in tests.
-pub fn second_copy_gates(_p: &ProtectedNetlist, original_gate_count: usize) -> Vec<GateId> {
-    (original_gate_count..2 * original_gate_count)
-        .map(GateId::from_index)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use seceda_netlist::{c17, majority};
     use seceda_sim::{Fault, FaultSim};
+
+    /// The outputs under one stimulus with `faults` active: one packed
+    /// pass with the stimulus in bit 0.
+    fn faulty_outputs(sim: &FaultSim, inputs: &[bool], faults: &[Fault]) -> Vec<bool> {
+        let words: Vec<u64> = inputs.iter().map(|&b| u64::from(b)).collect();
+        let outs = sim.eval_outputs_with_faults(&words, faults);
+        outs.iter().map(|w| w & 1 == 1).collect()
+    }
 
     #[test]
     fn dwc_preserves_function_and_stays_quiet() {
@@ -271,8 +271,8 @@ mod tests {
             }
             for pattern in 0..8u32 {
                 let inputs: Vec<bool> = (0..3).map(|b| (pattern >> b) & 1 == 1).collect();
-                let good = sim.outputs(&sim.eval_with_faults(&inputs, &[]));
-                let bad = sim.outputs(&sim.eval_with_faults(&inputs, &[Fault::flip(g.output)]));
+                let good = p.netlist.evaluate(&inputs);
+                let bad = faulty_outputs(&sim, &inputs, &[Fault::flip(g.output)]);
                 let functional_changed = good[..good.len() - 1] != bad[..bad.len() - 1];
                 let alarm = bad[bad.len() - 1];
                 if functional_changed {
@@ -300,7 +300,7 @@ mod tests {
             for pattern in 0..8u32 {
                 let inputs: Vec<bool> = (0..3).map(|b| (pattern >> b) & 1 == 1).collect();
                 let expect = nl.evaluate(&inputs);
-                let got = sim.outputs(&sim.eval_with_faults(&inputs, &[Fault::flip(g.output)]));
+                let got = faulty_outputs(&sim, &inputs, &[Fault::flip(g.output)]);
                 assert_eq!(got, expect, "TMR must mask fault at gate {gi}");
             }
         }
@@ -323,7 +323,7 @@ mod tests {
         // fault one copy's gate: with randomness on, output flips relative
         // to the faulty-but-uninfected value whenever alarm raises
         let victim = p.netlist.gates()[0].output;
-        let bad = sim.outputs(&sim.eval_with_faults(&inputs, &[Fault::flip(victim)]));
+        let bad = faulty_outputs(&sim, &inputs, &[Fault::flip(victim)]);
         let alarm = bad[1];
         if alarm {
             // infection: functional output = corrupted ^ rnd, so an
@@ -332,7 +332,7 @@ mod tests {
             for r in &mut inputs_off[n_in..] {
                 *r = false;
             }
-            let bad_off = sim.outputs(&sim.eval_with_faults(&inputs_off, &[Fault::flip(victim)]));
+            let bad_off = faulty_outputs(&sim, &inputs_off, &[Fault::flip(victim)]);
             assert_ne!(bad[0], bad_off[0], "randomness must modulate the output");
         }
     }

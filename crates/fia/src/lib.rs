@@ -25,7 +25,7 @@ pub mod codes;
 pub mod dfa;
 pub mod discriminate;
 
-pub use analysis::{analyze_faults, FaultAnalysis, FaultOutcome};
+pub use analysis::{analyze_faults, FaultAnalysis};
 pub use campaign::{FaultCampaign, InjectionModel};
 pub use codes::{
     duplicate_with_compare, infective_transform, parity_protect, triplicate_with_vote,

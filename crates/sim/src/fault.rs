@@ -1,16 +1,10 @@
-//! Fault models and fault simulation.
+//! Fault models, simulated by [`FaultSim`](crate::FaultSim).
 //!
-//! Two consumers share this module: *testing* (stuck-at faults graded by
-//! ATPG patterns, Sec. III-F of the paper) and *fault-injection attacks*
+//! Two consumers share them: *testing* (stuck-at faults graded by ATPG
+//! patterns, Sec. III-F of the paper) and *fault-injection attacks*
 //! (transient bit flips from laser/EM/glitch campaigns, Sec. II-A.2).
 
-use crate::packed_fault::PackedFaultSim;
-use seceda_netlist::{NetId, Netlist, NetlistError};
-use std::sync::{Arc, Mutex};
-
-/// Cached good-circuit packed values of one pattern (see
-/// [`FaultSim::detects`]).
-type GoodCache = Mutex<Option<(Vec<bool>, Arc<Vec<u64>>)>>;
+use seceda_netlist::{NetId, Netlist};
 
 /// The kind of a fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -76,155 +70,10 @@ pub fn stuck_at_universe(nl: &Netlist) -> Vec<Fault> {
     faults
 }
 
-/// Combinational fault simulator.
-///
-/// Scalar fault injection ([`FaultSim::eval_with_faults`]) stays
-/// available for transient multi-fault campaigns; the grading entry
-/// points ([`FaultSim::detects`], [`FaultSim::coverage`]) delegate to
-/// the bit-parallel, fault-dropping [`PackedFaultSim`] engine and are
-/// bit-identical to the retained scalar reference
-/// ([`FaultSim::coverage_scalar`]).
-#[derive(Debug)]
-pub struct FaultSim<'a> {
-    nl: &'a Netlist,
-    engine: PackedFaultSim<'a>,
-    /// Packed good values of the most recent [`FaultSim::detects`]
-    /// pattern: a detect-loop over a fault list simulates the good
-    /// circuit once instead of once per fault.
-    good_cache: GoodCache,
-}
-
-impl Clone for FaultSim<'_> {
-    fn clone(&self) -> Self {
-        FaultSim {
-            nl: self.nl,
-            engine: self.engine.clone(),
-            good_cache: Mutex::new(None),
-        }
-    }
-}
-
-impl<'a> FaultSim<'a> {
-    /// Builds a fault simulator for a combinational netlist.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::CombinationalCycle`] on cyclic logic.
-    pub fn new(nl: &'a Netlist) -> Result<Self, NetlistError> {
-        Ok(FaultSim {
-            engine: PackedFaultSim::new(nl)?,
-            good_cache: Mutex::new(None),
-            nl,
-        })
-    }
-
-    /// The packed grading engine backing this simulator.
-    pub fn engine(&self) -> &PackedFaultSim<'a> {
-        &self.engine
-    }
-
-    /// Evaluates all nets under `inputs` with `faults` active.
-    ///
-    /// Faults take effect at the moment the net is assigned: input faults
-    /// corrupt the applied stimulus, gate-output faults corrupt the
-    /// computed value, and the last fault listed for a net wins. DFF
-    /// outputs are zero pseudo-inputs that are never assigned, so a fault
-    /// there has no effect.
-    ///
-    /// # Panics
-    ///
-    /// Panics on input width mismatch.
-    pub fn eval_with_faults(&self, inputs: &[bool], faults: &[Fault]) -> Vec<bool> {
-        self.engine.tape().eval(inputs, None, faults)
-    }
-
-    /// Extracts primary outputs from a per-net value vector.
-    pub fn outputs(&self, values: &[bool]) -> Vec<bool> {
-        self.nl
-            .outputs()
-            .iter()
-            .map(|&(n, _)| values[n.index()])
-            .collect()
-    }
-
-    /// Returns `true` if `pattern` *detects* `fault`: the faulty outputs
-    /// differ from the good outputs.
-    ///
-    /// The good circuit's packed values are cached per pattern, so a
-    /// loop over a fault list with a fixed pattern simulates the good
-    /// circuit once; the faulty side re-evaluates only the fault's
-    /// fan-out cone.
-    pub fn detects(&self, pattern: &[bool], fault: Fault) -> bool {
-        let good = {
-            let mut cache = self.good_cache.lock().expect("good cache poisoned");
-            match cache.as_ref() {
-                Some((p, good)) if p == pattern => Arc::clone(good),
-                _ => {
-                    let good = Arc::new(self.engine.good_values(pattern));
-                    *cache = Some((pattern.to_vec(), Arc::clone(&good)));
-                    good
-                }
-            }
-        };
-        self.engine.detects_given_good(&good, fault)
-    }
-
-    /// Scalar reference for [`FaultSim::detects`]: two full circuit
-    /// evaluations, no caching. Kept for differential testing.
-    pub fn detects_scalar(&self, pattern: &[bool], fault: Fault) -> bool {
-        let good = self.outputs(&self.eval_with_faults(pattern, &[]));
-        let bad = self.outputs(&self.eval_with_faults(pattern, &[fault]));
-        good != bad
-    }
-
-    /// Grades a pattern set against a fault list; returns, per fault,
-    /// whether any pattern detects it, plus the overall coverage fraction.
-    ///
-    /// Delegates to the bit-parallel, fault-dropping, cone-restricted
-    /// [`PackedFaultSim`]; the result is bit-identical to
-    /// [`FaultSim::coverage_scalar`].
-    pub fn coverage(&self, patterns: &[Vec<bool>], faults: &[Fault]) -> (Vec<bool>, f64) {
-        self.engine.coverage(patterns, faults)
-    }
-
-    /// The scalar reference grader: re-simulates the whole netlist for
-    /// every (pattern, fault) pair. O(patterns × faults × gates) — kept
-    /// as the differential-testing and benchmarking baseline for
-    /// [`FaultSim::coverage`].
-    pub fn coverage_scalar(&self, patterns: &[Vec<bool>], faults: &[Fault]) -> (Vec<bool>, f64) {
-        let mut sp = seceda_trace::span("sim.fault_coverage");
-        sp.attr("patterns", patterns.len());
-        sp.attr("faults", faults.len());
-        sp.attr("engine", "scalar");
-        let good_outputs: Vec<Vec<bool>> = patterns
-            .iter()
-            .map(|p| self.outputs(&self.eval_with_faults(p, &[])))
-            .collect();
-        let detected: Vec<bool> = faults
-            .iter()
-            .map(|&f| {
-                patterns.iter().zip(&good_outputs).any(|(p, good)| {
-                    let bad = self.outputs(&self.eval_with_faults(p, &[f]));
-                    &bad != good
-                })
-            })
-            .collect();
-        let num_detected = detected.iter().filter(|&&d| d).count();
-        let frac = if faults.is_empty() {
-            1.0
-        } else {
-            num_detected as f64 / faults.len() as f64
-        };
-        seceda_trace::counter("sim.patterns_simulated", patterns.len() as u64);
-        seceda_trace::counter("sim.faults_detected", num_detected as u64);
-        sp.attr("coverage", frac);
-        (detected, frac)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FaultSim;
     use seceda_netlist::{c17, CellKind};
 
     #[test]
@@ -235,7 +84,7 @@ mod tests {
         // G22 value is 0
         let g22_net = nl.outputs()[0].0;
         let fault = Fault::stuck_at(g22_net, true);
-        assert!(sim.detects(&[false; 5], fault));
+        assert_eq!(sim.coverage(&[vec![false; 5]], &[fault]).0, [true]);
     }
 
     #[test]
@@ -245,10 +94,11 @@ mod tests {
         let y = nl.add_gate(CellKind::Buf, &[a]);
         nl.mark_output(y, "y");
         let sim = FaultSim::new(&nl).expect("sim");
-        let v = sim.eval_with_faults(&[true], &[Fault::flip(y)]);
-        assert!(!v[y.index()]);
-        let v = sim.eval_with_faults(&[false], &[Fault::flip(a)]);
-        assert!(v[y.index()]);
+        // one packed pattern in bit 0; y is the only output
+        let y_word = sim.eval_outputs_with_faults(&[1], &[Fault::flip(y)])[0];
+        assert_eq!(y_word & 1, 0);
+        let y_word = sim.eval_outputs_with_faults(&[0], &[Fault::flip(a)])[0];
+        assert_eq!(y_word & 1, 1);
     }
 
     #[test]
@@ -261,8 +111,8 @@ mod tests {
         nl.mark_output(y, "y");
         let sim = FaultSim::new(&nl).expect("sim");
         let f = Fault::stuck_at(a, false);
-        assert!(!sim.detects(&[true, false], f));
-        assert!(sim.detects(&[true, true], f));
+        assert_eq!(sim.coverage(&[vec![true, false]], &[f]).0, [false]);
+        assert_eq!(sim.coverage(&[vec![true, true]], &[f]).0, [true]);
     }
 
     #[test]

@@ -15,18 +15,21 @@
 //! * [`power`] — Hamming-weight / Hamming-distance power models with
 //!   Gaussian measurement noise, producing the side-channel traces the
 //!   `seceda-sca` crate analyzes;
-//! * [`fault`] — stuck-at and transient fault injection plus batch fault
-//!   grading for ATPG and FIA campaigns;
-//! * [`PackedFaultSim`] — the bit-parallel fault-grading engine behind
-//!   [`FaultSim::coverage`](fault::FaultSim::coverage): 256 patterns
-//!   per pass over [`Lane256`] words, fault dropping,
+//! * [`FaultSim`] — the one fault simulator, for ATPG, BIST and FIA
+//!   campaigns over the stuck-at and transient models of [`fault`]:
+//!   packed multi-fault injection
+//!   ([`FaultSim::eval_outputs_with_faults`]) and bit-parallel grading
+//!   ([`FaultSim::coverage`], [`FaultSim::grade`]) with 256 patterns per
+//!   pass over [`Lane256`] words, fault dropping,
 //!   fan-out-cone-restricted faulty re-evaluation, and multi-threaded
 //!   fault-list fan-out.
 //!
 //! All of them compile the netlist once into one flat evaluation tape
 //! and evaluate gates through its single kernel, at `bool`, `u64` or
 //! [`Lane256`] width, faults included; `Netlist::eval_nets` in
-//! `seceda-netlist` is the independent oracle they are tested against.
+//! `seceda-netlist` and, for faulty circuits, a walk of the netlist
+//! arena in `tests/tape_differential.rs` are the independent oracles
+//! they are tested against.
 //!
 //! See [`CycleSim`] for a runnable end-to-end example.
 
@@ -43,9 +46,9 @@ mod tape;
 
 pub use cycle::{CycleSim, SimTrace};
 pub use event::{EventSim, GlitchReport, ToggleEvent};
-pub use fault::{Fault, FaultKind, FaultSim};
+pub use fault::{Fault, FaultKind};
 pub use packed::{pack_patterns, PackedSim};
-pub use packed_fault::PackedFaultSim;
+pub use packed_fault::FaultSim;
 pub use power::{NoiseModel, PowerModel, TraceRecorder};
 pub use prob::signal_probabilities;
 pub use simword::{Lane256, SimWord};

@@ -1,9 +1,10 @@
-//! Bit-parallel fault simulation with fault dropping and cone
-//! restriction — the industrial recipe that makes stuck-at grading,
-//! ATPG bootstrap, and MERO-style N-detect tractable on real circuits.
+//! [`FaultSim`]: the crate's one fault simulator — bit-parallel, with
+//! fault dropping and cone restriction, the industrial recipe that
+//! makes stuck-at grading, ATPG bootstrap, and MERO-style N-detect
+//! tractable on real circuits.
 //!
 //! The good circuit and every faulty cone run on the crate's compiled
-//! evaluation tape and its one gate kernel; this module adds four
+//! evaluation tape and its one gate kernel; grading adds four
 //! compounding optimizations on top:
 //!
 //! * **256 patterns per pass** — the kernel runs over [`Lane256`] words
@@ -27,11 +28,13 @@
 //! groups are formed deterministically from the active list), so the
 //! result is bit-identical for any worker count.
 //!
-//! Detection results are **exactly** those of the scalar grader
-//! ([`crate::FaultSim::coverage_scalar`]): per fault, *detected iff
-//! some pattern makes a primary output differ* — including the rule
-//! that a fault on a net no pass assigns (a DFF output pseudo-input)
-//! has no effect.
+//! A fault is *detected iff some pattern makes a primary output
+//! differ*, and a fault on a net no pass assigns (a DFF output
+//! pseudo-input) has no effect — the semantics of
+//! [`FaultSim::eval_outputs_with_faults`], whose multi-fault transient
+//! passes serve BIST and fault-injection campaigns. The differential
+//! suite `crates/sim/tests/tape_differential.rs` holds both entry points
+//! to an independent walk of the netlist arena.
 
 use crate::fault::{Fault, FaultKind};
 use crate::packed::pack_patterns;
@@ -40,9 +43,12 @@ use crate::tape::{apply_fault, Tape};
 use seceda_netlist::{Netlist, NetlistError};
 use seceda_testkit::par;
 
-/// The packed, dropping, cone-restricted fault-grading engine.
+/// Combinational fault simulator: packed, fault-dropping,
+/// cone-restricted grading ([`FaultSim::coverage`], [`FaultSim::grade`])
+/// and packed multi-fault injection
+/// ([`FaultSim::eval_outputs_with_faults`]).
 #[derive(Debug, Clone)]
-pub struct PackedFaultSim<'a> {
+pub struct FaultSim<'a> {
     nl: &'a Netlist,
     tape: Tape,
     /// Per net: is it marked as a primary output?
@@ -84,8 +90,8 @@ impl<W: SimWord> Scratch<W> {
     }
 }
 
-impl<'a> PackedFaultSim<'a> {
-    /// Builds the engine for a netlist (combinational logic graded;
+impl<'a> FaultSim<'a> {
+    /// Builds the simulator for a netlist (combinational logic graded;
     /// DFF outputs are constant-zero pseudo-inputs, as everywhere else).
     ///
     /// # Errors
@@ -104,22 +110,12 @@ impl<'a> PackedFaultSim<'a> {
         for p in 0..tape.len() {
             fault_applies[tape.out(p)] = true;
         }
-        Ok(PackedFaultSim {
+        Ok(FaultSim {
             nl,
             tape,
             is_output,
             fault_applies,
         })
-    }
-
-    /// The underlying netlist.
-    pub fn netlist(&self) -> &Netlist {
-        self.nl
-    }
-
-    /// The compiled tape every grading pass evaluates.
-    pub(crate) fn tape(&self) -> &Tape {
-        &self.tape
     }
 
     /// Marks every combinational reader of net `ni` pending, returning
@@ -165,7 +161,7 @@ impl<'a> PackedFaultSim<'a> {
             let ni = fault.net.index();
             detected[j] = false;
             if !self.fault_applies[ni] {
-                // the scalar pass never assigns (and so never faults) this net
+                // no tape pass assigns (and so faults) this net
                 continue;
             }
             // force only the bits carrying this fault's real patterns, so
@@ -348,8 +344,8 @@ impl<'a> PackedFaultSim<'a> {
     /// it. This is the incremental entry point ATPG uses as SAT
     /// patterns arrive.
     ///
-    /// The final `detected` vector is bit-identical to the scalar
-    /// reference grading all `patterns` against all `faults`.
+    /// The final `detected` vector equals a from-scratch
+    /// [`FaultSim::coverage`] of all `patterns` against all `faults`.
     ///
     /// # Panics
     ///
@@ -361,21 +357,13 @@ impl<'a> PackedFaultSim<'a> {
 
     /// Grades a pattern set against a fault list; returns, per fault,
     /// whether any pattern detects it, plus the overall coverage
-    /// fraction. Drop-in packed replacement for the scalar
-    /// [`crate::FaultSim::coverage_scalar`].
+    /// fraction.
     ///
     /// # Panics
     ///
     /// Panics on pattern width mismatch.
     pub fn coverage(&self, patterns: &[Vec<bool>], faults: &[Fault]) -> (Vec<bool>, f64) {
         self.coverage_with::<Lane256>(patterns, faults)
-    }
-
-    /// 64-lane reference of [`PackedFaultSim::coverage`], the
-    /// differential oracle of the 256-bit engine.
-    #[cfg(test)]
-    fn coverage_u64(&self, patterns: &[Vec<bool>], faults: &[Fault]) -> (Vec<bool>, f64) {
-        self.coverage_with::<u64>(patterns, faults)
     }
 
     fn coverage_with<W: SimWord>(
@@ -386,7 +374,6 @@ impl<'a> PackedFaultSim<'a> {
         let mut sp = seceda_trace::span("sim.fault_coverage");
         sp.attr("patterns", patterns.len());
         sp.attr("faults", faults.len());
-        sp.attr("engine", "packed");
         sp.attr("lane_bits", W::BITS);
         let mut detected = vec![false; faults.len()];
         self.grade_chunks::<W>(patterns, faults, &mut detected);
@@ -402,38 +389,15 @@ impl<'a> PackedFaultSim<'a> {
         (detected, frac)
     }
 
-    /// Returns `true` if `pattern` detects `fault`, reusing
-    /// already-computed good packed values for that pattern (see
-    /// [`PackedFaultSim::good_values`]).
-    pub fn detects_given_good(&self, good: &[u64], fault: Fault) -> bool {
-        let mut sc = Scratch::new(good, self.tape.len());
-        let mut det = [false];
-        self.grade_group(&mut sc, good, &[(fault, u64::low_mask(1))], &mut det);
-        det[0]
-    }
-
-    /// Packed per-net good values of a single scalar pattern (bit 0
-    /// carries the pattern; the other 63 lanes replicate pattern 0's
-    /// zero-extension).
+    /// Evaluates 64 patterns of the circuit with every fault in
+    /// `faults` active at once and returns the packed primary-output
+    /// words (bit *p* of word *o* is output *o* under pattern *p*).
     ///
-    /// # Panics
-    ///
-    /// Panics on input width mismatch.
-    pub fn good_values(&self, pattern: &[bool]) -> Vec<u64> {
-        let words = pack_patterns::<u64>(
-            std::slice::from_ref(&pattern.to_vec()),
-            self.tape.pis().len(),
-        );
-        self.tape.eval(&words, None, &[])
-    }
-
-    /// Evaluates 64 patterns of the *faulty* circuit and returns the
-    /// packed primary-output words, mirroring the scalar
-    /// [`crate::FaultSim::eval_with_faults`] semantics bit for bit:
-    /// faults take effect at the moment a net is assigned (primary
-    /// inputs and combinational gate outputs; the last fault listed for
-    /// a net wins), so BIST signatures over packed batches equal the
-    /// scalar per-pattern signatures.
+    /// A fault takes effect at the moment its net is assigned: an input
+    /// fault corrupts the applied stimulus, a gate-output fault the
+    /// computed value, and the last fault listed for a net wins. DFF
+    /// outputs are zero pseudo-inputs that are never assigned, so a
+    /// fault there has no effect. Pass no faults for the good circuit.
     ///
     /// # Panics
     ///
@@ -448,10 +412,16 @@ impl<'a> PackedFaultSim<'a> {
     }
 }
 
+/// The scalar fault oracle of the integration tests.
+#[cfg(test)]
+#[path = "../tests/oracle/mod.rs"]
+mod oracle;
+
 #[cfg(test)]
 mod tests {
+    use super::oracle::{outputs, reference, reference_coverage};
     use super::*;
-    use crate::fault::{stuck_at_universe, FaultSim};
+    use crate::fault::stuck_at_universe;
     use seceda_netlist::{
         alu_slice, c17, comparator, majority, parity_tree, random_circuit, ripple_adder, CellKind,
         Netlist, RandomCircuitConfig,
@@ -481,15 +451,15 @@ mod tests {
         #[test]
         fn lane256_matches_u64_reference(seed in 0u64..5000, gates in 2usize..50) {
             let nl = circuit(seed, gates);
-            let engine = PackedFaultSim::new(&nl).expect("sim");
+            let sim = FaultSim::new(&nl).expect("sim");
             let faults = stuck_at_universe(&nl);
             // pattern counts straddling every chunking mode: fault-group
             // (<=64), partial wide (65..=255), and full wide (256+)
             for n in [1usize, 63, 64, 65, 200, 256, 300] {
                 let patterns = random_patterns(&nl, n, seed ^ (n as u64) << 8);
                 prop_assert_eq!(
-                    engine.coverage(&patterns, &faults),
-                    engine.coverage_u64(&patterns, &faults),
+                    sim.coverage(&patterns, &faults),
+                    sim.coverage_with::<u64>(&patterns, &faults),
                     "pattern count {}", n
                 );
             }
@@ -509,71 +479,64 @@ mod tests {
             ("alu_slice_16", alu_slice(16)),
         ];
         for (name, nl) in circuits {
-            let engine = PackedFaultSim::new(&nl).expect("sim");
+            let sim = FaultSim::new(&nl).expect("sim");
             let faults = stuck_at_universe(&nl);
             let patterns = random_patterns(&nl, 80, 7);
             assert_eq!(
-                engine.coverage(&patterns, &faults),
-                engine.coverage_u64(&patterns, &faults),
+                sim.coverage(&patterns, &faults),
+                sim.coverage_with::<u64>(&patterns, &faults),
                 "lane256 != u64 reference on {name}"
             );
         }
     }
 
     #[test]
-    fn packed_coverage_matches_scalar_on_c17() {
-        let nl = c17();
-        let scalar = FaultSim::new(&nl).expect("sim");
-        let packed = PackedFaultSim::new(&nl).expect("sim");
-        let faults = stuck_at_universe(&nl);
-        let patterns: Vec<Vec<bool>> = (0..32u32)
-            .map(|p| (0..5).map(|b| (p >> b) & 1 == 1).collect())
-            .collect();
-        assert_eq!(
-            packed.coverage(&patterns, &faults),
-            scalar.coverage_scalar(&patterns, &faults)
-        );
-        assert_eq!(
-            packed.coverage_u64(&patterns, &faults),
-            scalar.coverage_scalar(&patterns, &faults)
-        );
-    }
-
-    #[test]
     fn incremental_grading_equals_batch_grading() {
         let nl = c17();
-        let packed = PackedFaultSim::new(&nl).expect("sim");
+        let sim = FaultSim::new(&nl).expect("sim");
         let faults = stuck_at_universe(&nl);
         let patterns: Vec<Vec<bool>> = (0..32u32)
             .map(|p| (0..5).map(|b| (p >> b) & 1 == 1).collect())
             .collect();
-        let (batch, _) = packed.coverage(&patterns, &faults);
+        let (batch, _) = sim.coverage(&patterns, &faults);
         let mut incremental = vec![false; faults.len()];
         for p in &patterns {
-            packed.grade(std::slice::from_ref(p), &faults, &mut incremental);
+            sim.grade(std::slice::from_ref(p), &faults, &mut incremental);
         }
         assert_eq!(batch, incremental);
     }
 
     #[test]
+    fn packed_coverage_matches_scalar_on_c17() {
+        let nl = c17();
+        let sim = FaultSim::new(&nl).expect("sim");
+        let faults = stuck_at_universe(&nl);
+        let patterns: Vec<Vec<bool>> = (0..32u32)
+            .map(|p| (0..5).map(|b| (p >> b) & 1 == 1).collect())
+            .collect();
+        let want = reference_coverage(&nl, &patterns, &faults);
+        assert_eq!(sim.coverage(&patterns, &faults), want);
+        assert_eq!(sim.coverage_with::<u64>(&patterns, &faults), want);
+    }
+
+    #[test]
     fn dff_output_faults_have_no_effect_like_scalar() {
-        // q feeds an XOR with input a; scalar fault passes never assign q,
-        // so a stuck-at-1 there is (quirkily) invisible — packed must agree
+        // q feeds an XOR with input a; no pass assigns q, so a stuck-at-1
+        // there is (quirkily) invisible — packed and oracle must agree
         let mut nl = Netlist::new("seq");
         let a = nl.add_input("a");
         let d = nl.add_net();
         let q = nl.add_gate(CellKind::Dff, &[d]);
         let y = nl.add_gate(CellKind::Xor, &[a, q]);
         nl.mark_output(y, "y");
-        let scalar = FaultSim::new(&nl).expect("sim");
-        let packed = PackedFaultSim::new(&nl).expect("sim");
+        let sim = FaultSim::new(&nl).expect("sim");
         let fault = Fault::stuck_at(q, true);
         let patterns = vec![vec![false], vec![true]];
         assert_eq!(
-            packed.coverage(&patterns, &[fault]),
-            scalar.coverage_scalar(&patterns, &[fault])
+            sim.coverage(&patterns, &[fault]),
+            reference_coverage(&nl, &patterns, &[fault])
         );
-        assert_eq!(packed.coverage(&patterns, &[fault]).0, vec![false]);
+        assert_eq!(sim.coverage(&patterns, &[fault]).0, vec![false]);
     }
 
     #[test]
@@ -585,11 +548,11 @@ mod tests {
         let b = nl.add_input("b");
         let y = nl.add_gate(CellKind::And, &[a, b]);
         nl.mark_output(y, "y");
-        let packed = PackedFaultSim::new(&nl).expect("sim");
+        let sim = FaultSim::new(&nl).expect("sim");
         let f = Fault::stuck_at(a, false);
-        let (det, _) = packed.coverage(&[vec![true, false]], &[f]);
+        let (det, _) = sim.coverage(&[vec![true, false]], &[f]);
         assert_eq!(det, vec![false]);
-        let (det, _) = packed.coverage(&[vec![true, true]], &[f]);
+        let (det, _) = sim.coverage(&[vec![true, true]], &[f]);
         assert_eq!(det, vec![true]);
     }
 
@@ -605,23 +568,22 @@ mod tests {
         let g2 = nl.add_gate(CellKind::Or, &[g1, a]);
         let g3 = nl.add_gate(CellKind::Xor, &[g2, b]);
         nl.mark_output(g3, "y");
-        let packed = PackedFaultSim::new(&nl).expect("sim");
-        let scalar = FaultSim::new(&nl).expect("sim");
+        let sim = FaultSim::new(&nl).expect("sim");
         let faults = stuck_at_universe(&nl);
         let patterns: Vec<Vec<bool>> = (0..4u32)
             .map(|p| (0..2).map(|k| (p >> k) & 1 == 1).collect())
             .collect();
         // <=64 patterns forces fault-group mode under Lane256
         assert_eq!(
-            packed.coverage(&patterns, &faults),
-            scalar.coverage_scalar(&patterns, &faults)
+            sim.coverage(&patterns, &faults),
+            reference_coverage(&nl, &patterns, &faults)
         );
     }
 
     #[test]
     fn wide_mode_matches_u64_above_64_patterns() {
         let nl = c17();
-        let packed = PackedFaultSim::new(&nl).expect("sim");
+        let sim = FaultSim::new(&nl).expect("sim");
         let faults = stuck_at_universe(&nl);
         // 5-input circuit: replicate the 32 exhaustive patterns to cross
         // the 64-pattern wide-mode threshold (65..=255 exercises the
@@ -632,8 +594,8 @@ mod tests {
         for n in [65usize, 120, 255, 256] {
             let patterns: Vec<Vec<bool>> = (0..n).map(|i| base[i % base.len()].clone()).collect();
             assert_eq!(
-                packed.coverage(&patterns, &faults),
-                packed.coverage_u64(&patterns, &faults),
+                sim.coverage(&patterns, &faults),
+                sim.coverage_with::<u64>(&patterns, &faults),
                 "pattern count {n}"
             );
         }
@@ -642,17 +604,16 @@ mod tests {
     #[test]
     fn packed_faulty_outputs_match_scalar_eval() {
         let nl = c17();
-        let scalar = FaultSim::new(&nl).expect("sim");
-        let packed = PackedFaultSim::new(&nl).expect("sim");
+        let sim = FaultSim::new(&nl).expect("sim");
         let faults = stuck_at_universe(&nl);
         let patterns: Vec<Vec<bool>> = (0..32u32)
             .map(|p| (0..5).map(|b| (p >> b) & 1 == 1).collect())
             .collect();
         let words = pack_patterns(&patterns, 5);
         for &f in faults.iter().take(8) {
-            let outs = packed.eval_outputs_with_faults(&words, &[f]);
+            let outs = sim.eval_outputs_with_faults(&words, &[f]);
             for (p, pattern) in patterns.iter().enumerate() {
-                let scalar_outs = scalar.outputs(&scalar.eval_with_faults(pattern, &[f]));
+                let scalar_outs = outputs(&nl, &reference(&nl, pattern, &[], &[f]));
                 for (o, &w) in outs.iter().enumerate() {
                     assert_eq!((w >> p) & 1 == 1, scalar_outs[o], "fault {f:?} p={p} o={o}");
                 }

@@ -10,7 +10,7 @@
 //! The trait is deliberately tiny: the bitwise ops a gate evaluator
 //! needs, plus lane plumbing (`broadcast`/`lane`/`with_lane`) used by
 //! the fault-batching mode of
-//! [`PackedFaultSim`](crate::PackedFaultSim), where each 64-bit lane of
+//! [`FaultSim`](crate::FaultSim), where each 64-bit lane of
 //! a [`Lane256`] carries a *different fault* over the same 64 patterns.
 
 use std::ops::{BitAnd, BitOr, BitXor, Not};

@@ -1,17 +1,20 @@
-//! Differential tests for the packed fault-grading engine.
+//! Differential tests for packed fault grading.
 //!
-//! [`FaultSim::coverage`] delegates to the bit-parallel, fault-dropping,
-//! cone-restricted `PackedFaultSim`; these tests pin it to the scalar
-//! reference ([`FaultSim::coverage_scalar`] / [`FaultSim::detects_scalar`])
-//! with *exact* equality — same detected vector, same coverage fraction —
-//! on random netlists, on every built-in bench circuit, and across
-//! worker counts.
+//! [`FaultSim::coverage`] is bit-parallel, fault-dropping and
+//! cone-restricted; these tests pin it to the scalar oracle of
+//! `tests/oracle/` (a walk of the netlist arena, one pattern and one
+//! fault at a time) with *exact* equality — same detected vector, same
+//! coverage fraction — on random netlists, on every built-in bench
+//! circuit, and across worker counts.
 
+mod oracle;
+
+use oracle::reference_coverage;
 use seceda_netlist::{
     alu_slice, c17, comparator, majority, parity_tree, random_circuit, ripple_adder, Netlist,
     RandomCircuitConfig,
 };
-use seceda_sim::{fault::stuck_at_universe, Fault, FaultSim};
+use seceda_sim::{fault::stuck_at_universe, Fault, FaultKind, FaultSim};
 use seceda_testkit::par;
 use seceda_testkit::prelude::*;
 use seceda_testkit::rng::{Rng, SeedableRng, StdRng};
@@ -41,24 +44,28 @@ proptest! {
         let nl = circuit(seed, gates);
         let sim = FaultSim::new(&nl).expect("sim");
         let faults = stuck_at_universe(&nl);
-        // 70 patterns forces a partial second packed batch (64 + 6)
-        let patterns = random_patterns(&nl, 70, seed ^ 0xABCD);
-        prop_assert_eq!(
-            sim.coverage(&patterns, &faults),
-            sim.coverage_scalar(&patterns, &faults)
-        );
+        // 24 patterns run in fault-group mode, 70 in a partial wide word
+        for n in [24usize, 70] {
+            let patterns = random_patterns(&nl, n, seed ^ 0xABCD ^ (n as u64) << 16);
+            prop_assert_eq!(
+                sim.coverage(&patterns, &faults),
+                reference_coverage(&nl, &patterns, &faults),
+                "{} patterns", n
+            );
+        }
     }
 
     #[test]
     fn packed_detects_matches_scalar_incl_bitflips(seed in 0u64..5000, gates in 2usize..40) {
         let nl = circuit(seed, gates);
         let sim = FaultSim::new(&nl).expect("sim");
-        let pattern = random_patterns(&nl, 1, seed.wrapping_mul(31)).remove(0);
+        let pattern = random_patterns(&nl, 1, seed.wrapping_mul(31));
         let mut faults = stuck_at_universe(&nl);
         faults.extend(nl.gates().iter().map(|g| Fault::flip(g.output)));
-        for &f in &faults {
-            prop_assert_eq!(sim.detects(&pattern, f), sim.detects_scalar(&pattern, f));
-        }
+        prop_assert_eq!(
+            sim.coverage(&pattern, &faults),
+            reference_coverage(&nl, &pattern, &faults)
+        );
     }
 
     #[test]
@@ -69,7 +76,8 @@ proptest! {
         let patterns = random_patterns(&nl, 24, seed);
         let serial = par::with_workers(1, || sim.coverage(&patterns, &faults));
         let parallel = par::with_workers(4, || sim.coverage(&patterns, &faults));
-        prop_assert_eq!(serial, parallel);
+        prop_assert_eq!(&serial, &parallel);
+        prop_assert_eq!(serial, reference_coverage(&nl, &patterns, &faults));
     }
 }
 
@@ -89,8 +97,10 @@ fn packed_matches_scalar_on_every_bench_circuit() {
         let sim = FaultSim::new(&nl).expect("sim");
         let faults = stuck_at_universe(&nl);
         let patterns = random_patterns(&nl, 80, 7);
-        let packed = sim.coverage(&patterns, &faults);
-        let scalar = sim.coverage_scalar(&patterns, &faults);
-        assert_eq!(packed, scalar, "packed != scalar on {name}");
+        assert_eq!(
+            sim.coverage(&patterns, &faults),
+            reference_coverage(&nl, &patterns, &faults),
+            "packed != scalar oracle on {name}"
+        );
     }
 }

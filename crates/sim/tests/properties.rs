@@ -60,23 +60,27 @@ proptest! {
     #[test]
     fn double_fault_on_same_net_is_single_fault(seed in 0u64..2000, gates in 2usize..30) {
         // applying the same bit-flip fault twice in the list must behave
-        // like applying it once (the map keeps one override per net)
-        let nl = circuit(seed, gates);
-        let sim = FaultSim::new(&nl).expect("sim");
+        // like applying it once (the last fault listed for a net wins);
+        // a probe output makes the victim net itself visible
+        let mut nl = circuit(seed, gates);
         let victim = nl.gates()[0].output;
-        let inputs = vec![true, false, true, false, true];
-        let once = sim.eval_with_faults(&inputs, &[Fault::flip(victim)]);
-        let twice = sim.eval_with_faults(&inputs, &[Fault::flip(victim), Fault::flip(victim)]);
+        nl.mark_output(victim, "probe");
+        let sim = FaultSim::new(&nl).expect("sim");
+        let inputs = pack_patterns(&[vec![true, false, true, false, true]], 5);
+        let once = sim.eval_outputs_with_faults(&inputs, &[Fault::flip(victim)]);
+        let twice = sim.eval_outputs_with_faults(&inputs, &[Fault::flip(victim), Fault::flip(victim)]);
         prop_assert_eq!(once, twice);
     }
 
     #[test]
     fn stuck_at_dominates_value(seed in 0u64..2000, gates in 2usize..30, v in any::<bool>()) {
-        let nl = circuit(seed, gates);
-        let sim = FaultSim::new(&nl).expect("sim");
+        let mut nl = circuit(seed, gates);
         let victim = nl.gates()[gates / 2].output;
-        let inputs = vec![false, true, true, false, true];
-        let values = sim.eval_with_faults(&inputs, &[Fault::stuck_at(victim, v)]);
-        prop_assert_eq!(values[victim.index()], v);
+        nl.mark_output(victim, "probe");
+        let probe = nl.outputs().len() - 1;
+        let sim = FaultSim::new(&nl).expect("sim");
+        let inputs = pack_patterns(&[vec![false, true, true, false, true]], 5);
+        let outs = sim.eval_outputs_with_faults(&inputs, &[Fault::stuck_at(victim, v)]);
+        prop_assert_eq!(outs[probe] & 1 == 1, v);
     }
 }

@@ -2,24 +2,28 @@
 //! through one compiled tape and one kernel, so each public entry point
 //! is held here to an oracle that shares none of that code —
 //! [`Netlist::eval_nets`] / [`Netlist::step`] and, for faulty
-//! circuits, [`reference`], a walk of the netlist arena over
-//! [`CellKind::eval`].
+//! circuits, [`reference`] (in `tests/oracle/`), a walk of the netlist
+//! arena over [`CellKind::eval`], with [`reference_coverage`] grading on
+//! top of it.
 //!
-//! Word types: `bool` ([`FaultSim::eval_with_faults`], [`CycleSim`],
-//! [`EventSim`]), `u64` ([`PackedSim`],
-//! [`PackedFaultSim::eval_outputs_with_faults`]) and `Lane256`
-//! ([`PackedFaultSim::coverage`], whose good pass and cone walk run on
-//! 256-bit words, compared against oracle detection on every pattern).
+//! Word types: `bool` ([`CycleSim`], [`EventSim`]), `u64`
+//! ([`PackedSim`], [`FaultSim::eval_outputs_with_faults`]) and
+//! `Lane256` ([`FaultSim::coverage`], whose good pass and cone walk run
+//! on 256-bit words, compared against oracle detection on every
+//! pattern). `tests/packed_fault.rs` grades random and bench circuits
+//! against the same oracle.
 //!
-//! The `#[ignore]`d sweeps repeat the comparison on 10k-20k-gate
+//! The `#[ignore]`d sweeps repeat the comparison on 2k-20k-gate
 //! designs in release: `cargo test --release -p seceda-sim --test
 //! tape_differential -- --ignored`.
 
+mod oracle;
+
+use oracle::{outputs, reference, reference_coverage};
 use seceda_netlist::{c17, random_circuit, CellKind, NetId, Netlist, RandomCircuitConfig};
 use seceda_sim::fault::stuck_at_universe;
 use seceda_sim::{
-    pack_patterns, CycleSim, EventSim, Fault, FaultKind, FaultSim, GlitchReport, PackedFaultSim,
-    PackedSim,
+    pack_patterns, CycleSim, EventSim, Fault, FaultKind, FaultSim, GlitchReport, PackedSim,
 };
 use seceda_testkit::rng::{Rng, SeedableRng, StdRng};
 
@@ -94,42 +98,15 @@ fn random_faults(rng: &mut StdRng, nl: &Netlist, max: usize) -> Vec<Fault> {
     faults
 }
 
-/// The oracle for faulty circuits: walks the netlist arena in
-/// topological order over [`CellKind::eval`]. A fault takes effect
-/// when its net is assigned (a primary input as it is applied, a gate
-/// output as it is computed), the last fault listed for a net wins, and
-/// DFF outputs are loaded from `state`, never assigned.
-fn reference(nl: &Netlist, inputs: &[bool], state: &[bool], faults: &[Fault]) -> Vec<bool> {
-    let force = |net: NetId, good: bool| {
-        faults
-            .iter()
-            .rev()
-            .find(|f| f.net == net)
-            .map_or(good, |f| match f.kind {
-                FaultKind::StuckAt0 => false,
-                FaultKind::StuckAt1 => true,
-                FaultKind::BitFlip => !good,
-            })
-    };
-    let mut values = vec![false; nl.num_nets()];
-    for (&pi, &v) in nl.inputs().iter().zip(inputs) {
-        values[pi.index()] = force(pi, v);
-    }
-    for (&d, &v) in nl.dffs().iter().zip(state) {
-        values[nl.gate(d).output.index()] = v;
-    }
-    for gid in nl.topo_order().expect("acyclic") {
-        let g = nl.gate(gid);
-        let ins: Vec<bool> = g.inputs.iter().map(|&i| values[i.index()]).collect();
-        values[g.output.index()] = force(g.output, g.kind.eval(&ins));
-    }
-    values
+/// Bit `p` of every word.
+fn lane(words: &[u64], p: usize) -> Vec<bool> {
+    words.iter().map(|w| (w >> p) & 1 == 1).collect()
 }
 
-fn outputs(nl: &Netlist, values: &[bool]) -> Vec<bool> {
-    nl.outputs()
-        .iter()
-        .map(|&(n, _)| values[n.index()])
+/// All `2^n` input vectors of an `n`-input design.
+fn exhaustive(n: usize) -> Vec<Vec<bool>> {
+    (0..1u32 << n)
+        .map(|x| (0..n).map(|b| (x >> b) & 1 == 1).collect())
         .collect()
 }
 
@@ -148,22 +125,26 @@ fn reference_agrees_with_eval_nets() {
     }
 }
 
+/// One pattern per pass (bit 0 of each word, the other lanes zero),
+/// the way BIST and the fault-injection tests drive the simulator.
 #[test]
-fn scalar_tape_matches_oracle_under_faults() {
+fn single_pattern_passes_match_oracle_under_faults() {
     let mut rng = StdRng::seed_from_u64(2);
     for seed in 0..200 {
         let nl = comb_circuit(seed, 2 + (seed as usize % 60));
         let sim = FaultSim::new(&nl).expect("sim");
         let inputs = random_bits(&mut rng, 6);
+        let words: Vec<u64> = inputs.iter().map(|&b| u64::from(b)).collect();
+        let good = sim.eval_outputs_with_faults(&words, &[]);
         assert_eq!(
-            sim.eval_with_faults(&inputs, &[]),
-            nl.eval_nets(&inputs, &[]).expect("eval"),
+            lane(&good, 0),
+            outputs(&nl, &nl.eval_nets(&inputs, &[]).expect("eval")),
             "seed {seed}"
         );
         let faults = random_faults(&mut rng, &nl, 3);
         assert_eq!(
-            sim.eval_with_faults(&inputs, &faults),
-            reference(&nl, &inputs, &[], &faults),
+            lane(&sim.eval_outputs_with_faults(&words, &faults), 0),
+            outputs(&nl, &reference(&nl, &inputs, &[], &faults)),
             "seed {seed} faults {faults:?}"
         );
     }
@@ -173,20 +154,19 @@ fn scalar_tape_matches_oracle_under_faults() {
 fn dff_output_faults_have_no_effect() {
     let nl = seq_circuit(7, 4, 30, 2);
     let sim = FaultSim::new(&nl).expect("sim");
-    let packed = PackedFaultSim::new(&nl).expect("sim");
     let q = nl.gate(nl.dffs()[0]).output;
-    for x in 0..16u32 {
-        let inputs: Vec<bool> = (0..4).map(|b| (x >> b) & 1 == 1).collect();
-        let good = sim.eval_with_faults(&inputs, &[]);
-        for kind in [FaultKind::StuckAt1, FaultKind::BitFlip] {
-            let f = Fault { net: q, kind };
-            assert_eq!(sim.eval_with_faults(&inputs, &[f]), good);
-            let words = pack_patterns(std::slice::from_ref(&inputs), 4);
-            let outs = packed.eval_outputs_with_faults(&words, &[f]);
-            let packed_outs: Vec<bool> = outs.iter().map(|w| w & 1 == 1).collect();
-            assert_eq!(packed_outs, outputs(&nl, &good));
-        }
+    let patterns = exhaustive(4);
+    let words = pack_patterns(&patterns, 4);
+    let good = sim.eval_outputs_with_faults(&words, &[]);
+    let q_faults = [Fault::stuck_at(q, true), Fault::flip(q)];
+    for &f in &q_faults {
+        assert_eq!(sim.eval_outputs_with_faults(&words, &[f]), good);
     }
+    for (p, pattern) in patterns.iter().enumerate() {
+        let want = nl.eval_nets(pattern, &[false; 2]).expect("eval");
+        assert_eq!(lane(&good, p), outputs(&nl, &want));
+    }
+    assert_eq!(sim.coverage(&patterns, &q_faults).0, [false, false]);
 }
 
 #[test]
@@ -217,35 +197,15 @@ fn packed_faulty_outputs_match_oracle_in_every_bit() {
     let mut rng = StdRng::seed_from_u64(4);
     for seed in 0..60 {
         let nl = comb_circuit(seed, 2 + (seed as usize % 50));
-        let sim = PackedFaultSim::new(&nl).expect("sim");
+        let sim = FaultSim::new(&nl).expect("sim");
         let patterns: Vec<Vec<bool>> = (0..64).map(|_| random_bits(&mut rng, 6)).collect();
         let faults = random_faults(&mut rng, &nl, 3);
         let outs = sim.eval_outputs_with_faults(&pack_patterns(&patterns, 6), &faults);
         for (p, pattern) in patterns.iter().enumerate() {
             let want = outputs(&nl, &reference(&nl, pattern, &[], &faults));
-            let got: Vec<bool> = outs.iter().map(|w| (w >> p) & 1 == 1).collect();
-            assert_eq!(got, want, "seed {seed} pattern {p}");
+            assert_eq!(lane(&outs, p), want, "seed {seed} pattern {p}");
         }
     }
-}
-
-/// Per fault, detected iff the oracle's outputs differ under some
-/// pattern (DFF outputs held at zero).
-fn reference_coverage(nl: &Netlist, patterns: &[Vec<bool>], faults: &[Fault]) -> Vec<bool> {
-    let state = vec![false; nl.dffs().len()];
-    let good: Vec<Vec<bool>> = patterns
-        .iter()
-        .map(|p| outputs(nl, &reference(nl, p, &state, &[])))
-        .collect();
-    faults
-        .iter()
-        .map(|&f| {
-            patterns
-                .iter()
-                .zip(&good)
-                .any(|(p, g)| &outputs(nl, &reference(nl, p, &state, &[f])) != g)
-        })
-        .collect()
 }
 
 #[test]
@@ -253,16 +213,15 @@ fn lane256_grading_matches_oracle_across_partial_words() {
     let mut rng = StdRng::seed_from_u64(5);
     for seed in 0..12 {
         let nl = seq_circuit(seed, 5, 10 + 3 * seed as usize, 2);
-        let engine = PackedFaultSim::new(&nl).expect("sim");
+        let engine = FaultSim::new(&nl).expect("sim");
         let mut faults = stuck_at_universe(&nl);
         faults.extend(nl.dffs().iter().map(|&d| Fault::flip(nl.gate(d).output)));
         // fault-group mode (<= 64), partial and full 256-bit words, and
         // a partial second word
         for n in [1usize, 63, 64, 65, 200, 256, 300] {
             let patterns: Vec<Vec<bool>> = (0..n).map(|_| random_bits(&mut rng, 5)).collect();
-            let (detected, _) = engine.coverage(&patterns, &faults);
             assert_eq!(
-                detected,
+                engine.coverage(&patterns, &faults),
                 reference_coverage(&nl, &patterns, &faults),
                 "seed {seed} patterns {n}"
             );
@@ -418,27 +377,32 @@ fn large_designs_match_oracle() {
             seed: 0x5EED + k as u64,
         });
         let packed = PackedSim::new(&nl).expect("sim");
-        let scalar = FaultSim::new(&nl).expect("sim");
+        let faulty = FaultSim::new(&nl).expect("sim");
         let patterns: Vec<Vec<bool>> = (0..64).map(|_| random_bits(&mut rng, 32)).collect();
-        let words = packed.eval(&pack_patterns(&patterns, 32));
+        let input_words = pack_patterns(&patterns, 32);
+        let words = packed.eval(&input_words);
+        let faults: Vec<Vec<Fault>> = (0..8).map(|_| random_faults(&mut rng, &nl, 3)).collect();
+        let faulty_words: Vec<Vec<u64>> = faults
+            .iter()
+            .map(|f| faulty.eval_outputs_with_faults(&input_words, f))
+            .collect();
         for (p, pattern) in patterns.iter().enumerate() {
             let want = nl.eval_nets(pattern, &[]).expect("eval");
-            let got: Vec<bool> = words.iter().map(|w| (w >> p) & 1 == 1).collect();
-            assert_eq!(got, want, "{gates} gates, pattern {p}");
-            assert_eq!(scalar.eval_with_faults(pattern, &[]), want);
-            let faults = random_faults(&mut rng, &nl, 3);
-            assert_eq!(
-                scalar.eval_with_faults(pattern, &faults),
-                reference(&nl, pattern, &[], &faults),
-                "{gates} gates, faults {faults:?}"
-            );
+            assert_eq!(lane(&words, p), want, "{gates} gates, pattern {p}");
+            for (f, outs) in faults.iter().zip(&faulty_words) {
+                assert_eq!(
+                    lane(outs, p),
+                    outputs(&nl, &reference(&nl, pattern, &[], f)),
+                    "{gates} gates, pattern {p}, faults {f:?}"
+                );
+            }
         }
     }
 }
 
 #[test]
-#[ignore = "2k-gate scalar grading; run in release with --ignored"]
-fn coverage_matches_scalar_at_2k_gates() {
+#[ignore = "2k-gate oracle grading; run in release with --ignored"]
+fn coverage_matches_oracle_at_2k_gates() {
     let nl = random_circuit(&RandomCircuitConfig {
         num_inputs: 24,
         num_gates: 2_000,
@@ -453,6 +417,6 @@ fn coverage_matches_scalar_at_2k_gates() {
     let patterns: Vec<Vec<bool>> = (0..120).map(|_| random_bits(&mut rng, 24)).collect();
     assert_eq!(
         sim.coverage(&patterns, &faults),
-        sim.coverage_scalar(&patterns, &faults)
+        reference_coverage(&nl, &patterns, &faults)
     );
 }

@@ -31,9 +31,10 @@ echo "==> placement vs. full-recompute oracle on large designs (release)"
 cargo test -q --release --offline -p seceda-layout -- --ignored
 
 # Every simulator runs on one compiled evaluation tape; its sweep
-# against Netlist::eval_nets on 10k-20k-gate designs, and packed vs.
-# scalar fault grading at 2k gates, is #[ignore]d for the debug suite
-# and runs here in release. Only this test target is named, so the
+# against Netlist::eval_nets and the test-local faulty arena walk on
+# 10k-20k-gate designs, and fault grading against that walk's oracle
+# detection at 2k gates, is #[ignore]d for the debug suite and runs
+# here in release. Only this test target is named, so the
 # 10^6-gate parse smoke stays behind SECEDA_VERIFY_SCALE below.
 echo "==> simulation tape vs. Netlist::eval_nets on large designs (release)"
 cargo test -q --release --offline -p seceda-sim --test tape_differential -- --ignored
@@ -41,11 +42,12 @@ cargo test -q --release --offline -p seceda-sim --test tape_differential -- --ig
 # Every reported number must be independent of the worker count: the
 # attack (with its rebuild-per-iteration differential), composition,
 # simulation (packed fault grading and signal probabilities fan out
-# with par) and parallel-map suites run again with one worker and with
-# eight, whatever this host's core count.
-echo "==> worker-count independence: lock/core/sim/testkit at 1 and 8 threads"
-SECEDA_THREADS=1 cargo test -q --offline -p seceda-lock -p seceda-core -p seceda-sim -p seceda-testkit
-SECEDA_THREADS=8 cargo test -q --offline -p seceda-lock -p seceda-core -p seceda-sim -p seceda-testkit
+# with par), ATPG (its incremental grading fans out the same way) and
+# parallel-map suites run again with one worker and with eight,
+# whatever this host's core count.
+echo "==> worker-count independence: lock/core/sim/dft/testkit at 1 and 8 threads"
+SECEDA_THREADS=1 cargo test -q --offline -p seceda-lock -p seceda-core -p seceda-sim -p seceda-dft -p seceda-testkit
+SECEDA_THREADS=8 cargo test -q --offline -p seceda-lock -p seceda-core -p seceda-sim -p seceda-dft -p seceda-testkit
 
 # The chaos suite runs once per pinned seed with the harness
 # ambient-armed: every injection decision is a pure function of

@@ -40,7 +40,7 @@ fn parsed_c17_survives_lock_and_sat_attack() {
 }
 
 #[test]
-fn parsed_rand300_fault_sim_packed_matches_scalar() {
+fn parsed_rand300_fault_coverage_is_pinned() {
     let nl = fixture("rand300.bench");
     assert_eq!(nl.num_gates(), 300);
     let faults = stuck_at_universe(&nl);
@@ -49,14 +49,11 @@ fn parsed_rand300_fault_sim_packed_matches_scalar() {
         .map(|_| (0..nl.inputs().len()).map(|_| rng.gen_bool(0.5)).collect())
         .collect();
     let sim = FaultSim::new(&nl).expect("sim");
-    let (det_packed, cov_packed) = sim.coverage(&patterns, &faults);
-    let (det_scalar, cov_scalar) = sim.coverage_scalar(&patterns, &faults);
-    assert_eq!(det_packed, det_scalar);
-    assert!((cov_packed - cov_scalar).abs() < 1e-12);
-    assert!(
-        cov_packed > 0.2,
-        "random patterns detect a nontrivial share"
-    );
+    let (detected, coverage) = sim.coverage(&patterns, &faults);
+    // the values a scalar per-(pattern, fault) re-simulation reported
+    assert_eq!(faults.len(), 632);
+    assert_eq!(detected.iter().filter(|&&d| d).count(), 214);
+    assert_eq!(coverage, 214.0 / 632.0);
     // signal probabilities run on the parsed design too
     let probs = signal_probabilities(&nl, 4, 3).expect("probs");
     assert_eq!(probs.len(), nl.num_nets());
