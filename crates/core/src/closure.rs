@@ -225,10 +225,6 @@ fn run_session(
 mod tests {
     use super::*;
     use seceda_netlist::{CellKind, Netlist};
-    use seceda_testkit::chaos;
-
-    // compose's chaos test arms chaos process-wide while it runs, so
-    // every closure test holds a chaos-free scope (scopes serialize).
 
     fn and_gadget() -> DesignUnderTest {
         let mut nl = Netlist::new("and");
@@ -241,107 +237,99 @@ mod tests {
 
     #[test]
     fn identical_sessions_share_the_cache() {
-        chaos::without_chaos(|| {
-            let schedule = vec![Countermeasure::XorLock(8), Countermeasure::TrojanMonitor];
-            let sessions: Vec<ClosureSession> = (0..3)
-                .map(|i| ClosureSession::new(format!("s{i}"), and_gadget(), schedule.clone()))
-                .collect();
-            let config = ClosureConfig::default();
-            let report = run_closure(sessions, &config).expect("closure");
-            assert_eq!(report.sessions.len(), 3);
-            // three identical sessions: everything after the first
-            // computation of each state is a hit
-            assert!(
-                report.cache.hits > report.cache.misses,
-                "stats: {:?}",
-                report.cache
-            );
-            let first = &report.sessions[0].final_report;
-            for s in &report.sessions[1..] {
-                assert_eq!(s.final_report.metrics, first.metrics);
-            }
-        });
+        let schedule = vec![Countermeasure::XorLock(8), Countermeasure::TrojanMonitor];
+        let sessions: Vec<ClosureSession> = (0..3)
+            .map(|i| ClosureSession::new(format!("s{i}"), and_gadget(), schedule.clone()))
+            .collect();
+        let config = ClosureConfig::default();
+        let report = run_closure(sessions, &config).expect("closure");
+        assert_eq!(report.sessions.len(), 3);
+        // three identical sessions: everything after the first
+        // computation of each state is a hit
+        assert!(
+            report.cache.hits > report.cache.misses,
+            "stats: {:?}",
+            report.cache
+        );
+        let first = &report.sessions[0].final_report;
+        for s in &report.sessions[1..] {
+            assert_eq!(s.final_report.metrics, first.metrics);
+        }
     }
 
     #[test]
     fn cached_and_full_closure_agree() {
-        chaos::without_chaos(|| {
-            let schedule = vec![
-                Countermeasure::XorLock(8),
-                Countermeasure::ParityCheck,
-                Countermeasure::TrojanMonitor,
-            ];
-            let mk = || vec![ClosureSession::new("s", and_gadget(), schedule.clone())];
-            let config = ClosureConfig::default();
-            let cached = run_closure(mk(), &config).expect("cached");
-            let full = run_closure_full(mk(), &config).expect("full");
-            assert_eq!(full.cache.hits, 0, "uncached runs report zero stats");
-            for (c, f) in cached.sessions.iter().zip(&full.sessions) {
-                assert_eq!(c.final_report.metrics, f.final_report.metrics);
-                assert_eq!(c.applied, f.applied);
-                assert_eq!(c.rolled_back, f.rolled_back);
-            }
-        });
+        let schedule = vec![
+            Countermeasure::XorLock(8),
+            Countermeasure::ParityCheck,
+            Countermeasure::TrojanMonitor,
+        ];
+        let mk = || vec![ClosureSession::new("s", and_gadget(), schedule.clone())];
+        let config = ClosureConfig::default();
+        let cached = run_closure(mk(), &config).expect("cached");
+        let full = run_closure_full(mk(), &config).expect("full");
+        assert_eq!(full.cache.hits, 0, "uncached runs report zero stats");
+        for (c, f) in cached.sessions.iter().zip(&full.sessions) {
+            assert_eq!(c.final_report.metrics, f.final_report.metrics);
+            assert_eq!(c.applied, f.applied);
+            assert_eq!(c.rolled_back, f.rolled_back);
+        }
     }
 
     #[test]
     fn regressing_step_is_rolled_back() {
         // the paper's [61] cross-effect: parity prediction on a masked
         // design recombines the shares — the driver must refuse it
-        chaos::without_chaos(|| {
-            let schedule = vec![
-                Countermeasure::Masking,
-                Countermeasure::ParityCheck,
-                Countermeasure::DuplicationCompare,
-            ];
-            let sessions = vec![ClosureSession::new("masked", and_gadget(), schedule)];
-            let config = ClosureConfig::default();
-            let report = run_closure(sessions, &config).expect("closure");
-            let s = &report.sessions[0];
+        let schedule = vec![
+            Countermeasure::Masking,
+            Countermeasure::ParityCheck,
+            Countermeasure::DuplicationCompare,
+        ];
+        let sessions = vec![ClosureSession::new("masked", and_gadget(), schedule)];
+        let config = ClosureConfig::default();
+        let report = run_closure(sessions, &config).expect("closure");
+        let s = &report.sessions[0];
+        assert_eq!(
+            s.applied,
+            vec![Countermeasure::Masking, Countermeasure::DuplicationCompare],
+            "the regressing parity step must not survive"
+        );
+        assert_eq!(s.rolled_back.len(), 1);
+        assert_eq!(s.rolled_back[0].0, Countermeasure::ParityCheck);
+        assert!(s.rolled_back[0]
+            .1
+            .contains(&"first-order probing leaks".to_string()));
+        // masking + share-wise duplication: the final state passes both
+        // the side-channel and fault metrics (piracy still fails — no
+        // locking in this schedule)
+        for name in ["first-order probing leaks", "fault-detection coverage"] {
+            let m = s
+                .final_report
+                .metrics
+                .iter()
+                .find(|m| m.name == name)
+                .expect("metric present");
             assert_eq!(
-                s.applied,
-                vec![Countermeasure::Masking, Countermeasure::DuplicationCompare],
-                "the regressing parity step must not survive"
+                m.verdict,
+                crate::metrics::Verdict::Pass,
+                "{name}: {:?}",
+                s.final_report
             );
-            assert_eq!(s.rolled_back.len(), 1);
-            assert_eq!(s.rolled_back[0].0, Countermeasure::ParityCheck);
-            assert!(s.rolled_back[0]
-                .1
-                .contains(&"first-order probing leaks".to_string()));
-            // masking + share-wise duplication: the final state passes both
-            // the side-channel and fault metrics (piracy still fails — no
-            // locking in this schedule)
-            for name in ["first-order probing leaks", "fault-detection coverage"] {
-                let m = s
-                    .final_report
-                    .metrics
-                    .iter()
-                    .find(|m| m.name == name)
-                    .expect("metric present");
-                assert_eq!(
-                    m.verdict,
-                    crate::metrics::Verdict::Pass,
-                    "{name}: {:?}",
-                    s.final_report
-                );
-            }
-        });
+        }
     }
 
     #[test]
     fn rollback_disabled_keeps_the_regressing_step() {
-        chaos::without_chaos(|| {
-            let schedule = vec![Countermeasure::Masking, Countermeasure::ParityCheck];
-            let sessions = vec![ClosureSession::new("naive", and_gadget(), schedule.clone())];
-            let config = ClosureConfig {
-                rollback_regressions: false,
-                ..ClosureConfig::default()
-            };
-            let report = run_closure(sessions, &config).expect("closure");
-            let s = &report.sessions[0];
-            assert_eq!(s.applied, schedule);
-            assert!(s.rolled_back.is_empty());
-            assert!(!s.closed(), "the naive flow ships the broken masking");
-        });
+        let schedule = vec![Countermeasure::Masking, Countermeasure::ParityCheck];
+        let sessions = vec![ClosureSession::new("naive", and_gadget(), schedule.clone())];
+        let config = ClosureConfig {
+            rollback_regressions: false,
+            ..ClosureConfig::default()
+        };
+        let report = run_closure(sessions, &config).expect("closure");
+        let s = &report.sessions[0];
+        assert_eq!(s.applied, schedule);
+        assert!(s.rolled_back.is_empty());
+        assert!(!s.closed(), "the naive flow ships the broken masking");
     }
 }

@@ -681,10 +681,6 @@ mod tests {
     use crate::metrics::Verdict as V;
     use seceda_netlist::CellKind;
 
-    // `chaos_panic_in_one_threat_degrades_only_that_metric` arms chaos
-    // process-wide while it runs, so every test here (and in closure)
-    // that expects a clean evaluation holds a chaos-free scope.
-
     fn and_gadget() -> DesignUnderTest {
         let mut nl = Netlist::new("and");
         let a = nl.add_input("a");
@@ -705,100 +701,92 @@ mod tests {
 
     #[test]
     fn masking_fixes_sca_and_leaves_fia_open() {
-        chaos::without_chaos(|| {
-            let mut engine = CompositionEngine::new(and_gadget(), SecurityEvaluation::default());
-            engine.evaluate("baseline").expect("eval");
-            assert_eq!(sca_verdict(&engine.history()[0]), V::Fail);
-            let outcome = engine.apply(Countermeasure::Masking).expect("apply");
-            assert_eq!(sca_verdict(&outcome.report), V::Pass);
-            let fia = outcome
-                .report
-                .metrics
-                .iter()
-                .find(|m| m.name == "fault-detection coverage")
-                .expect("metric");
-            assert_eq!(fia.verdict, V::Fail, "masking alone detects no faults");
-            assert!(outcome.regressions.is_empty());
-        });
+        let mut engine = CompositionEngine::new(and_gadget(), SecurityEvaluation::default());
+        engine.evaluate("baseline").expect("eval");
+        assert_eq!(sca_verdict(&engine.history()[0]), V::Fail);
+        let outcome = engine.apply(Countermeasure::Masking).expect("apply");
+        assert_eq!(sca_verdict(&outcome.report), V::Pass);
+        let fia = outcome
+            .report
+            .metrics
+            .iter()
+            .find(|m| m.name == "fault-detection coverage")
+            .expect("metric");
+        assert_eq!(fia.verdict, V::Fail, "masking alone detects no faults");
+        assert!(outcome.regressions.is_empty());
     }
 
     #[test]
     fn parity_check_on_masked_design_regresses_sca() {
         // The paper's Sec. IV / [61] cross-effect, caught automatically.
-        chaos::without_chaos(|| {
-            let mut engine = CompositionEngine::new(and_gadget(), SecurityEvaluation::default());
-            engine.evaluate("baseline").expect("eval");
-            engine.apply(Countermeasure::Masking).expect("mask");
-            let outcome = engine.apply(Countermeasure::ParityCheck).expect("parity");
-            assert!(
-                outcome
-                    .regressions
-                    .contains(&"first-order probing leaks".to_string()),
-                "the engine must flag the masking/parity conflict: {:?}",
-                outcome.regressions
-            );
-            assert_eq!(sca_verdict(&outcome.report), V::Fail);
-            // and the fault metric did improve — that's why naive flows
-            // accept this countermeasure
-            let fia = outcome
-                .report
-                .metrics
-                .iter()
-                .find(|m| m.name == "fault-detection coverage")
-                .expect("metric");
-            assert_eq!(fia.verdict, V::Pass);
-        });
+        let mut engine = CompositionEngine::new(and_gadget(), SecurityEvaluation::default());
+        engine.evaluate("baseline").expect("eval");
+        engine.apply(Countermeasure::Masking).expect("mask");
+        let outcome = engine.apply(Countermeasure::ParityCheck).expect("parity");
+        assert!(
+            outcome
+                .regressions
+                .contains(&"first-order probing leaks".to_string()),
+            "the engine must flag the masking/parity conflict: {:?}",
+            outcome.regressions
+        );
+        assert_eq!(sca_verdict(&outcome.report), V::Fail);
+        // and the fault metric did improve — that's why naive flows
+        // accept this countermeasure
+        let fia = outcome
+            .report
+            .metrics
+            .iter()
+            .find(|m| m.name == "fault-detection coverage")
+            .expect("metric");
+        assert_eq!(fia.verdict, V::Pass);
     }
 
     #[test]
     fn duplication_composes_cleanly_with_masking() {
-        chaos::without_chaos(|| {
-            let mut engine = CompositionEngine::new(and_gadget(), SecurityEvaluation::default());
-            engine.evaluate("baseline").expect("eval");
-            engine.apply(Countermeasure::Masking).expect("mask");
-            let outcome = engine
-                .apply(Countermeasure::DuplicationCompare)
-                .expect("dwc");
-            assert!(
-                outcome.regressions.is_empty(),
-                "share-wise duplication must not break masking: {:?}",
-                outcome.regressions
-            );
-            assert_eq!(sca_verdict(&outcome.report), V::Pass);
-            let fia = outcome
-                .report
-                .metrics
-                .iter()
-                .find(|m| m.name == "fault-detection coverage")
-                .expect("metric");
-            assert_eq!(fia.verdict, V::Pass);
-        });
+        let mut engine = CompositionEngine::new(and_gadget(), SecurityEvaluation::default());
+        engine.evaluate("baseline").expect("eval");
+        engine.apply(Countermeasure::Masking).expect("mask");
+        let outcome = engine
+            .apply(Countermeasure::DuplicationCompare)
+            .expect("dwc");
+        assert!(
+            outcome.regressions.is_empty(),
+            "share-wise duplication must not break masking: {:?}",
+            outcome.regressions
+        );
+        assert_eq!(sca_verdict(&outcome.report), V::Pass);
+        let fia = outcome
+            .report
+            .metrics
+            .iter()
+            .find(|m| m.name == "fault-detection coverage")
+            .expect("metric");
+        assert_eq!(fia.verdict, V::Pass);
     }
 
     #[test]
     fn locking_and_monitoring_move_their_metrics() {
-        chaos::without_chaos(|| {
-            let mut engine = CompositionEngine::new(and_gadget(), SecurityEvaluation::default());
-            engine.evaluate("baseline").expect("eval");
-            let locked = engine.apply(Countermeasure::XorLock(8)).expect("lock");
-            let piracy = locked
-                .report
-                .metrics
-                .iter()
-                .find(|m| m.name == "locking key bits")
-                .expect("metric");
-            assert_eq!(piracy.verdict, V::Pass);
-            let monitored = engine
-                .apply(Countermeasure::TrojanMonitor)
-                .expect("monitor");
-            let trojan = monitored
-                .report
-                .metrics
-                .iter()
-                .find(|m| m.name == "unmonitored rare nets")
-                .expect("metric");
-            assert_eq!(trojan.verdict, V::Pass);
-        });
+        let mut engine = CompositionEngine::new(and_gadget(), SecurityEvaluation::default());
+        engine.evaluate("baseline").expect("eval");
+        let locked = engine.apply(Countermeasure::XorLock(8)).expect("lock");
+        let piracy = locked
+            .report
+            .metrics
+            .iter()
+            .find(|m| m.name == "locking key bits")
+            .expect("metric");
+        assert_eq!(piracy.verdict, V::Pass);
+        let monitored = engine
+            .apply(Countermeasure::TrojanMonitor)
+            .expect("monitor");
+        let trojan = monitored
+            .report
+            .metrics
+            .iter()
+            .find(|m| m.name == "unmonitored rare nets")
+            .expect("metric");
+        assert_eq!(trojan.verdict, V::Pass);
     }
 
     #[test]
@@ -833,40 +821,36 @@ mod tests {
 
     #[test]
     fn zero_threat_budget_degrades_every_metric_but_completes() {
-        chaos::without_chaos(|| {
-            let eval = SecurityEvaluation {
-                threat_budget: Some(Duration::ZERO),
-                ..SecurityEvaluation::default()
-            };
-            let mut engine = CompositionEngine::new(and_gadget(), eval);
-            let report = engine.evaluate("starved").expect("eval completes").clone();
-            assert_eq!(report.metrics.len(), 4);
-            assert_eq!(report.degraded().len(), 4, "no slice, no value");
-            assert!(
-                report.all_pass(),
-                "degraded metrics must not fail the report"
-            );
-            // and a fresh un-starved evaluation recovers
-            engine.eval.threat_budget = None;
-            let healthy = engine.evaluate("recovered").expect("eval").clone();
-            assert!(healthy.degraded().is_empty());
-        });
+        let eval = SecurityEvaluation {
+            threat_budget: Some(Duration::ZERO),
+            ..SecurityEvaluation::default()
+        };
+        let mut engine = CompositionEngine::new(and_gadget(), eval);
+        let report = engine.evaluate("starved").expect("eval completes").clone();
+        assert_eq!(report.metrics.len(), 4);
+        assert_eq!(report.degraded().len(), 4, "no slice, no value");
+        assert!(
+            report.all_pass(),
+            "degraded metrics must not fail the report"
+        );
+        // and a fresh un-starved evaluation recovers
+        engine.eval.threat_budget = None;
+        let healthy = engine.evaluate("recovered").expect("eval").clone();
+        assert!(healthy.degraded().is_empty());
     }
 
     #[test]
     fn history_accumulates() {
-        chaos::without_chaos(|| {
-            let mut engine = CompositionEngine::new(and_gadget(), SecurityEvaluation::default());
-            engine.evaluate("baseline").expect("eval");
-            engine.apply(Countermeasure::Masking).expect("mask");
-            engine
-                .apply(Countermeasure::DuplicationCompare)
-                .expect("dwc");
-            assert_eq!(engine.history().len(), 3);
-            assert_eq!(
-                engine.applied(),
-                &[Countermeasure::Masking, Countermeasure::DuplicationCompare]
-            );
-        });
+        let mut engine = CompositionEngine::new(and_gadget(), SecurityEvaluation::default());
+        engine.evaluate("baseline").expect("eval");
+        engine.apply(Countermeasure::Masking).expect("mask");
+        engine
+            .apply(Countermeasure::DuplicationCompare)
+            .expect("dwc");
+        assert_eq!(engine.history().len(), 3);
+        assert_eq!(
+            engine.applied(),
+            &[Countermeasure::Masking, Countermeasure::DuplicationCompare]
+        );
     }
 }

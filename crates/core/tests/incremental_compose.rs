@@ -5,9 +5,8 @@
 //! injection. This is the contract that makes the evaluation cache
 //! admissible at all.
 //!
-//! The chaos tests here arm chaos process-wide while they run, so every
-//! test that expects a clean run holds a `without_chaos` scope (scopes
-//! serialize on one lock and must not nest).
+//! Chaos scopes are per thread (and inherited by `par` workers), so a
+//! chaos test here never arms chaos in a concurrently running clean one.
 
 use seceda_core::{
     run_closure, run_closure_full, ClosureConfig, ClosureSession, CompositionEngine,
@@ -75,46 +74,38 @@ fn differential(design: Netlist, seed: u64, steps: usize) {
 
 #[test]
 fn cached_matches_full_on_bench_designs() {
-    chaos::without_chaos(|| {
-        differential(c17(), 0xC17, 5);
-        differential(ripple_adder(8), 0xADD, 5);
-    });
+    differential(c17(), 0xC17, 5);
+    differential(ripple_adder(8), 0xADD, 5);
 }
 
 #[test]
 fn cached_matches_full_on_random_designs() {
-    chaos::without_chaos(|| {
-        for seed in [7u64, 8] {
-            let nl = random_circuit(&RandomCircuitConfig {
-                num_inputs: 10,
-                num_gates: 150,
-                num_outputs: 4,
-                with_xor: true,
-                seed,
-            });
-            differential(nl, seed, 6);
-        }
-    });
+    for seed in [7u64, 8] {
+        let nl = random_circuit(&RandomCircuitConfig {
+            num_inputs: 10,
+            num_gates: 150,
+            num_outputs: 4,
+            with_xor: true,
+            seed,
+        });
+        differential(nl, seed, 6);
+    }
 }
 
 #[test]
 fn cached_matches_full_on_parsed_designs() {
     // a design that went through the .bench round-trip (internal nets
     // renamed) must cache exactly like the built original
-    chaos::without_chaos(|| {
-        let nl = ripple_adder(8);
-        let reparsed = parse_design(&write_bench(&nl), DesignFormat::Bench).expect("parse");
-        differential(reparsed, 0xBE9C, 5);
-    });
+    let nl = ripple_adder(8);
+    let reparsed = parse_design(&write_bench(&nl), DesignFormat::Bench).expect("parse");
+    differential(reparsed, 0xBE9C, 5);
 }
 
 #[test]
 fn cached_matches_full_across_worker_counts() {
-    chaos::without_chaos(|| {
-        for workers in [1usize, 4] {
-            with_workers(workers, || differential(c17(), 0x440 + workers as u64, 4));
-        }
-    });
+    for workers in [1usize, 4] {
+        with_workers(workers, || differential(c17(), 0x440 + workers as u64, 4));
+    }
 }
 
 #[test]
@@ -141,52 +132,48 @@ fn degraded_metrics_are_recomputed_not_served() {
         assert_eq!(report.degraded().len(), 1);
         assert_eq!(report.degraded()[0].name, "fault-detection coverage");
     });
-    // with chaos gone the same key recomputes to a real value; the
+    // once the scope ends the same key recomputes to a real value; the
     // three clean metrics come straight from the cache
-    chaos::without_chaos(|| {
-        let report = engine.evaluate("recovered").expect("eval").clone();
-        assert!(report.degraded().is_empty(), "stale degradation served");
-        assert_eq!(
-            report.cached_count(),
-            3,
-            "provenance: {:?}",
-            report.provenance
-        );
-        let fia = report
-            .provenance
-            .iter()
-            .find(|p| p.name == "fault-detection coverage")
-            .expect("provenance present");
-        assert_eq!(fia.source, MetricSource::Computed);
-    });
+    let report = engine.evaluate("recovered").expect("eval").clone();
+    assert!(report.degraded().is_empty(), "stale degradation served");
+    assert_eq!(
+        report.cached_count(),
+        3,
+        "provenance: {:?}",
+        report.provenance
+    );
+    let fia = report
+        .provenance
+        .iter()
+        .find(|p| p.name == "fault-detection coverage")
+        .expect("provenance present");
+    assert_eq!(fia.source, MetricSource::Computed);
 }
 
 #[test]
 fn second_identical_session_is_all_hits() {
-    chaos::without_chaos(|| {
-        let cache = Arc::new(EvalCache::new());
-        let eval = SecurityEvaluation::default();
-        let schedule = [Countermeasure::XorLock(8), Countermeasure::TrojanMonitor];
-        let run = || {
-            let mut engine =
-                CompositionEngine::with_cache(DesignUnderTest::new(c17()), eval, cache.clone());
-            engine.evaluate("baseline").expect("eval");
-            for cm in schedule {
-                engine.apply(cm).expect("apply");
-            }
-            engine.history().last().expect("report").clone()
-        };
-        let first = run();
-        let before = cache.stats();
-        let second = run();
-        let after = cache.stats();
-        assert_eq!(first, second);
-        assert_eq!(
-            after.misses, before.misses,
-            "a replayed session must not compute anything"
-        );
-        assert_eq!(second.cached_count(), 4, "{:?}", second.provenance);
-    });
+    let cache = Arc::new(EvalCache::new());
+    let eval = SecurityEvaluation::default();
+    let schedule = [Countermeasure::XorLock(8), Countermeasure::TrojanMonitor];
+    let run = || {
+        let mut engine =
+            CompositionEngine::with_cache(DesignUnderTest::new(c17()), eval, cache.clone());
+        engine.evaluate("baseline").expect("eval");
+        for cm in schedule {
+            engine.apply(cm).expect("apply");
+        }
+        engine.history().last().expect("report").clone()
+    };
+    let first = run();
+    let before = cache.stats();
+    let second = run();
+    let after = cache.stats();
+    assert_eq!(first, second);
+    assert_eq!(
+        after.misses, before.misses,
+        "a replayed session must not compute anything"
+    );
+    assert_eq!(second.cached_count(), 4, "{:?}", second.provenance);
 }
 
 /// Runs the same portfolio through the cached closure driver and the
@@ -219,110 +206,106 @@ fn assert_closure_matches_full_recompute(
 
 #[test]
 fn closure_driver_matches_full_recompute_on_a_portfolio() {
-    chaos::without_chaos(|| {
-        // several sessions with shared prefixes over one design family
-        let designs = [c17(), ripple_adder(4)];
-        let schedules: [&[Countermeasure]; 3] = [
-            &[Countermeasure::XorLock(8), Countermeasure::TrojanMonitor],
-            &[
-                Countermeasure::XorLock(8),
-                Countermeasure::ParityCheck,
-                Countermeasure::TrojanMonitor,
-            ],
-            &[
-                Countermeasure::DuplicationCompare,
-                Countermeasure::XorLock(4),
-            ],
-        ];
-        let mk = || {
-            let mut sessions = Vec::new();
-            for (i, d) in designs.iter().enumerate() {
-                for (j, s) in schedules.iter().enumerate() {
-                    sessions.push(ClosureSession::new(
-                        format!("d{i}s{j}"),
-                        DesignUnderTest::new(d.clone()),
-                        s.to_vec(),
-                    ));
-                }
+    // several sessions with shared prefixes over one design family
+    let designs = [c17(), ripple_adder(4)];
+    let schedules: [&[Countermeasure]; 3] = [
+        &[Countermeasure::XorLock(8), Countermeasure::TrojanMonitor],
+        &[
+            Countermeasure::XorLock(8),
+            Countermeasure::ParityCheck,
+            Countermeasure::TrojanMonitor,
+        ],
+        &[
+            Countermeasure::DuplicationCompare,
+            Countermeasure::XorLock(4),
+        ],
+    ];
+    let mk = || {
+        let mut sessions = Vec::new();
+        for (i, d) in designs.iter().enumerate() {
+            for (j, s) in schedules.iter().enumerate() {
+                sessions.push(ClosureSession::new(
+                    format!("d{i}s{j}"),
+                    DesignUnderTest::new(d.clone()),
+                    s.to_vec(),
+                ));
             }
-            sessions
-        };
-        let config = ClosureConfig {
-            eval: SecurityEvaluation {
-                fia_shots: 20,
-                ..SecurityEvaluation::default()
-            },
-            ..ClosureConfig::default()
-        };
-        assert_closure_matches_full_recompute(mk, &config);
+        }
+        sessions
+    };
+    let config = ClosureConfig {
+        eval: SecurityEvaluation {
+            fia_shots: 20,
+            ..SecurityEvaluation::default()
+        },
+        ..ClosureConfig::default()
+    };
+    assert_closure_matches_full_recompute(mk, &config);
 
-        // the shape real sign-off campaigns take, at full evaluation
-        // effort: one 300-gate design, four sessions of six
-        // countermeasures that share a four-step hardening prefix and
-        // vary a two-step suffix
-        use Countermeasure::{ParityCheck, TrojanMonitor, XorLock};
-        let design = random_circuit(&RandomCircuitConfig {
-            num_inputs: 24,
-            num_gates: 300,
-            num_outputs: 12,
-            with_xor: true,
-            seed: 5,
-        });
-        let prefix = [XorLock(4), TrojanMonitor, XorLock(2), ParityCheck];
-        let suffixes = [
-            [XorLock(2), TrojanMonitor],
-            [TrojanMonitor, XorLock(2)],
-            [XorLock(4), TrojanMonitor],
-            [TrojanMonitor, XorLock(4)],
-        ];
-        let mk = || {
-            suffixes
-                .iter()
-                .enumerate()
-                .map(|(i, suffix)| {
-                    ClosureSession::new(
-                        format!("s{i}"),
-                        DesignUnderTest::new(design.clone()),
-                        prefix.iter().chain(suffix).copied().collect(),
-                    )
-                })
-                .collect()
-        };
-        assert_closure_matches_full_recompute(mk, &ClosureConfig::default());
+    // the shape real sign-off campaigns take, at full evaluation
+    // effort: one 300-gate design, four sessions of six
+    // countermeasures that share a four-step hardening prefix and
+    // vary a two-step suffix
+    use Countermeasure::{ParityCheck, TrojanMonitor, XorLock};
+    let design = random_circuit(&RandomCircuitConfig {
+        num_inputs: 24,
+        num_gates: 300,
+        num_outputs: 12,
+        with_xor: true,
+        seed: 5,
     });
+    let prefix = [XorLock(4), TrojanMonitor, XorLock(2), ParityCheck];
+    let suffixes = [
+        [XorLock(2), TrojanMonitor],
+        [TrojanMonitor, XorLock(2)],
+        [XorLock(4), TrojanMonitor],
+        [TrojanMonitor, XorLock(4)],
+    ];
+    let mk = || {
+        suffixes
+            .iter()
+            .enumerate()
+            .map(|(i, suffix)| {
+                ClosureSession::new(
+                    format!("s{i}"),
+                    DesignUnderTest::new(design.clone()),
+                    prefix.iter().chain(suffix).copied().collect(),
+                )
+            })
+            .collect()
+    };
+    assert_closure_matches_full_recompute(mk, &ClosureConfig::default());
 }
 
 #[test]
 fn masked_gadget_caches_without_losing_the_cross_effect() {
     // the paper's masking/parity conflict must survive caching: the
     // regression is re-detected from cached metrics bit-identically
-    chaos::without_chaos(|| {
-        let mut nl = Netlist::new("and");
-        let a = nl.add_input("a");
-        let b = nl.add_input("b");
-        let y = nl.add_gate(seceda_netlist::CellKind::And, &[a, b]);
-        nl.mark_output(y, "y");
-        let eval = SecurityEvaluation::default();
-        let cache = Arc::new(EvalCache::new());
-        let mut cached =
-            CompositionEngine::with_cache(DesignUnderTest::new(nl.clone()), eval, cache.clone());
-        let mut full = CompositionEngine::new(DesignUnderTest::new(nl), eval);
-        for engine in [&mut cached, &mut full] {
-            engine.evaluate("baseline").expect("eval");
-            engine.apply(Countermeasure::Masking).expect("mask");
-        }
-        let oc = cached.apply(Countermeasure::ParityCheck).expect("parity");
-        let of = full.apply(Countermeasure::ParityCheck).expect("parity");
-        assert_eq!(oc.report, of.report);
-        assert!(oc
-            .regressions
-            .contains(&"first-order probing leaks".to_string()));
-        let sca = oc
-            .report
-            .metrics
-            .iter()
-            .find(|m| m.name == "first-order probing leaks")
-            .expect("metric");
-        assert_eq!(sca.verdict, Verdict::Fail);
-    });
+    let mut nl = Netlist::new("and");
+    let a = nl.add_input("a");
+    let b = nl.add_input("b");
+    let y = nl.add_gate(seceda_netlist::CellKind::And, &[a, b]);
+    nl.mark_output(y, "y");
+    let eval = SecurityEvaluation::default();
+    let cache = Arc::new(EvalCache::new());
+    let mut cached =
+        CompositionEngine::with_cache(DesignUnderTest::new(nl.clone()), eval, cache.clone());
+    let mut full = CompositionEngine::new(DesignUnderTest::new(nl), eval);
+    for engine in [&mut cached, &mut full] {
+        engine.evaluate("baseline").expect("eval");
+        engine.apply(Countermeasure::Masking).expect("mask");
+    }
+    let oc = cached.apply(Countermeasure::ParityCheck).expect("parity");
+    let of = full.apply(Countermeasure::ParityCheck).expect("parity");
+    assert_eq!(oc.report, of.report);
+    assert!(oc
+        .regressions
+        .contains(&"first-order probing leaks".to_string()));
+    let sca = oc
+        .report
+        .metrics
+        .iter()
+        .find(|m| m.name == "first-order probing leaks")
+        .expect("metric");
+    assert_eq!(sca.verdict, Verdict::Fail);
 }

@@ -45,14 +45,14 @@ impl LockedNetlist {
 
 /// Net indices reachable from `start` by following gate fanout.
 fn transitive_fanout(nl: &Netlist, start: NetId) -> std::collections::HashSet<usize> {
-    let fanout = nl.fanout_map();
+    let fanout = nl.fanout();
     let mut seen = std::collections::HashSet::new();
-    let mut stack = vec![start.index()];
+    let mut stack = vec![start];
     while let Some(n) = stack.pop() {
-        for &g in &fanout[n] {
+        for &g in fanout.loads(n) {
             let out = nl.gate(g).output;
             if seen.insert(out.index()) {
-                stack.push(out.index());
+                stack.push(out);
             }
         }
     }

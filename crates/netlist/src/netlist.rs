@@ -386,20 +386,6 @@ impl Netlist {
         self.gates.iter().all(|g| !g.kind.is_sequential())
     }
 
-    /// Per-net fanout: for each net, the gates reading it.
-    ///
-    /// Allocates one `Vec` per net; prefer the CSR [`Netlist::fanout`]
-    /// in code that must scale to 10^5+ gates.
-    pub fn fanout_map(&self) -> Vec<Vec<GateId>> {
-        let mut map = vec![Vec::new(); self.nets.len()];
-        for (i, g) in self.gates.iter().enumerate() {
-            for &inp in &g.inputs {
-                map[inp.index()].push(GateId::from_index(i));
-            }
-        }
-        map
-    }
-
     /// Per-net fanout in compressed sparse row form (two allocations
     /// total): counting pass, prefix sum, fill pass.
     pub fn fanout(&self) -> Fanout {
@@ -845,14 +831,28 @@ mod tests {
     }
 
     #[test]
-    fn csr_fanout_matches_map() {
+    fn csr_fanout_matches_input_scan() {
         let nl = full_adder();
-        let map = nl.fanout_map();
         let csr = nl.fanout();
         for i in 0..nl.num_nets() {
-            assert_eq!(map[i], csr.loads(NetId::from_index(i)), "net {i}");
+            let net = NetId::from_index(i);
+            // the gates reading `net`, in creation order (a gate reading
+            // it twice appears twice)
+            let scan: Vec<GateId> = nl
+                .gates()
+                .iter()
+                .enumerate()
+                .flat_map(|(g, gate)| {
+                    gate.inputs
+                        .iter()
+                        .filter(move |&&inp| inp == net)
+                        .map(move |_| GateId::from_index(g))
+                })
+                .collect();
+            assert_eq!(scan, csr.loads(net), "net {i}");
         }
-        assert_eq!(csr.num_edges(), map.iter().map(Vec::len).sum::<usize>());
+        let edges: usize = nl.gates().iter().map(|g| g.inputs.len()).sum();
+        assert_eq!(csr.num_edges(), edges);
     }
 
     #[test]

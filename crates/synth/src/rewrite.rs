@@ -313,8 +313,6 @@ pub fn dedup(nl: &Netlist, mode: SynthesisMode) -> Netlist {
 /// kept even when unobservable (sensors often drive no functional
 /// output); classical mode sweeps them away.
 pub fn sweep(nl: &Netlist, mode: SynthesisMode) -> Netlist {
-    let fanout = nl.fanout_map();
-    let _ = fanout;
     // mark reachable nets backwards from outputs (and kept monitors)
     let mut live_net = vec![false; nl.num_nets()];
     let mut stack: Vec<NetId> = nl.outputs().iter().map(|&(n, _)| n).collect();

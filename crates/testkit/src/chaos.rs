@@ -11,60 +11,39 @@
 //! schedule — so a chaos run is bit-identical across worker counts and
 //! repeat invocations.
 //!
-//! Activation, in priority order:
+//! Activation, per thread:
 //!
-//! 1. a scoped override installed by [`with_seed`], [`with_forced`] or
-//!    [`without_chaos`] (tests); scopes serialize on a global lock so
-//!    concurrent `cargo test` threads cannot observe each other's
-//!    configuration;
-//! 2. the `SECEDA_CHAOS=<seed>` environment variable (decimal or
-//!    `0x`-prefixed hex), read once on first use.
+//! 1. the innermost scope installed on this thread by [`with_seed`],
+//!    [`with_forced`] or [`without_chaos`]. Scopes nest, restore the
+//!    outer configuration when they end (also on panic), and are
+//!    inherited by the workers [`crate::par`] spawns for the thread;
+//!    another thread's scope is never visible;
+//! 2. otherwise the `SECEDA_CHAOS=<seed>` environment variable (decimal
+//!    or `0x`-prefixed hex), read once on first use, for every thread.
 //!
-//! When neither is present the harness is off and every check is a
-//! single relaxed atomic load — the production hot paths pay one
-//! predictable branch.
+//! When neither arms it the harness is off, and every check costs one
+//! thread-local read and one atomic load.
 //!
 //! Injected effects are the small set the engines must survive:
 //! panics ([`maybe_panic`]), budget exhaustion ([`maybe_exhaust`]), and
 //! truncated parser input ([`truncate_input`]). Every actual injection
-//! increments a process-wide counter ([`injections`]) that callers
-//! surface as the `chaos.injections` trace counter.
+//! increments a process-wide counter ([`injections`]).
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-/// Fast-path gate: 0 = not yet initialised from the environment,
-/// 1 = off, 2 = on.
-static ACTIVE: AtomicU8 = AtomicU8::new(0);
+use crate::context;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Total number of faults actually injected since process start.
 static INJECTIONS: AtomicU64 = AtomicU64::new(0);
 
-/// Full configuration, consulted only when [`ACTIVE`] says on.
-static CONFIG: Mutex<ChaosConfig> = Mutex::new(ChaosConfig {
-    seed: None,
-    forced: None,
-});
-
-/// Serializes [`with_seed`] / [`with_forced`] / [`without_chaos`] scopes
-/// across test threads.
-static SCOPE: Mutex<()> = Mutex::new(());
-
+/// One chaos configuration: a scope's, or the environment's.
 #[derive(Debug, Clone)]
-struct ChaosConfig {
+pub(crate) struct ChaosConfig {
     /// Seed for probabilistic firing; `None` disables random injection
     /// (a forced point may still fire).
     seed: Option<u64>,
     /// A point forced to always fire, optionally only at one salt.
     forced: Option<(String, Option<u64>)>,
-}
-
-fn ignore_poison<'a, T>(
-    r: Result<MutexGuard<'a, T>, PoisonError<MutexGuard<'a, T>>>,
-) -> MutexGuard<'a, T> {
-    // chaos tests inject panics on purpose; a poisoned lock carries no
-    // broken invariant here
-    r.unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Parses a `SECEDA_CHAOS` value: decimal, or hex with a `0x` prefix.
@@ -77,47 +56,32 @@ fn parse_seed(v: &str) -> Option<u64> {
     }
 }
 
-/// Reads `SECEDA_CHAOS` on first use and settles [`ACTIVE`].
-fn init_from_env() -> bool {
-    let seed = std::env::var("SECEDA_CHAOS")
-        .ok()
-        .and_then(|v| parse_seed(&v));
-    let mut cfg = ignore_poison(CONFIG.lock());
-    // another thread may have initialised (or a scope may have installed
-    // itself) while we read the environment; never downgrade
-    match ACTIVE.load(Ordering::Relaxed) {
-        0 => {
-            cfg.seed = seed;
-            let state = if seed.is_some() { 2 } else { 1 };
-            ACTIVE.store(state, Ordering::Relaxed);
-            state == 2
-        }
-        state => state == 2,
-    }
+/// The configuration `SECEDA_CHAOS` supplies, read once on first use.
+fn ambient() -> &'static ChaosConfig {
+    static AMBIENT: OnceLock<ChaosConfig> = OnceLock::new();
+    AMBIENT.get_or_init(|| ChaosConfig {
+        seed: std::env::var("SECEDA_CHAOS")
+            .ok()
+            .and_then(|v| parse_seed(&v)),
+        forced: None,
+    })
 }
 
-/// Whether chaos injection is currently enabled (scoped override or
+/// Runs `f` on this thread's configuration: its innermost scope, else
+/// the environment's.
+fn with_config<R>(f: impl FnOnce(&ChaosConfig) -> R) -> R {
+    context::with(|c| f(c.chaos.as_ref().unwrap_or_else(|| ambient())))
+}
+
+/// Whether chaos injection is enabled on this thread (by a scope, or by
 /// `SECEDA_CHAOS` in the environment).
 #[inline]
 pub fn active() -> bool {
-    match ACTIVE.load(Ordering::Relaxed) {
-        0 => init_from_env(),
-        state => state == 2,
-    }
-}
-
-/// The seed `SECEDA_CHAOS` supplied, if chaos came from the environment
-/// (scoped overrides report their own seed while installed).
-pub fn current_seed() -> Option<u64> {
-    if !active() {
-        return None;
-    }
-    ignore_poison(CONFIG.lock()).seed
+    with_config(|cfg| cfg.seed.is_some() || cfg.forced.is_some())
 }
 
 /// Total number of faults injected so far in this process (panics,
-/// exhaustions, truncations). Monotonic; callers mirror deltas into the
-/// `chaos.injections` trace counter.
+/// exhaustions, truncations), on every thread. Monotonic.
 pub fn injections() -> u64 {
     INJECTIONS.load(Ordering::Relaxed)
 }
@@ -149,26 +113,16 @@ fn fnv1a(s: &str) -> u64 {
 /// never on call order — which is what makes chaos runs deterministic
 /// across thread schedules.
 pub fn fires(point: &str, salt: u64) -> bool {
-    if !active() {
-        return false;
-    }
-    let cfg = ignore_poison(CONFIG.lock());
-    if let Some((fp, fsalt)) = &cfg.forced {
-        let salt_ok = match fsalt {
-            Some(s) => *s == salt,
-            None => true,
-        };
-        if fp == point && salt_ok {
-            return true;
-        }
-    }
-    match cfg.seed {
-        Some(seed) => {
-            let mix = splitmix64(seed ^ fnv1a(point) ^ splitmix64(salt));
-            mix & 7 == 0
-        }
-        None => false,
-    }
+    with_config(|cfg| {
+        let forced = cfg
+            .forced
+            .as_ref()
+            .is_some_and(|(fp, fsalt)| fp == point && fsalt.is_none_or(|s| s == salt));
+        forced
+            || cfg
+                .seed
+                .is_some_and(|seed| splitmix64(seed ^ fnv1a(point) ^ splitmix64(salt)) & 7 == 0)
+    })
 }
 
 /// Records one actual injection.
@@ -207,7 +161,7 @@ pub fn truncate_input(point: &str, text: &str) -> Option<String> {
     if text.is_empty() || !fires(point, salt) {
         return None;
     }
-    let seed = ignore_poison(CONFIG.lock()).seed.unwrap_or(0);
+    let seed = with_config(|cfg| cfg.seed.unwrap_or(0));
     let mut cut = (splitmix64(seed ^ fnv1a(point) ^ salt) % salt) as usize;
     while !text.is_char_boundary(cut) {
         cut -= 1;
@@ -216,76 +170,28 @@ pub fn truncate_input(point: &str, text: &str) -> Option<String> {
     Some(text[..cut].to_string())
 }
 
-/// Restores the previous configuration when a scope ends (also on
-/// panic — chaos scopes inject panics on purpose).
-struct ScopeGuard {
-    prev_active: u8,
-    prev_cfg: ChaosConfig,
-    _lock: MutexGuard<'static, ()>,
-}
-
-impl Drop for ScopeGuard {
-    fn drop(&mut self) {
-        let mut cfg = ignore_poison(CONFIG.lock());
-        *cfg = self.prev_cfg.clone();
-        ACTIVE.store(self.prev_active, Ordering::Relaxed);
-    }
-}
-
-fn enter_scope(new: ChaosConfig, on: bool) -> ScopeGuard {
-    let lock = ignore_poison(SCOPE.lock());
-    // settle env state first so restoring never resurrects "uninitialised"
-    active();
-    let mut cfg = ignore_poison(CONFIG.lock());
-    let guard = ScopeGuard {
-        prev_active: ACTIVE.load(Ordering::Relaxed),
-        prev_cfg: cfg.clone(),
-        _lock: lock,
-    };
-    *cfg = new;
-    drop(cfg);
-    ACTIVE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    guard
+/// Runs `f` under a chaos scope on this thread (see the module docs).
+fn scoped<R>(seed: Option<u64>, forced: Option<(String, Option<u64>)>, f: impl FnOnce() -> R) -> R {
+    context::scoped(|c| c.chaos = Some(ChaosConfig { seed, forced }), f)
 }
 
 /// Runs `f` with chaos enabled under `seed`, restoring the previous
-/// configuration afterwards. Scopes serialize process-wide.
+/// configuration afterwards.
 pub fn with_seed<R>(seed: u64, f: impl FnOnce() -> R) -> R {
-    let _guard = enter_scope(
-        ChaosConfig {
-            seed: Some(seed),
-            forced: None,
-        },
-        true,
-    );
-    f()
+    scoped(Some(seed), None, f)
 }
 
 /// Runs `f` with exactly one injection point forced to fire — at every
 /// salt, or only at `salt` when given — and no random injection.
 /// Restores the previous configuration afterwards.
 pub fn with_forced<R>(point: &str, salt: Option<u64>, f: impl FnOnce() -> R) -> R {
-    let _guard = enter_scope(
-        ChaosConfig {
-            seed: None,
-            forced: Some((point.to_string(), salt)),
-        },
-        true,
-    );
-    f()
+    scoped(None, Some((point.to_string(), salt)), f)
 }
 
 /// Runs `f` with chaos disabled, even if `SECEDA_CHAOS` is set. Chaos
 /// tests use this for their straight-through reference runs.
 pub fn without_chaos<R>(f: impl FnOnce() -> R) -> R {
-    let _guard = enter_scope(
-        ChaosConfig {
-            seed: None,
-            forced: None,
-        },
-        false,
-    );
-    f()
+    scoped(None, None, f)
 }
 
 #[cfg(test)]
@@ -294,8 +200,8 @@ mod tests {
 
     #[test]
     fn off_by_default_when_env_unset() {
-        // the test environment must not set SECEDA_CHAOS; under an
-        // explicit scope the harness switches on and back off
+        // without_chaos overrides an ambient SECEDA_CHAOS, so this holds
+        // whatever the environment armed
         without_chaos(|| {
             assert!(!active());
             assert!(!fires("any.point", 0));
@@ -359,9 +265,91 @@ mod tests {
 
     #[test]
     fn scopes_restore_on_panic() {
+        let before = active();
         let _ = std::panic::catch_unwind(|| {
             with_seed(1, || panic!("boom"));
         });
-        without_chaos(|| assert!(!active()));
+        assert_eq!(active(), before);
+    }
+
+    use crate::par::{par_map_catch, with_workers};
+    use std::sync::Barrier;
+
+    /// This thread's decisions for `point` at salts `0..64`, taken by
+    /// `par` workers, with any injected `par.worker` panic kept per item.
+    fn decisions(point: &str, workers: usize) -> Vec<Result<bool, crate::par::WorkerPanic>> {
+        let salts: Vec<u64> = (0..64).collect();
+        with_workers(workers, || par_map_catch(&salts, |_, &s| fires(point, s)))
+    }
+
+    #[test]
+    fn nested_scopes_restore_the_outer_configuration_also_on_panic() {
+        for workers in [1, 2, 8] {
+            with_seed(7, || {
+                let outer = decisions("unit.nested", workers);
+                assert!(outer.contains(&Ok(true)), "seed fires somewhere");
+                with_forced("unit.nested", Some(3), || {
+                    let forced = decisions("unit.nested", workers);
+                    let fired: Vec<bool> = forced.iter().map(|d| *d == Ok(true)).collect();
+                    assert_eq!(fired, (0..64).map(|s| s == 3).collect::<Vec<_>>());
+                    without_chaos(|| {
+                        assert!(!active());
+                        assert!(decisions("unit.nested", workers)
+                            .iter()
+                            .all(|d| *d == Ok(false)));
+                    });
+                    assert_eq!(
+                        decisions("unit.nested", workers),
+                        forced,
+                        "workers = {workers}"
+                    );
+                });
+                assert_eq!(
+                    decisions("unit.nested", workers),
+                    outer,
+                    "workers = {workers}"
+                );
+                let caught = std::panic::catch_unwind(|| {
+                    with_forced("unit.nested", None, || without_chaos(|| panic!("inner")))
+                });
+                assert!(caught.is_err());
+                assert_eq!(
+                    decisions("unit.nested", workers),
+                    outer,
+                    "workers = {workers}"
+                );
+            });
+        }
+    }
+
+    #[test]
+    fn another_threads_scope_is_invisible() {
+        for workers in [1, 2, 8] {
+            // this thread holds no scope: it sees the environment only
+            let ambient = decisions("unit.isolated", workers);
+            assert!(
+                ambient.iter().any(|d| *d != Ok(true)),
+                "ambient forces the point"
+            );
+            let (armed, checked) = (Barrier::new(2), Barrier::new(2));
+            let (seen, inside) = std::thread::scope(|s| {
+                let other = s.spawn(|| {
+                    with_forced("unit.isolated", None, || {
+                        armed.wait();
+                        let inside = decisions("unit.isolated", workers);
+                        checked.wait();
+                        inside
+                    })
+                });
+                armed.wait();
+                // the other thread's scope is live until `checked`
+                let seen = decisions("unit.isolated", workers);
+                checked.wait();
+                (seen, other.join().expect("scoped thread"))
+            });
+            assert_eq!(seen, ambient, "workers = {workers}");
+            // the scope does reach its own thread's workers
+            assert!(inside.iter().all(|d| *d == Ok(true)), "workers = {workers}");
+        }
     }
 }

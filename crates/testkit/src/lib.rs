@@ -31,6 +31,10 @@
 //!   and truncated parser input at named injection points, so the
 //!   graceful-degradation paths are themselves under test.
 //!
+//! A [`par::with_workers`] pin and a [`chaos`] scope are per thread,
+//! nest, and are inherited by every worker [`par`] spawns for that
+//! thread; no thread sees another's.
+//!
 //! Test files migrated from `proptest` only change one import:
 //!
 //! ```
@@ -50,6 +54,7 @@
 #![allow(clippy::test_attr_in_doctest)]
 
 pub mod chaos;
+mod context;
 pub mod json;
 pub mod par;
 pub mod prop;

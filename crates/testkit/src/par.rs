@@ -18,47 +18,40 @@
 //! 3. **Cheap for small inputs** — one item (or one worker) short-cuts
 //!    to the plain serial loop with no thread spawn.
 //!
-//! Worker count resolution: an explicit [`with_workers`] override (used
-//! by determinism tests), else the `SECEDA_THREADS` environment
-//! variable, else [`std::thread::available_parallelism`].
+//! Worker count resolution: an explicit [`with_workers`] pin (used by
+//! determinism tests), else the `SECEDA_THREADS` environment variable,
+//! else [`std::thread::available_parallelism`]. Every worker runs under
+//! its caller's execution context: the [`with_workers`] pin and the
+//! [`crate::chaos`] scope, so both reach nested parallel calls too.
+//!
+//! [`par_map`], [`par_map_init`] and [`par_map_catch`] are adapters over
+//! one scheduler, which runs every item under
+//! [`std::panic::catch_unwind`]: a panic never stops the other items,
+//! and the adapters decide what a panicked item means.
 
-use crate::chaos;
-use std::cell::Cell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use crate::{chaos, context};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-thread_local! {
-    /// 0 = no override; set via [`with_workers`].
-    static WORKER_OVERRIDE: Cell<usize> = const { Cell::new(0) };
-}
-
-/// Runs `f` with the worker count pinned to `workers` on this thread
-/// (restored afterwards, also on panic). Worker threads spawned inside
-/// do not inherit the override; it applies to top-level [`par_map`] /
-/// [`par_map_init`] calls made directly by `f`.
+/// Runs `f` with the worker count pinned to `workers` (restored
+/// afterwards, also on panic). The pin applies to every parallel call
+/// `f` makes, including the ones nested inside its workers.
 ///
 /// # Panics
 ///
 /// Panics if `workers` is zero.
 pub fn with_workers<R>(workers: usize, f: impl FnOnce() -> R) -> R {
     assert!(workers >= 1, "worker count must be at least 1");
-    struct Restore(usize);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            WORKER_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = WORKER_OVERRIDE.with(|c| Restore(c.replace(workers)));
-    f()
+    context::scoped(|c| c.workers = workers, f)
 }
 
 /// The maximum number of workers a parallel call may use right now:
-/// the [`with_workers`] override, else `SECEDA_THREADS`, else the
-/// machine's available parallelism.
+/// the [`with_workers`] pin, else `SECEDA_THREADS`, else the machine's
+/// available parallelism.
 pub fn max_workers() -> usize {
-    let overridden = WORKER_OVERRIDE.with(Cell::get);
-    if overridden != 0 {
-        return overridden;
+    let pinned = context::with(|c| c.workers);
+    if pinned != 0 {
+        return pinned;
     }
     if let Ok(v) = std::env::var("SECEDA_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {
@@ -80,8 +73,9 @@ pub fn workers_for(len: usize) -> usize {
 
 /// Parallel map preserving item order: `out[i] = f(i, &items[i])`.
 ///
-/// Results are identical for every worker count. A panic in `f` is
-/// propagated to the caller after all workers stop.
+/// Results are identical for every worker count. If `f` panics, every
+/// other item still runs; then the panic of the lowest-index panicking
+/// item is re-raised with its original payload.
 pub fn par_map<T, R>(items: &[T], f: impl Fn(usize, &T) -> R + Sync) -> Vec<R>
 where
     T: Sync,
@@ -90,11 +84,13 @@ where
     par_map_init(items, || (), |(), i, item| f(i, item))
 }
 
-/// Like [`par_map`] but with per-worker scratch state: `init` runs once
-/// on each worker thread and the resulting state is threaded through
-/// every call that worker performs. Use this to amortize per-item
-/// allocations (simulation value buffers, heaps) across a worker's
-/// whole share of the items.
+/// Like [`par_map`] but with per-worker scratch state: `init` runs on a
+/// worker before its first item, and the resulting state is threaded
+/// through every call that worker performs. Use this to amortize
+/// per-item allocations (simulation value buffers, heaps) across a
+/// worker's whole share of the items. After one of a worker's items
+/// panicked, `init` runs again, so no half-updated state reaches the
+/// next item.
 pub fn par_map_init<T, R, S>(
     items: &[T],
     init: impl Fn() -> S + Sync,
@@ -104,76 +100,79 @@ where
     T: Sync,
     R: Send,
 {
-    par_map_init_impl(items, init, |state, i, item| {
-        // the "par.worker" chaos point sits inside the per-item closure
-        // so it fires identically on the serial shortcut and on every
-        // worker count (the decision is salted by the item index)
-        if chaos::active() {
-            chaos::maybe_panic("par.worker", i as u64);
-        }
-        f(state, i, item)
-    })
+    schedule(items, init, f)
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|payload| resume_unwind(payload)))
+        .collect()
 }
 
-/// The scheduler behind [`par_map_init`], free of injection points.
-fn par_map_init_impl<T, R, S>(
+/// The one scheduler behind every adapter: `out[i]` is `f`'s result on
+/// item `i`, or its panic payload.
+///
+/// Work is stolen in small index chunks from a shared atomic cursor;
+/// one item (or one worker) runs serially on the calling thread. The
+/// `"par.worker"` chaos point fires inside the per-item catch, salted
+/// by the item index, so it fires identically at every worker count.
+fn schedule<T, R, S>(
     items: &[T],
     init: impl Fn() -> S + Sync,
     f: impl Fn(&mut S, usize, &T) -> R + Sync,
-) -> Vec<R>
+) -> Vec<std::thread::Result<R>>
 where
     T: Sync,
     R: Send,
 {
+    // a worker's scratch is built on its first item and dropped after a
+    // panicked one, so no half-updated state reaches the next item
+    let run = |state: &mut Option<S>, i: usize| {
+        let out = catch_unwind(AssertUnwindSafe(|| {
+            chaos::maybe_panic("par.worker", i as u64);
+            f(state.get_or_insert_with(&init), i, &items[i])
+        }));
+        if out.is_err() {
+            *state = None;
+        }
+        out
+    };
     let len = items.len();
     let workers = workers_for(len);
-    if workers <= 1 || len <= 1 {
-        let mut state = init();
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| f(&mut state, i, item))
-            .collect();
+    if workers == 1 {
+        let mut state = None;
+        return (0..len).map(|i| run(&mut state, i)).collect();
     }
     // Small chunks keep the tail balanced when item costs vary wildly
     // (fault cones range from one gate to the whole circuit).
     let chunk = (len / (workers * 8)).max(1);
     let cursor = AtomicUsize::new(0);
-    let mut buckets: Vec<Vec<(usize, R)>> = Vec::with_capacity(workers);
+    let work = || {
+        let mut state = None;
+        let mut local = Vec::new();
+        loop {
+            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+            if start >= len {
+                break;
+            }
+            for i in start..(start + chunk).min(len) {
+                local.push((i, run(&mut state, i)));
+            }
+        }
+        local
+    };
+    let caller = context::with(Clone::clone);
+    let mut out: Vec<Option<std::thread::Result<R>>> = (0..len).map(|_| None).collect();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut state = init();
-                    let mut local = Vec::new();
-                    loop {
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= len {
-                            break;
-                        }
-                        let end = (start + chunk).min(len);
-                        for (i, item) in items[start..end].iter().enumerate() {
-                            let i = start + i;
-                            local.push((i, f(&mut state, i, item)));
-                        }
-                    }
-                    local
-                })
-            })
+            .map(|_| scope.spawn(|| context::scoped(|c| c.clone_from(&caller), work)))
             .collect();
         for handle in handles {
-            match handle.join() {
-                Ok(local) => buckets.push(local),
-                Err(payload) => std::panic::resume_unwind(payload),
+            let local = handle
+                .join()
+                .unwrap_or_else(|payload| resume_unwind(payload));
+            for (i, r) in local {
+                out[i] = Some(r);
             }
         }
     });
-    let mut out: Vec<Option<R>> = (0..len).map(|_| None).collect();
-    for bucket in buckets {
-        for (i, r) in bucket {
-            out[i] = Some(r);
-        }
-    }
     out.into_iter()
         .map(|r| r.expect("par worker skipped an item"))
         .collect()
@@ -216,13 +215,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Like [`par_map`], but a panic in `f` is contained to its own item:
 /// `out[i]` is `Err(WorkerPanic)` for the items whose closure panicked
 /// while every other item still completes. This is the degradation
-/// primitive — [`par_map`] kills the whole computation on the first
-/// panic ([`std::panic::resume_unwind`] after all workers stop), which
-/// is exactly wrong for "evaluate every threat, report what failed".
-///
-/// The `"par.worker"` chaos injection point fires *inside* the per-item
-/// catch, so chaos-injected worker panics are contained here but fatal
-/// in [`par_map`] — both behaviors are pinned by tests.
+/// primitive — "evaluate every threat, report what failed" — where
+/// [`par_map`] fails the whole computation. Chaos-injected
+/// `"par.worker"` panics are contained the same way.
 pub fn par_map_catch<T, R>(
     items: &[T],
     f: impl Fn(usize, &T) -> R + Sync,
@@ -231,88 +226,70 @@ where
     T: Sync,
     R: Send,
 {
-    par_map_init_impl(
-        items,
-        || (),
-        |(), i, item| {
-            catch_unwind(AssertUnwindSafe(|| {
-                if chaos::active() {
-                    chaos::maybe_panic("par.worker", i as u64);
-                }
-                f(i, item)
-            }))
-            .map_err(|payload| WorkerPanic {
-                index: i,
+    schedule(items, || (), |(), i, item| f(i, item))
+        .into_iter()
+        .enumerate()
+        .map(|(index, r)| {
+            r.map_err(|payload| WorkerPanic {
+                index,
                 message: panic_message(payload.as_ref()),
             })
-        },
-    )
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // `chaos_par_worker_panics_contained_and_deterministic` arms chaos
-    // process-wide while it runs, so every test that expects a clean
-    // run holds a chaos-free scope (scopes serialize on one lock).
-
     #[test]
     fn preserves_order() {
-        chaos::without_chaos(|| {
-            let items: Vec<u64> = (0..1000).collect();
-            let out = par_map(&items, |i, &x| x * 2 + i as u64);
-            for (i, &v) in out.iter().enumerate() {
-                assert_eq!(v, items[i] * 2 + i as u64);
-            }
-        });
+        let items: Vec<u64> = (0..1000).collect();
+        let out = par_map(&items, |i, &x| x * 2 + i as u64);
+        for (i, &v) in out.iter().enumerate() {
+            assert_eq!(v, items[i] * 2 + i as u64);
+        }
     }
 
     #[test]
     fn identical_across_worker_counts() {
-        chaos::without_chaos(|| {
-            let items: Vec<u64> = (0..337).collect();
-            let serial = with_workers(1, || par_map(&items, |_, &x| x.wrapping_mul(0x9E37)));
-            for workers in [2, 3, 8] {
-                let parallel =
-                    with_workers(workers, || par_map(&items, |_, &x| x.wrapping_mul(0x9E37)));
-                assert_eq!(serial, parallel, "workers = {workers}");
-            }
-        });
+        let items: Vec<u64> = (0..337).collect();
+        let serial = with_workers(1, || par_map(&items, |_, &x| x.wrapping_mul(0x9E37)));
+        for workers in [2, 3, 8] {
+            let parallel =
+                with_workers(workers, || par_map(&items, |_, &x| x.wrapping_mul(0x9E37)));
+            assert_eq!(serial, parallel, "workers = {workers}");
+        }
     }
 
     #[test]
     fn per_worker_state_is_reused() {
         // each worker counts its own calls; the total must equal the item
         // count even though per-worker shares differ
-        chaos::without_chaos(|| {
-            use std::sync::atomic::AtomicUsize;
-            let calls = AtomicUsize::new(0);
-            let inits = AtomicUsize::new(0);
-            let items = vec![(); 200];
-            with_workers(4, || {
-                par_map_init(
-                    &items,
-                    || {
-                        inits.fetch_add(1, Ordering::Relaxed);
-                    },
-                    |(), _, ()| {
-                        calls.fetch_add(1, Ordering::Relaxed);
-                    },
-                )
-            });
-            assert_eq!(calls.load(Ordering::Relaxed), 200);
-            assert!(inits.load(Ordering::Relaxed) <= 4);
+        use std::sync::atomic::AtomicUsize;
+        let calls = AtomicUsize::new(0);
+        let inits = AtomicUsize::new(0);
+        let items = vec![(); 200];
+        with_workers(4, || {
+            par_map_init(
+                &items,
+                || {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                },
+                |(), _, ()| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                },
+            )
         });
+        assert_eq!(calls.load(Ordering::Relaxed), 200);
+        assert!(inits.load(Ordering::Relaxed) <= 4);
     }
 
     #[test]
     fn empty_and_single_inputs() {
-        chaos::without_chaos(|| {
-            let empty: Vec<u8> = Vec::new();
-            assert!(par_map(&empty, |_, &x| x).is_empty());
-            assert_eq!(par_map(&[7u8], |_, &x| x + 1), vec![8]);
-        });
+        let empty: Vec<u8> = Vec::new();
+        assert!(par_map(&empty, |_, &x| x).is_empty());
+        assert_eq!(par_map(&[7u8], |_, &x| x + 1), vec![8]);
     }
 
     #[test]
@@ -324,47 +301,90 @@ mod tests {
 
     #[test]
     fn par_map_still_propagates_panics() {
-        // pins the pre-existing contract: the non-catching variants kill
-        // the whole computation on the first worker panic
-        chaos::without_chaos(|| {
-            for workers in [1, 4] {
-                let items: Vec<u32> = (0..64).collect();
-                let result = std::panic::catch_unwind(|| {
-                    with_workers(workers, || {
-                        par_map(&items, |_, &x| {
-                            assert!(x != 13, "poisoned item");
-                            x
-                        })
+        // the non-catching adapters fail the whole computation when any
+        // item panics
+        for workers in [1, 4] {
+            let items: Vec<u32> = (0..64).collect();
+            let result = std::panic::catch_unwind(|| {
+                with_workers(workers, || {
+                    par_map(&items, |_, &x| {
+                        assert!(x != 13, "poisoned item");
+                        x
                     })
-                });
-                assert!(result.is_err(), "workers = {workers}");
+                })
+            });
+            assert!(result.is_err(), "workers = {workers}");
+        }
+    }
+
+    #[test]
+    fn worker_pin_reaches_nested_calls() {
+        let items = vec![(); 8];
+        for workers in [1, 2, 8] {
+            let seen = with_workers(workers, || {
+                par_map(&items, |_, ()| {
+                    let nested = par_map(&items, |_, ()| max_workers());
+                    (max_workers(), nested)
+                })
+            });
+            for (outer, nested) in seen {
+                assert_eq!(outer, workers);
+                assert_eq!(nested, vec![workers; 8]);
             }
-        });
+        }
+    }
+
+    #[test]
+    fn par_map_reraises_the_lowest_index_panic_with_fresh_scratch() {
+        use std::sync::atomic::AtomicBool;
+        let items: Vec<usize> = (0..64).collect();
+        for workers in [1, 2, 8] {
+            let stale = AtomicBool::new(false);
+            let caught = std::panic::catch_unwind(|| {
+                with_workers(workers, || {
+                    par_map_init(&items, Vec::new, |seen: &mut Vec<usize>, i, _| {
+                        // scratch a poisoned item touched must never
+                        // reach a later item
+                        if seen.iter().any(|&j| j == 13 || j == 41) {
+                            stale.store(true, Ordering::Relaxed);
+                        }
+                        seen.push(i);
+                        assert!(i != 41, "poisoned item forty-one");
+                        assert!(i != 13, "poisoned item thirteen");
+                    })
+                })
+            })
+            .expect_err("a poisoned item fails par_map_init");
+            assert_eq!(
+                panic_message(caught.as_ref()),
+                "poisoned item thirteen",
+                "workers = {workers}"
+            );
+            assert!(!stale.load(Ordering::Relaxed), "workers = {workers}");
+        }
     }
 
     #[test]
     fn par_map_catch_contains_panics_per_item() {
-        chaos::without_chaos(|| {
-            let items: Vec<u32> = (0..64).collect();
-            for workers in [1, 2, 8] {
-                let out = with_workers(workers, || {
-                    par_map_catch(&items, |_, &x| {
-                        assert!(x % 10 != 3, "poisoned item {x}");
-                        x * 2
-                    })
-                });
-                assert_eq!(out.len(), 64, "workers = {workers}");
-                for (i, r) in out.iter().enumerate() {
-                    if i % 10 == 3 {
-                        let p = r.as_ref().expect_err("poisoned item must fail");
-                        assert_eq!(p.index, i);
-                        assert!(p.message.contains("poisoned item"), "{}", p.message);
-                    } else {
-                        assert_eq!(*r.as_ref().expect("healthy item"), (i as u32) * 2);
-                    }
+        let items: Vec<u32> = (0..64).collect();
+        for workers in [1, 2, 8] {
+            let out = with_workers(workers, || {
+                par_map_catch(&items, |_, &x| {
+                    assert!(x % 10 != 3, "poisoned item {x}");
+                    x * 2
+                })
+            });
+            assert_eq!(out.len(), 64, "workers = {workers}");
+            for (i, r) in out.iter().enumerate() {
+                if i % 10 == 3 {
+                    let p = r.as_ref().expect_err("poisoned item must fail");
+                    assert_eq!(p.index, i);
+                    assert!(p.message.contains("poisoned item"), "{}", p.message);
+                } else {
+                    assert_eq!(*r.as_ref().expect("healthy item"), (i as u32) * 2);
                 }
             }
-        });
+        }
     }
 
     #[test]
@@ -376,17 +396,42 @@ mod tests {
         });
         assert!(expected.iter().any(|&b| b), "seed must poison something");
         assert!(!expected.iter().all(|&b| b), "seed must not poison all");
+        let first = expected.iter().position(|&b| b).expect("poisoned item");
+        let serial = chaos::with_seed(0xFEED, || {
+            with_workers(1, || par_map_catch(&items, |_, &x| x + 1))
+        });
         for workers in [1, 2, 8] {
             let out = chaos::with_seed(0xFEED, || {
                 with_workers(workers, || par_map_catch(&items, |_, &x| x + 1))
             });
             let got: Vec<bool> = out.iter().map(Result::is_err).collect();
             assert_eq!(got, expected, "workers = {workers}");
+            assert_eq!(out, serial, "workers = {workers}");
+            // the scope reaches a nested call inside every worker
+            let nested = chaos::with_seed(0xFEED, || {
+                with_workers(workers, || {
+                    par_map_catch(&items[..8], |_, _| par_map_catch(&items, |_, &x| x + 1))
+                })
+            });
+            for (i, r) in nested.iter().enumerate() {
+                match r {
+                    Ok(inner) => assert_eq!(inner, &serial, "workers = {workers}"),
+                    Err(p) => assert!(expected[i], "workers = {workers}: {p}"),
+                }
+            }
+            // the same seed makes the plain variant fail outright, with
+            // the lowest poisoned index's payload
+            let fatal = std::panic::catch_unwind(|| {
+                chaos::with_seed(0xFEED, || {
+                    with_workers(workers, || par_map(&items, |_, &x| x + 1))
+                })
+            })
+            .expect_err("chaos fails par_map");
+            assert_eq!(
+                panic_message(fatal.as_ref()),
+                format!("chaos: injected panic at par.worker#{first}"),
+                "workers = {workers}"
+            );
         }
-        // the same seed makes the plain variant fail outright
-        let fatal = std::panic::catch_unwind(|| {
-            chaos::with_seed(0xFEED, || par_map(&items, |_, &x| x + 1))
-        });
-        assert!(fatal.is_err());
     }
 }

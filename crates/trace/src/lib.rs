@@ -37,8 +37,9 @@
 //! instrumented crates keep probes in hot paths unconditionally, and
 //! probe granularity is chosen per call (one span per SAT solve, not per
 //! propagation) so the enabled mode stays usable too. The allocation
-//! counter and the watchdog follow the same policy behind their own
-//! gates (`SECEDA_TRACE_ALLOC`, `SECEDA_WATCHDOG`).
+//! counter follows the same policy behind its own gate
+//! (`SECEDA_TRACE_ALLOC`); the watchdog costs nothing until
+//! [`Watchdog::start`] arms one.
 //!
 //! ```
 //! let ((), events) = seceda_trace::session(|| {

@@ -18,9 +18,9 @@
 //! drop(wd); // disarms
 //! ```
 //!
-//! `SECEDA_WATCHDOG=<seconds>` arms a watchdog from the environment
-//! (see [`Watchdog::start_from_env`]); `SECEDA_WATCHDOG_ABORT=1` makes a
-//! stall fatal.
+//! A watchdog is armed in code only: [`Watchdog::start`] for a
+//! report-only one, [`Watchdog::start_with`] with
+//! [`WatchdogConfig::abort_on_stall`] to make a stall fatal.
 
 use crate::recorder;
 use crate::render::fmt_duration;
@@ -120,8 +120,7 @@ pub struct WatchdogConfig {
     /// the timeout, clamped to [1ms, 1s].
     pub poll: Duration,
     /// Abort the process (after printing the stall report) instead of
-    /// just flagging. Off by default; `SECEDA_WATCHDOG_ABORT=1` turns it
-    /// on for env-armed watchdogs.
+    /// just flagging. Off by default.
     pub abort_on_stall: bool,
     /// Destination of stall reports.
     pub sink: StallSink,
@@ -180,19 +179,6 @@ impl Watchdog {
             handle: Some(handle),
             registry_id,
         }
-    }
-
-    /// Arms a watchdog if `SECEDA_WATCHDOG=<seconds>` is set (fractions
-    /// allowed); `SECEDA_WATCHDOG_ABORT=1` additionally makes stalls
-    /// abort the process.
-    pub fn start_from_env() -> Option<Watchdog> {
-        let secs: f64 = std::env::var("SECEDA_WATCHDOG").ok()?.parse().ok()?;
-        if secs.is_nan() || secs <= 0.0 {
-            return None;
-        }
-        let mut config = WatchdogConfig::new(Duration::from_secs_f64(secs));
-        config.abort_on_stall = std::env::var("SECEDA_WATCHDOG_ABORT").is_ok_and(|v| v != "0");
-        Some(Watchdog::start_with(config))
     }
 
     /// Whether the run is stalled *right now* (no probe activity for at

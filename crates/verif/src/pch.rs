@@ -92,7 +92,7 @@ fn path_exists(nl: &Netlist, from_input: &str, to_output: &str) -> Option<bool> 
         .find(|(_, name)| name == to_output)?
         .clone();
     // forward reachability over fanout
-    let fanout = nl.fanout_map();
+    let fanout = nl.fanout();
     let mut seen = vec![false; nl.num_nets()];
     let mut stack = vec![src];
     while let Some(n) = stack.pop() {
@@ -103,7 +103,7 @@ fn path_exists(nl: &Netlist, from_input: &str, to_output: &str) -> Option<bool> 
             continue;
         }
         seen[n.index()] = true;
-        for &g in &fanout[n.index()] {
+        for &g in fanout.loads(n) {
             stack.push(nl.gate(g).output);
         }
     }

@@ -51,10 +51,16 @@ SECEDA_THREADS=8 cargo test -q --offline -p seceda-lock -p seceda-core -p seceda
 
 # The chaos suite runs once per pinned seed with the harness
 # ambient-armed: every injection decision is a pure function of
-# (seed, point, salt), so both runs are reproducible bit for bit.
-echo "==> chaos suite under two pinned ambient seeds"
-SECEDA_CHAOS=0xDEADBEEF cargo test -q --offline -p seceda-core --test chaos
-SECEDA_CHAOS=51966 cargo test -q --offline -p seceda-core --test chaos
+# (seed, point, salt), so every run is reproducible bit for bit. Each
+# seed runs at one worker and at eight, so the environment seed must
+# reach every par worker at both counts.
+echo "==> chaos suite under two pinned ambient seeds at 1 and 8 threads"
+for seed in 0xDEADBEEF 51966; do
+    for threads in 1 8; do
+        SECEDA_CHAOS=$seed SECEDA_THREADS=$threads \
+            cargo test -q --offline -p seceda-core --test chaos
+    done
+done
 
 echo "==> flow-trace example smoke run (release)"
 SECEDA_TRACE=1 cargo run --release --offline --example flow-trace > /dev/null

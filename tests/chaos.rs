@@ -5,12 +5,11 @@
 //! runs.
 //!
 //! `verify.sh` additionally runs this suite with `SECEDA_CHAOS` set to
-//! two fixed seeds; every test here installs its own chaos scope (which
-//! overrides the environment), except the ambient-survival test, which
-//! deliberately runs under whatever the environment armed.
-//!
-//! Chaos scopes serialize on a process-wide lock and are NOT reentrant:
-//! never nest `with_seed` / `with_forced` / `without_chaos`.
+//! two fixed seeds, at one and at eight workers; every test here
+//! installs its own chaos scope (which overrides the environment),
+//! except the ambient-survival test, which deliberately runs under
+//! whatever the environment armed. Scopes are per thread, nest, and
+//! reach every `par` worker a test's evaluation spawns.
 
 use seceda_core::{CompositionEngine, DesignUnderTest, MetricValue, SecurityEvaluation, Verdict};
 use seceda_fia::codes::duplicate_with_compare;
@@ -141,7 +140,8 @@ fn forced_sat_budget_exhaustion_degrades_proof_to_undecided_holes() {
     assert!(!proof.holds(), "undecided faults are holes in the proof");
     assert!(proof.violations.is_empty(), "no fabricated violations");
     assert_eq!(proof.proven + proof.undecided.len(), proof.total);
-    // chaos-free, the same proof closes completely
+    // chaos-free, the same proof closes completely (`without_chaos`
+    // overrides an ambient SECEDA_CHAOS for this reference run)
     let full = chaos::without_chaos(|| {
         prove_detection_budgeted(&protected, &Budget::unlimited()).expect("prove")
     });
@@ -153,6 +153,8 @@ fn chaos_suspended_attack_resumes_chaos_free_to_the_straight_through_key() {
     let original = c17();
     let locked = xor_lock(&original, 8, 7);
     let oracle = |x: &[bool]| original.evaluate(x);
+    // the straight-through reference and the resume below run under
+    // `without_chaos`, which overrides an ambient SECEDA_CHAOS
     let straight: SatAttackResult = chaos::without_chaos(|| {
         match sat_attack_budgeted(&locked, oracle, &Budget::unlimited(), None).expect("attack runs")
         {
