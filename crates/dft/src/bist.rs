@@ -151,12 +151,13 @@ pub fn run_bist(
     let n = nl.inputs().len();
     let num_outputs = nl.outputs().len();
     let mut response = vec![false; num_outputs];
+    let sites: Vec<(Fault, u64)> = faults.iter().map(|&f| (f, u64::MAX)).collect();
     let mut remaining = config.patterns;
     while remaining > 0 {
         let batch = remaining.min(64);
         let patterns: Vec<Vec<bool>> = (0..batch).map(|_| lfsr.pattern(n)).collect();
         let words = pack_patterns(&patterns, n);
-        let outs = sim.eval_outputs_with_faults(&words, faults);
+        let outs = sim.eval_outputs_with_faults(&words, &sites);
         for p in 0..batch {
             for (o, &word) in outs.iter().enumerate() {
                 response[o] = (word >> p) & 1 == 1;
@@ -233,6 +234,7 @@ mod tests {
         let sim = FaultSim::new(&nl).expect("sim");
         for fault_list in [&[][..], &faults[..2]] {
             let packed_sig = run_bist(&nl, &config, fault_list).expect("bist").signature;
+            let sites: Vec<(Fault, u64)> = fault_list.iter().map(|&f| (f, u64::MAX)).collect();
             let mut lfsr = Lfsr::new(config.seed, 16);
             let mut misr = Misr::new(config.misr_width);
             for _ in 0..config.patterns {
@@ -242,7 +244,7 @@ mod tests {
                     .into_iter()
                     .map(u64::from)
                     .collect();
-                let outs = sim.eval_outputs_with_faults(&words, fault_list);
+                let outs = sim.eval_outputs_with_faults(&words, &sites);
                 let response: Vec<bool> = outs.iter().map(|w| w & 1 == 1).collect();
                 misr.absorb(&response);
             }

@@ -119,7 +119,7 @@ mod tests {
         let held = vec![false; 16];
         // shift in an 8-bit pattern, then shift it back out
         let pattern = [true, false, true, true, false, false, true, false];
-        let state = scan.shift_in(&vec![false; 8], &pattern, &held);
+        let state = scan.shift_in(&[false; 8], &pattern, &held);
         let out = scan.shift_out(&state, &held);
         // first-in bit reaches the end of the chain and exits first, so
         // the pattern comes back in its original order
@@ -147,8 +147,8 @@ mod tests {
         let nl = sbox_first_round_registered();
         let scan = insert_scan_chain(&nl);
         let inputs: Vec<bool> = (0..16).map(|i| i % 2 == 0).collect();
-        let (_, captured) = scan.capture(&vec![false; 8], &inputs);
-        let dumped = scan.shift_out(&captured, &vec![false; 16]);
+        let (_, captured) = scan.capture(&[false; 8], &inputs);
+        let dumped = scan.shift_out(&captured, &[false; 16]);
         // the dump must contain exactly the captured state (reversed:
         // last flop exits first)
         let expect: Vec<bool> = captured.iter().rev().copied().collect();

@@ -115,7 +115,7 @@ mod tests {
         let secured = secure_scan_wrap(scan_victim(key), 0xBEEF);
         let chosen_pt = 0xA7u8;
         let inputs = u64_to_bits(chosen_pt as u64, 8);
-        let (_, state) = secured.capture(&vec![false; 8], &inputs);
+        let (_, state) = secured.capture(&[false; 8], &inputs);
 
         // attacker path: scrambled dump inverts to the wrong key
         let scrambled = secured.dump_scrambled(&state, &inputs);

@@ -75,7 +75,7 @@ proptest! {
         let _ = seed;
         let pattern: Vec<bool> = (0..8).map(|b| (pattern_bits >> b) & 1 == 1).collect();
         let held = vec![false; 16];
-        let state = scan.shift_in(&vec![false; 8], &pattern, &held);
+        let state = scan.shift_in(&[false; 8], &pattern, &held);
         let out = scan.shift_out(&state, &held);
         prop_assert_eq!(out, pattern);
     }

@@ -4,7 +4,7 @@
 use crate::campaign::FaultCampaign;
 use crate::codes::ProtectedNetlist;
 use seceda_netlist::NetlistError;
-use seceda_sim::{pack_patterns, FaultSim, SimWord};
+use seceda_sim::{Fault, FaultSim, Lane256, SimWord};
 use seceda_testkit::rng::{Rng, SeedableRng, StdRng};
 
 /// Aggregated campaign results: every graded (shot, stimulus) event
@@ -38,9 +38,13 @@ impl FaultAnalysis {
 /// Runs `campaign` against a protected netlist: every shot is simulated
 /// under `stimuli_per_shot` random input vectors and classified.
 ///
-/// The stimuli are drawn shot by shot from `seed`, and each shot's
-/// stimuli are simulated 64 at a time: one fault-free and one faulty
-/// packed pass per word, every lane classified at once.
+/// The stimuli are drawn shot by shot from `seed`. Every (shot,
+/// stimulus) pair takes one lane of a [`Lane256`] word — pair *i* =
+/// shot · `stimuli_per_shot` + stimulus lands in lane *i* mod 256 of
+/// word *i* / 256 — so a shot may straddle two words, and one word
+/// carries many shots. Each word runs one fault-free and one faulty
+/// packed pass, with each shot's faults forced only in that shot's
+/// lanes, and every lane is classified at once.
 ///
 /// For netlists without an alarm (`alarm_index == None`, e.g. TMR), a
 /// changed output counts as [`FaultAnalysis::silent`] — use the
@@ -59,7 +63,6 @@ pub fn analyze_faults(
     let sim = FaultSim::new(nl)?;
     let shots = campaign.generate(nl);
     let mut rng = StdRng::seed_from_u64(seed);
-    let num_inputs = nl.inputs().len();
     let mut analysis = FaultAnalysis {
         masked: 0,
         detected: 0,
@@ -67,34 +70,53 @@ pub fn analyze_faults(
         false_alarms: 0,
         detection_coverage: 1.0,
     };
-    let count = |w: u64| w.count_ones() as usize;
-    for shot in &shots {
-        let mut left = stimuli_per_shot;
-        while left > 0 {
-            let lanes = left.min(64);
-            left -= lanes;
-            let stimuli: Vec<Vec<bool>> = (0..lanes)
-                .map(|_| (0..num_inputs).map(|_| rng.gen()).collect())
-                .collect();
-            let words = pack_patterns::<u64>(&stimuli, num_inputs);
-            let good = sim.eval_outputs_with_faults(&words, &[]);
-            let bad = sim.eval_outputs_with_faults(&words, shot);
-            let mask = u64::low_mask(lanes);
-            let mut corrupted = 0u64;
-            let mut alarm = 0u64;
-            for (o, (&g, &b)) in good.iter().zip(&bad).enumerate() {
-                if Some(o) == protected.alarm_index {
-                    debug_assert_eq!(g & mask, 0, "golden run must not alarm");
-                    alarm = b & mask;
-                } else {
-                    corrupted |= (g ^ b) & mask;
+    let count = |w: Lane256| w.count_ones() as usize;
+    let pairs = shots.len() * stimuli_per_shot;
+    let mut words = vec![Lane256::ZERO; nl.inputs().len()];
+    let mut sites: Vec<(Fault, Lane256)> = Vec::new();
+    for first in (0..pairs).step_by(Lane256::BITS) {
+        let last = pairs.min(first + Lane256::BITS);
+        // draw this word's stimuli pair by pair, input by input
+        words.fill(Lane256::ZERO);
+        for lane in 0..last - first {
+            let bit = Lane256::ZERO.with_lane(lane / 64, 1 << (lane % 64));
+            for w in &mut words {
+                if rng.gen() {
+                    *w = *w | bit;
                 }
             }
-            analysis.masked += count(!corrupted & !alarm & mask);
-            analysis.false_alarms += count(!corrupted & alarm);
-            analysis.detected += count(corrupted & alarm);
-            analysis.silent += count(corrupted & !alarm);
         }
+        // every shot with a pair in this word, forced in its own lanes
+        sites.clear();
+        let (s0, s1) = (first / stimuli_per_shot, (last - 1) / stimuli_per_shot);
+        for (s, shot) in (s0..).zip(&shots[s0..=s1]) {
+            let lo = (s * stimuli_per_shot).max(first) - first;
+            let hi = ((s + 1) * stimuli_per_shot).min(last) - first;
+            let below = if lo == 0 {
+                Lane256::ZERO
+            } else {
+                Lane256::low_mask(lo)
+            };
+            let lanes = Lane256::low_mask(hi) & !below;
+            sites.extend(shot.iter().map(|&f| (f, lanes)));
+        }
+        let good = sim.eval_outputs_with_faults(&words, &[]);
+        let bad = sim.eval_outputs_with_faults(&words, &sites);
+        let mask = Lane256::low_mask(last - first);
+        let mut corrupted = Lane256::ZERO;
+        let mut alarm = Lane256::ZERO;
+        for (o, (&g, &b)) in good.iter().zip(&bad).enumerate() {
+            if Some(o) == protected.alarm_index {
+                debug_assert_eq!(g & mask, Lane256::ZERO, "golden run must not alarm");
+                alarm = b & mask;
+            } else {
+                corrupted = corrupted | ((g ^ b) & mask);
+            }
+        }
+        analysis.masked += count(!corrupted & !alarm & mask);
+        analysis.false_alarms += count(!corrupted & alarm);
+        analysis.detected += count(corrupted & alarm);
+        analysis.silent += count(corrupted & !alarm);
     }
     let corrupting = analysis.detected + analysis.silent;
     analysis.detection_coverage = if corrupting == 0 {
@@ -112,15 +134,22 @@ mod tests {
     use crate::codes::{
         duplicate_with_compare, parity_protect, triplicate_with_vote, ProtectedNetlist,
     };
-    use seceda_netlist::{c17, majority, random_circuit, NetId, Netlist, RandomCircuitConfig};
+    use seceda_netlist::{
+        c17, majority, random_circuit, GateId, NetId, Netlist, RandomCircuitConfig,
+    };
     use seceda_sim::{Fault, FaultKind};
 
     /// Test-local oracle for faulty circuits: walks the netlist arena in
-    /// topological order over `CellKind::eval`. A fault takes effect
-    /// when its net is assigned (a primary input as it is applied, a
-    /// gate output as it is computed), the last fault listed for a net
-    /// wins, and DFF outputs read zero, never assigned.
-    fn reference_outputs(nl: &Netlist, inputs: &[bool], faults: &[Fault]) -> Vec<bool> {
+    /// the topological `order` over `CellKind::eval`. A fault takes
+    /// effect when its net is assigned (a primary input as it is
+    /// applied, a gate output as it is computed), the last fault listed
+    /// for a net wins, and DFF outputs read zero, never assigned.
+    fn reference_outputs(
+        nl: &Netlist,
+        order: &[GateId],
+        inputs: &[bool],
+        faults: &[Fault],
+    ) -> Vec<bool> {
         let force = |net: NetId, good: bool| {
             faults
                 .iter()
@@ -136,7 +165,7 @@ mod tests {
         for (&pi, &v) in nl.inputs().iter().zip(inputs) {
             values[pi.index()] = force(pi, v);
         }
-        for gid in nl.topo_order().expect("acyclic") {
+        for &gid in order {
             let g = nl.gate(gid);
             let ins: Vec<bool> = g.inputs.iter().map(|&i| values[i.index()]).collect();
             values[g.output.index()] = force(g.output, g.kind.eval(&ins));
@@ -158,6 +187,7 @@ mod tests {
     ) -> FaultAnalysis {
         let nl = &protected.netlist;
         let shots = campaign.generate(nl);
+        let order = nl.topo_order().expect("acyclic");
         let mut rng = StdRng::seed_from_u64(seed);
         let num_inputs = nl.inputs().len();
         let mut analysis = FaultAnalysis {
@@ -170,8 +200,8 @@ mod tests {
         for shot in &shots {
             for _ in 0..stimuli_per_shot {
                 let inputs: Vec<bool> = (0..num_inputs).map(|_| rng.gen()).collect();
-                let good = reference_outputs(nl, &inputs, &[]);
-                let bad = reference_outputs(nl, &inputs, shot);
+                let good = reference_outputs(nl, &order, &inputs, &[]);
+                let bad = reference_outputs(nl, &order, &inputs, shot);
                 let (good_f, good_alarm, bad_f, bad_alarm) = match protected.alarm_index {
                     Some(ai) => {
                         let split = |v: &[bool]| {
@@ -205,8 +235,42 @@ mod tests {
         analysis
     }
 
+    /// Asserts that `analyze_faults` equals the scalar oracle on every
+    /// listed (shots, stimuli per shot) shape of `model`'s campaign.
+    fn assert_matches_oracle(
+        p: &ProtectedNetlist,
+        model: &InjectionModel,
+        shapes: &[(usize, usize)],
+        seed: u64,
+        case: &str,
+    ) {
+        for &(shots, n) in shapes {
+            let campaign = FaultCampaign {
+                model: model.clone(),
+                shots,
+                seed: seed ^ 0x51,
+            };
+            assert_eq!(
+                analyze_faults(p, &campaign, n, seed + 7).expect("analysis"),
+                reference_analysis(p, &campaign, n, seed + 7),
+                "{case}, {model:?}, {shots} shots, {n} stimuli per shot"
+            );
+        }
+    }
+
     #[test]
     fn packed_analysis_equals_scalar_oracle() {
+        // 6 shots at stimuli counts below, at and across a u64 and a
+        // Lane256 word (a shot straddling two words at 100, one shot
+        // longer than a word at 257), then campaigns of 0, 1 and 100
+        // shots, whose short shots straddle word boundaries too
+        let mut shapes: Vec<(usize, usize)> = [0, 1, 3, 4, 64, 65, 100, 130, 257]
+            .into_iter()
+            .map(|n| (6, n))
+            .collect();
+        for shots in [0, 1, 100] {
+            shapes.extend([1, 3, 4].map(|n| (shots, n)));
+        }
         for seed in 0..2u64 {
             let host = random_circuit(&RandomCircuitConfig {
                 num_inputs: 6,
@@ -236,19 +300,44 @@ mod tests {
                     InjectionModel::ClockGlitch { count: 3 },
                     InjectionModel::Targeted(vec![gate_net, gate_net]),
                 ];
-                for model in models {
-                    let campaign = FaultCampaign {
-                        model: model.clone(),
-                        shots: 6,
-                        seed: seed ^ 0x51,
-                    };
-                    for n in [0usize, 1, 4, 64, 65, 130] {
-                        assert_eq!(
-                            analyze_faults(p, &campaign, n, seed + 7).expect("analysis"),
-                            reference_analysis(p, &campaign, n, seed + 7),
-                            "seed {seed}, {name}, {model:?}, {n} stimuli per shot"
-                        );
-                    }
+                for model in &models {
+                    assert_matches_oracle(p, model, &shapes, seed, &format!("seed {seed}, {name}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "1k-gate hosts; run in release with --ignored"]
+    fn packed_analysis_equals_scalar_oracle_on_1k_gate_hosts() {
+        // the compose evaluator's campaign shape: 100 shots x 4 stimuli
+        for seed in 0..6u64 {
+            let host = random_circuit(&RandomCircuitConfig {
+                num_inputs: 24,
+                num_gates: 1_000,
+                num_outputs: 12,
+                with_xor: true,
+                seed: 0x1F1A + seed,
+            });
+            let hosts = [
+                (
+                    "bare",
+                    ProtectedNetlist {
+                        netlist: host.clone(),
+                        alarm_index: None,
+                    },
+                ),
+                ("dwc", duplicate_with_compare(&host)),
+            ];
+            for (name, p) in &hosts {
+                let models = [
+                    InjectionModel::RandomGate,
+                    InjectionModel::Laser { width: 5 },
+                    InjectionModel::Random,
+                ];
+                for model in &models {
+                    let case = format!("seed {seed}, {name}");
+                    assert_matches_oracle(p, model, &[(100, 4)], seed, &case);
                 }
             }
         }

@@ -312,7 +312,7 @@ mod tests {
             ("pt".to_string(), 0x0F0F),
             ("puf_response".to_string(), 0x0000),
         ];
-        let golden = dfg.run(&inputs_ok[..2].to_vec(), 0);
+        let golden = dfg.run(&inputs_ok[..2], 0);
         let activated = metered.dfg.run(&inputs_ok, 0);
         let unactivated = metered.dfg.run(&inputs_bad, 0);
         assert_eq!(golden[0].1, activated[0].1, "activation restores function");

@@ -27,7 +27,7 @@ proptest! {
             let f = uniformity(r);
             prop_assert!((0.0..=1.0).contains(&f));
         }
-        let rel = reliability(&responses[0], &responses[1..].to_vec());
+        let rel = reliability(&responses[0], &responses[1..]);
         prop_assert!((0.0..=1.0).contains(&rel));
     }
 

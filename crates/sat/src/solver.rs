@@ -1080,9 +1080,10 @@ mod tests {
             cnf.add_clause(row.iter().map(|v| v.pos()));
         }
         for h in 0..holes {
-            for p1 in 0..pigeons {
-                for p2 in (p1 + 1)..pigeons {
-                    cnf.add_clause([grid[p1][h].neg(), grid[p2][h].neg()]);
+            let column: Vec<Var> = grid.iter().map(|row| row[h]).collect();
+            for (p1, a) in column.iter().enumerate() {
+                for b in &column[p1 + 1..] {
+                    cnf.add_clause([a.neg(), b.neg()]);
                 }
             }
         }

@@ -6,7 +6,7 @@
 //! verification. This module simulates a single input transition with
 //! per-gate nominal delays and records every toggle event.
 
-use crate::tape::Tape;
+use crate::tape::{FanOut, Tape};
 use seceda_netlist::{Netlist, NetlistError};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -84,6 +84,7 @@ impl Ord for Event {
 pub struct EventSim<'a> {
     nl: &'a Netlist,
     tape: Tape,
+    fanout: FanOut,
     /// Per topo position: the gate's delay, by default its
     /// [`CellKind::delay`](seceda_netlist::CellKind::delay) scaled by
     /// the depth of a 2-input tree of its fan-in.
@@ -105,7 +106,13 @@ impl<'a> EventSim<'a> {
                 tape.op(p).delay() * tree_levels.max(1.0)
             })
             .collect();
-        Ok(EventSim { nl, tape, delay })
+        let fanout = FanOut::new(nl, &tape);
+        Ok(EventSim {
+            nl,
+            tape,
+            fanout,
+            delay,
+        })
     }
 
     /// Overrides the delay of one gate (used by path-delay fingerprinting
@@ -178,7 +185,7 @@ impl<'a> EventSim<'a> {
             });
             toggles[ev.net] += 1;
             settle_time = settle_time.max(ev.time);
-            for &p in self.tape.fanout(ev.net) {
+            for &p in self.fanout.readers(ev.net) {
                 let p = p as usize;
                 let new_out = self.tape.gate(p, &values);
                 let out = self.tape.out(p);

@@ -95,9 +95,9 @@ mod tests {
         nl.mark_output(y, "y");
         let sim = FaultSim::new(&nl).expect("sim");
         // one packed pattern in bit 0; y is the only output
-        let y_word = sim.eval_outputs_with_faults(&[1], &[Fault::flip(y)])[0];
+        let y_word = sim.eval_outputs_with_faults(&[1u64], &[(Fault::flip(y), u64::MAX)])[0];
         assert_eq!(y_word & 1, 0);
-        let y_word = sim.eval_outputs_with_faults(&[0], &[Fault::flip(a)])[0];
+        let y_word = sim.eval_outputs_with_faults(&[0u64], &[(Fault::flip(a), u64::MAX)])[0];
         assert_eq!(y_word & 1, 1);
     }
 

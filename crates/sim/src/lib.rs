@@ -44,6 +44,12 @@ mod prob;
 mod simword;
 mod tape;
 
+/// The scalar fault oracle of the integration tests, shared with the
+/// unit tests.
+#[cfg(test)]
+#[path = "../tests/oracle/mod.rs"]
+mod oracle;
+
 pub use cycle::{CycleSim, SimTrace};
 pub use event::{EventSim, GlitchReport, ToggleEvent};
 pub use fault::{Fault, FaultKind};

@@ -18,7 +18,7 @@
 //! * **Fault dropping** — a fault leaves the active list the moment any
 //!   pattern detects it; later patterns never touch it again.
 //! * **Cone restriction** — the faulty circuit re-evaluates only the
-//!   fan-out cone of the faulted net, walking the tape's fan-out index
+//!   fan-out cone of the faulted net, walking a fan-out index
 //!   in topological order, and stops early when the fault effect
 //!   converges with the good value or every fault in the pass has
 //!   reached a primary output.
@@ -36,12 +36,13 @@
 //! suite `crates/sim/tests/tape_differential.rs` holds both entry points
 //! to an independent walk of the netlist arena.
 
-use crate::fault::{Fault, FaultKind};
+use crate::fault::Fault;
 use crate::packed::pack_patterns;
 use crate::simword::{Lane256, SimWord};
-use crate::tape::{apply_fault, Tape};
+use crate::tape::{force_pair, FanOut, Tape};
 use seceda_netlist::{Netlist, NetlistError};
 use seceda_testkit::par;
+use std::sync::OnceLock;
 
 /// Combinational fault simulator: packed, fault-dropping,
 /// cone-restricted grading ([`FaultSim::coverage`], [`FaultSim::grade`])
@@ -51,6 +52,9 @@ use seceda_testkit::par;
 pub struct FaultSim<'a> {
     nl: &'a Netlist,
     tape: Tape,
+    /// The cone walk's fan-out index, built on the first grading call:
+    /// fault-injection passes never walk cones and never build it.
+    fanout: OnceLock<FanOut>,
     /// Per net: is it marked as a primary output?
     is_output: Vec<bool>,
     /// Per net: does a fault injected here take effect? True for primary
@@ -74,9 +78,10 @@ struct Scratch<W> {
     /// forward for the lowest set bit — no heap, no dedup stamps.
     /// All-zero between passes.
     pending: Vec<u64>,
-    /// Forced sites of the current pass: (net, fault kind, lane mask).
-    /// Needed to re-force a site that sits inside another site's cone.
-    sites: Vec<(u32, FaultKind, W)>,
+    /// Forced sites of the current pass: (net, keep, tog), the site's
+    /// lane-masked affine forcing pair. Needed to re-force a site that
+    /// sits inside another site's cone.
+    sites: Vec<(u32, W, W)>,
 }
 
 impl<W: SimWord> Scratch<W> {
@@ -113,18 +118,24 @@ impl<'a> FaultSim<'a> {
         Ok(FaultSim {
             nl,
             tape,
+            fanout: OnceLock::new(),
             is_output,
             fault_applies,
         })
+    }
+
+    /// The fan-out index, built on first use.
+    fn fanout(&self) -> &FanOut {
+        self.fanout.get_or_init(|| FanOut::new(self.nl, &self.tape))
     }
 
     /// Marks every combinational reader of net `ni` pending, returning
     /// the lowest pending-bitset word index it touched (or `usize::MAX`
     /// for no readers).
     #[inline]
-    fn push_fanout<W: SimWord>(&self, sc: &mut Scratch<W>, ni: usize) -> usize {
+    fn push_fanout<W: SimWord>(fanout: &FanOut, sc: &mut Scratch<W>, ni: usize) -> usize {
         let mut min_word = usize::MAX;
-        for &lvl in self.tape.fanout(ni) {
+        for &lvl in fanout.readers(ni) {
             let lvl = lvl as usize;
             sc.pending[lvl >> 6] |= 1u64 << (lvl & 63);
             min_word = min_word.min(lvl >> 6);
@@ -166,8 +177,9 @@ impl<'a> FaultSim<'a> {
             }
             // force only the bits carrying this fault's real patterns, so
             // phantom differences in unused bit lanes cannot propagate
-            let forced = apply_fault(fault.kind, good[ni]);
-            if !((forced ^ good[ni]) & mask).any() {
+            let (keep, tog) = force_pair(fault.kind, mask);
+            let forced = (good[ni] & keep) ^ tog;
+            if !(forced ^ good[ni]).any() {
                 // no masked pattern excites the fault: its lanes stay good
                 continue;
             }
@@ -176,8 +188,8 @@ impl<'a> FaultSim<'a> {
                 sc.touched.push(ni as u32);
             }
             // masks of a group are disjoint lanes, so same-net sites compose
-            sc.vals[ni] = (sc.vals[ni] & !mask) | (forced & mask);
-            sc.sites.push((ni as u32, fault.kind, mask));
+            sc.vals[ni] = (sc.vals[ni] & keep) ^ tog;
+            sc.sites.push((ni as u32, keep, tog));
             if self.is_output[ni] {
                 detected[j] = true;
             } else {
@@ -189,11 +201,12 @@ impl<'a> FaultSim<'a> {
         }
         let mut evaluated = 0u64;
         if remaining > 0 {
+            let fanout = self.fanout();
             let nwords = sc.pending.len();
             let mut w = usize::MAX;
             for s in 0..sc.sites.len() {
                 let ni = sc.sites[s].0 as usize;
-                w = w.min(self.push_fanout(sc, ni));
+                w = w.min(Self::push_fanout(fanout, sc, ni));
             }
             'cone: while w < nwords {
                 let bits = sc.pending[w];
@@ -209,9 +222,9 @@ impl<'a> FaultSim<'a> {
                 // a site sitting inside another fault's cone must stay
                 // forced in its own lanes; sound because there the
                 // recomputed lane value is exactly the good value
-                for &(sn, kind, mask) in &sc.sites {
+                for &(sn, keep, tog) in &sc.sites {
                     if sn as usize == oi {
-                        new = (new & !mask) | (apply_fault(kind, new) & mask);
+                        new = (new & keep) ^ tog;
                     }
                 }
                 if new == sc.vals[oi] {
@@ -236,7 +249,7 @@ impl<'a> FaultSim<'a> {
                         }
                     }
                 }
-                self.push_fanout(sc, oi);
+                Self::push_fanout(fanout, sc, oi);
             }
         }
         for &t in &sc.touched {
@@ -389,21 +402,28 @@ impl<'a> FaultSim<'a> {
         (detected, frac)
     }
 
-    /// Evaluates 64 patterns of the circuit with every fault in
-    /// `faults` active at once and returns the packed primary-output
-    /// words (bit *p* of word *o* is output *o* under pattern *p*).
+    /// Evaluates one packed word of patterns (`W::BITS` lanes) with
+    /// every site in `sites` active at once and returns the packed
+    /// primary-output words (bit *p* of word *o* is output *o* under the
+    /// pattern in lane *p*).
     ///
-    /// A fault takes effect at the moment its net is assigned: an input
-    /// fault corrupts the applied stimulus, a gate-output fault the
-    /// computed value, and the last fault listed for a net wins. DFF
-    /// outputs are zero pseudo-inputs that are never assigned, so a
-    /// fault there has no effect. Pass no faults for the good circuit.
+    /// A site `(fault, mask)` forces its fault in the lanes of `mask`
+    /// only; pass `W::ONES` to force it in every lane. A fault takes
+    /// effect at the moment its net is assigned: an input fault corrupts
+    /// the applied stimulus, a gate-output fault the computed value, and
+    /// per net and per lane the last site listed wins. DFF outputs are
+    /// zero pseudo-inputs that are never assigned, so a fault there has
+    /// no effect. Pass no sites for the good circuit.
     ///
     /// # Panics
     ///
     /// Panics on input width mismatch.
-    pub fn eval_outputs_with_faults(&self, inputs: &[u64], faults: &[Fault]) -> Vec<u64> {
-        let values = self.tape.eval(inputs, None, faults);
+    pub fn eval_outputs_with_faults<W: SimWord>(
+        &self,
+        inputs: &[W],
+        sites: &[(Fault, W)],
+    ) -> Vec<W> {
+        let values = self.tape.eval(inputs, None, sites);
         self.nl
             .outputs()
             .iter()
@@ -412,16 +432,11 @@ impl<'a> FaultSim<'a> {
     }
 }
 
-/// The scalar fault oracle of the integration tests.
-#[cfg(test)]
-#[path = "../tests/oracle/mod.rs"]
-mod oracle;
-
 #[cfg(test)]
 mod tests {
-    use super::oracle::{outputs, reference, reference_coverage};
     use super::*;
     use crate::fault::stuck_at_universe;
+    use crate::oracle::{outputs, reference, reference_coverage};
     use seceda_netlist::{
         alu_slice, c17, comparator, majority, parity_tree, random_circuit, ripple_adder, CellKind,
         Netlist, RandomCircuitConfig,
@@ -611,7 +626,7 @@ mod tests {
             .collect();
         let words = pack_patterns(&patterns, 5);
         for &f in faults.iter().take(8) {
-            let outs = sim.eval_outputs_with_faults(&words, &[f]);
+            let outs = sim.eval_outputs_with_faults(&words, &[(f, u64::MAX)]);
             for (p, pattern) in patterns.iter().enumerate() {
                 let scalar_outs = outputs(&nl, &reference(&nl, pattern, &[], &[f]));
                 for (o, &w) in outs.iter().enumerate() {

@@ -8,10 +8,12 @@
 //! any target with 128-bit or wider vector units).
 //!
 //! The trait is deliberately tiny: the bitwise ops a gate evaluator
-//! needs, plus lane plumbing (`broadcast`/`lane`/`with_lane`) used by
-//! the fault-batching mode of
+//! needs, a popcount, plus lane plumbing (`broadcast`/`lane`/`with_lane`)
+//! used by the fault-batching mode of
 //! [`FaultSim`](crate::FaultSim), where each 64-bit lane of
-//! a [`Lane256`] carries a *different fault* over the same 64 patterns.
+//! a [`Lane256`] carries a *different fault* over the same 64 patterns,
+//! and by [`signal_probabilities`](crate::signal_probabilities), where
+//! each carries a different round of 64 random patterns.
 
 use std::ops::{BitAnd, BitOr, BitXor, Not};
 
@@ -50,6 +52,9 @@ pub trait SimWord:
 
     /// `true` if any bit is set.
     fn any(self) -> bool;
+
+    /// The number of set bits.
+    fn count_ones(self) -> u32;
 }
 
 /// The mask with the lowest `n` of 64 bits set.
@@ -88,6 +93,10 @@ impl SimWord for u64 {
 
     fn any(self) -> bool {
         self != 0
+    }
+
+    fn count_ones(self) -> u32 {
+        u64::count_ones(self)
     }
 }
 
@@ -164,6 +173,10 @@ impl SimWord for Lane256 {
     fn any(self) -> bool {
         (self.0[0] | self.0[1] | self.0[2] | self.0[3]) != 0
     }
+
+    fn count_ones(self) -> u32 {
+        self.0.iter().map(|w| w.count_ones()).sum()
+    }
 }
 
 #[cfg(test)]
@@ -193,6 +206,8 @@ mod tests {
         assert_eq!(w.lane(1), 7);
         assert!(w.any());
         assert!(!Lane256::ZERO.any());
+        assert_eq!(w.count_ones(), 3 * 3 + 2);
+        assert_eq!(Lane256::ONES.count_ones(), 256);
     }
 
     #[test]

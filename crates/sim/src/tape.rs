@@ -5,6 +5,10 @@
 //! crate that knows what a gate computes, generic over the value: `bool`
 //! for the scalar, cycle and event simulators, `u64` and `Lane256` for
 //! the packed ones. `Netlist::eval_nets` stays the independent oracle.
+//!
+//! A pass forces faults through lane-masked sites: per forced net one
+//! affine pair ([`force_pair`]) whose lanes each hold the last site
+//! listed for that net in that lane (see [`Tape::eval`]).
 
 use crate::fault::{Fault, FaultKind};
 use crate::simword::SimWord;
@@ -37,13 +41,17 @@ impl<W: SimWord> Word for W {
     const HIGH: Self = W::ONES;
 }
 
-/// The value a fault forces onto its net, given the fault-free value.
-pub(crate) fn apply_fault<W: Word>(kind: FaultKind, good: W) -> W {
-    match kind {
-        FaultKind::StuckAt0 => W::LOW,
-        FaultKind::StuckAt1 => W::HIGH,
-        FaultKind::BitFlip => !good,
-    }
+/// The affine pair `(keep, tog)` that forces a fault of `kind` in the
+/// lanes of `mask` and leaves every other lane alone: the forced value
+/// of `v` is `(v & keep) ^ tog`. Per lane, stuck-at-0 is `(0, 0)`,
+/// stuck-at-1 `(0, 1)`, a flip `(1, 1)` and an untouched lane `(1, 0)`.
+pub(crate) fn force_pair<W: Word>(kind: FaultKind, mask: W) -> (W, W) {
+    let (keep, tog) = match kind {
+        FaultKind::StuckAt0 => (W::LOW, W::LOW),
+        FaultKind::StuckAt1 => (W::LOW, W::HIGH),
+        FaultKind::BitFlip => (W::HIGH, W::HIGH),
+    };
+    ((keep & mask) | !mask, tog & mask)
 }
 
 /// A netlist compiled for evaluation.
@@ -64,16 +72,13 @@ pub(crate) struct Tape {
     dff_d: Vec<u32>,
     /// Per gate id: its topo position, `u32::MAX` for a DFF.
     pos: Vec<u32>,
-    /// CSR fan-out: `fan_pos[fan_off[n]..fan_off[n + 1]]` are the topo
-    /// positions of the combinational gates reading net `n`, in
-    /// gate-index order, a gate reading `n` twice listed once.
-    fan_off: Vec<u32>,
-    fan_pos: Vec<u32>,
+    /// Number of nets: the length of a pass's value vector.
+    num_nets: usize,
 }
 
 impl Tape {
-    /// Compiles `nl`. This is the only reader of the netlist's gate
-    /// arena in the crate's simulators.
+    /// Compiles `nl`. This and [`FanOut::new`] are the only readers of
+    /// the netlist's gate arena in the crate's simulators.
     ///
     /// # Errors
     ///
@@ -100,24 +105,6 @@ impl Tape {
             dff_q.push(net(g.output));
             dff_d.push(net(g.inputs[0]));
         }
-        // fan-out CSR: (net, reader) pairs in gate-index order, a gate
-        // reading a net twice listed once, stably sorted by net
-        let mut reads: Vec<(u32, u32)> = Vec::new();
-        for (g, &p) in nl.gates().iter().zip(&pos).filter(|&(_, &p)| p != u32::MAX) {
-            for (k, &i) in g.inputs.iter().enumerate() {
-                if !g.inputs[..k].contains(&i) {
-                    reads.push((net(i), p));
-                }
-            }
-        }
-        reads.sort_by_key(|&(n, _)| n);
-        let mut fan_off = vec![0u32; nl.num_nets() + 1];
-        for &(n, _) in &reads {
-            fan_off[n as usize + 1] += 1;
-        }
-        for n in 0..nl.num_nets() {
-            fan_off[n + 1] += fan_off[n];
-        }
         Ok(Tape {
             op,
             out,
@@ -127,8 +114,7 @@ impl Tape {
             dff_q,
             dff_d,
             pos,
-            fan_off,
-            fan_pos: reads.into_iter().map(|(_, p)| p).collect(),
+            num_nets: nl.num_nets(),
         })
     }
 
@@ -169,11 +155,6 @@ impl Tape {
         (p != u32::MAX).then_some(p as usize)
     }
 
-    /// The topo positions of the combinational gates reading net `n`.
-    pub(crate) fn fanout(&self, n: usize) -> &[u32] {
-        &self.fan_pos[self.fan_off[n] as usize..self.fan_off[n + 1] as usize]
-    }
-
     /// The kernel: the output of the gate at topo position `p` over the
     /// per-net values `vals`.
     #[inline]
@@ -206,10 +187,12 @@ impl Tape {
     /// from `state` (all zero when `None`), then every gate in topo
     /// order. Undriven nets read zero.
     ///
-    /// A fault takes effect when its net is assigned — a primary input
-    /// as it is loaded, a gate output as it is computed — and the last
-    /// fault listed for a net wins. DFF outputs are loaded, never
-    /// assigned, so a fault there has no effect.
+    /// Each site `(fault, mask)` forces its fault in the lanes of `mask`
+    /// only (`W::HIGH` forces every lane). A fault takes effect when its
+    /// net is assigned — a primary input as it is loaded, a gate output
+    /// as it is computed — and per net and per lane the last site
+    /// listed wins. DFF outputs are loaded, never assigned, so a fault
+    /// there has no effect.
     ///
     /// # Panics
     ///
@@ -218,21 +201,52 @@ impl Tape {
         &self,
         inputs: &[W],
         state: Option<&[W]>,
-        faults: &[Fault],
+        sites: &[(Fault, W)],
     ) -> Vec<W> {
+        let mut vals = Vec::new();
+        self.eval_into(&mut vals, inputs, state, sites);
+        vals
+    }
+
+    /// [`Tape::eval`] into a reused buffer: `vals` is overwritten with
+    /// every net's value.
+    pub(crate) fn eval_into<W: Word>(
+        &self,
+        vals: &mut Vec<W>,
+        inputs: &[W],
+        state: Option<&[W]>,
+        sites: &[(Fault, W)],
+    ) {
         assert_eq!(inputs.len(), self.pis.len(), "input width mismatch");
-        let mut forced: Vec<Option<FaultKind>> = Vec::new();
-        if !faults.is_empty() {
-            forced.resize(self.fan_off.len() - 1, None);
-            for f in faults {
-                forced[f.net.index()] = Some(f.kind);
+        let num_nets = self.num_nets;
+        // per forced net, its slot in `pairs`; a fault-free pass builds
+        // no slot table
+        let mut slot: Vec<u32> = Vec::new();
+        let mut pairs: Vec<(W, W)> = Vec::new();
+        if !sites.is_empty() {
+            slot.resize(num_nets, u32::MAX);
+            for &(fault, mask) in sites {
+                let s = &mut slot[fault.net.index()];
+                if *s == u32::MAX {
+                    *s = pairs.len() as u32;
+                    pairs.push((W::HIGH, W::LOW));
+                }
+                // the lanes of `mask` take this site's pair
+                let (keep, tog) = force_pair(fault.kind, mask);
+                let (k, t) = &mut pairs[*s as usize];
+                *k = (*k & !mask) | (keep & mask);
+                *t = (*t & !mask) | (tog & mask);
             }
         }
-        let force = |n: usize, v: W| match forced.get(n) {
-            Some(&Some(kind)) => apply_fault(kind, v),
+        let force = |n: usize, v: W| match slot.get(n) {
+            Some(&s) if s != u32::MAX => {
+                let (keep, tog) = pairs[s as usize];
+                (v & keep) ^ tog
+            }
             _ => v,
         };
-        let mut vals = vec![W::LOW; self.fan_off.len() - 1];
+        vals.clear();
+        vals.resize(num_nets, W::LOW);
         for (&pi, &v) in self.pis.iter().zip(inputs) {
             vals[pi as usize] = force(pi as usize, v);
         }
@@ -244,9 +258,8 @@ impl Tape {
         }
         for p in 0..self.op.len() {
             let o = self.out[p] as usize;
-            vals[o] = force(o, self.gate(p, &vals));
+            vals[o] = force(o, self.gate(p, vals));
         }
-        vals
     }
 
     /// Latches the DFF data inputs of a settled cycle `vals` into
@@ -258,9 +271,60 @@ impl Tape {
     }
 }
 
+/// The combinational fan-out of every net, in topo positions. Kept
+/// apart from the [`Tape`] and built only by the simulators that walk
+/// it, so a plain evaluation pass does not hold it in memory.
+#[derive(Debug, Clone)]
+pub(crate) struct FanOut {
+    /// CSR: `pos[off[n]..off[n + 1]]` are the topo positions of the
+    /// combinational gates reading net `n`, in gate-index order, a gate
+    /// reading `n` twice listed once.
+    off: Vec<u32>,
+    pos: Vec<u32>,
+}
+
+impl FanOut {
+    /// The fan-out of `nl`, compiled as `tape`.
+    pub(crate) fn new(nl: &Netlist, tape: &Tape) -> Self {
+        // (net, reader) pairs in gate-index order, a gate reading a net
+        // twice listed once, stably sorted by net
+        let mut reads: Vec<(u32, u32)> = Vec::new();
+        for (g, &p) in nl
+            .gates()
+            .iter()
+            .zip(&tape.pos)
+            .filter(|&(_, &p)| p != u32::MAX)
+        {
+            for (k, &i) in g.inputs.iter().enumerate() {
+                if !g.inputs[..k].contains(&i) {
+                    reads.push((i.index() as u32, p));
+                }
+            }
+        }
+        reads.sort_by_key(|&(n, _)| n);
+        let mut off = vec![0u32; tape.num_nets + 1];
+        for &(n, _) in &reads {
+            off[n as usize + 1] += 1;
+        }
+        for n in 0..tape.num_nets {
+            off[n + 1] += off[n];
+        }
+        FanOut {
+            off,
+            pos: reads.into_iter().map(|(_, p)| p).collect(),
+        }
+    }
+
+    /// The topo positions of the combinational gates reading net `n`.
+    pub(crate) fn readers(&self, n: usize) -> &[u32] {
+        &self.pos[self.off[n] as usize..self.off[n + 1] as usize]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::reference;
     use crate::packed::pack_patterns;
     use crate::simword::Lane256;
     use seceda_netlist::{random_circuit, RandomCircuitConfig};
@@ -293,6 +357,53 @@ mod tests {
                     assert_eq!(got, nl.eval_nets(pattern, &[]).expect("eval"));
                 }
             }
+        }
+    }
+
+    #[test]
+    fn bool_sites_match_oracle() {
+        // one lane: a site is forced iff its mask is `true`, and the
+        // last forced site listed for a net wins
+        let kinds = [FaultKind::StuckAt0, FaultKind::StuckAt1, FaultKind::BitFlip];
+        let mut rng = StdRng::seed_from_u64(12);
+        for seed in 0..60 {
+            let nl = random_circuit(&RandomCircuitConfig {
+                num_inputs: 5,
+                num_gates: 2 + seed as usize % 40,
+                num_outputs: 3,
+                with_xor: seed % 2 == 0,
+                seed,
+            });
+            let tape = Tape::new(&nl).expect("tape");
+            let inputs: Vec<bool> = (0..5).map(|_| rng.gen()).collect();
+            let mut sites: Vec<(Fault, bool)> = (0..rng.gen_range(0..5usize))
+                .map(|_| {
+                    let net = seceda_netlist::NetId::from_index(rng.gen_range(0..nl.num_nets()));
+                    (
+                        Fault {
+                            net,
+                            kind: kinds[rng.gen_range(0..3usize)],
+                        },
+                        rng.gen(),
+                    )
+                })
+                .collect();
+            if let Some(&(first, _)) = sites.first() {
+                let kind = kinds[rng.gen_range(0..3usize)];
+                sites.push((
+                    Fault {
+                        net: first.net,
+                        kind,
+                    },
+                    rng.gen(),
+                ));
+            }
+            let forced: Vec<Fault> = sites.iter().filter(|s| s.1).map(|s| s.0).collect();
+            assert_eq!(
+                tape.eval(&inputs, None, &sites),
+                reference(&nl, &inputs, &[], &forced),
+                "seed {seed}, sites {sites:?}"
+            );
         }
     }
 }

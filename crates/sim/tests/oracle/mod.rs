@@ -1,9 +1,9 @@
 //! The independent fault-simulation oracle: a walk of the netlist arena
 //! in topological order over [`CellKind::eval`](seceda_netlist::CellKind::eval),
 //! sharing no code with the compiled tape. Included as a module by the
-//! integration tests and, through `#[path]`, by the unit tests of
-//! `src/packed_fault.rs`; the including module brings `Fault` and
-//! `FaultKind` into scope.
+//! integration tests and, through `#[path]`, by the crate root for the
+//! unit tests; the including module brings `Fault` and `FaultKind` into
+//! scope.
 
 // each including test target uses a subset of the oracle
 #![allow(dead_code)]

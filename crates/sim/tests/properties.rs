@@ -67,8 +67,11 @@ proptest! {
         nl.mark_output(victim, "probe");
         let sim = FaultSim::new(&nl).expect("sim");
         let inputs = pack_patterns(&[vec![true, false, true, false, true]], 5);
-        let once = sim.eval_outputs_with_faults(&inputs, &[Fault::flip(victim)]);
-        let twice = sim.eval_outputs_with_faults(&inputs, &[Fault::flip(victim), Fault::flip(victim)]);
+        let once = sim.eval_outputs_with_faults(&inputs, &[(Fault::flip(victim), u64::MAX)]);
+        let twice = sim.eval_outputs_with_faults(
+            &inputs,
+            &[(Fault::flip(victim), u64::MAX), (Fault::flip(victim), u64::MAX)],
+        );
         prop_assert_eq!(once, twice);
     }
 
@@ -80,7 +83,7 @@ proptest! {
         let probe = nl.outputs().len() - 1;
         let sim = FaultSim::new(&nl).expect("sim");
         let inputs = pack_patterns(&[vec![false, true, true, false, true]], 5);
-        let outs = sim.eval_outputs_with_faults(&inputs, &[Fault::stuck_at(victim, v)]);
+        let outs = sim.eval_outputs_with_faults(&inputs, &[(Fault::stuck_at(victim, v), u64::MAX)]);
         prop_assert_eq!(outs[probe] & 1 == 1, v);
     }
 }

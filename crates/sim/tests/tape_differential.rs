@@ -8,9 +8,12 @@
 //!
 //! Word types: `bool` ([`CycleSim`], [`EventSim`]), `u64`
 //! ([`PackedSim`], [`FaultSim::eval_outputs_with_faults`]) and
-//! `Lane256` ([`FaultSim::coverage`], whose good pass and cone walk run
-//! on 256-bit words, compared against oracle detection on every
-//! pattern). `tests/packed_fault.rs` grades random and bench circuits
+//! `Lane256` ([`FaultSim::eval_outputs_with_faults`], and
+//! [`FaultSim::coverage`], whose good pass and cone walk run on 256-bit
+//! words, compared against oracle detection on every pattern).
+//! Lane-masked fault sites are checked lane by lane: the oracle runs
+//! each lane with the sites whose mask holds that lane, in listed
+//! order. `tests/packed_fault.rs` grades random and bench circuits
 //! against the same oracle.
 //!
 //! The `#[ignore]`d sweeps repeat the comparison on 2k-20k-gate
@@ -23,7 +26,8 @@ use oracle::{outputs, reference, reference_coverage};
 use seceda_netlist::{c17, random_circuit, CellKind, NetId, Netlist, RandomCircuitConfig};
 use seceda_sim::fault::stuck_at_universe;
 use seceda_sim::{
-    pack_patterns, CycleSim, EventSim, Fault, FaultKind, FaultSim, GlitchReport, PackedSim,
+    pack_patterns, CycleSim, EventSim, Fault, FaultKind, FaultSim, GlitchReport, Lane256,
+    PackedSim, SimWord,
 };
 use seceda_testkit::rng::{Rng, SeedableRng, StdRng};
 
@@ -98,9 +102,128 @@ fn random_faults(rng: &mut StdRng, nl: &Netlist, max: usize) -> Vec<Fault> {
     faults
 }
 
+/// Every fault forced in every lane of a `u64` word.
+fn everywhere(faults: &[Fault]) -> Vec<(Fault, u64)> {
+    faults.iter().map(|&f| (f, u64::MAX)).collect()
+}
+
 /// Bit `p` of every word.
 fn lane(words: &[u64], p: usize) -> Vec<bool> {
     words.iter().map(|w| (w >> p) & 1 == 1).collect()
+}
+
+/// Bit `p` of a word of any width.
+fn bit<W: SimWord>(w: W, p: usize) -> bool {
+    (w.lane(p / 64) >> (p % 64)) & 1 == 1
+}
+
+/// A uniformly random word of any width.
+fn random_word<W: SimWord>(rng: &mut StdRng) -> W {
+    (0..W::LANES).fold(W::ZERO, |w, i| w.with_lane(i, rng.gen()))
+}
+
+/// Lane-masked sites over [`random_faults`] with random masks, plus a
+/// primary-input site, a DFF-output site, and on each of the first two
+/// listed nets a second site, whose random mask shares about a quarter
+/// of the lanes with the first one's.
+fn random_sites<W: SimWord>(rng: &mut StdRng, nl: &Netlist) -> Vec<(Fault, W)> {
+    let kinds = [FaultKind::StuckAt0, FaultKind::StuckAt1, FaultKind::BitFlip];
+    let mut faults = random_faults(rng, nl, 4);
+    faults.push(Fault {
+        net: nl.inputs()[rng.gen_range(0..nl.inputs().len())],
+        kind: kinds[rng.gen_range(0..3usize)],
+    });
+    if let Some(&dff) = nl.dffs().first() {
+        faults.push(Fault::flip(nl.gate(dff).output));
+    }
+    let mut sites: Vec<(Fault, W)> = faults.iter().map(|&f| (f, random_word(rng))).collect();
+    for f in faults.iter().take(2) {
+        let net = f.net;
+        let kind = kinds[rng.gen_range(0..3usize)];
+        sites.push((Fault { net, kind }, random_word(rng)));
+    }
+    sites
+}
+
+/// The oracle's fault list for lane `p`: the sites whose mask holds bit
+/// `p`, in listed order, so the oracle's last fault per net is the last
+/// site per net in that lane.
+fn lane_faults<W: SimWord>(sites: &[(Fault, W)], p: usize) -> Vec<Fault> {
+    sites
+        .iter()
+        .filter(|&&(_, mask)| bit(mask, p))
+        .map(|&(f, _)| f)
+        .collect()
+}
+
+/// Lane-masked forcing against the oracle applied lane by lane, over
+/// partial and full words of `W`.
+fn masked_sites_match_oracle<W: SimWord>(rng_seed: u64) {
+    let mut rng = StdRng::seed_from_u64(rng_seed);
+    for seed in 0..50 {
+        let nl = seq_circuit(seed, 6, 2 + seed as usize % 50, 2);
+        let sim = FaultSim::new(&nl).expect("sim");
+        // a partial last word most of the time, a full one sometimes
+        let n = if seed % 5 == 0 {
+            W::BITS
+        } else {
+            rng.gen_range(1..W::BITS)
+        };
+        let patterns: Vec<Vec<bool>> = (0..n).map(|_| random_bits(&mut rng, 6)).collect();
+        let words = pack_patterns::<W>(&patterns, 6);
+        let sites = random_sites::<W>(&mut rng, &nl);
+        let outs = sim.eval_outputs_with_faults(&words, &sites);
+        for (p, pattern) in patterns.iter().enumerate() {
+            let want = outputs(&nl, &reference(&nl, pattern, &[], &lane_faults(&sites, p)));
+            let got: Vec<bool> = outs.iter().map(|&w| bit(w, p)).collect();
+            assert_eq!(
+                got, want,
+                "seed {seed}, {n} patterns, lane {p}, sites {sites:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn u64_lane_masked_sites_match_oracle() {
+    masked_sites_match_oracle::<u64>(10);
+}
+
+#[test]
+fn lane256_lane_masked_sites_match_oracle() {
+    masked_sites_match_oracle::<Lane256>(11);
+}
+
+#[test]
+fn last_site_wins_per_lane() {
+    // y = buf(a) with a = 1 in every lane; lanes 0..4 see: untouched,
+    // flip, stuck-at-0, then stuck-at-0 overridden by a flip
+    let mut nl = Netlist::new("buf");
+    let a = nl.add_input("a");
+    let y = nl.add_gate(CellKind::Buf, &[a]);
+    nl.mark_output(y, "y");
+    let sim = FaultSim::new(&nl).expect("sim");
+    let sites = [
+        (Fault::stuck_at(y, false), Lane256([0b1100, 0, 0, 0])),
+        (Fault::flip(y), Lane256([0b1010, 0, 0, 0])),
+    ];
+    let outs = sim.eval_outputs_with_faults(&[Lane256::ONES], &sites);
+    assert_eq!(outs, [Lane256([!0b1110, u64::MAX, u64::MAX, u64::MAX])]);
+    // a primary-input site reaches the output only in its own lanes,
+    // and a DFF-output site never does
+    let mut nl = Netlist::new("seq");
+    let a = nl.add_input("a");
+    let d = nl.add_net();
+    let q = nl.add_gate(CellKind::Dff, &[d]);
+    let y = nl.add_gate(CellKind::Xor, &[a, q]);
+    nl.mark_output(y, "y");
+    let sim = FaultSim::new(&nl).expect("sim");
+    let sites = [
+        (Fault::stuck_at(a, true), Lane256([0, 0, 0b1, 0])),
+        (Fault::stuck_at(q, true), Lane256::ONES),
+    ];
+    let outs = sim.eval_outputs_with_faults(&[Lane256::ZERO], &sites);
+    assert_eq!(outs, [Lane256([0, 0, 0b1, 0])]);
 }
 
 /// All `2^n` input vectors of an `n`-input design.
@@ -143,7 +266,10 @@ fn single_pattern_passes_match_oracle_under_faults() {
         );
         let faults = random_faults(&mut rng, &nl, 3);
         assert_eq!(
-            lane(&sim.eval_outputs_with_faults(&words, &faults), 0),
+            lane(
+                &sim.eval_outputs_with_faults(&words, &everywhere(&faults)),
+                0
+            ),
             outputs(&nl, &reference(&nl, &inputs, &[], &faults)),
             "seed {seed} faults {faults:?}"
         );
@@ -160,7 +286,7 @@ fn dff_output_faults_have_no_effect() {
     let good = sim.eval_outputs_with_faults(&words, &[]);
     let q_faults = [Fault::stuck_at(q, true), Fault::flip(q)];
     for &f in &q_faults {
-        assert_eq!(sim.eval_outputs_with_faults(&words, &[f]), good);
+        assert_eq!(sim.eval_outputs_with_faults(&words, &[(f, u64::MAX)]), good);
     }
     for (p, pattern) in patterns.iter().enumerate() {
         let want = nl.eval_nets(pattern, &[false; 2]).expect("eval");
@@ -200,7 +326,7 @@ fn packed_faulty_outputs_match_oracle_in_every_bit() {
         let sim = FaultSim::new(&nl).expect("sim");
         let patterns: Vec<Vec<bool>> = (0..64).map(|_| random_bits(&mut rng, 6)).collect();
         let faults = random_faults(&mut rng, &nl, 3);
-        let outs = sim.eval_outputs_with_faults(&pack_patterns(&patterns, 6), &faults);
+        let outs = sim.eval_outputs_with_faults(&pack_patterns(&patterns, 6), &everywhere(&faults));
         for (p, pattern) in patterns.iter().enumerate() {
             let want = outputs(&nl, &reference(&nl, pattern, &[], &faults));
             assert_eq!(lane(&outs, p), want, "seed {seed} pattern {p}");
@@ -384,7 +510,7 @@ fn large_designs_match_oracle() {
         let faults: Vec<Vec<Fault>> = (0..8).map(|_| random_faults(&mut rng, &nl, 3)).collect();
         let faulty_words: Vec<Vec<u64>> = faults
             .iter()
-            .map(|f| faulty.eval_outputs_with_faults(&input_words, f))
+            .map(|f| faulty.eval_outputs_with_faults(&input_words, &everywhere(f)))
             .collect();
         for (p, pattern) in patterns.iter().enumerate() {
             let want = nl.eval_nets(pattern, &[]).expect("eval");

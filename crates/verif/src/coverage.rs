@@ -144,7 +144,8 @@ mod tests {
     /// pass with the stimulus in bit 0.
     fn faulty_outputs(sim: &FaultSim, inputs: &[bool], faults: &[Fault]) -> Vec<bool> {
         let words: Vec<u64> = inputs.iter().map(|&b| u64::from(b)).collect();
-        let outs = sim.eval_outputs_with_faults(&words, faults);
+        let sites: Vec<(Fault, u64)> = faults.iter().map(|&f| (f, u64::MAX)).collect();
+        let outs = sim.eval_outputs_with_faults(&words, &sites);
         outs.iter().map(|w| w & 1 == 1).collect()
     }
 

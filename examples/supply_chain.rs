@@ -121,7 +121,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     println!("plain scan chain: attacker recovers key {recovered:#04x} (true {key:#04x})");
     let secured = secure_scan_wrap(scan_victim(key), 0xBEEF);
     let inputs = seceda_netlist::u64_to_bits(0xA7, 8);
-    let (_, state) = secured.capture(&vec![false; 8], &inputs);
+    let (_, state) = secured.capture(&[false; 8], &inputs);
     let scrambled = secured.dump_scrambled(&state, &inputs);
     println!(
         "secure scan: dump is keyed-scrambled ({} bits of noise to the attacker)",

@@ -10,8 +10,9 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --workspace --offline -- -D warnings"
-cargo clippy --workspace --offline -- -D warnings
+# Test, example and bench targets are linted too, not just the libraries.
+echo "==> cargo clippy --workspace --all-targets --offline -- -D warnings"
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # Rustdoc warnings fail the gate, so a deleted or private item cannot
 # leave a dangling intra-doc link behind.
@@ -38,6 +39,12 @@ cargo test -q --release --offline -p seceda-layout -- --ignored
 # 10^6-gate parse smoke stays behind SECEDA_VERIFY_SCALE below.
 echo "==> simulation tape vs. Netlist::eval_nets on large designs (release)"
 cargo test -q --release --offline -p seceda-sim --test tape_differential -- --ignored
+
+# Fault-injection campaigns run lane-packed on the same tape; their
+# sweep against the scalar classification oracle on 1k-gate hosts is
+# #[ignore]d for the debug suite and runs here in release.
+echo "==> FIA campaign analysis vs. scalar oracle on 1k-gate hosts (release)"
+cargo test -q --release --offline -p seceda-fia --lib -- --ignored
 
 # Every reported number must be independent of the worker count: the
 # attack (with its rebuild-per-iteration differential), composition,

@@ -78,7 +78,7 @@ fn scan_attack_beats_plain_scan_but_not_secure_scan() {
     let secured = secure_scan_wrap(scan_victim(key), 0xABCD);
     let pt = 0x31u8;
     let inputs = seceda_netlist::u64_to_bits(pt as u64, 8);
-    let (_, state) = secured.capture(&vec![false; 8], &inputs);
+    let (_, state) = secured.capture(&[false; 8], &inputs);
     let scrambled = secured.dump_scrambled(&state, &inputs);
     let ordered: Vec<bool> = scrambled.iter().rev().copied().collect();
     let mut inv = [0u8; 256];
