@@ -3,7 +3,7 @@
 //! `flow.secure` root, with the stage metrics attached as attributes.
 
 use seceda_core::run_secure_flow;
-use seceda_netlist::c17;
+use seceda_netlist::{c17, random_circuit, RandomCircuitConfig};
 use seceda_testkit::json::Json;
 use seceda_trace::{session, to_json_lines, AttrValue, Summary};
 
@@ -70,7 +70,19 @@ fn secure_flow_emits_one_span_per_stage() {
 
 #[test]
 fn secure_flow_counters_cover_sat_sim_and_atpg() {
-    let (_, events) = session(|| run_secure_flow(&c17()).expect("flow"));
+    // On c17 the secure flow makes no solver call at all: the AIG miter
+    // of the synthesized and the original design folds to false, and the
+    // random ATPG bootstrap covers every fault. On a 100-gate random
+    // design (the size of the signoff benchmark's) the random bootstrap
+    // leaves faults for SAT ATPG.
+    let nl = random_circuit(&RandomCircuitConfig {
+        num_inputs: 16,
+        num_gates: 100,
+        num_outputs: 8,
+        with_xor: true,
+        seed: 1,
+    });
+    let (_, events) = session(|| run_secure_flow(&nl).expect("flow"));
     let summary = Summary::of(&events);
     for name in [
         "sat.decisions",
@@ -85,9 +97,9 @@ fn secure_flow_counters_cover_sat_sim_and_atpg() {
             summary.counters.keys().collect::<Vec<_>>()
         );
     }
-    // c17 is fully testable, so ATPG produced at least one pattern
+    // ATPG produced at least one pattern
     assert!(summary.counters.get("dft.patterns_generated").copied() > Some(0));
-    // SAT ran for equivalence + ATPG cleanup
+    // SAT ran for the ATPG cleanup
     assert!(summary.spans_named("sat.solve").next().is_some());
 }
 

@@ -5,19 +5,18 @@
 //! faulty circuit, shared inputs, some output must differ). UNSAT proves
 //! the fault untestable (redundant logic).
 //!
-//! The miter is built *incrementally*: [`AtpgSolver`] encodes the good
-//! circuit exactly once and keeps one persistent solver across every
-//! fault. Each query appends only the fault's fan-out cone as a
-//! [`seceda_sat::FaultCone`] — gated on a fresh selector passed as an
-//! assumption, retired with a root-level unit after the solve — so
-//! learned clauses about the good circuit accumulate across the whole
-//! run instead of being rebuilt per fault.
+//! The miter is built *incrementally*: [`AtpgSolver`] lowers the good
+//! circuit once, through the structurally-hashed AIG, into one
+//! persistent solver kept across every fault. Each query builds only the
+//! fault's fan-out cone as a [`seceda_sat::FaultMiter`] overlay: stuck-at
+//! sites bind to constants and fold, so a fault the AIG already masks is
+//! decided with no solver call, and a live cone is solved under a fresh
+//! selector, then retired and truncated away. Learned clauses about the
+//! good circuit accumulate across the whole run instead of being rebuilt
+//! per fault.
 
 use seceda_netlist::{Netlist, NetlistError};
-use seceda_sat::{
-    encode_faulty_cone, encode_netlist, Budget, Lit, NetlistEncoding, SolveOutcome, Solver,
-    StopReason,
-};
+use seceda_sat::{AigLit, Budget, FaultMiter, FaultVerdict, StopReason};
 use seceda_sim::{fault::stuck_at_universe, Fault, FaultKind, FaultSim};
 use seceda_testkit::rng::{Rng, SeedableRng, StdRng};
 
@@ -48,49 +47,28 @@ pub enum FaultTestOutcome {
     Aborted(StopReason),
 }
 
-/// A persistent incremental ATPG engine: the good circuit is encoded
-/// once, and every fault query only appends that fault's selector-gated
+/// A persistent incremental ATPG engine: the good circuit is lowered
+/// once, and every fault query only adds that fault's selector-gated
 /// fan-out cone to the same live solver.
 pub struct AtpgSolver<'a> {
-    nl: &'a Netlist,
-    solver: Solver,
-    good: NetlistEncoding,
-    /// A literal constrained false at the root; stuck-at faults read it
-    /// (or its negation) as their faulty source value.
-    false_lit: Lit,
+    faults: FaultMiter<'a>,
 }
 
 impl<'a> AtpgSolver<'a> {
-    /// Encodes the good circuit into a fresh persistent solver.
+    /// Lowers the good circuit into a fresh persistent solver.
     ///
     /// # Errors
     ///
     /// Propagates encoding errors (cyclic netlists).
     pub fn new(nl: &'a Netlist) -> Result<Self, NetlistError> {
-        let mut solver = Solver::new(0);
-        let good = encode_netlist(nl, &mut solver)?;
-        let f = solver.new_var();
-        solver.add_clause([f.neg()]);
         Ok(AtpgSolver {
-            nl,
-            solver,
-            good,
-            false_lit: f.pos(),
+            faults: FaultMiter::new(nl)?,
         })
     }
 
-    /// The literal carrying the faulty value of `fault.net`.
-    fn faulty_source(&self, fault: Fault) -> Lit {
-        match fault.kind {
-            FaultKind::StuckAt0 => self.false_lit,
-            FaultKind::StuckAt1 => !self.false_lit,
-            FaultKind::BitFlip => self.good.vars[fault.net.index()].neg(),
-        }
-    }
-
     /// Generates a test for a single fault; `None` means proven
-    /// untestable (by structure when the fault reaches no output, by
-    /// UNSAT otherwise).
+    /// untestable (by the AIG when the fault's cone folds away before
+    /// every output, by UNSAT otherwise).
     ///
     /// # Errors
     ///
@@ -120,32 +98,19 @@ impl<'a> AtpgSolver<'a> {
         fault: Fault,
         budget: &Budget,
     ) -> Result<FaultTestOutcome, NetlistError> {
-        let faulty_source = self.faulty_source(fault);
-        let cone = encode_faulty_cone(
-            self.nl,
-            &self.good,
-            fault.net,
-            faulty_source,
-            &mut self.solver,
-        )?;
+        let faulty = |good: AigLit| match fault.kind {
+            FaultKind::StuckAt0 => AigLit::FALSE,
+            FaultKind::StuckAt1 => AigLit::TRUE,
+            FaultKind::BitFlip => !good,
+        };
         // sensitization requirement: some primary output differs
-        if !cone.require_difference(&self.good, |_| true, &mut self.solver) {
-            // the fault reaches no primary output: untestable without a
-            // single solver call
-            cone.retire(&mut self.solver);
-            return Ok(FaultTestOutcome::Untestable);
-        }
-        Ok(match cone.solve(&mut self.solver, &[], budget) {
-            SolveOutcome::Sat(model) => FaultTestOutcome::Test(
-                self.good
-                    .input_vars
-                    .iter()
-                    .map(|v| model[v.index()])
-                    .collect(),
-            ),
-            SolveOutcome::Unsat => FaultTestOutcome::Untestable,
-            SolveOutcome::Indeterminate(reason) => FaultTestOutcome::Aborted(reason),
-        })
+        Ok(
+            match self.faults.query(fault.net, faulty, |_| true, &[], budget) {
+                FaultVerdict::Exposed(pattern) => FaultTestOutcome::Test(pattern),
+                FaultVerdict::Unexposable => FaultTestOutcome::Untestable,
+                FaultVerdict::Undecided(reason) => FaultTestOutcome::Aborted(reason),
+            },
+        )
     }
 }
 

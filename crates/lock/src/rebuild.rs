@@ -1,16 +1,22 @@
 //! The original rebuild-per-iteration SAT attack, kept as the
 //! differential oracle for [`crate::sat_attack::sat_attack`]: it
-//! re-encodes the full attack CNF — a [`miter`] of two keyed copies tied
-//! on the functional inputs only, plus one per-net Tseitin copy per key
-//! and observation — and builds a fresh solver on every DIP iteration.
-//! Both canonicalize every DIP and the key with the shared
-//! [`lex_min_model`], so they must agree on the iteration count and
-//! recover the same key, bit for bit.
+//! re-encodes the full attack CNF — a miter of two keyed copies tied on
+//! the functional inputs only, plus one constrained copy per key and
+//! observation — and builds a fresh solver on every DIP iteration. Its
+//! encoder is the per-net Tseitin test oracle of `seceda-sat`
+//! (`crates/sat/tests/oracle/tseitin.rs`), so it shares no lowering code
+//! with the AIG-encoded attack it checks. Both canonicalize every DIP
+//! and the key with the shared [`lex_min_model`], so they must agree on
+//! the iteration count and recover the same key, bit for bit.
+
+#[path = "../../sat/tests/oracle/tseitin.rs"]
+mod tseitin;
 
 use crate::locking::LockedNetlist;
 use crate::sat_attack::{lex_min_model, SatAttackResult};
 use seceda_netlist::NetlistError;
-use seceda_sat::{encode_netlist, miter, Budget, Cnf, CnfBuilder, Lit, SolveOutcome, Solver, Var};
+use seceda_sat::{Budget, Cnf, CnfBuilder, Lit, SolveOutcome, Solver, Var};
+use tseitin::{encode_netlist, miter};
 
 /// Appends one observation `(x_hat, y_hat)` to the attack encoding: a
 /// fresh constrained circuit copy per key, with inputs pinned to `x_hat`,
@@ -40,7 +46,7 @@ fn encode_observation<B: CnfBuilder>(
     Ok(())
 }
 
-/// Builds the full attack CNF for a given observation set: a [`miter`]
+/// Builds the full attack CNF for a given observation set: a miter
 /// of two copies of the locked circuit sharing X but with independent
 /// keys, plus every observation. Returns `(cnf, inputs, diff_lit)`,
 /// where `inputs` are the first copy's input variables: X, then its key.

@@ -21,14 +21,14 @@
 //! canonicalized to the lexicographically smallest satisfying
 //! assignment, so the attack's result is a property of the formula
 //! regardless of encoding, solver history, or worker count. The
-//! rebuild-from-scratch baseline (a per-net Tseitin [`seceda_sat::miter`]
-//! sharing only the functional inputs, fresh solver per iteration) is
-//! kept in test-only code as the differential oracle of this attack.
+//! rebuild-from-scratch baseline (a per-net Tseitin miter sharing only
+//! the functional inputs, fresh solver per iteration) is kept in
+//! test-only code as the differential oracle of this attack.
 
 use crate::locking::LockedNetlist;
 use seceda_netlist::NetlistError;
 use seceda_sat::{
-    lower_netlist_bound, Aig, AigCnf, AigLit, Budget, CnfBuilder, Lit, SolveOutcome, Solver,
+    lower_netlist, miter, Aig, AigCnf, AigLit, Budget, CnfBuilder, Lit, SolveOutcome, Solver,
     StopReason, Var,
 };
 
@@ -109,9 +109,9 @@ struct AigScaffold {
 }
 
 /// Encodes the attack scaffolding through a structurally-hashed AIG:
-/// both keyed copies are lowered over the *same* X input nodes, so every
-/// key-independent cone is built (and encoded to CNF) exactly once, and
-/// the difference miter folds to constant-false for outputs the key
+/// the [`miter`] of two keyed copies sharing the functional inputs X, so
+/// every key-independent cone is built (and encoded to CNF) exactly
+/// once, and the difference folds to constant-false for outputs the key
 /// cannot influence. `const_false` must already be pinned false in
 /// `sink`.
 fn encode_aig_scaffold<B: CnfBuilder>(
@@ -121,37 +121,19 @@ fn encode_aig_scaffold<B: CnfBuilder>(
 ) -> Result<AigScaffold, NetlistError> {
     let nl = &locked.netlist;
     let nx = locked.num_original_inputs;
-    let nk = locked.key_width();
     let mut aig = Aig::new();
     let mut map = AigCnf::new(const_false);
-    let x_vars: Vec<Var> = (0..nx).map(|_| sink.new_var()).collect();
-    let k1: Vec<Var> = (0..nk).map(|_| sink.new_var()).collect();
-    let k2: Vec<Var> = (0..nk).map(|_| sink.new_var()).collect();
-    let x_nodes: Vec<AigLit> = x_vars.iter().map(|v| aig.input(v.pos())).collect();
-    let k1_nodes: Vec<AigLit> = k1.iter().map(|v| aig.input(v.pos())).collect();
-    let k2_nodes: Vec<AigLit> = k2.iter().map(|v| aig.input(v.pos())).collect();
-
-    let bind1: Vec<AigLit> = x_nodes.iter().chain(&k1_nodes).copied().collect();
-    let outs1 = lower_netlist_bound(nl, &mut aig, &bind1, sink)?;
-    let bind2: Vec<AigLit> = x_nodes.iter().chain(&k2_nodes).copied().collect();
-    let outs2 = lower_netlist_bound(nl, &mut aig, &bind2, sink)?;
-
-    // difference miter, folded in the AIG: key-independent outputs are
-    // the same node in both copies and vanish as XOR(n, n) = false
-    let mut diff_edge = AigLit::FALSE;
-    for (&o1, &o2) in outs1.iter().zip(&outs2) {
-        let d = aig.xor(o1, o2);
-        diff_edge = aig.or(diff_edge, d);
-    }
-    let diff = map.lit_of(&aig, diff_edge, sink);
+    // variables: X, then the first copy's key k1, then the second's k2
+    let m = miter(nl, nl, nx, &mut aig, sink)?;
+    let diff = map.lit_of(&aig, m.diff, sink);
     Ok(AigScaffold {
         aig,
         map,
         const_false,
-        x_vars,
-        k1,
-        k1_nodes,
-        k2_nodes,
+        x_vars: m.vars[..nx].to_vec(),
+        k1: m.vars[nx..nl.inputs().len()].to_vec(),
+        k1_nodes: m.a_inputs[nx..].to_vec(),
+        k2_nodes: m.b_inputs[nx..].to_vec(),
         diff,
     })
 }
@@ -183,8 +165,9 @@ fn encode_observation_aig<B: CnfBuilder>(
             .map(|&b| AigLit::constant(b))
             .chain(key_nodes.iter().copied())
             .collect();
-        let outs = lower_netlist_bound(nl, &mut sc.aig, &bindings, sink)?;
-        for (&out, &yv) in outs.iter().zip(y_hat) {
+        let nets = lower_netlist(nl, &mut sc.aig, &bindings, None, sink)?;
+        for (&(o, _), &yv) in nl.outputs().iter().zip(y_hat) {
+            let out = nets[o.index()];
             match out.as_const() {
                 Some(b) => {
                     if b != yv {

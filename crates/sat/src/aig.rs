@@ -18,7 +18,7 @@
 //! callers (the DIP loop) pay clauses only for nodes that are *new*
 //! since the last lowering.
 
-use crate::cnf::{CnfBuilder, Lit};
+use crate::cnf::{CnfBuilder, Lit, Var};
 use seceda_netlist::{CellKind, Netlist, NetlistError};
 use std::collections::HashMap;
 
@@ -92,8 +92,11 @@ const KIND_XOR: u8 = 3;
 
 /// The structurally-hashed AIG node table.
 ///
-/// Append-only: node indices are stable, so [`AigCnf`] maps can be kept
-/// across many lowering calls.
+/// Nodes are only appended, so indices are stable and [`AigCnf`] maps
+/// can be kept across many lowering calls. The one exception is
+/// crate-private: a scoped overlay (the fault queries of
+/// [`FaultMiter`](crate::FaultMiter)) builds above a mark and truncates
+/// the table, and its map, back to that mark when it retires.
 #[derive(Debug, Clone, Default)]
 pub struct Aig {
     nodes: Vec<Node>,
@@ -120,6 +123,21 @@ impl Aig {
     /// hash instead of allocating — the sharing the AIG discovered.
     pub fn hash_hits(&self) -> u64 {
         self.hash_hits
+    }
+
+    /// Drops every node at index `mark` or above, together with its
+    /// structural-hash entry, so later constructions cannot reach them.
+    pub(crate) fn truncate(&mut self, mark: usize) {
+        for n in mark..self.nodes.len() {
+            let key = match self.nodes[n] {
+                Node::Const => unreachable!("the constant node is never truncated"),
+                Node::Input(lit) => (KIND_INPUT, lit.code() as u32, 0),
+                Node::And(a, b) => (KIND_AND, a.0, b.0),
+                Node::Xor(a, b) => (KIND_XOR, a.0, b.0),
+            };
+            self.strash.remove(&key);
+        }
+        self.nodes.truncate(mark);
     }
 
     fn intern(&mut self, key: (u8, u32, u32), node: Node) -> u32 {
@@ -221,7 +239,7 @@ impl Aig {
     }
 
     /// Lowers one gate function over already-lowered input edges.
-    fn gate(&mut self, kind: CellKind, ins: &[AigLit]) -> AigLit {
+    pub(crate) fn gate(&mut self, kind: CellKind, ins: &[AigLit]) -> AigLit {
         match kind {
             CellKind::Const0 => AigLit::FALSE,
             CellKind::Const1 => AigLit::TRUE,
@@ -260,6 +278,20 @@ impl AigCnf {
             lits: Vec::new(),
             const_false,
         }
+    }
+
+    /// Lowers every node of `aig` not yet lowered, reachable from a net
+    /// or not: the two-level XOR rule leaves its AND operands orphaned,
+    /// and a later construction may still hash-hit them.
+    pub(crate) fn lower_all<B: CnfBuilder>(&mut self, aig: &Aig, sink: &mut B) {
+        for n in 1..aig.num_nodes() {
+            self.lit_of(aig, AigLit::new(n as u32, false), sink);
+        }
+    }
+
+    /// Forgets the literals of every node at index `mark` or above.
+    pub(crate) fn truncate(&mut self, mark: usize) {
+        self.lits.truncate(mark);
     }
 
     /// The CNF literal carrying edge `l`, emitting Tseitin clauses into
@@ -316,14 +348,17 @@ impl AigCnf {
     }
 }
 
-/// Lowers the combinational logic of `nl` into `aig` under *bound
-/// inputs*: `bindings[k]` is the AIG edge driving primary input *k*
-/// (a constant, an [`Aig::input`] node, or any internal edge). DFF
-/// outputs become fresh free variables allocated from `sink`, as in
-/// [`crate::encode_netlist`].
+/// Lowers the combinational logic of `nl` into `aig`: `inputs[k]` is
+/// the AIG edge driving primary input *k* (a constant, an
+/// [`Aig::input`] node, or any internal edge), and `state[j]` drives the
+/// output of the *j*-th DFF in [`Netlist::dffs`] order. With `state`
+/// `None`, DFF outputs become fresh free variables allocated from
+/// `sink`. Undriven nets other than primary inputs lower to constant
+/// false, as [`Netlist::evaluate`] reads them.
 ///
-/// Returns one edge per primary output, in port order; lower them with
-/// [`AigCnf::lit_of`] when (and only when) they are needed as literals.
+/// Returns one edge per net, indexed by
+/// [`NetId::index`](seceda_netlist::NetId::index); lower the ones
+/// needed as literals with [`AigCnf::lit_of`].
 ///
 /// # Errors
 ///
@@ -331,44 +366,120 @@ impl AigCnf {
 ///
 /// # Panics
 ///
-/// Panics unless exactly one binding per primary input is given.
-pub fn lower_netlist_bound<B: CnfBuilder>(
+/// Panics unless exactly one edge per primary input (and, if given, one
+/// per DFF) is passed.
+pub fn lower_netlist<B: CnfBuilder>(
     nl: &Netlist,
     aig: &mut Aig,
-    bindings: &[AigLit],
+    inputs: &[AigLit],
+    state: Option<&[AigLit]>,
     sink: &mut B,
 ) -> Result<Vec<AigLit>, NetlistError> {
     assert_eq!(
-        bindings.len(),
+        inputs.len(),
         nl.inputs().len(),
-        "one binding per primary input"
+        "one edge per primary input"
     );
     let order = nl.topo_order()?;
-    let mut vals: Vec<Option<AigLit>> = vec![None; nl.num_nets()];
-    for (k, &pi) in nl.inputs().iter().enumerate() {
-        vals[pi.index()] = Some(bindings[k]);
+    let mut nets = vec![AigLit::FALSE; nl.num_nets()];
+    for (&pi, &e) in nl.inputs().iter().zip(inputs) {
+        nets[pi.index()] = e;
     }
-    for d in nl.dffs() {
-        let out = nl.gate(d).output;
-        let free = sink.new_var().pos();
-        vals[out.index()] = Some(aig.input(free));
+    let dffs = nl.dffs();
+    if let Some(state) = state {
+        assert_eq!(state.len(), dffs.len(), "one edge per DFF");
+    }
+    for (j, &d) in dffs.iter().enumerate() {
+        nets[nl.gate(d).output.index()] = match state {
+            Some(state) => state[j],
+            None => aig.input(sink.new_var().pos()),
+        };
     }
     let mut ins: Vec<AigLit> = Vec::new();
     for gid in order {
         let g = nl.gate(gid);
         ins.clear();
-        ins.extend(
-            g.inputs
-                .iter()
-                .map(|&i| vals[i.index()].expect("topological order")),
-        );
-        vals[g.output.index()] = Some(aig.gate(g.kind, &ins));
+        ins.extend(g.inputs.iter().map(|&i| nets[i.index()]));
+        nets[g.output.index()] = aig.gate(g.kind, &ins);
     }
-    Ok(nl
-        .outputs()
+    Ok(nets)
+}
+
+/// A miter of two netlists built in one [`Aig`], from [`miter`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Miter {
+    /// The input variables: every input of `a` in port order, then the
+    /// inputs of `b` past the shared prefix.
+    pub vars: Vec<Var>,
+    /// The edges driving `a`'s inputs, in port order.
+    pub a_inputs: Vec<AigLit>,
+    /// The edges driving `b`'s inputs: `a`'s shared prefix, then its own.
+    pub b_inputs: Vec<AigLit>,
+    /// True iff some primary output differs between the two copies.
+    pub diff: AigLit,
+}
+
+/// Builds a miter of two netlists with matching interfaces: the first
+/// `shared_inputs` primary inputs are tied together, the rest stay free
+/// in each copy, and [`Miter::diff`] is true iff some output differs.
+/// DFF outputs are free in each copy.
+///
+/// Every input of `a` gets a fresh variable from `sink`, then every
+/// unshared input of `b`. Both copies read the same input nodes, so all
+/// logic that agrees structurally on the shared inputs hash-conses into
+/// one node and its output difference folds away: `diff` is
+/// [`AigLit::FALSE`] when the copies are structurally equal. With every
+/// input shared, an UNSAT `diff` proves equivalence; sharing only a
+/// prefix gives the SAT attack's two keyed copies over one functional
+/// input.
+///
+/// # Errors
+///
+/// Returns a netlist error if either circuit is cyclic.
+///
+/// # Panics
+///
+/// Panics if the interfaces (input/output counts) do not match, or if
+/// `shared_inputs` exceeds the input count.
+pub fn miter<B: CnfBuilder>(
+    a: &Netlist,
+    b: &Netlist,
+    shared_inputs: usize,
+    aig: &mut Aig,
+    sink: &mut B,
+) -> Result<Miter, NetlistError> {
+    let n = a.inputs().len();
+    assert_eq!(n, b.inputs().len(), "miter needs matching input counts");
+    assert_eq!(
+        a.outputs().len(),
+        b.outputs().len(),
+        "miter needs matching output counts"
+    );
+    assert!(
+        shared_inputs <= n,
+        "miter cannot share more inputs than it has"
+    );
+    let vars: Vec<Var> = (0..2 * n - shared_inputs).map(|_| sink.new_var()).collect();
+    let edges: Vec<AigLit> = vars.iter().map(|v| aig.input(v.pos())).collect();
+    let a_inputs = edges[..n].to_vec();
+    let b_inputs: Vec<AigLit> = edges[..shared_inputs]
         .iter()
-        .map(|&(n, _)| vals[n.index()].expect("outputs are driven"))
-        .collect())
+        .chain(&edges[n..])
+        .copied()
+        .collect();
+    let nets_a = lower_netlist(a, aig, &a_inputs, None, sink)?;
+    let nets_b = lower_netlist(b, aig, &b_inputs, None, sink)?;
+    let mut diff = AigLit::FALSE;
+    for (&(oa, _), &(ob, _)) in a.outputs().iter().zip(b.outputs()) {
+        let d = aig.xor(nets_a[oa.index()], nets_b[ob.index()]);
+        diff = aig.or(diff, d);
+    }
+    Ok(Miter {
+        vars,
+        a_inputs,
+        b_inputs,
+        diff,
+    })
 }
 
 #[cfg(test)]
@@ -378,6 +489,12 @@ mod tests {
     use crate::cnf::{Cnf, Var};
     use crate::solver::Solver;
     use seceda_netlist::{c17, majority, random_circuit, RandomCircuitConfig};
+
+    /// Lowers `nl` combinationally and picks its primary outputs.
+    fn lower_outputs(nl: &Netlist, aig: &mut Aig, inputs: &[AigLit], cnf: &mut Cnf) -> Vec<AigLit> {
+        let nets = lower_netlist(nl, aig, inputs, None, cnf).expect("lower");
+        nl.outputs().iter().map(|&(n, _)| nets[n.index()]).collect()
+    }
 
     fn fresh(cnf: &mut Cnf) -> (Lit, AigCnf) {
         let cf = cnf.new_var().pos();
@@ -446,7 +563,7 @@ mod tests {
         let mut aig = Aig::new();
         let in_vars: Vec<Var> = (0..nl.inputs().len()).map(|_| cnf.new_var()).collect();
         let bindings: Vec<AigLit> = in_vars.iter().map(|v| aig.input(v.pos())).collect();
-        let outs = lower_netlist_bound(nl, &mut aig, &bindings, &mut cnf).expect("lower");
+        let outs = lower_outputs(nl, &mut aig, &bindings, &mut cnf);
         let out_lits: Vec<Lit> = outs
             .iter()
             .map(|&o| map.lit_of(&aig, o, &mut cnf))
@@ -483,6 +600,26 @@ mod tests {
     }
 
     #[test]
+    fn aig_encoding_matches_simulation_on_wide_gates() {
+        let mut nl = Netlist::new("wide");
+        let ins: Vec<_> = (0..5).map(|i| nl.add_input(format!("i{i}"))).collect();
+        for (kind, name) in [
+            (CellKind::And, "a"),
+            (CellKind::Or, "o"),
+            (CellKind::Xor, "x"),
+            (CellKind::Xnor, "nx"),
+            (CellKind::Nand, "na"),
+            (CellKind::Nor, "no"),
+        ] {
+            let net = nl.add_gate(kind, &ins);
+            nl.mark_output(net, name);
+        }
+        let mux = nl.add_gate(CellKind::Mux, &ins[..3]);
+        nl.mark_output(mux, "m");
+        check_aig_encoding(&nl);
+    }
+
+    #[test]
     fn aig_encoding_matches_simulation_on_random_circuits() {
         for seed in [2u64, 7, 23] {
             let nl = random_circuit(&RandomCircuitConfig {
@@ -509,9 +646,9 @@ mod tests {
                 aig.input(v.pos())
             })
             .collect();
-        let o1 = lower_netlist_bound(&nl, &mut aig, &ins, &mut cnf).expect("lower");
+        let o1 = lower_outputs(&nl, &mut aig, &ins, &mut cnf);
         let nodes_after_first = aig.num_nodes();
-        let o2 = lower_netlist_bound(&nl, &mut aig, &ins, &mut cnf).expect("lower");
+        let o2 = lower_outputs(&nl, &mut aig, &ins, &mut cnf);
         assert_eq!(aig.num_nodes(), nodes_after_first, "second copy is free");
         assert_eq!(o1, o2);
     }
@@ -532,7 +669,8 @@ mod tests {
         assert_eq!(cnf.clauses().len(), clauses_after);
         assert_eq!(l1, !l2);
         // a superstructure pays only for the new node
-        let c = aig.input(cnf.new_var().pos());
+        let c_lit = cnf.new_var().pos();
+        let c = aig.input(c_lit);
         let abc = aig.and(ab, c);
         map.lit_of(&aig, abc, &mut cnf);
         assert_eq!(
@@ -556,7 +694,7 @@ mod tests {
             let bindings: Vec<AigLit> = inputs.iter().map(|&b| AigLit::constant(b)).collect();
             let before = aig.num_nodes();
             let (vars_before, clauses_before) = (cnf.num_vars(), cnf.clauses().len());
-            let outs = lower_netlist_bound(&nl, &mut aig, &bindings, &mut cnf).expect("lower");
+            let outs = lower_outputs(&nl, &mut aig, &bindings, &mut cnf);
             assert_eq!(
                 aig.num_nodes(),
                 before,
@@ -587,7 +725,7 @@ mod tests {
             .map(|&b| AigLit::constant(b))
             .chain(free.iter().map(|&l| aig.input(l)))
             .collect();
-        let outs = lower_netlist_bound(&nl, &mut aig, &bindings, &mut cnf).expect("lower");
+        let outs = lower_outputs(&nl, &mut aig, &bindings, &mut cnf);
         let out_lits: Vec<Lit> = outs
             .iter()
             .map(|&o| map.lit_of(&aig, o, &mut cnf))
@@ -616,5 +754,165 @@ mod tests {
                 other => panic!("cofactor lowering unsat under concrete inputs: {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn undriven_nets_lower_to_false() {
+        // y = AND(a, ghost) with `ghost` never driven: it reads as 0, as
+        // in `Netlist::evaluate`, so y folds to constant false
+        let mut nl = Netlist::new("ghost");
+        let a = nl.add_input("a");
+        let ghost = nl.add_net();
+        let y = nl.add_gate(CellKind::And, &[a, ghost]);
+        nl.mark_output(y, "y");
+        let mut cnf = Cnf::new();
+        let mut aig = Aig::new();
+        let ins = [aig.input(cnf.new_var().pos())];
+        let nets = lower_netlist(&nl, &mut aig, &ins, None, &mut cnf).expect("lower");
+        assert_eq!(nets[ghost.index()], AigLit::FALSE);
+        assert_eq!(nets[y.index()], AigLit::FALSE);
+        assert_eq!(nl.evaluate(&[true]), [false]);
+    }
+
+    #[test]
+    fn state_edges_drive_dff_outputs_in_dffs_order() {
+        // q1 = DFF(a), q2 = DFF(!a), y = q1 XOR q2: bound state feeds y
+        let mut nl = Netlist::new("seq");
+        let a = nl.add_input("a");
+        let na = nl.add_gate(CellKind::Not, &[a]);
+        let q1 = nl.add_gate(CellKind::Dff, &[a]);
+        let q2 = nl.add_gate(CellKind::Dff, &[na]);
+        let y = nl.add_gate(CellKind::Xor, &[q1, q2]);
+        nl.mark_output(y, "y");
+        let mut cnf = Cnf::new();
+        let mut aig = Aig::new();
+        let ins = [aig.input(cnf.new_var().pos())];
+        let dffs = nl.dffs();
+        assert_eq!(dffs.len(), 2);
+        for state in [[false, false], [true, false], [false, true], [true, true]] {
+            let edges = state.map(AigLit::constant);
+            let nets = lower_netlist(&nl, &mut aig, &ins, Some(&edges), &mut cnf).expect("lower");
+            for (j, &d) in dffs.iter().enumerate() {
+                assert_eq!(nets[nl.gate(d).output.index()], edges[j]);
+            }
+            assert_eq!(nets[y.index()], AigLit::constant(state[0] ^ state[1]));
+        }
+        // unbound state: one fresh free variable per DFF
+        let vars = cnf.num_vars();
+        let nets = lower_netlist(&nl, &mut aig, &ins, None, &mut cnf).expect("lower");
+        assert_eq!(cnf.num_vars(), vars + 2);
+        assert!(nets[y.index()].as_const().is_none());
+    }
+
+    #[test]
+    fn truncation_drops_nodes_and_their_hash_entries() {
+        let mut aig = Aig::new();
+        let mut cnf = Cnf::new();
+        let (_cf, mut map) = fresh(&mut cnf);
+        let a = aig.input(cnf.new_var().pos());
+        let b = aig.input(cnf.new_var().pos());
+        let ab = aig.and(a, b);
+        map.lower_all(&aig, &mut cnf);
+        let mark = aig.num_nodes();
+        let c_lit = cnf.new_var().pos();
+        let c = aig.input(c_lit);
+        let abc = aig.and(ab, c);
+        let x = aig.xor(abc, a);
+        map.lit_of(&aig, x, &mut cnf);
+        aig.truncate(mark);
+        map.truncate(mark);
+        assert_eq!(aig.num_nodes(), mark);
+        // the same constructions allocate afresh instead of hash-hitting
+        // a dropped node, and the map lowers them anew
+        let hits = aig.hash_hits();
+        let c2 = aig.input(c_lit);
+        assert_eq!(aig.hash_hits(), hits, "dropped input node must not hit");
+        let abc2 = aig.and(ab, c2);
+        assert_eq!(abc2.node(), mark + 1);
+        let clauses = cnf.clauses().len();
+        map.lit_of(&aig, abc2, &mut cnf);
+        assert_eq!(cnf.clauses().len(), clauses + 3, "re-lowered, not reused");
+        // nodes below the mark still hash-hit
+        assert_eq!(aig.and(b, a), ab);
+    }
+
+    #[test]
+    fn miter_folds_structurally_equal_copies() {
+        let nl = c17();
+        let mut cnf = Cnf::new();
+        let mut aig = Aig::new();
+        let m = miter(&nl, &nl, 5, &mut aig, &mut cnf).expect("miter");
+        assert_eq!(m.diff, AigLit::FALSE);
+        assert_eq!(m.vars.len(), 5);
+        assert_eq!(m.a_inputs, m.b_inputs);
+    }
+
+    #[test]
+    fn miter_shares_only_the_prefix() {
+        let nl = c17();
+        let mut cnf = Cnf::new();
+        let mut aig = Aig::new();
+        let m = miter(&nl, &nl, 3, &mut aig, &mut cnf).expect("miter");
+        assert_eq!(m.vars.len(), 7, "a's five inputs, then b's two own");
+        assert_eq!(m.a_inputs[..3], m.b_inputs[..3]);
+        assert_ne!(m.a_inputs[3..], m.b_inputs[3..]);
+        assert_eq!(m.b_inputs[3], aig.input(m.vars[5].pos()));
+        assert!(m.diff.as_const().is_none());
+    }
+
+    /// Solves `m.diff` and returns a's inputs from the model, if SAT.
+    fn miter_witness(aig: &Aig, m: &Miter, cnf: &mut Cnf, n: usize) -> Option<Vec<bool>> {
+        let cf = cnf.new_var().pos();
+        cnf.add_clause([!cf]);
+        let diff = AigCnf::new(cf).lit_of(aig, m.diff, cnf);
+        match Solver::from_cnf(cnf).solve(&[diff], &Budget::unlimited()) {
+            SolveOutcome::Sat(model) => {
+                Some(m.vars[..n].iter().map(|v| model[v.index()]).collect())
+            }
+            SolveOutcome::Unsat => None,
+            other => panic!("unlimited solve stopped: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn miter_proves_equivalence() {
+        // XOR against its sum-of-products, whatever the AIG folds
+        let mut a = Netlist::new("xor1");
+        let x = a.add_input("x");
+        let y = a.add_input("y");
+        let out = a.add_gate(CellKind::Xor, &[x, y]);
+        a.mark_output(out, "o");
+        let mut b = Netlist::new("xor2");
+        let x2 = b.add_input("x");
+        let y2 = b.add_input("y");
+        let nx = b.add_gate(CellKind::Not, &[x2]);
+        let ny = b.add_gate(CellKind::Not, &[y2]);
+        let t1 = b.add_gate(CellKind::And, &[x2, ny]);
+        let t2 = b.add_gate(CellKind::And, &[nx, y2]);
+        let out2 = b.add_gate(CellKind::Or, &[t1, t2]);
+        b.mark_output(out2, "o");
+        let mut cnf = Cnf::new();
+        let mut aig = Aig::new();
+        let m = miter(&a, &b, 2, &mut aig, &mut cnf).expect("miter");
+        assert_eq!(miter_witness(&aig, &m, &mut cnf, 2), None);
+    }
+
+    #[test]
+    fn miter_finds_counterexample() {
+        let mut a = Netlist::new("and");
+        let x = a.add_input("x");
+        let y = a.add_input("y");
+        let out = a.add_gate(CellKind::And, &[x, y]);
+        a.mark_output(out, "o");
+        let mut b = Netlist::new("or");
+        let x2 = b.add_input("x");
+        let y2 = b.add_input("y");
+        let out2 = b.add_gate(CellKind::Or, &[x2, y2]);
+        b.mark_output(out2, "o");
+        let mut cnf = Cnf::new();
+        let mut aig = Aig::new();
+        let m = miter(&a, &b, 2, &mut aig, &mut cnf).expect("miter");
+        let w = miter_witness(&aig, &m, &mut cnf, 2).expect("AND and OR differ");
+        assert_ne!(w[0] & w[1], w[0] | w[1]);
     }
 }

@@ -161,7 +161,7 @@ pub trait CnfBuilder {
 /// retires the group forever.
 ///
 /// This is the selector mechanism behind
-/// [`FaultCone`](crate::FaultCone): each fault's faulty cone is encoded
+/// [`FaultMiter`](crate::FaultMiter): each fault's cone is lowered
 /// gated on a fresh selector, activated via assumptions, and retired
 /// after its query instead of rebuilding the solver.
 pub(crate) struct GatedCnf<'a, B: CnfBuilder> {

@@ -1,6 +1,6 @@
 //! # seceda-sat
 //!
-//! A from-scratch CDCL SAT solver plus netlist-to-CNF encoding, built as
+//! A from-scratch CDCL SAT solver plus netlist-to-CNF lowering, built as
 //! the reasoning substrate for the `seceda` toolkit.
 //!
 //! Verification-driven security schemes all reduce to satisfiability:
@@ -21,17 +21,20 @@
 //! * [`Cnf`] / [`Lit`] / [`Var`] — formula representation;
 //! * [`CnfBuilder`] — the clause-sink trait shared by [`Cnf`] and
 //!   [`Solver`], so encodings can target a live solver incrementally;
-//! * [`encode`] — per-net Tseitin encoding of netlists, the [`miter`]
-//!   behind equivalence checking and the rebuild attack oracle, and
-//!   [`encode_faulty_cone`], whose [`FaultCone`] is the one fault-query
-//!   protocol of incremental ATPG and coverage proofs: the cone is
-//!   gated on a fresh selector, solved under it, then retired;
-//! * [`aig`] — structurally-hashed and-inverter graphs: netlists lower
-//!   into a hash-consed AND/XOR node table (constant propagation,
-//!   two-level XOR re-discovery), then to CNF through a persistent
-//!   node→literal map, so repeated encodings of shared logic — the two
-//!   keyed copies of a SAT-attack miter, the per-DIP observation
-//!   circuits — emit each distinct cone exactly once.
+//! * [`aig`] — the one netlist→CNF lowering. [`lower_netlist`] lowers
+//!   a netlist into a structurally-hashed and-inverter graph ([`Aig`]:
+//!   a hash-consed AND/XOR node table with constant propagation and
+//!   two-level XOR re-discovery), giving one edge per net; [`AigCnf`]
+//!   then emits Tseitin clauses through a persistent node→literal map,
+//!   so repeated encodings of shared logic — the two keyed copies of a
+//!   SAT-attack miter, the per-DIP observation circuits, BMC frames —
+//!   emit each distinct cone exactly once. [`miter`] builds the
+//!   two-copy difference circuit behind equivalence checking and the SAT
+//!   attack;
+//! * [`FaultMiter`] — the one fault-query protocol of incremental ATPG
+//!   and coverage proofs: the good circuit is lowered once, and each
+//!   fault's cone is a scoped overlay above it, solved under a fresh
+//!   selector and then truncated away.
 //!
 //! # Example
 //!
@@ -51,14 +54,14 @@
 //! ```
 
 pub mod aig;
-pub mod encode;
 
 mod budget;
 mod cnf;
+mod fault;
 mod solver;
 
-pub use aig::{lower_netlist_bound, Aig, AigCnf, AigLit};
+pub use aig::{lower_netlist, miter, Aig, AigCnf, AigLit, Miter};
 pub use budget::{Budget, SolveOutcome, StopReason};
 pub use cnf::{Cnf, CnfBuilder, Lit, Var};
-pub use encode::{encode_faulty_cone, encode_netlist, miter, FaultCone, NetlistEncoding};
+pub use fault::{FaultMiter, FaultVerdict};
 pub use solver::Solver;

@@ -1,6 +1,6 @@
-//! Property-based tests for the SAT solver and the netlist encoder.
+//! Property-based tests for the SAT solver and the netlist lowering.
 
-use seceda_sat::{encode_netlist, Budget, Cnf, Lit, SolveOutcome, Solver};
+use seceda_sat::{lower_netlist, Aig, AigCnf, AigLit, Budget, Cnf, Lit, SolveOutcome, Solver, Var};
 use seceda_testkit::prelude::*;
 
 fn random_cnf(num_vars: usize, clause_spec: &[Vec<(usize, bool)>]) -> Cnf {
@@ -159,13 +159,24 @@ proptest! {
             seed,
         });
         let mut cnf = Cnf::new();
-        let enc = encode_netlist(&nl, &mut cnf).expect("encode");
+        let const_false = cnf.new_var().pos();
+        cnf.add_clause([!const_false]);
+        let mut aig = Aig::new();
+        let in_vars: Vec<Var> = (0..4).map(|_| cnf.new_var()).collect();
+        let edges: Vec<AigLit> = in_vars.iter().map(|v| aig.input(v.pos())).collect();
+        let nets = lower_netlist(&nl, &mut aig, &edges, None, &mut cnf).expect("lower");
+        let mut map = AigCnf::new(const_false);
+        let out_lits: Vec<Lit> = nl
+            .outputs()
+            .iter()
+            .map(|&(o, _)| map.lit_of(&aig, nets[o.index()], &mut cnf))
+            .collect();
         // any unconstrained model of the encoding must be consistent with
         // simulating the circuit on the model's own inputs
         if let SolveOutcome::Sat(model) = Solver::from_cnf(&cnf).solve(&[], &Budget::unlimited()) {
-            let inputs: Vec<bool> = enc.input_vars.iter().map(|v| model[v.index()]).collect();
+            let inputs: Vec<bool> = in_vars.iter().map(|v| model[v.index()]).collect();
             let expected = nl.evaluate(&inputs);
-            let got: Vec<bool> = enc.output_vars.iter().map(|v| model[v.index()]).collect();
+            let got: Vec<bool> = out_lits.iter().map(|l| l.eval(model[l.var().index()])).collect();
             prop_assert_eq!(got, expected);
         } else {
             prop_assert!(false, "circuit encodings are always satisfiable");

@@ -3,7 +3,7 @@
 
 use crate::hist::Histogram;
 use crate::recorder::{AttrValue, Event, SpanRecord};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
 
 /// Aggregated view of a drained event list.
@@ -18,6 +18,9 @@ pub struct Summary {
     pub gauges: BTreeMap<&'static str, f64>,
     /// Aggregated histogram per metric name.
     pub histograms: BTreeMap<&'static str, Histogram>,
+    /// Per parent span id, the indices into `spans` of its direct
+    /// children, in recording order; built once by [`Summary::of`].
+    children: HashMap<u64, Vec<usize>>,
 }
 
 impl Summary {
@@ -38,7 +41,18 @@ impl Summary {
                     .record(h.value),
             }
         }
+        for (i, s) in summary.spans.iter().enumerate() {
+            if let Some(p) = s.parent {
+                summary.children.entry(p).or_default().push(i);
+            }
+        }
         summary
+    }
+
+    /// Direct children of the span with id `id`, in recording order.
+    fn children_of(&self, id: u64) -> impl Iterator<Item = &SpanRecord> {
+        let idx = self.children.get(&id).map_or(&[][..], Vec::as_slice);
+        idx.iter().map(|&i| &self.spans[i])
     }
 
     /// Spans with the given name.
@@ -54,12 +68,7 @@ impl Summary {
     /// Self time of a span: its duration minus the durations of its
     /// direct children.
     pub fn self_time_ns(&self, span: &SpanRecord) -> u64 {
-        let children: u64 = self
-            .spans
-            .iter()
-            .filter(|s| s.parent == Some(span.id))
-            .map(SpanRecord::duration_ns)
-            .sum();
+        let children: u64 = self.children_of(span.id).map(SpanRecord::duration_ns).sum();
         span.duration_ns().saturating_sub(children)
     }
 
@@ -74,12 +83,13 @@ impl Summary {
     /// are always rolled up in full.
     pub fn render_depth(&self, max_depth: usize) -> String {
         let mut out = String::new();
-        let roots: Vec<&SpanRecord> = self
+        // roots: spans without a parent, or whose parent was not recorded
+        let ids: HashSet<u64> = self.spans.iter().map(|s| s.id).collect();
+        let mut ordered: Vec<&SpanRecord> = self
             .spans
             .iter()
-            .filter(|s| s.parent.is_none() || !self.spans.iter().any(|p| Some(p.id) == s.parent))
+            .filter(|s| s.parent.is_none_or(|p| !ids.contains(&p)))
             .collect();
-        let mut ordered = roots;
         ordered.sort_by_key(|s| s.start_ns);
         for root in ordered {
             self.render_span(root, 0, max_depth, &mut out);
@@ -139,11 +149,7 @@ impl Summary {
             out.push(']');
         }
         out.push('\n');
-        let mut children: Vec<&SpanRecord> = self
-            .spans
-            .iter()
-            .filter(|s| s.parent == Some(span.id))
-            .collect();
+        let mut children: Vec<&SpanRecord> = self.children_of(span.id).collect();
         if children.is_empty() {
             return;
         }
@@ -186,5 +192,112 @@ pub fn fmt_duration(ns: u64) -> String {
         format!("{:.1}us", ns as f64 / 1e3)
     } else {
         format!("{ns}ns")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn span(id: u64, parent: Option<u64>, name: &str, start: u64, end: u64) -> Event {
+        Event::Span(SpanRecord {
+            id,
+            parent,
+            name: name.to_string(),
+            start_ns: start,
+            end_ns: end,
+            thread: 0,
+            unfinished: false,
+            attrs: Vec::new(),
+        })
+    }
+
+    /// A nested session recorded children-first, as spans close: two
+    /// roots, a three-level chain, siblings out of start order, an
+    /// unfinished root snapshot with an unfinished child, and two
+    /// orphans whose parent was never recorded.
+    fn session() -> Vec<Event> {
+        let mut events = vec![
+            span(4, Some(3), "leaf", 12, 15),
+            span(3, Some(2), "mid", 11, 19),
+            span(6, Some(2), "sib.late", 40, 45),
+            span(5, Some(2), "sib.early", 25, 30),
+            span(2, Some(1), "child", 10, 50),
+            span(1, None, "root", 0, 100),
+            span(8, Some(99), "orphan", 120, 130),
+            span(9, Some(8), "orphan.child", 121, 122),
+            span(10, Some(98), "orphan2", 110, 111),
+            span(7, None, "root2", 200, 220),
+        ];
+        for (id, parent, start) in [(11u64, None, 300u64), (12, Some(11), 305)] {
+            let Event::Span(mut s) = span(id, parent, "open", start, 400) else {
+                unreachable!()
+            };
+            s.unfinished = true;
+            events.push(Event::Span(s));
+        }
+        events
+    }
+
+    /// The definitions the index replaces: scan every span per span.
+    fn naive_self_time(spans: &[SpanRecord], span: &SpanRecord) -> u64 {
+        let children: u64 = spans
+            .iter()
+            .filter(|s| s.parent == Some(span.id))
+            .map(SpanRecord::duration_ns)
+            .sum();
+        span.duration_ns().saturating_sub(children)
+    }
+
+    fn naive_render(spans: &[SpanRecord], span: &SpanRecord, depth: usize, out: &mut Vec<String>) {
+        out.push(format!(
+            "{}{}  total {}, self {}",
+            "  ".repeat(depth),
+            span.name,
+            fmt_duration(span.duration_ns()),
+            fmt_duration(naive_self_time(spans, span)),
+        ));
+        let mut children: Vec<&SpanRecord> =
+            spans.iter().filter(|s| s.parent == Some(span.id)).collect();
+        children.sort_by_key(|s| s.start_ns);
+        for c in children {
+            naive_render(spans, c, depth + 1, out);
+        }
+    }
+
+    #[test]
+    fn indexed_summary_matches_the_naive_definitions() {
+        let summary = Summary::of(&session());
+        for s in &summary.spans {
+            assert_eq!(
+                summary.self_time_ns(s),
+                naive_self_time(&summary.spans, s),
+                "{}",
+                s.name
+            );
+        }
+        let spans = &summary.spans;
+        let mut roots: Vec<&SpanRecord> = spans
+            .iter()
+            .filter(|s| s.parent.is_none() || !spans.iter().any(|p| Some(p.id) == s.parent))
+            .collect();
+        roots.sort_by_key(|s| s.start_ns);
+        let mut expected = Vec::new();
+        for r in roots {
+            naive_render(spans, r, 0, &mut expected);
+        }
+        let rendered: Vec<String> = summary
+            .render()
+            .lines()
+            .map(|l| l.trim_end_matches("  [UNFINISHED]").to_string())
+            .collect();
+        assert_eq!(rendered, expected);
+        assert_eq!(expected.len(), spans.len(), "every span renders once");
+        // spot values: root minus child, child minus its three children
+        let by_name = |n: &str| spans.iter().find(|s| s.name == n).unwrap();
+        assert_eq!(summary.self_time_ns(by_name("root")), 60);
+        assert_eq!(summary.self_time_ns(by_name("child")), 40 - 8 - 5 - 5);
+        assert_eq!(summary.self_time_ns(by_name("orphan")), 9);
+        assert_eq!(summary.self_time_ns(by_name("leaf")), 3);
     }
 }

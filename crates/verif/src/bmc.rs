@@ -1,7 +1,13 @@
 //! Bounded model checking by time-frame unrolling.
+//!
+//! Frames are lowered into one structurally-hashed AIG, chained by edge:
+//! each frame's DFF outputs are the previous frame's D-input edges, and
+//! frame 0's are constant false (the all-zero reset state). One solver
+//! serves every depth; each depth adds only its new frame's nodes and
+//! asks for the target under an assumption.
 
 use seceda_netlist::{Netlist, NetlistError};
-use seceda_sat::{encode_netlist, Budget, Cnf, CnfBuilder, SolveOutcome, Solver};
+use seceda_sat::{lower_netlist, Aig, AigCnf, AigLit, Budget, SolveOutcome, Solver, Var};
 
 /// Result of a reachability query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,9 +29,6 @@ impl BmcResult {
 /// Checks whether output `output_index` can take `target_value` within
 /// `bound` cycles from the all-zero initial state.
 ///
-/// Frames are encoded separately; frame `i+1`'s register outputs are
-/// tied to frame `i`'s register inputs.
-///
 /// # Errors
 ///
 /// Returns a netlist error on cyclic combinational logic.
@@ -42,39 +45,33 @@ pub fn bmc_reach(
     assert!(output_index < nl.outputs().len(), "output out of range");
     assert!(bound > 0, "bound must be positive");
     let dffs = nl.dffs();
-    for depth in 1..=bound {
-        let mut cnf = Cnf::new();
-        let frames: Vec<_> = (0..depth)
-            .map(|_| encode_netlist(nl, &mut cnf))
-            .collect::<Result<_, _>>()?;
-        // initial state: all registers zero
-        for &d in &dffs {
-            let q = frames[0].vars[nl.gate(d).output.index()];
-            cnf.add_clause([q.neg()]);
+    let target_net = nl.outputs()[output_index].0.index();
+    let mut solver = Solver::new(0);
+    let const_false = solver.new_var().pos();
+    solver.add_clause([!const_false]);
+    let mut aig = Aig::new();
+    let mut map = AigCnf::new(const_false);
+    let mut state = vec![AigLit::FALSE; dffs.len()];
+    let mut frames: Vec<Vec<Var>> = Vec::with_capacity(bound);
+    for _ in 0..bound {
+        let vars: Vec<Var> = nl.inputs().iter().map(|_| solver.new_var()).collect();
+        let inputs: Vec<AigLit> = vars.iter().map(|v| aig.input(v.pos())).collect();
+        let nets = lower_netlist(nl, &mut aig, &inputs, Some(&state), &mut solver)?;
+        frames.push(vars);
+        state = dffs
+            .iter()
+            .map(|&d| nets[nl.gate(d).inputs[0].index()])
+            .collect();
+        let out = nets[target_net];
+        let target = if target_value { out } else { !out };
+        if target == AigLit::FALSE {
+            continue;
         }
-        // chain the frames
-        for f in 1..depth {
-            for &d in &dffs {
-                let q_next = frames[f].vars[nl.gate(d).output.index()];
-                let d_prev = frames[f - 1].vars[nl.gate(d).inputs[0].index()];
-                cnf.gate_buf(q_next.pos(), d_prev.pos());
-            }
-        }
-        // target: monitored output takes the value in the last frame
-        let (net, _) = nl.outputs()[output_index].clone();
-        let out_var = frames[depth - 1].vars[net.index()];
-        let mut solver = Solver::from_cnf(&cnf);
-        if let SolveOutcome::Sat(model) =
-            solver.solve(&[out_var.lit(target_value)], &Budget::unlimited())
-        {
+        let lit = map.lit_of(&aig, target, &mut solver);
+        if let SolveOutcome::Sat(model) = solver.solve(&[lit], &Budget::unlimited()) {
             let witness = frames
                 .iter()
-                .map(|fr| {
-                    fr.input_vars
-                        .iter()
-                        .map(|v| model[v.index()])
-                        .collect::<Vec<bool>>()
-                })
+                .map(|vars| vars.iter().map(|v| model[v.index()]).collect())
                 .collect();
             return Ok(BmcResult::Reachable(witness));
         }
@@ -85,7 +82,8 @@ pub fn bmc_reach(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seceda_netlist::CellKind;
+    use seceda_netlist::{CellKind, NetId};
+    use seceda_testkit::rng::{Rng, SeedableRng, StdRng};
 
     /// A 2-bit saturating counter that raises `alarm` when it reaches 3;
     /// it only counts when `en` is high.
@@ -146,5 +144,98 @@ mod tests {
         let nl = counter_with_alarm();
         let result = bmc_reach(&nl, 0, false, 1).expect("bmc");
         assert!(result.is_reachable());
+    }
+
+    /// A random sequential design: two inputs, `regs` registers fed
+    /// back into random logic, two outputs.
+    fn random_sequential(seed: u64, regs: usize) -> Netlist {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut nl = Netlist::new(format!("seq_{seed}"));
+        let mut pool: Vec<NetId> = vec![nl.add_input("x0"), nl.add_input("x1")];
+        let fb: Vec<NetId> = (0..regs).map(|_| nl.add_net()).collect();
+        pool.extend(&fb);
+        let kinds = [
+            CellKind::And,
+            CellKind::Or,
+            CellKind::Xor,
+            CellKind::Nand,
+            CellKind::Not,
+            CellKind::Mux,
+        ];
+        for _ in 0..12 {
+            let kind = kinds[rng.gen_range(0..kinds.len())];
+            let arity = match kind {
+                CellKind::Not => 1,
+                CellKind::Mux => 3,
+                _ => 2,
+            };
+            let ins: Vec<NetId> = (0..arity)
+                .map(|_| pool[rng.gen_range(0..pool.len())])
+                .collect();
+            pool.push(nl.add_gate(kind, &ins));
+        }
+        for &f in &fb {
+            let d = pool[rng.gen_range(2 + regs..pool.len())];
+            let q = nl.add_gate(CellKind::Dff, &[d]);
+            nl.replace_net_uses(f, q);
+        }
+        for k in 0..2 {
+            let o = pool[rng.gen_range(2 + regs..pool.len())];
+            nl.mark_output(o, format!("o{k}"));
+        }
+        nl
+    }
+
+    /// The first cycle (1-based) in which output `out` can equal
+    /// `value` from the all-zero state, by exhaustive simulation.
+    fn first_reach(nl: &Netlist, out: usize, value: bool, bound: usize) -> Option<usize> {
+        let mut states = std::collections::BTreeSet::from([vec![false; nl.dffs().len()]]);
+        for depth in 1..=bound {
+            let mut next = std::collections::BTreeSet::new();
+            for state in &states {
+                for x in 0..4u8 {
+                    let inputs = [x & 1 == 1, x & 2 == 2];
+                    let (outs, ns) = nl.step(&inputs, state).expect("step");
+                    if outs[out] == value {
+                        return Some(depth);
+                    }
+                    next.insert(ns);
+                }
+            }
+            states = next;
+        }
+        None
+    }
+
+    #[test]
+    fn bmc_matches_exhaustive_simulation_on_random_sequential_designs() {
+        let mut reached = 0;
+        for seed in 0..60u64 {
+            let nl = random_sequential(seed, 1 + (seed % 3) as usize);
+            for out in 0..2 {
+                for value in [false, true] {
+                    let expected = first_reach(&nl, out, value, 5);
+                    match bmc_reach(&nl, out, value, 5).expect("bmc") {
+                        BmcResult::Reachable(witness) => {
+                            assert_eq!(Some(witness.len()), expected, "seed {seed}");
+                            let mut state = vec![false; nl.dffs().len()];
+                            let mut last = None;
+                            for inputs in &witness {
+                                let (outs, next) = nl.step(inputs, &state).expect("step");
+                                last = Some(outs[out]);
+                                state = next;
+                            }
+                            assert_eq!(last, Some(value), "seed {seed}: replay");
+                            reached += 1;
+                        }
+                        BmcResult::UnreachableWithin(5) => {
+                            assert_eq!(expected, None, "seed {seed}");
+                        }
+                        other => panic!("unexpected {other:?}"),
+                    }
+                }
+            }
+        }
+        assert!(reached > 100, "{reached}");
     }
 }

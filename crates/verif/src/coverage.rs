@@ -6,16 +6,17 @@
 //! the absence of vulnerabilities" mode the paper's red-team/blue-team
 //! discussion contrasts with mere simulation.
 //!
-//! The proof loop shares ONE good-circuit encoding and one persistent
-//! solver across the whole fault universe: each fault contributes only
-//! its selector-gated fan-out cone (a [`seceda_sat::FaultCone`] from
-//! [`encode_faulty_cone`]), activated by assumption and retired after
-//! its query. Faults whose cone reaches no functional output are proven
-//! detected-or-masked without any solver call at all.
+//! The proof loop shares ONE good-circuit lowering and one persistent
+//! solver across the whole fault universe, through a
+//! [`seceda_sat::FaultMiter`]: each fault contributes only its fan-out
+//! cone, rebuilt in the structurally-hashed AIG above the good circuit,
+//! solved under a fresh selector and then retired. Faults whose cone
+//! folds away before every functional output, or that force the alarm
+//! high, are proven detected-or-masked without any solver call at all.
 
 use seceda_fia::codes::ProtectedNetlist;
 use seceda_netlist::NetlistError;
-use seceda_sat::{encode_faulty_cone, encode_netlist, Budget, SolveOutcome, Solver};
+use seceda_sat::{AigLit, Budget, FaultMiter, FaultVerdict};
 use seceda_sim::{fault::stuck_at_universe, Fault, FaultKind};
 
 /// Result of the formal detection proof.
@@ -87,39 +88,31 @@ pub fn prove_detection_budgeted(
         .into_iter()
         .filter(|f| nl.net(f.net).driver.is_some())
         .collect();
-    let mut solver = Solver::new(0);
-    let good = encode_netlist(nl, &mut solver)?;
-    let f0 = solver.new_var();
-    solver.add_clause([f0.neg()]);
+    let mut miter = FaultMiter::new(nl)?;
     let mut proven = 0usize;
     let mut violations = Vec::new();
     let mut undecided = Vec::new();
     for &fault in &faults {
-        let faulty_source = match fault.kind {
-            FaultKind::StuckAt0 => f0.pos(),
-            FaultKind::StuckAt1 => f0.neg(),
-            FaultKind::BitFlip => good.vars[fault.net.index()].neg(),
+        let faulty = |good: AigLit| match fault.kind {
+            FaultKind::StuckAt0 => AigLit::FALSE,
+            FaultKind::StuckAt1 => AigLit::TRUE,
+            FaultKind::BitFlip => !good,
         };
-        let cone = encode_faulty_cone(nl, &good, fault.net, faulty_source, &mut solver)?;
-        // some functional output differs ...
-        if !cone.require_difference(&good, |k| k != alarm_index, &mut solver) {
-            // the fault cannot reach any functional output, so silent
-            // corruption is structurally impossible
-            cone.retire(&mut solver);
-            proven += 1;
-            continue;
-        }
-        // ... while the faulty design's alarm stays low; the remaining
-        // budget is whatever earlier queries did not spend
-        let alarm_lit = cone.output(&good, alarm_index);
+        // the remaining budget is whatever earlier queries did not spend
+        let solver = miter.solver();
         let sub = budget.minus(solver.num_conflicts, solver.num_propagations);
-        match cone.solve(&mut solver, &[!alarm_lit], &sub) {
-            SolveOutcome::Unsat => proven += 1,
-            SolveOutcome::Sat(model) => {
-                let witness = good.input_vars.iter().map(|v| model[v.index()]).collect();
-                violations.push((fault, witness));
-            }
-            SolveOutcome::Indeterminate(_) => undecided.push(fault),
+        // some functional output differs while the faulty design's
+        // alarm stays low
+        match miter.query(
+            fault.net,
+            faulty,
+            |k| k != alarm_index,
+            &[(alarm_index, false)],
+            &sub,
+        ) {
+            FaultVerdict::Unexposable => proven += 1,
+            FaultVerdict::Exposed(witness) => violations.push((fault, witness)),
+            FaultVerdict::Undecided(_) => undecided.push(fault),
         }
     }
     if !undecided.is_empty() {

@@ -1,7 +1,12 @@
 //! SAT-based combinational equivalence checking.
+//!
+//! Both circuits are lowered into one structurally-hashed AIG over
+//! shared input nodes ([`seceda_sat::miter`]), so logic the two agree
+//! on structurally is one node, and a miter whose difference folds to
+//! false proves equivalence without a solver call.
 
 use seceda_netlist::{Netlist, NetlistError};
-use seceda_sat::{miter, Budget, Cnf, SolveOutcome, Solver};
+use seceda_sat::{miter, Aig, AigCnf, AigLit, Budget, SolveOutcome, Solver};
 
 /// Outcome of an equivalence check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,14 +35,23 @@ impl EquivResult {
 ///
 /// Panics if the interfaces do not match (see [`miter`]).
 pub fn check_equivalence(a: &Netlist, b: &Netlist) -> Result<EquivResult, NetlistError> {
-    let mut cnf = Cnf::new();
-    let (enc_a, _, diff) = miter(a, b, a.inputs().len(), &mut cnf)?;
-    let mut solver = Solver::from_cnf(&cnf);
+    let mut solver = Solver::new(0);
+    let const_false = solver.new_var().pos();
+    solver.add_clause([!const_false]);
+    let mut aig = Aig::new();
+    let m = miter(a, b, a.inputs().len(), &mut aig, &mut solver)?;
+    if m.diff == AigLit::FALSE {
+        return Ok(EquivResult::Equivalent);
+    }
+    let diff = AigCnf::new(const_false).lit_of(&aig, m.diff, &mut solver);
     Ok(match solver.solve(&[diff], &Budget::unlimited()) {
         SolveOutcome::Unsat => EquivResult::Equivalent,
-        SolveOutcome::Sat(model) => {
-            EquivResult::Counterexample(enc_a.input_vars.iter().map(|v| model[v.index()]).collect())
-        }
+        SolveOutcome::Sat(model) => EquivResult::Counterexample(
+            m.vars[..a.inputs().len()]
+                .iter()
+                .map(|v| model[v.index()])
+                .collect(),
+        ),
         SolveOutcome::Indeterminate(reason) => unreachable!("unlimited solve stopped: {reason}"),
     })
 }
@@ -83,6 +97,31 @@ mod tests {
                 assert_ne!(a.evaluate(&inputs), b.evaluate(&inputs));
             }
             EquivResult::Equivalent => panic!("AND != NAND"),
+        }
+    }
+
+    #[test]
+    fn undriven_net_design_is_equivalent_to_constant_zero() {
+        // y = AND(a, ghost), ghost never driven: reads 0 everywhere
+        let mut a = Netlist::new("ghost");
+        let x = a.add_input("a");
+        let ghost = a.add_net();
+        let y = a.add_gate(CellKind::And, &[x, ghost]);
+        a.mark_output(y, "y");
+        let mut b = Netlist::new("zero");
+        b.add_input("a");
+        let zero = b.add_gate(CellKind::Const0, &[]);
+        b.mark_output(zero, "y");
+        assert_eq!(
+            check_equivalence(&a, &b).expect("check"),
+            EquivResult::Equivalent
+        );
+        let mut c = Netlist::new("wire");
+        let x = c.add_input("a");
+        c.mark_output(x, "y");
+        match check_equivalence(&a, &c).expect("check") {
+            EquivResult::Counterexample(inputs) => assert_eq!(inputs, [true]),
+            EquivResult::Equivalent => panic!("AND(a, 0) differs from a"),
         }
     }
 }

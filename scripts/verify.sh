@@ -46,6 +46,14 @@ cargo test -q --release --offline -p seceda-sim --test tape_differential -- --ig
 echo "==> FIA campaign analysis vs. scalar oracle on 1k-gate hosts (release)"
 cargo test -q --release --offline -p seceda-fia --lib -- --ignored
 
+# ATPG, coverage proofs, equivalence and BMC lower through one
+# structurally-hashed AIG; the sweep of its fault-cone and equivalence
+# verdicts against the per-net Tseitin oracle on 1k-gate bare and
+# DWC-protected hosts is #[ignore]d for the debug suite and runs here
+# in release.
+echo "==> AIG fault cones and equivalence vs. Tseitin oracle on 1k-gate hosts (release)"
+cargo test -q --release --offline -p seceda-verif --test lowering_oracle -- --ignored
+
 # Every reported number must be independent of the worker count: the
 # attack (with its rebuild-per-iteration differential), composition,
 # simulation (packed fault grading and signal probabilities fan out

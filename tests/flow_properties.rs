@@ -3,7 +3,7 @@
 //! function preservation as the invariant.
 
 use seceda_netlist::{format_netlist, parse_netlist, random_circuit, RandomCircuitConfig};
-use seceda_sat::{encode_netlist, Budget, Cnf, SolveOutcome, Solver};
+use seceda_sat::{lower_netlist, Aig, AigCnf, AigLit, Budget, Cnf, Lit, SolveOutcome, Solver, Var};
 use seceda_sca::mask_netlist;
 use seceda_sim::{pack_patterns, PackedSim};
 use seceda_synth::{
@@ -69,9 +69,19 @@ proptest! {
         prop_assert_eq!(&packed, &expected);
         // CNF encoding agrees
         let mut cnf = Cnf::new();
-        let enc = encode_netlist(&nl, &mut cnf).expect("encode");
-        let assumptions: Vec<_> = enc
-            .input_vars
+        let const_false = cnf.new_var().pos();
+        cnf.add_clause([!const_false]);
+        let mut aig = Aig::new();
+        let in_vars: Vec<Var> = (0..6).map(|_| cnf.new_var()).collect();
+        let edges: Vec<AigLit> = in_vars.iter().map(|v| aig.input(v.pos())).collect();
+        let nets = lower_netlist(&nl, &mut aig, &edges, None, &mut cnf).expect("lower");
+        let mut map = AigCnf::new(const_false);
+        let out_lits: Vec<Lit> = nl
+            .outputs()
+            .iter()
+            .map(|&(o, _)| map.lit_of(&aig, nets[o.index()], &mut cnf))
+            .collect();
+        let assumptions: Vec<_> = in_vars
             .iter()
             .zip(&pattern)
             .map(|(v, &b)| v.lit(b))
@@ -80,7 +90,7 @@ proptest! {
         match solver.solve(&assumptions, &Budget::unlimited()) {
             SolveOutcome::Sat(model) => {
                 let sat_outs: Vec<bool> =
-                    enc.output_vars.iter().map(|v| model[v.index()]).collect();
+                    out_lits.iter().map(|l| l.eval(model[l.var().index()])).collect();
                 prop_assert_eq!(&sat_outs, &expected);
             }
             other => prop_assert!(false, "concrete inputs must be sat: {:?}", other),
