@@ -28,7 +28,6 @@ use seceda_testkit::chaos;
 use seceda_testkit::par::par_map_catch;
 use seceda_trojan::insert_rare_event_monitor;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// A design plus the interface semantics the evaluations need.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,11 +92,6 @@ pub struct SecurityEvaluation {
     pub rare_threshold: f64,
     /// Seed for the stochastic evaluations.
     pub seed: u64,
-    /// Per-threat wall-clock budget slice. A threat evaluator that
-    /// overruns its slice degrades to [`crate::Verdict::Unavailable`]
-    /// instead of stalling the whole re-evaluation; `None` (the default)
-    /// leaves evaluations unbounded.
-    pub threat_budget: Option<Duration>,
 }
 
 impl Default for SecurityEvaluation {
@@ -110,7 +104,6 @@ impl Default for SecurityEvaluation {
             max_unmonitored_rare_nets: 0,
             rare_threshold: 0.05,
             seed: 0xC0DE,
-            threat_budget: None,
         }
     }
 }
@@ -200,10 +193,8 @@ impl CompositionEngine {
     /// the report to the history.
     ///
     /// The four threat evaluators run isolated from each other: each is
-    /// caught on panic and bounded by its own
-    /// [`SecurityEvaluation::threat_budget`] wall-clock slice, so one
-    /// crashing or overrunning evaluator degrades *its* metric to
-    /// [`crate::Verdict::Unavailable`] while the rest of the
+    /// caught on panic, so one crashing evaluator degrades *its* metric
+    /// to [`crate::Verdict::Unavailable`] while the rest of the
     /// re-evaluation completes normally. Degradations are counted on the
     /// `compose.threats_degraded` trace counter.
     ///
@@ -232,9 +223,6 @@ impl CompositionEngine {
             ("piracy", ThreatVector::Piracy, "locking key bits"),
             ("trojan", ThreatVector::Trojan, "unmonitored rare nets"),
         ];
-        // every threat gets its own slice of equal length, started
-        // together (the evaluators run concurrently)
-        let slice_deadline = self.eval.threat_budget.map(|d| Instant::now() + d);
         let dut = &self.dut;
         let eval = &self.eval;
         let cache = self.cache.as_deref();
@@ -242,9 +230,9 @@ impl CompositionEngine {
         let results = par_map_catch(&threats, |i, &(tag, threat, name)| {
             let _threat_t = seceda_trace::hist_timer("compose.threat_ns");
             let _sp = seceda_trace::span("compose.threat").with("threat", tag);
-            // chaos and slice checks run *before* the cache lookup so a
-            // cached closure degrades on exactly the same steps as a
-            // full recompute — and degraded metrics are never cached
+            // chaos runs *before* the cache lookup so a cached closure
+            // degrades on exactly the same steps as a full recompute —
+            // and degraded metrics are never cached
             if chaos::active() {
                 chaos::maybe_panic("compose.threat.panic", i as u64);
                 if chaos::maybe_exhaust("compose.threat.exhaust", i as u64) {
@@ -259,18 +247,6 @@ impl CompositionEngine {
                     ));
                 }
             }
-            if let Some(at) = slice_deadline {
-                if Instant::now() >= at {
-                    return Ok((
-                        SecurityMetric::unavailable(
-                            name,
-                            threat,
-                            "threat budget slice exhausted before evaluation started",
-                        ),
-                        false,
-                    ));
-                }
-            }
             let compute = || -> Result<SecurityMetric, NetlistError> {
                 Ok(match i {
                     0 => eval_side_channel(dut, eval),
@@ -280,21 +256,12 @@ impl CompositionEngine {
                     _ => unreachable!("four threat vectors"),
                 })
             };
-            let (metric, hit) = match (cache, hash) {
+            match (cache, hash) {
                 (Some(c), Some(h)) => {
-                    c.get_or_compute(threat_cache_key(threat, dut, eval, h), compute)?
+                    c.get_or_compute(threat_cache_key(threat, dut, eval, h), compute)
                 }
-                _ => (compute()?, false),
-            };
-            if let Some(at) = slice_deadline {
-                if Instant::now() >= at {
-                    return Ok((
-                        SecurityMetric::unavailable(name, threat, "threat budget slice exhausted"),
-                        false,
-                    ));
-                }
+                _ => Ok((compute()?, false)),
             }
-            Ok((metric, hit))
         });
         let caching = self.cache.is_some();
         let mut report = SecurityReport::new(label);
@@ -820,21 +787,18 @@ mod tests {
     }
 
     #[test]
-    fn zero_threat_budget_degrades_every_metric_but_completes() {
-        let eval = SecurityEvaluation {
-            threat_budget: Some(Duration::ZERO),
-            ..SecurityEvaluation::default()
-        };
-        let mut engine = CompositionEngine::new(and_gadget(), eval);
-        let report = engine.evaluate("starved").expect("eval completes").clone();
-        assert_eq!(report.metrics.len(), 4);
-        assert_eq!(report.degraded().len(), 4, "no slice, no value");
-        assert!(
-            report.all_pass(),
-            "degraded metrics must not fail the report"
-        );
-        // and a fresh un-starved evaluation recovers
-        engine.eval.threat_budget = None;
+    fn forced_threat_exhaustion_degrades_every_metric_but_completes() {
+        let mut engine = CompositionEngine::new(and_gadget(), SecurityEvaluation::default());
+        chaos::with_forced("compose.threat.exhaust", None, || {
+            let report = engine.evaluate("starved").expect("eval completes").clone();
+            assert_eq!(report.metrics.len(), 4);
+            assert_eq!(report.degraded().len(), 4, "every threat exhausted");
+            assert!(
+                report.all_pass(),
+                "degraded metrics must not fail the report"
+            );
+        });
+        // and a fresh evaluation outside the scope recovers
         let healthy = engine.evaluate("recovered").expect("eval").clone();
         assert!(healthy.degraded().is_empty());
     }

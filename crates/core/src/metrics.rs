@@ -34,8 +34,8 @@ pub enum MetricValue {
         /// Measured value.
         value: f64,
     },
-    /// The evaluation could not produce a value — it panicked, exceeded
-    /// its budget slice, or was chaos-injected. Graceful degradation:
+    /// The evaluation could not produce a value — it panicked or was
+    /// chaos-injected. Graceful degradation:
     /// the metric stays in the report (so the rest of the evaluation is
     /// not lost) with the reason, and yields [`Verdict::Unavailable`]
     /// rather than silently passing or failing.

@@ -159,9 +159,6 @@ pub fn generate_tests(
     let mut sat_queries = 0u64;
     let mut atpg = AtpgSolver::new(nl)?;
     for (k, &f) in faults.iter().enumerate() {
-        // heartbeat: the watchdog sees fault-list progress even while
-        // individual SAT queries are slow
-        seceda_trace::progress("dft.faults_processed", k as u64 + 1);
         if detected[k] {
             continue;
         }
@@ -183,7 +180,7 @@ pub fn generate_tests(
     };
     seceda_trace::counter("dft.patterns_generated", patterns.len() as u64);
     seceda_trace::counter("dft.sat_queries", sat_queries);
-    seceda_trace::counter("dft.aborted_faults", untestable.len() as u64);
+    seceda_trace::counter("dft.untestable_faults", untestable.len() as u64);
     sp.attr("total_faults", faults.len());
     sp.attr("patterns", patterns.len());
     sp.attr("untestable", untestable.len());
@@ -215,21 +212,27 @@ mod tests {
 
     #[test]
     fn redundant_logic_is_proven_untestable() {
-        // y = a | (a & b): the AND is redundant; its stuck-at-0 is
-        // untestable
+        // y = a | (a & b): the AND is redundant and `b` never reaches
+        // `y`, so the AND's stuck-at-0 and `b` stuck-at-0/1 are
+        // untestable — proven, never aborted, by an unbudgeted run
         let mut nl = Netlist::new("red");
         let a = nl.add_input("a");
         let b = nl.add_input("b");
         let ab = nl.add_gate(CellKind::And, &[a, b]);
         let y = nl.add_gate(CellKind::Or, &[a, ab]);
         nl.mark_output(y, "y");
-        let result = generate_tests(&nl, 8, 10).expect("atpg");
+        let (result, events) = seceda_trace::session(|| generate_tests(&nl, 8, 10));
+        let result = result.expect("atpg");
         let sa0 = Fault::stuck_at(ab, false);
         assert!(
             result.untestable.contains(&sa0),
             "redundant AND stuck-at-0 must be untestable: {:?}",
             result.untestable
         );
+        assert_eq!(result.untestable.len(), 3);
+        let counters = seceda_trace::Summary::of(&events).counters;
+        assert_eq!(counters.get("dft.untestable_faults"), Some(&3));
+        assert_eq!(counters.get("dft.aborted_faults"), None);
     }
 
     #[test]

@@ -270,9 +270,10 @@ pub fn sat_attack(
 /// Runs the same incremental lex-min-canonicalized attack as
 /// [`sat_attack`], but threads `budget` through every constituent solve:
 /// the **conflict cap meters the whole attack** (each solve gets what the
-/// previous ones left over, by the solver's accumulated conflicts), the
-/// **propagation cap applies per constituent solve**, and the deadline /
-/// cancel flag bound the entire computation. When the budget runs out the
+/// previous ones left over, by the solver's accumulated conflicts) and
+/// the **propagation cap applies per constituent solve**. Both count
+/// work, not time, so where an attack suspends is a pure function of
+/// the locked design, the oracle and the budget. When the budget runs out the
 /// attack returns [`SatAttackOutcome::Suspended`] with a
 /// [`SatAttackCheckpoint`] holding every completed observation; passing
 /// that checkpoint back (with a fresh budget) resumes on a fresh solver
@@ -371,7 +372,6 @@ pub fn sat_attack_budgeted(
                     }
                 };
                 iterations += 1;
-                seceda_trace::progress("lock.dip_iterations", iterations as u64);
                 conflict_deltas.push(solver.num_conflicts - before);
                 let y_hat = oracle(&x_hat);
                 encode_observation_aig(locked, &mut sc, &mut solver, &x_hat, &y_hat)?;

@@ -1,7 +1,7 @@
 //! `seceda-netlist` — ingest a design file and print its vitals.
 //!
 //! ```text
-//! seceda_netlist <design.{bench,v,txt}> [--write-bench <out.bench>]
+//! seceda_netlist <design.{bench,v,vg}> [--write-bench <out.bench>]
 //! ```
 //!
 //! Parses the design (format picked from the extension), reports parse
@@ -28,7 +28,7 @@ fn main() {
             }
             "-h" | "--help" => {
                 println!(
-                    "usage: seceda_netlist <design.{{bench,v,txt}}> [--write-bench <out.bench>]"
+                    "usage: seceda_netlist <design.{{bench,v,vg}}> [--write-bench <out.bench>]"
                 );
                 return;
             }
@@ -43,7 +43,7 @@ fn main() {
         }
     }
     let Some(path) = path else {
-        eprintln!("usage: seceda_netlist <design.{{bench,v,txt}}> [--write-bench <out.bench>]");
+        eprintln!("usage: seceda_netlist <design.{{bench,v,vg}}> [--write-bench <out.bench>]");
         std::process::exit(2);
     };
 

@@ -141,7 +141,7 @@ impl CellKind {
         }
     }
 
-    /// Parses the text-format mnemonic produced by [`fmt::Display`].
+    /// Parses the mnemonic produced by [`fmt::Display`].
     pub fn from_mnemonic(s: &str) -> Option<CellKind> {
         Some(match s {
             "const0" => CellKind::Const0,

@@ -19,7 +19,7 @@ pub enum NetlistError {
     MultipleDrivers(String),
     /// The combinational part of the netlist contains a cycle.
     CombinationalCycle,
-    /// The text format could not be parsed.
+    /// A design file (`.bench` or Verilog) could not be parsed.
     Parse {
         /// 1-based line number of the offending line.
         line: usize,

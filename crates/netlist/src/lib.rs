@@ -6,8 +6,8 @@
 //! This crate provides the foundational data structure every other `seceda`
 //! crate operates on: a flat, gate-level [`Netlist`] with named primary
 //! inputs/outputs, combinational cells, and D flip-flops. It also ships
-//! word-level construction helpers ([`Word`]), a structural text format,
-//! a seeded random circuit generator, and a set of built-in benchmark
+//! word-level construction helpers ([`Word`]), a seeded random circuit
+//! generator, and a set of built-in benchmark
 //! circuits (ISCAS c17, ripple adders, comparators, ALU slices) used as
 //! workloads throughout the experiment harness.
 //!
@@ -46,7 +46,6 @@ pub mod parse;
 mod random;
 mod stats;
 mod symbol;
-mod text;
 
 pub use bench_circuits::{alu_slice, c17, comparator, majority, parity_tree, ripple_adder};
 pub use build::{bits_to_u64, u64_to_bits, Word};
@@ -61,4 +60,3 @@ pub use parse::{
 pub use random::{random_circuit, RandomCircuitConfig};
 pub use stats::{DepthReport, NetlistStats};
 pub use symbol::{Symbol, SymbolTable};
-pub use text::{format_netlist, parse_netlist};

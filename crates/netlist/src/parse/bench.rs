@@ -190,10 +190,6 @@ pub fn parse_bench(text: &str) -> Result<Netlist, NetlistError> {
 
     for (lineno, raw) in text.lines().enumerate() {
         let line = lineno + 1;
-        // heartbeat for the stall watchdog on 10^6-line designs
-        if line & 0xFFF == 0 {
-            seceda_trace::progress("parse.lines_seen", line as u64);
-        }
         // split off the comment; a `tags:` comment on a gate line is
         // metadata, `design:` sets the design name
         let (body, comment) = match raw.split_once('#') {
@@ -498,10 +494,23 @@ INPUT(B)
             },
         );
         nl.mark_output(y, "y");
+        let z = nl.add_gate_tagged(
+            CellKind::And,
+            &[a, y],
+            GateTags {
+                no_reassoc: true,
+                tainted: true,
+                redundancy: true,
+                ..GateTags::default()
+            },
+        );
+        nl.mark_output(z, "z");
         let back = parse_bench(&write_bench(&nl)).expect("reparse");
         assert_eq!(back, nl);
         assert!(back.gates()[0].tags.key_gate);
         assert!(back.gates()[0].tags.monitor);
+        let tags = back.gates()[1].tags;
+        assert!(tags.no_reassoc && tags.tainted && tags.redundancy);
     }
 
     #[test]

@@ -36,17 +36,14 @@ pub enum DesignFormat {
     Bench,
     /// Structural (gate-level) Verilog.
     Verilog,
-    /// The crate's own line-oriented text format (see [`crate::parse_netlist`]).
-    Text,
 }
 
 impl DesignFormat {
-    /// Guesses the format from a file extension (`bench`, `v`, `txt`/`snl`).
+    /// Guesses the format from a file extension (`bench`, `v`/`vg`).
     pub fn from_extension(ext: &str) -> Option<DesignFormat> {
         match ext.to_ascii_lowercase().as_str() {
             "bench" => Some(DesignFormat::Bench),
             "v" | "vg" => Some(DesignFormat::Verilog),
-            "txt" | "snl" => Some(DesignFormat::Text),
             _ => None,
         }
     }
@@ -64,7 +61,6 @@ pub fn parse_design(text: &str, format: DesignFormat) -> Result<Netlist, Netlist
             match format {
                 DesignFormat::Bench => "bench",
                 DesignFormat::Verilog => "verilog",
-                DesignFormat::Text => "text",
             },
         )
         .with("bytes", text.len());
@@ -88,7 +84,6 @@ pub fn parse_design(text: &str, format: DesignFormat) -> Result<Netlist, Netlist
     let result = match format {
         DesignFormat::Bench => parse_bench(text),
         DesignFormat::Verilog => parse_verilog(text),
-        DesignFormat::Text => crate::text::parse_netlist(text),
     };
     drop(timer);
     if seceda_trace::enabled() {
@@ -115,7 +110,7 @@ pub fn parse_design_path(path: impl AsRef<Path>) -> Result<Netlist, NetlistError
     let ext = path.extension().and_then(|e| e.to_str()).unwrap_or("");
     let format = DesignFormat::from_extension(ext).ok_or_else(|| {
         NetlistError::Io(format!(
-            "unknown design extension `{ext}` (expected .bench, .v, or .txt): {}",
+            "unknown design extension `{ext}` (expected .bench, .v, or .vg): {}",
             path.display()
         ))
     })?;
@@ -148,10 +143,7 @@ mod tests {
             DesignFormat::from_extension("v"),
             Some(DesignFormat::Verilog)
         );
-        assert_eq!(
-            DesignFormat::from_extension("txt"),
-            Some(DesignFormat::Text)
-        );
+        assert_eq!(DesignFormat::from_extension("txt"), None);
         assert_eq!(DesignFormat::from_extension("edif"), None);
     }
 

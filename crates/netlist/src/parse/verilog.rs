@@ -182,14 +182,8 @@ pub fn parse_verilog(text: &str) -> Result<Netlist, NetlistError> {
             .ok_or_else(|| NetlistError::UnknownNet(tok.to_string()))
     };
 
-    let mut stmt_no = 0u64;
     for (stmt, line) in &stmts {
         let line = *line;
-        stmt_no += 1;
-        // heartbeat for the stall watchdog on very large modules
-        if stmt_no & 0xFFF == 0 {
-            seceda_trace::progress("parse.statements_seen", stmt_no);
-        }
         if saw_end {
             return Err(parse_err(line, "statement after endmodule"));
         }

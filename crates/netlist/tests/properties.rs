@@ -1,7 +1,7 @@
 //! Property-based tests for the netlist IR.
 
 use seceda_netlist::{
-    bits_to_u64, format_netlist, parse_netlist, random_circuit, u64_to_bits, CellKind, Netlist,
+    bits_to_u64, parse_bench, random_circuit, u64_to_bits, write_bench, CellKind, Netlist,
     RandomCircuitConfig, Word,
 };
 use seceda_testkit::prelude::*;
@@ -76,7 +76,7 @@ proptest! {
             seed,
         });
         prop_assert!(nl.validate().is_ok());
-        let back = parse_netlist(&format_netlist(&nl)).expect("parse");
+        let back = parse_bench(&write_bench(&nl)).expect("parse");
         prop_assert_eq!(back.truth_table(), nl.truth_table());
     }
 

@@ -409,7 +409,9 @@ pub fn lower_netlist<B: CnfBuilder>(
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Miter {
     /// The input variables: every input of `a` in port order, then the
-    /// inputs of `b` past the shared prefix.
+    /// inputs of `b` past the shared prefix, then — when both copies
+    /// have the same number of DFFs — one shared state variable per DFF
+    /// in [`Netlist::dffs`] order.
     pub vars: Vec<Var>,
     /// The edges driving `a`'s inputs, in port order.
     pub a_inputs: Vec<AigLit>,
@@ -422,12 +424,20 @@ pub struct Miter {
 /// Builds a miter of two netlists with matching interfaces: the first
 /// `shared_inputs` primary inputs are tied together, the rest stay free
 /// in each copy, and [`Miter::diff`] is true iff some output differs.
-/// DFF outputs are free in each copy.
+///
+/// When both netlists have the same number of DFFs, the *k*-th DFF of
+/// each (in [`Netlist::dffs`] order) reads one shared state variable,
+/// and `diff` is also true when some matched pair's D inputs differ:
+/// an UNSAT `diff` then proves the copies equivalent under that
+/// register correspondence (equal outputs and equal next state from
+/// every shared state). With differing DFF counts, DFF outputs are free
+/// in each copy and only the outputs are compared.
 ///
 /// Every input of `a` gets a fresh variable from `sink`, then every
-/// unshared input of `b`. Both copies read the same input nodes, so all
-/// logic that agrees structurally on the shared inputs hash-conses into
-/// one node and its output difference folds away: `diff` is
+/// unshared input of `b`, then the shared state. Both copies read the
+/// same input and state nodes, so all logic that agrees structurally on
+/// the shared inputs hash-conses into one node and its output
+/// difference folds away: `diff` is
 /// [`AigLit::FALSE`] when the copies are structurally equal. With every
 /// input shared, an UNSAT `diff` proves equivalence; sharing only a
 /// prefix gives the SAT attack's two keyed copies over one functional
@@ -459,20 +469,32 @@ pub fn miter<B: CnfBuilder>(
         shared_inputs <= n,
         "miter cannot share more inputs than it has"
     );
-    let vars: Vec<Var> = (0..2 * n - shared_inputs).map(|_| sink.new_var()).collect();
+    let (dffs_a, dffs_b) = (a.dffs(), b.dffs());
+    let shared_state = dffs_a.len() == dffs_b.len();
+    let num_inputs = 2 * n - shared_inputs;
+    let num_vars = num_inputs + if shared_state { dffs_a.len() } else { 0 };
+    let vars: Vec<Var> = (0..num_vars).map(|_| sink.new_var()).collect();
     let edges: Vec<AigLit> = vars.iter().map(|v| aig.input(v.pos())).collect();
     let a_inputs = edges[..n].to_vec();
     let b_inputs: Vec<AigLit> = edges[..shared_inputs]
         .iter()
-        .chain(&edges[n..])
+        .chain(&edges[n..num_inputs])
         .copied()
         .collect();
-    let nets_a = lower_netlist(a, aig, &a_inputs, None, sink)?;
-    let nets_b = lower_netlist(b, aig, &b_inputs, None, sink)?;
+    let state = shared_state.then(|| &edges[num_inputs..]);
+    let nets_a = lower_netlist(a, aig, &a_inputs, state, sink)?;
+    let nets_b = lower_netlist(b, aig, &b_inputs, state, sink)?;
     let mut diff = AigLit::FALSE;
     for (&(oa, _), &(ob, _)) in a.outputs().iter().zip(b.outputs()) {
         let d = aig.xor(nets_a[oa.index()], nets_b[ob.index()]);
         diff = aig.or(diff, d);
+    }
+    if shared_state {
+        for (&da, &db) in dffs_a.iter().zip(&dffs_b) {
+            let (na, nb) = (a.gate(da).inputs[0], b.gate(db).inputs[0]);
+            let d = aig.xor(nets_a[na.index()], nets_b[nb.index()]);
+            diff = aig.or(diff, d);
+        }
     }
     Ok(Miter {
         vars,

@@ -11,45 +11,26 @@
 
 use crate::budget::{Budget, SolveOutcome, StopReason};
 use crate::cnf::{Cnf, CnfBuilder, Lit, Var};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
 
 /// Fully resolved per-call limits: absolute targets computed from a
-/// [`Budget`]'s relative caps at solve entry, plus the budget's cancel
-/// flag.
-struct Limits<'a> {
+/// [`Budget`]'s relative caps at solve entry.
+struct Limits {
     /// Stop once `num_conflicts` reaches this (absolute, not a delta).
     conflict_target: u64,
     /// Stop once `num_propagations` reaches this (absolute).
     prop_target: u64,
-    deadline: Option<Instant>,
-    cancel: Option<&'a AtomicBool>,
 }
 
-impl Limits<'_> {
-    /// The cheap poll run every [`CANCEL_POLL_MASK`]` + 1` propagations.
+impl Limits {
+    /// The cheap poll run every [`BUDGET_POLL_MASK`]` + 1` propagations.
     fn check_poll(&self, propagations: u64) -> Option<StopReason> {
-        if let Some(flag) = self.cancel {
-            if flag.load(Ordering::Relaxed) {
-                return Some(StopReason::Cancelled);
-            }
-        }
-        if propagations >= self.prop_target {
-            return Some(StopReason::Propagations);
-        }
-        if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
-                return Some(StopReason::Deadline);
-            }
-        }
-        None
+        (propagations >= self.prop_target).then_some(StopReason::Propagations)
     }
 
     /// Checked once at solve entry, so an already-spent budget (a
-    /// `Budget::minus` remainder with nothing left, or a passed
-    /// deadline) stops deterministically *before* any search — even on
-    /// formulas small enough that no in-search poll would ever fire.
+    /// `Budget::minus` remainder with nothing left) stops
+    /// deterministically *before* any search — even on formulas small
+    /// enough that no in-search poll would ever fire.
     fn check_entry(&self, conflicts: u64, propagations: u64) -> Option<StopReason> {
         if conflicts >= self.conflict_target {
             return Some(StopReason::Conflicts);
@@ -63,7 +44,7 @@ const NO_REASON: u32 = u32::MAX;
 /// Learned clauses with LBD at or below this are "glue" and never deleted.
 const GLUE_LBD: u32 = 2;
 /// Budget poll cadence in propagated literals (power of two).
-const CANCEL_POLL_MASK: u64 = 0x3FF;
+const BUDGET_POLL_MASK: u64 = 0x3FF;
 /// Conflicts-per-restart multiplier on the Luby sequence.
 const RESTART_BASE: u64 = 64;
 /// VSIDS activity decay (`var_inc /= VAR_DECAY` per conflict).
@@ -432,15 +413,15 @@ impl Solver {
 
     /// Propagates all pending assignments; returns a conflicting clause
     /// index on conflict. `limits` (when given) is polled every
-    /// [`CANCEL_POLL_MASK`]` + 1` propagated literals; on a raised flag
-    /// or an exhausted budget the queue is left unfinished and
+    /// [`BUDGET_POLL_MASK`]` + 1` propagated literals; on an exhausted
+    /// propagation budget the queue is left unfinished and
     /// [`Propagation::Stopped`] is returned — the caller must abandon
     /// the solve (the unpropagated tail is picked up by the next solve's
     /// root propagation).
-    fn propagate(&mut self, limits: Option<&Limits<'_>>) -> Propagation {
+    fn propagate(&mut self, limits: Option<&Limits>) -> Propagation {
         while self.qhead < self.trail.len() {
             if let Some(lim) = limits {
-                if self.num_propagations & CANCEL_POLL_MASK == 0 {
+                if self.num_propagations & BUDGET_POLL_MASK == 0 {
                     if let Some(reason) = lim.check_poll(self.num_propagations) {
                         return Propagation::Stopped(reason);
                     }
@@ -781,13 +762,11 @@ impl Solver {
     /// it learned — re-solving with a larger budget resumes from
     /// accumulated knowledge.
     ///
-    /// Conflict/propagation limits cap this call's *delta*; the deadline
-    /// is absolute (see [`Budget`]). Budget checks ride an
-    /// every-1024-propagations poll (plus one comparison per conflict),
-    /// and [`Budget::unlimited`] skips them entirely, so an unlimited
-    /// solve always returns a determined answer. An exhausted wall-clock
-    /// deadline additionally emits a watchdog stall report naming the
-    /// live span stack (see `seceda_trace::report_budget_stall`).
+    /// Conflict and propagation limits cap this call's *delta* (see
+    /// [`Budget`]). Budget checks ride an every-1024-propagations poll
+    /// (plus one comparison per conflict), and [`Budget::unlimited`]
+    /// skips them entirely, so an unlimited solve always returns a
+    /// determined answer.
     ///
     /// Each call emits one `sat.solve` trace span plus per-call deltas of
     /// the decision/propagation/conflict/restart/learning statistics.
@@ -813,8 +792,6 @@ impl Solver {
                 prop_target: budget
                     .max_propagations()
                     .map_or(u64::MAX, |n| self.num_propagations.saturating_add(n)),
-                deadline: budget.deadline(),
-                cancel: budget.cancel_flag().map(Arc::as_ref),
             })
         } else {
             None
@@ -851,17 +828,12 @@ impl Solver {
                 if seceda_trace::enabled() {
                     sp.attr("stop_reason", format!("{reason}"));
                 }
-                if *reason == StopReason::Deadline {
-                    // event-driven stall report while the sat.solve span
-                    // is still open, so armed watchdogs see the stack
-                    seceda_trace::report_budget_stall("sat.solve wall-clock deadline");
-                }
             }
         }
         result
     }
 
-    fn search(&mut self, assumptions: &[Lit], limits: Option<&Limits<'_>>) -> SolveOutcome {
+    fn search(&mut self, assumptions: &[Lit], limits: Option<&Limits>) -> SolveOutcome {
         if self.unsat {
             return SolveOutcome::Unsat;
         }
@@ -995,7 +967,7 @@ enum Propagation {
     Quiescent,
     /// Conflict in the given clause.
     Conflict(u32),
-    /// A limit tripped mid-propagation (cancel flag, budget, deadline).
+    /// The propagation budget tripped mid-propagation.
     Stopped(StopReason),
 }
 

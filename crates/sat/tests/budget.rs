@@ -2,15 +2,10 @@
 //! budget never flips a determined answer, and never un-determines a
 //! query a smaller budget could finish), *deterministic* (conflict- and
 //! propagation-limited outcomes are pure functions of the formula), and
-//! *prompt* (an already-spent budget stops before any search; a passed
-//! deadline reports to armed watchdogs).
+//! *prompt* (an already-spent budget stops before any search).
 
 use seceda_sat::{Budget, Cnf, Lit, SolveOutcome, Solver, StopReason};
 use seceda_testkit::prelude::*;
-use seceda_trace::{StallSink, Watchdog, WatchdogConfig};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 /// The pigeonhole principle PHP(pigeons, holes): satisfiable iff
 /// `pigeons <= holes`, and famously resolution-hard when `pigeons =
@@ -136,39 +131,6 @@ fn zero_budgets_stop_before_any_search() {
     );
     // the refusals spent nothing and the solver answers normally after
     assert!(solver.solve(&[], &Budget::unlimited()).is_sat());
-}
-
-#[test]
-fn passed_deadline_is_indeterminate_and_reports_to_armed_watchdog() {
-    // the watchdog's own stall timeout is far beyond the test; only the
-    // event-driven budget report can reach the buffer sink
-    let buffer = Arc::new(Mutex::new(String::new()));
-    let mut config = WatchdogConfig::new(Duration::from_secs(600));
-    config.sink = StallSink::Buffer(Arc::clone(&buffer));
-    let wd = Watchdog::start_with(config);
-    let outcome = Solver::from_cnf(&pigeonhole(6, 5))
-        .solve(&[], &Budget::unlimited().with_deadline(Instant::now()));
-    assert_eq!(outcome, SolveOutcome::Indeterminate(StopReason::Deadline));
-    assert!(wd.stall_reports() >= 1, "deadline must reach the watchdog");
-    let report = buffer.lock().expect("buffer").clone();
-    assert!(
-        report.contains("BUDGET EXHAUSTED in sat.solve wall-clock deadline"),
-        "stall report missing or wrong: {report:?}"
-    );
-    wd.stop();
-}
-
-#[test]
-fn pre_raised_cancel_flag_stops_before_search() {
-    let flag = Arc::new(AtomicBool::new(true));
-    let cnf = pigeonhole(4, 4);
-    let mut solver = Solver::from_cnf(&cnf);
-    let outcome = solver.solve(&[], &Budget::unlimited().with_cancel(Arc::clone(&flag)));
-    assert_eq!(outcome, SolveOutcome::Indeterminate(StopReason::Cancelled));
-    // lowering the flag lets the same budget through
-    flag.store(false, Ordering::Relaxed);
-    let outcome = solver.solve(&[], &Budget::unlimited().with_cancel(flag));
-    assert!(outcome.is_sat());
 }
 
 #[test]

@@ -1,7 +1,8 @@
 //! The AIG lowering against the per-net Tseitin oracle: fault-query
 //! verdicts of [`FaultMiter`] and equivalence verdicts of [`miter`] must
-//! match the oracle's on random designs, and every fault witness must
-//! expose its fault under a direct faulty evaluation.
+//! match the oracle's on random designs (sequential ones under register
+//! correspondence), and every fault and equivalence witness must be
+//! confirmed by direct evaluation.
 
 #[path = "oracle/tseitin.rs"]
 mod tseitin;
@@ -131,11 +132,14 @@ fn aig_equivalent(a: &Netlist, b: &Netlist) -> bool {
     let diff = AigCnf::new(const_false).lit_of(&aig, m.diff, &mut solver);
     match solver.solve(&[diff], &Budget::unlimited()) {
         SolveOutcome::Sat(model) => {
-            let x: Vec<bool> = m.vars[..a.inputs().len()]
-                .iter()
-                .map(|v| model[v.index()])
-                .collect();
-            assert_ne!(a.evaluate(&x), b.evaluate(&x), "counterexample must differ");
+            // inputs, then the shared state: outputs or next state differ
+            let bits: Vec<bool> = m.vars.iter().map(|v| model[v.index()]).collect();
+            let (x, state) = bits.split_at(a.inputs().len());
+            assert_ne!(
+                a.step(x, state).expect("step a"),
+                b.step(x, state).expect("step b"),
+                "counterexample must differ"
+            );
             false
         }
         SolveOutcome::Unsat => true,
@@ -193,6 +197,29 @@ fn miter_verdicts_match_tseitin_on_random_pairs() {
     }
     assert!(
         equal >= 200 && differ > 50,
+        "{equal} equal, {differ} differ"
+    );
+}
+
+#[test]
+fn sequential_miter_verdicts_match_tseitin_under_register_correspondence() {
+    let (mut equal, mut differ) = (0, 0);
+    // the seeds whose design carries a DFF
+    for seed in (3..700u64).step_by(7) {
+        let nl = design(seed);
+        assert_eq!(nl.dffs().len(), 1, "seed {seed}");
+        for other in [nl.clone(), mutate(&nl, seed as usize)] {
+            let verdict = aig_equivalent(&nl, &other);
+            assert_eq!(verdict, tseitin_equivalent(&nl, &other), "seed {seed}");
+            if verdict {
+                equal += 1;
+            } else {
+                differ += 1;
+            }
+        }
+    }
+    assert!(
+        equal >= 100 && differ > 25,
         "{equal} equal, {differ} differ"
     );
 }

@@ -115,7 +115,9 @@ pub fn encode_netlist<B: CnfBuilder>(
 
 /// A miter of two netlists with matching interfaces: the first
 /// `shared_inputs` inputs tied together, and a literal (returned) true
-/// iff some primary output differs.
+/// iff some primary output differs. With equally many DFFs, matched DFF
+/// outputs (by `Netlist::dffs` ordinal) are tied too and a difference
+/// between matched D inputs also counts, as in `seceda_sat::miter`.
 pub fn miter<B: CnfBuilder>(
     a: &Netlist,
     b: &Netlist,
@@ -130,11 +132,27 @@ pub fn miter<B: CnfBuilder>(
     for (&va, &vb) in shared.take(shared_inputs) {
         cnf.gate_buf(va.pos(), vb.pos());
     }
-    let diffs: Vec<Lit> = enc_a
+    let mut pairs: Vec<(Var, Var)> = enc_a
         .output_vars
         .iter()
-        .zip(&enc_b.output_vars)
-        .map(|(&oa, &ob)| {
+        .copied()
+        .zip(enc_b.output_vars.iter().copied())
+        .collect();
+    let (dffs_a, dffs_b) = (a.dffs(), b.dffs());
+    if dffs_a.len() == dffs_b.len() {
+        for (&da, &db) in dffs_a.iter().zip(&dffs_b) {
+            let (ga, gb) = (a.gate(da), b.gate(db));
+            let (qa, qb) = (enc_a.vars[ga.output.index()], enc_b.vars[gb.output.index()]);
+            cnf.gate_buf(qa.pos(), qb.pos());
+            pairs.push((
+                enc_a.vars[ga.inputs[0].index()],
+                enc_b.vars[gb.inputs[0].index()],
+            ));
+        }
+    }
+    let diffs: Vec<Lit> = pairs
+        .into_iter()
+        .map(|(oa, ob)| {
             let d = cnf.new_var().pos();
             cnf.gate_xor(d, oa.pos(), ob.pos());
             d

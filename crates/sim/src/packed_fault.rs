@@ -274,14 +274,11 @@ impl<'a> FaultSim<'a> {
         let num_inputs = self.nl.inputs().len();
         let mut dropped = 0u64;
         let mut cone_skipped = 0u64;
-        let mut graded = 0u64;
         seceda_trace::gauge("sim.lane_width", W::BITS as f64);
         for batch in patterns.chunks(W::BITS) {
             // one histogram sample per packed batch; batch cost shrinks
             // as fault dropping thins the active set
             let _batch_t = seceda_trace::hist_timer("sim.fault_batch_ns");
-            graded += batch.len() as u64;
-            seceda_trace::progress("sim.patterns_graded", graded);
             let active: Vec<u32> = (0..faults.len() as u32)
                 .filter(|&k| !detected[k as usize])
                 .collect();

@@ -13,9 +13,6 @@
 //! * [`histogram`] / [`hist_timer`] — log-bucketed latency/size
 //!   distributions with p50/p90/p99/max in [`Summary`] (per DIP
 //!   iteration, per threat evaluation, per fault-sim batch, per parse);
-//! * [`progress`] + [`Watchdog`] — monotonic progress heartbeats and a
-//!   stall watchdog that turns silent hangs into live-span-stack dumps
-//!   on stderr (and optionally aborts);
 //! * allocation accounting ([`alloc`]) — a counting global allocator,
 //!   armed by `SECEDA_TRACE_ALLOC=1`, attributing alloc-count/byte
 //!   deltas to the enclosing span;
@@ -38,8 +35,7 @@
 //! probe granularity is chosen per call (one span per SAT solve, not per
 //! propagation) so the enabled mode stays usable too. The allocation
 //! counter follows the same policy behind its own gate
-//! (`SECEDA_TRACE_ALLOC`); the watchdog costs nothing until
-//! [`Watchdog::start`] arms one.
+//! (`SECEDA_TRACE_ALLOC`).
 //!
 //! ```
 //! let ((), events) = seceda_trace::session(|| {
@@ -61,7 +57,6 @@ mod hist;
 mod recorder;
 mod render;
 mod span;
-mod watchdog;
 
 pub use chrome::to_chrome_trace;
 pub use export::{from_json_lines, to_json_lines};
@@ -69,9 +64,8 @@ pub use hist::{
     bucket_bounds, bucket_index, hist_timer, HistTimer, Histogram, NUM_BUCKETS, OVERFLOW_BUCKET,
 };
 pub use recorder::{
-    counter, drain, enabled, gauge, histogram, live_spans, progress, progress_snapshot, session,
-    set_enabled, AttrValue, CounterRecord, Event, GaugeRecord, HistRecord, LiveSpan, SpanRecord,
+    counter, drain, enabled, gauge, histogram, session, set_enabled, AttrValue, CounterRecord,
+    Event, GaugeRecord, HistRecord, SpanRecord,
 };
 pub use render::{fmt_duration, Summary};
 pub use span::{span, Span};
-pub use watchdog::{report_budget_stall, StallSink, Watchdog, WatchdogConfig};

@@ -7,15 +7,9 @@
 //! thread-local stack, so a span opened on a worker thread starts a new
 //! root rather than attaching to an unrelated parent.
 //!
-//! Two consumers hang off the probe stream besides the event buffer:
-//!
-//! * a **live-span registry** of currently-open spans, so mid-run
-//!   snapshots ([`drain`]) can emit in-flight work as explicitly-marked
-//!   unfinished records and the watchdog can dump the live stack of a
-//!   hung engine ([`live_spans`]);
-//! * an **activity generation counter** plus a [`progress`] gauge
-//!   registry, which the stall watchdog polls to distinguish "slow but
-//!   moving" from "hung" (see [`crate::watchdog`]).
+//! Besides the event buffer, the recorder keeps a **live-span registry**
+//! of currently-open spans, so mid-run snapshots ([`drain`]) can emit
+//! in-flight work as explicitly-marked unfinished records.
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
@@ -92,9 +86,8 @@ pub struct SpanRecord {
     /// Ordinal of the recording thread (process-unique, dense from 0).
     pub thread: u32,
     /// True for spans that were still open when a [`drain`] snapshot was
-    /// taken (or when the watchdog dumped the live stack): `end_ns` is
-    /// the snapshot time, not a real completion, and attributes attached
-    /// after the snapshot are absent.
+    /// taken: `end_ns` is the snapshot time, not a real completion, and
+    /// attributes attached after the snapshot are absent.
     pub unfinished: bool,
     /// Key/value attributes, in insertion order.
     pub attrs: Vec<(&'static str, AttrValue)>,
@@ -167,33 +160,25 @@ pub enum Event {
     Hist(HistRecord),
 }
 
-/// A currently-open span, as seen by [`live_spans`] and the watchdog.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LiveSpan {
-    /// Span id.
-    pub id: u64,
-    /// Enclosing span on the same thread, if any.
-    pub parent: Option<u64>,
-    /// Span name.
-    pub name: String,
-    /// Start time in nanoseconds since the process trace epoch.
-    pub start_ns: u64,
-    /// Ordinal of the opening thread.
-    pub thread: u32,
+/// A currently-open span, kept so [`drain`] can snapshot it as an
+/// unfinished record.
+#[derive(Debug)]
+pub(crate) struct LiveSpan {
+    pub(crate) id: u64,
+    pub(crate) parent: Option<u64>,
+    pub(crate) name: String,
+    pub(crate) start_ns: u64,
+    pub(crate) thread: u32,
 }
 
 const F_INIT: u8 = 1;
 const F_TRACE: u8 = 2;
-const F_WATCH: u8 = 4;
 
 static FLAGS: AtomicU8 = AtomicU8::new(0);
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 static NEXT_THREAD: AtomicU32 = AtomicU32::new(0);
-static ACTIVITY: AtomicU64 = AtomicU64::new(0);
-static WATCHERS: AtomicU32 = AtomicU32::new(0);
 static EVENTS: Mutex<Vec<Event>> = Mutex::new(Vec::new());
 static LIVE: Mutex<Vec<LiveSpan>> = Mutex::new(Vec::new());
-static PROGRESS: Mutex<Vec<(&'static str, u64)>> = Mutex::new(Vec::new());
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 static SESSION: Mutex<()> = Mutex::new(());
 
@@ -208,10 +193,8 @@ fn lock<T>(m: &'static Mutex<T>) -> MutexGuard<'static, T> {
 }
 
 /// The probe gate: a single relaxed atomic load on the hot path. Bit
-/// `F_TRACE` means events are recorded; bit `F_WATCH` means a stall
-/// watchdog is armed and probes must bump the activity generation even
-/// when event recording is off.
-pub(crate) fn flags() -> u8 {
+/// `F_TRACE` means events are recorded.
+fn flags() -> u8 {
     let f = FLAGS.load(Ordering::Relaxed);
     if f & F_INIT != 0 {
         f
@@ -228,9 +211,6 @@ fn init_from_env() -> u8 {
     let set = F_INIT | if on { F_TRACE } else { 0 };
     FLAGS.fetch_or(set, Ordering::Relaxed) | set
 }
-
-pub(crate) const TRACE_BIT: u8 = F_TRACE;
-pub(crate) const WATCH_BIT: u8 = F_WATCH;
 
 /// Whether tracing is currently on.
 ///
@@ -249,31 +229,6 @@ pub fn set_enabled(on: bool) {
         FLAGS.fetch_and(!F_TRACE, Ordering::Relaxed);
         FLAGS.fetch_or(F_INIT, Ordering::Relaxed);
     }
-}
-
-/// Arms the watchdog bit: probes start bumping the activity generation.
-/// Calls nest; the bit clears when every armer has disarmed.
-pub(crate) fn arm_watch() {
-    flags(); // force env init so we don't clobber the lazy SECEDA_TRACE read
-    WATCHERS.fetch_add(1, Ordering::Relaxed);
-    FLAGS.fetch_or(F_WATCH, Ordering::Relaxed);
-}
-
-pub(crate) fn disarm_watch() {
-    if WATCHERS.fetch_sub(1, Ordering::Relaxed) == 1 {
-        FLAGS.fetch_and(!F_WATCH, Ordering::Relaxed);
-    }
-}
-
-/// The activity generation: bumped by every probe while a watchdog is
-/// armed. A stalled process is one whose generation stops moving.
-pub(crate) fn activity_generation() -> u64 {
-    ACTIVITY.load(Ordering::Relaxed)
-}
-
-#[inline]
-pub(crate) fn bump_activity() {
-    ACTIVITY.fetch_add(1, Ordering::Relaxed);
 }
 
 pub(crate) fn now_ns() -> u64 {
@@ -328,27 +283,13 @@ pub(crate) fn unregister_live(id: u64) {
     }
 }
 
-/// Snapshot of every span currently open on any thread, in opening
-/// order. Available whenever tracing is enabled; this is what the
-/// watchdog prints when it flags a stall.
-pub fn live_spans() -> Vec<LiveSpan> {
-    lock(&LIVE).clone()
-}
-
 pub(crate) fn record(event: Event) {
     lock(&EVENTS).push(event);
 }
 
 /// Adds `delta` to the named counter. No-op when tracing is off.
 pub fn counter(name: &'static str, delta: u64) {
-    let f = flags();
-    if f & (F_TRACE | F_WATCH) == 0 {
-        return;
-    }
-    if f & F_WATCH != 0 {
-        bump_activity();
-    }
-    if f & F_TRACE != 0 {
+    if enabled() {
         record(Event::Counter(CounterRecord {
             name,
             delta,
@@ -360,14 +301,7 @@ pub fn counter(name: &'static str, delta: u64) {
 
 /// Records a point-in-time observation. No-op when tracing is off.
 pub fn gauge(name: &'static str, value: f64) {
-    let f = flags();
-    if f & (F_TRACE | F_WATCH) == 0 {
-        return;
-    }
-    if f & F_WATCH != 0 {
-        bump_activity();
-    }
-    if f & F_TRACE != 0 {
+    if enabled() {
         record(Event::Gauge(GaugeRecord {
             name,
             value,
@@ -383,14 +317,7 @@ pub fn gauge(name: &'static str, value: f64) {
 /// [`crate::Summary`], which reports p50/p90/p99/max per metric. By
 /// convention, duration-valued metrics end in `_ns`.
 pub fn histogram(name: &'static str, value: u64) {
-    let f = flags();
-    if f & (F_TRACE | F_WATCH) == 0 {
-        return;
-    }
-    if f & F_WATCH != 0 {
-        bump_activity();
-    }
-    if f & F_TRACE != 0 {
+    if enabled() {
         record(Event::Hist(HistRecord {
             name,
             value,
@@ -400,47 +327,11 @@ pub fn histogram(name: &'static str, value: u64) {
     }
 }
 
-/// Publishes a monotonic progress gauge (e.g. DIP iterations completed,
-/// patterns graded). Progress probes feed two consumers: the recorded
-/// event stream (as a gauge) and the stall watchdog, which treats any
-/// progress update as liveness and snapshots the latest value per name
-/// for its stall report. No-op when both tracing and the watchdog are
-/// off — the hot-path cost is one relaxed atomic load.
-pub fn progress(name: &'static str, value: u64) {
-    let f = flags();
-    if f & (F_TRACE | F_WATCH) == 0 {
-        return;
-    }
-    if f & F_WATCH != 0 {
-        bump_activity();
-        let mut reg = lock(&PROGRESS);
-        match reg.iter_mut().find(|(n, _)| *n == name) {
-            Some(slot) => slot.1 = value,
-            None => reg.push((name, value)),
-        }
-    }
-    if f & F_TRACE != 0 {
-        record(Event::Gauge(GaugeRecord {
-            name,
-            value: value as f64,
-            span: current_span(),
-            ts_ns: now_ns(),
-        }));
-    }
-}
-
-/// The latest value of every [`progress`] gauge published while a
-/// watchdog was armed, in first-publication order.
-pub fn progress_snapshot() -> Vec<(&'static str, u64)> {
-    lock(&PROGRESS).clone()
-}
-
 /// Removes and returns every event recorded so far, in recording order.
 ///
 /// Spans still open at the time of the call are appended as
 /// explicitly-marked snapshot records (`unfinished: true`, `end_ns` =
-/// snapshot time, no attributes) so mid-run snapshots and watchdog dumps
-/// are lossless; each such span records again — finished, with its
+/// snapshot time, no attributes) so mid-run snapshots are lossless; each such span records again — finished, with its
 /// attributes — when its guard finally drops.
 pub fn drain() -> Vec<Event> {
     let mut events = std::mem::take(&mut *lock(&EVENTS));

@@ -27,11 +27,11 @@ struct SpanData {
 
 /// Opens a span. The returned guard records the span when dropped.
 ///
-/// While open, the span is visible to [`crate::live_spans`] (and hence
-/// to watchdog stall dumps and unfinished-span snapshots). With
-/// `SECEDA_TRACE_ALLOC=1`, the closed record carries `alloc_count` /
-/// `alloc_bytes` attributes: the allocations made on the opening thread
-/// between open and drop (children included, like wall time).
+/// While open, the span appears in [`crate::drain`] snapshots as an
+/// unfinished record. With `SECEDA_TRACE_ALLOC=1`, the closed record
+/// carries `alloc_count` / `alloc_bytes` attributes: the allocations
+/// made on the opening thread between open and drop (children
+/// included, like wall time).
 ///
 /// ```
 /// let mut root = seceda_trace::span("flow.stage");
@@ -40,11 +40,7 @@ struct SpanData {
 /// drop(root);
 /// ```
 pub fn span(name: impl Into<String>) -> Span {
-    let f = crate::recorder::flags();
-    if f & crate::recorder::WATCH_BIT != 0 {
-        recorder::bump_activity();
-    }
-    if f & crate::recorder::TRACE_BIT == 0 {
+    if !recorder::enabled() {
         return Span { data: None };
     }
     let id = recorder::next_span_id();
@@ -102,9 +98,6 @@ impl Span {
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some(mut data) = self.data.take() {
-            if crate::recorder::flags() & crate::recorder::WATCH_BIT != 0 {
-                recorder::bump_activity();
-            }
             if let (Some((count0, bytes0)), Some((count1, bytes1))) =
                 (data.alloc_at_open, alloc::thread_totals())
             {

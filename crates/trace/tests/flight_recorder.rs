@@ -1,19 +1,16 @@
 //! Flight-recorder layer tests: histogram sessions, allocation
 //! accounting determinism under threads, Chrome-trace export (JSON
-//! escaping round-trip through `seceda_testkit::json`), the stall
-//! watchdog's fire-then-clear behaviour, and lossless drains of
-//! unfinished spans.
+//! escaping round-trip through `seceda_testkit::json`), and lossless
+//! drains of unfinished spans.
 //!
 //! Every recorder-touching test runs inside [`seceda_trace::session`],
 //! which serializes on a process-wide lock.
 
 use seceda_testkit::json::Json;
 use seceda_trace::{
-    drain, from_json_lines, hist_timer, histogram, progress, session, span, to_chrome_trace,
-    to_json_lines, Event, StallSink, Summary, Watchdog, WatchdogConfig,
+    drain, from_json_lines, hist_timer, histogram, session, span, to_chrome_trace, to_json_lines,
+    Event, Summary,
 };
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 #[test]
 fn histogram_samples_aggregate_per_metric_in_summary() {
@@ -267,136 +264,4 @@ fn unfinished_records_render_with_a_marker_and_export_the_flag() {
         }
         drop(sp);
     });
-}
-
-/// Waits until `cond` holds, failing after `deadline`.
-fn wait_for(deadline: Duration, what: &str, mut cond: impl FnMut() -> bool) {
-    let start = Instant::now();
-    while !cond() {
-        assert!(
-            start.elapsed() < deadline,
-            "timed out after {deadline:?} waiting for {what}"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
-#[test]
-fn watchdog_fires_on_stall_then_clears_on_progress() {
-    // Property checked over several rounds: a silent period at least as
-    // long as the timeout is always flagged, and resuming progress
-    // always clears the flag without extra reports.
-    let reports = Arc::new(Mutex::new(String::new()));
-    let ((), _events) = session(|| {
-        let wd = Watchdog::start_with(WatchdogConfig {
-            timeout: Duration::from_millis(150),
-            poll: Duration::from_millis(10),
-            abort_on_stall: false,
-            // buffer, not stderr: the watchdog thread escapes libtest's
-            // output capture, and the report's wall-clock duration would
-            // make two test runs diff unequal
-            sink: StallSink::Buffer(Arc::clone(&reports)),
-        });
-        let mut expected_reports = 0;
-        for round in 0..3u64 {
-            // phase 1: stall (no probes at all); wait for flag AND report
-            // counter so the two relaxed stores have both landed
-            expected_reports += 1;
-            wait_for(Duration::from_secs(10), "stall flag", || {
-                wd.stalled() && wd.stall_reports() == expected_reports
-            });
-
-            // phase 2: steady progress clears the flag and keeps it clear
-            wait_for(Duration::from_secs(10), "flag clear", || {
-                progress("wd.work_done", round);
-                !wd.stalled()
-            });
-            // keep beating well past the timeout: no new stall while alive
-            let beat_until = Instant::now() + Duration::from_millis(450);
-            while Instant::now() < beat_until {
-                progress("wd.work_done", round);
-                assert!(!wd.stalled(), "heartbeats must keep the flag clear");
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            assert_eq!(
-                wd.stall_reports(),
-                expected_reports,
-                "a moving run must not accumulate stall reports"
-            );
-        }
-        // the watchdog saw the progress gauge's latest value
-        let snap = seceda_trace::progress_snapshot();
-        assert!(snap.iter().any(|&(n, v)| n == "wd.work_done" && v == 2));
-        wd.stop();
-    });
-    let reports = reports.lock().unwrap();
-    assert_eq!(
-        reports.matches("NO PROGRESS").count(),
-        3,
-        "one report per stall round:\n{reports}"
-    );
-}
-
-#[test]
-fn budget_stall_reports_reach_armed_watchdogs() {
-    let reports = Arc::new(Mutex::new(String::new()));
-    let ((), _events) = session(|| {
-        // with no watchdog armed the call is a no-op (the session lock
-        // keeps other tests' watchdogs out of the registry here)
-        assert_eq!(seceda_trace::report_budget_stall("sat.solve"), 0);
-        let _sp = span("budgeted.engine");
-        let wd = Watchdog::start_with(WatchdogConfig {
-            // huge timeout: the watchdog thread itself must never fire —
-            // only the synchronous budget report reaches the sink
-            timeout: Duration::from_secs(3600),
-            poll: Duration::from_millis(10),
-            abort_on_stall: false,
-            sink: StallSink::Buffer(Arc::clone(&reports)),
-        });
-        progress("wd.budget_phase", 3);
-        let reached = seceda_trace::report_budget_stall("sat.solve wall-clock deadline");
-        assert_eq!(reached, 1, "one armed watchdog must receive the report");
-        assert_eq!(wd.stall_reports(), 1);
-        assert!(!wd.stalled(), "a budget report is not a silent hang");
-        wd.stop();
-        // disarmed again: back to no-op
-        assert_eq!(seceda_trace::report_budget_stall("sat.solve"), 0);
-    });
-    let reports = reports.lock().unwrap();
-    assert!(reports.contains("BUDGET EXHAUSTED"), "{reports}");
-    assert!(
-        reports.contains("sat.solve wall-clock deadline"),
-        "{reports}"
-    );
-    assert!(reports.contains("budgeted.engine"), "{reports}");
-    assert!(reports.contains("wd.budget_phase = 3"), "{reports}");
-}
-
-#[test]
-fn watchdog_dump_lists_live_spans() {
-    let reports = Arc::new(Mutex::new(String::new()));
-    let ((), _events) = session(|| {
-        let _sp = span("hung.engine");
-        let live = seceda_trace::live_spans();
-        assert!(live.iter().any(|s| s.name == "hung.engine"));
-
-        // stall with the span still open: the report must list it along
-        // with the most recent progress gauges (the progress registry
-        // only records while a watchdog is armed)
-        let wd = Watchdog::start_with(WatchdogConfig {
-            timeout: Duration::from_millis(100),
-            poll: Duration::from_millis(10),
-            abort_on_stall: false,
-            sink: StallSink::Buffer(Arc::clone(&reports)),
-        });
-        seceda_trace::progress("wd.dump_phase", 7);
-        wait_for(Duration::from_secs(10), "stall report", || {
-            wd.stalled() && wd.stall_reports() == 1
-        });
-        wd.stop();
-    });
-    let reports = reports.lock().unwrap();
-    assert!(reports.contains("NO PROGRESS"), "{reports}");
-    assert!(reports.contains("hung.engine"), "{reports}");
-    assert!(reports.contains("wd.dump_phase = 7"), "{reports}");
 }

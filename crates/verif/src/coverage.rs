@@ -61,9 +61,10 @@ pub fn prove_detection(protected: &ProtectedNetlist) -> Result<DetectionProof, N
     prove_detection_budgeted(protected, &Budget::unlimited())
 }
 
-/// Budgeted [`prove_detection`]: the conflict cap meters the whole proof
-/// loop (each per-fault query gets whatever the previous queries left),
-/// the deadline bounds its wall clock. A query whose budget runs out
+/// Budgeted [`prove_detection`]: the conflict and propagation caps meter
+/// the whole proof loop (each per-fault query gets whatever the previous
+/// queries left), so which faults end undecided is a pure function of
+/// the design and the budget. A query whose budget runs out
 /// degrades *that fault* to [`DetectionProof::undecided`] — the loop
 /// keeps going, so one pathological fault cannot wedge the whole proof,
 /// but the final proof honestly reports its holes via

@@ -3,9 +3,10 @@
 //! Functional validation with security duties — the validation row of
 //! Table II.
 //!
-//! * [`equiv`] — SAT-based combinational equivalence checking: the
-//!   correctness side of locking/camouflaging ("does the unlocked design
-//!   still compute the right function?");
+//! * [`equiv`] — SAT-based equivalence checking (sequential designs
+//!   under register correspondence): the correctness side of
+//!   locking/camouflaging ("does the unlocked design still compute the
+//!   right function?");
 //! * [`bmc`] — bounded model checking of sequential netlists by
 //!   time-frame unrolling: reachability of covert/alarm conditions
 //!   (the architectural-vulnerability analysis of \[31\], scaled to our

@@ -25,6 +25,12 @@ cargo build --release --offline
 echo "==> cargo test -q --offline"
 cargo test -q --offline
 
+# The benchmark harness is its own workspace, built otherwise only by
+# the benchmark pipeline: building and testing it here makes a removed
+# or renamed public item it uses fail the gate, not a later benchmark run.
+echo "==> perfbench build + tests (release)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # The placement oracle re-costs the whole design after every swap, too
 # slow for 1,000-2,000-gate designs in a debug build: its large-design
 # differential sweep is #[ignore]d and runs here in release.

@@ -1,8 +1,8 @@
 //! Property-based integration tests: randomized designs through the
-//! synthesis, mapping, masking, encoding and text-format layers, with
+//! synthesis, mapping, masking, encoding and `.bench` interchange layers, with
 //! function preservation as the invariant.
 
-use seceda_netlist::{format_netlist, parse_netlist, random_circuit, RandomCircuitConfig};
+use seceda_netlist::{parse_bench, random_circuit, write_bench, RandomCircuitConfig};
 use seceda_sat::{lower_netlist, Aig, AigCnf, AigLit, Budget, Cnf, Lit, SolveOutcome, Solver, Var};
 use seceda_sca::mask_netlist;
 use seceda_sim::{pack_patterns, PackedSim};
@@ -49,9 +49,9 @@ proptest! {
     }
 
     #[test]
-    fn text_format_roundtrips(seed in 0u64..5000, gates in 5usize..40) {
+    fn bench_format_roundtrips(seed in 0u64..5000, gates in 5usize..40) {
         let nl = small_circuit(seed, gates);
-        let back = parse_netlist(&format_netlist(&nl)).expect("parse");
+        let back = parse_bench(&write_bench(&nl)).expect("parse");
         prop_assert_eq!(truth_table(&back), truth_table(&nl));
     }
 
