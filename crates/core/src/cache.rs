@@ -2,12 +2,14 @@
 //! composition engine.
 //!
 //! A [`CacheKey`] is a threat vector plus a 128-bit *dependency digest*
-//! covering everything the threat's evaluator reads: the relevant
-//! structural cone digests of the design under test (see
-//! `seceda_netlist::StructuralHash`) and the evaluation parameters. The
-//! evaluators are deterministic pure functions of exactly those inputs,
-//! so a key hit returns bit-identically what a fresh evaluation would
-//! compute — the cache-correctness argument of DESIGN.md §3.
+//! covering everything the threat's evaluator reads: the whole-design
+//! digest (`seceda_netlist::DesignDigest`, over the entire gate layout
+//! and interface) when the evaluator reads the netlist, the interface
+//! state it reads, and the evaluation parameters. A key over the whole
+//! layout is complete by construction, and the evaluators are
+//! deterministic pure functions of exactly those inputs, so a key hit
+//! returns bit-identically what a fresh evaluation would compute — the
+//! cache-correctness argument of DESIGN.md §3.
 //!
 //! The map is sharded behind plain mutexes so many concurrent closure
 //! sessions (`seceda_core::closure`) contend on 1/16th of the keyspace
@@ -47,8 +49,9 @@ const SHARDS: usize = 16;
 pub struct CacheKey {
     /// The threat vector whose evaluator produced the metric.
     pub threat: ThreatVector,
-    /// Dependency digest: structural cone digests + evaluation
-    /// parameters, as built by the engine's per-threat key derivation.
+    /// Dependency digest: the whole-design digest (for evaluators that
+    /// read the netlist), interface state and evaluation parameters, as
+    /// built by the engine's per-threat key derivation.
     pub dep: [u64; 2],
 }
 

@@ -137,8 +137,8 @@ pub fn run_closure(
 }
 
 /// Runs every session with full recomputation (no cache) — the
-/// reference the differential suite and the `compose` bench compare
-/// cached runs against.
+/// reference the differential suite and perfbench's `closure_campaign`
+/// workload compare cached runs against.
 ///
 /// # Errors
 ///

@@ -6,8 +6,8 @@
 //! flips from pass to fail is a *negative cross-effect*: the freshly
 //! inserted countermeasure silently compromised an earlier one.
 //!
-//! The canonical run (see the tests and the `composition_crosseffect`
-//! bench) reproduces \[61\]: Boolean masking passes the side-channel
+//! The canonical run (see the tests and the `secure_composition`
+//! example) reproduces \[61\]: Boolean masking passes the side-channel
 //! evaluation; adding parity-based fault detection restores fault
 //! coverage but *fails* the re-run side-channel check, because the
 //! parity predictor recombines the shares. Duplication-with-compare,
@@ -21,7 +21,7 @@ use seceda_fia::{
     ProtectedNetlist,
 };
 use seceda_lock::xor_lock;
-use seceda_netlist::{DigestBuilder, Netlist, NetlistError, StructuralHash};
+use seceda_netlist::{DesignDigest, DigestBuilder, Netlist, NetlistError};
 use seceda_sca::{first_order_leaks, mask_netlist, ProbingModel};
 use seceda_sim::signal_probabilities;
 use seceda_testkit::chaos;
@@ -116,10 +116,6 @@ pub struct EvaluationOutcome {
     /// Names of metrics that regressed pass → fail in this step — the
     /// cross-effects the paper warns about.
     pub regressions: Vec<String>,
-    /// Gates whose structural fingerprint changed in this step — the
-    /// dirty cone that forced re-evaluation. `None` when the engine runs
-    /// without a cache (no hash is maintained then).
-    pub dirty_gates: Option<usize>,
 }
 
 /// The composition engine.
@@ -130,7 +126,9 @@ pub struct CompositionEngine {
     history: Vec<SecurityReport>,
     applied: Vec<Countermeasure>,
     cache: Option<Arc<EvalCache>>,
-    hash: Option<StructuralHash>,
+    /// Digest of the current design, computed on the first cached
+    /// evaluation after each edit.
+    digest: Option<DesignDigest>,
 }
 
 impl CompositionEngine {
@@ -142,15 +140,15 @@ impl CompositionEngine {
             history: Vec::new(),
             applied: Vec::new(),
             cache: None,
-            hash: None,
+            digest: None,
         }
     }
 
     /// Creates an engine whose threat evaluations are served through a
     /// shared [`EvalCache`].
     ///
-    /// Every cache key binds a structural digest of *exactly* what the
-    /// corresponding evaluator reads (design fingerprint, interface
+    /// Every cache key binds a digest of *exactly* what the
+    /// corresponding evaluator reads (whole-design digest, interface
     /// state, thresholds, seeds), so a cache hit is bit-identical to a
     /// recompute — the differential suite in
     /// `tests/incremental_compose.rs` holds the engine to that contract.
@@ -165,7 +163,7 @@ impl CompositionEngine {
             history: Vec::new(),
             applied: Vec::new(),
             cache: Some(cache),
-            hash: None,
+            digest: None,
         }
     }
 
@@ -206,8 +204,8 @@ impl CompositionEngine {
         let mut eval_span = seceda_trace::span("compose.evaluate")
             .with("label", label)
             .with("gates", self.dut.netlist.num_gates());
-        if self.cache.is_some() && self.hash.is_none() {
-            self.hash = Some(StructuralHash::of(&self.dut.netlist)?);
+        if self.cache.is_some() && self.digest.is_none() {
+            self.digest = Some(DesignDigest::of(&self.dut.netlist));
         }
         let threats: [(&str, ThreatVector, &str); 4] = [
             (
@@ -226,7 +224,7 @@ impl CompositionEngine {
         let dut = &self.dut;
         let eval = &self.eval;
         let cache = self.cache.as_deref();
-        let hash = self.hash.as_ref();
+        let digest = self.digest;
         let results = par_map_catch(&threats, |i, &(tag, threat, name)| {
             let _threat_t = seceda_trace::hist_timer("compose.threat_ns");
             let _sp = seceda_trace::span("compose.threat").with("threat", tag);
@@ -256,9 +254,9 @@ impl CompositionEngine {
                     _ => unreachable!("four threat vectors"),
                 })
             };
-            match (cache, hash) {
-                (Some(c), Some(h)) => {
-                    c.get_or_compute(threat_cache_key(threat, dut, eval, h), compute)
+            match (cache, digest) {
+                (Some(c), Some(d)) => {
+                    c.get_or_compute(threat_cache_key(threat, dut, eval, d), compute)
                 }
                 _ => Ok((compute()?, false)),
             }
@@ -358,7 +356,7 @@ impl CompositionEngine {
             apply_span.attr("countermeasure", format!("{cm:?}"));
         }
         let had_baseline = !self.history.is_empty();
-        let prev_hash = self.hash.take();
+        self.digest = None;
         match cm {
             Countermeasure::Masking => {
                 let masked = mask_netlist(&self.dut.netlist);
@@ -397,38 +395,6 @@ impl CompositionEngine {
             }
         }
         self.applied.push(cm);
-        // keep the structural hash alive across the edit and measure the
-        // dirty cone; without a cache no hash is maintained at all
-        let dirty_gates = match prev_hash {
-            Some(prev) => {
-                let new_hash = match cm {
-                    // XorLock and TrojanMonitor splice into a clone of
-                    // the design — surviving nets keep their structure —
-                    // so the incremental update re-fingerprints only the
-                    // edited cone
-                    Countermeasure::XorLock(_) | Countermeasure::TrojanMonitor => {
-                        let mut h = prev.clone();
-                        h.update_after_edit(&self.dut.netlist, &[])?;
-                        debug_assert_eq!(
-                            h,
-                            StructuralHash::of(&self.dut.netlist).expect("full rehash"),
-                            "incremental hash diverged after {cm:?}"
-                        );
-                        h
-                    }
-                    // masking / parity / duplication rebuild the netlist
-                    // wholesale; a full re-hash is the honest cost
-                    _ => StructuralHash::of(&self.dut.netlist)?,
-                };
-                let dirty = new_hash.dirty_gates(&self.dut.netlist, &prev).len();
-                seceda_trace::counter("compose.dirty_gates", dirty as u64);
-                apply_span.attr("dirty_gates", dirty);
-                self.hash = Some(new_hash);
-                Some(dirty)
-            }
-            // cache off, or nothing evaluated yet: stay lazy
-            None => None,
-        };
         let label = format!("after {cm:?}");
         self.evaluate(&label)?;
         // the baseline is borrowed from history rather than cloned —
@@ -449,7 +415,6 @@ impl CompositionEngine {
         Ok(EvaluationOutcome {
             report: self.history[last].clone(),
             regressions,
-            dirty_gates,
         })
     }
 
@@ -463,7 +428,7 @@ impl CompositionEngine {
     /// Returns the countermeasure that was rolled back.
     pub fn revert_last(&mut self, snapshot: DesignUnderTest) -> Option<Countermeasure> {
         self.dut = snapshot;
-        self.hash = None; // lazily re-hashed on the next evaluation
+        self.digest = None; // recomputed on the next cached evaluation
         self.applied.pop()
     }
 }
@@ -488,7 +453,7 @@ fn threat_cache_key(
     threat: ThreatVector,
     dut: &DesignUnderTest,
     eval: &SecurityEvaluation,
-    hash: &StructuralHash,
+    digest: DesignDigest,
 ) -> CacheKey {
     let mut b = DigestBuilder::new();
     match threat {
@@ -501,7 +466,7 @@ fn threat_cache_key(
                         == model.num_secrets * seceda_sca::NUM_SHARES + model.num_randoms =>
                 {
                     b.absorb(1);
-                    b.absorb_digest(hash.digest());
+                    b.absorb_digest(digest);
                     b.absorb(model.num_secrets as u64);
                     b.absorb(model.num_randoms as u64);
                 }
@@ -512,7 +477,7 @@ fn threat_cache_key(
             }
         }
         ThreatVector::FaultInjection => {
-            b.absorb_digest(hash.digest());
+            b.absorb_digest(digest);
             b.absorb(match dut.alarm_index {
                 Some(i) => i as u64 + 1,
                 None => 0,
@@ -531,7 +496,7 @@ fn threat_cache_key(
                 b.absorb(1); // monitored designs report zero surface
             } else {
                 b.absorb(0);
-                b.absorb_digest(hash.digest());
+                b.absorb_digest(digest);
                 b.absorb(eval.rare_threshold.to_bits());
                 b.absorb(eval.seed);
             }
@@ -614,24 +579,27 @@ fn eval_piracy(dut: &DesignUnderTest, eval: &SecurityEvaluation) -> SecurityMetr
     )
 }
 
-/// Trojans: unmonitored rare-net surface.
+/// Trojans: unmonitored rare-net surface. A monitored design reports
+/// zero surface without being simulated, as its cache key says.
 fn eval_trojan(
     dut: &DesignUnderTest,
     eval: &SecurityEvaluation,
 ) -> Result<SecurityMetric, NetlistError> {
-    let probs = signal_probabilities(&dut.netlist, 32, eval.seed ^ 2)?;
-    // nets that never toggle (empirical rarity 0) cannot fire a
-    // functional trigger and are excluded, matching the insertion
-    // model in `seceda-trojan`
-    let rare = dut
-        .netlist
-        .gates()
-        .iter()
-        .map(|g| probs[g.output.index()])
-        .map(|p| p.min(1.0 - p))
-        .filter(|&r| r > 0.0 && r <= eval.rare_threshold)
-        .count();
-    let unmonitored = if dut.monitored { 0 } else { rare };
+    let unmonitored = if dut.monitored {
+        0
+    } else {
+        let probs = signal_probabilities(&dut.netlist, 32, eval.seed ^ 2)?;
+        // nets that never toggle (empirical rarity 0) cannot fire a
+        // functional trigger and are excluded, matching the insertion
+        // model in `seceda-trojan`
+        dut.netlist
+            .gates()
+            .iter()
+            .map(|g| probs[g.output.index()])
+            .map(|p| p.min(1.0 - p))
+            .filter(|&r| r > 0.0 && r <= eval.rare_threshold)
+            .count()
+    };
     Ok(SecurityMetric::new(
         "unmonitored rare nets",
         ThreatVector::Trojan,
@@ -801,6 +769,33 @@ mod tests {
         // and a fresh evaluation outside the scope recovers
         let healthy = engine.evaluate("recovered").expect("eval").clone();
         assert!(healthy.degraded().is_empty());
+    }
+
+    #[test]
+    fn monitored_design_is_not_simulated_for_the_trojan_metric() {
+        // only probability runs under this thread's probe span count, so
+        // spans recorded by concurrently running tests are ignored
+        let traced_probability_runs = |monitored: bool| {
+            let mut dut = and_gadget();
+            dut.monitored = monitored;
+            let (metric, events) = seceda_trace::session(|| {
+                let _probe = seceda_trace::span("test.trojan_probe");
+                eval_trojan(&dut, &SecurityEvaluation::default()).expect("eval")
+            });
+            assert_eq!(metric.verdict, V::Pass);
+            let spans = seceda_trace::Summary::of(&events).spans;
+            let probe = spans
+                .iter()
+                .find(|s| s.name == "test.trojan_probe")
+                .expect("probe span")
+                .id;
+            spans
+                .iter()
+                .filter(|s| s.name == "sim.signal_probabilities" && s.parent == Some(probe))
+                .count()
+        };
+        assert_eq!(traced_probability_runs(true), 0);
+        assert_eq!(traced_probability_runs(false), 1);
     }
 
     #[test]

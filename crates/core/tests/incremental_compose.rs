@@ -64,10 +64,6 @@ fn differential(design: Netlist, seed: u64, steps: usize) {
             "seed {seed:#x} step {step} ({cm:?}): reports diverged"
         );
         assert_eq!(oc.regressions, of.regressions, "seed {seed:#x} step {step}");
-        // only the cached engine maintains a hash, so only it can
-        // report the dirty cone
-        assert!(oc.dirty_gates.is_some(), "seed {seed:#x} step {step}");
-        assert!(of.dirty_gates.is_none(), "seed {seed:#x} step {step}");
     }
     assert_eq!(cached.history().len(), full.history().len());
 }

@@ -5,10 +5,10 @@
 //! ```
 //!
 //! Parses the design (format picked from the extension), reports parse
-//! throughput, composition, and depth, and can re-export the design as
-//! `.bench`.
+//! throughput, composition, depth and the whole-design digest, and can
+//! re-export the design as `.bench`.
 
-use seceda_netlist::{parse_design_path, write_bench, DepthReport, NetlistStats, StructuralHash};
+use seceda_netlist::{parse_design_path, write_bench, DepthReport, DesignDigest, NetlistStats};
 use std::time::Instant;
 
 fn main() {
@@ -97,14 +97,12 @@ fn main() {
         depth.levels, depth.critical_path
     );
     let t2 = Instant::now();
-    match StructuralHash::of(&nl) {
-        Ok(h) => println!(
-            "digest    {} ({:.2} ms)",
-            h.digest(),
-            t2.elapsed().as_secs_f64() * 1e3
-        ),
-        Err(e) => eprintln!("digest    unavailable: {e}"),
-    }
+    let digest = DesignDigest::of(&nl);
+    println!(
+        "digest    {} ({:.2} ms)",
+        digest,
+        t2.elapsed().as_secs_f64() * 1e3
+    );
 
     if let Some(out) = out_bench {
         let text = write_bench(&nl);

@@ -140,25 +140,6 @@ impl CellKind {
             CellKind::Dff => 1.0,
         }
     }
-
-    /// Parses the mnemonic produced by [`fmt::Display`].
-    pub fn from_mnemonic(s: &str) -> Option<CellKind> {
-        Some(match s {
-            "const0" => CellKind::Const0,
-            "const1" => CellKind::Const1,
-            "buf" => CellKind::Buf,
-            "not" => CellKind::Not,
-            "and" => CellKind::And,
-            "nand" => CellKind::Nand,
-            "or" => CellKind::Or,
-            "nor" => CellKind::Nor,
-            "xor" => CellKind::Xor,
-            "xnor" => CellKind::Xnor,
-            "mux" => CellKind::Mux,
-            "dff" => CellKind::Dff,
-            _ => return None,
-        })
-    }
 }
 
 impl fmt::Display for CellKind {
@@ -390,14 +371,6 @@ mod tests {
     #[should_panic(expected = "expects between")]
     fn arity_checked() {
         CellKind::And.eval(&[true]);
-    }
-
-    #[test]
-    fn mnemonic_roundtrip() {
-        for kind in CellKind::ALL {
-            assert_eq!(CellKind::from_mnemonic(&kind.to_string()), Some(kind));
-        }
-        assert_eq!(CellKind::from_mnemonic("bogus"), None);
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub use bench_circuits::{alu_slice, c17, comparator, majority, parity_tree, ripp
 pub use build::{bits_to_u64, u64_to_bits, Word};
 pub use cell::{CellKind, Gate, GateTags, InputList, INLINE_INPUTS};
 pub use error::NetlistError;
-pub use hash::{DesignDigest, DigestBuilder, StructuralHash};
+pub use hash::{DesignDigest, DigestBuilder};
 pub use id::{GateId, NetId};
 pub use netlist::{Fanout, Net, Netlist};
 pub use parse::{

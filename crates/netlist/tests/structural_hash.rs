@@ -1,18 +1,18 @@
-//! Property suite for the structural design hash: the incremental
-//! update path must be bit-identical to a full re-hash under random
-//! splice edits, and dirty tracking must be exactly the fan-out cone.
+//! Property suite for the whole-design digest: every splice edit must
+//! move it, a `.bench` round-trip must keep it, and unrelated designs
+//! must not collide.
 
 use seceda_netlist::{
-    c17, parse_design, random_circuit, ripple_adder, write_bench, CellKind, DesignFormat, GateTags,
-    NetId, Netlist, RandomCircuitConfig, StructuralHash,
+    c17, parse_design, random_circuit, ripple_adder, write_bench, CellKind, DesignDigest,
+    DesignFormat, GateTags, NetId, Netlist, RandomCircuitConfig,
 };
 use seceda_testkit::rng::{Rng, SeedableRng, StdRng};
 
 /// Applies `edits` random `insert_after` splices and checks after each
-/// one that the incremental hash matches a full re-hash.
-fn check_incremental_edits(mut nl: Netlist, seed: u64, edits: usize) {
+/// one that the digest moved and never returns to an earlier state.
+fn check_splices_move_the_digest(mut nl: Netlist, seed: u64, edits: usize) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut h = StructuralHash::of(&nl).expect("hash");
+    let mut seen = vec![DesignDigest::of(&nl)];
     for step in 0..edits {
         let target = if rng.gen::<bool>() {
             // splice after a random gate output
@@ -33,44 +33,25 @@ fn check_incremental_edits(mut nl: Netlist, seed: u64, edits: usize) {
         } else {
             Vec::new()
         };
-        let before = h.clone();
         nl.insert_after(target, kind, &extra, GateTags::default());
-        h.update_after_edit(&nl, &[]).expect("incremental update");
-        let full = StructuralHash::of(&nl).expect("full rehash");
-        assert_eq!(h, full, "seed {seed:#x} step {step}: incremental diverged");
-        assert_ne!(
-            h.digest(),
-            before.digest(),
+        let d = DesignDigest::of(&nl);
+        assert!(
+            !seen.contains(&d),
             "seed {seed:#x} step {step}: a splice must move the digest"
         );
-        // dirty gates: non-empty (the splice itself) and closed under
-        // fan-out — every reader of a dirty output is itself dirty
-        let dirty = h.dirty_gates(&nl, &before);
-        assert!(!dirty.is_empty(), "seed {seed:#x} step {step}");
-        let dirty_set: std::collections::HashSet<usize> = dirty.iter().map(|g| g.index()).collect();
-        let fanout = nl.fanout();
-        for &g in &dirty {
-            for &reader in fanout.loads(nl.gates()[g.index()].output) {
-                if !nl.gates()[reader.index()].kind.is_sequential() {
-                    assert!(
-                        dirty_set.contains(&reader.index()),
-                        "seed {seed:#x} step {step}: dirty set not closed under fan-out"
-                    );
-                }
-            }
-        }
+        seen.push(d);
     }
     nl.validate().expect("edited netlist stays well-formed");
 }
 
 #[test]
-fn incremental_matches_full_on_bench_circuits() {
-    check_incremental_edits(c17(), 0xC17, 6);
-    check_incremental_edits(ripple_adder(8), 0xADD, 6);
+fn every_splice_moves_the_digest_on_bench_circuits() {
+    check_splices_move_the_digest(c17(), 0xC17, 6);
+    check_splices_move_the_digest(ripple_adder(8), 0xADD, 6);
 }
 
 #[test]
-fn incremental_matches_full_on_random_circuits() {
+fn every_splice_moves_the_digest_on_random_circuits() {
     for seed in [1u64, 2, 3] {
         let nl = random_circuit(&RandomCircuitConfig {
             num_inputs: 12,
@@ -79,20 +60,17 @@ fn incremental_matches_full_on_random_circuits() {
             with_xor: true,
             seed,
         });
-        check_incremental_edits(nl, seed, 8);
+        check_splices_move_the_digest(nl, seed, 8);
     }
 }
 
 #[test]
 fn parsed_and_built_circuits_share_fingerprints() {
-    // the .bench round-trip renames internal nets but preserves
-    // structure, so every fingerprint and the digest must survive
+    // the .bench round-trip renames internal nets but preserves the
+    // layout, so the digest must survive
     let nl = ripple_adder(16);
     let reparsed = parse_design(&write_bench(&nl), DesignFormat::Bench).expect("parse");
-    let h = StructuralHash::of(&nl).expect("hash");
-    let hr = StructuralHash::of(&reparsed).expect("hash");
-    assert_eq!(h.digest(), hr.digest());
-    assert_eq!(h.output_cones(), hr.output_cones());
+    assert_eq!(DesignDigest::of(&nl), DesignDigest::of(&reparsed));
 }
 
 #[test]
@@ -100,11 +78,10 @@ fn unrelated_designs_do_not_collide() {
     let digests: Vec<_> = [1u64, 2, 3, 4, 5]
         .iter()
         .map(|&seed| {
-            let nl = random_circuit(&RandomCircuitConfig {
+            DesignDigest::of(&random_circuit(&RandomCircuitConfig {
                 seed,
                 ..RandomCircuitConfig::default()
-            });
-            StructuralHash::of(&nl).expect("hash").digest()
+            }))
         })
         .collect();
     for i in 0..digests.len() {
@@ -123,12 +100,11 @@ fn scale_smoke_hashes_100k_gates() {
         with_xor: true,
         seed: 0xB16,
     });
-    let mut h = StructuralHash::of(&nl).expect("hash");
-    // a single splice re-fingerprints only the fan-out cone, then the
-    // state still matches a full re-hash
+    let d = DesignDigest::of(&nl);
+    // a single splice deep inside the design moves the digest
     let mut edited = nl.clone();
     let target = edited.gates()[50_000].output;
     edited.insert_after(target, CellKind::Not, &[], GateTags::default());
-    h.update_after_edit(&edited, &[]).expect("update");
-    assert_eq!(h, StructuralHash::of(&edited).expect("full"));
+    assert_ne!(DesignDigest::of(&edited), d);
+    assert_eq!(DesignDigest::of(&nl), d);
 }

@@ -2,7 +2,7 @@
 //!
 //! Operates on JSON-lines trace sessions (the format written by
 //! `seceda_trace::to_json_lines`, e.g. `target/flow_trace.jsonl` from
-//! the flow-trace example or the `trace_snapshot` bin):
+//! the flow-trace example):
 //!
 //! ```sh
 //! seceda_obs export session.jsonl -o trace.json   # Chrome/Perfetto trace

@@ -27,4 +27,4 @@ pub mod pch;
 pub use bmc::{bmc_reach, BmcResult};
 pub use coverage::{prove_detection, prove_detection_budgeted, DetectionProof};
 pub use equiv::{check_equivalence, EquivResult};
-pub use pch::{check_certificate, fingerprint, isolation_certificate, Certificate, Property};
+pub use pch::{check_certificate, isolation_certificate, Certificate, Property};

@@ -15,7 +15,7 @@
 //!   model).
 
 use crate::equiv::{check_equivalence, EquivResult};
-use seceda_netlist::{NetId, Netlist, NetlistError};
+use seceda_netlist::{DesignDigest, NetId, Netlist, NetlistError};
 
 /// A property claimed about a module.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,28 +36,10 @@ pub enum Property {
 pub struct Certificate {
     /// The property claimed.
     pub property: Property,
-    /// Fingerprint of the netlist the certificate was issued for (the
-    /// checker rejects certificates applied to a different design).
-    pub design_fingerprint: u64,
-}
-
-/// A cheap structural fingerprint (FNV over the gate list).
-pub fn fingerprint(nl: &Netlist) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    };
-    mix(nl.inputs().len() as u64);
-    mix(nl.outputs().len() as u64);
-    for g in nl.gates() {
-        mix(g.kind as u64 + 1);
-        for &i in &g.inputs {
-            mix(i.index() as u64 + 0x1000);
-        }
-        mix(g.output.index() as u64 + 0x2000);
-    }
-    h
+    /// [`DesignDigest::of`] the netlist the certificate was issued for
+    /// (the checker rejects certificates applied to a different design,
+    /// down to a gate tag or the choice of output nets).
+    pub design_fingerprint: DesignDigest,
 }
 
 /// Issues an isolation certificate, *if the property actually holds*.
@@ -75,7 +57,7 @@ pub fn isolation_certificate(
             from_input: from_input.to_string(),
             to_output: to_output.to_string(),
         },
-        design_fingerprint: fingerprint(nl),
+        design_fingerprint: DesignDigest::of(nl),
     })
 }
 
@@ -111,14 +93,14 @@ fn path_exists(nl: &Netlist, from_input: &str, to_output: &str) -> Option<bool> 
 }
 
 /// The integrator's check: validates a certificate against the received
-/// netlist. Returns `true` only if the fingerprint matches *and* the
+/// netlist. Returns `true` only if the design digest matches *and* the
 /// property re-verifies.
 ///
 /// # Errors
 ///
 /// Propagates encoding errors for equivalence certificates.
 pub fn check_certificate(nl: &Netlist, cert: &Certificate) -> Result<bool, NetlistError> {
-    if fingerprint(nl) != cert.design_fingerprint {
+    if DesignDigest::of(nl) != cert.design_fingerprint {
         return Ok(false);
     }
     match &cert.property {
@@ -138,7 +120,7 @@ pub fn check_certificate(nl: &Netlist, cert: &Certificate) -> Result<bool, Netli
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seceda_netlist::CellKind;
+    use seceda_netlist::{CellKind, GateTags};
 
     /// Two independent cones: (a,b) -> x and (c) -> y.
     fn split_design() -> Netlist {
@@ -182,8 +164,45 @@ mod tests {
         tampered.gate_mut(gid).inputs[0] = y_net;
         assert!(
             !check_certificate(&tampered, &cert).expect("check"),
-            "fingerprint mismatch must reject"
+            "digest mismatch must reject"
         );
+    }
+
+    /// `split_design` with a buffer after `x`, tagged as a key gate or
+    /// not, and output `y` marked on the NOT or on input `c`.
+    fn keyed_design(key_tag: bool, y_on_input: bool) -> Netlist {
+        let mut nl = Netlist::new("iso");
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let c = nl.add_input("c");
+        let x = nl.add_gate(CellKind::And, &[a, b]);
+        let tags = GateTags {
+            key_gate: key_tag,
+            ..GateTags::default()
+        };
+        let k = nl.add_gate_tagged(CellKind::Buf, &[x], tags);
+        let y = nl.add_gate(CellKind::Not, &[c]);
+        nl.mark_output(k, "x");
+        nl.mark_output(if y_on_input { c } else { y }, "y");
+        nl
+    }
+
+    #[test]
+    fn certificate_rejects_stripped_tags_and_moved_outputs() {
+        let cert = isolation_certificate(&keyed_design(true, false), "a", "y").expect("cert");
+        assert!(check_certificate(&keyed_design(true, false), &cert).expect("check"));
+        // both variants keep the same gate list, and `a` still does not
+        // reach `y`, so only the digest can tell them apart
+        for (variant, why) in [
+            (keyed_design(false, false), "a stripped key-gate tag"),
+            (keyed_design(true, true), "output y moved to another net"),
+        ] {
+            assert!(isolation_certificate(&variant, "a", "y").is_some());
+            assert!(
+                !check_certificate(&variant, &cert).expect("check"),
+                "{why} must reject"
+            );
+        }
     }
 
     #[test]
@@ -202,7 +221,7 @@ mod tests {
                 from_input: "a".into(),
                 to_output: "y".into(),
             },
-            design_fingerprint: fingerprint(&tampered),
+            design_fingerprint: DesignDigest::of(&tampered),
         };
         assert!(
             !check_certificate(&tampered, &forged).expect("check"),
@@ -215,7 +234,7 @@ mod tests {
         let nl = split_design();
         let cert = Certificate {
             property: Property::EquivalentTo(Box::new(nl.clone())),
-            design_fingerprint: fingerprint(&nl),
+            design_fingerprint: DesignDigest::of(&nl),
         };
         assert!(check_certificate(&nl, &cert).expect("check"));
     }

@@ -1,9 +1,9 @@
 //! Property-based tests for the verification crate.
 
-use seceda_netlist::{random_circuit, RandomCircuitConfig};
+use seceda_netlist::{random_circuit, DesignDigest, RandomCircuitConfig};
 use seceda_synth::{map_to_nand, optimize, SynthesisMode};
 use seceda_testkit::prelude::*;
-use seceda_verif::{check_equivalence, fingerprint, EquivResult};
+use seceda_verif::{check_equivalence, EquivResult};
 
 fn host(seed: u64, gates: usize) -> seceda_netlist::Netlist {
     random_circuit(&RandomCircuitConfig {
@@ -67,10 +67,10 @@ proptest! {
     #[test]
     fn fingerprint_is_stable_and_sensitive(seed in 0u64..4000, gates in 3usize..25) {
         let nl = host(seed, gates);
-        prop_assert_eq!(fingerprint(&nl), fingerprint(&nl.clone()));
+        prop_assert_eq!(DesignDigest::of(&nl), DesignDigest::of(&nl.clone()));
         let mut tampered = nl.clone();
         let a = tampered.inputs()[0];
         let _extra = tampered.add_gate(seceda_netlist::CellKind::Not, &[a]);
-        prop_assert_ne!(fingerprint(&nl), fingerprint(&tampered));
+        prop_assert_ne!(DesignDigest::of(&nl), DesignDigest::of(&tampered));
     }
 }

@@ -161,7 +161,7 @@ fn trace_degradation_counters() -> Result<Vec<Event>, Box<dyn std::error::Error>
 /// Exercises the incremental-closure machinery: a small portfolio of
 /// sessions with identical schedules over one shared evaluation cache,
 /// so the session carries the cache telemetry (`compose.cache_hits`,
-/// `compose.cache_misses`, `compose.dirty_gates`, `closure.sessions`)
+/// `compose.cache_misses`, `closure.sessions`)
 /// plus `compose.reeval_ns` samples for every re-evaluation.
 fn trace_closure_counters() -> Result<f64, Box<dyn std::error::Error>> {
     let design = c17();
@@ -255,7 +255,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 5. Incremental closure: three sessions with identical schedules
-    //    over one shared cache — the cache and dirty-cone counters land
+    //    over one shared cache — the cache counters land
     //    in `seceda_obs top` alongside the hit rate printed here.
     drain();
     let hit_rate = trace_closure_counters()?;
@@ -266,7 +266,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         "closure.sessions",
         "compose.cache_hits",
         "compose.cache_misses",
-        "compose.dirty_gates",
     ] {
         let total = closure_summary.counters.get(counter).copied().unwrap_or(0);
         assert!(total > 0, "{counter}: no increments recorded");

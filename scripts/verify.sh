@@ -93,6 +93,16 @@ cargo run --release --offline -p seceda-trace --bin seceda_obs -- \
 cargo run --release --offline -p seceda-trace --bin seceda_obs -- \
     top -n 5 "${CARGO_TARGET_DIR:-target}/flow_trace.jsonl" > /dev/null
 
+# The netlist CLI parses a sequential .bench and a structural Verilog
+# design, prints their vitals and whole-design digest, and re-exports
+# each as .bench into the target dir.
+echo "==> seceda_netlist CLI smoke on s27.bench and c17.v"
+for design in s27.bench c17.v; do
+    cargo run -q --release --offline -p seceda-netlist --bin seceda_netlist -- \
+        "crates/netlist/tests/data/$design" \
+        --write-bench "${CARGO_TARGET_DIR:-target}/${design%.*}_cli.bench" > /dev/null
+done
+
 # The paper's artifacts: Tables I and II, the Fig. 2 series and the
 # Sec. IV step-metric sweeps, regenerated end to end.
 echo "==> paper-artifact examples smoke run (release)"
