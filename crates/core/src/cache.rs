@@ -11,21 +11,22 @@
 //! returns bit-identically what a fresh evaluation would compute — the
 //! cache-correctness argument of DESIGN.md §3.
 //!
-//! The map is sharded behind plain mutexes so many concurrent closure
-//! sessions (`seceda_core::closure`) contend on 1/16th of the keyspace
-//! each, and a per-key *in-flight latch* makes concurrent sessions that
-//! reach the same uncached key compute it once: the first session
-//! computes while the rest wait on a condvar and then read the
-//! published metric.
+//! Each key owns one slot behind its own mutex. A lookup takes the map
+//! lock only to find or create the slot, then holds the slot's lock
+//! while it computes, so concurrent closure sessions
+//! (`seceda_core::closure`) that reach the same uncached key compute it
+//! once: the first computes, the rest wait on the slot lock and then
+//! read the published metric. Different keys never wait on each other's
+//! computations.
 //!
 //! Two things are deliberately **not** cached:
 //!
 //! * degraded metrics ([`crate::MetricValue::Unavailable`] — panics,
 //!   budget exhaustion, chaos injections) — a degraded evaluation must
-//!   not poison the cache, so the in-flight entry is removed and the
-//!   next request recomputes;
-//! * errors — a failed computation likewise unlatches the key so
-//!   waiters retry rather than inheriting the failure.
+//!   not poison the cache, so the slot stays empty and the next request
+//!   recomputes;
+//! * errors and panics — the slot likewise stays empty, so waiters
+//!   recompute rather than inheriting the failure.
 //!
 //! There is no eviction: entries are small (one [`SecurityMetric`]) and
 //! a closure run's working set is bounded by the number of distinct
@@ -35,14 +36,9 @@
 
 use crate::metrics::SecurityMetric;
 use crate::threat::ThreatVector;
-use seceda_netlist::hash::mix64;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-
-/// Number of independent shards; a power of two so shard selection is a
-/// mask.
-const SHARDS: usize = 16;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// What one cached evaluation is keyed on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -53,38 +49,6 @@ pub struct CacheKey {
     /// read the netlist), interface state and evaluation parameters, as
     /// built by the engine's per-threat key derivation.
     pub dep: [u64; 2],
-}
-
-/// The in-flight latch for one key being computed.
-struct Flight {
-    done: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Flight {
-    fn new() -> Self {
-        Flight {
-            done: Mutex::new(false),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn finish(&self) {
-        *ignore_poison(self.done.lock()) = true;
-        self.cv.notify_all();
-    }
-
-    fn wait(&self) {
-        let mut done = ignore_poison(self.done.lock());
-        while !*done {
-            done = ignore_poison(self.cv.wait(done));
-        }
-    }
-}
-
-enum Slot {
-    Ready(SecurityMetric),
-    InFlight(Arc<Flight>),
 }
 
 /// Point-in-time cache statistics.
@@ -110,44 +74,36 @@ impl CacheStats {
     }
 }
 
-/// A sharded, latch-deduplicated map from [`CacheKey`] to
-/// [`SecurityMetric`], shared across engines via `Arc`.
+/// One key's metric, empty until a computation publishes it.
+type Slot = Arc<Mutex<Option<SecurityMetric>>>;
+
+/// A map from [`CacheKey`] to [`SecurityMetric`] with one lock per key,
+/// shared across engines via `Arc`.
 pub struct EvalCache {
-    shards: Vec<Mutex<HashMap<CacheKey, Slot>>>,
+    slots: Mutex<HashMap<CacheKey, Slot>>,
     hits: AtomicU64,
     misses: AtomicU64,
-}
-
-/// A mutex payload is plain data here; a panicking holder cannot leave
-/// it in a torn state, so poisoning is ignored (the workspace's chaos
-/// harness injects panics deliberately).
-fn ignore_poison<T>(r: Result<T, std::sync::PoisonError<T>>) -> T {
-    r.unwrap_or_else(|e| e.into_inner())
+    entries: AtomicUsize,
 }
 
 impl EvalCache {
     /// An empty cache.
     pub fn new() -> Self {
         EvalCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            slots: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            entries: AtomicUsize::new(0),
         }
-    }
-
-    fn shard(&self, key: &CacheKey) -> MutexGuard<'_, HashMap<CacheKey, Slot>> {
-        let i = (mix64(key.dep[0] ^ key.dep[1]) as usize) & (SHARDS - 1);
-        ignore_poison(self.shards[i].lock())
     }
 
     /// Returns the cached metric for `key`, or computes, publishes, and
     /// returns it. The boolean is `true` for a cache hit (including
-    /// waiting out another session's in-flight computation of the same
-    /// key).
+    /// waiting out another session's computation of the same key).
     ///
-    /// `compute` runs outside every lock. If it returns a degraded
-    /// (unavailable) metric, an error, or panics, nothing is published
-    /// and the key is unlatched so later requests recompute.
+    /// `compute` runs holding only `key`'s own lock. If it returns a
+    /// degraded (unavailable) metric, an error, or panics, nothing is
+    /// published and the next request recomputes.
     ///
     /// # Errors
     ///
@@ -157,41 +113,28 @@ impl EvalCache {
         key: CacheKey,
         compute: impl FnOnce() -> Result<SecurityMetric, E>,
     ) -> Result<(SecurityMetric, bool), E> {
-        loop {
-            let flight = {
-                let mut shard = self.shard(&key);
-                match shard.get(&key) {
-                    Some(Slot::Ready(m)) => {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        return Ok((m.clone(), true));
-                    }
-                    Some(Slot::InFlight(f)) => Arc::clone(f),
-                    None => {
-                        let f = Arc::new(Flight::new());
-                        shard.insert(key, Slot::InFlight(Arc::clone(&f)));
-                        drop(shard);
-                        self.misses.fetch_add(1, Ordering::Relaxed);
-                        // unlatch on every exit path (incl. panic unwind)
-                        let guard = UnlatchGuard {
-                            cache: self,
-                            key,
-                            flight: f,
-                            publish: None,
-                        };
-                        let metric = compute()?;
-                        let mut guard = guard;
-                        if metric.value.is_available() {
-                            guard.publish = Some(metric.clone());
-                        }
-                        drop(guard);
-                        return Ok((metric, false));
-                    }
-                }
-            };
-            // another session is computing this key: wait it out, then
-            // re-check (the slot is Ready on success, vacated otherwise)
-            flight.wait();
+        // mutex payloads are plain data, so a panicking holder cannot
+        // leave them torn: poisoning is ignored (the workspace's chaos
+        // harness injects panics deliberately)
+        let slot = Arc::clone(
+            self.slots
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .entry(key)
+                .or_default(),
+        );
+        let mut metric = slot.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(m) = metric.as_ref() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok((m.clone(), true));
         }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let computed = compute()?;
+        if computed.value.is_available() {
+            *metric = Some(computed.clone());
+            self.entries.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok((computed, false))
     }
 
     /// Point-in-time statistics.
@@ -205,15 +148,7 @@ impl EvalCache {
 
     /// Number of stored metrics.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                ignore_poison(s.lock())
-                    .values()
-                    .filter(|v| matches!(v, Slot::Ready(_)))
-                    .count()
-            })
-            .sum()
+        self.entries.load(Ordering::Relaxed)
     }
 
     /// `true` when nothing is stored.
@@ -236,39 +171,6 @@ impl std::fmt::Debug for EvalCache {
             .field("hits", &s.hits)
             .field("misses", &s.misses)
             .finish()
-    }
-}
-
-/// Replaces this computation's in-flight latch with its result (or
-/// removes it) and wakes waiters — on success, error, and panic alike.
-struct UnlatchGuard<'a> {
-    cache: &'a EvalCache,
-    key: CacheKey,
-    flight: Arc<Flight>,
-    publish: Option<SecurityMetric>,
-}
-
-impl Drop for UnlatchGuard<'_> {
-    fn drop(&mut self) {
-        let mut shard = self.cache.shard(&self.key);
-        // replace only our own latch: a concurrent retry may have
-        // re-latched the key after a previous unlatch
-        let ours = matches!(
-            shard.get(&self.key),
-            Some(Slot::InFlight(f)) if Arc::ptr_eq(f, &self.flight)
-        );
-        if ours {
-            match self.publish.take() {
-                Some(m) => {
-                    shard.insert(self.key, Slot::Ready(m));
-                }
-                None => {
-                    shard.remove(&self.key);
-                }
-            }
-        }
-        drop(shard);
-        self.flight.finish();
     }
 }
 
@@ -384,6 +286,46 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.hits + s.misses, 8);
         assert_eq!(s.misses, 1);
+    }
+
+    #[test]
+    fn waiters_recompute_once_after_the_first_computation_fails() {
+        let cache = Arc::new(EvalCache::new());
+        let computed = Arc::new(AtomicUsize::new(0));
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                let cache = Arc::clone(&cache);
+                let computed = Arc::clone(&computed);
+                std::thread::spawn(move || {
+                    cache.get_or_compute(key(5), || {
+                        if computed.fetch_add(1, Ordering::SeqCst) == 0 {
+                            // fail slowly, so the other callers pile up
+                            // behind the first computation
+                            std::thread::sleep(std::time::Duration::from_millis(20));
+                            Err("first computation fails")
+                        } else {
+                            Ok(metric(5.0))
+                        }
+                    })
+                })
+            })
+            .collect();
+        let results: Vec<_> = handles
+            .into_iter()
+            .map(|h| h.join().expect("thread"))
+            .collect();
+        assert_eq!(
+            computed.load(Ordering::SeqCst),
+            2,
+            "one failed computation, one retry, no more"
+        );
+        let errors = results.iter().filter(|r| r.is_err()).count();
+        assert_eq!(errors, 1, "only the failing caller sees the error");
+        for (m, _) in results.iter().filter_map(|r| r.as_ref().ok()) {
+            assert_eq!(m.value.value(), 5.0);
+        }
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (6, 2, 1));
     }
 
     #[test]

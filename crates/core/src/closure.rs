@@ -10,14 +10,14 @@
 //!
 //! This driver makes the loop affordable without changing a single
 //! reported bit. Each session is a [`CompositionEngine`] whose
-//! evaluations go through one shared [`EvalCache`]; the cache key binds
-//! the structural digest of exactly what each evaluator reads
-//! (maintained incrementally across splice edits), so sessions that
-//! share state share work, and a step that regresses a metric can be
-//! rolled back and re-verified for the price of a lookup.
+//! evaluations go through one shared [`EvalCache`]; each cache key binds
+//! the whole-design digest and exactly the other state its evaluator
+//! reads, so sessions that share state share work, and a step that
+//! regresses a metric can be rolled back and re-verified for the price
+//! of a lookup.
 //!
-//! Sessions run concurrently over `seceda_testkit::par`; the in-flight
-//! latch inside [`EvalCache`] guarantees each distinct evaluation is
+//! Sessions run concurrently over `seceda_testkit::par`; the per-key
+//! lock inside [`EvalCache`] guarantees each distinct evaluation is
 //! computed exactly once even when many sessions reach the same state
 //! simultaneously.
 
@@ -111,18 +111,6 @@ pub struct ClosureReport {
     pub cache: CacheStats,
 }
 
-impl ClosureReport {
-    /// Number of sessions whose final report passes everywhere.
-    pub fn closed_sessions(&self) -> usize {
-        self.sessions.iter().filter(|s| s.closed()).count()
-    }
-
-    /// Total evaluations across all sessions.
-    pub fn total_evaluations(&self) -> usize {
-        self.sessions.iter().map(|s| s.evaluations).sum()
-    }
-}
-
 /// Runs every session concurrently over one shared, freshly created
 /// evaluation cache.
 ///
@@ -133,7 +121,7 @@ pub fn run_closure(
     sessions: Vec<ClosureSession>,
     config: &ClosureConfig,
 ) -> Result<ClosureReport, NetlistError> {
-    run_closure_with(sessions, config, Some(Arc::new(EvalCache::new())))
+    run_sessions(sessions, config, Some(Arc::new(EvalCache::new())))
 }
 
 /// Runs every session with full recomputation (no cache) — the
@@ -147,17 +135,11 @@ pub fn run_closure_full(
     sessions: Vec<ClosureSession>,
     config: &ClosureConfig,
 ) -> Result<ClosureReport, NetlistError> {
-    run_closure_with(sessions, config, None)
+    run_sessions(sessions, config, None)
 }
 
-/// Runs every session, sharing `cache` if one is given. Use this form
-/// to carry a cache across closure runs (multi-session closure over
-/// the same design family).
-///
-/// # Errors
-///
-/// Propagates the first simulator error any session hits.
-pub fn run_closure_with(
+/// Runs every session, sharing `cache` if one is given.
+fn run_sessions(
     sessions: Vec<ClosureSession>,
     config: &ClosureConfig,
     cache: Option<Arc<EvalCache>>,

@@ -158,12 +158,8 @@ impl CompositionEngine {
         cache: Arc<EvalCache>,
     ) -> Self {
         CompositionEngine {
-            dut,
-            eval,
-            history: Vec::new(),
-            applied: Vec::new(),
             cache: Some(cache),
-            digest: None,
+            ..CompositionEngine::new(dut, eval)
         }
     }
 
@@ -207,25 +203,12 @@ impl CompositionEngine {
         if self.cache.is_some() && self.digest.is_none() {
             self.digest = Some(DesignDigest::of(&self.dut.netlist));
         }
-        let threats: [(&str, ThreatVector, &str); 4] = [
-            (
-                "side-channel",
-                ThreatVector::SideChannel,
-                "first-order probing leaks",
-            ),
-            (
-                "fault-injection",
-                ThreatVector::FaultInjection,
-                "fault-detection coverage",
-            ),
-            ("piracy", ThreatVector::Piracy, "locking key bits"),
-            ("trojan", ThreatVector::Trojan, "unmonitored rare nets"),
-        ];
         let dut = &self.dut;
         let eval = &self.eval;
         let cache = self.cache.as_deref();
         let digest = self.digest;
-        let results = par_map_catch(&threats, |i, &(tag, threat, name)| {
+        let results = par_map_catch(&ThreatVector::ALL, |i, &threat| {
+            let (tag, name) = threat_metric(threat);
             let _threat_t = seceda_trace::hist_timer("compose.threat_ns");
             let _sp = seceda_trace::span("compose.threat").with("threat", tag);
             // chaos runs *before* the cache lookup so a cached closure
@@ -235,24 +218,18 @@ impl CompositionEngine {
                 chaos::maybe_panic("compose.threat.panic", i as u64);
                 if chaos::maybe_exhaust("compose.threat.exhaust", i as u64) {
                     seceda_trace::counter("chaos.injections", 1);
-                    return Ok((
-                        SecurityMetric::unavailable(
-                            name,
-                            threat,
-                            "chaos-injected budget exhaustion",
-                        ),
-                        false,
-                    ));
+                    let reason = "chaos-injected budget exhaustion";
+                    return Ok((SecurityMetric::unavailable(name, threat, reason), false));
                 }
             }
             let compute = || -> Result<SecurityMetric, NetlistError> {
-                Ok(match i {
-                    0 => eval_side_channel(dut, eval),
-                    1 => eval_fault_injection(dut, eval)?,
-                    2 => eval_piracy(dut, eval),
-                    3 => eval_trojan(dut, eval)?,
-                    _ => unreachable!("four threat vectors"),
-                })
+                let value = match threat {
+                    ThreatVector::SideChannel => eval_side_channel(dut, eval),
+                    ThreatVector::FaultInjection => eval_fault_injection(dut, eval)?,
+                    ThreatVector::Piracy => eval_piracy(dut, eval),
+                    ThreatVector::Trojan => eval_trojan(dut, eval)?,
+                };
+                Ok(SecurityMetric::new(name, threat, value))
             };
             match (cache, digest) {
                 (Some(c), Some(d)) => {
@@ -263,63 +240,44 @@ impl CompositionEngine {
         });
         let caching = self.cache.is_some();
         let mut report = SecurityReport::new(label);
-        let mut degraded = 0u64;
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        for (res, &(_, threat, name)) in results.into_iter().zip(&threats) {
-            match res {
-                Ok(Ok((metric, hit))) => {
-                    if !metric.value.is_available() {
-                        degraded += 1;
-                    }
-                    if caching {
-                        if hit {
-                            hits += 1;
-                        } else {
-                            misses += 1;
-                        }
-                        report.provenance.push(MetricProvenance {
-                            name: metric.name.clone(),
-                            source: if hit {
-                                MetricSource::Cached
-                            } else {
-                                MetricSource::Computed
-                            },
-                        });
-                    }
-                    report.metrics.push(metric);
-                }
+        for (res, threat) in results.into_iter().zip(ThreatVector::ALL) {
+            let (metric, hit) = match res {
+                Ok(Ok(computed)) => computed,
                 // simulator errors are real errors, not degradations
                 Ok(Err(e)) => return Err(e),
                 Err(p) => {
                     if p.message.starts_with("chaos:") {
                         seceda_trace::counter("chaos.injections", 1);
                     }
-                    degraded += 1;
-                    if caching {
-                        misses += 1;
-                        report.provenance.push(MetricProvenance {
-                            name: name.to_string(),
-                            source: MetricSource::Computed,
-                        });
-                    }
-                    report.metrics.push(SecurityMetric::unavailable(
-                        name,
-                        threat,
-                        format!("threat evaluator panicked: {}", p.message),
-                    ));
+                    let reason = format!("threat evaluator panicked: {}", p.message);
+                    let name = threat_metric(threat).1;
+                    (SecurityMetric::unavailable(name, threat, reason), false)
                 }
+            };
+            if caching {
+                report.provenance.push(MetricProvenance {
+                    name: metric.name.clone(),
+                    source: if hit {
+                        MetricSource::Cached
+                    } else {
+                        MetricSource::Computed
+                    },
+                });
             }
+            report.metrics.push(metric);
         }
+        let degraded = report.degraded().len();
         if degraded > 0 {
-            seceda_trace::counter("compose.threats_degraded", degraded);
+            seceda_trace::counter("compose.threats_degraded", degraded as u64);
         }
         if caching {
+            let hits = report.cached_count();
+            let misses = report.provenance.len() - hits;
             if hits > 0 {
-                seceda_trace::counter("compose.cache_hits", hits);
+                seceda_trace::counter("compose.cache_hits", hits as u64);
             }
             if misses > 0 {
-                seceda_trace::counter("compose.cache_misses", misses);
+                seceda_trace::counter("compose.cache_misses", misses as u64);
             }
             eval_span.attr("cache_hits", hits);
         }
@@ -459,18 +417,14 @@ fn threat_cache_key(
     match threat {
         ThreatVector::SideChannel => {
             b.absorb(eval.max_probing_leaks as u64);
-            match &dut.probing_model {
-                // the masked-interface condition mirrors eval_side_channel
-                Some(model)
-                    if dut.netlist.inputs().len()
-                        == model.num_secrets * seceda_sca::NUM_SHARES + model.num_randoms =>
-                {
+            match masked_model(dut) {
+                Some(model) => {
                     b.absorb(1);
                     b.absorb_digest(digest);
                     b.absorb(model.num_secrets as u64);
                     b.absorb(model.num_randoms as u64);
                 }
-                _ => {
+                None => {
                     b.absorb(0);
                     b.absorb(dut.netlist.inputs().len() as u64);
                 }
@@ -508,34 +462,43 @@ fn threat_cache_key(
     }
 }
 
+/// The trace tag and report metric name of each threat's evaluation.
+fn threat_metric(threat: ThreatVector) -> (&'static str, &'static str) {
+    match threat {
+        ThreatVector::SideChannel => ("side-channel", "first-order probing leaks"),
+        ThreatVector::FaultInjection => ("fault-injection", "fault-detection coverage"),
+        ThreatVector::Piracy => ("piracy", "locking key bits"),
+        ThreatVector::Trojan => ("trojan", "unmonitored rare nets"),
+    }
+}
+
+/// The design's probing model when exact probing applies: the inputs
+/// are still exactly the model's share triples plus its randomness.
+fn masked_model(dut: &DesignUnderTest) -> Option<&ProbingModel> {
+    dut.probing_model.as_ref().filter(|model| {
+        dut.netlist.inputs().len() == model.num_secrets * seceda_sca::NUM_SHARES + model.num_randoms
+    })
+}
+
 /// Side channels: exact first-order probing when masked; every secret
 /// wire counts as a leak otherwise.
-fn eval_side_channel(dut: &DesignUnderTest, eval: &SecurityEvaluation) -> SecurityMetric {
-    let leaks = match &dut.probing_model {
-        Some(model)
-            if dut.netlist.inputs().len()
-                == model.num_secrets * seceda_sca::NUM_SHARES + model.num_randoms =>
-        {
-            first_order_leaks(&dut.netlist, model).len()
-        }
+fn eval_side_channel(dut: &DesignUnderTest, eval: &SecurityEvaluation) -> MetricValue {
+    let leaks = match masked_model(dut) {
+        Some(model) => first_order_leaks(&dut.netlist, model).len(),
         // unmasked: every secret wire is a first-order leak
-        _ => dut.netlist.inputs().len().max(1),
+        None => dut.netlist.inputs().len().max(1),
     };
-    SecurityMetric::new(
-        "first-order probing leaks",
-        ThreatVector::SideChannel,
-        MetricValue::LowerBetter {
-            value: leaks as f64,
-            threshold: eval.max_probing_leaks as f64,
-        },
-    )
+    MetricValue::LowerBetter {
+        value: leaks as f64,
+        threshold: eval.max_probing_leaks as f64,
+    }
 }
 
 /// Fault injection: detection coverage on single gate faults.
 fn eval_fault_injection(
     dut: &DesignUnderTest,
     eval: &SecurityEvaluation,
-) -> Result<SecurityMetric, NetlistError> {
+) -> Result<MetricValue, NetlistError> {
     let protected = ProtectedNetlist {
         netlist: dut.netlist.clone(),
         alarm_index: dut.alarm_index,
@@ -557,26 +520,18 @@ fn eval_fault_injection(
     } else {
         analysis.detection_coverage
     };
-    Ok(SecurityMetric::new(
-        "fault-detection coverage",
-        ThreatVector::FaultInjection,
-        MetricValue::HigherBetter {
-            value: coverage,
-            threshold: eval.min_fault_coverage,
-        },
-    ))
+    Ok(MetricValue::HigherBetter {
+        value: coverage,
+        threshold: eval.min_fault_coverage,
+    })
 }
 
 /// Piracy: locking key material present.
-fn eval_piracy(dut: &DesignUnderTest, eval: &SecurityEvaluation) -> SecurityMetric {
-    SecurityMetric::new(
-        "locking key bits",
-        ThreatVector::Piracy,
-        MetricValue::HigherBetter {
-            value: dut.key_bits as f64,
-            threshold: eval.min_key_bits as f64,
-        },
-    )
+fn eval_piracy(dut: &DesignUnderTest, eval: &SecurityEvaluation) -> MetricValue {
+    MetricValue::HigherBetter {
+        value: dut.key_bits as f64,
+        threshold: eval.min_key_bits as f64,
+    }
 }
 
 /// Trojans: unmonitored rare-net surface. A monitored design reports
@@ -584,7 +539,7 @@ fn eval_piracy(dut: &DesignUnderTest, eval: &SecurityEvaluation) -> SecurityMetr
 fn eval_trojan(
     dut: &DesignUnderTest,
     eval: &SecurityEvaluation,
-) -> Result<SecurityMetric, NetlistError> {
+) -> Result<MetricValue, NetlistError> {
     let unmonitored = if dut.monitored {
         0
     } else {
@@ -600,14 +555,10 @@ fn eval_trojan(
             .filter(|&r| r > 0.0 && r <= eval.rare_threshold)
             .count()
     };
-    Ok(SecurityMetric::new(
-        "unmonitored rare nets",
-        ThreatVector::Trojan,
-        MetricValue::LowerBetter {
-            value: unmonitored as f64,
-            threshold: eval.max_unmonitored_rare_nets as f64,
-        },
-    ))
+    Ok(MetricValue::LowerBetter {
+        value: unmonitored as f64,
+        threshold: eval.max_unmonitored_rare_nets as f64,
+    })
 }
 
 #[cfg(test)]
@@ -778,11 +729,11 @@ mod tests {
         let traced_probability_runs = |monitored: bool| {
             let mut dut = and_gadget();
             dut.monitored = monitored;
-            let (metric, events) = seceda_trace::session(|| {
+            let (value, events) = seceda_trace::session(|| {
                 let _probe = seceda_trace::span("test.trojan_probe");
                 eval_trojan(&dut, &SecurityEvaluation::default()).expect("eval")
             });
-            assert_eq!(metric.verdict, V::Pass);
+            assert!(value.passes());
             let spans = seceda_trace::Summary::of(&events).spans;
             let probe = spans
                 .iter()

@@ -18,10 +18,10 @@
 //!   step-function behaviour Sec. IV predicts (and [`dse`] measures);
 //! * [`compose`] — the composition engine: apply countermeasures to a
 //!   design-under-test, re-evaluate all threats, detect cross-effects;
-//! * [`cache`] — the sharded per-threat evaluation cache that makes the
-//!   re-evaluate-everything loop affordable: results are keyed on a
-//!   structural digest of exactly what each evaluator reads, so a hit
-//!   is bit-identical to a recompute;
+//! * [`cache`] — the per-threat evaluation cache, one lock per key, that
+//!   makes the re-evaluate-everything loop affordable: results are keyed
+//!   on the whole-design digest plus exactly the other state each
+//!   evaluator reads, so a hit is bit-identical to a recompute;
 //! * [`closure`] — the multi-session closure driver: many
 //!   countermeasure schedules evaluated concurrently over one shared
 //!   cache, with rollback of regressing steps;
@@ -43,8 +43,7 @@ pub mod threat;
 
 pub use cache::{CacheKey, CacheStats, EvalCache};
 pub use closure::{
-    run_closure, run_closure_full, run_closure_with, ClosureConfig, ClosureReport, ClosureSession,
-    SessionOutcome,
+    run_closure, run_closure_full, ClosureConfig, ClosureReport, ClosureSession, SessionOutcome,
 };
 pub use compose::{
     CompositionEngine, Countermeasure, DesignUnderTest, EvaluationOutcome, SecurityEvaluation,

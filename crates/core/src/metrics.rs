@@ -156,8 +156,9 @@ impl fmt::Display for SecurityMetric {
 pub enum MetricSource {
     /// Evaluated from scratch this run.
     Computed,
-    /// Served from the shared evaluation cache: the threat's dependency
-    /// cone was untouched by the edits since the metric was computed.
+    /// Served from the shared evaluation cache: an earlier evaluation
+    /// already computed the metric under the same cache key (the same
+    /// design digest and the same state the evaluator reads).
     Cached,
 }
 

@@ -114,18 +114,6 @@ impl<'a> AtpgSolver<'a> {
     }
 }
 
-/// Generates a test for a single fault; `None` means proven untestable.
-///
-/// One-shot convenience wrapper over [`AtpgSolver`]; batch callers
-/// should keep one `AtpgSolver` across faults.
-///
-/// # Errors
-///
-/// Propagates encoding errors.
-pub fn generate_test_for(nl: &Netlist, fault: Fault) -> Result<Option<Vec<bool>>, NetlistError> {
-    AtpgSolver::new(nl)?.generate_test(fault)
-}
-
 /// Full ATPG: random bootstrap then SAT cleanup.
 ///
 /// # Errors
@@ -197,6 +185,12 @@ pub fn generate_tests(
 mod tests {
     use super::*;
     use seceda_netlist::{c17, CellKind};
+
+    /// The fresh-solver reference for incremental ATPG: one new
+    /// [`AtpgSolver`] per fault; `None` means proven untestable.
+    fn generate_test_for(nl: &Netlist, fault: Fault) -> Result<Option<Vec<bool>>, NetlistError> {
+        AtpgSolver::new(nl)?.generate_test(fault)
+    }
 
     #[test]
     fn c17_reaches_full_coverage() {

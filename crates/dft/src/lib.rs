@@ -27,7 +27,7 @@ pub mod dfx;
 pub mod scan;
 pub mod scan_attack;
 
-pub use atpg::{generate_test_for, generate_tests, AtpgResult, AtpgSolver, FaultTestOutcome};
+pub use atpg::{generate_tests, AtpgResult, AtpgSolver, FaultTestOutcome};
 pub use bist::{run_bist, BistConfig, BistResult, Lfsr, Misr};
 pub use dfx::{DfxController, DfxResponse, DfxState};
 pub use scan::{insert_scan_chain, ScanChain};

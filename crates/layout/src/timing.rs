@@ -59,10 +59,7 @@ pub fn timing_report(nl: &Netlist, routed: &RoutedDesign) -> TimingReport {
                 worst_wire = wire_part[inp.index()] + wd;
             }
         }
-        let fan = g.inputs.len().max(2);
-        let tree_levels = (usize::BITS - (fan - 1).leading_zeros()) as f64;
-        let cell = g.kind.delay() * tree_levels.max(1.0);
-        arrival[g.output.index()] = worst + cell;
+        arrival[g.output.index()] = worst + g.kind.tree_delay(g.inputs.len());
         wire_part[g.output.index()] = worst_wire;
     }
     let mut critical = 0.0f64;

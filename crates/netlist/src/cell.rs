@@ -140,6 +140,14 @@ impl CellKind {
             CellKind::Dff => 1.0,
         }
     }
+
+    /// Delay of an instance with `fan_in` inputs, built as a log-depth
+    /// tree of 2-input cells: [`delay`](Self::delay) times
+    /// ⌈log2(fan_in)⌉ levels, at least one (a 3-input `Mux` costs two).
+    pub fn tree_delay(self, fan_in: usize) -> f64 {
+        let levels = usize::BITS - (fan_in.max(2) - 1).leading_zeros();
+        self.delay() * f64::from(levels)
+    }
 }
 
 impl fmt::Display for CellKind {
@@ -365,6 +373,15 @@ mod tests {
         assert!(!CellKind::Mux.eval(&[false, false, true]));
         assert!(CellKind::Mux.eval(&[true, false, true]));
         assert!(CellKind::Mux.eval(&[false, true, false]));
+    }
+
+    #[test]
+    fn tree_delay_counts_two_input_levels() {
+        assert_eq!(CellKind::Not.tree_delay(1), 0.5);
+        assert_eq!(CellKind::Nand.tree_delay(2), 1.0);
+        assert_eq!(CellKind::Mux.tree_delay(3), 2.0 * 2.0);
+        assert_eq!(CellKind::And.tree_delay(5), 1.5 * 3.0);
+        assert_eq!(CellKind::Const0.tree_delay(0), 0.0);
     }
 
     #[test]

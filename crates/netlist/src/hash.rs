@@ -18,8 +18,8 @@ use crate::cell::GateTags;
 use crate::netlist::Netlist;
 use std::fmt;
 
-/// SplitMix64 — the workspace's standard bit mixer.
-pub fn mix64(mut x: u64) -> u64 {
+/// SplitMix64, the digest's bit mixer.
+fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -473,50 +473,6 @@ impl Netlist {
         Ok(order)
     }
 
-    /// The transitive fan-in cone of `roots`: every gate on some path
-    /// from a source (primary input, constant, or DFF output) to a root
-    /// net, returned in ascending gate-id order.
-    ///
-    /// Iterative worklist traversal — no recursion, so arbitrarily deep
-    /// cones of 10^5+ gates extract without stack overflow. Traversal
-    /// stops at DFFs (their outputs are sources), but a DFF whose
-    /// output is itself a root is included.
-    pub fn fanin_cone(&self, roots: &[NetId]) -> Vec<GateId> {
-        let mut in_cone = vec![false; self.gates.len()];
-        let mut work: Vec<GateId> = Vec::new();
-        for &root in roots {
-            if let Some(gid) = self.nets[root.index()].driver {
-                if !in_cone[gid.index()] {
-                    in_cone[gid.index()] = true;
-                    work.push(gid);
-                }
-            }
-        }
-        while let Some(gid) = work.pop() {
-            let g = &self.gates[gid.index()];
-            if g.kind.is_sequential() {
-                continue; // state boundary: the cone stops here
-            }
-            for &inp in &g.inputs {
-                if let Some(drv) = self.nets[inp.index()].driver {
-                    if !in_cone[drv.index()] {
-                        in_cone[drv.index()] = true;
-                        work.push(drv);
-                    }
-                }
-            }
-        }
-        let cone: Vec<GateId> = in_cone
-            .iter()
-            .enumerate()
-            .filter(|&(_, &x)| x)
-            .map(|(i, _)| GateId::from_index(i))
-            .collect();
-        seceda_trace::counter("ir.cone_extractions", 1);
-        seceda_trace::histogram("ir.cone_gates", cone.len() as u64);
-        cone
-    }
-
     /// Evaluates every net for one cycle.
     ///
     /// `inputs` must match [`Netlist::inputs`] in length; `state` must match
@@ -853,21 +809,6 @@ mod tests {
         }
         let edges: usize = nl.gates().iter().map(|g| g.inputs.len()).sum();
         assert_eq!(csr.num_edges(), edges);
-    }
-
-    #[test]
-    fn fanin_cone_stops_at_sources() {
-        let nl = full_adder();
-        // cone of the sum output: just the XOR gate
-        let sum_net = nl.outputs()[0].0;
-        assert_eq!(nl.fanin_cone(&[sum_net]), vec![GateId::from_index(0)]);
-        // cone of cout: the three ANDs and the OR
-        let cout_net = nl.outputs()[1].0;
-        assert_eq!(nl.fanin_cone(&[cout_net]).len(), 4);
-        // both roots: everything
-        assert_eq!(nl.fanin_cone(&[sum_net, cout_net]).len(), 5);
-        // a primary input has an empty cone
-        assert_eq!(nl.fanin_cone(&[nl.inputs()[0]]), vec![]);
     }
 
     #[test]

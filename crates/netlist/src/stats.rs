@@ -52,7 +52,7 @@ impl NetlistStats {
 /// Per-net logic depth report (in units of gate delay).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DepthReport {
-    /// Arrival time (accumulated [`CellKind::delay`]) per net.
+    /// Arrival time (accumulated [`CellKind::tree_delay`]) per net.
     pub arrival: Vec<f64>,
     /// The maximum arrival time over the primary outputs — the critical
     /// path delay of the combinational logic.
@@ -85,10 +85,7 @@ impl DepthReport {
                 .map(|&i| level[i.index()])
                 .max()
                 .unwrap_or(0);
-            // n-ary gates cost a log-depth tree of 2-input cells
-            let fan = g.inputs.len().max(2);
-            let tree_levels = (usize::BITS - (fan - 1).leading_zeros()) as f64;
-            arrival[g.output.index()] = worst_in + g.kind.delay() * tree_levels.max(1.0);
+            arrival[g.output.index()] = worst_in + g.kind.tree_delay(g.inputs.len());
             level[g.output.index()] = worst_lvl + 1;
         }
         let critical_path = nl

@@ -33,6 +33,52 @@ impl ProbingModel {
     }
 }
 
+/// Checks `model` against `nl` and returns the number of secret
+/// assignments together with the exhaustive enumeration behind both
+/// probing checks: for every secret assignment (in ascending order), all
+/// valid share encodings (two free bits per secret) and all randomness
+/// assignments, each as one (secret assignment, net values) pair.
+/// Panics as documented on [`first_order_leaks`].
+fn evaluations<'a>(
+    nl: &'a Netlist,
+    model: &ProbingModel,
+) -> (usize, impl Iterator<Item = (usize, Vec<bool>)> + 'a) {
+    let free_bits = 2 * model.num_secrets + model.num_randoms;
+    assert!(
+        free_bits <= 22,
+        "probing enumeration too large ({free_bits} bits)"
+    );
+    assert_eq!(
+        nl.inputs().len(),
+        model.num_secrets * NUM_SHARES + model.num_randoms,
+        "netlist inputs do not match the probing model"
+    );
+    let model = *model;
+    let num_secret_patterns = 1usize << model.num_secrets;
+    let enumerations = 1u64 << free_bits;
+    let mut inputs = vec![false; nl.inputs().len()];
+    let pairs = (0..num_secret_patterns)
+        .flat_map(move |secret_pattern| (0..enumerations).map(move |e| (secret_pattern, e)))
+        .map(move |(secret_pattern, enumeration)| {
+            // decode free bits: per secret, two share bits; then randoms
+            for s in 0..model.num_secrets {
+                let secret = (secret_pattern >> s) & 1 == 1;
+                let s1 = (enumeration >> (2 * s)) & 1 == 1;
+                let s2 = (enumeration >> (2 * s + 1)) & 1 == 1;
+                inputs[NUM_SHARES * s] = secret ^ s1 ^ s2;
+                inputs[NUM_SHARES * s + 1] = s1;
+                inputs[NUM_SHARES * s + 2] = s2;
+            }
+            for r in 0..model.num_randoms {
+                inputs[NUM_SHARES * model.num_secrets + r] =
+                    (enumeration >> (2 * model.num_secrets + r)) & 1 == 1;
+            }
+            let values = nl.eval_nets(&inputs, &[]).expect("combinational eval");
+            (secret_pattern, values)
+        });
+    (num_secret_patterns, pairs)
+}
+
 /// Returns the nets whose value distribution depends on the secret
 /// vector — first-order leaks. An ideal masked circuit returns an empty
 /// list.
@@ -47,44 +93,13 @@ impl ProbingModel {
 /// (`2*num_secrets + num_randoms > 22` bits) or if the netlist input
 /// count does not match the model.
 pub fn first_order_leaks(nl: &Netlist, model: &ProbingModel) -> Vec<NetId> {
-    let free_bits = 2 * model.num_secrets + model.num_randoms;
-    assert!(
-        free_bits <= 22,
-        "probing enumeration too large ({free_bits} bits)"
-    );
-    assert_eq!(
-        nl.inputs().len(),
-        model.num_secrets * NUM_SHARES + model.num_randoms,
-        "netlist inputs do not match the probing model"
-    );
-
     let num_nets = nl.num_nets();
-    let enumerations = 1u64 << free_bits;
+    let (num_secret_patterns, evaluations) = evaluations(nl, model);
     // ones[net] per secret assignment
-    let num_secret_patterns = 1usize << model.num_secrets;
     let mut ones: Vec<Vec<u64>> = vec![vec![0u64; num_nets]; num_secret_patterns];
-
-    let mut inputs = vec![false; nl.inputs().len()];
-    for (secret_pattern, pattern_ones) in ones.iter_mut().enumerate() {
-        for enumeration in 0..enumerations {
-            // decode free bits: per secret, two share bits; then randoms
-            for s in 0..model.num_secrets {
-                let secret = (secret_pattern >> s) & 1 == 1;
-                let s1 = (enumeration >> (2 * s)) & 1 == 1;
-                let s2 = (enumeration >> (2 * s + 1)) & 1 == 1;
-                let s0 = secret ^ s1 ^ s2;
-                inputs[NUM_SHARES * s] = s0;
-                inputs[NUM_SHARES * s + 1] = s1;
-                inputs[NUM_SHARES * s + 2] = s2;
-            }
-            for r in 0..model.num_randoms {
-                inputs[NUM_SHARES * model.num_secrets + r] =
-                    (enumeration >> (2 * model.num_secrets + r)) & 1 == 1;
-            }
-            let values = nl.eval_nets(&inputs, &[]).expect("combinational eval");
-            for (net, &v) in values.iter().enumerate() {
-                pattern_ones[net] += v as u64;
-            }
+    for (secret_pattern, values) in evaluations {
+        for (count, &v) in ones[secret_pattern].iter_mut().zip(&values) {
+            *count += v as u64;
         }
     }
 
@@ -118,47 +133,19 @@ pub fn second_order_leaks(
     model: &ProbingModel,
     max_pairs: usize,
 ) -> Vec<(NetId, NetId)> {
-    let free_bits = 2 * model.num_secrets + model.num_randoms;
-    assert!(
-        free_bits <= 22,
-        "probing enumeration too large ({free_bits} bits)"
-    );
-    assert_eq!(
-        nl.inputs().len(),
-        model.num_secrets * NUM_SHARES + model.num_randoms,
-        "netlist inputs do not match the probing model"
-    );
     let num_nets = nl.num_nets();
-    let enumerations = 1u64 << free_bits;
-    let num_secret_patterns = 1usize << model.num_secrets;
-
+    let (num_secret_patterns, evaluations) = evaluations(nl, model);
     // joint counts: per secret pattern, per pair, counts of (v1, v2) in
     // {00, 01, 10, 11}; stored flat for speed
     let pair_count = num_nets * num_nets;
     let mut counts: Vec<Vec<[u32; 4]>> = vec![vec![[0u32; 4]; pair_count]; num_secret_patterns];
-
-    let mut inputs = vec![false; nl.inputs().len()];
-    for (secret_pattern, table) in counts.iter_mut().enumerate() {
-        for enumeration in 0..enumerations {
-            for s in 0..model.num_secrets {
-                let secret = (secret_pattern >> s) & 1 == 1;
-                let s1 = (enumeration >> (2 * s)) & 1 == 1;
-                let s2 = (enumeration >> (2 * s + 1)) & 1 == 1;
-                inputs[NUM_SHARES * s] = secret ^ s1 ^ s2;
-                inputs[NUM_SHARES * s + 1] = s1;
-                inputs[NUM_SHARES * s + 2] = s2;
-            }
-            for r in 0..model.num_randoms {
-                inputs[NUM_SHARES * model.num_secrets + r] =
-                    (enumeration >> (2 * model.num_secrets + r)) & 1 == 1;
-            }
-            let values = nl.eval_nets(&inputs, &[]).expect("combinational eval");
-            for i in 0..num_nets {
-                let vi = values[i] as usize;
-                let row = i * num_nets;
-                for (j, &vj) in values.iter().enumerate().skip(i + 1) {
-                    table[row + j][(vi << 1) | vj as usize] += 1;
-                }
+    for (secret_pattern, values) in evaluations {
+        let table = &mut counts[secret_pattern];
+        for i in 0..num_nets {
+            let vi = values[i] as usize;
+            let row = i * num_nets;
+            for (j, &vj) in values.iter().enumerate().skip(i + 1) {
+                table[row + j][(vi << 1) | vj as usize] += 1;
             }
         }
     }

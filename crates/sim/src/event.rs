@@ -86,8 +86,8 @@ pub struct EventSim<'a> {
     tape: Tape,
     fanout: FanOut,
     /// Per topo position: the gate's delay, by default its
-    /// [`CellKind::delay`](seceda_netlist::CellKind::delay) scaled by
-    /// the depth of a 2-input tree of its fan-in.
+    /// [`CellKind::tree_delay`](seceda_netlist::CellKind::tree_delay)
+    /// at its fan-in.
     delay: Vec<f64>,
 }
 
@@ -100,11 +100,7 @@ impl<'a> EventSim<'a> {
     pub fn new(nl: &'a Netlist) -> Result<Self, NetlistError> {
         let tape = Tape::new(nl)?;
         let delay = (0..tape.len())
-            .map(|p| {
-                let fan = tape.fan_in(p).max(2);
-                let tree_levels = (usize::BITS - (fan - 1).leading_zeros()) as f64;
-                tape.op(p).delay() * tree_levels.max(1.0)
-            })
+            .map(|p| tape.op(p).tree_delay(tape.fan_in(p)))
             .collect();
         let fanout = FanOut::new(nl, &tape);
         Ok(EventSim {

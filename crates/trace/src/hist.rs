@@ -10,8 +10,6 @@
 //! aggregated by [`crate::Summary`]; the type is public so exporters and
 //! tests can build and merge histograms directly.
 
-use crate::recorder::HistRecord;
-
 /// Linear sub-buckets per power of two (2 bits of mantissa).
 const SUB_BITS: u32 = 2;
 const SUBS: usize = 1 << SUB_BITS;
@@ -186,11 +184,6 @@ impl Histogram {
             h.record(s);
         }
         h
-    }
-
-    /// Aggregates the samples of one metric out of a record stream.
-    pub fn of_records<'a>(records: impl IntoIterator<Item = &'a HistRecord>) -> Histogram {
-        Histogram::of_samples(records.into_iter().map(|r| r.value))
     }
 }
 

@@ -64,9 +64,7 @@ fn measure_chip(
     let mut sim = EventSim::new(nl)?;
     for gi in 0..nl.num_gates() {
         let g = &nl.gates()[gi];
-        let fan = g.inputs.len().max(2);
-        let tree_levels = (u32::BITS - (fan as u32 - 1).leading_zeros()) as f64;
-        let nominal = g.kind.delay() * tree_levels.max(1.0);
+        let nominal = g.kind.tree_delay(g.inputs.len());
         let variation = 1.0 + process_sigma * (rng.gen_range(-1.0..1.0f64) * 1.7);
         sim.set_gate_delay(gi, (nominal * variation + extra_delay_per_gate).max(0.01));
     }

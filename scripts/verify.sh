@@ -109,6 +109,13 @@ echo "==> paper-artifact examples smoke run (release)"
 cargo run -q --release --offline --example tables > /dev/null
 cargo run -q --release --offline --example sweeps > /dev/null
 
+# The engine demo asserts, with no argument, that the re-evaluation
+# catches the masking/parity conflict and that duplication with
+# comparison composes with masking; the quickstart drives both flows.
+echo "==> composition-engine and quickstart examples (release)"
+cargo run -q --release --offline --example secure_composition > /dev/null
+cargo run -q --release --offline --example quickstart > /dev/null
+
 # Opt-in scale test: parse + analyze a 10^6-gate design end to end.
 if [ "${SECEDA_VERIFY_SCALE:-0}" != "0" ]; then
     echo "==> frontend scale smoke (10^6 gates, SECEDA_VERIFY_SCALE=1)"
