@@ -11,13 +11,24 @@
 //! returns bit-identically what a fresh evaluation would compute — the
 //! cache-correctness argument of DESIGN.md §3.
 //!
-//! Each key owns one slot behind its own mutex. A lookup takes the map
-//! lock only to find or create the slot, then holds the slot's lock
-//! while it computes, so concurrent closure sessions
-//! (`seceda_core::closure`) that reach the same uncached key compute it
-//! once: the first computes, the rest wait on the slot lock and then
-//! read the published metric. Different keys never wait on each other's
-//! computations.
+//! The cache holds a second map beside the metrics: the rare-signal
+//! selections of the `TrojanMonitor` countermeasure
+//! (`seceda_trojan::rare_signals`, 64 rounds of signal-probability
+//! simulation), stored as `Arc<[RareSignal]>`. Its key is a digest of a
+//! domain tag, the parent design's digest, the rarity threshold's bits
+//! and the selection seed. The selection reads only the gate layout and
+//! the input count and names nets by index, so this key is complete
+//! too. Selection lookups are traced as `compose.select_hits` /
+//! `compose.select_misses` and do not count in [`CacheStats`], which
+//! stays about threat metrics.
+//!
+//! Both maps are one private `Slots` type: each key owns one slot
+//! behind its own mutex. A lookup takes the map lock only to find or
+//! create the slot, then holds the slot's lock while it computes, so
+//! concurrent closure sessions (`seceda_core::closure`) that reach the
+//! same uncached key compute it once: the first computes, the rest wait
+//! on the slot lock and then read the published value. Different keys
+//! never wait on each other's computations.
 //!
 //! Two things are deliberately **not** cached:
 //!
@@ -25,18 +36,22 @@
 //!   budget exhaustion, chaos injections) — a degraded evaluation must
 //!   not poison the cache, so the slot stays empty and the next request
 //!   recomputes;
-//! * errors and panics — the slot likewise stays empty, so waiters
-//!   recompute rather than inheriting the failure.
+//! * errors and panics, in either map — the slot likewise stays empty,
+//!   so waiters recompute rather than inheriting the failure.
 //!
-//! There is no eviction: entries are small (one [`SecurityMetric`]) and
-//! a closure run's working set is bounded by the number of distinct
-//! design states it visits. Long-lived servers would layer an LRU on
-//! top; the flight-recorder counters (`compose.cache_hits` /
-//! `compose.cache_misses`) expose the data to decide when.
+//! There is no eviction: entries are small (one [`SecurityMetric`], or
+//! one selection of a few net indices) and a closure run's working set
+//! is bounded by the number of distinct design states it visits.
+//! Long-lived servers would layer an LRU on top; the flight-recorder
+//! counters (`compose.cache_hits` / `compose.cache_misses`) expose the
+//! data to decide when.
 
 use crate::metrics::SecurityMetric;
 use crate::threat::ThreatVector;
+use seceda_netlist::DesignDigest;
+use seceda_trojan::RareSignal;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -74,26 +89,78 @@ impl CacheStats {
     }
 }
 
-/// One key's metric, empty until a computation publishes it.
-type Slot = Arc<Mutex<Option<SecurityMetric>>>;
+/// A map from keys to values with one lock per key: a caller holds its
+/// key's lock while it computes, so each key is computed once however
+/// many callers reach it together.
+struct Slots<K, V> {
+    map: Mutex<HashMap<K, Arc<Mutex<Option<V>>>>>,
+    entries: AtomicUsize,
+}
 
-/// A map from [`CacheKey`] to [`SecurityMetric`] with one lock per key,
-/// shared across engines via `Arc`.
+impl<K: Eq + Hash, V: Clone> Slots<K, V> {
+    fn new() -> Self {
+        Slots {
+            map: Mutex::new(HashMap::new()),
+            entries: AtomicUsize::new(0),
+        }
+    }
+
+    /// Returns `key`'s value, or computes it and publishes it if
+    /// `publishable` accepts it. The boolean is `true` for a hit
+    /// (including waiting out another caller's computation of the same
+    /// key). An error or a panic publishes nothing.
+    fn get_or_compute<E>(
+        &self,
+        key: K,
+        compute: impl FnOnce() -> Result<V, E>,
+        publishable: impl FnOnce(&V) -> bool,
+    ) -> Result<(V, bool), E> {
+        // mutex payloads are plain data, so a panicking holder cannot
+        // leave them torn: poisoning is ignored (the workspace's chaos
+        // harness injects panics deliberately)
+        let slot = Arc::clone(
+            self.map
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .entry(key)
+                .or_default(),
+        );
+        let mut value = slot.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(v) = value.as_ref() {
+            return Ok((v.clone(), true));
+        }
+        let computed = compute()?;
+        if publishable(&computed) {
+            *value = Some(computed.clone());
+            self.entries.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok((computed, false))
+    }
+
+    /// Number of published values.
+    fn len(&self) -> usize {
+        self.entries.load(Ordering::Relaxed)
+    }
+}
+
+/// The per-threat metrics and the rare-signal selections of
+/// `TrojanMonitor`, each a map with one lock per key, shared across
+/// engines via `Arc`.
 pub struct EvalCache {
-    slots: Mutex<HashMap<CacheKey, Slot>>,
+    metrics: Slots<CacheKey, SecurityMetric>,
+    selections: Slots<DesignDigest, Arc<[RareSignal]>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    entries: AtomicUsize,
 }
 
 impl EvalCache {
     /// An empty cache.
     pub fn new() -> Self {
         EvalCache {
-            slots: Mutex::new(HashMap::new()),
+            metrics: Slots::new(),
+            selections: Slots::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            entries: AtomicUsize::new(0),
         }
     }
 
@@ -113,28 +180,31 @@ impl EvalCache {
         key: CacheKey,
         compute: impl FnOnce() -> Result<SecurityMetric, E>,
     ) -> Result<(SecurityMetric, bool), E> {
-        // mutex payloads are plain data, so a panicking holder cannot
-        // leave them torn: poisoning is ignored (the workspace's chaos
-        // harness injects panics deliberately)
-        let slot = Arc::clone(
-            self.slots
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .entry(key)
-                .or_default(),
-        );
-        let mut metric = slot.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(m) = metric.as_ref() {
+        let miss = || {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            compute()
+        };
+        let found = self
+            .metrics
+            .get_or_compute(key, miss, |m| m.value.is_available())?;
+        if found.1 {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((m.clone(), true));
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let computed = compute()?;
-        if computed.value.is_available() {
-            *metric = Some(computed.clone());
-            self.entries.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok((computed, false))
+        Ok(found)
+    }
+
+    /// Returns the rare-signal selection stored under `key` (the
+    /// engine's selection key: parent design digest, rarity threshold
+    /// and seed), or computes and publishes it, as
+    /// [`get_or_compute`](Self::get_or_compute) does for metrics. An
+    /// error or a panic publishes nothing. Selections do not count in
+    /// [`CacheStats`].
+    pub(crate) fn rare_signals<E>(
+        &self,
+        key: DesignDigest,
+        compute: impl FnOnce() -> Result<Arc<[RareSignal]>, E>,
+    ) -> Result<(Arc<[RareSignal]>, bool), E> {
+        self.selections.get_or_compute(key, compute, |_| true)
     }
 
     /// Point-in-time statistics.
@@ -148,10 +218,10 @@ impl EvalCache {
 
     /// Number of stored metrics.
     pub fn len(&self) -> usize {
-        self.entries.load(Ordering::Relaxed)
+        self.metrics.len()
     }
 
-    /// `true` when nothing is stored.
+    /// `true` when no metric is stored.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }

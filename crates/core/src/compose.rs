@@ -18,7 +18,6 @@ use crate::metrics::{MetricProvenance, MetricSource, MetricValue, SecurityMetric
 use crate::threat::ThreatVector;
 use seceda_fia::{
     analyze_faults, duplicate_with_compare, parity_protect, FaultCampaign, InjectionModel,
-    ProtectedNetlist,
 };
 use seceda_lock::xor_lock;
 use seceda_netlist::{DesignDigest, DigestBuilder, Netlist, NetlistError};
@@ -26,7 +25,7 @@ use seceda_sca::{first_order_leaks, mask_netlist, ProbingModel};
 use seceda_sim::signal_probabilities;
 use seceda_testkit::chaos;
 use seceda_testkit::par::par_map_catch;
-use seceda_trojan::insert_rare_event_monitor;
+use seceda_trojan::{instrument, rare_signals, MonitoredNetlist, RareSignal};
 use std::sync::Arc;
 
 /// A design plus the interface semantics the evaluations need.
@@ -314,7 +313,9 @@ impl CompositionEngine {
             apply_span.attr("countermeasure", format!("{cm:?}"));
         }
         let had_baseline = !self.history.is_empty();
-        self.digest = None;
+        // the digest the last cached evaluation left, if the design has
+        // not changed since: the parent's, for the selection memo
+        let parent = self.digest.take();
         match cm {
             Countermeasure::Masking => {
                 let masked = mask_netlist(&self.dut.netlist);
@@ -341,13 +342,7 @@ impl CompositionEngine {
                 self.dut.probing_model = None;
             }
             Countermeasure::TrojanMonitor => {
-                let monitored = insert_rare_event_monitor(
-                    &self.dut.netlist,
-                    1,
-                    usize::MAX,
-                    self.eval.rare_threshold,
-                    self.eval.seed ^ 4,
-                )?;
+                let monitored = self.monitor(parent)?;
                 self.dut.netlist = monitored.netlist;
                 self.dut.monitored = true;
             }
@@ -376,6 +371,36 @@ impl CompositionEngine {
         })
     }
 
+    /// Watches every rare net of the current design, one per group.
+    /// A cached engine takes the rare-signal selection from its
+    /// [`EvalCache`], keyed on `parent` (the current design's digest,
+    /// computed here only if no evaluation left one), the rarity
+    /// threshold and the seed.
+    fn monitor(&self, parent: Option<DesignDigest>) -> Result<MonitoredNetlist, NetlistError> {
+        let nl = &self.dut.netlist;
+        let (threshold, seed) = (self.eval.rare_threshold, self.eval.seed ^ 4);
+        let select = || rare_signals(nl, threshold, seed).map(Arc::from);
+        let rare: Arc<[RareSignal]> = match &self.cache {
+            None => select()?,
+            Some(cache) => {
+                let mut key = DigestBuilder::new();
+                key.absorb(SELECTION_TAG);
+                key.absorb_digest(parent.unwrap_or_else(|| DesignDigest::of(nl)));
+                key.absorb(threshold.to_bits());
+                key.absorb(seed);
+                let (rare, hit) = cache.rare_signals(key.finish(), select)?;
+                let counter = if hit {
+                    "compose.select_hits"
+                } else {
+                    "compose.select_misses"
+                };
+                seceda_trace::counter(counter, 1);
+                rare
+            }
+        };
+        Ok(instrument(nl, &rare, 1, usize::MAX))
+    }
+
     /// Restores the design to `snapshot` (taken with
     /// [`design`](Self::design)`.clone()` before the most recent
     /// [`apply`](Self::apply)) and pops the countermeasure log.
@@ -390,6 +415,10 @@ impl CompositionEngine {
         self.applied.pop()
     }
 }
+
+/// Domain tag of the rare-signal selection keys, which live in their
+/// own map of the [`EvalCache`].
+const SELECTION_TAG: u64 = 0x5E1E_C7ED_5167_7A15;
 
 /// Derives the cache key for one threat evaluator on the current design:
 /// a digest over *exactly* the state that evaluator reads, so equal keys
@@ -499,16 +528,12 @@ fn eval_fault_injection(
     dut: &DesignUnderTest,
     eval: &SecurityEvaluation,
 ) -> Result<MetricValue, NetlistError> {
-    let protected = ProtectedNetlist {
-        netlist: dut.netlist.clone(),
-        alarm_index: dut.alarm_index,
-    };
     let campaign = FaultCampaign {
         model: InjectionModel::RandomGate,
         shots: eval.fia_shots,
         seed: eval.seed,
     };
-    let analysis = analyze_faults(&protected, &campaign, 4, eval.seed ^ 1)?;
+    let analysis = analyze_faults(&dut.netlist, dut.alarm_index, &campaign, 4, eval.seed ^ 1)?;
     let coverage = if analysis.detected + analysis.silent == 0 {
         // nothing corrupted anything — treat as covered only when an
         // alarm exists; an unprotected design earns no credit

@@ -14,7 +14,7 @@ use seceda_dft::{
 };
 use seceda_fia::{
     analyze_faults, duplicate_with_compare, infective_transform, FaultCampaign, FaultVerdict,
-    InjectionModel, ProtectedNetlist,
+    InjectionModel,
 };
 use seceda_hls::{
     add_metering, asap, estimate_leakage_bits, flush_plan, self_authentication_fill,
@@ -115,18 +115,15 @@ pub fn table1() -> Table {
                 )
             }
             ThreatVector::FaultInjection => {
-                let bare = ProtectedNetlist {
-                    netlist: majority(),
-                    alarm_index: None,
-                };
                 let campaign = FaultCampaign {
                     model: InjectionModel::RandomGate,
                     shots: 60,
                     seed: 3,
                 };
-                let unprot = analyze_faults(&bare, &campaign, 6, 4).expect("analysis");
+                let unprot = analyze_faults(&majority(), None, &campaign, 6, 4).expect("analysis");
                 let dwc = duplicate_with_compare(&majority());
-                let prot = analyze_faults(&dwc, &campaign, 6, 4).expect("analysis");
+                let prot = analyze_faults(&dwc.netlist, dwc.alarm_index, &campaign, 6, 4)
+                    .expect("analysis");
                 format!(
                     "detection coverage: {:.0}% bare vs {:.0}% with duplication",
                     unprot.detection_coverage * 100.0,
@@ -211,7 +208,7 @@ fn hls_cells() -> Vec<String> {
         shots: 60,
         seed: 5,
     };
-    let a = analyze_faults(&inf, &campaign, 6, 6).expect("analysis");
+    let a = analyze_faults(&inf.netlist, inf.alarm_index, &campaign, 6, 6).expect("analysis");
     let fia = format!(
         "infective architecture: {:.0}% of corrupting faults detected/scrambled",
         a.detection_coverage * 100.0
@@ -281,16 +278,12 @@ fn logic_synth_cells() -> Vec<String> {
     );
 
     // FIA: automatic fault analysis
-    let bare = ProtectedNetlist {
-        netlist: c17(),
-        alarm_index: None,
-    };
     let campaign = FaultCampaign {
         model: InjectionModel::RandomGate,
         shots: 60,
         seed: 9,
     };
-    let a = analyze_faults(&bare, &campaign, 6, 10).expect("analysis");
+    let a = analyze_faults(&c17(), None, &campaign, 6, 10).expect("analysis");
     let fia = format!(
         "automatic fault analysis: {} masked / {} silent corruptions on c17",
         a.masked, a.silent
@@ -490,11 +483,7 @@ fn timing_power_cells() -> Vec<String> {
         shots: 10,
         seed: 22,
     };
-    let bare = ProtectedNetlist {
-        netlist: host,
-        alarm_index: None,
-    };
-    let a = analyze_faults(&bare, &campaign, 8, 23).expect("analysis");
+    let a = analyze_faults(&host, None, &campaign, 8, 23).expect("analysis");
     let fia = format!(
         "clock-glitch model on critical paths: {} corrupting events",
         a.silent + a.detected

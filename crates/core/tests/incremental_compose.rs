@@ -37,7 +37,8 @@ fn random_countermeasure(rng: &mut StdRng) -> Countermeasure {
 }
 
 /// Drives a cached engine and a full-recompute engine through the same
-/// random schedule, asserting identical reports at every step.
+/// random schedule, asserting identical reports and designs at every
+/// step.
 fn differential(design: Netlist, seed: u64, steps: usize) {
     let eval = SecurityEvaluation {
         fia_shots: 20,
@@ -64,6 +65,17 @@ fn differential(design: Netlist, seed: u64, steps: usize) {
             "seed {seed:#x} step {step} ({cm:?}): reports diverged"
         );
         assert_eq!(oc.regressions, of.regressions, "seed {seed:#x} step {step}");
+        // a memoized monitor selection must build the very same design
+        assert_eq!(
+            cached.design(),
+            full.design(),
+            "seed {seed:#x} step {step} ({cm:?}): designs diverged"
+        );
+        assert_eq!(
+            write_bench(&cached.design().netlist),
+            write_bench(&full.design().netlist),
+            "seed {seed:#x} step {step} ({cm:?}): netlist text diverged"
+        );
     }
     assert_eq!(cached.history().len(), full.history().len());
 }

@@ -2,8 +2,7 @@
 //! (possibly protected) netlist.
 
 use crate::campaign::FaultCampaign;
-use crate::codes::ProtectedNetlist;
-use seceda_netlist::NetlistError;
+use seceda_netlist::{Netlist, NetlistError};
 use seceda_sim::{Fault, FaultSim, Lane256, SimWord};
 use seceda_testkit::rng::{Rng, SeedableRng, StdRng};
 
@@ -35,8 +34,9 @@ impl FaultAnalysis {
     }
 }
 
-/// Runs `campaign` against a protected netlist: every shot is simulated
-/// under `stimuli_per_shot` random input vectors and classified.
+/// Runs `campaign` against a (possibly protected) netlist whose output
+/// `alarm_index`, if any, is its alarm: every shot is simulated under
+/// `stimuli_per_shot` random input vectors and classified.
 ///
 /// The stimuli are drawn shot by shot from `seed`. Every (shot,
 /// stimulus) pair takes one lane of a [`Lane256`] word — pair *i* =
@@ -54,12 +54,12 @@ impl FaultAnalysis {
 ///
 /// Propagates simulator errors.
 pub fn analyze_faults(
-    protected: &ProtectedNetlist,
+    nl: &Netlist,
+    alarm_index: Option<usize>,
     campaign: &FaultCampaign,
     stimuli_per_shot: usize,
     seed: u64,
 ) -> Result<FaultAnalysis, NetlistError> {
-    let nl = &protected.netlist;
     let sim = FaultSim::new(nl)?;
     let shots = campaign.generate(nl);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -106,7 +106,7 @@ pub fn analyze_faults(
         let mut corrupted = Lane256::ZERO;
         let mut alarm = Lane256::ZERO;
         for (o, (&g, &b)) in good.iter().zip(&bad).enumerate() {
-            if Some(o) == protected.alarm_index {
+            if Some(o) == alarm_index {
                 debug_assert_eq!(g & mask, Lane256::ZERO, "golden run must not alarm");
                 alarm = b & mask;
             } else {
@@ -251,7 +251,8 @@ mod tests {
                 seed: seed ^ 0x51,
             };
             assert_eq!(
-                analyze_faults(p, &campaign, n, seed + 7).expect("analysis"),
+                analyze_faults(&p.netlist, p.alarm_index, &campaign, n, seed + 7)
+                    .expect("analysis"),
                 reference_analysis(p, &campaign, n, seed + 7),
                 "{case}, {model:?}, {shots} shots, {n} stimuli per shot"
             );
@@ -345,17 +346,12 @@ mod tests {
 
     #[test]
     fn unprotected_circuit_suffers_silent_corruption() {
-        let nl = c17();
-        let bare = ProtectedNetlist {
-            netlist: nl,
-            alarm_index: None,
-        };
         let campaign = FaultCampaign {
             model: InjectionModel::Random,
             shots: 50,
             seed: 1,
         };
-        let a = analyze_faults(&bare, &campaign, 8, 2).expect("analysis");
+        let a = analyze_faults(&c17(), None, &campaign, 8, 2).expect("analysis");
         assert!(a.silent > 0, "bare logic must show silent corruption");
         assert!(a.detection_coverage < 1.0);
     }
@@ -368,7 +364,7 @@ mod tests {
             shots: 120,
             seed: 3,
         };
-        let a = analyze_faults(&p, &campaign, 8, 4).expect("analysis");
+        let a = analyze_faults(&p.netlist, p.alarm_index, &campaign, 8, 4).expect("analysis");
         assert_eq!(
             a.silent, 0,
             "single logic faults cannot silently corrupt a DWC design: {a:?}"
@@ -392,7 +388,7 @@ mod tests {
                 shots: 1,
                 seed: 5,
             };
-            let a = analyze_faults(&p, &campaign, 8, 6).expect("analysis");
+            let a = analyze_faults(&p.netlist, p.alarm_index, &campaign, 8, 6).expect("analysis");
             assert_eq!(a.silent, 0, "copy fault at gate {gi} must be masked");
             assert_eq!(a.detected, 0, "TMR has no alarm");
         }
@@ -409,7 +405,7 @@ mod tests {
             shots: 200,
             seed: 7,
         };
-        let a = analyze_faults(&p, &campaign, 4, 8).expect("analysis");
+        let a = analyze_faults(&p.netlist, p.alarm_index, &campaign, 4, 8).expect("analysis");
         // we only assert the analysis runs and classifies everything
         assert_eq!(a.total(), 200 * 4);
     }

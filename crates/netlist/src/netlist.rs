@@ -4,6 +4,7 @@ use crate::cell::{CellKind, Gate, GateTags, InputList};
 use crate::error::NetlistError;
 use crate::id::{GateId, NetId};
 use crate::symbol::{Symbol, SymbolTable};
+use std::sync::Arc;
 
 /// A single-bit signal.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,7 +68,8 @@ impl Fanout {
 #[derive(Debug, Clone)]
 pub struct Netlist {
     name: String,
-    symbols: SymbolTable,
+    /// Shared by clones until one of them interns a new name.
+    symbols: Arc<SymbolTable>,
     nets: Vec<Net>,
     gates: Vec<Gate>,
     inputs: Vec<NetId>,
@@ -109,7 +111,7 @@ impl Netlist {
     pub fn new(name: impl Into<String>) -> Self {
         Netlist {
             name: name.into(),
-            symbols: SymbolTable::new(),
+            symbols: Arc::default(),
             nets: Vec::new(),
             gates: Vec::new(),
             inputs: Vec::new(),
@@ -141,9 +143,14 @@ impl Netlist {
         &self.symbols
     }
 
-    /// Interns `name` in this netlist's symbol table.
+    /// Interns `name` in this netlist's symbol table. Clones share the
+    /// table until one of them interns a name it does not hold yet;
+    /// that one then copies it.
     pub fn intern(&mut self, name: &str) -> Symbol {
-        self.symbols.intern(name)
+        match self.symbols.lookup(name) {
+            Some(sym) => sym,
+            None => Arc::make_mut(&mut self.symbols).intern(name),
+        }
     }
 
     /// The name of `net`, if it has one.
@@ -173,7 +180,7 @@ impl Netlist {
     /// Adds a fresh named net (undriven) and returns its id.
     pub fn add_named_net(&mut self, name: impl Into<String>) -> NetId {
         let id = self.add_net();
-        let sym = self.symbols.intern(&name.into());
+        let sym = self.intern(&name.into());
         self.nets[id.index()].name = Some(sym);
         id
     }
@@ -184,7 +191,7 @@ impl Netlist {
     ///
     /// Panics if `net` is out of range.
     pub fn set_net_name(&mut self, net: NetId, name: &str) {
-        let sym = self.symbols.intern(name);
+        let sym = self.intern(name);
         self.nets[net.index()].name = Some(sym);
     }
 
@@ -870,6 +877,26 @@ mod tests {
         let s2 = nl2.intern("shared");
         assert_eq!(s1, s2);
         assert_eq!(nl2.symbols().len(), 1);
+    }
+
+    #[test]
+    fn interning_on_a_clone_leaves_the_original_unchanged() {
+        let mut nl = Netlist::new("n");
+        let a = nl.add_input("a");
+        let x = nl.add_gate(CellKind::Not, &[a]);
+        nl.set_net_name(x, "inv_a");
+        let mut copy = nl.clone();
+        // a name both already hold resolves without copying the table
+        assert_eq!(copy.intern("a"), nl.symbols().lookup("a").expect("a"));
+        let y = copy.add_named_net("fresh");
+        copy.set_net_name(x, "renamed");
+        assert_eq!(nl.symbols().len(), 2);
+        assert_eq!(nl.symbols().lookup("fresh"), None);
+        assert_eq!(nl.net_name(a), Some("a"));
+        assert_eq!(nl.net_name(x), Some("inv_a"));
+        assert_eq!(copy.symbols().len(), 4);
+        assert_eq!(copy.net_name(y), Some("fresh"));
+        assert_eq!(copy.net_name(x), Some("renamed"));
     }
 
     #[test]

@@ -30,4 +30,6 @@ pub use fingerprint::{fingerprint_detect, DelayFingerprint, FingerprintConfig};
 pub use iddq::{iddq_detect, IddqConfig, IddqReport};
 pub use insert::{insert_trojan, PayloadKind, TrojanConfig, TrojanedNetlist};
 pub use mero::{generate_mero_tests, trigger_coverage, MeroConfig, MeroTestSet};
-pub use monitor::{insert_rare_event_monitor, MonitoredNetlist};
+pub use monitor::{
+    insert_rare_event_monitor, instrument, rare_signals, MonitoredNetlist, RareSignal,
+};

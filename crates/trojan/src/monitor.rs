@@ -19,6 +19,18 @@ pub struct MonitoredNetlist {
     pub watched: Vec<Vec<(NetId, bool)>>,
 }
 
+/// A rare net: the polarity it rarely takes, and how rarely
+/// (`min(p, 1 - p)` of its estimated signal probability `p`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RareSignal {
+    /// The gate output net.
+    pub net: NetId,
+    /// The polarity the net rarely takes.
+    pub rare_value: bool,
+    /// How rarely it takes it, in `[0, 0.5]`.
+    pub rarity: f64,
+}
+
 /// Inserts a monitor that watches conjunctions of `width` rare signals.
 /// Up to `max_groups` disjoint groups of the rarest signals are formed;
 /// the alarm fires when any whole group is at its rare polarity.
@@ -26,6 +38,8 @@ pub struct MonitoredNetlist {
 /// If no signal is rarer than the threshold there is nothing for a
 /// rare-trigger Trojan to hide behind; the monitor degenerates to a
 /// constant-low alarm.
+///
+/// This is [`rare_signals`] followed by [`instrument`].
 ///
 /// # Errors
 ///
@@ -37,40 +51,75 @@ pub fn insert_rare_event_monitor(
     rare_threshold: f64,
     seed: u64,
 ) -> Result<MonitoredNetlist, NetlistError> {
+    let rare = rare_signals(nl, rare_threshold, seed)?;
+    Ok(instrument(nl, &rare, width, max_groups))
+}
+
+/// The gate outputs whose estimated signal probability (64 rounds of
+/// random stimuli from `seed`) lies within `rare_threshold` of 0 or 1,
+/// rarest first (ties keep gate order).
+///
+/// The selection reads only the gate layout and input count, and names
+/// nets by index, so it is a pure function of
+/// `seceda_netlist::DesignDigest`, `rare_threshold` and `seed`.
+///
+/// # Errors
+///
+/// Returns an error if the netlist is cyclic.
+pub fn rare_signals(
+    nl: &Netlist,
+    rare_threshold: f64,
+    seed: u64,
+) -> Result<Vec<RareSignal>, NetlistError> {
     let probs = signal_probabilities(nl, 64, seed)?;
-    let mut rare: Vec<(NetId, bool, f64)> = nl
+    let mut rare: Vec<RareSignal> = nl
         .gates()
         .iter()
-        .map(|g| g.output)
-        .map(|n| {
-            let p = probs[n.index()];
-            (n, p < 0.5, p.min(1.0 - p))
+        .map(|g| {
+            let p = probs[g.output.index()];
+            RareSignal {
+                net: g.output,
+                rare_value: p < 0.5,
+                rarity: p.min(1.0 - p),
+            }
         })
-        .filter(|&(_, _, r)| r <= rare_threshold)
+        .filter(|s| s.rarity <= rare_threshold)
         .collect();
-    rare.sort_by(|a, b| a.2.partial_cmp(&b.2).unwrap_or(std::cmp::Ordering::Equal));
+    rare.sort_by(|a, b| {
+        a.rarity
+            .partial_cmp(&b.rarity)
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    Ok(rare)
+}
 
+/// Instruments a copy of `nl` with a `trojan_alarm` output that fires
+/// when any of up to `max_groups` consecutive `width`-groups of `rare`
+/// is wholly at its rare polarity; with no rare signal the alarm is
+/// constant low.
+pub fn instrument(
+    nl: &Netlist,
+    rare: &[RareSignal],
+    width: usize,
+    max_groups: usize,
+) -> MonitoredNetlist {
     let mut instrumented = nl.clone();
-    if rare.is_empty() {
-        let tags = GateTags {
-            monitor: true,
-            ..GateTags::default()
-        };
-        let quiet = instrumented.add_gate_tagged(CellKind::Const0, &[], tags);
-        instrumented.mark_output(quiet, "trojan_alarm");
-        return Ok(MonitoredNetlist {
-            netlist: instrumented,
-            watched: Vec::new(),
-        });
-    }
     let tags = GateTags {
         monitor: true,
         ..GateTags::default()
     };
+    if rare.is_empty() {
+        let quiet = instrumented.add_gate_tagged(CellKind::Const0, &[], tags);
+        instrumented.mark_output(quiet, "trojan_alarm");
+        return MonitoredNetlist {
+            netlist: instrumented,
+            watched: Vec::new(),
+        };
+    }
     let mut watched = Vec::new();
     let mut group_alarms: Vec<NetId> = Vec::new();
     for group in rare.chunks(width).take(max_groups) {
-        let members: Vec<(NetId, bool)> = group.iter().map(|&(n, v, _)| (n, v)).collect();
+        let members: Vec<(NetId, bool)> = group.iter().map(|s| (s.net, s.rare_value)).collect();
         let lits: Vec<NetId> = members
             .iter()
             .map(|&(n, v)| {
@@ -95,10 +144,10 @@ pub fn insert_rare_event_monitor(
         instrumented.add_gate_tagged(CellKind::Or, &group_alarms, tags)
     };
     instrumented.mark_output(alarm, "trojan_alarm");
-    Ok(MonitoredNetlist {
+    MonitoredNetlist {
         netlist: instrumented,
         watched,
-    })
+    }
 }
 
 #[cfg(test)]

@@ -63,12 +63,16 @@ cargo test -q --release --offline -p seceda-verif --test lowering_oracle -- --ig
 # Every reported number must be independent of the worker count: the
 # attack (with its rebuild-per-iteration differential), composition,
 # simulation (packed fault grading and signal probabilities fan out
-# with par), ATPG (its incremental grading fans out the same way) and
-# parallel-map suites run again with one worker and with eight,
-# whatever this host's core count.
-echo "==> worker-count independence: lock/core/sim/dft/testkit at 1 and 8 threads"
-SECEDA_THREADS=1 cargo test -q --offline -p seceda-lock -p seceda-core -p seceda-sim -p seceda-dft -p seceda-testkit
-SECEDA_THREADS=8 cargo test -q --offline -p seceda-lock -p seceda-core -p seceda-sim -p seceda-dft -p seceda-testkit
+# with par), ATPG (its incremental grading fans out the same way),
+# Trojan (rare-signal selection runs signal probabilities), fault
+# injection (its campaigns are serial today; pinned so a later
+# fan-out is held to the same rule) and parallel-map suites run again
+# with one worker and with eight, whatever this host's core count.
+echo "==> worker-count independence: lock/core/sim/dft/trojan/fia/testkit at 1 and 8 threads"
+for threads in 1 8; do
+    SECEDA_THREADS=$threads cargo test -q --offline -p seceda-lock -p seceda-core \
+        -p seceda-sim -p seceda-dft -p seceda-trojan -p seceda-fia -p seceda-testkit
+done
 
 # The chaos suite runs once per pinned seed with the harness
 # ambient-armed: every injection decision is a pure function of
