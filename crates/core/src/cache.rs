@@ -12,13 +12,16 @@
 //! cache-correctness argument of DESIGN.md §3.
 //!
 //! The cache holds a second map beside the metrics: the rare-signal
-//! selections of the `TrojanMonitor` countermeasure
-//! (`seceda_trojan::rare_signals`, 64 rounds of signal-probability
-//! simulation), stored as `Arc<[RareSignal]>`. Its key is a digest of a
-//! domain tag, the parent design's digest, the rarity threshold's bits
-//! and the selection seed. The selection reads only the gate layout and
-//! the input count and names nets by index, so this key is complete
-//! too. Selection lookups are traced as `compose.select_hits` /
+//! selection of each design state (`seceda_trojan::rare_signals`, 64
+//! rounds of signal-probability simulation), stored as
+//! `Arc<[RareSignal]>`. It serves both readers of that one estimate:
+//! the Trojan evaluator counts it and the `TrojanMonitor`
+//! countermeasure watches it, so whichever reaches a state first
+//! computes it for the other. Its key is a digest of a domain tag, the
+//! design's digest, the rarity threshold's bits and the selection
+//! seed. The selection reads only the gate layout and the input count
+//! and names nets by index, so this key is complete too. Selection
+//! lookups are traced as `compose.select_hits` /
 //! `compose.select_misses` and do not count in [`CacheStats`], which
 //! stays about threat metrics.
 //!
@@ -143,9 +146,9 @@ impl<K: Eq + Hash, V: Clone> Slots<K, V> {
     }
 }
 
-/// The per-threat metrics and the rare-signal selections of
-/// `TrojanMonitor`, each a map with one lock per key, shared across
-/// engines via `Arc`.
+/// The per-threat metrics and the rare-signal selections that the
+/// Trojan evaluator and `TrojanMonitor` share, each a map with one lock
+/// per key, shared across engines via `Arc`.
 pub struct EvalCache {
     metrics: Slots<CacheKey, SecurityMetric>,
     selections: Slots<DesignDigest, Arc<[RareSignal]>>,
@@ -194,8 +197,8 @@ impl EvalCache {
     }
 
     /// Returns the rare-signal selection stored under `key` (the
-    /// engine's selection key: parent design digest, rarity threshold
-    /// and seed), or computes and publishes it, as
+    /// engine's selection key: design digest, rarity threshold and
+    /// seed), or computes and publishes it, as
     /// [`get_or_compute`](Self::get_or_compute) does for metrics. An
     /// error or a panic publishes nothing. Selections do not count in
     /// [`CacheStats`].

@@ -20,12 +20,16 @@
 //! lock inside [`EvalCache`] guarantees each distinct evaluation is
 //! computed exactly once even when many sessions reach the same state
 //! simultaneously.
+//!
+//! A countermeasure pass that panics is rolled back like a regressing
+//! step, recorded with the panic's message.
 
 use crate::cache::{CacheStats, EvalCache};
 use crate::compose::{CompositionEngine, Countermeasure, DesignUnderTest, SecurityEvaluation};
 use crate::metrics::SecurityReport;
 use seceda_netlist::NetlistError;
-use seceda_testkit::par::par_map;
+use seceda_testkit::par::{panic_message, par_map};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// One closure session: a design plus the countermeasure schedule to
@@ -82,8 +86,9 @@ pub struct SessionOutcome {
     pub label: String,
     /// Countermeasures that survived (applied and not rolled back).
     pub applied: Vec<Countermeasure>,
-    /// Steps that regressed a metric and were rolled back, with the
-    /// names of the regressed metrics.
+    /// Steps that were rolled back, with the names of the metrics they
+    /// regressed, or with the message of the panic that aborted the
+    /// countermeasure pass.
     pub rolled_back: Vec<(Countermeasure, Vec<String>)>,
     /// The final verification report.
     pub final_report: SecurityReport,
@@ -182,14 +187,26 @@ fn run_session(
     let mut rolled_back = Vec::new();
     for &cm in &session.schedule {
         let snapshot = engine.design().clone();
-        let outcome = engine.apply(cm)?;
-        if config.rollback_regressions && !outcome.regressions.is_empty() {
-            engine.revert_last(snapshot);
-            // re-verify the restored state; with a shared cache this is
-            // served from the pre-apply keys
-            engine.evaluate("after rollback")?;
-            rolled_back.push((cm, outcome.regressions));
-        }
+        let reasons = match catch_unwind(AssertUnwindSafe(|| engine.apply(cm))) {
+            Ok(outcome) => {
+                let regressions = outcome?.regressions;
+                if !config.rollback_regressions || regressions.is_empty() {
+                    continue;
+                }
+                engine.revert_last(snapshot);
+                regressions
+            }
+            Err(payload) => {
+                // the pass panicked before `apply` logged `cm`
+                engine.restore(snapshot);
+                let message = panic_message(payload.as_ref());
+                vec![format!("countermeasure panicked: {message}")]
+            }
+        };
+        // re-verify the restored state; with a shared cache this is
+        // served from the pre-apply keys
+        engine.evaluate("after rollback")?;
+        rolled_back.push((cm, reasons));
     }
     let final_report = engine.evaluate("closure verify")?.clone();
     sp.attr("evaluations", engine.history().len());
@@ -297,6 +314,50 @@ mod tests {
                 "{name}: {:?}",
                 s.final_report
             );
+        }
+    }
+
+    #[test]
+    fn a_panicking_countermeasure_is_rolled_back() {
+        use seceda_testkit::chaos;
+        use Countermeasure::{DuplicationCompare, Masking, ParityCheck, TrojanMonitor, XorLock};
+        // AND(a, b) into XOR(·, c): under both seeds a par worker of
+        // TrojanMonitor's rare-signal selection panics
+        let mut nl = Netlist::new("and_xor");
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let c = nl.add_input("c");
+        let ab = nl.add_gate(CellKind::And, &[a, b]);
+        let y = nl.add_gate(CellKind::Xor, &[ab, c]);
+        nl.mark_output(y, "y");
+        let schedule = vec![
+            Masking,
+            ParityCheck,
+            DuplicationCompare,
+            XorLock(8),
+            TrojanMonitor,
+        ];
+        let mk = || {
+            let dut = DesignUnderTest::new(nl.clone());
+            vec![ClosureSession::new("chaotic", dut, schedule.clone())]
+        };
+        let config = ClosureConfig::default();
+        for seed in [7, 0xDEAD_BEEF] {
+            chaos::with_seed(seed, || {
+                let cached = run_closure(mk(), &config).expect("cached closure completes");
+                let full = run_closure_full(mk(), &config).expect("full closure completes");
+                let (c, f) = (&cached.sessions[0], &full.sessions[0]);
+                assert_eq!(c.final_report.metrics, f.final_report.metrics, "{seed:#x}");
+                assert_eq!(c.applied, f.applied, "{seed:#x}");
+                assert_eq!(c.rolled_back, f.rolled_back, "{seed:#x}");
+                assert!(!c.applied.contains(&TrojanMonitor), "{seed:#x}");
+                let (cm, reasons) = c.rolled_back.last().expect("the monitor rolled back");
+                assert_eq!(*cm, TrojanMonitor, "{seed:#x}");
+                assert!(
+                    reasons[0].starts_with("countermeasure panicked: chaos:"),
+                    "{seed:#x}: {reasons:?}"
+                );
+            });
         }
     }
 

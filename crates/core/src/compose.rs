@@ -22,10 +22,9 @@ use seceda_fia::{
 use seceda_lock::xor_lock;
 use seceda_netlist::{DesignDigest, DigestBuilder, Netlist, NetlistError};
 use seceda_sca::{first_order_leaks, mask_netlist, ProbingModel};
-use seceda_sim::signal_probabilities;
 use seceda_testkit::chaos;
 use seceda_testkit::par::par_map_catch;
-use seceda_trojan::{instrument, rare_signals, MonitoredNetlist, RareSignal};
+use seceda_trojan::{instrument, rare_signals, RareSignal};
 use std::sync::Arc;
 
 /// A design plus the interface semantics the evaluations need.
@@ -226,7 +225,7 @@ impl CompositionEngine {
                     ThreatVector::SideChannel => eval_side_channel(dut, eval),
                     ThreatVector::FaultInjection => eval_fault_injection(dut, eval)?,
                     ThreatVector::Piracy => eval_piracy(dut, eval),
-                    ThreatVector::Trojan => eval_trojan(dut, eval)?,
+                    ThreatVector::Trojan => eval_trojan(dut, eval, cache, digest)?,
                 };
                 Ok(SecurityMetric::new(name, threat, value))
             };
@@ -342,8 +341,10 @@ impl CompositionEngine {
                 self.dut.probing_model = None;
             }
             Countermeasure::TrojanMonitor => {
-                let monitored = self.monitor(parent)?;
-                self.dut.netlist = monitored.netlist;
+                // watch each rare net the Trojan metric counts
+                let nl = &self.dut.netlist;
+                let rare = selection(nl, &self.eval, self.cache.as_deref(), parent)?;
+                self.dut.netlist = instrument(nl, &rare, 1, usize::MAX).netlist;
                 self.dut.monitored = true;
             }
         }
@@ -371,36 +372,6 @@ impl CompositionEngine {
         })
     }
 
-    /// Watches every rare net of the current design, one per group.
-    /// A cached engine takes the rare-signal selection from its
-    /// [`EvalCache`], keyed on `parent` (the current design's digest,
-    /// computed here only if no evaluation left one), the rarity
-    /// threshold and the seed.
-    fn monitor(&self, parent: Option<DesignDigest>) -> Result<MonitoredNetlist, NetlistError> {
-        let nl = &self.dut.netlist;
-        let (threshold, seed) = (self.eval.rare_threshold, self.eval.seed ^ 4);
-        let select = || rare_signals(nl, threshold, seed).map(Arc::from);
-        let rare: Arc<[RareSignal]> = match &self.cache {
-            None => select()?,
-            Some(cache) => {
-                let mut key = DigestBuilder::new();
-                key.absorb(SELECTION_TAG);
-                key.absorb_digest(parent.unwrap_or_else(|| DesignDigest::of(nl)));
-                key.absorb(threshold.to_bits());
-                key.absorb(seed);
-                let (rare, hit) = cache.rare_signals(key.finish(), select)?;
-                let counter = if hit {
-                    "compose.select_hits"
-                } else {
-                    "compose.select_misses"
-                };
-                seceda_trace::counter(counter, 1);
-                rare
-            }
-        };
-        Ok(instrument(nl, &rare, 1, usize::MAX))
-    }
-
     /// Restores the design to `snapshot` (taken with
     /// [`design`](Self::design)`.clone()` before the most recent
     /// [`apply`](Self::apply)) and pops the countermeasure log.
@@ -410,15 +381,50 @@ impl CompositionEngine {
     /// re-evaluation hits the pre-apply keys instead of recomputing.
     /// Returns the countermeasure that was rolled back.
     pub fn revert_last(&mut self, snapshot: DesignUnderTest) -> Option<Countermeasure> {
+        self.restore(snapshot);
+        self.applied.pop()
+    }
+
+    /// Restores the design to `snapshot`, keeping the countermeasure
+    /// log (an [`apply`](Self::apply) that panicked logged nothing).
+    pub(crate) fn restore(&mut self, snapshot: DesignUnderTest) {
         self.dut = snapshot;
         self.digest = None; // recomputed on the next cached evaluation
-        self.applied.pop()
     }
 }
 
 /// Domain tag of the rare-signal selection keys, which live in their
 /// own map of the [`EvalCache`].
 const SELECTION_TAG: u64 = 0x5E1E_C7ED_5167_7A15;
+
+/// A design state's one rarity estimate, which the Trojan metric counts
+/// and `TrojanMonitor` watches; a cache memoizes it under a domain tag,
+/// `digest` (computed here if `None`), the threshold and the seed.
+fn selection(
+    nl: &Netlist,
+    eval: &SecurityEvaluation,
+    cache: Option<&EvalCache>,
+    digest: Option<DesignDigest>,
+) -> Result<Arc<[RareSignal]>, NetlistError> {
+    let (threshold, seed) = (eval.rare_threshold, eval.seed ^ 4);
+    let select = || rare_signals(nl, 64, threshold, seed).map(Arc::from);
+    let Some(cache) = cache else {
+        return select();
+    };
+    let mut key = DigestBuilder::new();
+    key.absorb(SELECTION_TAG);
+    key.absorb_digest(digest.unwrap_or_else(|| DesignDigest::of(nl)));
+    key.absorb(threshold.to_bits());
+    key.absorb(seed);
+    let (rare, hit) = cache.rare_signals(key.finish(), select)?;
+    let counter = if hit {
+        "compose.select_hits"
+    } else {
+        "compose.select_misses"
+    };
+    seceda_trace::counter(counter, 1);
+    Ok(rare)
+}
 
 /// Derives the cache key for one threat evaluator on the current design:
 /// a digest over *exactly* the state that evaluator reads, so equal keys
@@ -432,7 +438,7 @@ const SELECTION_TAG: u64 = 0x5E1E_C7ED_5167_7A15;
 /// * fault-injection: design digest, alarm index, shots, seed;
 /// * piracy: key bits only — no structural dependency at all;
 /// * trojan, monitored: constant; unmonitored: design digest, rarity
-///   threshold, seed.
+///   threshold, seed (its selection, shared with `TrojanMonitor`).
 ///
 /// Thresholds land in the produced [`SecurityMetric`], so each branch
 /// also absorbs the thresholds it reports against.
@@ -559,25 +565,21 @@ fn eval_piracy(dut: &DesignUnderTest, eval: &SecurityEvaluation) -> MetricValue 
     }
 }
 
-/// Trojans: unmonitored rare-net surface. A monitored design reports
-/// zero surface without being simulated, as its cache key says.
+/// Trojans: unmonitored rare-net surface, the [`selection`] nets that
+/// toggle at all (as for `seceda_trojan::insert_trojan`). A monitored
+/// design reports zero surface without being simulated.
 fn eval_trojan(
     dut: &DesignUnderTest,
     eval: &SecurityEvaluation,
+    cache: Option<&EvalCache>,
+    digest: Option<DesignDigest>,
 ) -> Result<MetricValue, NetlistError> {
     let unmonitored = if dut.monitored {
         0
     } else {
-        let probs = signal_probabilities(&dut.netlist, 32, eval.seed ^ 2)?;
-        // nets that never toggle (empirical rarity 0) cannot fire a
-        // functional trigger and are excluded, matching the insertion
-        // model in `seceda-trojan`
-        dut.netlist
-            .gates()
+        selection(&dut.netlist, eval, cache, digest)?
             .iter()
-            .map(|g| probs[g.output.index()])
-            .map(|p| p.min(1.0 - p))
-            .filter(|&r| r > 0.0 && r <= eval.rare_threshold)
+            .filter(|s| s.rarity > 0.0)
             .count()
     };
     Ok(MetricValue::LowerBetter {
@@ -756,7 +758,7 @@ mod tests {
             dut.monitored = monitored;
             let (value, events) = seceda_trace::session(|| {
                 let _probe = seceda_trace::span("test.trojan_probe");
-                eval_trojan(&dut, &SecurityEvaluation::default()).expect("eval")
+                eval_trojan(&dut, &SecurityEvaluation::default(), None, None).expect("eval")
             });
             assert!(value.passes());
             let spans = seceda_trace::Summary::of(&events).spans;

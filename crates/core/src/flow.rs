@@ -13,9 +13,9 @@ use crate::threat::ThreatVector;
 use seceda_dft::generate_tests;
 use seceda_layout::{place, route, timing_report, PlacementConfig, RouteConfig};
 use seceda_netlist::{Netlist, NetlistError, NetlistStats};
-use seceda_sim::signal_probabilities;
 use seceda_sim::{fault::stuck_at_universe, FaultSim};
 use seceda_synth::{optimize, reassociate, SynthesisMode};
+use seceda_trojan::rare_signals;
 use seceda_verif::{check_equivalence, EquivResult};
 
 /// Results of one flow stage.
@@ -274,15 +274,7 @@ pub fn run_secure_flow(nl: &Netlist) -> Result<FlowReport, NetlistError> {
     let placement = place(&synthesized, &PlacementConfig::default());
     let routed = route(&synthesized, &placement, &RouteConfig::default());
     let timing = timing_report(&synthesized, &routed);
-    let probs = signal_probabilities(&synthesized, 32, 11)?;
-    let rare = synthesized
-        .gates()
-        .iter()
-        .filter(|g| {
-            let p = probs[g.output.index()];
-            p.min(1.0 - p) <= 0.05
-        })
-        .count();
+    let rare = rare_signals(&synthesized, 32, 0.05, 11)?.len();
     // reported for awareness; unmonitored designs have no universal
     // rare-net threshold, so the metric never pass/fail-gates the flow
     security.metrics.push(SecurityMetric::new(

@@ -1,8 +1,8 @@
-//! The `TrojanMonitor` rare-signal selection memo in `EvalCache`: each
-//! distinct (parent design, threshold, seed) selection is simulated
-//! once per cache, at any worker count, a failed selection publishes
-//! nothing, and a memoized selection builds the same design as an
-//! uncached engine.
+//! The rare-signal selection memo in `EvalCache`, shared by the Trojan
+//! evaluation and `TrojanMonitor`: each distinct (design, threshold,
+//! seed) selection is simulated once per cache, at any worker count, a
+//! failed selection publishes nothing, and a memoized selection builds
+//! the same design as an uncached engine.
 //!
 //! Every test runs its whole body inside one `seceda_trace::session`,
 //! so the tests of this file serialize and each reads only its own
@@ -74,10 +74,11 @@ fn sessions_sharing_states_select_each_state_once() {
                     assert_eq!(c.applied, f.applied);
                     assert_eq!(c.rolled_back, f.rolled_back);
                 }
-                // two distinct parents: the root and the state after
-                // the first monitor and the lock
+                // two distinct states: the root and the state after
+                // the first monitor and the lock; the root's one Trojan
+                // evaluation and the six monitors look them up
                 assert_eq!(misses, 2, "{workers} workers");
-                assert_eq!(hits + misses, 6, "{workers} workers");
+                assert_eq!(hits + misses, 7, "{workers} workers");
             });
         }
     });
@@ -90,10 +91,10 @@ fn a_panicking_selection_publishes_nothing() {
     let cached_engine =
         || CompositionEngine::with_cache(DesignUnderTest::new(nl.clone()), eval(), cache.clone());
     seceda_trace::session(|| {
+        // an engine that has not evaluated yet: no Trojan evaluation
+        // published the selection, so the selection's signal-probability
+        // run is the only par work in this apply
         let mut engine = cached_engine();
-        engine.evaluate("baseline").expect("eval");
-        // the evaluation left the parent digest, so the selection's
-        // signal-probability run is the only par work in this apply
         let panicked = chaos::with_forced("par.worker", None, || {
             catch_unwind(AssertUnwindSafe(|| {
                 engine.apply(Countermeasure::TrojanMonitor)
@@ -107,11 +108,12 @@ fn a_panicking_selection_publishes_nothing() {
         // the lookup never returned, so it traced nothing
         assert_eq!(selections(&seceda_trace::drain()), (0, 0));
 
-        // a fresh engine over the same cache selects again
+        // a fresh engine over the same cache selects again: its Trojan
+        // evaluation misses, and its monitor reads what that published
         let mut fresh = cached_engine();
         fresh.evaluate("baseline").expect("eval");
         let oc = fresh.apply(Countermeasure::TrojanMonitor).expect("apply");
-        assert_eq!(selections(&seceda_trace::drain()), (0, 1));
+        assert_eq!(selections(&seceda_trace::drain()), (1, 1));
 
         let mut full = CompositionEngine::new(DesignUnderTest::new(nl.clone()), eval());
         full.evaluate("baseline").expect("eval");

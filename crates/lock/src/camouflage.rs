@@ -7,7 +7,7 @@
 //! "key" bits; de-camouflaging is then exactly the oracle-guided SAT
 //! attack of [`crate::sat_attack`](mod@crate::sat_attack).
 
-use crate::locking::LockedNetlist;
+use crate::locking::{first_free_key, LockedNetlist};
 use crate::sat_attack::{sat_attack, SatAttackResult};
 use seceda_netlist::{CellKind, GateTags, Netlist, NetlistError};
 use seceda_testkit::rng::{Rng, SeedableRng, StdRng};
@@ -65,7 +65,8 @@ pub fn camouflage(nl: &Netlist, count: usize, seed: u64) -> CamouflagedNetlist {
         map[pi.index()] = Some(view.add_input(name));
     }
     // key inputs appended after functional inputs, two per cell
-    let key_inputs: Vec<_> = (0..2 * chosen.len())
+    let first_key = first_free_key(&view);
+    let key_inputs: Vec<_> = (first_key..first_key + 2 * chosen.len())
         .map(|i| view.add_input(format!("key{i}")))
         .collect();
     let mut correct_key = vec![false; 2 * chosen.len()];

@@ -6,7 +6,8 @@ use seceda_testkit::rng::{Rng, SeedableRng, StdRng};
 /// A locked netlist together with its secret.
 ///
 /// The locked netlist's primary inputs are the original inputs followed
-/// by the key inputs (`key0, key1, ...`).
+/// by the key inputs (`key0, key1, ...`, numbered on after the key
+/// inputs of an earlier lock).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LockedNetlist {
     /// The locked design.
@@ -59,6 +60,14 @@ fn transitive_fanout(nl: &Netlist, start: NetId) -> std::collections::HashSet<us
     seen
 }
 
+/// The first `i` whose name `key{i}` `nl` does not use: a lock stacked
+/// on a locked design numbers its key inputs on from there.
+pub(crate) fn first_free_key(nl: &Netlist) -> usize {
+    (0..)
+        .take_while(|i| nl.symbols().lookup(&format!("key{i}")).is_some())
+        .count()
+}
+
 fn key_tags() -> GateTags {
     GateTags {
         key_gate: true,
@@ -83,7 +92,8 @@ pub fn xor_lock(nl: &Netlist, key_bits: usize, seed: u64) -> LockedNetlist {
     // candidate nets: gate outputs of the original design
     let candidates: Vec<NetId> = nl.gates().iter().map(|g| g.output).collect();
     let mut correct_key = Vec::with_capacity(key_bits);
-    for i in 0..key_bits {
+    let first_key = first_free_key(&locked);
+    for i in first_key..first_key + key_bits {
         let key_in = locked.add_input(format!("key{i}"));
         let target = candidates[rng.gen_range(0..candidates.len())];
         let bit: bool = rng.gen();
@@ -113,7 +123,8 @@ pub fn mux_lock(nl: &Netlist, key_bits: usize, seed: u64) -> LockedNetlist {
     let mut rng = StdRng::seed_from_u64(seed);
     let candidates: Vec<NetId> = nl.gates().iter().map(|g| g.output).collect();
     let mut correct_key = Vec::with_capacity(key_bits);
-    for i in 0..key_bits {
+    let first_key = first_free_key(&locked);
+    for i in first_key..first_key + key_bits {
         let key_in = locked.add_input(format!("key{i}"));
         let ti = rng.gen_range(0..candidates.len());
         let target = candidates[ti];
@@ -202,7 +213,8 @@ pub fn sfll_hd0(nl: &Netlist, protected_pattern: &[bool]) -> LockedNetlist {
     };
 
     // restore: flip outputs when x == key
-    let key_inputs: Vec<NetId> = (0..num_original_inputs)
+    let first_key = first_free_key(&locked);
+    let key_inputs: Vec<NetId> = (first_key..first_key + num_original_inputs)
         .map(|i| locked.add_input(format!("key{i}")))
         .collect();
     let x_word = Word::new(original_inputs);
@@ -228,7 +240,7 @@ pub fn sfll_hd0(nl: &Netlist, protected_pattern: &[bool]) -> LockedNetlist {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seceda_netlist::c17;
+    use seceda_netlist::{c17, parse_bench, write_bench};
     use seceda_testkit::rng::{Rng, SeedableRng, StdRng};
 
     fn exhaustive_inputs(n: usize) -> impl Iterator<Item = Vec<bool>> {
@@ -327,5 +339,21 @@ mod tests {
             .filter(|g| g.tags.key_gate)
             .count();
         assert_eq!(tagged, 3);
+    }
+
+    #[test]
+    fn stacked_locks_get_distinct_key_names() {
+        let once = xor_lock(&c17(), 4, 1);
+        let twice = xor_lock(&once.netlist, 2, 2);
+        let ports = |nl: &Netlist| -> Vec<String> {
+            nl.inputs().iter().map(|&i| nl.net_label(i)).collect()
+        };
+        let keys = ports(&twice.netlist).split_off(5);
+        assert_eq!(keys, ["key0", "key1", "key2", "key3", "key4", "key5"]);
+        // a `.bench` round trip renames no port and changes no line
+        let text = write_bench(&twice.netlist);
+        let reparsed = parse_bench(&text).expect("parse");
+        assert_eq!(ports(&reparsed), ports(&twice.netlist));
+        assert_eq!(write_bench(&reparsed), text);
     }
 }

@@ -9,13 +9,6 @@
 
 use seceda_testkit::rng::{Rng, SeedableRng, StdRng};
 
-fn gaussian(rng: &mut StdRng, sigma: f64) -> f64 {
-    // Box–Muller
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    sigma * (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-}
-
 /// Arbiter PUF instance parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArbiterPufConfig {
@@ -53,7 +46,7 @@ impl ArbiterPuf {
     pub fn manufacture(config: &ArbiterPufConfig, chip_seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(chip_seed);
         let weights = (0..=config.stages)
-            .map(|_| gaussian(&mut rng, config.variation_sigma))
+            .map(|_| config.variation_sigma * rng.gen_normal())
             .collect();
         ArbiterPuf {
             weights,
@@ -91,7 +84,7 @@ impl ArbiterPuf {
 
     /// Evaluates the PUF response with fresh thermal noise.
     pub fn respond(&mut self, challenge: &[bool]) -> bool {
-        let noise = gaussian(&mut self.noise_rng, self.noise_sigma);
+        let noise = self.noise_sigma * self.noise_rng.gen_normal();
         self.delay_difference(challenge) + noise > 0.0
     }
 

@@ -2,12 +2,6 @@
 
 use seceda_testkit::rng::{Rng, SeedableRng, StdRng};
 
-fn gaussian(rng: &mut StdRng, sigma: f64) -> f64 {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    sigma * (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-}
-
 /// RO PUF parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoPufConfig {
@@ -46,7 +40,7 @@ impl RoPuf {
     pub fn manufacture(config: &RoPufConfig, chip_seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(chip_seed);
         let frequencies = (0..config.num_oscillators)
-            .map(|_| config.nominal_frequency + gaussian(&mut rng, config.variation_sigma))
+            .map(|_| config.nominal_frequency + config.variation_sigma * rng.gen_normal())
             .collect();
         RoPuf {
             frequencies,
@@ -64,9 +58,9 @@ impl RoPuf {
     pub fn read(&mut self) -> Vec<bool> {
         (0..self.response_bits())
             .map(|i| {
-                let fa = self.frequencies[2 * i] + gaussian(&mut self.noise_rng, self.noise_sigma);
+                let fa = self.frequencies[2 * i] + self.noise_sigma * self.noise_rng.gen_normal();
                 let fb =
-                    self.frequencies[2 * i + 1] + gaussian(&mut self.noise_rng, self.noise_sigma);
+                    self.frequencies[2 * i + 1] + self.noise_sigma * self.noise_rng.gen_normal();
                 fa > fb
             })
             .collect()

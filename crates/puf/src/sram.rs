@@ -6,12 +6,6 @@
 
 use seceda_testkit::rng::{Rng, SeedableRng, StdRng};
 
-fn gaussian(rng: &mut StdRng, sigma: f64) -> f64 {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    sigma * (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-}
-
 /// SRAM PUF parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SramPufConfig {
@@ -46,7 +40,7 @@ impl SramPuf {
     pub fn manufacture(config: &SramPufConfig, chip_seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(chip_seed);
         let mismatch = (0..config.cells)
-            .map(|_| gaussian(&mut rng, config.mismatch_sigma))
+            .map(|_| config.mismatch_sigma * rng.gen_normal())
             .collect();
         SramPuf {
             mismatch,
@@ -60,7 +54,7 @@ impl SramPuf {
         let sigma = self.noise_sigma;
         let mut values = Vec::with_capacity(self.mismatch.len());
         for &m in &self.mismatch {
-            values.push(m + gaussian(&mut self.noise_rng, sigma) > 0.0);
+            values.push(m + sigma * self.noise_rng.gen_normal() > 0.0);
         }
         values
     }

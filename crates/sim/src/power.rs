@@ -8,42 +8,8 @@
 //! of nets that toggled between consecutive states). Both are supported;
 //! HD is the default because it models CMOS switching.
 
-use rand_distr_normal::Normal;
 use seceda_netlist::Netlist;
-use seceda_testkit::rng::{SeedableRng, StdRng};
-
-/// Minimal internal normal sampler (Box–Muller) so we do not need the
-/// `rand_distr` crate.
-mod rand_distr_normal {
-    use seceda_testkit::rng::Rng;
-
-    /// Normal distribution via the Box–Muller transform.
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    pub struct Normal {
-        mean: f64,
-        std_dev: f64,
-    }
-
-    impl Normal {
-        /// Creates a normal distribution.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `std_dev` is negative.
-        pub fn new(mean: f64, std_dev: f64) -> Self {
-            assert!(std_dev >= 0.0, "negative standard deviation");
-            Normal { mean, std_dev }
-        }
-
-        /// Draws one sample.
-        pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-            let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-            let u2: f64 = rng.gen_range(0.0..1.0);
-            let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-            self.mean + self.std_dev * z
-        }
-    }
-}
+use seceda_testkit::rng::{Rng, SeedableRng, StdRng};
 
 /// Which leakage model maps net values to a power sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -102,7 +68,7 @@ impl Default for NoiseModel {
 #[derive(Debug, Clone)]
 pub struct TraceRecorder {
     model: PowerModel,
-    noise: Normal,
+    sigma: f64,
     rng: StdRng,
     prev: Option<Vec<bool>>,
     /// Per-net capacitance weight (default 1.0 per net).
@@ -111,10 +77,15 @@ pub struct TraceRecorder {
 
 impl TraceRecorder {
     /// Creates a recorder for `nl` with unit net weights.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `noise.sigma` is negative.
     pub fn new(nl: &Netlist, model: PowerModel, noise: NoiseModel) -> Self {
+        assert!(noise.sigma >= 0.0, "negative standard deviation");
         TraceRecorder {
             model,
-            noise: Normal::new(0.0, noise.sigma),
+            sigma: noise.sigma,
             rng: StdRng::seed_from_u64(noise.seed),
             prev: None,
             weights: vec![1.0; nl.num_nets()],
@@ -163,7 +134,7 @@ impl TraceRecorder {
             },
         };
         self.prev = Some(net_values.to_vec());
-        raw + self.noise.sample(&mut self.rng)
+        raw + self.sigma * self.rng.gen_normal()
     }
 
     /// Records a full trace: one sample per cycle of `net_values_seq`.

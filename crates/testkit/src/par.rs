@@ -201,8 +201,9 @@ impl std::fmt::Display for WorkerPanic {
 
 impl std::error::Error for WorkerPanic {}
 
-/// Renders a caught panic payload to text.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// Renders a caught panic payload to text (`&str` / `String` payloads;
+/// anything else becomes a placeholder).
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

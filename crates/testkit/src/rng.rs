@@ -14,7 +14,8 @@
 //! * [`SeedableRng::seed_from_u64`] — the only seeding entry point;
 //! * [`Rng::gen`] for `bool` and the integer types via [`FromRng`];
 //! * [`Rng::gen_range`] over half-open and inclusive integer/float ranges;
-//! * [`Rng::gen_bool`], [`Rng::fill`], and [`Rng::shuffle`].
+//! * [`Rng::gen_bool`], [`Rng::fill`], and [`Rng::shuffle`];
+//! * [`Rng::gen_normal`], the workspace's one Gaussian sampler.
 //!
 //! ```
 //! use seceda_testkit::rng::{Rng, SeedableRng, StdRng};
@@ -287,6 +288,15 @@ pub trait Rng: RngCore {
             "gen_bool probability {p} not in [0, 1]"
         );
         f64::from_rng(self) < p
+    }
+
+    /// Draws a standard normal value (Box–Muller: `u1` in `[ε, 1)`, then
+    /// `u2` in `[0, 1)`); scale it for other normals.
+    #[inline]
+    fn gen_normal(&mut self) -> f64 {
+        let u1: f64 = self.gen_range(f64::EPSILON..1.0);
+        let u2: f64 = self.gen_range(0.0..1.0);
+        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
 
     /// Overwrites every element of `dest` with a fresh uniform draw.

@@ -1,7 +1,7 @@
 //! Rare-trigger Trojan insertion.
 
+use crate::monitor::{rare_signals, RareSignal};
 use seceda_netlist::{CellKind, GateTags, NetId, Netlist};
-use seceda_sim::signal_probabilities;
 use seceda_testkit::rng::{Rng, SeedableRng, StdRng};
 
 /// What the Trojan does when its trigger fires.
@@ -75,8 +75,9 @@ impl TrojanedNetlist {
 
 /// Inserts a rare-trigger Trojan into a combinational netlist.
 ///
-/// Trigger nets are chosen among the rarest internal signals (signal
-/// probability within `rare_threshold` of 0 or 1), mutually distinct.
+/// Trigger nets are chosen among the rarest internal signals (the
+/// [`rare_signals`] of `prob_rounds` rounds that toggle at all),
+/// mutually distinct.
 ///
 /// # Errors
 ///
@@ -90,22 +91,11 @@ pub fn insert_trojan(
     nl: &Netlist,
     config: &TrojanConfig,
 ) -> Result<TrojanedNetlist, seceda_netlist::NetlistError> {
-    let probs = signal_probabilities(nl, config.prob_rounds, config.seed)?;
+    // rank the rare nets that toggle at all, rarest first
+    let mut rare = rare_signals(nl, config.prob_rounds, config.rare_threshold, config.seed)?;
+    rare.retain(|s| s.rarity > 0.0);
+    rare.sort_by(|a, b| a.rarity.total_cmp(&b.rarity));
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0xDEAD);
-    // rank driven internal nets by rarity
-    let mut rare: Vec<(NetId, bool, f64)> = nl
-        .gates()
-        .iter()
-        .map(|g| g.output)
-        .map(|n| {
-            let p = probs[n.index()];
-            // rare value: the polarity that occurs less often
-            let rare_value = p < 0.5;
-            (n, rare_value, p.min(1.0 - p))
-        })
-        .filter(|&(_, _, rarity)| rarity <= config.rare_threshold && rarity > 0.0)
-        .collect();
-    rare.sort_by(|a, b| a.2.partial_cmp(&b.2).unwrap_or(std::cmp::Ordering::Equal));
     assert!(
         rare.len() >= config.trigger_width,
         "only {} rare nets below threshold {}, need {}",
@@ -147,7 +137,12 @@ pub fn insert_trojan(
     };
     let mut trigger: Vec<(NetId, bool)> = Vec::new();
     let mut joint: Vec<u64> = vec![u64::MAX; rounds];
-    for &(n, v, _) in &rare {
+    for &RareSignal {
+        net: n,
+        rare_value: v,
+        ..
+    } in &rare
+    {
         if trigger.len() == config.trigger_width {
             break;
         }

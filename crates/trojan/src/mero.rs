@@ -6,8 +6,9 @@
 //! trigger conjunction. This module generates such an N-detect set by
 //! filtered random sampling and grades it against sampled triggers.
 
+use crate::monitor::rare_signals;
 use seceda_netlist::{NetId, Netlist, NetlistError};
-use seceda_sim::{pack_patterns, signal_probabilities, PackedSim};
+use seceda_sim::{pack_patterns, PackedSim};
 use seceda_testkit::rng::{Rng, SeedableRng, StdRng};
 
 /// MERO parameters.
@@ -68,14 +69,11 @@ impl MeroTestSet {
 ///
 /// Returns an error if the netlist is cyclic.
 pub fn generate_mero_tests(nl: &Netlist, config: &MeroConfig) -> Result<MeroTestSet, NetlistError> {
-    let probs = signal_probabilities(nl, config.prob_rounds, config.seed)?;
-    let rare_nodes: Vec<(NetId, bool)> = nl
-        .gates()
-        .iter()
-        .map(|g| g.output)
-        .filter(|n| probs[n.index()].min(1.0 - probs[n.index()]) <= config.rare_threshold)
-        .map(|n| (n, probs[n.index()] < 0.5))
-        .collect();
+    let rare_nodes: Vec<(NetId, bool)> =
+        rare_signals(nl, config.prob_rounds, config.rare_threshold, config.seed)?
+            .into_iter()
+            .map(|s| (s.net, s.rare_value))
+            .collect();
     let sim = PackedSim::new(nl)?;
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x1234);
     let mut activations = vec![0usize; rare_nodes.len()];

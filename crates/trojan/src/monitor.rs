@@ -39,7 +39,7 @@ pub struct RareSignal {
 /// rare-trigger Trojan to hide behind; the monitor degenerates to a
 /// constant-low alarm.
 ///
-/// This is [`rare_signals`] followed by [`instrument`].
+/// This is [`rare_signals`] over 64 rounds followed by [`instrument`].
 ///
 /// # Errors
 ///
@@ -51,28 +51,30 @@ pub fn insert_rare_event_monitor(
     rare_threshold: f64,
     seed: u64,
 ) -> Result<MonitoredNetlist, NetlistError> {
-    let rare = rare_signals(nl, rare_threshold, seed)?;
+    let rare = rare_signals(nl, 64, rare_threshold, seed)?;
     Ok(instrument(nl, &rare, width, max_groups))
 }
 
-/// The gate outputs whose estimated signal probability (64 rounds of
-/// random stimuli from `seed`) lies within `rare_threshold` of 0 or 1,
-/// rarest first (ties keep gate order).
+/// The one rare-net rule: every gate output whose signal probability
+/// `p`, estimated over `rounds` rounds of 64 random stimuli from
+/// `seed`, has `min(p, 1 - p) <= rare_threshold`, in gate order.
 ///
 /// The selection reads only the gate layout and input count, and names
 /// nets by index, so it is a pure function of
-/// `seceda_netlist::DesignDigest`, `rare_threshold` and `seed`.
+/// `seceda_netlist::DesignDigest`, `rounds`, `rare_threshold` and
+/// `seed`.
 ///
 /// # Errors
 ///
 /// Returns an error if the netlist is cyclic.
 pub fn rare_signals(
     nl: &Netlist,
+    rounds: usize,
     rare_threshold: f64,
     seed: u64,
 ) -> Result<Vec<RareSignal>, NetlistError> {
-    let probs = signal_probabilities(nl, 64, seed)?;
-    let mut rare: Vec<RareSignal> = nl
+    let probs = signal_probabilities(nl, rounds, seed)?;
+    Ok(nl
         .gates()
         .iter()
         .map(|g| {
@@ -84,31 +86,27 @@ pub fn rare_signals(
             }
         })
         .filter(|s| s.rarity <= rare_threshold)
-        .collect();
-    rare.sort_by(|a, b| {
-        a.rarity
-            .partial_cmp(&b.rarity)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    Ok(rare)
+        .collect())
 }
 
 /// Instruments a copy of `nl` with a `trojan_alarm` output that fires
-/// when any of up to `max_groups` consecutive `width`-groups of `rare`
-/// is wholly at its rare polarity; with no rare signal the alarm is
-/// constant low.
+/// when any of up to `max_groups` consecutive `width`-groups of `rare`,
+/// ranked rarest first (ties keep their order), is wholly at its rare
+/// polarity; with no rare signal the alarm is constant low.
 pub fn instrument(
     nl: &Netlist,
     rare: &[RareSignal],
     width: usize,
     max_groups: usize,
 ) -> MonitoredNetlist {
+    let mut ranked = rare.to_vec();
+    ranked.sort_by(|a, b| a.rarity.total_cmp(&b.rarity));
     let mut instrumented = nl.clone();
     let tags = GateTags {
         monitor: true,
         ..GateTags::default()
     };
-    if rare.is_empty() {
+    if ranked.is_empty() {
         let quiet = instrumented.add_gate_tagged(CellKind::Const0, &[], tags);
         instrumented.mark_output(quiet, "trojan_alarm");
         return MonitoredNetlist {
@@ -118,7 +116,7 @@ pub fn instrument(
     }
     let mut watched = Vec::new();
     let mut group_alarms: Vec<NetId> = Vec::new();
-    for group in rare.chunks(width).take(max_groups) {
+    for group in ranked.chunks(width).take(max_groups) {
         let members: Vec<(NetId, bool)> = group.iter().map(|s| (s.net, s.rare_value)).collect();
         let lits: Vec<NetId> = members
             .iter()

@@ -8,8 +8,9 @@
 
 use seceda_netlist::{c17, parse_design_path, NetlistStats};
 use seceda_sim::fault::stuck_at_universe;
-use seceda_sim::{signal_probabilities, FaultSim};
+use seceda_sim::FaultSim;
 use seceda_testkit::rng::{Rng, SeedableRng, StdRng};
+use seceda_trojan::rare_signals;
 
 fn main() {
     if let Err(e) = run() {
@@ -51,14 +52,10 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let undetected = detected.iter().filter(|&&d| !d).count();
     println!("undetected faults: {undetected}");
 
-    let probs = signal_probabilities(&nl, 8, 2)?;
-    let rare = probs
-        .iter()
-        .filter(|&&p| !(0.05..=0.95).contains(&p))
-        .count();
+    let rare = rare_signals(&nl, 8, 0.05, 2)?.len();
     println!(
         "signal probabilities: {rare} of {} nets are rare (p outside [0.05, 0.95]) — Trojan trigger candidates",
-        probs.len()
+        nl.num_nets()
     );
     Ok(())
 }

@@ -120,6 +120,14 @@ echo "==> composition-engine and quickstart examples (release)"
 cargo run -q --release --offline --example secure_composition > /dev/null
 cargo run -q --release --offline --example quickstart > /dev/null
 
+# The remaining walkthroughs: the supply-chain scenario (locking, split
+# manufacturing, Trojan insertion vs. MERO, scan attacks), fault
+# coverage with the rare-net count, and the Fig. 2 private circuit.
+echo "==> supply_chain, fault_coverage and private_circuit examples (release)"
+for example in supply_chain fault_coverage private_circuit; do
+    cargo run -q --release --offline --example "$example" > /dev/null
+done
+
 # Opt-in scale test: parse + analyze a 10^6-gate design end to end.
 if [ "${SECEDA_VERIFY_SCALE:-0}" != "0" ]; then
     echo "==> frontend scale smoke (10^6 gates, SECEDA_VERIFY_SCALE=1)"
