@@ -1,29 +1,26 @@
 //! The shared per-threat evaluation cache of the incremental
 //! composition engine.
 //!
-//! A [`CacheKey`] is a threat vector plus a 128-bit *dependency digest*
-//! covering everything the threat's evaluator reads: the whole-design
-//! digest (`seceda_netlist::DesignDigest`, over the entire gate layout
-//! and interface) when the evaluator reads the netlist, the interface
-//! state it reads, and the evaluation parameters. A key over the whole
-//! layout is complete by construction, and the evaluators are
-//! deterministic pure functions of exactly those inputs, so a key hit
-//! returns bit-identically what a fresh evaluation would compute — the
-//! cache-correctness argument of DESIGN.md §3.
+//! Every entry is keyed on the engine's *state key*: one 128-bit digest
+//! of the whole-design digest (`seceda_netlist::DesignDigest`, over the
+//! entire gate layout and interface), every interface field of the
+//! design under test and every evaluation parameter. A metric is stored
+//! under that key plus its threat vector. The evaluators are
+//! deterministic pure functions of a subset of those inputs, so a key
+//! hit returns bit-identically what a fresh evaluation would compute —
+//! the cache-correctness argument of DESIGN.md §3. The engine builds the
+//! key from both structs destructured field by field, so the key stays
+//! complete as fields are added.
 //!
 //! The cache holds a second map beside the metrics: the rare-signal
 //! selection of each design state (`seceda_trojan::rare_signals`, 64
 //! rounds of signal-probability simulation), stored as
-//! `Arc<[RareSignal]>`. It serves both readers of that one estimate:
-//! the Trojan evaluator counts it and the `TrojanMonitor`
-//! countermeasure watches it, so whichever reaches a state first
-//! computes it for the other. Its key is a digest of a domain tag, the
-//! design's digest, the rarity threshold's bits and the selection
-//! seed. The selection reads only the gate layout and the input count
-//! and names nets by index, so this key is complete too. Selection
-//! lookups are traced as `compose.select_hits` /
-//! `compose.select_misses` and do not count in [`CacheStats`], which
-//! stays about threat metrics.
+//! `Arc<[RareSignal]>` under the state key itself. It serves both
+//! readers of that one estimate: the Trojan evaluator counts it and the
+//! `TrojanMonitor` countermeasure watches it, so whichever reaches a
+//! state first computes it for the other. Selection lookups are traced
+//! as `compose.select_hits` / `compose.select_misses` and do not count
+//! in [`CacheStats`], which stays about threat metrics.
 //!
 //! Both maps are one private `Slots` type: each key owns one slot
 //! behind its own mutex. A lookup takes the map lock only to find or
@@ -58,15 +55,14 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// What one cached evaluation is keyed on.
+/// What one cached metric is keyed on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CacheKey {
+pub(crate) struct CacheKey {
     /// The threat vector whose evaluator produced the metric.
     pub threat: ThreatVector,
-    /// Dependency digest: the whole-design digest (for evaluators that
-    /// read the netlist), interface state and evaluation parameters, as
-    /// built by the engine's per-threat key derivation.
-    pub dep: [u64; 2],
+    /// The engine's state key: the whole-design digest, every interface
+    /// field of the design under test and every evaluation parameter.
+    pub dep: DesignDigest,
 }
 
 /// Point-in-time cache statistics.
@@ -178,7 +174,7 @@ impl EvalCache {
     /// # Errors
     ///
     /// Propagates `compute`'s error verbatim.
-    pub fn get_or_compute<E>(
+    pub(crate) fn get_or_compute<E>(
         &self,
         key: CacheKey,
         compute: impl FnOnce() -> Result<SecurityMetric, E>,
@@ -197,8 +193,7 @@ impl EvalCache {
     }
 
     /// Returns the rare-signal selection stored under `key` (the
-    /// engine's selection key: design digest, rarity threshold and
-    /// seed), or computes and publishes it, as
+    /// engine's state key), or computes and publishes it, as
     /// [`get_or_compute`](Self::get_or_compute) does for metrics. An
     /// error or a panic publishes nothing. Selections do not count in
     /// [`CacheStats`].
@@ -256,7 +251,7 @@ mod tests {
     fn key(x: u64) -> CacheKey {
         CacheKey {
             threat: ThreatVector::Piracy,
-            dep: [x, !x],
+            dep: DesignDigest([x, !x]),
         }
     }
 

@@ -124,9 +124,9 @@ pub struct CompositionEngine {
     history: Vec<SecurityReport>,
     applied: Vec<Countermeasure>,
     cache: Option<Arc<EvalCache>>,
-    /// Digest of the current design, computed on the first cached
+    /// [`state_key`] of the current state, computed on the first cached
     /// evaluation after each edit.
-    digest: Option<DesignDigest>,
+    key: Option<DesignDigest>,
 }
 
 impl CompositionEngine {
@@ -138,18 +138,19 @@ impl CompositionEngine {
             history: Vec::new(),
             applied: Vec::new(),
             cache: None,
-            digest: None,
+            key: None,
         }
     }
 
     /// Creates an engine whose threat evaluations are served through a
     /// shared [`EvalCache`].
     ///
-    /// Every cache key binds a digest of *exactly* what the
-    /// corresponding evaluator reads (whole-design digest, interface
-    /// state, thresholds, seeds), so a cache hit is bit-identical to a
-    /// recompute — the differential suite in
-    /// `tests/incremental_compose.rs` holds the engine to that contract.
+    /// Every cached evaluation is keyed on the whole state: the design
+    /// digest, every [`DesignUnderTest`] interface field and every
+    /// [`SecurityEvaluation`] field. The evaluators read nothing else,
+    /// so a cache hit is bit-identical to a recompute — the
+    /// differential suite in `tests/incremental_compose.rs` holds the
+    /// engine to that contract.
     pub fn with_cache(
         dut: DesignUnderTest,
         eval: SecurityEvaluation,
@@ -198,13 +199,13 @@ impl CompositionEngine {
         let mut eval_span = seceda_trace::span("compose.evaluate")
             .with("label", label)
             .with("gates", self.dut.netlist.num_gates());
-        if self.cache.is_some() && self.digest.is_none() {
-            self.digest = Some(DesignDigest::of(&self.dut.netlist));
+        if self.cache.is_some() && self.key.is_none() {
+            self.key = Some(state_key(&self.dut, &self.eval));
         }
         let dut = &self.dut;
         let eval = &self.eval;
         let cache = self.cache.as_deref();
-        let digest = self.digest;
+        let key = self.key;
         let results = par_map_catch(&ThreatVector::ALL, |i, &threat| {
             let (tag, name) = threat_metric(threat);
             let _threat_t = seceda_trace::hist_timer("compose.threat_ns");
@@ -225,14 +226,12 @@ impl CompositionEngine {
                     ThreatVector::SideChannel => eval_side_channel(dut, eval),
                     ThreatVector::FaultInjection => eval_fault_injection(dut, eval)?,
                     ThreatVector::Piracy => eval_piracy(dut, eval),
-                    ThreatVector::Trojan => eval_trojan(dut, eval, cache, digest)?,
+                    ThreatVector::Trojan => eval_trojan(dut, eval, cache, key)?,
                 };
                 Ok(SecurityMetric::new(name, threat, value))
             };
-            match (cache, digest) {
-                (Some(c), Some(d)) => {
-                    c.get_or_compute(threat_cache_key(threat, dut, eval, d), compute)
-                }
+            match (cache, key) {
+                (Some(c), Some(dep)) => c.get_or_compute(CacheKey { threat, dep }, compute),
                 _ => Ok((compute()?, false)),
             }
         });
@@ -312,9 +311,9 @@ impl CompositionEngine {
             apply_span.attr("countermeasure", format!("{cm:?}"));
         }
         let had_baseline = !self.history.is_empty();
-        // the digest the last cached evaluation left, if the design has
-        // not changed since: the parent's, for the selection memo
-        let parent = self.digest.take();
+        // the key the last cached evaluation left, if the state has not
+        // changed since: the parent's, for the selection memo
+        let parent = self.key.take();
         match cm {
             Countermeasure::Masking => {
                 let masked = mask_netlist(&self.dut.netlist);
@@ -342,9 +341,8 @@ impl CompositionEngine {
             }
             Countermeasure::TrojanMonitor => {
                 // watch each rare net the Trojan metric counts
-                let nl = &self.dut.netlist;
-                let rare = selection(nl, &self.eval, self.cache.as_deref(), parent)?;
-                self.dut.netlist = instrument(nl, &rare, 1, usize::MAX).netlist;
+                let rare = selection(&self.dut, &self.eval, self.cache.as_deref(), parent)?;
+                self.dut.netlist = instrument(&self.dut.netlist, &rare, 1, usize::MAX).netlist;
                 self.dut.monitored = true;
             }
         }
@@ -389,34 +387,26 @@ impl CompositionEngine {
     /// log (an [`apply`](Self::apply) that panicked logged nothing).
     pub(crate) fn restore(&mut self, snapshot: DesignUnderTest) {
         self.dut = snapshot;
-        self.digest = None; // recomputed on the next cached evaluation
+        self.key = None; // recomputed on the next cached evaluation
     }
 }
 
-/// Domain tag of the rare-signal selection keys, which live in their
-/// own map of the [`EvalCache`].
-const SELECTION_TAG: u64 = 0x5E1E_C7ED_5167_7A15;
-
 /// A design state's one rarity estimate, which the Trojan metric counts
-/// and `TrojanMonitor` watches; a cache memoizes it under a domain tag,
-/// `digest` (computed here if `None`), the threshold and the seed.
+/// and `TrojanMonitor` watches; a cache memoizes it under the state key
+/// (`key`, computed here if `None`).
 fn selection(
-    nl: &Netlist,
+    dut: &DesignUnderTest,
     eval: &SecurityEvaluation,
     cache: Option<&EvalCache>,
-    digest: Option<DesignDigest>,
+    key: Option<DesignDigest>,
 ) -> Result<Arc<[RareSignal]>, NetlistError> {
-    let (threshold, seed) = (eval.rare_threshold, eval.seed ^ 4);
-    let select = || rare_signals(nl, 64, threshold, seed).map(Arc::from);
+    let select =
+        || rare_signals(&dut.netlist, 64, eval.rare_threshold, eval.seed ^ 4).map(Arc::from);
     let Some(cache) = cache else {
         return select();
     };
-    let mut key = DigestBuilder::new();
-    key.absorb(SELECTION_TAG);
-    key.absorb_digest(digest.unwrap_or_else(|| DesignDigest::of(nl)));
-    key.absorb(threshold.to_bits());
-    key.absorb(seed);
-    let (rare, hit) = cache.rare_signals(key.finish(), select)?;
+    let key = key.unwrap_or_else(|| state_key(dut, eval));
+    let (rare, hit) = cache.rare_signals(key, select)?;
     let counter = if hit {
         "compose.select_hits"
     } else {
@@ -426,75 +416,53 @@ fn selection(
     Ok(rare)
 }
 
-/// Derives the cache key for one threat evaluator on the current design:
-/// a digest over *exactly* the state that evaluator reads, so equal keys
-/// imply bit-identical results.
-///
-/// Per-threat dependency sets (each must mirror its `eval_*` function —
-/// the differential suite enforces this):
-///
-/// * side-channel, masked: design digest + probing-model shape;
-///   unmasked: primary-input count only;
-/// * fault-injection: design digest, alarm index, shots, seed;
-/// * piracy: key bits only — no structural dependency at all;
-/// * trojan, monitored: constant; unmonitored: design digest, rarity
-///   threshold, seed (its selection, shared with `TrojanMonitor`).
-///
-/// Thresholds land in the produced [`SecurityMetric`], so each branch
-/// also absorbs the thresholds it reports against.
-fn threat_cache_key(
-    threat: ThreatVector,
-    dut: &DesignUnderTest,
-    eval: &SecurityEvaluation,
-    digest: DesignDigest,
-) -> CacheKey {
+/// The key of every cached evaluation of a design state: a digest of
+/// the whole design, every interface field and every evaluation
+/// parameter. Each evaluator is a deterministic function of these
+/// inputs, so equal keys imply bit-identical results. Both structs are
+/// destructured without `..`, so a field added to either fails to
+/// compile here until it is absorbed.
+fn state_key(dut: &DesignUnderTest, eval: &SecurityEvaluation) -> DesignDigest {
+    let DesignUnderTest {
+        netlist,
+        probing_model,
+        alarm_index,
+        key_bits,
+        monitored,
+    } = dut;
+    let SecurityEvaluation {
+        max_probing_leaks,
+        min_fault_coverage,
+        fia_shots,
+        min_key_bits,
+        max_unmonitored_rare_nets,
+        rare_threshold,
+        seed,
+    } = eval;
     let mut b = DigestBuilder::new();
-    match threat {
-        ThreatVector::SideChannel => {
-            b.absorb(eval.max_probing_leaks as u64);
-            match masked_model(dut) {
-                Some(model) => {
-                    b.absorb(1);
-                    b.absorb_digest(digest);
-                    b.absorb(model.num_secrets as u64);
-                    b.absorb(model.num_randoms as u64);
-                }
-                None => {
-                    b.absorb(0);
-                    b.absorb(dut.netlist.inputs().len() as u64);
-                }
-            }
+    b.absorb_digest(DesignDigest::of(netlist));
+    match probing_model {
+        Some(ProbingModel {
+            num_secrets,
+            num_randoms,
+        }) => {
+            b.absorb(1);
+            b.absorb(*num_secrets as u64);
+            b.absorb(*num_randoms as u64);
         }
-        ThreatVector::FaultInjection => {
-            b.absorb_digest(digest);
-            b.absorb(match dut.alarm_index {
-                Some(i) => i as u64 + 1,
-                None => 0,
-            });
-            b.absorb(eval.fia_shots as u64);
-            b.absorb(eval.seed);
-            b.absorb(eval.min_fault_coverage.to_bits());
-        }
-        ThreatVector::Piracy => {
-            b.absorb(dut.key_bits as u64);
-            b.absorb(eval.min_key_bits as u64);
-        }
-        ThreatVector::Trojan => {
-            b.absorb(eval.max_unmonitored_rare_nets as u64);
-            if dut.monitored {
-                b.absorb(1); // monitored designs report zero surface
-            } else {
-                b.absorb(0);
-                b.absorb_digest(digest);
-                b.absorb(eval.rare_threshold.to_bits());
-                b.absorb(eval.seed);
-            }
-        }
+        None => b.absorb(0),
     }
-    CacheKey {
-        threat,
-        dep: b.finish().0,
-    }
+    b.absorb(alarm_index.map_or(0, |i| i as u64 + 1));
+    b.absorb(*key_bits as u64);
+    b.absorb(u64::from(*monitored));
+    b.absorb(*max_probing_leaks as u64);
+    b.absorb(min_fault_coverage.to_bits());
+    b.absorb(*fia_shots as u64);
+    b.absorb(*min_key_bits as u64);
+    b.absorb(*max_unmonitored_rare_nets as u64);
+    b.absorb(rare_threshold.to_bits());
+    b.absorb(*seed);
+    b.finish()
 }
 
 /// The trace tag and report metric name of each threat's evaluation.
@@ -572,12 +540,12 @@ fn eval_trojan(
     dut: &DesignUnderTest,
     eval: &SecurityEvaluation,
     cache: Option<&EvalCache>,
-    digest: Option<DesignDigest>,
+    key: Option<DesignDigest>,
 ) -> Result<MetricValue, NetlistError> {
     let unmonitored = if dut.monitored {
         0
     } else {
-        selection(&dut.netlist, eval, cache, digest)?
+        selection(dut, eval, cache, key)?
             .iter()
             .filter(|s| s.rarity > 0.0)
             .count()
@@ -774,6 +742,76 @@ mod tests {
         };
         assert_eq!(traced_probability_runs(true), 0);
         assert_eq!(traced_probability_runs(false), 1);
+    }
+
+    #[test]
+    fn state_key_moves_with_every_input() {
+        let dut = and_gadget();
+        let eval = SecurityEvaluation::default();
+        let model = |num_secrets, num_randoms| {
+            Some(ProbingModel {
+                num_secrets,
+                num_randoms,
+            })
+        };
+        let with = |f: &dyn Fn(&mut DesignUnderTest)| {
+            let mut d = dut.clone();
+            f(&mut d);
+            state_key(&d, &eval)
+        };
+        let next_up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let tuned = |f: &dyn Fn(&mut SecurityEvaluation)| {
+            let mut e = eval;
+            f(&mut e);
+            state_key(&dut, &e)
+        };
+        let keys = [
+            ("base", state_key(&dut, &eval)),
+            ("netlist gate", {
+                let mut nl = Netlist::new("and");
+                let a = nl.add_input("a");
+                let b = nl.add_input("b");
+                let y = nl.add_gate(CellKind::Or, &[a, b]);
+                nl.mark_output(y, "y");
+                state_key(&DesignUnderTest::new(nl), &eval)
+            }),
+            ("probing_model", with(&|d| d.probing_model = model(1, 0))),
+            ("num_secrets", with(&|d| d.probing_model = model(2, 0))),
+            ("num_randoms", with(&|d| d.probing_model = model(1, 1))),
+            ("alarm_index", with(&|d| d.alarm_index = Some(0))),
+            ("alarm_index value", with(&|d| d.alarm_index = Some(1))),
+            ("key_bits", with(&|d| d.key_bits = 1)),
+            ("monitored", with(&|d| d.monitored = true)),
+            ("max_probing_leaks", tuned(&|e| e.max_probing_leaks += 1)),
+            (
+                "min_fault_coverage",
+                tuned(&|e| e.min_fault_coverage = next_up(e.min_fault_coverage)),
+            ),
+            ("fia_shots", tuned(&|e| e.fia_shots += 1)),
+            ("min_key_bits", tuned(&|e| e.min_key_bits += 1)),
+            (
+                "max_unmonitored_rare_nets",
+                tuned(&|e| e.max_unmonitored_rare_nets += 1),
+            ),
+            (
+                "rare_threshold",
+                tuned(&|e| e.rare_threshold = next_up(e.rare_threshold)),
+            ),
+            ("seed", tuned(&|e| e.seed ^= 1)),
+        ];
+        for (i, (a, ka)) in keys.iter().enumerate() {
+            for (b, kb) in &keys[i + 1..] {
+                assert_ne!(
+                    ka, kb,
+                    "changing {b} instead of {a} must move the state key"
+                );
+            }
+        }
+        assert_eq!(
+            keys[0].1,
+            state_key(&and_gadget(), &eval),
+            "the key is a pure function"
+        );
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!   design-under-test, re-evaluate all threats, detect cross-effects;
 //! * [`cache`] — the per-threat evaluation cache, one lock per key, that
 //!   makes the re-evaluate-everything loop affordable: results are keyed
-//!   on the whole-design digest plus exactly the other state each
-//!   evaluator reads, so a hit is bit-identical to a recompute;
+//!   on the whole state (design digest, interface fields, evaluation
+//!   parameters), so a hit is bit-identical to a recompute;
 //! * [`closure`] — the multi-session closure driver: many
 //!   countermeasure schedules evaluated concurrently over one shared
 //!   cache, with rollback of regressing steps;
@@ -41,7 +41,7 @@ pub mod metrics;
 pub mod report;
 pub mod threat;
 
-pub use cache::{CacheKey, CacheStats, EvalCache};
+pub use cache::{CacheStats, EvalCache};
 pub use closure::{
     run_closure, run_closure_full, ClosureConfig, ClosureReport, ClosureSession, SessionOutcome,
 };

@@ -9,6 +9,7 @@
 //! the gadget and the probing guarantee.
 
 use seceda_core::{run_classical_flow, run_secure_flow};
+use seceda_fia::duplicate_with_compare;
 use seceda_netlist::{CellKind, Netlist};
 use seceda_sca::{first_order_leaks, mask_netlist, ProbingModel};
 
@@ -62,6 +63,30 @@ fn secure_flow_preserves_probing_security() {
         "secure-flow report must pass: {:?}",
         report.security
     );
+}
+
+#[test]
+fn secure_flow_keeps_a_duplicated_masked_design_probing_secure() {
+    // duplication with comparison composes with masking share-wise; its
+    // copies must keep the gadget's barriers, or the secure flow
+    // re-associates them like the classical one
+    for last in [CellKind::And, CellKind::Xor] {
+        let mut nl = Netlist::new("and3");
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let c = nl.add_input("c");
+        let ab = nl.add_gate(CellKind::And, &[a, b]);
+        let y = nl.add_gate(last, &[ab, c]);
+        nl.mark_output(y, "y");
+        let masked = mask_netlist(&nl);
+        let model = ProbingModel::of(&masked);
+        let dwc = duplicate_with_compare(&masked.netlist);
+        let report = run_secure_flow(&dwc.netlist).expect("secure flow");
+        assert!(
+            first_order_leaks(&report.result, &model).is_empty(),
+            "masked-then-duplicated {last:?} design must stay first-order secure"
+        );
+    }
 }
 
 #[test]

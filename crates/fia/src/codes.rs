@@ -3,7 +3,9 @@
 //! All transforms tag the inserted logic with the `redundancy` marker so
 //! security-aware synthesis keeps it; classical CSE would merge the
 //! copies and silently void the protection (Sec. IV's composition
-//! cross-effect).
+//! cross-effect). Every copy of a gate also keeps that gate's own tags
+//! (key gates, monitors, masking barriers), so the countermeasures
+//! applied before a transform stay visible to the passes after it.
 
 use seceda_netlist::{CellKind, GateTags, NetId, Netlist};
 
@@ -26,10 +28,11 @@ fn redundancy_tags() -> GateTags {
     }
 }
 
-/// Copies the combinational cone of `nl` into `dst` with all gates
-/// tagged, reading the (already copied) primary inputs. Returns the new
+/// Copies the combinational cone of `nl` into `dst`, reading the
+/// (already copied) primary inputs. Each copy keeps its source gate's
+/// tags, plus the `redundancy` marker when `redundant`. Returns the new
 /// nets of the original outputs.
-fn clone_cone(nl: &Netlist, dst: &mut Netlist, input_map: &[NetId], tags: GateTags) -> Vec<NetId> {
+fn clone_cone(nl: &Netlist, dst: &mut Netlist, input_map: &[NetId], redundant: bool) -> Vec<NetId> {
     let order = nl.topo_order().expect("cyclic netlist");
     let mut map: Vec<Option<NetId>> = vec![None; nl.num_nets()];
     for (k, &pi) in nl.inputs().iter().enumerate() {
@@ -42,6 +45,10 @@ fn clone_cone(nl: &Netlist, dst: &mut Netlist, input_map: &[NetId], tags: GateTa
             .iter()
             .map(|&i| map[i.index()].expect("topological"))
             .collect();
+        let tags = GateTags {
+            redundancy: g.tags.redundancy || redundant,
+            ..g.tags
+        };
         let out = dst.add_gate_tagged(g.kind, &ins, tags);
         map[g.output.index()] = Some(out);
     }
@@ -77,8 +84,8 @@ pub fn duplicate_with_compare(nl: &Netlist) -> ProtectedNetlist {
         })
         .collect();
     let tags = redundancy_tags();
-    let copy_a = clone_cone(nl, &mut out, &inputs, tags);
-    let copy_b = clone_cone(nl, &mut out, &inputs, tags);
+    let copy_a = clone_cone(nl, &mut out, &inputs, true);
+    let copy_b = clone_cone(nl, &mut out, &inputs, true);
     for (k, (_, name)) in nl.outputs().iter().enumerate() {
         out.mark_output(copy_a[k], name.clone());
     }
@@ -118,7 +125,7 @@ pub fn triplicate_with_vote(nl: &Netlist) -> ProtectedNetlist {
         .collect();
     let tags = redundancy_tags();
     let copies: Vec<Vec<NetId>> = (0..3)
-        .map(|_| clone_cone(nl, &mut out, &inputs, tags))
+        .map(|_| clone_cone(nl, &mut out, &inputs, true))
         .collect();
     for (k, (_, name)) in nl.outputs().iter().enumerate() {
         let (a, b, c) = (copies[0][k], copies[1][k], copies[2][k]);
@@ -194,8 +201,8 @@ pub fn parity_protect(nl: &Netlist) -> ProtectedNetlist {
         })
         .collect();
     let tags = redundancy_tags();
-    let functional = clone_cone(nl, &mut out, &inputs, GateTags::default());
-    let predictor = clone_cone(nl, &mut out, &inputs, tags);
+    let functional = clone_cone(nl, &mut out, &inputs, false);
+    let predictor = clone_cone(nl, &mut out, &inputs, true);
     for (k, (_, name)) in nl.outputs().iter().enumerate() {
         out.mark_output(functional[k], name.clone());
     }
@@ -336,6 +343,51 @@ mod tests {
             let bad_off = faulty_outputs(&sim, &inputs_off, &[Fault::flip(victim)]);
             assert_ne!(bad[0], bad_off[0], "randomness must modulate the output");
         }
+    }
+
+    #[test]
+    fn copies_keep_the_tags_of_their_source_gates() {
+        // one key gate, one masking barrier and one monitor gate, as a
+        // lock, masking and a Trojan monitor leave them
+        let mut nl = Netlist::new("tagged");
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let k = nl.add_input("key0");
+        let tagged = |key_gate, no_reassoc, monitor| GateTags {
+            key_gate,
+            no_reassoc,
+            monitor,
+            ..GateTags::default()
+        };
+        let x = nl.add_gate_tagged(CellKind::Xor, &[a, k], tagged(true, false, false));
+        let y = nl.add_gate_tagged(CellKind::And, &[x, b], tagged(false, true, false));
+        let z = nl.add_gate_tagged(CellKind::Or, &[y, a], tagged(false, false, true));
+        nl.mark_output(y, "y");
+        nl.mark_output(z, "z");
+        let count = |nl: &Netlist| {
+            let n = |f: fn(&GateTags) -> bool| nl.gates().iter().filter(|g| f(&g.tags)).count();
+            (n(|t| t.key_gate), n(|t| t.no_reassoc), n(|t| t.monitor))
+        };
+        assert_eq!(count(&nl), (1, 1, 1));
+        for (scheme, protected, copies) in [
+            ("parity", parity_protect(&nl), 2),
+            ("dwc", duplicate_with_compare(&nl), 2),
+            ("tmr", triplicate_with_vote(&nl), 3),
+            ("infective", infective_transform(&nl), 2),
+        ] {
+            assert_eq!(
+                count(&protected.netlist),
+                (copies, copies, copies),
+                "{scheme} must copy key, barrier and monitor tags"
+            );
+        }
+        // the copies still carry the scheme's own marker
+        let p = parity_protect(&nl);
+        let predictor = &p.netlist.gates()[nl.num_gates()..2 * nl.num_gates()];
+        assert!(predictor.iter().all(|g| g.tags.redundancy));
+        assert!(p.netlist.gates()[..nl.num_gates()]
+            .iter()
+            .all(|g| !g.tags.redundancy));
     }
 
     #[test]

@@ -54,8 +54,8 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
 
     let rare = rare_signals(&nl, 8, 0.05, 2)?.len();
     println!(
-        "signal probabilities: {rare} of {} nets are rare (p outside [0.05, 0.95]) — Trojan trigger candidates",
-        nl.num_nets()
+        "signal probabilities: {rare} of {} gate outputs are rare (min(p, 1 − p) ≤ 0.05) — Trojan trigger candidates",
+        stats.num_gates
     );
     Ok(())
 }

@@ -107,25 +107,23 @@ for design in s27.bench c17.v; do
         --write-bench "${CARGO_TARGET_DIR:-target}/${design%.*}_cli.bench" > /dev/null
 done
 
-# The paper's artifacts: Tables I and II, the Fig. 2 series and the
-# Sec. IV step-metric sweeps, regenerated end to end.
-echo "==> paper-artifact examples smoke run (release)"
-cargo run -q --release --offline --example tables > /dev/null
-cargo run -q --release --offline --example sweeps > /dev/null
-
-# The engine demo asserts, with no argument, that the re-evaluation
-# catches the masking/parity conflict and that duplication with
-# comparison composes with masking; the quickstart drives both flows.
-echo "==> composition-engine and quickstart examples (release)"
-cargo run -q --release --offline --example secure_composition > /dev/null
-cargo run -q --release --offline --example quickstart > /dev/null
-
-# The remaining walkthroughs: the supply-chain scenario (locking, split
-# manufacturing, Trojan insertion vs. MERO, scan attacks), fault
-# coverage with the rare-net count, and the Fig. 2 private circuit.
-echo "==> supply_chain, fault_coverage and private_circuit examples (release)"
-for example in supply_chain fault_coverage private_circuit; do
-    cargo run -q --release --offline --example "$example" > /dev/null
+# The paper's artifacts (Tables I and II, the Fig. 2 series and the
+# Sec. IV step-metric sweeps), the engine demo (which also asserts that
+# the re-evaluation catches the masking/parity conflict and that
+# duplication with comparison composes with masking), the quickstart
+# over both flows, and the walkthroughs (the supply-chain scenario,
+# fault coverage with the rare-net count, the Fig. 2 private circuit)
+# print only measured, deterministic results at any worker count: each
+# one's stdout must equal its committed golden, examples/golden/<name>.txt.
+# After an intended change of a printed result, regenerate the golden
+# with `cargo run -q --release --offline --example <name> >
+# examples/golden/<name>.txt` and review the diff.
+echo "==> example outputs vs. examples/golden (release)"
+for example in tables sweeps quickstart secure_composition supply_chain \
+    fault_coverage private_circuit; do
+    out="${CARGO_TARGET_DIR:-target}/golden_$example.txt"
+    cargo run -q --release --offline --example "$example" > "$out"
+    diff -u "examples/golden/$example.txt" "$out"
 done
 
 # Opt-in scale test: parse + analyze a 10^6-gate design end to end.
