@@ -29,6 +29,7 @@ use seceda_puf::{
     collect_crps as puf_collect_crps, model_arbiter_puf, random_challenges, uniqueness, ArbiterPuf,
     ArbiterPufConfig,
 };
+use seceda_sat::Budget;
 use seceda_sca::{
     acquire_fixed_vs_random, cpa::cpa_attack_with_model, first_order_leaks, leaking_nets,
     mask_netlist, traces::acquire_cpa_traces, tvla, ProbingModel, TraceCampaign, TvlaResult,
@@ -402,7 +403,7 @@ fn validation_cells() -> Vec<String> {
 
     // FIA: formal validation of error detection
     let dwc = duplicate_with_compare(&majority());
-    let proof = prove_detection(&dwc).expect("prove");
+    let proof = prove_detection(&dwc, &Budget::unlimited()).expect("prove");
     let fia = format!(
         "error-detection property proven for {}/{} faults",
         proof.proven, proof.total

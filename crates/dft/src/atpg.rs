@@ -66,34 +66,18 @@ impl<'a> AtpgSolver<'a> {
         })
     }
 
-    /// Generates a test for a single fault; `None` means proven
-    /// untestable (by the AIG when the fault's cone folds away before
-    /// every output, by UNSAT otherwise).
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoding errors.
-    pub fn generate_test(&mut self, fault: Fault) -> Result<Option<Vec<bool>>, NetlistError> {
-        match self.generate_test_budgeted(fault, &Budget::unlimited())? {
-            FaultTestOutcome::Test(pattern) => Ok(Some(pattern)),
-            FaultTestOutcome::Untestable => Ok(None),
-            // unlimited budgets skip every budget check
-            FaultTestOutcome::Aborted(reason) => {
-                unreachable!("unbudgeted ATPG query aborted: {reason}")
-            }
-        }
-    }
-
-    /// Budgeted [`AtpgSolver::generate_test`]: the sensitization query
-    /// runs under `budget`, and exhaustion yields
-    /// [`FaultTestOutcome::Aborted`] instead of an answer. The aborted
+    /// Generates a test for a single fault under `budget`. The fault is
+    /// proven untestable by the AIG when its cone folds away before
+    /// every output, by UNSAT otherwise. Exhaustion yields
+    /// [`FaultTestOutcome::Aborted`] instead of an answer; the aborted
     /// fault's clause group is retired exactly like a decided one, so
     /// the engine continues to the next fault with a consistent solver.
+    /// Under [`Budget::unlimited`] no query aborts.
     ///
     /// # Errors
     ///
     /// Propagates encoding errors.
-    pub fn generate_test_budgeted(
+    pub fn generate_test(
         &mut self,
         fault: Fault,
         budget: &Budget,
@@ -151,12 +135,14 @@ pub fn generate_tests(
             continue;
         }
         sat_queries += 1;
-        match atpg.generate_test(f)? {
-            Some(pattern) => {
+        match atpg.generate_test(f, &Budget::unlimited())? {
+            FaultTestOutcome::Test(pattern) => {
                 sim.grade(std::slice::from_ref(&pattern), &faults, &mut detected);
                 patterns.push(pattern);
             }
-            None => untestable.push(f),
+            FaultTestOutcome::Untestable => untestable.push(f),
+            // an aborted fault stays undetected; unlimited, none aborts
+            FaultTestOutcome::Aborted(_) => {}
         }
     }
     let testable = faults.len() - untestable.len();
@@ -187,9 +173,9 @@ mod tests {
     use seceda_netlist::{c17, CellKind};
 
     /// The fresh-solver reference for incremental ATPG: one new
-    /// [`AtpgSolver`] per fault; `None` means proven untestable.
-    fn generate_test_for(nl: &Netlist, fault: Fault) -> Result<Option<Vec<bool>>, NetlistError> {
-        AtpgSolver::new(nl)?.generate_test(fault)
+    /// [`AtpgSolver`] per fault, unlimited.
+    fn generate_test_for(nl: &Netlist, fault: Fault) -> Result<FaultTestOutcome, NetlistError> {
+        AtpgSolver::new(nl)?.generate_test(fault, &Budget::unlimited())
     }
 
     #[test]
@@ -236,7 +222,9 @@ mod tests {
         let sim = FaultSim::new(&nl).expect("sim");
         let mut atpg = AtpgSolver::new(&nl).expect("encode");
         for &f in &faults {
-            if let Some(pattern) = atpg.generate_test(f).expect("query") {
+            if let FaultTestOutcome::Test(pattern) =
+                atpg.generate_test(f, &Budget::unlimited()).expect("query")
+            {
                 let (detected, _) = sim.coverage(&[pattern], &[f]);
                 assert_eq!(detected, [true], "SAT pattern must detect {f:?}");
             }
@@ -251,9 +239,13 @@ mod tests {
         let faults = stuck_at_universe(&nl);
         let mut atpg = AtpgSolver::new(&nl).expect("encode");
         for &f in &faults {
-            let shared = atpg.generate_test(f).expect("query").is_some();
-            let fresh = generate_test_for(&nl, f).expect("query").is_some();
-            assert_eq!(shared, fresh, "testability verdicts diverge on {f:?}");
+            let shared = atpg.generate_test(f, &Budget::unlimited()).expect("query");
+            let fresh = generate_test_for(&nl, f).expect("query");
+            assert_eq!(
+                matches!(shared, FaultTestOutcome::Test(_)),
+                matches!(fresh, FaultTestOutcome::Test(_)),
+                "testability verdicts diverge on {f:?}"
+            );
         }
     }
 
@@ -262,26 +254,29 @@ mod tests {
         let nl = c17();
         let faults = stuck_at_universe(&nl);
         let mut atpg = AtpgSolver::new(&nl).expect("encode");
-        // starve the first query by propagations: the first poll fires
-        // immediately, before any decision can be made
-        let starved = Budget::unlimited().with_max_propagations(0);
-        let aborted = atpg
-            .generate_test_budgeted(faults[0], &starved)
-            .expect("query");
-        assert!(
-            matches!(aborted, FaultTestOutcome::Aborted(_)),
-            "a zero-propagation budget must abort: {aborted:?}"
+        // starve the first query: a zero-conflict budget stops at solve
+        // entry, before any decision can be made
+        let starved = Budget::unlimited().with_max_conflicts(0);
+        let aborted = atpg.generate_test(faults[0], &starved).expect("query");
+        assert_eq!(
+            aborted,
+            FaultTestOutcome::Aborted(StopReason::Conflicts),
+            "a zero-conflict budget must abort"
         );
         // the aborted fault's cone was retired; every later unbudgeted
         // query must still agree with a fresh one-shot solver
         for &f in &faults {
-            let shared = atpg.generate_test(f).expect("query").is_some();
-            let fresh = generate_test_for(&nl, f).expect("query").is_some();
-            assert_eq!(shared, fresh, "verdicts diverge after abort on {f:?}");
+            let shared = atpg.generate_test(f, &Budget::unlimited()).expect("query");
+            let fresh = generate_test_for(&nl, f).expect("query");
+            assert_eq!(
+                matches!(shared, FaultTestOutcome::Test(_)),
+                matches!(fresh, FaultTestOutcome::Test(_)),
+                "verdicts diverge after abort on {f:?}"
+            );
         }
         // and re-querying the starved fault with no budget decides it
         assert!(matches!(
-            atpg.generate_test_budgeted(faults[0], &Budget::unlimited())
+            atpg.generate_test(faults[0], &Budget::unlimited())
                 .expect("query"),
             FaultTestOutcome::Test(_) | FaultTestOutcome::Untestable
         ));

@@ -6,8 +6,9 @@
 #[path = "../../sat/tests/oracle/tseitin.rs"]
 mod tseitin;
 
-use seceda_dft::{generate_tests, AtpgSolver};
+use seceda_dft::{generate_tests, AtpgSolver, FaultTestOutcome};
 use seceda_netlist::{random_circuit, CellKind, Netlist, RandomCircuitConfig};
+use seceda_sat::Budget;
 use seceda_sim::{fault::stuck_at_universe, Fault, FaultKind, FaultSim};
 use tseitin::TseitinFaults;
 
@@ -46,16 +47,22 @@ fn atpg_verdicts_match_tseitin_and_patterns_detect_under_fault_sim() {
         let mut atpg = AtpgSolver::new(&nl).expect("lower");
         let mut oracle = TseitinFaults::new(&nl);
         for f in fault_list(&nl) {
-            let got = atpg.generate_test(f).expect("query");
+            let got = atpg.generate_test(f, &Budget::unlimited()).expect("query");
             let want = oracle.query(f.net, stuck(f.kind), |_| true, &[]);
-            assert_eq!(got.is_some(), want.is_some(), "seed {seed} {f:?}");
             match got {
-                Some(pattern) => {
+                FaultTestOutcome::Test(pattern) => {
+                    assert!(want.is_some(), "seed {seed} {f:?}");
                     let (detected, _) = sim.coverage(&[pattern], &[f]);
                     assert_eq!(detected, [true], "seed {seed}: pattern must detect {f:?}");
                     testable += 1;
                 }
-                None => untestable += 1,
+                FaultTestOutcome::Untestable => {
+                    assert!(want.is_none(), "seed {seed} {f:?}");
+                    untestable += 1;
+                }
+                FaultTestOutcome::Aborted(reason) => {
+                    panic!("seed {seed} {f:?}: unlimited query aborted: {reason}")
+                }
             }
         }
     }
@@ -78,13 +85,21 @@ fn undriven_nets_read_false_in_atpg() {
     let sim = FaultSim::new(&nl).expect("sim");
     let mut atpg = AtpgSolver::new(&nl).expect("lower");
     for f in [Fault::stuck_at(a, false), Fault::stuck_at(y, false)] {
-        assert_eq!(atpg.generate_test(f).expect("query"), None, "{f:?}");
+        assert_eq!(
+            atpg.generate_test(f, &Budget::unlimited()).expect("query"),
+            FaultTestOutcome::Untestable,
+            "{f:?}"
+        );
         let (detected, _) = sim.coverage(&[vec![false], vec![true]], &[f]);
         assert_eq!(detected, [false], "{f:?}");
     }
     // y stuck-at-1 is testable by any input
     let f = Fault::stuck_at(y, true);
-    let pattern = atpg.generate_test(f).expect("query").expect("testable");
+    let FaultTestOutcome::Test(pattern) =
+        atpg.generate_test(f, &Budget::unlimited()).expect("query")
+    else {
+        panic!("y stuck-at-1 is testable");
+    };
     assert_eq!(sim.coverage(&[pattern], &[f]).0, [true]);
     let result = generate_tests(&nl, 4, 3).expect("atpg");
     assert!(result.untestable.contains(&Fault::stuck_at(a, false)));

@@ -268,12 +268,11 @@ pub fn sat_attack(
 /// Budgeted, checkpointable SAT attack.
 ///
 /// Runs the same incremental lex-min-canonicalized attack as
-/// [`sat_attack`], but threads `budget` through every constituent solve:
-/// the **conflict cap meters the whole attack** (each solve gets what the
-/// previous ones left over, by the solver's accumulated conflicts) and
-/// the **propagation cap applies per constituent solve**. Both count
-/// work, not time, so where an attack suspends is a pure function of
-/// the locked design, the oracle and the budget. When the budget runs out the
+/// [`sat_attack`], but caps the conflicts the whole attack spends: each
+/// constituent solve gets what the previous ones left over, by the
+/// solver's accumulated conflicts. Conflicts count work, not time, so
+/// where an attack suspends is a pure function of the locked design,
+/// the oracle and the budget. When the budget runs out the
 /// attack returns [`SatAttackOutcome::Suspended`] with a
 /// [`SatAttackCheckpoint`] holding every completed observation; passing
 /// that checkpoint back (with a fresh budget) resumes on a fresh solver
@@ -299,7 +298,7 @@ pub fn sat_attack_budgeted(
 ) -> Result<SatAttackOutcome, NetlistError> {
     let mut sp = seceda_trace::span("lock.sat_attack");
     sp.attr("key_width", locked.key_width());
-    sp.attr("budgeted", budget.is_limited());
+    sp.attr("budgeted", budget.max_conflicts().is_some());
     sp.attr("resumed", resume.is_some());
     let mut solver = Solver::new(0);
     // a literal that is false in every model, for lowering AIG constants
@@ -345,12 +344,12 @@ pub fn sat_attack_budgeted(
         // round included), so slow-iteration tails show up as p99
         let _iter_t = seceda_trace::hist_timer("sat.dip_iter_ns");
         let before = solver.num_conflicts;
-        let sub = budget.minus(solver.num_conflicts, 0);
+        let sub = budget.minus(solver.num_conflicts);
         match solver.solve(&[diff], &sub) {
             SolveOutcome::Sat(model) => {
                 let x_hat = match lex_min_model(
                     &mut |a| {
-                        let sub = budget.minus(solver.num_conflicts, 0);
+                        let sub = budget.minus(solver.num_conflicts);
                         solver.solve(a, &sub)
                     },
                     &sc.x_vars,
@@ -383,7 +382,7 @@ pub fn sat_attack_budgeted(
                 // observations from the SAME solver, just without the
                 // diff assumption
                 let before = solver.num_conflicts;
-                let sub = budget.minus(solver.num_conflicts, 0);
+                let sub = budget.minus(solver.num_conflicts);
                 let result = match solver.solve(&[], &sub) {
                     SolveOutcome::Sat(model) => {
                         // canonicalize to the lex-min key so the result
@@ -391,7 +390,7 @@ pub fn sat_attack_budgeted(
                         // solver's search history
                         let key = match lex_min_model(
                             &mut |a| {
-                                let sub = budget.minus(solver.num_conflicts, 0);
+                                let sub = budget.minus(solver.num_conflicts);
                                 solver.solve(a, &sub)
                             },
                             &sc.k1,
@@ -466,7 +465,25 @@ pub fn sat_attack_budgeted(
 mod tests {
     use super::*;
     use crate::locking::{mux_lock, sfll_hd0, xor_lock};
-    use seceda_netlist::{c17, majority};
+    use seceda_netlist::{c17, majority, parse_bench, random_circuit, RandomCircuitConfig};
+
+    /// c17 as an ISCAS-85 `.bench` text, for the parsed-host tests.
+    const C17_BENCH: &str = "\
+# c17 from the ISCAS-85 suite
+INPUT(G1)
+INPUT(G2)
+INPUT(G3)
+INPUT(G6)
+INPUT(G7)
+OUTPUT(G22)
+OUTPUT(G23)
+G10 = NAND(G1, G3)
+G11 = NAND(G3, G6)
+G16 = NAND(G2, G11)
+G19 = NAND(G11, G7)
+G22 = NAND(G10, G16)
+G23 = NAND(G16, G19)
+";
 
     fn check_attack_recovers_function(locked: &LockedNetlist, original: &seceda_netlist::Netlist) {
         let oracle = |x: &[bool]| original.evaluate(x);
@@ -622,25 +639,62 @@ mod tests {
 
     #[test]
     fn budgeted_attack_resumes_on_parsed_bench_host() {
-        let text = "\
-# c17 from the ISCAS-85 suite
-INPUT(G1)
-INPUT(G2)
-INPUT(G3)
-INPUT(G6)
-INPUT(G7)
-OUTPUT(G22)
-OUTPUT(G23)
-G10 = NAND(G1, G3)
-G11 = NAND(G3, G6)
-G16 = NAND(G2, G11)
-G19 = NAND(G11, G7)
-G22 = NAND(G10, G16)
-G23 = NAND(G16, G19)
-";
-        let nl = seceda_netlist::parse_bench(text).expect("c17 parses");
+        let nl = parse_bench(C17_BENCH).expect("c17 parses");
         let locked = xor_lock(&nl, 6, 13);
         check_resume_matches_straight_through(&locked, &nl);
+    }
+
+    /// The one metering rule on a conflict-budget ladder 0, 1, 2, 4, ...:
+    /// the budget caps the whole attack, so a run under a larger budget
+    /// replays a smaller one's run and goes further. A suspended run's
+    /// observations are a prefix of the next rung's, and a completed run
+    /// equals the unlimited one.
+    fn check_budget_ladder(locked: &LockedNetlist, original: &seceda_netlist::Netlist) {
+        let oracle = |x: &[bool]| original.evaluate(x);
+        let unlimited = sat_attack(locked, oracle)
+            .expect("attack runs")
+            .expect("key found");
+        let mut previous: Vec<(Vec<bool>, Vec<bool>)> = Vec::new();
+        let mut partial = 0usize;
+        let mut b = 0u64;
+        loop {
+            let budget = Budget::unlimited().with_max_conflicts(b);
+            match sat_attack_budgeted(locked, oracle, &budget, None).expect("attack runs") {
+                SatAttackOutcome::Suspended { checkpoint, reason } => {
+                    assert_eq!(reason, StopReason::Conflicts, "budget {b}");
+                    assert!(
+                        checkpoint.observations.starts_with(&previous),
+                        "budget {b}: observations must extend the smaller budget's"
+                    );
+                    partial += usize::from(!checkpoint.observations.is_empty());
+                    previous = checkpoint.observations;
+                    assert!(b <= unlimited.conflicts, "budget {b} suspended");
+                }
+                SatAttackOutcome::Complete(r) => {
+                    assert_eq!(r, unlimited, "budget {b}: completed run diverged");
+                    break;
+                }
+                SatAttackOutcome::NoKey => panic!("budget {b}: attack lost the key"),
+            }
+            b = (2 * b).max(1);
+        }
+        assert!(partial > 0, "some rung must suspend mid-attack");
+    }
+
+    #[test]
+    fn conflict_budget_ladder_meters_the_whole_attack() {
+        let nl = c17();
+        check_budget_ladder(&xor_lock(&nl, 12, 7), &nl);
+        let parsed = parse_bench(C17_BENCH).expect("c17 parses");
+        check_budget_ladder(&xor_lock(&parsed, 6, 13), &parsed);
+        let random = random_circuit(&RandomCircuitConfig {
+            num_inputs: 10,
+            num_gates: 100,
+            num_outputs: 5,
+            with_xor: true,
+            seed: 3,
+        });
+        check_budget_ladder(&xor_lock(&random, 16, 11), &random);
     }
 
     #[test]

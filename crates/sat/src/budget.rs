@@ -3,88 +3,66 @@
 //! NP-hard queries (SAT attacks, ATPG on redundant logic, formal
 //! detection proofs) can run unbounded; a closure loop that re-evaluates
 //! every threat after every edit cannot afford that. A [`Budget`] caps a
-//! solve by conflicts and/or propagations; a budgeted solve returns
-//! [`SolveOutcome`], whose third state — [`SolveOutcome::Indeterminate`]
-//! — carries *why* the search gave up ([`StopReason`]) instead of
-//! wedging the caller.
+//! computation by the conflicts its solves may spend; a budgeted solve
+//! returns [`SolveOutcome`], whose third state —
+//! [`SolveOutcome::Indeterminate`] — carries *why* the search gave up
+//! ([`StopReason`]) instead of wedging the caller.
 //!
-//! Both limits are **per call**: they cap the *delta* each solve may
-//! spend on top of whatever the solver already consumed. A multi-solve
-//! computation (the DIP loop) threads one budget through its solves
-//! with [`Budget::minus`].
+//! One metering rule: a budget caps the conflicts that **one call**
+//! spends, however many solves that call makes. [`Solver::solve`] caps
+//! its own search; a multi-solve computation (the SAT attack's DIP loop,
+//! a detection proof over a fault universe) hands each constituent solve
+//! what the earlier ones left, via [`Budget::minus`]. A call whose budget
+//! is spent stops its next solve before any search.
 //!
 //! Determinism: budgets count work, never time. Budget checks happen at
-//! deterministic points of a deterministic search, so every budgeted
-//! outcome is a pure function of the formula and the budget,
-//! reproducible on any host and at any worker count.
+//! deterministic points of a deterministic search (solve entry and each
+//! conflict), so every budgeted outcome is a pure function of the
+//! formula and the budget, reproducible on any host and at any worker
+//! count.
+//!
+//! [`Solver::solve`]: crate::Solver::solve
 
-/// Limits on how much work a solve may spend before returning
-/// [`SolveOutcome::Indeterminate`]. The default is unlimited; builder
-/// methods add limits independently.
+/// The conflicts a computation may spend before returning
+/// [`SolveOutcome::Indeterminate`]. The default is unlimited.
 ///
 /// ```
 /// use seceda_sat::Budget;
 ///
-/// let budget = Budget::unlimited()
-///     .with_max_conflicts(10_000)
-///     .with_max_propagations(1_000_000);
-/// assert!(budget.is_limited());
+/// let budget = Budget::unlimited().with_max_conflicts(10_000);
+/// assert_eq!(budget.minus(4_000).max_conflicts(), Some(6_000));
+/// assert_eq!(Budget::unlimited().max_conflicts(), None);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Budget {
     max_conflicts: Option<u64>,
-    max_propagations: Option<u64>,
 }
 
 impl Budget {
-    /// No limits: a solve under this budget always returns a determined
-    /// answer (and pays no budget-checking overhead).
+    /// No limit: a solve under this budget skips every budget check and
+    /// is immune to chaos-injected exhaustion, so it always returns a
+    /// determined answer.
     pub fn unlimited() -> Budget {
         Budget::default()
     }
 
-    /// Caps the conflicts a single solve may spend (per solver).
+    /// Caps the conflicts one call may spend.
     pub fn with_max_conflicts(mut self, n: u64) -> Budget {
         self.max_conflicts = Some(n);
         self
     }
 
-    /// Caps the literals a single solve may propagate (per solver).
-    /// Checked on the existing every-1024-propagations poll, so the
-    /// effective stop point is the first poll at or past the limit.
-    pub fn with_max_propagations(mut self, n: u64) -> Budget {
-        self.max_propagations = Some(n);
-        self
-    }
-
-    /// Whether any limit is set. Unlimited budgets skip budget checks
-    /// entirely (and are immune to chaos-injected exhaustion, so an
-    /// unlimited solve always returns a determined answer).
-    pub fn is_limited(&self) -> bool {
-        self.max_conflicts.is_some() || self.max_propagations.is_some()
-    }
-
-    /// The conflict cap, if any.
+    /// The conflict cap, if any (`None` when unlimited).
     pub fn max_conflicts(&self) -> Option<u64> {
         self.max_conflicts
     }
 
-    /// The propagation cap, if any.
-    pub fn max_propagations(&self) -> Option<u64> {
-        self.max_propagations
-    }
-
-    /// The budget left after spending `conflicts` / `propagations` of
-    /// this one: each limit shrinks, saturating at zero (the next solve
-    /// then stops before any search), and unlimited axes stay
-    /// unlimited. Multi-solve computations (the DIP loop) use this to thread one
-    /// budget through every constituent solve.
-    pub fn minus(&self, conflicts: u64, propagations: u64) -> Budget {
+    /// The budget left after spending `conflicts` of this one: the cap
+    /// shrinks, saturating at zero (the next solve then stops before
+    /// any search), and an unlimited budget stays unlimited.
+    pub fn minus(&self, conflicts: u64) -> Budget {
         Budget {
             max_conflicts: self.max_conflicts.map(|n| n.saturating_sub(conflicts)),
-            max_propagations: self
-                .max_propagations
-                .map(|n| n.saturating_sub(propagations)),
         }
     }
 }
@@ -92,10 +70,8 @@ impl Budget {
 /// Why a budgeted solve stopped without an answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopReason {
-    /// The per-call conflict limit was reached.
+    /// The conflict budget was spent.
     Conflicts,
-    /// The per-call propagation limit was reached.
-    Propagations,
     /// The `testkit::chaos` harness injected budget exhaustion.
     ChaosInjected,
 }
@@ -104,7 +80,6 @@ impl std::fmt::Display for StopReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             StopReason::Conflicts => "conflict budget exhausted",
-            StopReason::Propagations => "propagation budget exhausted",
             StopReason::ChaosInjected => "chaos-injected budget exhaustion",
         })
     }
@@ -149,22 +124,24 @@ mod tests {
 
     #[test]
     fn unlimited_is_not_limited() {
-        assert!(!Budget::unlimited().is_limited());
-        assert!(Budget::unlimited().with_max_conflicts(5).is_limited());
-        assert!(Budget::unlimited().with_max_propagations(5).is_limited());
+        assert_eq!(Budget::unlimited().max_conflicts(), None);
+        assert_eq!(
+            Budget::unlimited().with_max_conflicts(5).max_conflicts(),
+            Some(5)
+        );
+        assert_eq!(
+            Budget::unlimited().with_max_conflicts(0).max_conflicts(),
+            Some(0)
+        );
     }
 
     #[test]
-    fn minus_saturates_each_axis() {
-        let b = Budget::unlimited()
-            .with_max_conflicts(100)
-            .with_max_propagations(1000);
-        let rest = b.minus(30, 2000);
-        assert_eq!(rest.max_conflicts(), Some(70));
-        assert_eq!(rest.max_propagations(), Some(0));
-        // unlimited axes stay unlimited
-        let u = Budget::unlimited().minus(1_000_000, 1_000_000);
-        assert!(!u.is_limited());
+    fn minus_saturates_at_zero() {
+        let b = Budget::unlimited().with_max_conflicts(100);
+        assert_eq!(b.minus(30).max_conflicts(), Some(70));
+        assert_eq!(b.minus(200).max_conflicts(), Some(0));
+        // an unlimited budget stays unlimited
+        assert_eq!(Budget::unlimited().minus(1_000_000).max_conflicts(), None);
     }
 
     #[test]

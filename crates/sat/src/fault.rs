@@ -108,7 +108,7 @@ impl<'a> FaultMiter<'a> {
     }
 
     /// The persistent solver, for metering a budget across queries by
-    /// its accumulated conflicts and propagations.
+    /// its accumulated conflicts.
     pub fn solver(&self) -> &Solver {
         &self.solver
     }

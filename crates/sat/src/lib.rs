@@ -15,10 +15,10 @@
 //!   restarts, and incremental solving under assumptions with on-the-fly
 //!   variable/clause addition. Its one entry point,
 //!   [`Solver::solve`], takes the assumptions and a [`Budget`];
-//! * [`Budget`] / [`SolveOutcome`] — conflict and propagation limits
-//!   (work, never time, so every budgeted verdict is reproducible on any
-//!   host), and the ternary Sat / Unsat / Indeterminate result every
-//!   solve returns;
+//! * [`Budget`] / [`SolveOutcome`] — a conflict cap on one call, however
+//!   many solves it makes (work, never time, so every budgeted verdict is
+//!   reproducible on any host), and the ternary Sat / Unsat /
+//!   Indeterminate result every solve returns;
 //! * [`Cnf`] / [`Lit`] / [`Var`] — formula representation;
 //! * [`CnfBuilder`] — the clause-sink trait shared by [`Cnf`] and
 //!   [`Solver`], so encodings can target a live solver incrementally;

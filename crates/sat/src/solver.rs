@@ -12,39 +12,10 @@
 use crate::budget::{Budget, SolveOutcome, StopReason};
 use crate::cnf::{Cnf, CnfBuilder, Lit, Var};
 
-/// Fully resolved per-call limits: absolute targets computed from a
-/// [`Budget`]'s relative caps at solve entry.
-struct Limits {
-    /// Stop once `num_conflicts` reaches this (absolute, not a delta).
-    conflict_target: u64,
-    /// Stop once `num_propagations` reaches this (absolute).
-    prop_target: u64,
-}
-
-impl Limits {
-    /// The cheap poll run every [`BUDGET_POLL_MASK`]` + 1` propagations.
-    fn check_poll(&self, propagations: u64) -> Option<StopReason> {
-        (propagations >= self.prop_target).then_some(StopReason::Propagations)
-    }
-
-    /// Checked once at solve entry, so an already-spent budget (a
-    /// `Budget::minus` remainder with nothing left) stops
-    /// deterministically *before* any search — even on formulas small
-    /// enough that no in-search poll would ever fire.
-    fn check_entry(&self, conflicts: u64, propagations: u64) -> Option<StopReason> {
-        if conflicts >= self.conflict_target {
-            return Some(StopReason::Conflicts);
-        }
-        self.check_poll(propagations)
-    }
-}
-
 const UNASSIGNED: i8 = -1;
 const NO_REASON: u32 = u32::MAX;
 /// Learned clauses with LBD at or below this are "glue" and never deleted.
 const GLUE_LBD: u32 = 2;
-/// Budget poll cadence in propagated literals (power of two).
-const BUDGET_POLL_MASK: u64 = 0x3FF;
 /// Conflicts-per-restart multiplier on the Luby sequence.
 const RESTART_BASE: u64 = 64;
 /// VSIDS activity decay (`var_inc /= VAR_DECAY` per conflict).
@@ -378,7 +349,7 @@ impl Solver {
             0 => self.unsat = true,
             1 => {
                 self.enqueue(clause[0], NO_REASON);
-                if matches!(self.propagate(None), Propagation::Conflict(_)) {
+                if matches!(self.propagate(), Propagation::Conflict(_)) {
                     self.unsat = true;
                 }
             }
@@ -412,21 +383,9 @@ impl Solver {
     }
 
     /// Propagates all pending assignments; returns a conflicting clause
-    /// index on conflict. `limits` (when given) is polled every
-    /// [`BUDGET_POLL_MASK`]` + 1` propagated literals; on an exhausted
-    /// propagation budget the queue is left unfinished and
-    /// [`Propagation::Stopped`] is returned — the caller must abandon
-    /// the solve (the unpropagated tail is picked up by the next solve's
-    /// root propagation).
-    fn propagate(&mut self, limits: Option<&Limits>) -> Propagation {
+    /// index on conflict.
+    fn propagate(&mut self) -> Propagation {
         while self.qhead < self.trail.len() {
-            if let Some(lim) = limits {
-                if self.num_propagations & BUDGET_POLL_MASK == 0 {
-                    if let Some(reason) = lim.check_poll(self.num_propagations) {
-                        return Propagation::Stopped(reason);
-                    }
-                }
-            }
             let p = self.trail[self.qhead];
             self.qhead += 1;
             let false_lit = !p; // literal that just became false
@@ -762,16 +721,16 @@ impl Solver {
     /// it learned — re-solving with a larger budget resumes from
     /// accumulated knowledge.
     ///
-    /// Conflict and propagation limits cap this call's *delta* (see
-    /// [`Budget`]). Budget checks ride an every-1024-propagations poll
-    /// (plus one comparison per conflict), and [`Budget::unlimited`]
-    /// skips them entirely, so an unlimited solve always returns a
+    /// The conflict cap limits the conflicts this call spends (see
+    /// [`Budget`]). It is checked at entry, so a spent budget stops
+    /// before any search, and once per conflict; [`Budget::unlimited`]
+    /// skips both checks, so an unlimited solve always returns a
     /// determined answer.
     ///
     /// Each call emits one `sat.solve` trace span plus per-call deltas of
     /// the decision/propagation/conflict/restart/learning statistics.
     pub fn solve(&mut self, assumptions: &[Lit], budget: &Budget) -> SolveOutcome {
-        let limits = if budget.is_limited() {
+        let conflict_target = if let Some(max_conflicts) = budget.max_conflicts() {
             // Chaos-injected exhaustion: only limited budgets are
             // eligible, so unlimited solves keep their total contract
             // even under chaos. Salted by the budgeted-call ordinal,
@@ -785,14 +744,7 @@ impl Solver {
                 seceda_trace::counter("sat.indeterminate", 1);
                 return SolveOutcome::Indeterminate(StopReason::ChaosInjected);
             }
-            Some(Limits {
-                conflict_target: budget
-                    .max_conflicts()
-                    .map_or(u64::MAX, |n| self.num_conflicts.saturating_add(n)),
-                prop_target: budget
-                    .max_propagations()
-                    .map_or(u64::MAX, |n| self.num_propagations.saturating_add(n)),
-            })
+            Some(self.num_conflicts.saturating_add(max_conflicts))
         } else {
             None
         };
@@ -811,7 +763,7 @@ impl Solver {
             self.num_db_reductions,
             self.num_minimized_lits,
         );
-        let result = self.search(assumptions, limits.as_ref());
+        let result = self.search(assumptions, conflict_target);
         seceda_trace::counter("sat.decisions", self.num_decisions - d0);
         seceda_trace::counter("sat.propagations", self.num_propagations - p0);
         seceda_trace::counter("sat.conflicts", self.num_conflicts - c0);
@@ -833,7 +785,9 @@ impl Solver {
         result
     }
 
-    fn search(&mut self, assumptions: &[Lit], limits: Option<&Limits>) -> SolveOutcome {
+    /// Searches until `conflict_target` (an absolute conflict count, if
+    /// any) is reached; a target already reached stops before any search.
+    fn search(&mut self, assumptions: &[Lit], conflict_target: Option<u64>) -> SolveOutcome {
         if self.unsat {
             return SolveOutcome::Unsat;
         }
@@ -843,27 +797,18 @@ impl Solver {
         if self.max_learnts == 0.0 {
             self.max_learnts = (self.clauses.len() as f64 / 3.0).max(2000.0);
         }
-        if let Some(lim) = limits {
-            if let Some(reason) = lim.check_entry(self.num_conflicts, self.num_propagations) {
-                return SolveOutcome::Indeterminate(reason);
-            }
+        if conflict_target.is_some_and(|t| self.num_conflicts >= t) {
+            return SolveOutcome::Indeterminate(StopReason::Conflicts);
         }
         self.backtrack(0);
-        match self.propagate(None) {
-            Propagation::Conflict(_) => {
-                self.unsat = true;
-                return SolveOutcome::Unsat;
-            }
-            Propagation::Quiescent | Propagation::Stopped(_) => {}
+        if let Propagation::Conflict(_) = self.propagate() {
+            self.unsat = true;
+            return SolveOutcome::Unsat;
         }
         let mut restart_count = 0u32;
         let mut conflicts_until_restart = RESTART_BASE * luby(restart_count);
         loop {
-            match self.propagate(limits) {
-                Propagation::Stopped(reason) => {
-                    self.backtrack(0);
-                    return SolveOutcome::Indeterminate(reason);
-                }
+            match self.propagate() {
                 Propagation::Conflict(confl) => {
                     self.num_conflicts += 1;
                     if self.trail_lim.is_empty() {
@@ -873,11 +818,9 @@ impl Solver {
                     // the conflict budget is checked here — once per
                     // conflict, off the propagation fast path; root
                     // conflicts above still return the determined Unsat
-                    if let Some(lim) = limits {
-                        if self.num_conflicts >= lim.conflict_target {
-                            self.backtrack(0);
-                            return SolveOutcome::Indeterminate(StopReason::Conflicts);
-                        }
+                    if conflict_target.is_some_and(|t| self.num_conflicts >= t) {
+                        self.backtrack(0);
+                        return SolveOutcome::Indeterminate(StopReason::Conflicts);
                     }
                     let (clause, bt, lbd) = self.analyze(confl);
                     self.backtrack(bt);
@@ -967,8 +910,6 @@ enum Propagation {
     Quiescent,
     /// Conflict in the given clause.
     Conflict(u32),
-    /// The propagation budget tripped mid-propagation.
-    Stopped(StopReason),
 }
 
 /// The Luby restart sequence (1, 1, 2, 1, 1, 2, 4, ...).

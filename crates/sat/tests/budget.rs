@@ -1,8 +1,8 @@
 //! Budget property suite: budgeted solving must be *monotone* (a larger
 //! budget never flips a determined answer, and never un-determines a
-//! query a smaller budget could finish), *deterministic* (conflict- and
-//! propagation-limited outcomes are pure functions of the formula), and
-//! *prompt* (an already-spent budget stops before any search).
+//! query a smaller budget could finish), *deterministic* (conflict-limited
+//! outcomes are pure functions of the formula), and *prompt* (an
+//! already-spent budget stops before any search).
 
 use seceda_sat::{Budget, Cnf, Lit, SolveOutcome, Solver, StopReason};
 use seceda_testkit::prelude::*;
@@ -93,17 +93,6 @@ fn conflict_budget_is_monotone_on_hard_formulas() {
 }
 
 #[test]
-fn propagation_budget_is_monotone_on_hard_formulas() {
-    let budgets: Vec<u64> = (0..26).map(|i| 1u64 << i).collect();
-    assert_budget_monotone(&pigeonhole(6, 5), &budgets, |b| {
-        Budget::unlimited().with_max_propagations(b)
-    });
-    assert_budget_monotone(&pigeonhole(5, 5), &budgets, |b| {
-        Budget::unlimited().with_max_propagations(b)
-    });
-}
-
-#[test]
 fn small_conflict_budget_truncates_the_pigeonhole_proof() {
     // sanity that the ladder above actually exercises both regimes:
     // 50 conflicts cannot refute PHP(6,5), a million can
@@ -118,17 +107,20 @@ fn small_conflict_budget_truncates_the_pigeonhole_proof() {
 #[test]
 fn zero_budgets_stop_before_any_search() {
     // an already-spent budget (a `Budget::minus` remainder) must refuse
-    // deterministically even on formulas too small for in-search polls
+    // deterministically even on formulas that need no conflict at all
     let cnf = pigeonhole(3, 3);
     let mut solver = Solver::from_cnf(&cnf);
+    for _ in 0..2 {
+        assert_eq!(
+            solver.solve(&[], &Budget::unlimited().with_max_conflicts(0)),
+            SolveOutcome::Indeterminate(StopReason::Conflicts)
+        );
+    }
     assert_eq!(
-        solver.solve(&[], &Budget::unlimited().with_max_conflicts(0)),
+        solver.solve(&[], &Budget::unlimited().with_max_conflicts(5).minus(9)),
         SolveOutcome::Indeterminate(StopReason::Conflicts)
     );
-    assert_eq!(
-        solver.solve(&[], &Budget::unlimited().with_max_propagations(0)),
-        SolveOutcome::Indeterminate(StopReason::Propagations)
-    );
+    assert_eq!(solver.num_decisions, 0, "a refusal makes no decision");
     // the refusals spent nothing and the solver answers normally after
     assert!(solver.solve(&[], &Budget::unlimited()).is_sat());
 }
@@ -177,30 +169,6 @@ proptest! {
         for b in [1u64, 2, 4, 16, 256, 1 << 16] {
             let outcome = Solver::from_cnf(&cnf)
                 .solve(&[], &Budget::unlimited().with_max_conflicts(b));
-            if outcome.is_determined() {
-                prop_assert_eq!(outcome.is_sat(), reference, "budget {}", b);
-                determined_at.get_or_insert(b);
-            } else {
-                prop_assert!(determined_at.is_none(), "budget {} regressed", b);
-            }
-        }
-        prop_assert!(determined_at.is_some());
-    }
-
-    #[test]
-    fn propagation_budget_monotone_on_random_cnf(
-        num_vars in 2usize..9,
-        clauses in proptest::collection::vec(
-            proptest::collection::vec((0usize..16, any::<bool>()), 1..4),
-            0..30
-        ),
-    ) {
-        let cnf = random_cnf(num_vars, &clauses);
-        let reference = Solver::from_cnf(&cnf).solve(&[], &Budget::unlimited()).is_sat();
-        let mut determined_at: Option<u64> = None;
-        for b in [1u64, 64, 1024, 1 << 14, 1 << 22] {
-            let outcome = Solver::from_cnf(&cnf)
-                .solve(&[], &Budget::unlimited().with_max_propagations(b));
             if outcome.is_determined() {
                 prop_assert_eq!(outcome.is_sat(), reference, "budget {}", b);
                 determined_at.get_or_insert(b);

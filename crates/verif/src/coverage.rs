@@ -27,8 +27,8 @@ pub struct DetectionProof {
     /// Faults with a silent-corruption witness: `(fault, inputs)`.
     pub violations: Vec<(Fault, Vec<bool>)>,
     /// Faults whose proof query exhausted its budget before deciding
-    /// (always empty for [`prove_detection`]). An undecided fault is a
-    /// hole in the proof, so [`DetectionProof::holds`] is `false` while
+    /// (always empty under [`Budget::unlimited`]). An undecided fault is
+    /// a hole in the proof, so [`DetectionProof::holds`] is `false` while
     /// any remain.
     pub undecided: Vec<Fault>,
     /// Faults analyzed in total.
@@ -50,25 +50,13 @@ impl DetectionProof {
 /// Only gate-output faults are considered; faults on shared primary
 /// inputs are common-mode and outside any detection scheme's contract.
 ///
-/// # Errors
-///
-/// Propagates encoding errors.
-///
-/// # Panics
-///
-/// Panics if the design has no alarm output.
-pub fn prove_detection(protected: &ProtectedNetlist) -> Result<DetectionProof, NetlistError> {
-    prove_detection_budgeted(protected, &Budget::unlimited())
-}
-
-/// Budgeted [`prove_detection`]: the conflict and propagation caps meter
-/// the whole proof loop (each per-fault query gets whatever the previous
-/// queries left), so which faults end undecided is a pure function of
-/// the design and the budget. A query whose budget runs out
-/// degrades *that fault* to [`DetectionProof::undecided`] — the loop
-/// keeps going, so one pathological fault cannot wedge the whole proof,
-/// but the final proof honestly reports its holes via
-/// [`DetectionProof::holds`].
+/// `budget` caps the conflicts of the whole proof loop (each per-fault
+/// query gets whatever the previous queries left), so which faults end
+/// undecided is a pure function of the design and the budget. A query
+/// whose budget runs out degrades *that fault* to
+/// [`DetectionProof::undecided`] — the loop keeps going, so one
+/// pathological fault cannot wedge the whole proof, but the final proof
+/// honestly reports its holes via [`DetectionProof::holds`].
 ///
 /// # Errors
 ///
@@ -77,7 +65,7 @@ pub fn prove_detection(protected: &ProtectedNetlist) -> Result<DetectionProof, N
 /// # Panics
 ///
 /// Panics if the design has no alarm output.
-pub fn prove_detection_budgeted(
+pub fn prove_detection(
     protected: &ProtectedNetlist,
     budget: &Budget,
 ) -> Result<DetectionProof, NetlistError> {
@@ -101,7 +89,7 @@ pub fn prove_detection_budgeted(
         };
         // the remaining budget is whatever earlier queries did not spend
         let solver = miter.solver();
-        let sub = budget.minus(solver.num_conflicts, solver.num_propagations);
+        let sub = budget.minus(solver.num_conflicts);
         // some functional output differs while the faulty design's
         // alarm stays low
         match miter.query(
@@ -130,9 +118,26 @@ pub fn prove_detection_budgeted(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seceda_fia::codes::duplicate_with_compare;
-    use seceda_netlist::majority;
+    use seceda_fia::codes::{duplicate_with_compare, parity_protect};
+    use seceda_netlist::{majority, random_circuit, RandomCircuitConfig};
     use seceda_sim::FaultSim;
+
+    /// A fault's verdict: `None` while undecided, `Some(None)` proven,
+    /// `Some(Some(witness))` violated.
+    type Verdict = Option<Option<Vec<bool>>>;
+
+    fn verdicts(proof: &DetectionProof, faults: &[Fault]) -> Vec<Verdict> {
+        faults
+            .iter()
+            .map(|f| {
+                if proof.undecided.contains(f) {
+                    return None;
+                }
+                let witness = proof.violations.iter().find(|(v, _)| v == f);
+                Some(witness.map(|(_, w)| w.clone()))
+            })
+            .collect()
+    }
 
     /// The outputs under one stimulus with `faults` active: one packed
     /// pass with the stimulus in bit 0.
@@ -146,7 +151,7 @@ mod tests {
     #[test]
     fn dwc_detection_is_provable() {
         let p = duplicate_with_compare(&majority());
-        let proof = prove_detection(&p).expect("prove");
+        let proof = prove_detection(&p, &Budget::unlimited()).expect("prove");
         assert!(
             proof.holds(),
             "duplication-with-compare must be provably single-fault secure: {:?}",
@@ -158,11 +163,11 @@ mod tests {
     #[test]
     fn starved_proof_reports_undecided_holes_instead_of_wedging() {
         let p = duplicate_with_compare(&majority());
-        let starved = Budget::unlimited().with_max_propagations(0);
-        let proof = prove_detection_budgeted(&p, &starved).expect("prove");
+        let starved = Budget::unlimited().with_max_conflicts(0);
+        let proof = prove_detection(&p, &starved).expect("prove");
         assert!(
             !proof.undecided.is_empty(),
-            "a zero-propagation budget must leave queries undecided"
+            "a zero-conflict budget must leave queries undecided"
         );
         assert!(!proof.holds(), "undecided faults are holes in the proof");
         assert!(proof.violations.is_empty(), "no false violations");
@@ -173,9 +178,62 @@ mod tests {
             "every fault is either proven structurally or undecided"
         );
         // the same proof with an unlimited budget has no holes
-        let full = prove_detection_budgeted(&p, &Budget::unlimited()).expect("prove");
+        let full = prove_detection(&p, &Budget::unlimited()).expect("prove");
         assert!(full.holds());
         assert!(full.undecided.is_empty());
+    }
+
+    #[test]
+    fn conflict_budget_ladder_meters_the_whole_proof() {
+        // the budget caps the whole proof loop, so a larger budget replays
+        // a smaller one's queries and decides more: every verdict reached
+        // at one rung survives to the next, and the holes only shrink
+        let random = random_circuit(&RandomCircuitConfig {
+            num_inputs: 8,
+            num_gates: 60,
+            num_outputs: 4,
+            with_xor: true,
+            seed: 2,
+        });
+        let mut partial = 0usize;
+        for p in [
+            duplicate_with_compare(&majority()),
+            parity_protect(&majority()),
+            duplicate_with_compare(&random),
+            parity_protect(&random),
+        ] {
+            let faults: Vec<Fault> = stuck_at_universe(&p.netlist)
+                .into_iter()
+                .filter(|f| p.netlist.net(f.net).driver.is_some())
+                .collect();
+            let full = prove_detection(&p, &Budget::unlimited()).expect("prove");
+            let starved =
+                prove_detection(&p, &Budget::unlimited().with_max_conflicts(0)).expect("prove");
+            let mut previous = verdicts(&starved, &faults);
+            let mut b = 1u64;
+            loop {
+                let proof =
+                    prove_detection(&p, &Budget::unlimited().with_max_conflicts(b)).expect("prove");
+                let current = verdicts(&proof, &faults);
+                for ((f, was), now) in faults.iter().zip(&previous).zip(&current) {
+                    if was.is_some() {
+                        assert_eq!(was, now, "budget {b}: the verdict on {f:?} moved");
+                    }
+                }
+                previous = current;
+                if proof.undecided.is_empty() {
+                    assert_eq!(
+                        proof, full,
+                        "budget {b}: a closed proof must equal the unlimited one"
+                    );
+                    break;
+                }
+                partial += usize::from(proof.undecided.len() < starved.undecided.len());
+                assert!(b < 1 << 20, "the ladder must close the proof");
+                b *= 2;
+            }
+        }
+        assert!(partial > 0, "some rung must leave a proof half done");
     }
 
     #[test]
@@ -188,7 +246,7 @@ mod tests {
             netlist: nl.clone(),
             alarm_index: Some(1),
         };
-        let proof = prove_detection(&fake).expect("prove");
+        let proof = prove_detection(&fake, &Budget::unlimited()).expect("prove");
         assert!(!proof.holds());
         // each witness must actually demonstrate silent corruption
         let sim = FaultSim::new(&nl).expect("sim");
@@ -224,7 +282,7 @@ mod tests {
             netlist: nl.clone(),
             alarm_index: Some(2),
         };
-        let proof = prove_detection(&p).expect("prove");
+        let proof = prove_detection(&p, &Budget::unlimited()).expect("prove");
         let mut violating: Vec<Fault> = proof.violations.iter().map(|&(f, _)| f).collect();
         violating.sort_by_key(|f| (f.net.index(), f.kind == FaultKind::StuckAt1));
         let expected: Vec<Fault> = [t, out1]

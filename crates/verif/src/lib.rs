@@ -25,6 +25,6 @@ pub mod equiv;
 pub mod pch;
 
 pub use bmc::{bmc_reach, BmcResult};
-pub use coverage::{prove_detection, prove_detection_budgeted, DetectionProof};
+pub use coverage::{prove_detection, DetectionProof};
 pub use equiv::{check_equivalence, EquivResult};
 pub use pch::{check_certificate, isolation_certificate, Certificate, Property};

@@ -69,7 +69,7 @@ fn check_against_oracle(p: &ProtectedNetlist, stride: usize) -> usize {
         assert!(!bad[alarm], "{f:?}: the alarm must stay low");
     };
 
-    let proof = prove_detection(p).expect("prove");
+    let proof = prove_detection(p, &Budget::unlimited()).expect("prove");
     let faults: Vec<Fault> = stuck_at_universe(nl)
         .into_iter()
         .filter(|f| nl.net(f.net).driver.is_some())

@@ -67,9 +67,10 @@ cargo test -q --release --offline -p seceda-verif --test lowering_oracle -- --ig
 # Trojan (rare-signal selection runs signal probabilities), fault
 # injection (its campaigns are serial today; pinned so a later
 # fan-out is held to the same rule) and parallel-map suites run again
-# with one worker and with eight, whatever this host's core count.
-echo "==> worker-count independence: lock/core/sim/dft/trojan/fia/testkit at 1 and 8 threads"
-for threads in 1 8; do
+# with one, two and eight workers, whatever this host's core count (two
+# is the core count of the benchmark host).
+echo "==> worker-count independence: lock/core/sim/dft/trojan/fia/testkit at 1, 2 and 8 threads"
+for threads in 1 2 8; do
     SECEDA_THREADS=$threads cargo test -q --offline -p seceda-lock -p seceda-core \
         -p seceda-sim -p seceda-dft -p seceda-trojan -p seceda-fia -p seceda-testkit
 done

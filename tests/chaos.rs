@@ -12,13 +12,15 @@
 //! reach every `par` worker a test's evaluation spawns.
 
 use seceda_core::{CompositionEngine, DesignUnderTest, MetricValue, SecurityEvaluation, Verdict};
+use seceda_dft::{AtpgSolver, FaultTestOutcome};
 use seceda_fia::codes::duplicate_with_compare;
 use seceda_lock::{sat_attack_budgeted, xor_lock, SatAttackOutcome, SatAttackResult};
 use seceda_netlist::{c17, majority, parse_design, write_bench, DesignFormat};
-use seceda_sat::Budget;
+use seceda_sat::{Budget, StopReason};
+use seceda_sim::{fault::stuck_at_universe, FaultSim};
 use seceda_testkit::chaos;
 use seceda_testkit::par::with_workers;
-use seceda_verif::prove_detection_budgeted;
+use seceda_verif::prove_detection;
 
 /// The two seeds `verify.sh` pins for its quick-mode chaos runs.
 const VERIFY_SEEDS: [u64; 2] = [0xDEAD_BEEF, 0xCAFE];
@@ -130,7 +132,7 @@ fn forced_sat_budget_exhaustion_degrades_proof_to_undecided_holes() {
     // a *limited* budget is chaos-eligible; forcing "sat.budget" makes
     // every solver query report chaos-injected exhaustion
     let proof = chaos::with_forced("sat.budget", None, || {
-        prove_detection_budgeted(&protected, &Budget::unlimited().with_max_conflicts(1 << 20))
+        prove_detection(&protected, &Budget::unlimited().with_max_conflicts(1 << 20))
             .expect("encoding still works under chaos")
     });
     assert!(
@@ -142,10 +144,63 @@ fn forced_sat_budget_exhaustion_degrades_proof_to_undecided_holes() {
     assert_eq!(proof.proven + proof.undecided.len(), proof.total);
     // chaos-free, the same proof closes completely (`without_chaos`
     // overrides an ambient SECEDA_CHAOS for this reference run)
-    let full = chaos::without_chaos(|| {
-        prove_detection_budgeted(&protected, &Budget::unlimited()).expect("prove")
-    });
+    let full =
+        chaos::without_chaos(|| prove_detection(&protected, &Budget::unlimited()).expect("prove"));
     assert!(full.holds());
+}
+
+#[test]
+fn chaos_aborted_atpg_queries_never_fabricate_a_verdict() {
+    let nl = c17();
+    let faults = stuck_at_universe(&nl);
+    let sim = FaultSim::new(&nl).expect("sim");
+    // a limited (but ample) budget makes every query chaos-eligible
+    let ample = Budget::unlimited().with_max_conflicts(1 << 20);
+    let mut aborted = 0usize;
+    for seed in VERIFY_SEEDS {
+        let mut reference: Option<Vec<FaultTestOutcome>> = None;
+        for workers in [1usize, 8] {
+            let outcomes: Vec<FaultTestOutcome> = chaos::with_seed(seed, || {
+                with_workers(workers, || {
+                    let mut atpg = AtpgSolver::new(&nl).expect("lower");
+                    faults
+                        .iter()
+                        .map(|&f| atpg.generate_test(f, &ample).expect("query"))
+                        .collect()
+                })
+            });
+            for (&f, outcome) in faults.iter().zip(&outcomes) {
+                match outcome {
+                    FaultTestOutcome::Aborted(reason) => {
+                        assert_eq!(*reason, StopReason::ChaosInjected, "seed {seed:#x} {f:?}");
+                        aborted += 1;
+                    }
+                    FaultTestOutcome::Test(pattern) => {
+                        let (detected, _) = sim.coverage(std::slice::from_ref(pattern), &[f]);
+                        assert_eq!(detected, [true], "seed {seed:#x}: pattern misses {f:?}");
+                    }
+                    FaultTestOutcome::Untestable => {
+                        let fresh = chaos::without_chaos(|| {
+                            AtpgSolver::new(&nl)
+                                .expect("lower")
+                                .generate_test(f, &Budget::unlimited())
+                                .expect("query")
+                        });
+                        assert_eq!(fresh, FaultTestOutcome::Untestable, "seed {seed:#x} {f:?}");
+                    }
+                }
+            }
+            // ATPG's outcomes do not depend on the worker count
+            match &reference {
+                Some(r) => assert_eq!(&outcomes, r, "seed {seed:#x} workers={workers}"),
+                None => reference = Some(outcomes),
+            }
+        }
+    }
+    assert!(
+        aborted > 0,
+        "the pinned seeds must abort at least one query"
+    );
 }
 
 #[test]
