@@ -412,28 +412,10 @@ fn validation_cells() -> Vec<String> {
     // piracy: locked-logic correctness + de-obfuscation
     let nl = c17();
     let locked = xor_lock(&nl, 6, 13);
-    let mut unlocked = locked.netlist.clone();
-    // fix the key inputs to the correct key by redirecting to constants
-    let key_start = locked.num_original_inputs;
-    for (k, &bit) in locked.correct_key.iter().enumerate() {
-        let key_net = unlocked.inputs()[key_start + k];
-        let kind = if bit {
-            CellKind::Const1
-        } else {
-            CellKind::Const0
-        };
-        let c = unlocked.add_gate(kind, &[]);
-        unlocked.replace_net_uses(key_net, c);
-    }
-    let mut correct = true;
-    for pattern in 0..32u32 {
+    let correct = (0..32u32).all(|pattern| {
         let inputs: Vec<bool> = (0..5).map(|b| (pattern >> b) & 1 == 1).collect();
-        let mut with_key = inputs.clone();
-        with_key.extend(vec![false; locked.key_width()]); // keys are dead now
-        if unlocked.evaluate(&with_key) != nl.evaluate(&inputs) {
-            correct = false;
-        }
-    }
+        locked.evaluate_with_key(&inputs, &locked.correct_key) == nl.evaluate(&inputs)
+    });
     let attack = sat_attack(&locked, |x| nl.evaluate(x))
         .expect("attack")
         .expect("key");

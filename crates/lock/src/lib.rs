@@ -12,7 +12,10 @@
 //! * [`sat_attack`](mod@sat_attack) — the oracle-guided SAT attack \[33\]: iteratively
 //!   finds distinguishing input patterns until only functionally correct
 //!   keys remain. This is "verification mimicking the attacker"
-//!   (Sec. III-D of the paper);
+//!   (Sec. III-D of the paper). It is one loop,
+//!   [`sat_attack_budgeted`], whose DIP search and key extraction share
+//!   one canonical (lex-min) solve; a spent conflict budget suspends it
+//!   with a resumable [`SatAttackCheckpoint`];
 //! * [`camouflage`](mod@camouflage) — IC camouflaging \[23\] modeled as ambiguous cells,
 //!   plus de-camouflaging via the same SAT machinery;
 //! * [`metrics`] — output-corruption metrics for locked designs;

@@ -20,8 +20,18 @@
 //! derived. Every observable output — each DIP and the final key — is
 //! canonicalized to the lexicographically smallest satisfying
 //! assignment, so the attack's result is a property of the formula
-//! regardless of encoding, solver history, or worker count. The
-//! rebuild-from-scratch baseline (a per-net Tseitin miter sharing only
+//! regardless of encoding, solver history, or worker count.
+//!
+//! The attack is one loop, [`sat_attack_budgeted`]; [`sat_attack`] runs
+//! it under an unlimited budget. Every step is one canonical solve: a
+//! solve under what the budget has left, then lex-min refinement. The
+//! DIP step canonicalizes the functional inputs under the difference
+//! assumption; once that is unsatisfiable, key extraction canonicalizes
+//! the first key copy with no assumption. A [`SatAttackCheckpoint`] is
+//! the loop's state, so a spent budget at any solve leaves through one
+//! exit, and a resume starts the loop from the checkpoint.
+//!
+//! The rebuild-from-scratch baseline (a per-net Tseitin miter sharing only
 //! the functional inputs, fresh solver per iteration) is kept in
 //! test-only code as the differential oracle of this attack.
 
@@ -60,12 +70,11 @@ pub struct SatAttackResult {
 /// canonicalization), so replaying the observations into a fresh
 /// scaffold reproduces the exact formula the suspended run held, and the
 /// resumed run continues bit-identically to a never-suspended one.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SatAttackCheckpoint {
-    /// Accumulated `(x_hat, y_hat)` oracle observations, in DIP order.
+    /// Accumulated `(x_hat, y_hat)` oracle observations, in DIP order:
+    /// one per completed DIP iteration.
     pub observations: Vec<(Vec<bool>, Vec<bool>)>,
-    /// Completed DIP iterations (equals `observations.len()`).
-    pub iterations: usize,
     /// Total solver conflicts spent so far, *including* effort lost to
     /// the suspended partial solve (which a resume redoes from scratch).
     pub conflicts: u64,
@@ -154,6 +163,15 @@ fn encode_observation_aig<B: CnfBuilder>(
     y_hat: &[bool],
 ) -> Result<(), NetlistError> {
     let nl = &locked.netlist;
+    // `zip` below would silently drop the constraints of missing outputs
+    assert!(
+        x_hat.len() == locked.num_original_inputs && y_hat.len() == nl.outputs().len(),
+        "observation has {} inputs and {} outputs; the locked design expects {} and {}",
+        x_hat.len(),
+        y_hat.len(),
+        locked.num_original_inputs,
+        nl.outputs().len()
+    );
     for copy in 0..2 {
         let key_nodes = if copy == 0 {
             &sc.k1_nodes
@@ -235,6 +253,27 @@ pub(crate) fn lex_min_model(
     Ok(current)
 }
 
+/// Solves under `base` with whatever `budget` leaves after the solver's
+/// conflicts so far, then canonicalizes `vars` with [`lex_min_model`],
+/// metering every refinement query the same way. `Ok(None)` when `base`
+/// is unsatisfiable; `Err` when the budget ran out first.
+fn canonical(
+    solver: &mut Solver,
+    budget: &Budget,
+    base: &[Lit],
+    vars: &[Var],
+) -> Result<Option<Vec<bool>>, StopReason> {
+    let mut solve = |a: &[Lit]| {
+        let left = budget.minus(solver.num_conflicts);
+        solver.solve(a, &left)
+    };
+    match solve(base) {
+        SolveOutcome::Sat(model) => lex_min_model(&mut solve, vars, base, &model).map(Some),
+        SolveOutcome::Unsat => Ok(None),
+        SolveOutcome::Indeterminate(reason) => Err(reason),
+    }
+}
+
 /// Runs the SAT attack against `locked`, using `oracle` as the activated
 /// chip (a function from functional inputs to outputs).
 ///
@@ -249,6 +288,12 @@ pub(crate) fn lex_min_model(
 /// # Errors
 ///
 /// Propagates encoding errors (cyclic netlists).
+///
+/// # Panics
+///
+/// Panics if `oracle` returns a vector whose length is not the locked
+/// design's output count (a short response would otherwise drop
+/// constraints and yield a wrong key), or after 2^16 iterations.
 pub fn sat_attack(
     locked: &LockedNetlist,
     oracle: impl Fn(&[bool]) -> Vec<bool>,
@@ -281,15 +326,20 @@ pub fn sat_attack(
 /// Because every DIP and the key are lex-min canonical — properties of
 /// the formula, not of solver state — a suspended-and-resumed attack
 /// recovers **bit-identical** iteration counts, DIP sequences, and keys
-/// to a straight-through run. The interrupted solve's partial effort is
+/// to a straight-through run. The interrupted step's partial effort is
 /// discarded (it is counted in [`SatAttackCheckpoint::conflicts`] but has
-/// no `conflict_deltas` entry, and the resume redoes that solve from
+/// no `conflict_deltas` entry, and the resume redoes that step from
 /// scratch), so resuming with an equally tiny conflict budget can make no
 /// progress; resume with a larger or unlimited budget.
 ///
 /// # Errors
 ///
 /// Propagates encoding errors (cyclic netlists).
+///
+/// # Panics
+///
+/// As [`sat_attack`]; the widths are checked for `resume`'s
+/// observations too.
 pub fn sat_attack_budgeted(
     locked: &LockedNetlist,
     oracle: impl Fn(&[bool]) -> Vec<bool>,
@@ -305,160 +355,76 @@ pub fn sat_attack_budgeted(
     let const_false = solver.new_var().pos();
     solver.add_clause([!const_false]);
     let mut sc = encode_aig_scaffold(locked, const_false, &mut solver)?;
-    let diff = sc.diff;
-    let mut observations: Vec<(Vec<bool>, Vec<bool>)> =
-        resume.map(|c| c.observations.clone()).unwrap_or_default();
-    let mut iterations = resume.map_or(0, |c| c.iterations);
-    let mut conflict_deltas: Vec<u64> = resume.map_or_else(Vec::new, |c| c.conflict_deltas.clone());
-    let prior_conflicts = resume.map_or(0, |c| c.conflicts);
-    // replay checkpointed observations into the fresh scaffold; the
-    // hash-consed AIG reproduces the suspended run's formula exactly
-    for (x_hat, y_hat) in &observations {
+    // the checkpoint is the loop's state: replaying its observations
+    // into the fresh scaffold reproduces the suspended run's formula
+    let mut cp = resume.cloned().unwrap_or_default();
+    for (x_hat, y_hat) in &cp.observations {
         encode_observation_aig(locked, &mut sc, &mut solver, x_hat, y_hat)?;
     }
-    // the fresh solver starts at zero conflicts, so its counter IS this
-    // run's spent-conflict meter
-    let suspend = |sp: &mut seceda_trace::Span,
-                   solver: &Solver,
-                   observations: Vec<(Vec<bool>, Vec<bool>)>,
-                   iterations: usize,
-                   conflict_deltas: Vec<u64>,
-                   reason: StopReason| {
-        sp.attr("result", "suspended");
-        if seceda_trace::enabled() {
-            sp.attr("stop_reason", format!("{reason}"));
-        }
-        seceda_trace::counter("lock.attack_suspended", 1);
-        Ok(SatAttackOutcome::Suspended {
-            checkpoint: SatAttackCheckpoint {
-                observations,
-                iterations,
-                conflicts: prior_conflicts + solver.num_conflicts,
-                conflict_deltas,
-            },
-            reason,
-        })
-    };
-    loop {
+    // the fresh solver starts at zero conflicts, so its counter is this
+    // run's spent-conflict meter; a step's delta is recorded only once
+    // the step completes
+    let key = loop {
         // one histogram sample per DIP iteration (the final UNSAT
         // round included), so slow-iteration tails show up as p99
         let _iter_t = seceda_trace::hist_timer("sat.dip_iter_ns");
         let before = solver.num_conflicts;
-        let sub = budget.minus(solver.num_conflicts);
-        match solver.solve(&[diff], &sub) {
-            SolveOutcome::Sat(model) => {
-                let x_hat = match lex_min_model(
-                    &mut |a| {
-                        let sub = budget.minus(solver.num_conflicts);
-                        solver.solve(a, &sub)
-                    },
-                    &sc.x_vars,
-                    &[diff],
-                    &model,
-                ) {
-                    Ok(x_hat) => x_hat,
-                    Err(reason) => {
-                        // the iteration did not complete: no delta, no
-                        // observation, no iteration count
-                        return suspend(
-                            &mut sp,
-                            &solver,
-                            observations,
-                            iterations,
-                            conflict_deltas,
-                            reason,
-                        );
-                    }
-                };
-                iterations += 1;
-                conflict_deltas.push(solver.num_conflicts - before);
-                let y_hat = oracle(&x_hat);
-                encode_observation_aig(locked, &mut sc, &mut solver, &x_hat, &y_hat)?;
-                observations.push((x_hat, y_hat));
+        let x_hat = match canonical(&mut solver, budget, &[sc.diff], &sc.x_vars) {
+            Ok(Some(x_hat)) => x_hat,
+            Ok(None) => {
+                // no DIP left: extract the key from the SAME solver,
+                // just without the diff assumption
+                let proved = solver.num_conflicts;
+                let key = canonical(&mut solver, budget, &[], &sc.k1);
+                if key.is_ok() {
+                    cp.conflict_deltas.push(proved - before);
+                    cp.conflict_deltas.push(solver.num_conflicts - proved);
+                }
+                break key;
             }
-            SolveOutcome::Unsat => {
-                conflict_deltas.push(solver.num_conflicts - before);
-                // no DIP left: extract any key satisfying all
-                // observations from the SAME solver, just without the
-                // diff assumption
-                let before = solver.num_conflicts;
-                let sub = budget.minus(solver.num_conflicts);
-                let result = match solver.solve(&[], &sub) {
-                    SolveOutcome::Sat(model) => {
-                        // canonicalize to the lex-min key so the result
-                        // is a property of the formula, not of the
-                        // solver's search history
-                        let key = match lex_min_model(
-                            &mut |a| {
-                                let sub = budget.minus(solver.num_conflicts);
-                                solver.solve(a, &sub)
-                            },
-                            &sc.k1,
-                            &[],
-                            &model,
-                        ) {
-                            Ok(key) => key,
-                            Err(reason) => {
-                                // withdraw the exhausted-DIP delta: the
-                                // resume redoes that proof and the
-                                // extraction together
-                                conflict_deltas.pop();
-                                return suspend(
-                                    &mut sp,
-                                    &solver,
-                                    observations,
-                                    iterations,
-                                    conflict_deltas,
-                                    reason,
-                                );
-                            }
-                        };
-                        conflict_deltas.push(solver.num_conflicts - before);
-                        SatAttackOutcome::Complete(SatAttackResult {
-                            key,
-                            iterations,
-                            conflicts: prior_conflicts + solver.num_conflicts,
-                            conflict_deltas,
-                            clauses: solver.num_problem_clauses(),
-                            portfolio_k: 1,
-                        })
-                    }
-                    SolveOutcome::Unsat => SatAttackOutcome::NoKey,
-                    SolveOutcome::Indeterminate(reason) => {
-                        conflict_deltas.pop();
-                        return suspend(
-                            &mut sp,
-                            &solver,
-                            observations,
-                            iterations,
-                            conflict_deltas,
-                            reason,
-                        );
-                    }
-                };
-                seceda_trace::counter("lock.dip_iterations", iterations as u64);
-                seceda_trace::counter("sat.aig_nodes", sc.aig.num_nodes() as u64);
-                seceda_trace::counter("sat.aig_hash_hits", sc.aig.hash_hits());
-                sp.attr("iterations", iterations);
-                sp.attr("aig_nodes", sc.aig.num_nodes());
-                return Ok(result);
-            }
-            SolveOutcome::Indeterminate(reason) => {
-                return suspend(
-                    &mut sp,
-                    &solver,
-                    observations,
-                    iterations,
-                    conflict_deltas,
-                    reason,
-                );
-            }
-        }
+            Err(reason) => break Err(reason),
+        };
+        cp.conflict_deltas.push(solver.num_conflicts - before);
+        let y_hat = oracle(&x_hat);
+        encode_observation_aig(locked, &mut sc, &mut solver, &x_hat, &y_hat)?;
+        cp.observations.push((x_hat, y_hat));
         assert!(
-            iterations <= 1 << 16,
+            cp.observations.len() <= 1 << 16,
             "SAT attack runaway: too many iterations"
         );
-    }
+    };
+    cp.conflicts += solver.num_conflicts;
+    let key = match key {
+        Ok(key) => key,
+        Err(reason) => {
+            sp.attr("result", "suspended");
+            if seceda_trace::enabled() {
+                sp.attr("stop_reason", format!("{reason}"));
+            }
+            seceda_trace::counter("lock.attack_suspended", 1);
+            return Ok(SatAttackOutcome::Suspended {
+                checkpoint: cp,
+                reason,
+            });
+        }
+    };
+    let iterations = cp.observations.len();
+    seceda_trace::counter("lock.dip_iterations", iterations as u64);
+    seceda_trace::counter("sat.aig_nodes", sc.aig.num_nodes() as u64);
+    seceda_trace::counter("sat.aig_hash_hits", sc.aig.hash_hits());
+    sp.attr("iterations", iterations);
+    sp.attr("aig_nodes", sc.aig.num_nodes());
+    Ok(match key {
+        Some(key) => SatAttackOutcome::Complete(SatAttackResult {
+            key,
+            iterations,
+            conflicts: cp.conflicts,
+            conflict_deltas: cp.conflict_deltas,
+            clauses: solver.num_problem_clauses(),
+            portfolio_k: 1,
+        }),
+        None => SatAttackOutcome::NoKey,
+    })
 }
 
 #[cfg(test)]
@@ -576,8 +542,7 @@ G23 = NAND(G16, G19)
                     reason,
                 } => {
                     assert_eq!(reason, StopReason::Conflicts);
-                    assert_eq!(cp.iterations, cp.observations.len());
-                    assert_eq!(cp.conflict_deltas.len(), cp.iterations);
+                    assert_eq!(cp.conflict_deltas.len(), cp.observations.len());
                     suspensions += 1;
                     assert!(suspensions < 64, "attack never finishes");
                     checkpoint = Some(cp);
@@ -644,6 +609,47 @@ G23 = NAND(G16, G19)
         check_resume_matches_straight_through(&locked, &nl);
     }
 
+    /// The ladder test's 100-gate random host with a 16-bit lock.
+    fn random_host() -> seceda_netlist::Netlist {
+        random_circuit(&RandomCircuitConfig {
+            num_inputs: 10,
+            num_gates: 100,
+            num_outputs: 5,
+            with_xor: true,
+            seed: 3,
+        })
+    }
+
+    #[test]
+    fn budgeted_attack_resumes_on_random_host() {
+        let nl = random_host();
+        check_resume_matches_straight_through(&xor_lock(&nl, 16, 11), &nl);
+    }
+
+    #[test]
+    #[should_panic(expected = "observation has 5 inputs and 1 outputs; \
+                               the locked design expects 5 and 2")]
+    fn short_oracle_response_is_rejected() {
+        let nl = c17();
+        let locked = xor_lock(&nl, 8, 7);
+        let _ = sat_attack(&locked, |x: &[bool]| nl.evaluate(x)[..1].to_vec());
+    }
+
+    #[test]
+    #[should_panic(expected = "observation has 4 inputs and 2 outputs; \
+                               the locked design expects 5 and 2")]
+    fn truncated_checkpoint_observation_is_rejected() {
+        let nl = c17();
+        let locked = xor_lock(&nl, 8, 7);
+        let x = vec![true; 5];
+        let checkpoint = SatAttackCheckpoint {
+            observations: vec![(x[..4].to_vec(), nl.evaluate(&x))],
+            ..SatAttackCheckpoint::default()
+        };
+        let oracle = |x: &[bool]| nl.evaluate(x);
+        let _ = sat_attack_budgeted(&locked, oracle, &Budget::unlimited(), Some(&checkpoint));
+    }
+
     /// The one metering rule on a conflict-budget ladder 0, 1, 2, 4, ...:
     /// the budget caps the whole attack, so a run under a larger budget
     /// replays a smaller one's run and goes further. A suspended run's
@@ -687,13 +693,7 @@ G23 = NAND(G16, G19)
         check_budget_ladder(&xor_lock(&nl, 12, 7), &nl);
         let parsed = parse_bench(C17_BENCH).expect("c17 parses");
         check_budget_ladder(&xor_lock(&parsed, 6, 13), &parsed);
-        let random = random_circuit(&RandomCircuitConfig {
-            num_inputs: 10,
-            num_gates: 100,
-            num_outputs: 5,
-            with_xor: true,
-            seed: 3,
-        });
+        let random = random_host();
         check_budget_ladder(&xor_lock(&random, 16, 11), &random);
     }
 
@@ -706,7 +706,6 @@ G23 = NAND(G16, G19)
         match sat_attack_budgeted(&locked, oracle, &budget, None).expect("attack runs") {
             SatAttackOutcome::Suspended { checkpoint, reason } => {
                 assert_eq!(reason, StopReason::Conflicts);
-                assert_eq!(checkpoint.iterations, 0);
                 assert!(checkpoint.observations.is_empty());
                 assert!(checkpoint.conflict_deltas.is_empty());
             }

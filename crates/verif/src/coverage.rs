@@ -58,6 +58,13 @@ impl DetectionProof {
 /// pathological fault cannot wedge the whole proof, but the final proof
 /// honestly reports its holes via [`DetectionProof::holds`].
 ///
+/// Because the budget is metered over the whole loop, *which* faults
+/// end undecided depends on fault order, not on how hard each fault is:
+/// the first hard fault spends the budget, and every later fault that
+/// needs a solve ends undecided, easy or not. On `parity_protect` of a
+/// 60-gate random host (8 inputs, 4 outputs, seed 2), budgets 1 to 16
+/// leave the same 68 holes as budget 0.
+///
 /// # Errors
 ///
 /// Propagates encoding errors.

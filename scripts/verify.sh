@@ -31,6 +31,18 @@ cargo test -q --offline
 echo "==> perfbench build + tests (release)"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
+# Traced seed-1 work counters (solves, conflicts, DIPs, cache hits, ...)
+# repeat exactly on any host, because perfbench pins one worker. Every
+# `count` metric of every workload must equal its committed value in
+# scripts/perfbench_counters.json; a change that moves one on purpose
+# updates that file and says why in CHANGES.md.
+echo "==> perfbench seed-1 work counters vs. scripts/perfbench_counters.json"
+for workload in closure_campaign lock_attack signoff_flow; do
+    cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 1 | tail -n 1 |
+        python3 scripts/check_counters.py scripts/perfbench_counters.json "$workload"
+done
+
 # The placement oracle re-costs the whole design after every swap, too
 # slow for 1,000-2,000-gate designs in a debug build: its large-design
 # differential sweep is #[ignore]d and runs here in release.
