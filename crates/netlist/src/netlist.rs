@@ -73,6 +73,9 @@ pub struct Netlist {
     nets: Vec<Net>,
     gates: Vec<Gate>,
     inputs: Vec<NetId>,
+    /// `is_input[n]` for every net up to the last primary input: O(1)
+    /// membership for the driver checks.
+    is_input: Vec<bool>,
     outputs: Vec<(NetId, String)>,
 }
 
@@ -109,23 +112,21 @@ impl PartialEq for Netlist {
 impl Netlist {
     /// Creates an empty netlist with the given design name.
     pub fn new(name: impl Into<String>) -> Self {
-        Netlist {
-            name: name.into(),
-            symbols: Arc::default(),
-            nets: Vec::new(),
-            gates: Vec::new(),
-            inputs: Vec::new(),
-            outputs: Vec::new(),
-        }
+        Netlist::with_capacity(name, 0, 0)
     }
 
-    /// Creates an empty netlist with pre-sized net and gate arrays
-    /// (parsers know the design size up front).
+    /// Creates an empty netlist with pre-sized net and gate arrays and
+    /// room for a name per net (parsers know the design size up front).
     pub fn with_capacity(name: impl Into<String>, nets: usize, gates: usize) -> Self {
-        let mut nl = Netlist::new(name);
-        nl.nets.reserve(nets);
-        nl.gates.reserve(gates);
-        nl
+        Netlist {
+            name: name.into(),
+            symbols: Arc::new(SymbolTable::with_capacity(nets)),
+            nets: Vec::with_capacity(nets),
+            gates: Vec::with_capacity(gates),
+            inputs: Vec::new(),
+            is_input: Vec::new(),
+            outputs: Vec::new(),
+        }
     }
 
     /// The design name.
@@ -147,10 +148,7 @@ impl Netlist {
     /// table until one of them interns a name it does not hold yet;
     /// that one then copies it.
     pub fn intern(&mut self, name: &str) -> Symbol {
-        match self.symbols.lookup(name) {
-            Some(sym) => sym,
-            None => Arc::make_mut(&mut self.symbols).intern(name),
-        }
+        SymbolTable::intern_shared(&mut self.symbols, name)
     }
 
     /// The name of `net`, if it has one.
@@ -179,8 +177,14 @@ impl Netlist {
 
     /// Adds a fresh named net (undriven) and returns its id.
     pub fn add_named_net(&mut self, name: impl Into<String>) -> NetId {
-        let id = self.add_net();
         let sym = self.intern(&name.into());
+        self.add_symbol_net(sym)
+    }
+
+    /// Adds a fresh undriven net named by an already-interned symbol
+    /// (the parsers intern each identifier once).
+    pub(crate) fn add_symbol_net(&mut self, sym: Symbol) -> NetId {
+        let id = self.add_net();
         self.nets[id.index()].name = Some(sym);
         id
     }
@@ -198,8 +202,21 @@ impl Netlist {
     /// Declares a new primary input with the given port name.
     pub fn add_input(&mut self, name: impl Into<String>) -> NetId {
         let id = self.add_named_net(name);
-        self.inputs.push(id);
+        self.push_input(id);
         id
+    }
+
+    /// Returns `true` if `net` is a primary input.
+    pub(crate) fn is_input(&self, net: NetId) -> bool {
+        self.is_input.get(net.index()).copied().unwrap_or(false)
+    }
+
+    fn push_input(&mut self, net: NetId) {
+        if self.is_input.len() <= net.index() {
+            self.is_input.resize(net.index() + 1, false);
+        }
+        self.is_input[net.index()] = true;
+        self.inputs.push(net);
     }
 
     /// Promotes an existing undriven net to a primary input (parsers
@@ -211,10 +228,10 @@ impl Netlist {
     /// Returns [`NetlistError::MultipleDrivers`] if the net is driven
     /// by a gate or already declared as an input.
     pub fn promote_input(&mut self, net: NetId) -> Result<(), NetlistError> {
-        if self.nets[net.index()].driver.is_some() || self.inputs.contains(&net) {
+        if self.nets[net.index()].driver.is_some() || self.is_input(net) {
             return Err(NetlistError::MultipleDrivers(self.net_label(net)));
         }
-        self.inputs.push(net);
+        self.push_input(net);
         Ok(())
     }
 
@@ -285,7 +302,7 @@ impl Netlist {
         if output.index() >= self.nets.len() {
             return Err(NetlistError::UnknownNet(output.to_string()));
         }
-        if self.nets[output.index()].driver.is_some() || self.inputs.contains(&output) {
+        if self.nets[output.index()].driver.is_some() || self.is_input(output) {
             return Err(NetlistError::MultipleDrivers(self.net_label(output)));
         }
         let gid = GateId::from_index(self.gates.len());

@@ -138,18 +138,33 @@ pub(crate) struct SignalMap {
 }
 
 impl SignalMap {
-    pub(crate) fn new() -> Self {
-        SignalMap { net_of: Vec::new() }
+    /// An empty map with room for `names` signals.
+    pub(crate) fn with_capacity(names: usize) -> Self {
+        SignalMap {
+            net_of: Vec::with_capacity(names),
+        }
     }
 
     /// The net carrying `name`, created (named, undriven) on first
     /// sight.
     pub(crate) fn net(&mut self, nl: &mut Netlist, name: &str) -> NetId {
+        self.entry(nl, name).0
+    }
+
+    /// The net carrying `name`, and whether this call created it.
+    pub(crate) fn entry(&mut self, nl: &mut Netlist, name: &str) -> (NetId, bool) {
         let sym = nl.intern(name);
         if self.net_of.len() <= sym.index() {
             self.net_of.resize(sym.index() + 1, None);
         }
-        *self.net_of[sym.index()].get_or_insert_with(|| nl.add_named_net(name))
+        match self.net_of[sym.index()] {
+            Some(net) => (net, false),
+            None => {
+                let net = nl.add_symbol_net(sym);
+                self.net_of[sym.index()] = Some(net);
+                (net, true)
+            }
+        }
     }
 
     /// The net for `sym` if that name was seen already.
@@ -181,11 +196,10 @@ pub fn parse_bench(text: &str) -> Result<Netlist, NetlistError> {
     // guess capacity: most lines are gates
     let approx_lines = text.len() / 16;
     let mut nl = Netlist::with_capacity(DEFAULT_DESIGN_NAME, approx_lines, approx_lines);
-    let mut signals = SignalMap::new();
+    let mut signals = SignalMap::with_capacity(approx_lines);
     // (net, port override) of every pending OUTPUT, marked at the end
     // so forward references work; order preserved
     let mut outputs: Vec<(NetId, Option<String>)> = Vec::new();
-    let mut input_syms: HashSet<Symbol> = HashSet::new();
     let mut arg_buf: Vec<NetId> = Vec::new();
 
     for (lineno, raw) in text.lines().enumerate() {
@@ -210,49 +224,44 @@ pub fn parse_bench(text: &str) -> Result<Netlist, NetlistError> {
         }
 
         if let Some((dest, rhs)) = body.split_once('=') {
-            // gate line: dest = KIND(arg, arg, ...)
-            let dest = dest.trim();
+            // gate line: dest = KIND(arg, arg, ...); `body` is trimmed,
+            // so whitespace can only sit around the `=` and the `(`
+            let dest = dest.trim_end();
             if !valid_signal_name(dest) {
                 return Err(parse_err(line, format!("bad signal name `{dest}`")));
             }
-            let rhs = rhs.trim();
             let (kw, rest) = rhs
+                .trim_start()
                 .split_once('(')
                 .ok_or_else(|| parse_err(line, "expected `KIND(...)` after `=`"))?;
-            let kw = kw.trim();
+            let kw = kw.trim_end();
             let kind = kind_from_keyword(kw)
                 .ok_or_else(|| parse_err(line, format!("unknown gate type `{kw}`")))?;
             let args = rest
                 .strip_suffix(')')
-                .map(str::trim_end)
-                .or_else(|| rest.trim_end().strip_suffix(')'))
-                .ok_or_else(|| parse_err(line, "missing `)` (truncated gate line?)"))?;
+                .ok_or_else(|| parse_err(line, "missing `)` (truncated gate line?)"))?
+                .trim_end();
             arg_buf.clear();
-            for arg in args.split(',') {
-                let arg = arg.trim();
-                if arg.is_empty() {
-                    if args.trim().is_empty() && arg_buf.is_empty() {
-                        break; // zero-input gate: KIND()
+            // `KIND()` has no arguments; otherwise every one is a name
+            if !args.is_empty() {
+                for arg in args.split(',') {
+                    let arg = arg.trim();
+                    if arg.is_empty() {
+                        return Err(parse_err(line, "empty gate argument"));
                     }
-                    return Err(parse_err(line, "empty gate argument"));
+                    if !valid_signal_name(arg) {
+                        return Err(parse_err(line, format!("bad signal name `{arg}`")));
+                    }
+                    arg_buf.push(signals.net(&mut nl, arg));
                 }
-                if !valid_signal_name(arg) {
-                    return Err(parse_err(line, format!("bad signal name `{arg}`")));
-                }
-                arg_buf.push(signals.net(&mut nl, arg));
             }
             let tags = comment.map(parse_tags).unwrap_or_default();
             let out = signals.net(&mut nl, dest);
-            let inputs = std::mem::take(&mut arg_buf);
-            nl.try_add_gate_driving(kind, &inputs, out, tags)?;
-            arg_buf = inputs;
+            nl.try_add_gate_driving(kind, &arg_buf, out, tags)?;
         } else if let Some(rest) = strip_keyword(body, "INPUT") {
             let name = paren_arg(rest, line)?;
+            // a second INPUT of one name fails here as MultipleDrivers
             let net = signals.net(&mut nl, name);
-            let sym = nl.intern(name);
-            if !input_syms.insert(sym) {
-                return Err(NetlistError::MultipleDrivers(name.to_string()));
-            }
             nl.promote_input(net)?;
         } else if let Some(rest) = strip_keyword(body, "OUTPUT") {
             let name = paren_arg(rest, line)?;
@@ -273,7 +282,7 @@ pub fn parse_bench(text: &str) -> Result<Netlist, NetlistError> {
 
     // every referenced signal must be an input or have a driver by now
     for net in (0..nl.num_nets()).map(NetId::from_index) {
-        if nl.net(net).driver.is_none() && !nl.inputs().contains(&net) {
+        if nl.net(net).driver.is_none() && !nl.is_input(net) {
             return Err(NetlistError::UnknownNet(nl.net_label(net)));
         }
     }
@@ -289,7 +298,10 @@ pub fn parse_bench(text: &str) -> Result<Netlist, NetlistError> {
 
 /// Strips a case-insensitive keyword prefix, returning the remainder.
 fn strip_keyword<'a>(body: &'a str, kw: &str) -> Option<&'a str> {
-    if body.len() >= kw.len() && body[..kw.len()].eq_ignore_ascii_case(kw) {
+    // compared as bytes: `kw` is ASCII, so a match ends on a char
+    // boundary, and a multi-byte char straddling `kw.len()` is no match
+    let head = body.as_bytes().get(..kw.len())?;
+    if head.eq_ignore_ascii_case(kw.as_bytes()) {
         Some(&body[kw.len()..])
     } else {
         None
@@ -553,6 +565,16 @@ INPUT(B)
         }
         let err = parse_bench("INPUT(a)\ny = NAND(a)\nOUTPUT(y)\n").unwrap_err();
         assert!(matches!(err, NetlistError::BadArity { .. }));
+    }
+
+    #[test]
+    fn multibyte_char_inside_a_keyword_is_a_parse_error() {
+        // the em space straddles the length of `INPUT`
+        let err = parse_bench("INPU\u{2003}T(G7)\n").unwrap_err();
+        assert!(
+            matches!(err, NetlistError::Parse { line: 1, .. }),
+            "{err:?}"
+        );
     }
 
     #[test]

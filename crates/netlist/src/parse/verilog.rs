@@ -40,9 +40,9 @@
 
 use crate::cell::{CellKind, GateTags};
 use crate::error::NetlistError;
+use crate::id::NetId;
 use crate::netlist::Netlist;
 use crate::parse::bench::SignalMap;
-use crate::symbol::Symbol;
 
 fn parse_err(line: usize, message: impl Into<String>) -> NetlistError {
     NetlistError::Parse {
@@ -168,9 +168,8 @@ pub fn parse_verilog(text: &str) -> Result<Netlist, NetlistError> {
     let stmts = statements(text)?;
     sp.attr("statements", stmts.len());
     let mut nl = Netlist::with_capacity("module", stmts.len(), stmts.len());
-    let mut signals = SignalMap::new();
-    let mut declared: Vec<Symbol> = Vec::new();
-    let mut outputs: Vec<Symbol> = Vec::new();
+    let mut signals = SignalMap::with_capacity(stmts.len());
+    let mut outputs: Vec<NetId> = Vec::new();
     let mut saw_module = false;
     let mut saw_end = false;
 
@@ -226,15 +225,15 @@ pub fn parse_verilog(text: &str) -> Result<Netlist, NetlistError> {
                         return Err(parse_err(line, format!("empty name in {kw} declaration")));
                     }
                     check_identifier(tok, line)?;
-                    let net = signals.net(&mut nl, tok);
-                    let sym = nl.intern(tok);
-                    if declared.contains(&sym) {
+                    // only declarations create nets, so a name that
+                    // already has one was declared before
+                    let (net, fresh) = signals.entry(&mut nl, tok);
+                    if !fresh {
                         return Err(parse_err(line, format!("`{tok}` declared twice")));
                     }
-                    declared.push(sym);
                     match kw {
                         "input" => nl.promote_input(net)?,
-                        "output" => outputs.push(sym),
+                        "output" => outputs.push(net),
                         _ => {}
                     }
                 }
@@ -290,11 +289,10 @@ pub fn parse_verilog(text: &str) -> Result<Netlist, NetlistError> {
                     check_identifier(tok, line)?;
                     ids.push(resolve(&nl, &signals, tok)?);
                 }
-                if ids.is_empty() {
+                let Some((&out, ins)) = ids.split_first() else {
                     return Err(parse_err(line, "primitive needs an output connection"));
-                }
-                let out = ids.remove(0);
-                nl.try_add_gate_driving(kind, &ids, out, GateTags::default())?;
+                };
+                nl.try_add_gate_driving(kind, ins, out, GateTags::default())?;
             }
         }
     }
@@ -307,9 +305,8 @@ pub fn parse_verilog(text: &str) -> Result<Netlist, NetlistError> {
             "missing endmodule",
         ));
     }
-    for sym in outputs {
-        let net = signals.lookup(sym).expect("declared output has a net");
-        if nl.net(net).driver.is_none() && !nl.inputs().contains(&net) {
+    for net in outputs {
+        if nl.net(net).driver.is_none() && !nl.is_input(net) {
             return Err(NetlistError::UnknownNet(nl.net_label(net)));
         }
         let name = nl.net_label(net);

@@ -49,6 +49,14 @@ done
 echo "==> placement vs. full-recompute oracle on large designs (release)"
 cargo test -q --release --offline -p seceda-layout -- --ignored
 
+# Both parsers check input membership and duplicate declarations in
+# O(1) per name; parsing a .bench with 10^5 inputs and a Verilog module
+# with 10^5 wires, under a wall-time bound that a scan of the inputs or
+# declarations per name exceeds many times over, is #[ignore]d for the
+# debug suite and runs here in release.
+echo "==> 10^5-wide .bench and Verilog parse (release)"
+cargo test -q --release --offline -p seceda-netlist --test parse_wide -- --ignored
+
 # Every simulator runs on one compiled evaluation tape; its sweep
 # against Netlist::eval_nets and the test-local faulty arena walk on
 # 10k-20k-gate designs, and fault grading against that walk's oracle
