@@ -9,7 +9,9 @@
 //! become one node. The hash is *two-level*: an AND of two complemented
 //! ANDs whose children line up as `¬(p∧q) ∧ ¬(¬p∧¬q)` is recognized and
 //! re-consed as the single node `XOR(p, q)`, so XOR structure built out
-//! of raw ANDs and XOR structure lowered from explicit gates share.
+//! of raw ANDs and XOR structure lowered from explicit gates share. The
+//! table keys a shape as one `u128` and hashes it with one folded
+//! multiply under a per-process seed; a construction hashes once.
 //!
 //! The payoff for the SAT attack: the two keyed circuit copies of the
 //! miter share every subcircuit that does not depend on the key (they
@@ -20,7 +22,10 @@
 
 use crate::cnf::{CnfBuilder, Lit, Var};
 use seceda_netlist::{CellKind, Netlist, NetlistError};
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
+use std::sync::OnceLock;
 
 /// An edge into the AIG: a node index plus a complement bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -90,6 +95,63 @@ const KIND_INPUT: u8 = 1;
 const KIND_AND: u8 = 2;
 const KIND_XOR: u8 = 3;
 
+/// A node shape as one structural-hash key: the discriminant above the
+/// two operand codes.
+fn key(kind: u8, a: u32, b: u32) -> u128 {
+    u128::from(kind) << 64 | u128::from(b) << 32 | u128::from(a)
+}
+
+/// The structural hash's hasher state: a seed drawn once per process.
+/// Nodes and their order never depend on the hash, only the table's
+/// buckets do; with the seed unknown, a netlist cannot be built so that
+/// its nodes all land in one bucket run.
+#[derive(Debug, Clone, Copy)]
+struct StrashState([u64; 2]);
+
+impl Default for StrashState {
+    fn default() -> Self {
+        static SEED: OnceLock<[u64; 2]> = OnceLock::new();
+        StrashState(*SEED.get_or_init(|| {
+            let keys = RandomState::new();
+            [keys.hash_one(0u8), keys.hash_one(1u8)]
+        }))
+    }
+}
+
+impl BuildHasher for StrashState {
+    type Hasher = StrashHasher;
+
+    fn build_hasher(&self) -> StrashHasher {
+        StrashHasher {
+            seed: self.0,
+            hash: 0,
+        }
+    }
+}
+
+/// Hashes a [`key`] with one folded multiply: the two halves of the
+/// 128-bit product of its seeded halves, XORed.
+struct StrashHasher {
+    seed: [u64; 2],
+    hash: u64,
+}
+
+impl Hasher for StrashHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("structural-hash keys are u128")
+    }
+
+    fn write_u128(&mut self, key: u128) {
+        let p =
+            u128::from(key as u64 ^ self.seed[0]) * u128::from((key >> 64) as u64 ^ self.seed[1]);
+        self.hash = p as u64 ^ (p >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
 /// The structurally-hashed AIG node table.
 ///
 /// Nodes are only appended, so indices are stable and [`AigCnf`] maps
@@ -100,7 +162,7 @@ const KIND_XOR: u8 = 3;
 #[derive(Debug, Clone, Default)]
 pub struct Aig {
     nodes: Vec<Node>,
-    strash: HashMap<(u8, u32, u32), u32>,
+    strash: HashMap<u128, u32, StrashState>,
     hash_hits: u64,
 }
 
@@ -109,7 +171,7 @@ impl Aig {
     pub fn new() -> Self {
         Aig {
             nodes: vec![Node::Const],
-            strash: HashMap::new(),
+            strash: HashMap::default(),
             hash_hits: 0,
         }
     }
@@ -131,24 +193,29 @@ impl Aig {
         for n in mark..self.nodes.len() {
             let key = match self.nodes[n] {
                 Node::Const => unreachable!("the constant node is never truncated"),
-                Node::Input(lit) => (KIND_INPUT, lit.code() as u32, 0),
-                Node::And(a, b) => (KIND_AND, a.0, b.0),
-                Node::Xor(a, b) => (KIND_XOR, a.0, b.0),
+                Node::Input(lit) => key(KIND_INPUT, lit.code() as u32, 0),
+                Node::And(a, b) => key(KIND_AND, a.0, b.0),
+                Node::Xor(a, b) => key(KIND_XOR, a.0, b.0),
             };
             self.strash.remove(&key);
         }
         self.nodes.truncate(mark);
     }
 
-    fn intern(&mut self, key: (u8, u32, u32), node: Node) -> u32 {
-        if let Some(&n) = self.strash.get(&key) {
-            self.hash_hits += 1;
-            return n;
+    /// The node of shape `key`, allocated as `node` if it is new; one
+    /// hash either way.
+    fn intern(&mut self, key: u128, node: Node) -> u32 {
+        match self.strash.entry(key) {
+            Entry::Occupied(e) => {
+                self.hash_hits += 1;
+                *e.get()
+            }
+            Entry::Vacant(e) => {
+                let n = u32::try_from(self.nodes.len()).expect("AIG node overflow");
+                self.nodes.push(node);
+                *e.insert(n)
+            }
         }
-        let n = u32::try_from(self.nodes.len()).expect("AIG node overflow");
-        self.nodes.push(node);
-        self.strash.insert(key, n);
-        n
     }
 
     /// The input node carrying external literal `lit`. Complements
@@ -156,7 +223,7 @@ impl Aig {
     /// node.
     pub fn input(&mut self, lit: Lit) -> AigLit {
         let pos = lit.var().pos();
-        let n = self.intern((KIND_INPUT, pos.code() as u32, 0), Node::Input(pos));
+        let n = self.intern(key(KIND_INPUT, pos.code() as u32, 0), Node::Input(pos));
         AigLit::new(n, !lit.is_positive())
     }
 
@@ -181,7 +248,7 @@ impl Aig {
                 }
             }
         }
-        AigLit::new(self.intern((KIND_AND, a.0, b.0), Node::And(a, b)), false)
+        AigLit::new(self.intern(key(KIND_AND, a.0, b.0), Node::And(a, b)), false)
     }
 
     /// `a OR b` via De Morgan.
@@ -210,7 +277,7 @@ impl Aig {
             AigLit::new(b.node() as u32, false),
         );
         let (a, b) = if a.0 <= b.0 { (a, b) } else { (b, a) };
-        let n = self.intern((KIND_XOR, a.0, b.0), Node::Xor(a, b));
+        let n = self.intern(key(KIND_XOR, a.0, b.0), Node::Xor(a, b));
         AigLit::new(n, out_neg)
     }
 

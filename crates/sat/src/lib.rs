@@ -13,7 +13,9 @@
 //!   literals, heap-ordered VSIDS activities, learned-clause database
 //!   reduction, conflict-clause minimization, phase saving, Luby
 //!   restarts, and incremental solving under assumptions with on-the-fly
-//!   variable/clause addition. Its one entry point,
+//!   variable/clause addition. Clauses live in one flat arena, binary
+//!   clauses are watched implicitly (propagation never reads them), and
+//!   the VSIDS heap keeps each activity inline. Its one entry point,
 //!   [`Solver::solve`], takes the assumptions and a [`Budget`];
 //! * [`Budget`] / [`SolveOutcome`] — a conflict cap on one call, however
 //!   many solves it makes (work, never time, so every budgeted verdict is
@@ -25,7 +27,8 @@
 //! * [`aig`] — the one netlist→CNF lowering. [`lower_netlist`] lowers
 //!   a netlist into a structurally-hashed and-inverter graph ([`Aig`]:
 //!   a hash-consed AND/XOR node table with constant propagation and
-//!   two-level XOR re-discovery), giving one edge per net; [`AigCnf`]
+//!   two-level XOR re-discovery, under a seeded folded-multiply hash),
+//!   giving one edge per net; [`AigCnf`]
 //!   then emits Tseitin clauses through a persistent node→literal map,
 //!   so repeated encodings of shared logic — the two keyed copies of a
 //!   SAT-attack miter, the per-DIP observation circuits, BMC frames —

@@ -8,11 +8,27 @@
 //! assumptions with on-the-fly variable/clause addition. Every query
 //! goes through [`Solver::solve`], which takes the assumptions and a
 //! [`Budget`]; an unlimited budget skips every budget check.
+//!
+//! Layout, for the propagation loop's sake:
+//!
+//! * every clause lives in one flat `u32` arena: a header of
+//!   [`HEADER`] words (length; LBD and flag bits; the clause activity as
+//!   the two halves of an `f64`) followed by its literal codes. A clause
+//!   reference is its header's offset, and reduction compacts the arena
+//!   in clause order;
+//! * a binary clause's watches are *implicit*: the entry carries a flag
+//!   and the other literal as its blocker, so propagation settles the
+//!   clause without reading the arena;
+//! * literal values are indexed by literal code, one load per test;
+//! * the VSIDS heap stores each variable's activity beside it, so a sift
+//!   compares keys without a second array.
 
 use crate::budget::{Budget, SolveOutcome, StopReason};
 use crate::cnf::{Cnf, CnfBuilder, Lit, Var};
 
 const UNASSIGNED: i8 = -1;
+const FALSE: i8 = 0;
+const TRUE: i8 = 1;
 const NO_REASON: u32 = u32::MAX;
 /// Learned clauses with LBD at or below this are "glue" and never deleted.
 const GLUE_LBD: u32 = 2;
@@ -23,32 +39,41 @@ const VAR_DECAY: f64 = 0.95;
 /// Growth factor of the learned-clause budget after each reduction.
 const REDUCE_GROWTH: f64 = 1.2;
 
-#[derive(Debug, Clone)]
-struct Clause {
-    lits: Vec<Lit>,
-    learned: bool,
-    lbd: u32,
-    activity: f64,
-}
+/// Words in front of a clause's literals in the arena: its length, its
+/// flags (`lbd << 2 | DELETED | LEARNED`) and its activity's low and
+/// high halves.
+const HEADER: usize = 4;
+const LEARNED: u32 = 1;
+/// Set on reduction victims just before the arena is compacted.
+const DELETED: u32 = 2;
 
-/// A watch-list entry: the clause index plus a *blocking literal* — some
-/// other literal of the clause (usually the other watch). If the blocker
-/// is already true the clause is satisfied and propagation skips the
-/// clause body entirely, avoiding the cache miss on `Clause::lits`.
+/// A watch-list entry: the clause reference plus a *blocking literal* —
+/// some other literal of the clause (usually the other watch). If the
+/// blocker is already true the clause is satisfied and propagation skips
+/// the clause body entirely. For a binary clause (flagged by
+/// [`Watch::BINARY`] in `clause`) the blocker is always the other
+/// literal, which is all propagation needs to know.
 #[derive(Debug, Clone, Copy)]
 struct Watch {
     clause: u32,
     blocker: Lit,
 }
 
-/// Indexed binary max-heap over variable activities.
+impl Watch {
+    /// Flag bit of binary-clause entries; clause references stay below it.
+    const BINARY: u32 = 1 << 31;
+}
+
+/// Indexed binary max-heap of `(activity, variable)` pairs.
 ///
 /// Ordering: higher activity first, lowest variable index on ties — the
-/// same variable a linear argmax scan would pick. Assigned variables are
-/// removed lazily (skipped at pop time, re-inserted on backtrack).
+/// same variable a linear argmax scan would pick. Each entry's key is a
+/// copy of the solver's activity for that variable, refreshed on every
+/// bump and rescale. Assigned variables are removed lazily (skipped at
+/// pop time, re-inserted on backtrack).
 #[derive(Debug, Clone, Default)]
 struct VarOrder {
-    heap: Vec<u32>,
+    heap: Vec<(f64, u32)>,
     /// `pos[v]` is the heap slot of `v`, or `ABSENT`.
     pos: Vec<u32>,
 }
@@ -56,110 +81,112 @@ struct VarOrder {
 impl VarOrder {
     const ABSENT: u32 = u32::MAX;
 
-    fn new(num_vars: usize, activity: &[f64]) -> Self {
-        let mut order = VarOrder {
-            heap: Vec::with_capacity(num_vars),
-            pos: Vec::with_capacity(num_vars),
-        };
-        for v in 0..num_vars {
-            order.pos.push(Self::ABSENT);
-            order.insert(activity, v);
+    /// Every variable at activity zero: index order is heap order.
+    fn new(num_vars: usize) -> Self {
+        VarOrder {
+            heap: (0..num_vars as u32).map(|v| (0.0, v)).collect(),
+            pos: (0..num_vars as u32).collect(),
         }
-        order
     }
 
-    fn better(activity: &[f64], a: u32, b: u32) -> bool {
-        let (aa, ab) = (activity[a as usize], activity[b as usize]);
-        aa > ab || (aa == ab && a < b)
+    fn better(a: (f64, u32), b: (f64, u32)) -> bool {
+        a.0 > b.0 || (a.0 == b.0 && a.1 < b.1)
     }
 
-    fn in_heap(&self, v: usize) -> bool {
-        self.pos[v] != Self::ABSENT
-    }
-
-    /// Registers a freshly allocated variable and inserts it.
-    fn push_var(&mut self, activity: &[f64], v: usize) {
+    /// Registers a freshly allocated variable (activity zero) and inserts it.
+    fn push_var(&mut self, v: usize) {
         debug_assert_eq!(self.pos.len(), v);
         self.pos.push(Self::ABSENT);
-        self.insert(activity, v);
+        self.insert(v, 0.0);
     }
 
-    fn insert(&mut self, activity: &[f64], v: usize) {
-        if self.in_heap(v) {
+    fn insert(&mut self, v: usize, activity: f64) {
+        if self.pos[v] != Self::ABSENT {
             return;
         }
-        let slot = self.heap.len();
-        self.heap.push(v as u32);
-        self.pos[v] = slot as u32;
-        self.sift_up(activity, slot);
+        self.heap.push((activity, v as u32));
+        self.sift_up(self.heap.len() - 1);
     }
 
-    fn swap_slots(&mut self, i: usize, j: usize) {
-        self.heap.swap(i, j);
-        self.pos[self.heap[i] as usize] = i as u32;
-        self.pos[self.heap[j] as usize] = j as u32;
-    }
-
-    fn sift_up(&mut self, activity: &[f64], mut i: usize) {
+    /// Moves the entry at slot `i` up through a hole until its parent is
+    /// better.
+    fn sift_up(&mut self, mut i: usize) {
+        let x = self.heap[i];
         while i > 0 {
             let parent = (i - 1) / 2;
-            if Self::better(activity, self.heap[i], self.heap[parent]) {
-                self.swap_slots(i, parent);
-                i = parent;
-            } else {
+            let p = self.heap[parent];
+            if !Self::better(x, p) {
                 break;
             }
+            self.heap[i] = p;
+            self.pos[p.1 as usize] = i as u32;
+            i = parent;
         }
+        self.heap[i] = x;
+        self.pos[x.1 as usize] = i as u32;
     }
 
-    fn sift_down(&mut self, activity: &[f64], mut i: usize) {
+    /// Moves the entry at slot `i` down through a hole until no child is
+    /// better.
+    fn sift_down(&mut self, mut i: usize) {
+        let x = self.heap[i];
+        let n = self.heap.len();
         loop {
             let left = 2 * i + 1;
-            let right = left + 1;
-            let mut best = i;
-            if left < self.heap.len() && Self::better(activity, self.heap[left], self.heap[best]) {
-                best = left;
-            }
-            if right < self.heap.len() && Self::better(activity, self.heap[right], self.heap[best])
-            {
-                best = right;
-            }
-            if best == i {
+            if left >= n {
                 break;
             }
-            self.swap_slots(i, best);
-            i = best;
+            let right = left + 1;
+            let child = if right < n && Self::better(self.heap[right], self.heap[left]) {
+                right
+            } else {
+                left
+            };
+            let c = self.heap[child];
+            if !Self::better(c, x) {
+                break;
+            }
+            self.heap[i] = c;
+            self.pos[c.1 as usize] = i as u32;
+            i = child;
         }
+        self.heap[i] = x;
+        self.pos[x.1 as usize] = i as u32;
     }
 
     fn peek(&self) -> Option<usize> {
-        self.heap.first().map(|&v| v as usize)
+        self.heap.first().map(|&(_, v)| v as usize)
     }
 
-    fn pop(&mut self, activity: &[f64]) -> Option<usize> {
-        let top = *self.heap.first()? as usize;
+    fn pop(&mut self) -> Option<usize> {
+        let (_, top) = *self.heap.first()?;
         let last = self.heap.pop().expect("non-empty heap");
-        self.pos[top] = Self::ABSENT;
+        self.pos[top as usize] = Self::ABSENT;
         if !self.heap.is_empty() {
             self.heap[0] = last;
-            self.pos[last as usize] = 0;
-            self.sift_down(activity, 0);
+            self.sift_down(0);
         }
-        Some(top)
+        Some(top as usize)
     }
 
-    /// Restores heap order after `v`'s activity increased.
-    fn bumped(&mut self, activity: &[f64], v: usize) {
-        if self.in_heap(v) {
-            self.sift_up(activity, self.pos[v] as usize);
+    /// Restores heap order after `v`'s activity rose to `activity`.
+    fn bumped(&mut self, v: usize, activity: f64) {
+        let slot = self.pos[v];
+        if slot != Self::ABSENT {
+            self.heap[slot as usize].0 = activity;
+            self.sift_up(slot as usize);
         }
     }
 
-    /// Re-heapifies after a global activity rescale (which can collapse
-    /// distinct activities into ties, invalidating the order).
-    fn rebuild(&mut self, activity: &[f64]) {
+    /// Refreshes every key after a global activity rescale and
+    /// re-heapifies (a rescale can collapse distinct activities into
+    /// ties, invalidating the order).
+    fn rescaled(&mut self, activity: &[f64]) {
+        for entry in &mut self.heap {
+            entry.0 = activity[entry.1 as usize];
+        }
         for i in (0..self.heap.len() / 2).rev() {
-            self.sift_down(activity, i);
+            self.sift_down(i);
         }
     }
 }
@@ -179,11 +206,15 @@ impl VarOrder {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Solver {
-    clauses: Vec<Clause>,
+    /// Every stored clause, header then literal codes (see [`HEADER`]).
+    arena: Vec<u32>,
+    /// Clauses in the arena (problem + live learned).
+    num_clauses: usize,
     /// `watches[l.code()]`: entries for clauses in which literal `l` is
     /// one of the two watched literals, each with a blocking literal.
     watches: Vec<Vec<Watch>>,
-    assign: Vec<i8>, // -1 unassigned / 0 false / 1 true
+    /// `values[l.code()]`: [`TRUE`], [`FALSE`] or [`UNASSIGNED`].
+    values: Vec<i8>,
     level: Vec<u32>,
     reason: Vec<u32>,
     trail: Vec<Lit>,
@@ -206,6 +237,14 @@ pub struct Solver {
     reduce_pinned: bool,
     saved_phase: Vec<bool>,
     seen: Vec<bool>,
+    /// The clause [`Solver::analyze`] learns, asserting literal first.
+    learnt: Vec<Lit>,
+    /// Variables whose `seen` mark `analyze` clears after minimizing.
+    to_clear: Vec<usize>,
+    /// The decision levels of a learned clause, for its LBD.
+    levels: Vec<u32>,
+    /// The clause [`Solver::add_clause`] normalizes.
+    adding: Vec<Lit>,
     unsat: bool,
     /// Statistics: total conflicts encountered.
     pub num_conflicts: u64,
@@ -230,18 +269,18 @@ pub struct Solver {
 impl Solver {
     /// Creates a solver over `num_vars` variables and no clauses.
     pub fn new(num_vars: usize) -> Self {
-        let activity = vec![0.0; num_vars];
         Solver {
-            clauses: Vec::new(),
+            arena: Vec::new(),
+            num_clauses: 0,
             watches: vec![Vec::new(); num_vars * 2],
-            assign: vec![UNASSIGNED; num_vars],
+            values: vec![UNASSIGNED; num_vars * 2],
             level: vec![0; num_vars],
             reason: vec![NO_REASON; num_vars],
             trail: Vec::new(),
             trail_lim: Vec::new(),
             qhead: 0,
-            order: VarOrder::new(num_vars, &activity),
-            activity,
+            order: VarOrder::new(num_vars),
+            activity: vec![0.0; num_vars],
             var_inc: 1.0,
             cla_inc: 1.0,
             num_deletable_live: 0,
@@ -249,6 +288,10 @@ impl Solver {
             reduce_pinned: false,
             saved_phase: vec![false; num_vars],
             seen: vec![false; num_vars],
+            learnt: Vec::new(),
+            to_clear: Vec::new(),
+            levels: Vec::new(),
+            adding: Vec::new(),
             unsat: false,
             num_conflicts: 0,
             num_decisions: 0,
@@ -272,8 +315,8 @@ impl Solver {
 
     /// Allocates a fresh variable (for incremental encodings).
     pub fn new_var(&mut self) -> Var {
-        let v = Var::from_index(self.assign.len());
-        self.assign.push(UNASSIGNED);
+        let v = Var::from_index(self.level.len());
+        self.values.extend([UNASSIGNED, UNASSIGNED]);
         self.level.push(0);
         self.reason.push(NO_REASON);
         self.activity.push(0.0);
@@ -281,25 +324,31 @@ impl Solver {
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
-        self.order.push_var(&self.activity, v.index());
+        self.order.push_var(v.index());
         v
     }
 
     /// Number of variables known to the solver.
     pub fn num_vars(&self) -> usize {
-        self.assign.len()
+        self.level.len()
     }
 
     /// Number of clauses currently stored (problem + live learned).
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.num_clauses
     }
 
-    /// Number of problem (non-learned) clauses currently stored — the
-    /// size of the encoding as delivered by [`CnfBuilder::add_clause`],
-    /// excluding anything the search derived itself.
+    /// Number of problem (non-learned) clauses currently stored. This is
+    /// not the number delivered through [`CnfBuilder::add_clause`]:
+    /// adding drops tautologies and clauses already satisfied at the
+    /// root, and keeps a unit as a root assignment, not a clause; a
+    /// learned-clause reduction deletes problem clauses that have become
+    /// satisfied at the root (and strips root-false literals from the
+    /// rest).
     pub fn num_problem_clauses(&self) -> usize {
-        self.clauses.iter().filter(|c| !c.learned).count()
+        self.clause_refs()
+            .filter(|&c| self.arena[c as usize + 1] & LEARNED == 0)
+            .count()
     }
 
     /// The current VSIDS activity of a variable.
@@ -311,17 +360,14 @@ impl Solver {
     /// root (after a [`Solver::solve`] call the trail is backtracked, so
     /// only root-implied variables report a value).
     pub fn var_value(&self, v: Var) -> Option<bool> {
-        match self.assign[v.index()] {
+        match self.values[v.pos().code()] {
             UNASSIGNED => None,
-            x => Some(x == 1),
+            x => Some(x == TRUE),
         }
     }
 
     fn value_lit(&self, l: Lit) -> i8 {
-        match self.assign[l.var().index()] {
-            UNASSIGNED => UNASSIGNED,
-            v => i8::from((v == 1) == l.is_positive()),
-        }
+        self.values[l.code()]
     }
 
     /// Adds a clause. May be called between [`Solver::solve`] calls; the
@@ -332,49 +378,103 @@ impl Solver {
     /// Panics if a literal references an unknown variable.
     pub fn add_clause(&mut self, lits: impl IntoIterator<Item = Lit>) {
         self.backtrack(0);
-        let mut clause: Vec<Lit> = lits.into_iter().collect();
+        let mut clause = std::mem::take(&mut self.adding);
+        clause.clear();
+        clause.extend(lits);
         for l in &clause {
             assert!(l.var().index() < self.num_vars(), "literal out of range");
         }
         clause.sort_unstable();
         clause.dedup();
         if clause.windows(2).any(|w| w[0] == !w[1]) {
-            return; // tautology
-        }
-        if clause.iter().any(|&l| self.value_lit(l) == 1) {
-            return; // satisfied at root level
-        }
-        clause.retain(|&l| self.value_lit(l) != 0); // drop root-false lits
-        match clause.len() {
-            0 => self.unsat = true,
-            1 => {
-                self.enqueue(clause[0], NO_REASON);
-                if matches!(self.propagate(), Propagation::Conflict(_)) {
-                    self.unsat = true;
+            // tautology
+        } else if clause.iter().any(|&l| self.value_lit(l) == TRUE) {
+            // satisfied at root level
+        } else {
+            clause.retain(|&l| self.value_lit(l) != FALSE); // drop root-false lits
+            match clause.len() {
+                0 => self.unsat = true,
+                1 => {
+                    self.enqueue(clause[0], NO_REASON);
+                    if self.propagate().is_some() {
+                        self.unsat = true;
+                    }
+                }
+                _ => {
+                    self.alloc(&clause, 0, 0.0);
                 }
             }
-            _ => {
-                let idx = self.clauses.len() as u32;
-                self.watch(clause[0], idx, clause[1]);
-                self.watch(clause[1], idx, clause[0]);
-                self.clauses.push(Clause {
-                    lits: clause,
-                    learned: false,
-                    lbd: 0,
-                    activity: 0.0,
-                });
-            }
         }
+        self.adding = clause;
     }
 
-    fn watch(&mut self, on: Lit, clause: u32, blocker: Lit) {
-        self.watches[on.code()].push(Watch { clause, blocker });
+    /// Appends a clause of at least two literals to the arena and watches
+    /// its first two; returns its reference. `flags` holds the LBD and
+    /// the learned bit.
+    fn alloc(&mut self, lits: &[Lit], flags: u32, activity: f64) -> u32 {
+        let c = u32::try_from(self.arena.len())
+            .ok()
+            .filter(|&c| c < Watch::BINARY)
+            .expect("clause arena overflow");
+        let bits = activity.to_bits();
+        self.arena
+            .extend([lits.len() as u32, flags, bits as u32, (bits >> 32) as u32]);
+        self.arena.extend(lits.iter().map(|l| l.0));
+        self.num_clauses += 1;
+        self.watch_clause(c);
+        c
+    }
+
+    /// Adds clause `c`'s two watches: on its first two literals, each
+    /// blocked by the other, flagged if the clause is binary.
+    fn watch_clause(&mut self, c: u32) {
+        let at = c as usize;
+        let (a, b) = (
+            Lit(self.arena[at + HEADER]),
+            Lit(self.arena[at + HEADER + 1]),
+        );
+        let clause = if self.arena[at] == 2 {
+            c | Watch::BINARY
+        } else {
+            c
+        };
+        self.watches[a.code()].push(Watch { clause, blocker: b });
+        self.watches[b.code()].push(Watch { clause, blocker: a });
+    }
+
+    /// The literals of clause `c`, as codes.
+    fn lits(&self, c: u32) -> &[u32] {
+        let at = c as usize + HEADER;
+        &self.arena[at..at + self.arena[c as usize] as usize]
+    }
+
+    fn clause_activity(&self, c: u32) -> f64 {
+        let at = c as usize;
+        f64::from_bits(u64::from(self.arena[at + 2]) | u64::from(self.arena[at + 3]) << 32)
+    }
+
+    fn set_clause_activity(&mut self, c: u32, activity: f64) {
+        let at = c as usize;
+        let bits = activity.to_bits();
+        self.arena[at + 2] = bits as u32;
+        self.arena[at + 3] = (bits >> 32) as u32;
+    }
+
+    /// Every clause reference, in arena order.
+    fn clause_refs(&self) -> impl Iterator<Item = u32> + '_ {
+        let mut at = 0;
+        std::iter::from_fn(move || {
+            let c = at;
+            at += HEADER + *self.arena.get(c)? as usize;
+            Some(c as u32)
+        })
     }
 
     fn enqueue(&mut self, l: Lit, reason: u32) {
         debug_assert_eq!(self.value_lit(l), UNASSIGNED);
         let v = l.var().index();
-        self.assign[v] = l.is_positive() as i8;
+        self.values[l.code()] = TRUE;
+        self.values[(!l).code()] = FALSE;
         self.level[v] = self.trail_lim.len() as u32;
         self.reason[v] = reason;
         self.saved_phase[v] = l.is_positive();
@@ -382,78 +482,81 @@ impl Solver {
         self.num_propagations += 1;
     }
 
-    /// Propagates all pending assignments; returns a conflicting clause
-    /// index on conflict.
-    fn propagate(&mut self) -> Propagation {
+    /// Propagates all pending assignments; returns the conflicting
+    /// clause on conflict.
+    fn propagate(&mut self) -> Option<u32> {
         while self.qhead < self.trail.len() {
-            let p = self.trail[self.qhead];
+            let false_lit = !self.trail[self.qhead]; // literal that just became false
             self.qhead += 1;
-            let false_lit = !p; // literal that just became false
             let mut watch_list = std::mem::take(&mut self.watches[false_lit.code()]);
             let mut i = 0;
             let mut conflict = None;
             while i < watch_list.len() {
-                let w = watch_list[i];
+                let Watch { clause, blocker } = watch_list[i];
+                let blocker_value = self.values[blocker.code()];
                 // blocking literal: clause already satisfied, skip body
-                if self.value_lit(w.blocker) == 1 {
+                if blocker_value == TRUE {
                     i += 1;
                     continue;
                 }
-                match self.visit_clause(w.clause, false_lit) {
-                    VisitOutcome::Keep => {
-                        // refresh the blocker to the other watch, which
-                        // visit_clause left (or made) satisfied-or-free
-                        watch_list[i].blocker = self.clauses[w.clause as usize].lits[0];
-                        i += 1;
-                    }
-                    VisitOutcome::Moved => {
-                        watch_list.swap_remove(i);
-                    }
-                    VisitOutcome::Conflict => {
-                        conflict = Some(w.clause);
+                if clause & Watch::BINARY != 0 {
+                    let c = clause & !Watch::BINARY;
+                    if blocker_value == FALSE {
+                        // analysis bumps a conflict's variables in clause
+                        // order, which decides where an activity rescale
+                        // falls; store the clause as a long clause's visit
+                        // leaves it, the false watch second
+                        let at = c as usize + HEADER;
+                        self.arena[at] = blocker.0;
+                        self.arena[at + 1] = false_lit.0;
+                        conflict = Some(c);
                         break;
                     }
+                    self.enqueue(blocker, c);
+                    i += 1;
+                    continue;
+                }
+                // a long clause: its false watch goes to position 1
+                let at = clause as usize + HEADER;
+                let end = at + self.arena[clause as usize] as usize;
+                if self.arena[at] == false_lit.0 {
+                    self.arena.swap(at, at + 1);
+                }
+                let first = Lit(self.arena[at]);
+                let first_value = self.values[first.code()];
+                // the blocker becomes the other watch, which is left (or
+                // made) satisfied or free unless the clause conflicts
+                if first_value == TRUE {
+                    watch_list[i].blocker = first;
+                    i += 1;
+                    continue;
+                }
+                let free = (at + 2..end).find(|&k| self.values[self.arena[k] as usize] != FALSE);
+                if let Some(k) = free {
+                    self.arena.swap(at + 1, k);
+                    let new_watch = Lit(self.arena[at + 1]);
+                    self.watches[new_watch.code()].push(Watch {
+                        clause,
+                        blocker: first,
+                    });
+                    watch_list.swap_remove(i);
+                } else if first_value == FALSE {
+                    conflict = Some(clause);
+                    break;
+                } else {
+                    self.enqueue(first, clause);
+                    watch_list[i].blocker = first;
+                    i += 1;
                 }
             }
             self.watches[false_lit.code()] = watch_list;
-            if let Some(ci) = conflict {
+            if conflict.is_some() {
                 // flush the propagation queue so the trail stays coherent
                 self.qhead = self.trail.len();
-                return Propagation::Conflict(ci);
+                return conflict;
             }
         }
-        Propagation::Quiescent
-    }
-
-    fn visit_clause(&mut self, ci: u32, false_lit: Lit) -> VisitOutcome {
-        // ensure the false watch sits at position 1
-        {
-            let c = &mut self.clauses[ci as usize].lits;
-            if c[0] == false_lit {
-                c.swap(0, 1);
-            }
-        }
-        let first = self.clauses[ci as usize].lits[0];
-        if self.value_lit(first) == 1 {
-            return VisitOutcome::Keep;
-        }
-        let len = self.clauses[ci as usize].lits.len();
-        for k in 2..len {
-            let lk = self.clauses[ci as usize].lits[k];
-            if self.value_lit(lk) != 0 {
-                let c = &mut self.clauses[ci as usize].lits;
-                c.swap(1, k);
-                let (new_watch, blocker) = (c[1], c[0]);
-                self.watch(new_watch, ci, blocker);
-                return VisitOutcome::Moved;
-            }
-        }
-        if self.value_lit(first) == 0 {
-            VisitOutcome::Conflict
-        } else {
-            self.enqueue(first, ci);
-            VisitOutcome::Keep
-        }
+        None
     }
 
     fn backtrack(&mut self, target_level: usize) {
@@ -464,9 +567,10 @@ impl Solver {
         while self.trail.len() > lim {
             let l = self.trail.pop().expect("trail non-empty");
             let v = l.var().index();
-            self.assign[v] = UNASSIGNED;
+            self.values[l.code()] = UNASSIGNED;
+            self.values[(!l).code()] = UNASSIGNED;
             self.reason[v] = NO_REASON;
-            self.order.insert(&self.activity, v);
+            self.order.insert(v, self.activity[v]);
         }
         self.trail_lim.truncate(target_level);
         self.qhead = self.trail.len();
@@ -479,45 +583,63 @@ impl Solver {
                 *a *= 1e-100;
             }
             self.var_inc *= 1e-100;
-            // rescaling can merge activities into ties; restore heap order
-            self.order.rebuild(&self.activity);
+            self.order.rescaled(&self.activity);
         } else {
-            self.order.bumped(&self.activity, v);
+            self.order.bumped(v, self.activity[v]);
         }
     }
 
-    fn bump_clause(&mut self, ci: u32) {
-        let c = &mut self.clauses[ci as usize];
-        c.activity += self.cla_inc;
-        if c.activity > 1e20 {
-            for c in &mut self.clauses {
-                c.activity *= 1e-20;
+    fn bump_clause(&mut self, c: u32) {
+        let activity = self.clause_activity(c) + self.cla_inc;
+        self.set_clause_activity(c, activity);
+        if activity > 1e20 {
+            let mut at = 0;
+            while at < self.arena.len() {
+                let c = at as u32;
+                self.set_clause_activity(c, self.clause_activity(c) * 1e-20);
+                at += HEADER + self.arena[at] as usize;
             }
             self.cla_inc *= 1e-20;
         }
     }
 
+    /// `true` if `l` (a literal of a learned clause) is implied by the
+    /// clause's other literals: every other literal of its reason is
+    /// marked `seen` or root-false.
+    fn implied(&self, l: Lit) -> bool {
+        let r = self.reason[l.var().index()];
+        r != NO_REASON
+            && self.lits(r).iter().all(|&q| {
+                let qv = Lit(q).var();
+                // the reason's asserted literal is `!l` itself
+                qv == l.var() || self.seen[qv.index()] || self.level[qv.index()] == 0
+            })
+    }
+
     /// First-UIP conflict analysis with self-subsumption minimization.
-    /// Returns `(learned clause, backtrack level, LBD)` with the asserting
-    /// literal at position 0.
-    fn analyze(&mut self, confl: u32) -> (Vec<Lit>, usize, u32) {
+    /// Leaves the learned clause in `self.learnt`, the asserting literal
+    /// first and a literal of the backtrack level second, and returns
+    /// `(backtrack level, LBD)`.
+    fn analyze(&mut self, confl: u32) -> (usize, u32) {
         let current = self.trail_lim.len() as u32;
-        let mut learnt: Vec<Lit> = Vec::new();
+        let mut learnt = std::mem::take(&mut self.learnt);
+        learnt.clear();
+        learnt.push(Lit(0)); // the asserting literal's slot
         let mut counter = 0usize;
         let mut index = self.trail.len();
-        let mut p: Option<Lit> = None;
         let mut reason_clause = confl;
+        // the literal a reason clause asserted; the conflict clause
+        // asserted none, so all of its literals count
+        let mut asserted: Option<Var> = None;
         loop {
-            if self.clauses[reason_clause as usize].learned {
+            if self.arena[reason_clause as usize + 1] & LEARNED != 0 {
                 self.bump_clause(reason_clause);
             }
-            // For reason clauses, lits[0] is the literal that was asserted
-            // (p); skip it. For the initial conflict clause take all.
-            let start = usize::from(p.is_some());
-            for j in start..self.clauses[reason_clause as usize].lits.len() {
-                let q = self.clauses[reason_clause as usize].lits[j];
+            let at = reason_clause as usize + HEADER;
+            for j in at..at + self.arena[reason_clause as usize] as usize {
+                let q = Lit(self.arena[j]);
                 let v = q.var().index();
-                if !self.seen[v] && self.level[v] > 0 {
+                if Some(q.var()) != asserted && !self.seen[v] && self.level[v] > 0 {
                     self.seen[v] = true;
                     self.bump(v);
                     if self.level[v] == current {
@@ -538,81 +660,75 @@ impl Solver {
             let v = lit.var().index();
             self.seen[v] = false;
             counter -= 1;
-            p = Some(lit);
             if counter == 0 {
+                learnt[0] = !lit;
                 break;
             }
+            asserted = Some(lit.var());
             reason_clause = self.reason[v];
             debug_assert_ne!(reason_clause, NO_REASON, "non-UIP literal lacks reason");
         }
-        let uip = !p.expect("1-UIP literal");
         // Self-subsumption against reason clauses: a literal whose reason's
         // other literals are all already in the clause (seen) or root-false
         // is implied by the rest and can be dropped. Reasons form an
         // acyclic implication graph, so dropping several such literals at
         // once stays sound. The `seen` marks of dropped literals are kept
         // until all checks ran, then cleared together.
-        let premin_vars: Vec<usize> = learnt.iter().map(|l| l.var().index()).collect();
+        self.to_clear.clear();
+        self.to_clear
+            .extend(learnt[1..].iter().map(|l| l.var().index()));
         let before = learnt.len();
-        learnt.retain(|&l| {
-            let r = self.reason[l.var().index()];
-            if r == NO_REASON {
-                return true;
+        let mut kept = 1;
+        for i in 1..learnt.len() {
+            if !self.implied(learnt[i]) {
+                learnt[kept] = learnt[i];
+                kept += 1;
             }
-            // lits[0] of a reason clause is the asserted literal (= !l)
-            !self.clauses[r as usize].lits[1..].iter().all(|&q| {
-                let qv = q.var().index();
-                self.seen[qv] || self.level[qv] == 0
-            })
-        });
-        self.num_minimized_lits += (before - learnt.len()) as u64;
-        for v in premin_vars {
+        }
+        learnt.truncate(kept);
+        self.num_minimized_lits += (before - kept) as u64;
+        for &v in &self.to_clear {
             self.seen[v] = false;
         }
         // backtrack to the second-highest decision level in the clause
         let mut bt = 0usize;
-        let mut max_idx = 0usize;
-        for (i, l) in learnt.iter().enumerate() {
+        let mut max_idx = 1usize;
+        for (i, l) in learnt.iter().enumerate().skip(1) {
             let lv = self.level[l.var().index()] as usize;
             if lv > bt {
                 bt = lv;
                 max_idx = i;
             }
         }
-        if !learnt.is_empty() {
-            learnt.swap(0, max_idx);
+        if learnt.len() > 1 {
+            learnt.swap(1, max_idx);
         }
         // LBD: number of distinct decision levels in the clause (the UIP
         // sits at the current level, distinct from every other literal)
-        let mut levels: Vec<u32> = learnt.iter().map(|l| self.level[l.var().index()]).collect();
-        levels.sort_unstable();
-        levels.dedup();
-        let lbd = levels.len() as u32 + 1;
-        let mut clause = Vec::with_capacity(learnt.len() + 1);
-        clause.push(uip);
-        clause.extend(learnt);
-        (clause, bt, lbd)
+        self.levels.clear();
+        self.levels
+            .extend(learnt[1..].iter().map(|l| self.level[l.var().index()]));
+        self.levels.sort_unstable();
+        self.levels.dedup();
+        let lbd = self.levels.len() as u32 + 1;
+        self.learnt = learnt;
+        (bt, lbd)
     }
 
-    /// Installs a learned clause; returns its index if it is non-unit.
-    fn learn(&mut self, clause: &[Lit], lbd: u32) -> u32 {
+    /// Installs the clause in `self.learnt`; returns its reference if it
+    /// is non-unit.
+    fn learn(&mut self, lbd: u32) -> u32 {
         self.num_learned += 1;
-        if clause.len() < 2 {
+        if self.learnt.len() < 2 {
             return NO_REASON;
         }
-        let idx = self.clauses.len() as u32;
-        self.watch(clause[0], idx, clause[1]);
-        self.watch(clause[1], idx, clause[0]);
-        self.clauses.push(Clause {
-            lits: clause.to_vec(),
-            learned: true,
-            lbd,
-            activity: self.cla_inc,
-        });
+        let learnt = std::mem::take(&mut self.learnt);
+        let c = self.alloc(&learnt, lbd << 2 | LEARNED, self.cla_inc);
+        self.learnt = learnt;
         if lbd > GLUE_LBD {
             self.num_deletable_live += 1;
         }
-        idx
+        c
     }
 
     /// Pins the learned-clause budget that triggers database reduction
@@ -630,10 +746,12 @@ impl Solver {
     /// Runs at the root level with a fully propagated trail. Deletes the
     /// worst half of the non-glue learned clauses (highest LBD, then
     /// lowest activity), drops every clause satisfied at the root, strips
-    /// root-false literals, and rebuilds the watch lists over the
-    /// compacted arena. Root-level reason links are cleared first — they
-    /// are never dereferenced (conflict analysis skips level-0 literals),
-    /// and clearing them unlocks every clause for deletion.
+    /// root-false literals, compacts the arena in clause order and
+    /// rebuilds the watch lists over it (a clause stripped to two
+    /// literals is watched as a binary from then on). Root-level reason
+    /// links are cleared first — they are never dereferenced (conflict
+    /// analysis skips level-0 literals), and clearing them unlocks every
+    /// clause for deletion.
     fn reduce_db(&mut self) {
         debug_assert!(self.trail_lim.is_empty(), "reduce_db runs at root level");
         debug_assert_eq!(self.qhead, self.trail.len(), "trail fully propagated");
@@ -642,57 +760,74 @@ impl Solver {
             let v = self.trail[i].var().index();
             self.reason[v] = NO_REASON;
         }
-        let mut victims: Vec<u32> = (0..self.clauses.len() as u32)
-            .filter(|&i| {
-                let c = &self.clauses[i as usize];
-                c.learned && c.lbd > GLUE_LBD
-            })
+        let flags = |c: u32| self.arena[c as usize + 1];
+        let mut victims: Vec<u32> = self
+            .clause_refs()
+            .filter(|&c| flags(c) & LEARNED != 0 && flags(c) >> 2 > GLUE_LBD)
             .collect();
         // worst first: high LBD, then low activity, then oldest
         victims.sort_by(|&a, &b| {
-            let (ca, cb) = (&self.clauses[a as usize], &self.clauses[b as usize]);
-            cb.lbd
-                .cmp(&ca.lbd)
-                .then(ca.activity.total_cmp(&cb.activity))
+            (flags(b) >> 2)
+                .cmp(&(flags(a) >> 2))
+                .then(self.clause_activity(a).total_cmp(&self.clause_activity(b)))
                 .then(a.cmp(&b))
         });
         victims.truncate(victims.len() / 2);
-        let mut drop = vec![false; self.clauses.len()];
-        for &i in &victims {
-            drop[i as usize] = true;
+        for &c in &victims {
+            self.arena[c as usize + 1] |= DELETED;
         }
-        let old = std::mem::take(&mut self.clauses);
         for w in &mut self.watches {
             w.clear();
         }
-        for (i, mut c) in old.into_iter().enumerate() {
-            if drop[i] {
-                continue;
+        self.num_clauses = 0;
+        self.num_deletable_live = 0;
+        let (mut read, mut write) = (0, 0);
+        while read < self.arena.len() {
+            let (len, flags) = (self.arena[read] as usize, self.arena[read + 1]);
+            let lits = read + HEADER..read + HEADER + len;
+            read = lits.end;
+            if flags & DELETED != 0
+                || self.arena[lits.clone()]
+                    .iter()
+                    .any(|&l| self.values[l as usize] == TRUE)
+            {
+                continue; // deleted, or satisfied at root forever
             }
-            if c.lits.iter().any(|&l| self.value_lit(l) == 1) {
-                continue; // satisfied at root, forever
+            // the clause moves down to `write`, header first, root-false
+            // literals dropped; every word is read before it is overwritten
+            self.arena
+                .copy_within(lits.start - 3..lits.start, write + 1);
+            let mut kept = 0;
+            for j in lits.start..lits.end {
+                let l = self.arena[j];
+                if self.values[l as usize] != FALSE {
+                    self.arena[write + HEADER + kept] = l;
+                    kept += 1;
+                }
             }
-            c.lits.retain(|&l| self.value_lit(l) != 0);
+            self.arena[write] = kept as u32;
             // full root propagation guarantees >= 2 unassigned literals in
             // any clause that is not root-satisfied
-            debug_assert!(c.lits.len() >= 2, "root propagation incomplete");
-            let idx = self.clauses.len() as u32;
-            self.watch(c.lits[0], idx, c.lits[1]);
-            self.watch(c.lits[1], idx, c.lits[0]);
-            self.clauses.push(c);
+            debug_assert!(kept >= 2, "root propagation incomplete");
+            self.watch_clause(write as u32);
+            self.num_clauses += 1;
+            if flags & LEARNED != 0 && flags >> 2 > GLUE_LBD {
+                self.num_deletable_live += 1;
+            }
+            write += HEADER + kept;
         }
-        self.num_deletable_live = self
-            .clauses
-            .iter()
-            .filter(|c| c.learned && c.lbd > GLUE_LBD)
-            .count();
+        self.arena.truncate(write);
+    }
+
+    fn is_free(&self, v: usize) -> bool {
+        self.values[Var::from_index(v).pos().code()] == UNASSIGNED
     }
 
     /// Picks the unassigned variable with the highest activity (lowest
     /// index on ties) from the order heap — O(log n) per call.
     fn decide(&mut self) -> Option<Lit> {
-        while let Some(v) = self.order.pop(&self.activity) {
-            if self.assign[v] == UNASSIGNED {
+        while let Some(v) = self.order.pop() {
+            if self.is_free(v) {
                 return Some(Var::from_index(v).lit(self.saved_phase[v]));
             }
         }
@@ -705,10 +840,10 @@ impl Solver {
     /// assigned entries from the heap top; otherwise read-only.
     pub fn next_decision_var(&mut self) -> Option<Var> {
         while let Some(v) = self.order.peek() {
-            if self.assign[v] == UNASSIGNED {
+            if self.is_free(v) {
                 return Some(Var::from_index(v));
             }
-            self.order.pop(&self.activity);
+            self.order.pop();
         }
         None
     }
@@ -750,7 +885,7 @@ impl Solver {
         };
         let mut sp = seceda_trace::span("sat.solve");
         sp.attr("vars", self.num_vars());
-        sp.attr("clauses", self.clauses.len());
+        sp.attr("clauses", self.num_clauses);
         sp.attr("assumptions", assumptions.len());
         let (d0, p0, c0, r0) = (
             self.num_decisions,
@@ -795,13 +930,13 @@ impl Solver {
             assert!(a.var().index() < self.num_vars(), "assumption out of range");
         }
         if self.max_learnts == 0.0 {
-            self.max_learnts = (self.clauses.len() as f64 / 3.0).max(2000.0);
+            self.max_learnts = (self.num_clauses as f64 / 3.0).max(2000.0);
         }
         if conflict_target.is_some_and(|t| self.num_conflicts >= t) {
             return SolveOutcome::Indeterminate(StopReason::Conflicts);
         }
         self.backtrack(0);
-        if let Propagation::Conflict(_) = self.propagate() {
+        if self.propagate().is_some() {
             self.unsat = true;
             return SolveOutcome::Unsat;
         }
@@ -809,7 +944,7 @@ impl Solver {
         let mut conflicts_until_restart = RESTART_BASE * luby(restart_count);
         loop {
             match self.propagate() {
-                Propagation::Conflict(confl) => {
+                Some(confl) => {
                     self.num_conflicts += 1;
                     if self.trail_lim.is_empty() {
                         self.unsat = true;
@@ -822,10 +957,10 @@ impl Solver {
                         self.backtrack(0);
                         return SolveOutcome::Indeterminate(StopReason::Conflicts);
                     }
-                    let (clause, bt, lbd) = self.analyze(confl);
+                    let (bt, lbd) = self.analyze(confl);
                     self.backtrack(bt);
-                    let asserting = clause[0];
-                    let reason = self.learn(&clause, lbd);
+                    let asserting = self.learnt[0];
+                    let reason = self.learn(lbd);
                     debug_assert_eq!(self.value_lit(asserting), UNASSIGNED);
                     self.enqueue(asserting, reason);
                     self.var_inc /= VAR_DECAY;
@@ -843,7 +978,7 @@ impl Solver {
                         self.backtrack(0);
                     }
                 }
-                Propagation::Quiescent => {
+                None => {
                     if self.trail_lim.is_empty()
                         && self.num_deletable_live as f64 >= self.max_learnts
                     {
@@ -856,8 +991,8 @@ impl Solver {
                     if self.trail_lim.len() < assumptions.len() {
                         let a = assumptions[self.trail_lim.len()];
                         match self.value_lit(a) {
-                            1 => self.trail_lim.push(self.trail.len()),
-                            0 => {
+                            TRUE => self.trail_lim.push(self.trail.len()),
+                            FALSE => {
                                 self.backtrack(0);
                                 return SolveOutcome::Unsat;
                             }
@@ -870,7 +1005,8 @@ impl Solver {
                     }
                     match self.decide() {
                         None => {
-                            let model: Vec<bool> = self.assign.iter().map(|&v| v == 1).collect();
+                            let model: Vec<bool> =
+                                self.values.iter().step_by(2).map(|&x| x == TRUE).collect();
                             self.backtrack(0);
                             return SolveOutcome::Sat(model);
                         }
@@ -894,22 +1030,6 @@ impl CnfBuilder for Solver {
     fn add_clause(&mut self, lits: impl IntoIterator<Item = Lit>) {
         Solver::add_clause(self, lits);
     }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum VisitOutcome {
-    Keep,
-    Moved,
-    Conflict,
-}
-
-/// Outcome of a [`Solver::propagate`] pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Propagation {
-    /// Queue drained without conflict.
-    Quiescent,
-    /// Conflict in the given clause.
-    Conflict(u32),
 }
 
 /// The Luby restart sequence (1, 1, 2, 1, 1, 2, 4, ...).
@@ -1190,6 +1310,118 @@ mod tests {
         cnf.add_clause([vars[2].pos(), vars[4].pos()]);
         let mut solver = Solver::from_cnf(&cnf);
         assert_eq!(solver.next_decision_var(), Some(Var::from_index(0)));
+    }
+
+    /// The order heap's invariants: every inline key is its variable's
+    /// current activity, every position entry points at its slot, and
+    /// no entry is better than its parent.
+    fn check_heap(solver: &Solver) {
+        let order = &solver.order;
+        for (slot, &(key, v)) in order.heap.iter().enumerate() {
+            assert_eq!(
+                key.to_bits(),
+                solver.activity[v as usize].to_bits(),
+                "key of {v}"
+            );
+            assert_eq!(order.pos[v as usize], slot as u32, "position of {v}");
+            if slot > 0 {
+                let parent = order.heap[(slot - 1) / 2];
+                assert!(!VarOrder::better((key, v), parent), "{v} above its parent");
+            }
+        }
+    }
+
+    /// The unassigned variable of highest activity, lowest index on ties.
+    fn linear_argmax(solver: &Solver) -> Option<Var> {
+        let mut best: Option<Var> = None;
+        for i in 0..solver.num_vars() {
+            let v = Var::from_index(i);
+            let better = match best {
+                _ if solver.var_value(v).is_some() => false,
+                None => true,
+                Some(b) => solver.var_activity(v) > solver.var_activity(b),
+            };
+            if better {
+                best = Some(v);
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn activity_rescale_refreshes_inline_heap_keys() {
+        // `var_inc` grows by 1/0.95 per analyzed conflict and passes
+        // 1e100 after about 4,490 of them; an activity passes it a little
+        // earlier, and then every activity (and every inline heap key) is
+        // scaled by 1e-100. One solve runs up to just short of that; then
+        // slices of two conflicts (the first is analyzed, the second stops
+        // the solve) check the heap right after each step, before
+        // decisions and backtracks re-key most variables anyway.
+        let mut solver = Solver::from_cnf(&pigeonhole(10, 9));
+        let outcome = solver.solve(&[], &Budget::unlimited().with_max_conflicts(4_000));
+        assert_eq!(outcome, SolveOutcome::Indeterminate(StopReason::Conflicts));
+        let slice = Budget::unlimited().with_max_conflicts(2);
+        let mut slices_since_rescale = None;
+        while slices_since_rescale.is_none_or(|n| n < 100) {
+            let var_inc = solver.var_inc;
+            let outcome = solver.solve(&[], &slice);
+            assert_eq!(outcome, SolveOutcome::Indeterminate(StopReason::Conflicts));
+            if solver.var_inc < var_inc {
+                slices_since_rescale = Some(0);
+            }
+            slices_since_rescale = slices_since_rescale.map(|n| n + 1);
+            assert!(
+                solver.num_conflicts < 6_000,
+                "no rescale in 6,000 conflicts"
+            );
+            check_heap(&solver);
+            let expected = linear_argmax(&solver);
+            let at = solver.num_conflicts;
+            assert_eq!(solver.next_decision_var(), expected, "at {at} conflicts");
+        }
+    }
+
+    #[test]
+    fn reduction_watches_stripped_clauses_as_binaries() {
+        let mut solver = Solver::new(4);
+        let [a, b, c, d] = [0, 1, 2, 3].map(Var::from_index);
+        solver.add_clause([a.pos(), b.pos(), c.pos()]);
+        solver.add_clause([a.neg(), c.pos(), d.pos()]);
+        solver.add_clause([c.neg()]);
+        // both ternaries hold a root-false literal until a reduction
+        // strips it
+        for l in [a.pos(), b.pos(), a.neg(), d.pos()] {
+            assert!(solver.watches[l.code()]
+                .iter()
+                .all(|w| w.clause & Watch::BINARY == 0));
+        }
+        solver.reduce_db();
+        assert_eq!(solver.num_clauses(), 2);
+        assert_eq!(solver.arena.len(), 2 * (HEADER + 2));
+        for (l, other) in [
+            (a.pos(), b.pos()),
+            (b.pos(), a.pos()),
+            (a.neg(), d.pos()),
+            (d.pos(), a.neg()),
+        ] {
+            let watches = &solver.watches[l.code()];
+            assert_eq!(watches.len(), 1, "one watch on {l:?}");
+            assert_ne!(
+                watches[0].clause & Watch::BINARY,
+                0,
+                "{l:?} watches a binary"
+            );
+            assert_eq!(watches[0].blocker, other);
+        }
+        // and they propagate: a false forces b, a true forces d
+        let model = solver.solve(&[a.neg()], &Budget::unlimited());
+        assert!(model.model().expect("sat")[b.index()]);
+        let model = solver.solve(&[a.pos()], &Budget::unlimited());
+        assert!(model.model().expect("sat")[d.index()]);
+        assert_eq!(
+            solver.solve(&[a.neg(), b.neg()], &Budget::unlimited()),
+            SolveOutcome::Unsat
+        );
     }
 
     #[test]

@@ -94,20 +94,33 @@ proptest! {
             proptest::collection::vec((0usize..16, any::<bool>()), 1..4),
             0..30
         ),
+        units in proptest::collection::vec((0usize..16, any::<bool>()), 0..3),
     ) {
         // an aggressively small pinned clause budget forces constant
-        // database reduction; satisfiability must be unaffected
+        // database reduction; satisfiability must be unaffected. Units
+        // added after the clauses leave root-false literals in them,
+        // which a reduction strips, turning ternaries into binaries that
+        // are watched implicitly from then on.
         let cnf = random_cnf(num_vars, &clauses);
-        let brute = brute_force_sat(&cnf);
-        let mut solver = Solver::from_cnf(&cnf);
-        solver.set_reduce_db_limit(16);
-        let result = solver.solve(&[], &Budget::unlimited());
-        prop_assert_eq!(result.is_sat(), brute);
-        if let SolveOutcome::Sat(model) = result {
-            prop_assert!(cnf.is_satisfied_by(&model));
+        let mut with_units = cnf.clone();
+        for &(v, sign) in &units {
+            with_units.add_clause([Var::from_index(v % num_vars).lit(sign)]);
         }
-        // the solver stays sound for reuse after reductions
-        prop_assert_eq!(solver.solve(&[], &Budget::unlimited()).is_sat(), brute);
+        let brute = brute_force_sat(&with_units);
+        for limit in [1, 16] {
+            let mut solver = Solver::from_cnf(&cnf);
+            for &(v, sign) in &units {
+                solver.add_clause([Var::from_index(v % num_vars).lit(sign)]);
+            }
+            solver.set_reduce_db_limit(limit);
+            let result = solver.solve(&[], &Budget::unlimited());
+            prop_assert_eq!(result.is_sat(), brute);
+            if let SolveOutcome::Sat(model) = result {
+                prop_assert!(with_units.is_satisfied_by(&model));
+            }
+            // the solver stays sound for reuse after reductions
+            prop_assert_eq!(solver.solve(&[], &Budget::unlimited()).is_sat(), brute);
+        }
     }
 
     #[test]
