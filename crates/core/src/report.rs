@@ -393,7 +393,7 @@ fn validation_cells() -> Vec<String> {
     let q_fb = nl.add_net();
     let hold = nl.add_gate(CellKind::Or, &[q_fb, trigger_in]);
     let q = nl.add_gate(CellKind::Dff, &[hold]);
-    nl.replace_net_uses(q_fb, q);
+    nl.redirect(&[(q_fb, q)], nl.num_gates());
     nl.mark_output(q, "covert_bit");
     let reach = bmc_reach(&nl, 0, true, 4).expect("bmc");
     let sca = format!(

@@ -1,7 +1,8 @@
 //! Combinational logic-locking transforms.
 
-use seceda_netlist::{CellKind, GateTags, NetId, Netlist, Word};
+use seceda_netlist::{CellKind, GateId, GateTags, NetId, Netlist, Word};
 use seceda_testkit::rng::{Rng, SeedableRng, StdRng};
+use std::collections::HashMap;
 
 /// A locked netlist together with its secret.
 ///
@@ -92,15 +93,24 @@ pub fn xor_lock(nl: &Netlist, key_bits: usize, seed: u64) -> LockedNetlist {
     // candidate nets: gate outputs of the original design
     let candidates: Vec<NetId> = nl.gates().iter().map(|g| g.output).collect();
     let mut correct_key = Vec::with_capacity(key_bits);
+    // the newest key gate on each target: a target drawn again gets its
+    // new key gate between itself and that one, as if spliced in turn
+    let mut newest: HashMap<NetId, GateId> = HashMap::new();
+    let mut moves = Vec::new();
     let first_key = first_free_key(&locked);
     for i in first_key..first_key + key_bits {
         let key_in = locked.add_input(format!("key{i}"));
         let target = candidates[rng.gen_range(0..candidates.len())];
         let bit: bool = rng.gen();
         let kind = if bit { CellKind::Xnor } else { CellKind::Xor };
-        locked.insert_after(target, kind, &[key_in], key_tags());
+        let y = locked.add_gate_tagged(kind, &[target, key_in], key_tags());
+        match newest.insert(target, GateId::from_index(locked.num_gates() - 1)) {
+            Some(earlier) => locked.gate_mut(earlier).inputs[0] = y,
+            None => moves.push((target, y)),
+        }
         correct_key.push(bit);
     }
+    locked.redirect(&moves, nl.num_gates());
     LockedNetlist {
         netlist: locked,
         correct_key,
@@ -136,30 +146,29 @@ pub fn mux_lock(nl: &Netlist, key_bits: usize, seed: u64) -> LockedNetlist {
             .copied()
             .filter(|&c| c != target && !downstream.contains(&c.index()))
             .collect();
-        if safe.is_empty() {
-            // no usable decoy for this target: fall back to an XOR gate
-            let bit: bool = rng.gen();
-            let kind = if bit { CellKind::Xnor } else { CellKind::Xor };
-            locked.insert_after(target, kind, &[key_in], key_tags());
-            correct_key.push(bit);
-            continue;
-        }
-        let decoy = safe[rng.gen_range(0..safe.len())];
+        let decoy = (!safe.is_empty()).then(|| safe[rng.gen_range(0..safe.len())]);
         let bit: bool = rng.gen();
-        // mux inputs are [sel, a, b] -> sel ? b : a
-        // bit=false: true signal on the a-leg; bit=true: on the b-leg
-        let (a_leg, b_leg) = if bit {
-            (decoy, target)
-        } else {
-            (target, decoy)
+        let before = locked.num_gates();
+        let y = match decoy {
+            // mux inputs are [sel, a, b] -> sel ? b : a
+            // bit=false: true signal on the a-leg; bit=true: on the b-leg
+            Some(decoy) => {
+                let (a_leg, b_leg) = if bit {
+                    (decoy, target)
+                } else {
+                    (target, decoy)
+                };
+                locked.add_gate_tagged(CellKind::Mux, &[key_in, a_leg, b_leg], key_tags())
+            }
+            // no usable decoy for this target: fall back to an XOR gate
+            None => {
+                let kind = if bit { CellKind::Xnor } else { CellKind::Xor };
+                locked.add_gate_tagged(kind, &[target, key_in], key_tags())
+            }
         };
-        // insert_after keeps `target` as the first gate input, so build
-        // the mux manually and rewire loads
-        let mux = locked.insert_after(target, CellKind::Mux, &[a_leg, b_leg], key_tags());
-        // fix the select line: insert_after made inputs [target, a, b];
-        // we need [key, a_leg, b_leg]
-        let gid = locked.net(mux).driver.expect("mux driver");
-        locked.gate_mut(gid).inputs = [key_in, a_leg, b_leg].into();
+        // a later target may be this mux's decoy, and the decoy filter
+        // reads the current fanout, so each bit rewires before the next
+        locked.redirect(&[(target, y)], before);
         correct_key.push(bit);
     }
     LockedNetlist {

@@ -44,12 +44,16 @@ pub fn embed_watermark(nl: &Netlist, secret: u64, signature: &[bool]) -> Netlist
     let mut marked = nl.clone();
     let candidates: Vec<NetId> = nl.gates().iter().map(|g| g.output).collect();
     let targets = select_targets(&candidates, secret, signature.len());
+    let mut moves = Vec::with_capacity(targets.len());
     for (&bit, target) in signature.iter().zip(targets) {
         let kind = if bit { CellKind::Not } else { CellKind::Buf };
-        // first stage rewires the loads, second stage restores polarity
-        let stage1 = marked.insert_after(target, kind, &[], mark_tags());
-        marked.insert_after(stage1, kind, &[], mark_tags());
+        // two stages restore polarity; the second takes over the loads
+        let stage1 = marked.add_gate_tagged(kind, &[target], mark_tags());
+        let stage2 = marked.add_gate_tagged(kind, &[stage1], mark_tags());
+        moves.push((target, stage2));
     }
+    // targets are distinct original nets, so one pass rewires them all
+    marked.redirect(&moves, nl.num_gates());
     marked
 }
 

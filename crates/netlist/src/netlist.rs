@@ -577,75 +577,41 @@ impl Netlist {
         outs
     }
 
-    /// Inserts a gate *between* `target` and all of its current loads:
-    /// creates a new net `y`, redirects every gate input and primary output
-    /// currently reading `target` to `y`, and adds a gate
-    /// `kind(target, extra_inputs...) -> y`.
-    ///
-    /// This is the primitive used by logic locking (key-gate insertion),
-    /// Trojan payload splicing, and sensor insertion.
-    ///
-    /// Returns the id of the new net `y`.
+    /// Rewires in one pass: every input pin of the gates `0..before`,
+    /// and every primary output, that reads the first net of a move
+    /// reads its second net instead. A splice appends its gates (which
+    /// read the target) and then redirects over the gates before them,
+    /// so they keep reading it. Moves are applied once, not chased; a
+    /// net moved twice takes its last move. Costs O(pins + outputs +
+    /// the id span of the moved nets).
     ///
     /// # Panics
     ///
-    /// Panics if arity is violated or ids are out of range.
-    pub fn insert_after(
-        &mut self,
-        target: NetId,
-        kind: CellKind,
-        extra_inputs: &[NetId],
-        tags: GateTags,
-    ) -> NetId {
-        // Redirect existing loads first, then add the new gate (which must
-        // keep reading the original target).
-        let mut loads: Vec<(usize, usize)> = Vec::new();
-        for (gi, g) in self.gates.iter().enumerate() {
-            for (pi, &inp) in g.inputs.iter().enumerate() {
-                if inp == target {
-                    loads.push((gi, pi));
-                }
+    /// Panics if a net is out of range or `before` exceeds the gate count.
+    pub fn redirect(&mut self, moves: &[(NetId, NetId)], before: usize) {
+        for &(from, new) in moves {
+            assert!(
+                from.index().max(new.index()) < self.nets.len(),
+                "move {from} → {new} out of range"
+            );
+        }
+        // replacements indexed from the lowest moved net: one move needs
+        // no net-sized table
+        let lo = moves.iter().map(|m| m.0.index()).min().unwrap_or(0);
+        let span = moves.iter().map(|m| m.0.index() + 1 - lo).max();
+        let mut to: Vec<Option<NetId>> = vec![None; span.unwrap_or(0)];
+        for &(from, new) in moves {
+            to[from.index() - lo] = Some(new);
+        }
+        let moved = |net: &mut NetId| {
+            if let Some(&Some(new)) = to.get(net.index().wrapping_sub(lo)) {
+                *net = new;
             }
+        };
+        for g in &mut self.gates[..before] {
+            g.inputs.iter_mut().for_each(moved);
         }
-        let mut gate_inputs = vec![target];
-        gate_inputs.extend_from_slice(extra_inputs);
-        let y = self.add_gate_tagged(kind, &gate_inputs, tags);
-        for (gi, pi) in loads {
-            self.gates[gi].inputs[pi] = y;
-        }
-        for out in &mut self.outputs {
-            if out.0 == target {
-                out.0 = y;
-            }
-        }
-        y
-    }
-
-    /// Replaces every *use* of `old` (gate inputs and primary-output
-    /// markings) with `new`. The driver of `old` is untouched; callers
-    /// typically follow up with a dead-logic sweep.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either net is out of range.
-    pub fn replace_net_uses(&mut self, old: NetId, new: NetId) {
-        assert!(old.index() < self.nets.len(), "net {old} out of range");
-        assert!(new.index() < self.nets.len(), "net {new} out of range");
-        if old == new {
-            return;
-        }
-        for g in &mut self.gates {
-            for inp in &mut g.inputs {
-                if *inp == old {
-                    *inp = new;
-                }
-            }
-        }
-        for out in &mut self.outputs {
-            if out.0 == old {
-                out.0 = new;
-            }
-        }
+        self.outputs.iter_mut().for_each(|(net, _)| moved(net));
     }
 
     /// Checks structural invariants: arity bounds, id ranges, single driver
@@ -766,7 +732,7 @@ mod tests {
     }
 
     #[test]
-    fn insert_after_rewires_loads_and_outputs() {
+    fn redirect_rewires_loads_and_outputs() {
         let mut nl = Netlist::new("t");
         let a = nl.add_input("a");
         let b = nl.add_input("b");
@@ -774,16 +740,39 @@ mod tests {
         let y = nl.add_gate(CellKind::Not, &[x]);
         nl.mark_output(x, "x");
         nl.mark_output(y, "y");
-        // Insert an inverter after x: x now feeds only the new gate.
-        let nx = nl.insert_after(x, CellKind::Not, &[], GateTags::default());
+        // Splice an inverter after x: x now feeds only the new gate.
+        let before = nl.num_gates();
+        let nx = nl.add_gate(CellKind::Not, &[x]);
+        nl.redirect(&[(x, nx)], before);
         assert_eq!(nl.outputs()[0].0, nx);
         // The old NOT gate must now read nx instead of x.
         let not_gate = nl.net(y).driver.expect("driver");
         assert_eq!(nl.gate(not_gate).inputs[0], nx);
+        // The new gate, at index `before`, keeps reading x.
+        assert_eq!(nl.gate(GateId::from_index(before)).inputs[0], x);
         // Function: out x is now !(a&b), out y is !!(a&b)
         assert_eq!(nl.evaluate(&[true, true]), vec![false, true]);
         assert_eq!(nl.evaluate(&[true, false]), vec![true, false]);
         assert_eq!(nl.validate(), Ok(()));
+    }
+
+    #[test]
+    fn redirect_applies_each_move_once() {
+        let mut nl = Netlist::new("t");
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let c = nl.add_input("c");
+        let x = nl.add_gate(CellKind::And, &[a, b]);
+        nl.mark_output(a, "a");
+        nl.mark_output(b, "b");
+        // a → b and b → c: a's loads land on b, not on c
+        nl.redirect(&[(a, b), (b, c)], nl.num_gates());
+        assert_eq!(nl.gate(GateId::from_index(0)).inputs.as_slice(), [b, c]);
+        assert_eq!(nl.output_nets(), [b, c]);
+        // `before = 0` leaves every gate alone but still moves outputs
+        nl.redirect(&[(c, x)], 0);
+        assert_eq!(nl.gate(GateId::from_index(0)).inputs.as_slice(), [b, c]);
+        assert_eq!(nl.output_nets(), [b, x]);
     }
 
     #[test]

@@ -312,7 +312,7 @@ pub fn parse_verilog(text: &str) -> Result<Netlist, NetlistError> {
         let name = nl.net_label(net);
         nl.mark_output(net, name);
     }
-    nl.validate()?;
+    nl.topo_order()?; // the builders checked all but cycles
     sp.attr("gates", nl.num_gates());
     sp.attr("inputs", nl.inputs().len());
     Ok(nl)
@@ -450,6 +450,21 @@ endmodule
 ";
         let err = parse_verilog(text).unwrap_err();
         assert_eq!(err, NetlistError::MultipleDrivers("y".into()));
+    }
+
+    #[test]
+    fn combinational_cycle_is_typed() {
+        let text = "\
+module m (a, y);
+  input a;
+  output y;
+  wire x;
+  and (x, a, y);
+  not (y, x);
+endmodule
+";
+        let err = parse_verilog(text).unwrap_err();
+        assert_eq!(err, NetlistError::CombinationalCycle);
     }
 
     #[test]

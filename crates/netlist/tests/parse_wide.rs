@@ -119,9 +119,11 @@ fn wide_verilog_keeps_its_typed_errors() {
             other => panic!("{dup}: {other:?}"),
         }
     }
-    // a gate driving an input, and an output left undriven
+    // a gate or an assign driving an input, and an output left undriven
     let err = parse_verilog(&body.replace("xor (w7,", "xor (i7,")).unwrap_err();
     assert_eq!(err, NetlistError::MultipleDrivers("i7".into()));
+    let err = parse_verilog(&body.replace("assign y1", "assign i3")).unwrap_err();
+    assert_eq!(err, NetlistError::MultipleDrivers("i3".into()));
     let err = parse_verilog(&body.replace("assign y1", "assign w0")).unwrap_err();
     assert_eq!(err, NetlistError::MultipleDrivers("w0".into()));
     let undriven = body.replace(&format!("assign y1 = w{};\n", n - 1), "");

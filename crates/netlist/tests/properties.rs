@@ -81,7 +81,7 @@ proptest! {
     }
 
     #[test]
-    fn insert_after_preserves_downstream_function_modulo_inversion(
+    fn double_inverter_splice_preserves_function(
         seed in 0u64..2000,
         gates in 2usize..30,
     ) {
@@ -97,14 +97,16 @@ proptest! {
         let reference = nl.truth_table();
         let mut modified = nl.clone();
         let target = modified.gates()[0].output;
-        let stage1 = modified.insert_after(target, CellKind::Not, &[], Default::default());
-        modified.insert_after(stage1, CellKind::Not, &[], Default::default());
+        let before = modified.num_gates();
+        let stage1 = modified.add_gate(CellKind::Not, &[target]);
+        let stage2 = modified.add_gate(CellKind::Not, &[stage1]);
+        modified.redirect(&[(target, stage2)], before);
         prop_assert!(modified.validate().is_ok());
         prop_assert_eq!(modified.truth_table(), reference);
     }
 
     #[test]
-    fn replace_net_uses_with_equivalent_driver_is_transparent(
+    fn redirect_to_equivalent_driver_is_transparent(
         seed in 0u64..2000,
         gates in 2usize..30,
     ) {
@@ -118,11 +120,10 @@ proptest! {
         let reference = nl.truth_table();
         let mut modified = nl.clone();
         let target = modified.gates()[0].output;
+        let before = modified.num_gates();
         let copy = modified.add_gate(CellKind::Buf, &[target]);
-        // redirect every use of target to the buffer... except the buffer
-        modified.replace_net_uses(target, copy);
-        let gid = modified.net(copy).driver.expect("driver");
-        modified.gate_mut(gid).inputs[0] = target;
+        // every use of target before the buffer moves to the buffer
+        modified.redirect(&[(target, copy)], before);
         prop_assert!(modified.validate().is_ok());
         prop_assert_eq!(modified.truth_table(), reference);
     }

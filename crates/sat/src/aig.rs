@@ -159,11 +159,17 @@ impl Hasher for StrashHasher {
 /// crate-private: a scoped overlay (the fault queries of
 /// [`FaultMiter`](crate::FaultMiter)) builds above a mark and truncates
 /// the table, and its map, back to that mark when it retires.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Aig {
     nodes: Vec<Node>,
     strash: HashMap<u128, u32, StrashState>,
     hash_hits: u64,
+}
+
+impl Default for Aig {
+    fn default() -> Self {
+        Aig::new()
+    }
 }
 
 impl Aig {
@@ -589,6 +595,14 @@ mod tests {
         let cf = cnf.new_var().pos();
         cnf.add_clause([!cf]);
         (cf, AigCnf::new(cf))
+    }
+
+    #[test]
+    fn default_keeps_the_constant_node() {
+        let mut cnf = Cnf::new();
+        let mut aig = Aig::default();
+        assert_eq!(aig.num_nodes(), Aig::new().num_nodes());
+        assert_ne!(aig.input(cnf.new_var().pos()), AigLit::FALSE);
     }
 
     #[test]

@@ -202,7 +202,7 @@ pub fn reassociate(nl: &Netlist, mode: SynthesisMode) -> (Netlist, ReassocReport
 
         // rebuild a balanced XOR over the final leaves
         let new_root = build_balanced_xor(&mut work, &leaves);
-        work.replace_net_uses(root, new_root);
+        work.redirect(&[(root, new_root)], work.num_gates());
         report.trees_rebuilt += 1;
     }
 

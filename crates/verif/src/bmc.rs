@@ -101,9 +101,7 @@ mod tests {
         let q0 = nl.add_gate(CellKind::Dff, &[next0]);
         let q1 = nl.add_gate(CellKind::Dff, &[next1]);
         // patch feedback
-        for (fb, q) in [(q0_fb, q0), (q1_fb, q1)] {
-            nl.replace_net_uses(fb, q);
-        }
+        nl.redirect(&[(q0_fb, q0), (q1_fb, q1)], nl.num_gates());
         let alarm = nl.add_gate(CellKind::And, &[q0, q1]);
         nl.mark_output(alarm, "alarm");
         nl
@@ -177,7 +175,7 @@ mod tests {
         for &f in &fb {
             let d = pool[rng.gen_range(2 + regs..pool.len())];
             let q = nl.add_gate(CellKind::Dff, &[d]);
-            nl.replace_net_uses(f, q);
+            nl.redirect(&[(f, q)], nl.num_gates());
         }
         for k in 0..2 {
             let o = pool[rng.gen_range(2 + regs..pool.len())];

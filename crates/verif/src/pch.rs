@@ -157,11 +157,9 @@ mod tests {
         let mut tampered = nl.clone();
         let a = tampered.inputs()[0];
         let y_net = tampered.outputs()[1].0;
+        let before = tampered.num_gates();
         let leak = tampered.add_gate(CellKind::Or, &[y_net, a]);
-        tampered.replace_net_uses(y_net, leak);
-        let gid = tampered.net(leak).driver.expect("driver");
-        // keep the OR reading the original net (replace_net_uses moved it)
-        tampered.gate_mut(gid).inputs[0] = y_net;
+        tampered.redirect(&[(y_net, leak)], before);
         assert!(
             !check_certificate(&tampered, &cert).expect("check"),
             "digest mismatch must reject"
@@ -211,10 +209,9 @@ mod tests {
         let mut tampered = nl.clone();
         let a = tampered.inputs()[0];
         let y_net = tampered.outputs()[1].0;
+        let before = tampered.num_gates();
         let leak = tampered.add_gate(CellKind::Or, &[y_net, a]);
-        tampered.replace_net_uses(y_net, leak);
-        let gid = tampered.net(leak).driver.expect("driver");
-        tampered.gate_mut(gid).inputs[0] = y_net;
+        tampered.redirect(&[(y_net, leak)], before);
         // the attacker forges a certificate with the *tampered* hash
         let forged = Certificate {
             property: Property::Isolated {

@@ -57,6 +57,14 @@ cargo test -q --release --offline -p seceda-layout -- --ignored
 echo "==> 10^5-wide .bench and Verilog parse (release)"
 cargo test -q --release --offline -p seceda-netlist --test parse_wide -- --ignored
 
+# Locking appends its key gates and rewires their targets' loads in one
+# Netlist::redirect pass, so its cost follows the design, not the design
+# times the key width: on a 10^5-gate host, 256 key bits must take at
+# most twice as long as 8 (medians of 3). #[ignore]d for the debug
+# suite; runs here in release.
+echo "==> xor_lock time independent of key width on a 10^5-gate host (release)"
+cargo test -q --release --offline -p seceda-lock --test lock_scaling -- --ignored
+
 # Every simulator runs on one compiled evaluation tape; its sweep
 # against Netlist::eval_nets and the test-local faulty arena walk on
 # 10k-20k-gate designs, and fault grading against that walk's oracle
