@@ -1,11 +1,13 @@
 //! Integration test for the flow telemetry: the secure flow must emit
 //! exactly one `flow.stage` span per Table II stage, nested under the
-//! `flow.secure` root, with the stage metrics attached as attributes.
+//! `flow.secure` root, with the stage metrics attached as attributes;
+//! a classical flow that reuses the secure flow's back end says so.
 
-use seceda_core::run_secure_flow;
-use seceda_netlist::{c17, random_circuit, RandomCircuitConfig};
+use seceda_core::{run_classical_flow, run_secure_flow};
+use seceda_netlist::{c17, random_circuit, CellKind, Netlist, RandomCircuitConfig};
+use seceda_sca::mask_netlist;
 use seceda_testkit::json::Json;
-use seceda_trace::{session, to_json_lines, AttrValue, Summary};
+use seceda_trace::{session, to_json_lines, AttrValue, SpanRecord, Summary};
 
 const SECURE_STAGES: [&str; 4] = [
     "logic synthesis (security-aware)",
@@ -119,4 +121,94 @@ fn flow_events_export_as_valid_json_lines() {
         }
     }
     assert!(span_lines >= 5, "root + four stages at minimum");
+}
+
+/// The secure then the classical flow on `nl`, on a new thread (whose
+/// back-end memo is empty), traced.
+fn secure_then_classical(nl: &Netlist) -> Summary {
+    let (_, events) = session(|| {
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                run_secure_flow(nl).expect("secure flow");
+                run_classical_flow(nl).expect("classical flow");
+            })
+            .join()
+            .expect("flow thread")
+        })
+    });
+    Summary::of(&events)
+}
+
+/// The stage spans under the flow root named `root`, in order, each
+/// with whether it has a `dft.atpg` child.
+fn stages<'a>(summary: &'a Summary, root: &str) -> Vec<(&'a SpanRecord, bool)> {
+    let root = summary.spans_named(root).next().expect("flow root");
+    summary
+        .spans_named("flow.stage")
+        .filter(|s| s.parent == Some(root.id))
+        .map(|stage| {
+            let atpg = summary
+                .spans_named("dft.atpg")
+                .any(|a| a.parent == Some(stage.id));
+            (stage, atpg)
+        })
+        .collect()
+}
+
+/// `(stage name, reused)` of every stage that carries the attribute.
+fn reused(stages: &[(&SpanRecord, bool)]) -> Vec<(String, bool)> {
+    stages
+        .iter()
+        .filter_map(|(s, _)| match (s.attr("stage"), s.attr("reused")) {
+            (Some(AttrValue::Str(name)), Some(AttrValue::Bool(r))) => Some((name.clone(), *r)),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn classical_flow_reuses_the_secure_back_end_of_an_equal_netlist() {
+    let summary = secure_then_classical(&c17());
+    assert_eq!(summary.counters.get("flow.backend_reused"), Some(&1));
+
+    let secure = stages(&summary, "flow.secure");
+    assert_eq!(
+        reused(&secure),
+        [
+            ("physical synthesis (security-aware)".into(), false),
+            ("test preparation".into(), false),
+        ]
+    );
+    assert!(secure[3].1, "the secure flow runs ATPG");
+
+    let classical = stages(&summary, "flow.classical");
+    assert_eq!(
+        reused(&classical),
+        [
+            ("physical synthesis".into(), true),
+            ("test preparation".into(), true),
+        ]
+    );
+    assert!(
+        classical.iter().all(|(_, atpg)| !atpg),
+        "a reused back end runs no ATPG"
+    );
+}
+
+#[test]
+fn flows_that_synthesize_different_netlists_share_nothing() {
+    let mut nl = Netlist::new("and");
+    let a = nl.add_input("a");
+    let b = nl.add_input("b");
+    let y = nl.add_gate(CellKind::And, &[a, b]);
+    nl.mark_output(y, "y");
+    let summary = secure_then_classical(&mask_netlist(&nl).netlist);
+    assert_eq!(summary.counters.get("flow.backend_reused"), None);
+    for root in ["flow.secure", "flow.classical"] {
+        let spans = stages(&summary, root);
+        let flags = reused(&spans);
+        assert_eq!(flags.len(), 2, "{root}");
+        assert!(flags.iter().all(|(_, r)| !r), "{root}: {flags:?}");
+        assert!(spans[3].1, "{root} runs its own ATPG");
+    }
 }

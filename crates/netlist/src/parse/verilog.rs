@@ -43,6 +43,7 @@ use crate::error::NetlistError;
 use crate::id::NetId;
 use crate::netlist::Netlist;
 use crate::parse::bench::SignalMap;
+use std::borrow::Cow;
 
 fn parse_err(line: usize, message: impl Into<String>) -> NetlistError {
     NetlistError::Parse {
@@ -51,78 +52,88 @@ fn parse_err(line: usize, message: impl Into<String>) -> NetlistError {
     }
 }
 
-/// Strips `//` and `/* */` comments, preserving newlines so line
-/// numbers stay accurate, then splits on `;` into `(statement,
-/// 1-based start line)` pairs. `endmodule` needs no semicolon and is
-/// returned as a final statement.
-fn statements(text: &str) -> Result<Vec<(String, usize)>, NetlistError> {
-    let mut out: Vec<(String, usize)> = Vec::new();
-    let mut cur = String::new();
-    let mut cur_line = 1usize;
-    let mut line = 1usize;
-    let mut chars = text.chars().peekable();
-    while let Some(c) = chars.next() {
-        match c {
-            '\n' => {
-                line += 1;
-                cur.push(' ');
+/// Splits `text` on `;` into `(statement, 1-based line of its first
+/// token)` pairs; `endmodule` needs no semicolon and is returned as a
+/// final statement. Comments before a statement's first token are
+/// skipped, so a statement is a slice of `text` unless a comment sits
+/// inside it: then it is copied with each `/* */` comment replaced by
+/// one space and each `//` comment dropped up to its newline.
+fn statements(text: &str) -> Result<Vec<(Cow<'_, str>, usize)>, NetlistError> {
+    let bytes = text.as_bytes();
+    let mut out = Vec::new();
+    let mut line = 1;
+    // the open statement's first line; where its current comment-free
+    // run starts; and what came before that run, once a comment was cut
+    let mut open: Option<usize> = None;
+    let mut run = 0;
+    let mut copy: Option<String> = None;
+    let mut i = 0;
+    while i < bytes.len() {
+        let (end, gap) = match (bytes[i], bytes.get(i + 1)) {
+            (b'/', Some(b'/')) => (text[i..].find('\n').map_or(text.len(), |n| i + n), ""),
+            (b'/', Some(b'*')) => {
+                let close = text[i + 2..]
+                    .find("*/")
+                    .ok_or_else(|| parse_err(line, "unterminated /* comment"))?;
+                let end = i + 2 + close + 2;
+                line += bytes[i..end].iter().filter(|&&b| b == b'\n').count();
+                (end, " ")
             }
-            '/' if chars.peek() == Some(&'/') => {
-                for c2 in chars.by_ref() {
-                    if c2 == '\n' {
-                        line += 1;
-                        cur.push(' ');
-                        break;
-                    }
+            (b';', _) => {
+                if let Some(first_line) = open.take() {
+                    out.push((joined(copy.take(), &text[run..i]), first_line));
                 }
+                i += 1;
+                continue;
             }
-            '/' if chars.peek() == Some(&'*') => {
-                let open_line = line;
-                chars.next();
-                let mut closed = false;
-                let mut prev = ' ';
-                for c2 in chars.by_ref() {
-                    if c2 == '\n' {
-                        line += 1;
-                    }
-                    if prev == '*' && c2 == '/' {
-                        closed = true;
-                        break;
-                    }
-                    prev = c2;
+            (b, _) => {
+                line += usize::from(b == b'\n');
+                let c = text[i..].chars().next().unwrap_or(' ');
+                if open.is_none() && !c.is_whitespace() {
+                    open = Some(line);
+                    run = i;
                 }
-                if !closed {
-                    return Err(parse_err(open_line, "unterminated /* comment"));
-                }
-                cur.push(' ');
+                i += c.len_utf8();
+                continue;
             }
-            ';' => {
-                if !cur.trim().is_empty() {
-                    out.push((std::mem::take(&mut cur), cur_line));
-                } else {
-                    cur.clear();
-                }
-                cur_line = line;
-            }
-            _ => {
-                if cur.trim().is_empty() && !c.is_whitespace() {
-                    cur_line = line;
-                }
-                cur.push(c);
-            }
+        };
+        if open.is_some() {
+            let s = copy.get_or_insert_with(String::new);
+            s.push_str(&text[run..i]);
+            s.push_str(gap);
+            run = end;
         }
+        i = end;
     }
-    if !cur.trim().is_empty() {
-        out.push((cur, cur_line));
+    if let Some(first_line) = open {
+        out.push((joined(copy, &text[run..]), first_line));
     }
     Ok(out)
 }
 
+/// A statement's text: `copy` (what preceded its last comment) followed
+/// by `tail`, borrowed when no comment was cut.
+fn joined(copy: Option<String>, tail: &str) -> Cow<'_, str> {
+    match copy {
+        Some(mut s) => {
+            s.push_str(tail);
+            Cow::Owned(s)
+        }
+        None => Cow::Borrowed(tail),
+    }
+}
+
+/// Checks that `tok` is a scalar identifier. A rejected token is shown
+/// with its line breaks as spaces, as the statement reads on one line.
 fn check_identifier(tok: &str, line: usize) -> Result<(), NetlistError> {
+    let shown = || tok.replace('\n', " ");
     if tok.contains('[') || tok.contains(']') || tok.contains(':') {
         return Err(parse_err(
             line,
-            format!("vector nets are not supported (`{tok}`); flatten to scalars"),
+            format!(
+                "vector nets are not supported (`{}`); flatten to scalars",
+                shown()
+            ),
         ));
     }
     let mut chars = tok.chars();
@@ -135,7 +146,7 @@ fn check_identifier(tok: &str, line: usize) -> Result<(), NetlistError> {
     if ok {
         Ok(())
     } else {
-        Err(parse_err(line, format!("bad identifier `{tok}`")))
+        Err(parse_err(line, format!("bad identifier `{}`", shown())))
     }
 }
 
@@ -172,6 +183,8 @@ pub fn parse_verilog(text: &str) -> Result<Netlist, NetlistError> {
     let mut outputs: Vec<NetId> = Vec::new();
     let mut saw_module = false;
     let mut saw_end = false;
+    // one primitive's connections, reused across statements
+    let mut ids = Vec::new();
 
     // resolves a *declared* identifier to its net
     let resolve = |nl: &Netlist, signals: &SignalMap, tok: &str| {
@@ -274,7 +287,7 @@ pub fn parse_verilog(text: &str) -> Result<Netlist, NetlistError> {
                     .trim_end()
                     .strip_suffix(')')
                     .ok_or_else(|| parse_err(line, "missing `)` in connection list"))?;
-                let mut ids = Vec::new();
+                ids.clear();
                 for tok in conns.split(',') {
                     let tok = tok.trim();
                     if tok.is_empty() {
@@ -360,6 +373,44 @@ endmodule
 ";
         let nl = parse_verilog(text).expect("parse");
         assert_eq!(nl.evaluate(&[true]), vec![false]);
+    }
+
+    /// Comments inside a statement are cut out of it: lines still count
+    /// from the text, and a rejected token reads as on one line, each
+    /// line break or comment a space.
+    #[test]
+    fn comments_inside_statements() {
+        let text = "\
+module m (a, b, y);
+  input a, /* second
+  input */ b;
+  output y;
+  and g (y, // out
+    a, b);
+endmodule
+";
+        let nl = parse_verilog(text).expect("parse");
+        assert_eq!(nl.inputs().len(), 2);
+        assert_eq!(nl.evaluate(&[true, true]), vec![true]);
+        for (bad, message) in [
+            (
+                "module m (a);\n/* one\ntwo */ input a // tail\n b;\nendmodule\n",
+                "bad identifier `a   b`",
+            ),
+            (
+                "module m (a);\ninput a;\n/* x */ wire [1:0]\n w;\nendmodule\n",
+                "vector nets are not supported (`[1:0]  w`); flatten to scalars",
+            ),
+        ] {
+            let err = parse_verilog(bad).unwrap_err();
+            assert_eq!(
+                err,
+                NetlistError::Parse {
+                    line: 3,
+                    message: message.into()
+                }
+            );
+        }
     }
 
     #[test]

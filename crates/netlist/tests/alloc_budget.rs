@@ -5,8 +5,9 @@
 //! each by doubling. Counts come from the counting allocator in
 //! `seceda-trace`, per thread, so concurrent tests do not disturb them.
 
-use seceda_netlist::{parse_bench, SymbolTable};
+use seceda_netlist::{parse_bench, parse_verilog, SymbolTable};
 use seceda_trace::alloc::{set_alloc_counting, thread_totals};
+use std::fmt::Write as _;
 
 /// Allocations `f` makes on this thread.
 fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
@@ -38,5 +39,40 @@ fn parsing_allocates_less_than_once_per_name() {
     let (nl, count) = allocations(|| parse_bench(&text).expect("parse"));
     let names = nl.symbols().len() as u64;
     assert!(names > 300, "{names} names");
+    assert!(count < names, "{count} allocations for {names} names");
+}
+
+/// A 1,000-wire chain in structural Verilog, one statement per line:
+/// `w{k} = XOR(w{k-1}, i{k mod 16})`, with line comments after every
+/// tenth gate and a block comment inside every hundredth.
+fn chain_verilog(wires: usize) -> String {
+    let mut text = String::from("// a chain of XORs\nmodule chain (y);\n  input i0");
+    for k in 1..16 {
+        let _ = write!(text, ", i{k}");
+    }
+    text.push_str(";\n  output y;\n");
+    for k in 0..wires {
+        let _ = writeln!(text, "  wire w{k};");
+    }
+    let _ = writeln!(text, "  xor g0 (w0, i0, i1);");
+    for k in 1..wires {
+        let comment = match k % 100 {
+            0 => " /* every hundredth */",
+            _ => "",
+        };
+        let _ = write!(text, "  xor g{k} (w{k},{comment} w{}, i{});", k - 1, k % 16);
+        text.push_str(if k % 10 == 0 { " // tenth\n" } else { "\n" });
+    }
+    let _ = writeln!(text, "  assign y = w{};\nendmodule", wires - 1);
+    text
+}
+
+#[test]
+fn verilog_parsing_allocates_less_than_once_per_name() {
+    let text = chain_verilog(1_000);
+    let (nl, count) = allocations(|| parse_verilog(&text).expect("parse"));
+    assert_eq!(nl.num_gates(), 1_001, "1,000 XORs and the output alias");
+    let names = nl.symbols().len() as u64;
+    assert!(names > 1_000, "{names} names");
     assert!(count < names, "{count} allocations for {names} names");
 }
