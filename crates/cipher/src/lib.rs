@@ -7,8 +7,8 @@
 //! form:
 //!
 //! * [`Aes128`] — the full AES-128 block cipher (FIPS-197), the standard
-//!   side-channel target, plus gate-level netlist generators for its
-//!   S-box and first-round byte slice;
+//!   side-channel target, plus a gate-level generator of its registered
+//!   first-round S-box slice, the CPA victim;
 //! * [`ToyCipher`] — a 16-bit SPN ("PRESENT-like": 4-bit S-boxes and a
 //!   bit permutation) small enough for exhaustive fault analysis, with a
 //!   full-datapath netlist generator.
@@ -29,7 +29,5 @@ mod netlist_gen;
 mod toy;
 
 pub use aes::{Aes128, AES_SBOX};
-pub use netlist_gen::{
-    mux_tree, sbox_first_round_netlist, sbox_first_round_registered, sbox_netlist, table_lookup,
-};
+pub use netlist_gen::{sbox_first_round_registered, table_lookup};
 pub use toy::{ToyCipher, TOY_PERM, TOY_ROUNDS, TOY_SBOX};

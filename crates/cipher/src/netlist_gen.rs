@@ -11,7 +11,7 @@ use seceda_netlist::{CellKind, NetId, Netlist, Word};
 /// # Panics
 ///
 /// Panics if `leaves.len() != 2^sel_bits.len()`.
-pub fn mux_tree(nl: &mut Netlist, sel_bits: &[NetId], leaves: &[bool]) -> NetId {
+fn mux_tree(nl: &mut Netlist, sel_bits: &[NetId], leaves: &[bool]) -> NetId {
     assert_eq!(
         leaves.len(),
         1usize << sel_bits.len(),
@@ -61,42 +61,24 @@ pub fn table_lookup(nl: &mut Netlist, index: &Word, table: &[u64], out_width: us
     Word::new(bits)
 }
 
-/// Generates a netlist computing the AES S-box: input `x\[8\]`, output
-/// `y\[8\] = SBOX[x]`.
-pub fn sbox_netlist() -> Netlist {
-    let mut nl = Netlist::new("aes_sbox");
-    let x = Word::input(&mut nl, "x", 8);
+/// Adds the first-round S-box slice of one AES byte lane to `nl`:
+/// inputs `pt\[8\]` and `key\[8\]`, result word `SBOX[pt ^ key]`.
+fn first_round_slice(nl: &mut Netlist) -> Word {
+    let pt = Word::input(nl, "pt", 8);
+    let key = Word::input(nl, "key", 8);
+    let x = pt.xor(nl, &key);
     let table: Vec<u64> = AES_SBOX.iter().map(|&v| v as u64).collect();
-    let y = table_lookup(&mut nl, &x, &table, 8);
-    y.mark_output(&mut nl, "y");
-    nl
+    table_lookup(nl, &x, &table, 8)
 }
 
-/// Generates the classical CPA target slice: inputs `pt\[8\]` and `key\[8\]`,
-/// output `s\[8\] = SBOX[pt ^ key]` — the first-round S-box output of one
-/// AES byte lane.
-pub fn sbox_first_round_netlist() -> Netlist {
-    let mut nl = Netlist::new("aes_round1_byte");
-    let pt = Word::input(&mut nl, "pt", 8);
-    let key = Word::input(&mut nl, "key", 8);
-    let x = pt.xor(&mut nl, &key);
-    let table: Vec<u64> = AES_SBOX.iter().map(|&v| v as u64).collect();
-    let s = table_lookup(&mut nl, &x, &table, 8);
-    s.mark_output(&mut nl, "s");
-    nl
-}
-
-/// Like [`sbox_first_round_netlist`] but with a register bank on the
-/// S-box output: each output bit feeds a DFF whose output is the primary
-/// output. This is the canonical CPA victim — the attack samples the
+/// Generates the classical CPA target: the first-round S-box slice of
+/// one AES byte lane (inputs `pt\[8\]` and `key\[8\]`) with a register
+/// bank on its output `SBOX[pt ^ key]`: each output bit feeds a DFF
+/// whose output is the primary output `s\[i\]`. The attack samples the
 /// power of the register update (Hamming distance of the stored bytes).
 pub fn sbox_first_round_registered() -> Netlist {
     let mut nl = Netlist::new("aes_round1_byte_reg");
-    let pt = Word::input(&mut nl, "pt", 8);
-    let key = Word::input(&mut nl, "key", 8);
-    let x = pt.xor(&mut nl, &key);
-    let table: Vec<u64> = AES_SBOX.iter().map(|&v| v as u64).collect();
-    let s = table_lookup(&mut nl, &x, &table, 8);
+    let s = first_round_slice(&mut nl);
     for (i, &bit) in s.bits().iter().enumerate() {
         let q = nl.add_gate(CellKind::Dff, &[bit]);
         nl.mark_output(q, format!("s[{i}]"));
@@ -108,6 +90,17 @@ pub fn sbox_first_round_registered() -> Netlist {
 mod tests {
     use super::*;
     use seceda_netlist::{bits_to_u64, u64_to_bits};
+
+    /// The AES S-box as one table lookup: input `x[8]`, output
+    /// `y[8] = SBOX[x]`.
+    fn aes_sbox_lookup() -> Netlist {
+        let mut nl = Netlist::new("aes_sbox");
+        let x = Word::input(&mut nl, "x", 8);
+        let table: Vec<u64> = AES_SBOX.iter().map(|&v| v as u64).collect();
+        let y = table_lookup(&mut nl, &x, &table, 8);
+        y.mark_output(&mut nl, "y");
+        nl
+    }
 
     #[test]
     fn registered_slice_pipelines_by_one_cycle() {
@@ -151,7 +144,7 @@ mod tests {
 
     #[test]
     fn sbox_netlist_matches_table() {
-        let nl = sbox_netlist();
+        let nl = aes_sbox_lookup();
         for x in [0usize, 1, 0x53, 0x7f, 0xca, 0xff] {
             let out = bits_to_u64(&nl.evaluate(&u64_to_bits(x as u64, 8)));
             assert_eq!(out as u8, AES_SBOX[x], "x = {x:#x}");
@@ -160,7 +153,7 @@ mod tests {
 
     #[test]
     fn sbox_netlist_exhaustive() {
-        let nl = sbox_netlist();
+        let nl = aes_sbox_lookup();
         for (x, &want) in AES_SBOX.iter().enumerate() {
             let out = bits_to_u64(&nl.evaluate(&u64_to_bits(x as u64, 8)));
             assert_eq!(out as u8, want);
@@ -169,7 +162,9 @@ mod tests {
 
     #[test]
     fn first_round_slice_matches_model() {
-        let nl = sbox_first_round_netlist();
+        let mut nl = Netlist::new("aes_round1_byte");
+        let s = first_round_slice(&mut nl);
+        s.mark_output(&mut nl, "s");
         for (pt, key) in [(0u8, 0u8), (0x12, 0x34), (0xff, 0xa5), (0x80, 0x01)] {
             let mut inputs = u64_to_bits(pt as u64, 8);
             inputs.extend(u64_to_bits(key as u64, 8));

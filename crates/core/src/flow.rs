@@ -63,7 +63,7 @@ impl StageReport {
     }
 
     /// Copies the stage metrics onto an open trace span.
-    pub fn annotate_span(&self, span: &mut seceda_trace::Span) {
+    fn annotate_span(&self, span: &mut seceda_trace::Span) {
         span.attr("stage", self.stage.as_str());
         span.attr("gates", self.gates);
         span.attr("area_ge", self.area_ge);

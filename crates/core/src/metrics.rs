@@ -214,11 +214,6 @@ impl SecurityReport {
             .count()
     }
 
-    /// Metrics for a specific threat.
-    pub fn for_threat(&self, threat: ThreatVector) -> Vec<&SecurityMetric> {
-        self.metrics.iter().filter(|m| m.threat == threat).collect()
-    }
-
     /// `true` if every metric passes. Degraded ([`Verdict::Unavailable`])
     /// metrics do not fail the report — they are surfaced separately by
     /// [`SecurityReport::degraded`] so a partial evaluation still yields
@@ -415,28 +410,5 @@ mod tests {
         assert_eq!(regressions[0].name, "probing leaks");
         assert!(!after.all_pass());
         assert!(before.all_pass());
-    }
-
-    #[test]
-    fn for_threat_filters() {
-        let mut r = SecurityReport::new("x");
-        r.metrics.push(SecurityMetric::new(
-            "a",
-            ThreatVector::Trojan,
-            MetricValue::HigherBetter {
-                value: 1.0,
-                threshold: 0.0,
-            },
-        ));
-        r.metrics.push(SecurityMetric::new(
-            "b",
-            ThreatVector::Piracy,
-            MetricValue::HigherBetter {
-                value: 1.0,
-                threshold: 0.0,
-            },
-        ));
-        assert_eq!(r.for_threat(ThreatVector::Trojan).len(), 1);
-        assert_eq!(r.for_threat(ThreatVector::SideChannel).len(), 0);
     }
 }

@@ -77,13 +77,6 @@ impl DfxController {
         }
     }
 
-    /// Returns to mission mode from test or recovery.
-    pub fn leave_special_mode(&mut self) {
-        if self.state != DfxState::Lockdown {
-            self.state = DfxState::Mission;
-        }
-    }
-
     /// Releases the locking key — only in authorized test mode.
     pub fn locking_key(&self) -> Option<&[bool]> {
         if self.state == DfxState::Test {
@@ -135,8 +128,6 @@ mod tests {
             DfxResponse::RecoverAndResume
         );
         assert_eq!(c.state(), DfxState::Recovering);
-        c.leave_special_mode();
-        assert_eq!(c.state(), DfxState::Mission);
     }
 
     #[test]
@@ -156,8 +147,6 @@ mod tests {
         assert!(c.locking_key().is_none());
         assert!(c.enter_test_mode(0xC0FFEE));
         assert_eq!(c.locking_key(), Some(&[true, false, true, true][..]));
-        c.leave_special_mode();
-        assert!(c.locking_key().is_none());
     }
 
     #[test]

@@ -223,21 +223,6 @@ pub fn parity_protect(nl: &Netlist) -> ProtectedNetlist {
     }
 }
 
-/// Convenience: evaluates a protected netlist and splits functional
-/// outputs from the alarm.
-pub fn eval_protected(p: &ProtectedNetlist, inputs: &[bool]) -> (Vec<bool>, Option<bool>) {
-    let outs = p.netlist.evaluate(inputs);
-    match p.alarm_index {
-        Some(i) => {
-            let alarm = outs[i];
-            let mut functional = outs;
-            functional.remove(i);
-            (functional, Some(alarm))
-        }
-        None => (outs, None),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,7 +244,13 @@ mod tests {
         let p = duplicate_with_compare(&nl);
         for pattern in 0..32u32 {
             let inputs: Vec<bool> = (0..5).map(|b| (pattern >> b) & 1 == 1).collect();
-            let (outs, alarm) = eval_protected(&p, &inputs);
+            let mut outs = p.netlist.evaluate(&inputs);
+            assert_eq!(
+                p.alarm_index,
+                Some(outs.len() - 1),
+                "alarm is the last output"
+            );
+            let alarm = outs.pop();
             assert_eq!(outs, nl.evaluate(&inputs));
             assert_eq!(alarm, Some(false), "no fault, no alarm");
         }

@@ -7,7 +7,7 @@
 //! is the attack that motivates the detection/infection countermeasures
 //! of [`crate::codes`].
 
-use seceda_cipher::{ToyCipher, TOY_PERM, TOY_ROUNDS, TOY_SBOX};
+use seceda_cipher::{TOY_PERM, TOY_ROUNDS, TOY_SBOX};
 
 /// Result of a DFA key recovery.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -16,13 +16,6 @@ pub struct DfaResult {
     pub candidates: Vec<u16>,
     /// Number of (correct, faulty) pairs consumed.
     pub pairs_used: usize,
-}
-
-impl DfaResult {
-    /// `true` when exactly one key survives.
-    pub fn unique(&self) -> bool {
-        self.candidates.len() == 1
-    }
 }
 
 fn inv_sbox() -> [u8; 16] {
@@ -85,23 +78,24 @@ pub fn dfa_attack(pairs: &[(u16, u16)]) -> DfaResult {
     }
 }
 
-/// Convenience: collects `n` DFA pairs from a cipher instance by
-/// injecting single-bit faults before the last S-box layer.
-pub fn collect_pairs(cipher: &ToyCipher, plaintexts: &[u16]) -> Vec<(u16, u16)> {
-    plaintexts
-        .iter()
-        .enumerate()
-        .map(|(i, &pt)| {
-            let good = cipher.encrypt(pt);
-            let bad = cipher.encrypt_with_fault(pt, TOY_ROUNDS - 1, i % 16);
-            (good, bad)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seceda_cipher::ToyCipher;
+
+    /// Collects one DFA pair per plaintext from a cipher instance by
+    /// injecting a single-bit fault before the last S-box layer.
+    fn collect_pairs(cipher: &ToyCipher, plaintexts: &[u16]) -> Vec<(u16, u16)> {
+        plaintexts
+            .iter()
+            .enumerate()
+            .map(|(i, &pt)| {
+                let good = cipher.encrypt(pt);
+                let bad = cipher.encrypt_with_fault(pt, TOY_ROUNDS - 1, i % 16);
+                (good, bad)
+            })
+            .collect()
+    }
 
     #[test]
     fn inverse_helpers_roundtrip() {
@@ -206,7 +200,7 @@ mod tests {
             .collect();
         let result = dfa_attack(&pairs);
         assert!(
-            !result.unique() || result.candidates[0] != key,
+            result.candidates.len() != 1 || result.candidates[0] != key,
             "infection must deny the adversary a unique correct key"
         );
     }

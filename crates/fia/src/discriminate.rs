@@ -78,11 +78,6 @@ impl FaultDiscriminator {
         }
     }
 
-    /// Number of events currently in the window.
-    pub fn num_events(&self) -> usize {
-        self.events.len()
-    }
-
     /// Classifies the current window.
     pub fn verdict(&self) -> FaultVerdict {
         if self.events.len() < self.window {
@@ -166,7 +161,7 @@ mod tests {
             d.record(99, 1_000_000 + i * 200_000);
         }
         assert_eq!(d.verdict(), FaultVerdict::Malicious);
-        assert_eq!(d.num_events(), 4);
+        assert_eq!(d.events.len(), 4);
     }
 
     #[test]

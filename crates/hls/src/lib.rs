@@ -8,8 +8,7 @@
 //! * [`schedule`] — ASAP / ALAP / resource-constrained list scheduling
 //!   and functional-unit / register allocation;
 //! * [`secure`] — register flushing after last use of sensitive values,
-//!   masking-aware scheduling (shares of one secret never co-scheduled
-//!   on one cycle), PUF-based metering allocation \[19\], and BISA-style
+//!   PUF-based metering allocation \[19\], and BISA-style
 //!   self-authentication fill of idle schedule slots \[20\];
 //! * [`ift`] — information-flow (taint) tracking \[14\] with one-time-pad
 //!   declassification, and a quantitative information-flow estimator
@@ -25,6 +24,5 @@ pub use dfg::{Dfg, NodeId, Op};
 pub use ift::{estimate_leakage_bits, taint_analysis, TaintReport};
 pub use schedule::{alap, asap, list_schedule, Allocation, Schedule};
 pub use secure::{
-    add_metering, flush_plan, self_authentication_fill, sensitive_nodes, share_aware_schedule,
-    FlushPlan, MeteredDfg, SelfAuthDfg,
+    add_metering, flush_plan, self_authentication_fill, FlushPlan, MeteredDfg, SelfAuthDfg,
 };

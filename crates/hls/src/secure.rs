@@ -2,7 +2,6 @@
 
 use crate::dfg::{Dfg, NodeId, Op};
 use crate::schedule::{allocate, Schedule};
-use std::collections::BTreeMap;
 
 /// A register-flushing plan for sensitive values.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -18,7 +17,7 @@ pub struct FlushPlan {
 }
 
 /// Nodes carrying secret-derived values (simple forward taint).
-pub fn sensitive_nodes(dfg: &Dfg) -> Vec<bool> {
+fn sensitive_nodes(dfg: &Dfg) -> Vec<bool> {
     let mut sensitive = vec![false; dfg.len()];
     for (i, n) in dfg.nodes().iter().enumerate() {
         sensitive[i] = match &n.op {
@@ -60,63 +59,6 @@ pub fn flush_plan(dfg: &Dfg, schedule: &Schedule) -> FlushPlan {
         residence_without: without,
         residence_with: with,
     }
-}
-
-/// Masking-aware list scheduling: nodes carry a *share group* label
-/// (`share_group[node] = Some(secret_id)`), and no two nodes of the same
-/// group may execute in the same cycle — the HLS-level embodiment of
-/// "never process all shares jointly" (paper Sec. II-B).
-///
-/// # Panics
-///
-/// Panics if `share_group` has the wrong length.
-pub fn share_aware_schedule(
-    dfg: &Dfg,
-    limits: &BTreeMap<String, usize>,
-    share_group: &[Option<u32>],
-) -> Schedule {
-    assert_eq!(share_group.len(), dfg.len(), "share label width");
-    let mut cycle = vec![0u32; dfg.len()];
-    let mut fu_usage: BTreeMap<(String, u32), usize> = BTreeMap::new();
-    let mut group_usage: BTreeMap<(u32, u32), bool> = BTreeMap::new();
-    for (i, n) in dfg.nodes().iter().enumerate() {
-        let ready = n
-            .args
-            .iter()
-            .map(|a| cycle[a.index()] + 1)
-            .max()
-            .unwrap_or(0);
-        let mut c = ready;
-        loop {
-            let fu_ok = match n.op.fu_class() {
-                Some(class) => match limits.get(class) {
-                    Some(&limit) => {
-                        fu_usage.get(&(class.to_string(), c)).copied().unwrap_or(0) < limit
-                    }
-                    None => true,
-                },
-                None => true,
-            };
-            let share_ok = match share_group[i] {
-                Some(g) => !group_usage.get(&(g, c)).copied().unwrap_or(false),
-                None => true,
-            };
-            if fu_ok && share_ok {
-                break;
-            }
-            c += 1;
-        }
-        if let Some(class) = n.op.fu_class() {
-            if limits.contains_key(class) {
-                *fu_usage.entry((class.to_string(), c)).or_insert(0) += 1;
-            }
-        }
-        if let Some(g) = share_group[i] {
-            group_usage.insert((g, c), true);
-        }
-        cycle[i] = c;
-    }
-    Schedule { cycle }
 }
 
 /// A DFG augmented with PUF-based metering \[19\].
@@ -243,41 +185,6 @@ mod tests {
             plan.residence_with,
             plan.residence_without
         );
-    }
-
-    #[test]
-    fn share_aware_scheduling_separates_shares() {
-        // three "shares" that could all run in cycle 1
-        let mut dfg = Dfg::new("sh");
-        let a = dfg.input("a", false);
-        let b = dfg.input("b", false);
-        let s0 = dfg.node(Op::Xor, &[a, b]);
-        let s1 = dfg.node(Op::Xor, &[a, b]);
-        let s2 = dfg.node(Op::Xor, &[a, b]);
-        dfg.output("o0", s0);
-        dfg.output("o1", s1);
-        dfg.output("o2", s2);
-        let mut groups = vec![None; dfg.len()];
-        groups[s0.index()] = Some(7);
-        groups[s1.index()] = Some(7);
-        groups[s2.index()] = Some(7);
-        let plain = asap(&dfg);
-        assert_eq!(plain.cycle[s0.index()], plain.cycle[s1.index()]);
-        let aware = share_aware_schedule(&dfg, &BTreeMap::new(), &groups);
-        let cycles = [
-            aware.cycle[s0.index()],
-            aware.cycle[s1.index()],
-            aware.cycle[s2.index()],
-        ];
-        assert_ne!(cycles[0], cycles[1]);
-        assert_ne!(cycles[1], cycles[2]);
-        assert_ne!(cycles[0], cycles[2]);
-        // dependencies still hold
-        for (i, n) in dfg.nodes().iter().enumerate() {
-            for arg in &n.args {
-                assert!(aware.cycle[i] > aware.cycle[arg.index()]);
-            }
-        }
     }
 
     #[test]

@@ -18,8 +18,7 @@
 //!   chosen metal layer, the proximity attack \[52\] that exploits
 //!   placement locality, and the wire-lifting defense \[53\];
 //! * [`sensors`] — on-grid placement of fault-injection / Trojan sensors
-//!   \[9\], \[26\], \[28\] with spatial coverage metrics, plus a top-metal
-//!   shield model \[29\].
+//!   \[9\], \[26\], \[28\] with spatial coverage metrics.
 
 #[cfg(test)]
 mod oracle;
@@ -31,6 +30,6 @@ pub mod timing;
 
 pub use place::{perturb_placement, place, Placement, PlacementConfig};
 pub use route::{route, RouteConfig, RoutedDesign, Wire};
-pub use sensors::{place_sensors, shield_coverage, SensorPlan, ShieldConfig};
+pub use sensors::{place_sensors, SensorPlan};
 pub use split::{lift_wires, proximity_attack, split_at, FeolView, ProximityResult};
 pub use timing::{timing_report, TimingReport};

@@ -62,13 +62,6 @@ pub struct RoutedDesign {
     pub total_length: u64,
 }
 
-impl RoutedDesign {
-    /// Number of wires on layers `>= layer`.
-    pub fn wires_at_or_above(&self, layer: u8) -> usize {
-        self.wires.iter().filter(|w| w.layer >= layer).count()
-    }
-}
-
 /// Routes `nl` under `placement`.
 pub fn route(nl: &Netlist, placement: &Placement, config: &RouteConfig) -> RoutedDesign {
     let mut wires = Vec::new();
@@ -166,12 +159,5 @@ mod tests {
         let (_, r) = routed_c17();
         let sum: u64 = r.wires.iter().map(|w| w.length as u64).sum();
         assert_eq!(r.total_length, sum);
-    }
-
-    #[test]
-    fn wires_at_or_above_counts() {
-        let (_, r) = routed_c17();
-        assert_eq!(r.wires_at_or_above(1), r.wires.len());
-        assert!(r.wires_at_or_above(4) <= r.wires.len());
     }
 }

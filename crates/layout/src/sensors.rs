@@ -1,9 +1,7 @@
-//! Physical security structures: fault-injection sensors and shields.
+//! Physical security structures: fault-injection and Trojan sensors.
 //!
 //! Sensors \[9\], \[26\] detect local disturbances (laser spots, EM probes,
-//! delay anomalies from Trojans) within a radius. Shields \[29\] are
-//! top-metal meshes that intercept frontside probing and optical fault
-//! injection over a covered area fraction.
+//! delay anomalies from Trojans) within a radius.
 
 use crate::place::Placement;
 
@@ -78,28 +76,6 @@ pub fn place_sensors(placement: &Placement, count: usize, radius: u32) -> Sensor
     }
 }
 
-/// Shield parameters: a top-metal mesh with a given pitch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShieldConfig {
-    /// Mesh line every `pitch` grid units (smaller = denser = better
-    /// coverage, higher routing cost).
-    pub pitch: u32,
-}
-
-/// Fraction of the die area protected by the shield mesh, plus the
-/// number of routing tracks it consumes.
-pub fn shield_coverage(placement: &Placement, config: &ShieldConfig) -> (f64, u32) {
-    let pitch = config.pitch.max(1);
-    // mesh lines in both directions; a cell is covered if a line passes
-    // through its row or column
-    let covered_cols = placement.width.div_ceil(pitch);
-    let covered_rows = placement.height.div_ceil(pitch);
-    let total = (placement.width * placement.height) as f64;
-    let covered = (covered_cols * placement.height + covered_rows * placement.width
-        - covered_cols * covered_rows) as f64;
-    ((covered / total).min(1.0), covered_cols + covered_rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,16 +109,6 @@ mod tests {
         if sx + 3 < p.width {
             assert!(!plan.detects(sx + 3, sy + 3));
         }
-    }
-
-    #[test]
-    fn denser_shield_covers_more() {
-        let p = placement();
-        let (sparse, cost_sparse) = shield_coverage(&p, &ShieldConfig { pitch: 5 });
-        let (dense, cost_dense) = shield_coverage(&p, &ShieldConfig { pitch: 1 });
-        assert!(dense >= sparse);
-        assert!((dense - 1.0).abs() < 1e-9, "pitch-1 mesh covers everything");
-        assert!(cost_dense > cost_sparse, "density costs routing tracks");
     }
 
     #[test]

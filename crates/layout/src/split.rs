@@ -38,18 +38,6 @@ pub struct FeolView {
     pub split_layer: u8,
 }
 
-impl FeolView {
-    /// Fraction of wires hidden from the foundry.
-    pub fn hidden_fraction(&self) -> f64 {
-        let total = self.visible.len() + self.hidden.len();
-        if total == 0 {
-            0.0
-        } else {
-            self.hidden.len() as f64 / total as f64
-        }
-    }
-}
-
 fn lerp(a: (u32, u32), b: (u32, u32), t: f64) -> (f64, f64) {
     (
         a.0 as f64 + (b.0 as f64 - a.0 as f64) * t,
@@ -195,7 +183,9 @@ mod tests {
         let (_, r) = workload();
         let high = split_at(&r, 5);
         let low = split_at(&r, 2);
-        assert!(low.hidden_fraction() > high.hidden_fraction());
+        // both views partition the same wires, so more hidden is a larger
+        // hidden fraction
+        assert!(low.hidden.len() > high.hidden.len());
     }
 
     #[test]

@@ -18,15 +18,11 @@
 //!   with a resumable [`SatAttackCheckpoint`];
 //! * [`camouflage`](mod@camouflage) — IC camouflaging \[23\] modeled as ambiguous cells,
 //!   plus de-camouflaging via the same SAT machinery;
-//! * [`metrics`] — output-corruption metrics for locked designs;
-//! * [`watermark`] — topological watermarking, with a robustness check
-//!   that shows classical (security-unaware) optimization strips the
-//!   mark while tag-honoring synthesis preserves it.
+//! * [`metrics`] — output-corruption metrics for locked designs.
 
 pub mod camouflage;
 pub mod metrics;
 pub mod sat_attack;
-pub mod watermark;
 
 mod locking;
 #[cfg(test)]
@@ -38,4 +34,3 @@ pub use metrics::{output_corruption, CorruptionReport};
 pub use sat_attack::{
     sat_attack, sat_attack_budgeted, SatAttackCheckpoint, SatAttackOutcome, SatAttackResult,
 };
-pub use watermark::{embed_watermark, verify_watermark, Watermark};

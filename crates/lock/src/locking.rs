@@ -31,7 +31,7 @@ impl LockedNetlist {
     /// # Panics
     ///
     /// Panics on width mismatch.
-    pub fn inputs_with_key(&self, inputs: &[bool], key: &[bool]) -> Vec<bool> {
+    fn inputs_with_key(&self, inputs: &[bool], key: &[bool]) -> Vec<bool> {
         assert_eq!(inputs.len(), self.num_original_inputs, "input width");
         assert_eq!(key.len(), self.correct_key.len(), "key width");
         let mut v = inputs.to_vec();

@@ -8,7 +8,7 @@
 //! silently drop it.
 
 use seceda_dft::insert_scan_chain;
-use seceda_lock::{embed_watermark, mux_lock, xor_lock};
+use seceda_lock::{mux_lock, xor_lock};
 use seceda_netlist::{
     c17, parse_bench, random_circuit, ripple_adder, CellKind, DesignDigest, Netlist,
     RandomCircuitConfig,
@@ -169,23 +169,6 @@ fn mux_lock_splices_an_earlier_decoy() {
         &locked.netlist,
         "855e0fb788ceaf446fb76c9ad70b211a",
         &random_host_ports(12, 16, 6),
-    );
-}
-
-#[test]
-fn watermark_pairs() {
-    let signature = [true, false, true, true, false, true, false, false];
-    check(
-        "c17",
-        &embed_watermark(&c17(), 0x5EC, &signature[..4]),
-        "a3b61a284b39c1e1bb25130470344cec",
-        "G1 G2 G3 G6 G7 | G22 G23",
-    );
-    check(
-        "host",
-        &embed_watermark(&attack_host(3), 0x5EC, &signature),
-        "95c8f50a98842a30b4b6cf1831a641ea",
-        &random_host_ports(12, 0, 6),
     );
 }
 

@@ -155,19 +155,6 @@ impl Word {
         Word(bits)
     }
 
-    /// Reduction XOR over all bits (parity).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the word is empty.
-    pub fn reduce_xor(&self, nl: &mut Netlist) -> NetId {
-        assert!(!self.0.is_empty(), "cannot reduce an empty word");
-        if self.0.len() == 1 {
-            return self.0[0];
-        }
-        nl.add_gate(CellKind::Xor, &self.0)
-    }
-
     /// Equality comparison against another word; returns a single net that
     /// is 1 iff all bits match.
     ///
@@ -294,16 +281,6 @@ mod tests {
         let c = Word::constant(&mut nl, 0xA5, 8);
         c.mark_output(&mut nl, "c");
         assert_eq!(bits_to_u64(&nl.evaluate(&[])), 0xA5);
-    }
-
-    #[test]
-    fn reduce_xor_parity() {
-        let mut nl = Netlist::new("par");
-        let a = Word::input(&mut nl, "a", 5);
-        let p = a.reduce_xor(&mut nl);
-        nl.mark_output(p, "p");
-        assert!(nl.evaluate(&u64_to_bits(0b10110, 5))[0]);
-        assert!(!nl.evaluate(&u64_to_bits(0b10010, 5))[0]);
     }
 
     #[test]

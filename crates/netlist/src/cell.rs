@@ -257,7 +257,7 @@ impl InputList {
 
     /// The inputs as a mutable slice (rewiring passes redirect entries
     /// in place; the arity of a gate never changes after creation).
-    pub fn as_mut_slice(&mut self) -> &mut [NetId] {
+    fn as_mut_slice(&mut self) -> &mut [NetId] {
         match &mut self.0 {
             InputRepr::Inline { len, buf } => &mut buf[..*len as usize],
             InputRepr::Heap(v) => v,

@@ -36,11 +36,6 @@ impl Fanout {
         let i = net.index();
         &self.loads[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
-
-    /// Total number of (net, reader) edges.
-    pub fn num_edges(&self) -> usize {
-        self.loads.len()
-    }
 }
 
 /// A flat gate-level netlist.
@@ -821,7 +816,7 @@ mod tests {
             assert_eq!(scan, csr.loads(net), "net {i}");
         }
         let edges: usize = nl.gates().iter().map(|g| g.inputs.len()).sum();
-        assert_eq!(csr.num_edges(), edges);
+        assert_eq!(csr.loads.len(), edges);
     }
 
     #[test]

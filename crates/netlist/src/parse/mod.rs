@@ -40,7 +40,7 @@ pub enum DesignFormat {
 
 impl DesignFormat {
     /// Guesses the format from a file extension (`bench`, `v`/`vg`).
-    pub fn from_extension(ext: &str) -> Option<DesignFormat> {
+    fn from_extension(ext: &str) -> Option<DesignFormat> {
         match ext.to_ascii_lowercase().as_str() {
             "bench" => Some(DesignFormat::Bench),
             "v" | "vg" => Some(DesignFormat::Verilog),

@@ -73,7 +73,7 @@ impl ArbiterPuf {
     }
 
     /// The noiseless delay difference for a challenge.
-    pub fn delay_difference(&self, challenge: &[bool]) -> f64 {
+    fn delay_difference(&self, challenge: &[bool]) -> f64 {
         assert_eq!(challenge.len(), self.stages(), "challenge width");
         Self::features(challenge)
             .iter()

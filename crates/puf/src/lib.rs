@@ -6,8 +6,6 @@
 //! * [`arbiter`] — the arbiter PUF under the standard additive linear
 //!   delay model, including the asymmetric-layout variation enhancement
 //!   of \[30\] (physical synthesis tuning entropy primitives);
-//! * [`ro`] — ring-oscillator PUF with pairwise frequency comparison;
-//! * [`sram`] — SRAM power-up PUF with per-cell mismatch;
 //! * [`metrics`] — the standard PUF quality metrics: uniqueness,
 //!   reliability, uniformity, bit-aliasing (validated during timing and
 //!   power verification per Table II);
@@ -21,13 +19,9 @@
 pub mod arbiter;
 pub mod attack;
 pub mod metrics;
-pub mod ro;
-pub mod sram;
 pub mod trng;
 
 pub use arbiter::{random_challenges, ArbiterPuf, ArbiterPufConfig, XorArbiterPuf};
 pub use attack::{collect_crps, model_arbiter_puf, ModelingAttackResult};
 pub use metrics::{bit_aliasing, reliability, uniformity, uniqueness};
-pub use ro::{RoPuf, RoPufConfig};
-pub use sram::{SramPuf, SramPufConfig};
 pub use trng::{Trng, TrngConfig, TrngHealth};

@@ -47,7 +47,7 @@ impl AigLit {
     }
 
     /// `true` if the edge is complemented.
-    pub fn is_complement(self) -> bool {
+    fn is_complement(self) -> bool {
         self.0 & 1 == 1
     }
 

@@ -1,6 +1,5 @@
-//! Correlation power analysis (CPA) with a Hamming-weight model \[1\].
-
-use seceda_cipher::AES_SBOX;
+//! Correlation power analysis (CPA) \[1\] with a caller-supplied leakage
+//! model.
 
 /// Result of a CPA key-byte recovery.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,27 +43,14 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     }
 }
 
-/// Recovers one AES key byte by CPA with the default Hamming-weight
-/// model `HW(SBOX[pt ^ guess])`.
+/// Recovers one AES key byte by CPA with the leakage model
+/// `model(plaintext, guess)`: e.g. first-round S-box Hamming weight
+/// `HW(SBOX[pt ^ guess])`, or, for a registered implementation whose
+/// register bank transitions from `SBOX[guess]` to `SBOX[pt ^ guess]`,
+/// `HD(SBOX[guess], SBOX[pt ^ guess])`.
 ///
 /// `traces[i]` is the trace for plaintext byte `plaintexts[i]`; each
 /// trace may have several samples (max-correlation over samples is used).
-///
-/// # Panics
-///
-/// Panics if `traces` and `plaintexts` differ in length.
-pub fn cpa_attack(traces: &[Vec<f64>], plaintexts: &[u8]) -> CpaResult {
-    cpa_attack_with_model(traces, plaintexts, |pt, guess| {
-        AES_SBOX[(pt ^ guess) as usize].count_ones() as f64
-    })
-}
-
-/// CPA with a caller-supplied leakage model `model(plaintext, guess)`.
-///
-/// Use this when the victim leaks something other than first-round S-box
-/// Hamming weight — e.g. a registered implementation whose register bank
-/// transitions from `SBOX[guess]` to `SBOX[pt ^ guess]`, leaking
-/// `HD(SBOX[guess], SBOX[pt ^ guess])`.
 ///
 /// The trace matrix is transposed once and each sample column is
 /// centered with its variance precomputed, so the 256-guess loop is a
@@ -145,7 +131,15 @@ pub fn cpa_attack_with_model(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seceda_cipher::AES_SBOX;
     use seceda_testkit::rng::{Rng, SeedableRng, StdRng};
+
+    /// CPA under the Hamming-weight model `HW(SBOX[pt ^ guess])`.
+    fn cpa_attack(traces: &[Vec<f64>], plaintexts: &[u8]) -> CpaResult {
+        cpa_attack_with_model(traces, plaintexts, |pt, guess| {
+            AES_SBOX[(pt ^ guess) as usize].count_ones() as f64
+        })
+    }
 
     #[test]
     fn pearson_basics() {

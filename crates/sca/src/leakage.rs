@@ -1,5 +1,5 @@
 //! Per-net leakage identification — "identification of leaking gates"
-//! (Table II, logic-synthesis × SCA) and an SNR estimator.
+//! (Table II, logic-synthesis × SCA).
 
 use crate::cpa::pearson;
 use seceda_netlist::{NetId, Netlist, NetlistError};
@@ -73,36 +73,6 @@ pub fn leaking_nets(
     Ok(leaks)
 }
 
-/// Signal-to-noise ratio of a partitioned trace set: variance of the
-/// per-class means over the mean of the per-class variances.
-///
-/// Classes with fewer than two traces are ignored. Returns 0.0 when no
-/// class has variance (noise-free constant traces).
-pub fn snr_per_net(classes: &[Vec<f64>]) -> f64 {
-    let mut means = Vec::new();
-    let mut vars = Vec::new();
-    for class in classes {
-        if class.len() < 2 {
-            continue;
-        }
-        let m = class.iter().sum::<f64>() / class.len() as f64;
-        let v = class.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (class.len() - 1) as f64;
-        means.push(m);
-        vars.push(v);
-    }
-    if means.len() < 2 {
-        return 0.0;
-    }
-    let gm = means.iter().sum::<f64>() / means.len() as f64;
-    let signal = means.iter().map(|m| (m - gm).powi(2)).sum::<f64>() / (means.len() - 1) as f64;
-    let noise = vars.iter().sum::<f64>() / vars.len() as f64;
-    if noise == 0.0 {
-        0.0
-    } else {
-        signal / noise
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,25 +121,5 @@ mod tests {
                     <= 1;
             assert!(driver_ok, "unexpected strong correlation at {:?}", l.net);
         }
-    }
-
-    #[test]
-    fn snr_separates_signal_from_noise() {
-        // two classes with distinct means, small noise
-        let a: Vec<f64> = (0..100).map(|i| 1.0 + 0.01 * (i % 3) as f64).collect();
-        let b: Vec<f64> = (0..100).map(|i| 5.0 + 0.01 * (i % 3) as f64).collect();
-        let snr = snr_per_net(&[a, b]);
-        assert!(snr > 100.0, "snr = {snr}");
-        // identical classes: no signal
-        let c: Vec<f64> = (0..100).map(|i| 2.0 + 0.5 * (i % 5) as f64).collect();
-        let snr0 = snr_per_net(&[c.clone(), c]);
-        assert!(snr0 < 0.1, "snr = {snr0}");
-    }
-
-    #[test]
-    fn snr_degenerate_inputs() {
-        assert_eq!(snr_per_net(&[]), 0.0);
-        assert_eq!(snr_per_net(&[vec![1.0]]), 0.0);
-        assert_eq!(snr_per_net(&[vec![1.0, 1.0], vec![2.0, 2.0]]), 0.0);
     }
 }

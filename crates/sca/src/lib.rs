@@ -6,8 +6,8 @@
 //! * [`tvla`](mod@tvla) — Test Vector Leakage Assessment \[16\]: Welch's t-test over
 //!   fixed-vs-random trace groups, the physical-synthesis-stage leakage
 //!   evaluation of Table II;
-//! * [`cpa`] — Correlation Power Analysis \[1\] with a Hamming-weight
-//!   model, the attack the countermeasures defend against;
+//! * [`cpa`] — Correlation Power Analysis \[1\] under a caller-supplied
+//!   leakage model, the attack the countermeasures defend against;
 //! * [`isw`] — the ISW private-circuit masking transform \[15\]: 3-share
 //!   Boolean masking with the AND-gadget schedule from the paper's
 //!   Sec. II-B, emitting `no_reassoc` ordering barriers on every gadget
@@ -16,8 +16,7 @@
 //!   share and randomness distributions (no measurement noise), used to
 //!   verify gadgets and to expose what security-unaware synthesis broke;
 //! * [`leakage`] — per-net first-order leakage identification
-//!   ("identification of leaking gates", Table II logic-synthesis cell)
-//!   and an SNR estimator;
+//!   ("identification of leaking gates", Table II logic-synthesis cell);
 //! * [`traces`] — trace-acquisition campaigns over the simulator's power
 //!   models.
 
@@ -28,9 +27,9 @@ pub mod probing;
 pub mod traces;
 pub mod tvla;
 
-pub use cpa::{cpa_attack, CpaResult};
+pub use cpa::CpaResult;
 pub use isw::{mask_netlist, MaskedNetlist, NUM_SHARES};
-pub use leakage::{leaking_nets, snr_per_net, LeakingNet};
+pub use leakage::{leaking_nets, LeakingNet};
 pub use probing::{first_order_leaks, second_order_leaks, ProbingModel};
 pub use traces::{acquire_fixed_vs_random, FixedVsRandom, TraceCampaign};
-pub use tvla::{tvla, welch_t, TvlaResult, TVLA_THRESHOLD};
+pub use tvla::{tvla, TvlaResult, TVLA_THRESHOLD};

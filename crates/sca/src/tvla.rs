@@ -21,12 +21,7 @@ pub struct TvlaResult {
 impl TvlaResult {
     /// `true` if any sample exceeds the threshold — the design leaks.
     pub fn leaks(&self) -> bool {
-        self.leaks_at(TVLA_THRESHOLD)
-    }
-
-    /// `true` if any sample exceeds a custom threshold.
-    pub fn leaks_at(&self, threshold: f64) -> bool {
-        self.max_abs_t > threshold
+        self.max_abs_t > TVLA_THRESHOLD
     }
 }
 
@@ -34,7 +29,7 @@ impl TvlaResult {
 ///
 /// Returns 0.0 when either group has fewer than two observations or both
 /// variances vanish.
-pub fn welch_t(group_a: &[f64], group_b: &[f64]) -> f64 {
+fn welch_t(group_a: &[f64], group_b: &[f64]) -> f64 {
     if group_a.len() < 2 || group_b.len() < 2 {
         return 0.0;
     }

@@ -15,13 +15,6 @@ pub struct SimTrace {
     pub outputs: Vec<Vec<bool>>,
 }
 
-impl SimTrace {
-    /// Number of simulated cycles.
-    pub fn num_cycles(&self) -> usize {
-        self.values.len()
-    }
-}
-
 /// A reusable cycle simulator.
 ///
 /// Compiles the netlist's evaluation tape once, then evaluates cycles
@@ -173,7 +166,7 @@ mod tests {
         let nl = counter2();
         let mut sim = CycleSim::new(&nl).expect("sim");
         let trace = sim.run(&vec![vec![]; 3]).expect("run");
-        assert_eq!(trace.num_cycles(), 3);
+        assert_eq!(trace.values.len(), 3);
         assert!(trace.values.iter().all(|v| v.len() == nl.num_nets()));
     }
 

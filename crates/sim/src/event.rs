@@ -37,23 +37,6 @@ pub struct GlitchReport {
     pub settle_time: f64,
 }
 
-impl GlitchReport {
-    /// Integrates toggle activity into a sampled power waveform with
-    /// `num_samples` buckets covering `[0, settle_time]`. Each toggle adds
-    /// one unit of power to its time bucket — the glitch-aware trace used
-    /// by leakage analysis. `num_samples` of 0 is treated as 1.
-    pub fn power_waveform(&self, num_samples: usize) -> Vec<f64> {
-        let mut wave = vec![0.0; num_samples.max(1)];
-        let last = wave.len() - 1;
-        let span = self.settle_time.max(1e-9);
-        for ev in &self.events {
-            let idx = ((ev.time / span) * last as f64).round() as usize;
-            wave[idx.min(last)] += 1.0;
-        }
-        wave
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Event {
     time: f64,
@@ -283,30 +266,5 @@ mod tests {
         sim.set_gate_delay(0, 10.0);
         let slowed = sim.transition(&[false], &[true]).settle_time;
         assert!(slowed > base + 5.0);
-    }
-
-    #[test]
-    fn power_waveform_buckets_events() {
-        let nl = glitcher();
-        let sim = EventSim::new(&nl).expect("sim");
-        let report = sim.transition(&[false], &[true]);
-        let wave = report.power_waveform(8);
-        let total: f64 = wave.iter().sum();
-        assert_eq!(total as usize, report.events.len());
-    }
-
-    #[test]
-    fn power_waveform_with_at_most_one_sample_is_one_bucket() {
-        let nl = glitcher();
-        let sim = EventSim::new(&nl).expect("sim");
-        let report = sim.transition(&[false], &[true]);
-        assert!(!report.events.is_empty());
-        for n in [0, 1] {
-            assert_eq!(
-                report.power_waveform(n),
-                vec![report.events.len() as f64],
-                "{n} samples"
-            );
-        }
     }
 }

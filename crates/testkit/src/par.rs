@@ -48,7 +48,7 @@ pub fn with_workers<R>(workers: usize, f: impl FnOnce() -> R) -> R {
 /// The maximum number of workers a parallel call may use right now:
 /// the [`with_workers`] pin, else `SECEDA_THREADS`, else the machine's
 /// available parallelism.
-pub fn max_workers() -> usize {
+fn max_workers() -> usize {
     let pinned = context::with(|c| c.workers);
     if pinned != 0 {
         return pinned;

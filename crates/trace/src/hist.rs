@@ -4,11 +4,11 @@
 //! logarithmic buckets with four linear sub-buckets per power of two, so
 //! any percentile estimate is within 25% relative error of the true
 //! sample — accurate enough for p50/p90/p99 latency reporting — at a
-//! fixed 157-slot footprint, mergeable across threads and sessions.
+//! fixed 157-slot footprint.
 //!
 //! Samples are recorded through [`crate::histogram`] as events and
-//! aggregated by [`crate::Summary`]; the type is public so exporters and
-//! tests can build and merge histograms directly.
+//! aggregated by [`crate::Summary`], which hands out the histograms it
+//! builds.
 
 /// Linear sub-buckets per power of two (2 bits of mantissa).
 const SUB_BITS: u32 = 2;
@@ -18,9 +18,9 @@ const SUBS: usize = 1 << SUB_BITS;
 const MAX_EXP: u32 = 40;
 /// Bucket count: exact buckets for 0..4, four sub-buckets per octave
 /// from 2^2 through 2^39, and one overflow bucket.
-pub const NUM_BUCKETS: usize = SUBS + (MAX_EXP as usize - SUB_BITS as usize) * SUBS + 1;
+const NUM_BUCKETS: usize = SUBS + (MAX_EXP as usize - SUB_BITS as usize) * SUBS + 1;
 /// Index of the overflow bucket (samples ≥ 2^40).
-pub const OVERFLOW_BUCKET: usize = NUM_BUCKETS - 1;
+const OVERFLOW_BUCKET: usize = NUM_BUCKETS - 1;
 
 /// A fixed-size log-bucketed histogram of `u64` samples.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,7 +39,7 @@ impl Default for Histogram {
 }
 
 /// Bucket index of a sample value.
-pub fn bucket_index(value: u64) -> usize {
+fn bucket_index(value: u64) -> usize {
     if value < SUBS as u64 {
         return value as usize;
     }
@@ -54,7 +54,7 @@ pub fn bucket_index(value: u64) -> usize {
 /// Inclusive `[low, high]` value range of a bucket.
 ///
 /// The overflow bucket reports `[2^40, u64::MAX]`.
-pub fn bucket_bounds(index: usize) -> (u64, u64) {
+fn bucket_bounds(index: usize) -> (u64, u64) {
     assert!(index < NUM_BUCKETS, "bucket index out of range");
     if index < SUBS {
         return (index as u64, index as u64);
@@ -91,17 +91,6 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
-    /// Folds another histogram into this one (bucket-wise addition).
-    pub fn merge(&mut self, other: &Histogram) {
-        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count
@@ -133,11 +122,6 @@ impl Histogram {
         } else {
             self.sum as f64 / self.count as f64
         }
-    }
-
-    /// Count in one bucket (for tests and exporters).
-    pub fn bucket(&self, index: usize) -> u64 {
-        self.buckets[index]
     }
 
     /// Estimates the `q`-quantile (`0.0 ..= 1.0`): the upper bound of
@@ -175,15 +159,6 @@ impl Histogram {
     /// 99th-percentile estimate. See [`Histogram::quantile`].
     pub fn p99(&self) -> u64 {
         self.quantile(0.99)
-    }
-
-    /// Aggregates a slice of samples (convenience for tests/exporters).
-    pub fn of_samples(samples: impl IntoIterator<Item = u64>) -> Histogram {
-        let mut h = Histogram::new();
-        for s in samples {
-            h.record(s);
-        }
-        h
     }
 }
 
@@ -295,7 +270,10 @@ mod tests {
 
     #[test]
     fn quantiles_of_uniform_samples() {
-        let h = Histogram::of_samples(1..=1000u64);
+        let mut h = Histogram::new();
+        for v in 1..=1000u64 {
+            h.record(v);
+        }
         assert_eq!(h.count(), 1000);
         assert_eq!(h.min(), 1);
         assert_eq!(h.max(), 1000);
@@ -320,7 +298,7 @@ mod tests {
         h.record(10);
         h.record(u64::MAX);
         h.record(1u64 << 50);
-        assert_eq!(h.bucket(OVERFLOW_BUCKET), 2);
+        assert_eq!(h.buckets[OVERFLOW_BUCKET], 2);
         assert_eq!(h.max(), u64::MAX);
         // both high quantiles sit in the overflow bucket; the estimate is
         // clamped to the observed max, not the bucket's 2^64-1 bound
@@ -328,19 +306,6 @@ mod tests {
         // p50 sits in 10's bucket [10, 11]; the estimate is the bucket's
         // upper bound
         assert_eq!(h.p50(), 11);
-    }
-
-    #[test]
-    fn merge_is_equivalent_to_recording_everything_into_one() {
-        let mut a = Histogram::of_samples([1u64, 10, 100, 1000]);
-        let b = Histogram::of_samples([5u64, 50, 500_000, 1 << 45]);
-        let combined = Histogram::of_samples([1u64, 10, 100, 1000, 5, 50, 500_000, 1 << 45]);
-        a.merge(&b);
-        assert_eq!(a, combined);
-        assert_eq!(a.count(), 8);
-        assert_eq!(a.min(), 1);
-        assert_eq!(a.max(), 1 << 45);
-        assert_eq!(a.bucket(OVERFLOW_BUCKET), 1);
     }
 
     #[test]

@@ -60,9 +60,7 @@ mod span;
 
 pub use chrome::to_chrome_trace;
 pub use export::{from_json_lines, to_json_lines};
-pub use hist::{
-    bucket_bounds, bucket_index, hist_timer, HistTimer, Histogram, NUM_BUCKETS, OVERFLOW_BUCKET,
-};
+pub use hist::{hist_timer, HistTimer, Histogram};
 pub use recorder::{
     counter, drain, enabled, gauge, histogram, session, set_enabled, AttrValue, CounterRecord,
     Event, GaugeRecord, HistRecord, SpanRecord,

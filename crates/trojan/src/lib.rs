@@ -1,7 +1,7 @@
 //! # seceda-trojan
 //!
 //! Hardware Trojans: insertion, detection by testing, detection by
-//! side-channel fingerprints, and runtime monitors — the Trojan column
+//! path-delay fingerprints, and runtime monitors — the Trojan column
 //! of Table II.
 //!
 //! * [`insert`] — rare-trigger Trojan insertion: the trigger is a
@@ -13,21 +13,16 @@
 //! * [`fingerprint`] — path-delay fingerprinting \[35\]: compare a chip's
 //!   path-delay signature against a golden population with process
 //!   variation; the extra load of a Trojan shows as an outlier;
-//! * [`iddq`] — leakage-current analysis over multiple supply domains
-//!   \[60\]: Trojan gates draw quiescent current that does not fit the
-//!   golden distribution;
 //! * [`monitor`] — design-time insertion of runtime security monitors
 //!   \[25\] that raise an alarm when a rare trigger condition actually
 //!   fires in the field.
 
 pub mod fingerprint;
-pub mod iddq;
 pub mod insert;
 pub mod mero;
 pub mod monitor;
 
 pub use fingerprint::{fingerprint_detect, DelayFingerprint, FingerprintConfig};
-pub use iddq::{iddq_detect, IddqConfig, IddqReport};
 pub use insert::{insert_trojan, PayloadKind, TrojanConfig, TrojanedNetlist};
 pub use mero::{generate_mero_tests, trigger_coverage, MeroConfig, MeroTestSet};
 pub use monitor::{

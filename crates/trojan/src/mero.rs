@@ -51,17 +51,6 @@ pub struct MeroTestSet {
     pub activations: Vec<usize>,
 }
 
-impl MeroTestSet {
-    /// Fraction of rare nodes that reached the N-detect goal.
-    pub fn satisfaction(&self, n_detect: usize) -> f64 {
-        if self.rare_nodes.is_empty() {
-            return 1.0;
-        }
-        self.activations.iter().filter(|&&a| a >= n_detect).count() as f64
-            / self.rare_nodes.len() as f64
-    }
-}
-
 /// Generates an N-detect test set: random candidates are kept when they
 /// activate at least one rare node that still needs activations.
 ///
@@ -221,12 +210,15 @@ mod tests {
             reachable_sat > 0.9,
             "reachable rare nodes should reach N activations: {reachable_sat}"
         );
-        // and the overall satisfaction still covers a majority-ish share
-        assert!(
-            tests.satisfaction(config.n_detect) > 0.5,
-            "overall satisfaction: {}",
-            tests.satisfaction(config.n_detect)
-        );
+        // and the share of all rare nodes at the N-detect goal still
+        // covers a majority-ish share
+        let overall_sat = tests
+            .activations
+            .iter()
+            .filter(|&&a| a >= config.n_detect)
+            .count() as f64
+            / tests.rare_nodes.len() as f64;
+        assert!(overall_sat > 0.5, "overall share at goal: {overall_sat}");
     }
 
     #[test]

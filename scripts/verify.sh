@@ -10,6 +10,12 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+# Every public function, and every module, has a user outside its own
+# file; the few kept without one are on the allowlist with a reason, and
+# an entry that gains a caller or disappears fails the step too.
+echo "==> public API: every pub fn and module has a caller (scripts/public_api_allowlist.txt)"
+python3 scripts/check_public_api.py
+
 # Test, example and bench targets are linted too, not just the libraries.
 echo "==> cargo clippy --workspace --all-targets --offline -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
