@@ -30,8 +30,11 @@ use std::sync::Arc;
 /// A design plus the interface semantics the evaluations need.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DesignUnderTest {
-    /// The current netlist.
-    pub netlist: Netlist,
+    /// The current netlist, shared: a snapshot (`clone`) of the design
+    /// costs a reference count, and [`CompositionEngine::apply`] puts
+    /// each countermeasure's result in a new `Arc` instead of editing
+    /// the shared one.
+    pub netlist: Arc<Netlist>,
     /// Masked-interface description, if the design is masked (set by the
     /// masking countermeasure).
     pub probing_model: Option<ProbingModel>,
@@ -47,7 +50,7 @@ impl DesignUnderTest {
     /// Wraps a plain netlist with no countermeasures applied.
     pub fn new(netlist: Netlist) -> Self {
         DesignUnderTest {
-            netlist,
+            netlist: Arc::new(netlist),
             probing_model: None,
             alarm_index: None,
             key_bits: 0,
@@ -318,22 +321,22 @@ impl CompositionEngine {
             Countermeasure::Masking => {
                 let masked = mask_netlist(&self.dut.netlist);
                 self.dut.probing_model = Some(ProbingModel::of(&masked));
-                self.dut.netlist = masked.netlist;
+                self.dut.netlist = Arc::new(masked.netlist);
                 self.dut.alarm_index = None; // masking replaced the design
             }
             Countermeasure::ParityCheck => {
                 let p = parity_protect(&self.dut.netlist);
-                self.dut.netlist = p.netlist;
+                self.dut.netlist = Arc::new(p.netlist);
                 self.dut.alarm_index = p.alarm_index;
             }
             Countermeasure::DuplicationCompare => {
                 let p = duplicate_with_compare(&self.dut.netlist);
-                self.dut.netlist = p.netlist;
+                self.dut.netlist = Arc::new(p.netlist);
                 self.dut.alarm_index = p.alarm_index;
             }
             Countermeasure::XorLock(bits) => {
                 let locked = xor_lock(&self.dut.netlist, bits, self.eval.seed ^ 3);
-                self.dut.netlist = locked.netlist;
+                self.dut.netlist = Arc::new(locked.netlist);
                 self.dut.key_bits += bits;
                 // key inputs change the interface; exact probing no
                 // longer applies as-is
@@ -342,7 +345,8 @@ impl CompositionEngine {
             Countermeasure::TrojanMonitor => {
                 // watch each rare net the Trojan metric counts
                 let rare = selection(&self.dut, &self.eval, self.cache.as_deref(), parent)?;
-                self.dut.netlist = instrument(&self.dut.netlist, &rare, 1, usize::MAX).netlist;
+                let monitored = instrument(&self.dut.netlist, &rare, 1, usize::MAX).netlist;
+                self.dut.netlist = Arc::new(monitored);
                 self.dut.monitored = true;
             }
         }
@@ -812,6 +816,38 @@ mod tests {
             state_key(&and_gadget(), &eval),
             "the key is a pure function"
         );
+    }
+
+    #[test]
+    fn snapshots_share_the_netlist_and_survive_an_apply() {
+        let cache = Arc::new(EvalCache::new());
+        let eval = SecurityEvaluation::default();
+        let mut engine = CompositionEngine::with_cache(and_gadget(), eval, cache);
+        engine.apply(Countermeasure::Masking).expect("mask");
+        let before = engine.history().last().expect("report").clone();
+        let snapshot = engine.design().clone();
+        assert!(
+            Arc::ptr_eq(&snapshot.netlist, &engine.design().netlist),
+            "a snapshot shares the netlist"
+        );
+        // a deep copy of the pre-apply state, to compare by value
+        let pre_apply = DesignUnderTest {
+            netlist: Arc::new((*snapshot.netlist).clone()),
+            ..snapshot.clone()
+        };
+        engine.apply(Countermeasure::ParityCheck).expect("parity");
+        assert!(!Arc::ptr_eq(&snapshot.netlist, &engine.design().netlist));
+        assert_eq!(snapshot, pre_apply, "apply leaves the snapshot untouched");
+        assert_ne!(engine.design(), &pre_apply);
+        assert_eq!(
+            engine.revert_last(snapshot),
+            Some(Countermeasure::ParityCheck)
+        );
+        assert_eq!(engine.design(), &pre_apply);
+        assert_eq!(engine.applied(), &[Countermeasure::Masking]);
+        let after = engine.evaluate("after rollback").expect("eval");
+        assert_eq!(after.metrics, before.metrics);
+        assert_eq!(after.cached_count(), after.metrics.len());
     }
 
     #[test]

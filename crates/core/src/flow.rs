@@ -246,7 +246,7 @@ pub fn run_classical_flow(nl: &Netlist) -> Result<FlowReport, NetlistError> {
             back_end.critical_path,
             vec![
                 "skipped: no leakage assessment (TVLA)".into(),
-                "skipped: no sensors/shields placed".into(),
+                "skipped: no sensors placed".into(),
             ],
         ),
     );
@@ -379,7 +379,7 @@ pub fn run_secure_flow(nl: &Netlist) -> Result<FlowReport, NetlistError> {
             "physical synthesis (security-aware)",
             back_end.critical_path,
             vec![format!(
-                "wirelength {} (sensors/shields placeable via seceda-layout)",
+                "wirelength {} (sensors placeable via seceda-layout)",
                 back_end.wirelength
             )],
         ),
@@ -541,7 +541,7 @@ mod tests {
                 assert_eq!(
                     secure.stages[1].security_notes,
                     [format!(
-                        "wirelength {wirelength} (sensors/shields placeable via seceda-layout)"
+                        "wirelength {wirelength} (sensors placeable via seceda-layout)"
                     )],
                     "{}, {order}",
                     nl.name()

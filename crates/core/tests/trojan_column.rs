@@ -163,6 +163,6 @@ fn the_trojan_metric_counts_what_the_monitor_watches() {
         engine
             .apply(Countermeasure::TrojanMonitor)
             .expect("monitor");
-        assert_eq!(engine.design().netlist, expected, "cached: {cached}");
+        assert_eq!(*engine.design().netlist, expected, "cached: {cached}");
     }
 }

@@ -77,6 +77,17 @@ impl DfxController {
         }
     }
 
+    /// Returns to mission mode from test mode or from recovery, which
+    /// hides the locking key again. Lockdown is sticky: returns `false`
+    /// and stays there.
+    pub fn resume_mission(&mut self) -> bool {
+        if self.state == DfxState::Lockdown {
+            return false;
+        }
+        self.state = DfxState::Mission;
+        true
+    }
+
     /// Releases the locking key — only in authorized test mode.
     pub fn locking_key(&self) -> Option<&[bool]> {
         if self.state == DfxState::Test {

@@ -7,7 +7,7 @@
 //! (key gates, monitors, masking barriers), so the countermeasures
 //! applied before a transform stay visible to the passes after it.
 
-use seceda_netlist::{CellKind, GateTags, NetId, Netlist};
+use seceda_netlist::{CellKind, GateId, GateTags, NetId, Netlist};
 
 /// A netlist protected by a detection/correction transform.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,23 +28,31 @@ fn redundancy_tags() -> GateTags {
     }
 }
 
-/// Copies the combinational cone of `nl` into `dst`, reading the
+/// Copies the combinational cone of `nl` into `dst` in topological
+/// `order` (one [`Netlist::topo_order`] serves every copy), reading the
 /// (already copied) primary inputs. Each copy keeps its source gate's
 /// tags, plus the `redundancy` marker when `redundant`. Returns the new
 /// nets of the original outputs.
-fn clone_cone(nl: &Netlist, dst: &mut Netlist, input_map: &[NetId], redundant: bool) -> Vec<NetId> {
-    let order = nl.topo_order().expect("cyclic netlist");
+fn clone_cone(
+    nl: &Netlist,
+    order: &[GateId],
+    dst: &mut Netlist,
+    input_map: &[NetId],
+    redundant: bool,
+) -> Vec<NetId> {
     let mut map: Vec<Option<NetId>> = vec![None; nl.num_nets()];
     for (k, &pi) in nl.inputs().iter().enumerate() {
         map[pi.index()] = Some(input_map[k]);
     }
-    for gid in order {
+    let mut ins = Vec::new();
+    for &gid in order {
         let g = nl.gate(gid);
-        let ins: Vec<NetId> = g
-            .inputs
-            .iter()
-            .map(|&i| map[i.index()].expect("topological"))
-            .collect();
+        ins.clear();
+        ins.extend(
+            g.inputs
+                .iter()
+                .map(|&i| map[i.index()].expect("topological")),
+        );
         let tags = GateTags {
             redundancy: g.tags.redundancy || redundant,
             ..g.tags
@@ -65,6 +73,32 @@ fn assert_combinational(nl: &Netlist, what: &str) {
     );
 }
 
+/// The start of every transform, after checking that `nl` is
+/// combinational (`what` names the transform in the panic): an empty
+/// netlist `<name>_<suffix>` with `nl`'s primary inputs, its gate and
+/// net arrays pre-sized for `copies` copies of the logic plus
+/// `extra_gates` gates, and `nl`'s topological order for
+/// [`clone_cone`].
+fn protected_shell(
+    nl: &Netlist,
+    what: &str,
+    suffix: &str,
+    copies: usize,
+    extra_gates: usize,
+) -> (Netlist, Vec<NetId>, Vec<GateId>) {
+    assert_combinational(nl, what);
+    let order = nl.topo_order().expect("cyclic netlist");
+    let gates = copies * nl.num_gates() + extra_gates;
+    let name = format!("{}_{suffix}", nl.name());
+    let mut out = Netlist::with_capacity(name, nl.inputs().len() + gates, gates);
+    let inputs = nl
+        .inputs()
+        .iter()
+        .map(|&pi| out.add_input(nl.net_label(pi)))
+        .collect();
+    (out, inputs, order)
+}
+
 /// Duplication with comparison: the logic is instantiated twice; outputs
 /// come from the first copy; an `alarm` output raises when any output
 /// pair disagrees. Detects any single fault that corrupts an output.
@@ -73,19 +107,11 @@ fn assert_combinational(nl: &Netlist, what: &str) {
 ///
 /// Panics if `nl` is sequential or cyclic.
 pub fn duplicate_with_compare(nl: &Netlist) -> ProtectedNetlist {
-    assert_combinational(nl, "duplicate_with_compare");
-    let mut out = Netlist::new(format!("{}_dwc", nl.name()));
-    let inputs: Vec<NetId> = nl
-        .inputs()
-        .iter()
-        .map(|&pi| {
-            let name = nl.net_label(pi);
-            out.add_input(name)
-        })
-        .collect();
+    let extra = nl.outputs().len() + 1;
+    let (mut out, inputs, order) = protected_shell(nl, "duplicate_with_compare", "dwc", 2, extra);
     let tags = redundancy_tags();
-    let copy_a = clone_cone(nl, &mut out, &inputs, true);
-    let copy_b = clone_cone(nl, &mut out, &inputs, true);
+    let copy_a = clone_cone(nl, &order, &mut out, &inputs, true);
+    let copy_b = clone_cone(nl, &order, &mut out, &inputs, true);
     for (k, (_, name)) in nl.outputs().iter().enumerate() {
         out.mark_output(copy_a[k], name.clone());
     }
@@ -113,19 +139,11 @@ pub fn duplicate_with_compare(nl: &Netlist) -> ProtectedNetlist {
 ///
 /// Panics if `nl` is sequential or cyclic.
 pub fn triplicate_with_vote(nl: &Netlist) -> ProtectedNetlist {
-    assert_combinational(nl, "triplicate_with_vote");
-    let mut out = Netlist::new(format!("{}_tmr", nl.name()));
-    let inputs: Vec<NetId> = nl
-        .inputs()
-        .iter()
-        .map(|&pi| {
-            let name = nl.net_label(pi);
-            out.add_input(name)
-        })
-        .collect();
+    let extra = 4 * nl.outputs().len();
+    let (mut out, inputs, order) = protected_shell(nl, "triplicate_with_vote", "tmr", 3, extra);
     let tags = redundancy_tags();
     let copies: Vec<Vec<NetId>> = (0..3)
-        .map(|_| clone_cone(nl, &mut out, &inputs, true))
+        .map(|_| clone_cone(nl, &order, &mut out, &inputs, true))
         .collect();
     for (k, (_, name)) in nl.outputs().iter().enumerate() {
         let (a, b, c) = (copies[0][k], copies[1][k], copies[2][k]);
@@ -190,19 +208,10 @@ pub fn infective_transform(nl: &Netlist) -> ProtectedNetlist {
 ///
 /// Panics if `nl` is sequential or cyclic.
 pub fn parity_protect(nl: &Netlist) -> ProtectedNetlist {
-    assert_combinational(nl, "parity_protect");
-    let mut out = Netlist::new(format!("{}_parity", nl.name()));
-    let inputs: Vec<NetId> = nl
-        .inputs()
-        .iter()
-        .map(|&pi| {
-            let name = nl.net_label(pi);
-            out.add_input(name)
-        })
-        .collect();
+    let (mut out, inputs, order) = protected_shell(nl, "parity_protect", "parity", 2, 3);
     let tags = redundancy_tags();
-    let functional = clone_cone(nl, &mut out, &inputs, false);
-    let predictor = clone_cone(nl, &mut out, &inputs, true);
+    let functional = clone_cone(nl, &order, &mut out, &inputs, false);
+    let predictor = clone_cone(nl, &order, &mut out, &inputs, true);
     for (k, (_, name)) in nl.outputs().iter().enumerate() {
         out.mark_output(functional[k], name.clone());
     }

@@ -1,8 +1,9 @@
 //! The whole-design digest: one linear pass over a netlist's layout.
 //!
 //! [`DesignDigest::of`] absorbs the dense gate array — every gate's
-//! kind, tags, output net index and input net indices in pin order —
-//! followed by the primary-input and primary-output interface. That is
+//! kind, tags, output net index and input net indices in pin order,
+//! packed into as few 64-bit words as stay decodable — followed by the
+//! primary-input and primary-output interface. That is
 //! exactly what the index-driven evaluators downstream see (fault-shot
 //! selection picks gates by index, random stimuli are drawn per input
 //! position), so two designs share a digest only when those evaluators
@@ -38,17 +39,38 @@ pub struct DesignDigest(pub [u64; 2]);
 impl DesignDigest {
     /// Digests a whole design in one pass over its gate array and
     /// interface.
+    ///
+    /// Each gate absorbs one header word — kind (bits 0–7), tags
+    /// (8–15), input count (16–31) and output net index (32–63) — then
+    /// its input net indices two to a word (`a | b << 32`), the last
+    /// one alone when the count is odd. A gate with 2^16 − 1 inputs or
+    /// more saturates the count field and absorbs its exact count in
+    /// one extra word after the header. Net indices are 32-bit, so the
+    /// word sequence decodes back to the gate array: the encoding is
+    /// injective.
     pub fn of(nl: &Netlist) -> Self {
         let _t = seceda_trace::hist_timer("ir.hash_ns");
         let mut d = DigestBuilder::new();
         d.absorb(nl.num_nets() as u64);
         d.absorb(nl.num_gates() as u64);
         for g in nl.gates() {
-            d.absorb(g.kind as u64 | tag_bits(g.tags) << 8);
-            d.absorb(g.output.index() as u64);
-            d.absorb(g.inputs.len() as u64);
-            for &inp in &g.inputs {
-                d.absorb(inp.index() as u64);
+            let n = g.inputs.len();
+            let count = n.min(WIDE_GATE) as u64;
+            d.absorb(
+                g.kind as u64
+                    | tag_bits(g.tags) << 8
+                    | count << 16
+                    | (g.output.index() as u64) << 32,
+            );
+            if n >= WIDE_GATE {
+                d.absorb(n as u64);
+            }
+            let mut pairs = g.inputs.chunks_exact(2);
+            for pair in &mut pairs {
+                d.absorb(pair[0].index() as u64 | (pair[1].index() as u64) << 32);
+            }
+            if let [last] = pairs.remainder() {
+                d.absorb(last.index() as u64);
             }
         }
         d.absorb(nl.inputs().len() as u64);
@@ -117,6 +139,11 @@ impl Default for DigestBuilder {
     }
 }
 
+/// The input-count field of a gate's header word saturates here; a
+/// gate with this many inputs or more absorbs its exact count in an
+/// extra word after the header.
+const WIDE_GATE: usize = 0xFFFF;
+
 fn tag_bits(tags: GateTags) -> u64 {
     u64::from(tags.no_reassoc)
         | u64::from(tags.key_gate) << 1
@@ -129,6 +156,7 @@ fn tag_bits(tags: GateTags) -> u64 {
 mod tests {
     use super::*;
     use crate::cell::CellKind;
+    use crate::id::NetId;
 
     fn half_adder() -> Netlist {
         let mut nl = Netlist::new("ha");
@@ -181,11 +209,88 @@ mod tests {
 
     #[test]
     fn mux_pin_order_is_significant() {
+        // three pins pack as one pair plus a lone word: every
+        // permutation must still move the digest
+        let plain = GateTags::default();
+        let perms = [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ];
+        let digests: Vec<_> = perms
+            .iter()
+            .map(|order| DesignDigest::of(&one_gate(CellKind::Mux, order, plain)))
+            .collect();
+        for (i, d) in digests.iter().enumerate() {
+            for (j, e) in digests.iter().enumerate().skip(i + 1) {
+                assert_ne!(d, e, "{:?} vs {:?}", perms[i], perms[j]);
+            }
+        }
+    }
+
+    #[test]
+    fn odd_and_even_input_counts_stay_distinct() {
+        // an odd gate's lone last word `c` equals the pair `c | n0 << 32`
+        // of the same gate with net 0 appended; only the count differs
         let plain = GateTags::default();
         assert_ne!(
-            DesignDigest::of(&one_gate(CellKind::Mux, &[0, 1, 2], plain)),
-            DesignDigest::of(&one_gate(CellKind::Mux, &[0, 2, 1], plain))
+            DesignDigest::of(&one_gate(CellKind::And, &[1, 2, 0], plain)),
+            DesignDigest::of(&one_gate(CellKind::And, &[1, 2, 0, 0], plain))
         );
+        assert_ne!(
+            DesignDigest::of(&one_gate(CellKind::Xor, &[1, 0], plain)),
+            DesignDigest::of(&one_gate(CellKind::Xor, &[1, 0, 0], plain))
+        );
+    }
+
+    #[test]
+    fn a_pair_that_spells_a_header_is_not_read_as_one() {
+        // Without the count field these two designs absorb the same
+        // words: A's second pair `n4 | n7 << 32` is B's second header
+        // (And = 4, output n7), and A's second header (Not = 3, output
+        // n7) is B's pair `n3 | n7 << 32`.
+        let build = |gates: [(CellKind, &[usize]); 2]| {
+            let mut nl = Netlist::new("t");
+            let pis: Vec<NetId> = (0..6).map(|i| nl.add_input(format!("i{i}"))).collect();
+            let outs = [nl.add_net(), nl.add_net()];
+            let net = |i: usize| if i < 6 { pis[i] } else { outs[i - 6] };
+            for ((kind, pins), out) in gates.into_iter().zip(outs) {
+                let pins: Vec<NetId> = pins.iter().map(|&i| net(i)).collect();
+                nl.try_add_gate_driving(kind, &pins, out, GateTags::default())
+                    .expect("gate");
+            }
+            nl.mark_output(outs[0], "y");
+            assert_eq!(outs.map(NetId::index), [6, 7]);
+            assert_eq!(CellKind::Not as u64, 3);
+            assert_eq!(CellKind::And as u64, 4);
+            nl
+        };
+        let a = build([(CellKind::And, &[0, 1, 4, 7]), (CellKind::Not, &[5])]);
+        let b = build([(CellKind::And, &[0, 1]), (CellKind::And, &[3, 7, 5])]);
+        assert_ne!(DesignDigest::of(&a), DesignDigest::of(&b));
+    }
+
+    #[test]
+    fn gates_wider_than_the_count_field_absorb_their_exact_count() {
+        // both gates saturate the 16-bit count field, and the wider one
+        // only appends net 0, which packs into the narrower one's lone
+        // last word: the extra count word alone tells them apart
+        let wide = |extra_zero: bool| {
+            let mut nl = Netlist::new("wide");
+            let nets: Vec<NetId> = (0..=WIDE_GATE + 2).map(|_| nl.add_net()).collect();
+            let mut pins = nets[1..].to_vec();
+            assert!(pins.len() > WIDE_GATE && pins.len() % 2 == 1);
+            if extra_zero {
+                pins.push(nets[0]);
+            }
+            let y = nl.add_gate(CellKind::And, &pins);
+            nl.mark_output(y, "y");
+            DesignDigest::of(&nl)
+        };
+        assert_ne!(wide(false), wide(true));
     }
 
     #[test]

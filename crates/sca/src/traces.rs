@@ -97,7 +97,7 @@ pub fn acquire_fixed_vs_random(
 
 /// Acquires CPA-style traces from a *registered* victim whose inputs are
 /// `pt\[8\]` then `key\[8\]` and whose S-box output feeds a DFF bank (see
-/// [`seceda_cipher::sbox_first_round_registered`]): random plaintexts,
+/// `seceda_cipher::sbox_first_round_registered`): random plaintexts,
 /// fixed key. Returns `(traces, plaintext_bytes)`.
 ///
 /// The trace sample is windowed on the clock edge at which the register
